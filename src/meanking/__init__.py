@@ -3,7 +3,7 @@ protocol built on them: basis-set construction and validation, safe-vector
 strategies, protocol simulation, coherent-attack analysis and the
 zero-detection / zero-leakage security checks."""
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"
 
 from . import attack, bases, protocol, qmath, retrodiction, security  # noqa: F401
 from .attack import AttackModel, detection_probability, evaluate_attack, leakage  # noqa: F401

@@ -156,13 +156,14 @@ def _cmd_run(args) -> int:
     am = _parse_attack_spec(args.attack, strategy.basis_set, args.n)
     transcript = protocol.run_protocol(cfg, strategy, am)
     protocol.save_transcript(transcript, args.out)
-    accepted, keys = protocol.sift_and_test(transcript)
+    instances = len(transcript.records)
+    tests = len(transcript.test_indices)
     summary = {
-        "accepted": accepted,
+        "accepted": transcript.accepted,
         "agreement_rate": protocol.agreement_rate(transcript),
-        "instances": len(transcript.records),
-        "tests": len(transcript.test_indices),
-        "key_length": len(keys.alice_key),
+        "instances": instances,
+        "tests": tests,
+        "key_length": instances - tests,
     }
     outputs = [args.out]
     if args.summary:
@@ -188,7 +189,7 @@ def _cmd_run(args) -> int:
             ),
         }
     )
-    return EXIT_OK if accepted else EXIT_ABORT
+    return EXIT_OK if transcript.accepted else EXIT_ABORT
 
 
 def _cmd_security_lemma(args) -> int:

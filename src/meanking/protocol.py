@@ -6,25 +6,41 @@ POVM and later, once Bob announces his bases, infers his outcomes from her
 guessing functions. Agreement on randomly selected test positions is the
 eavesdropping check; the remaining positions become the raw key.
 
-Randomness is counter based (Philox) with one stream per block, spawned
-from the config seed, plus a dedicated stream for test selection, so runs
-are reproducible and order independent. In-memory records carry 1-based
-labels; transcript files use 0-based indices.
+One vectorized sampler serves both paths. It draws per unit: a block of n
+instances under an attack, or a single instance on the honest path, which
+is the identity attack with n = 1. Units are grouped in chunks of
+``CHUNK``, and chunk c draws from its own counter-based Philox stream keyed
+by ``(seed, c)`` (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC'11); test selection draws from a stream under a key no chunk
+uses. A unit's records therefore depend only on the seed and its position,
+never on how many blocks run after it. Outcomes come from inverse-CDF
+lookup in fixed-point cumulative tables, filled only for the basis and
+outcome vectors that were actually drawn. The streams are part of the
+release: a config gives byte-identical transcripts within one version of
+the package, not across versions. In-memory records carry 1-based labels;
+transcript files use 0-based indices.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from itertools import product
 from math import ceil
 
 import numpy as np
 
 from . import attack as attack_mod
-from .retrodiction import Strategy, phi_hat
+from .retrodiction import Strategy
 from .serialize import canonical_dumps
 
 _DIGITS = "123456789ABCDEFG"
+TRANSCRIPT_FORMAT = "meanking-transcript-v1"
+CHUNK = 4096  # units per Philox stream
+_CHUNK_KEY, _TEST_KEY = 0, 1  # spawn-key namespaces: sampling chunks, test selection
+# Fixed-point resolution of one inverse-CDF draw. Integer row offsets are
+# exact, so a draw never depends on which other rows the table holds.
+_RES = 1 << 40
 
 
 class ProtocolError(RuntimeError):
@@ -79,8 +95,8 @@ class KeyPair:
     bob_key: str
 
 
-def _block_rng(seed: int, index: int) -> np.random.Generator:
-    ss = np.random.SeedSequence(entropy=seed, spawn_key=(index,))
+def _stream(seed: int, *key: int) -> np.random.Generator:
+    ss = np.random.SeedSequence(entropy=seed, spawn_key=key)
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -91,24 +107,86 @@ def _normalized(dist: np.ndarray, what: str) -> np.ndarray:
     return np.clip(dist, 0.0, None) / total
 
 
-def _honest_tables(strategy: Strategy):
-    """Born-rule tables for the attack-free path, one per (basis, outcome)."""
+def _lookup(dists: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw: the bin of row ``rows[j]`` hit by ``draws[j]`` in [0, _RES).
+
+    Row r of the flat cumulative table spans (r*_RES, (r+1)*_RES] with its
+    last entry pinned to the top, so no draw leaves its row, and an empty
+    bin (equal neighbours) is never the first entry above a draw.
+    """
+    cum = np.rint(np.cumsum(dists, axis=1) * _RES).astype(np.int64)
+    cum[:, -1] = _RES
+    cum += np.arange(len(cum), dtype=np.int64)[:, None] * _RES
+    hits = np.searchsorted(cum.ravel(), rows * _RES + draws, side="right")
+    return hits - rows * dists.shape[1]
+
+
+def _outcome_dist(am, bs, bvec) -> np.ndarray:
+    probs = [attack_mod._projected_raw(am, bs, bvec, ivec)[1]
+             for ivec in product(range(bs.dim), repeat=am.n)]
+    return _normalized(np.asarray(probs), f"Bob outcomes (b={bvec})")
+
+
+def _povm_dist(am, bs, etas, weights, bvec, ivec) -> np.ndarray:
+    rho = attack_mod.alice_state(am, bs, bvec, ivec)
+    born = weights * np.sum((etas.conj() @ rho) * etas, axis=1).real
+    return _normalized(born, f"measurement (b={bvec}, i={ivec})")
+
+
+def _digits(flat: np.ndarray, base: int, n: int) -> np.ndarray:
+    """Base-``base`` digits of each flat index, first slot slowest, as (len, n)."""
+    return np.stack(np.unravel_index(flat, (base,) * n), axis=-1)
+
+
+def _sample(seed: int, strategy: Strategy, am, units: int) -> np.ndarray:
+    """Instance codes (b*d + i)*nx + x for ``units`` units of ``am.n`` instances.
+
+    Per unit, chunk streams give Bob's basis vector and two fixed-point
+    uniforms, one for his outcomes and one for Alice's POVM result.
+    """
     bs = strategy.basis_set
-    d, k = bs.dim, bs.k
-    etas = strategy.etas
-    weights = strategy.weights
-    born = np.empty((k, d))
-    povm = np.empty((k, d, len(weights)))
-    for b in range(k):
-        for i in range(d):
-            hat = phi_hat(bs, b, i)
-            born[b, i] = float(np.linalg.norm(hat) ** 2)
-            amps = etas.conj() @ hat
-            povm[b, i] = weights * d * np.abs(amps) ** 2
-        born[b] = _normalized(born[b], f"outcome (basis {b + 1})")
-        for i in range(d):
-            povm[b, i] = _normalized(povm[b, i], f"measurement (basis {b + 1})")
-    return born, povm
+    d, k, n = bs.dim, bs.k, am.n
+    nx = len(strategy.guessing_functions)
+    draws = []
+    for chunk, start in enumerate(range(0, units, CHUNK)):
+        rng = _stream(seed, _CHUNK_KEY, chunk)
+        size = min(CHUNK, units - start)
+        draws.append((rng.integers(k**n, size=size),
+                      rng.integers(_RES, size=size),
+                      rng.integers(_RES, size=size)))
+    bflat, u_out, u_povm = (np.concatenate(col) for col in zip(*draws))
+
+    bkeys, brows = np.unique(bflat, return_inverse=True)
+    outcome = np.array([_outcome_dist(am, bs, tuple(bvec))
+                        for bvec in _digits(bkeys, k, n).tolist()])
+    iflat = _lookup(outcome, brows, u_out)
+
+    pkeys, prows = np.unique(bflat * d**n + iflat, return_inverse=True)
+    etas, weights, _ = attack_mod._product_tables(strategy, n)
+    pairs = zip(_digits(pkeys // d**n, k, n).tolist(), _digits(pkeys % d**n, d, n).tolist())
+    povm = np.array([_povm_dist(am, bs, etas, weights, tuple(bvec), tuple(ivec))
+                     for bvec, ivec in pairs])
+    yflat = _lookup(povm, prows, u_povm)
+
+    b = _digits(bflat, k, n).ravel()
+    i = _digits(iflat, d, n).ravel()
+    y = _digits(yflat, nx, n).ravel()
+    return (b * d + i) * nx + y
+
+
+def _records(strategy: Strategy, codes: np.ndarray) -> list:
+    """Records for instance codes, one interned RoundRecord per distinct code."""
+    d = strategy.d
+    xs = strategy.guessing_functions
+    nx = len(xs)
+    distinct, inverse = np.unique(codes, return_inverse=True)
+    table = []
+    for code in distinct.tolist():
+        bi, y = divmod(code, nx)
+        b, i = divmod(bi, d)
+        x = xs[y]
+        table.append(RoundRecord(b=b + 1, i=i + 1, x=tuple(v + 1 for v in x), i_prime=x[b] + 1))
+    return [table[j] for j in inverse.tolist()]
 
 
 def run_protocol(cfg: ProtocolConfig, strategy: Strategy, attack=None) -> Transcript:
@@ -119,84 +197,28 @@ def run_protocol(cfg: ProtocolConfig, strategy: Strategy, attack=None) -> Transc
     result is deterministic given the config. Bob's bases reach Alice's
     records only through i' = x(b), evaluated after her outcomes are fixed.
     """
-    bs = strategy.basis_set
-    d, k = bs.dim, bs.k
+    d = strategy.basis_set.dim
     if cfg.d != d:
         raise ValueError(f"config dimension {cfg.d} vs strategy dimension {d}")
-    if attack is not None and (attack.d != d or attack.n != cfg.n):
-        raise ValueError("attack model does not match the protocol block shape")
-
-    xs = strategy.guessing_functions
-    records = []
     if attack is None:
-        born, povm = _honest_tables(strategy)
-        nx = len(xs)
-        for blk in range(cfg.rounds):
-            rng = _block_rng(cfg.seed, blk)
-            for _ in range(cfg.n):
-                b = int(rng.integers(k))
-                i = int(rng.choice(d, p=born[b]))
-                x = xs[int(rng.choice(nx, p=povm[b, i]))]
-                records.append(
-                    RoundRecord(b=b + 1, i=i + 1, x=tuple(v + 1 for v in x), i_prime=x[b] + 1)
-                )
+        am, units = attack_mod.identity_attack(d, 1), cfg.rounds * cfg.n
+    elif attack.d != d or attack.n != cfg.n:
+        raise ValueError("attack model does not match the protocol block shape")
     else:
-        records = _run_attacked(cfg, strategy, attack)
+        am, units = attack, cfg.rounds
 
+    records = _records(strategy, _sample(cfg.seed, strategy, am, units))
     transcript = Transcript(config=cfg, records=records)
     accepted, _ = sift_and_test(transcript)
     transcript.accepted = accepted
     return transcript
 
 
-def _run_attacked(cfg: ProtocolConfig, strategy: Strategy, am) -> list:
-    """Block-level simulation against an attack model (n small)."""
-    bs = strategy.basis_set
-    d, k, n = bs.dim, bs.k, cfg.n
-    etas, weights, _ = attack_mod._product_tables(strategy, n)
-    xs = strategy.guessing_functions
-    nx = len(xs)
-    outcome_cache: dict = {}
-    povm_cache: dict = {}
-
-    def outcome_dist(bvec):
-        if bvec not in outcome_cache:
-            probs = np.empty(d**n)
-            for flat in range(d**n):
-                ivec = tuple(int(v) for v in np.unravel_index(flat, (d,) * n))
-                _, probs[flat] = attack_mod._projected_raw(am, bs, bvec, ivec)
-            outcome_cache[bvec] = _normalized(probs, f"Bob outcomes (b={bvec})")
-        return outcome_cache[bvec]
-
-    def povm_dist(bvec, ivec):
-        key = (bvec, ivec)
-        if key not in povm_cache:
-            rho = attack_mod.alice_state(am, bs, bvec, ivec)
-            born = weights * np.einsum("xi,ij,xj->x", etas.conj(), rho, etas).real
-            povm_cache[key] = _normalized(born, f"measurement (b={bvec}, i={ivec})")
-        return povm_cache[key]
-
-    records = []
-    for blk in range(cfg.rounds):
-        rng = _block_rng(cfg.seed, blk)
-        bvec = tuple(int(v) for v in rng.integers(k, size=n))
-        iflat = int(rng.choice(d**n, p=outcome_dist(bvec)))
-        ivec = tuple(int(v) for v in np.unravel_index(iflat, (d,) * n))
-        yflat = int(rng.choice(nx**n, p=povm_dist(bvec, ivec)))
-        ydigits = np.unravel_index(yflat, (nx,) * n)
-        for b, i, y in zip(bvec, ivec, ydigits):
-            x = xs[int(y)]
-            records.append(
-                RoundRecord(b=b + 1, i=i + 1, x=tuple(v + 1 for v in x), i_prime=x[b] + 1)
-            )
-    return records
-
-
 def _test_indices(cfg: ProtocolConfig, total: int) -> tuple:
     count = ceil(cfg.test_fraction * total)
     if count == 0:
         return ()
-    rng = _block_rng(cfg.seed, cfg.rounds)  # stream disjoint from every block
+    rng = _stream(cfg.seed, _TEST_KEY)
     picked = rng.choice(total, size=count, replace=False)
     return tuple(sorted(int(v) for v in picked))
 
@@ -232,54 +254,101 @@ def agreement_rate(transcript: Transcript) -> float:
     return hits / len(records)
 
 
+def _record_line(rec: RoundRecord) -> str:
+    return canonical_dumps(
+        {
+            "b": rec.b - 1,
+            "i": rec.i - 1,
+            "x": [v - 1 for v in rec.x],
+            "i_prime": rec.i_prime - 1,
+        }
+    ) + "\n"
+
+
 def save_transcript(transcript: Transcript, path) -> None:
-    """JSON-lines dump: a header line, then one 0-based record per instance."""
+    """JSON-lines dump: a header line, then one 0-based record per instance.
+
+    Each distinct record is serialized once and its line reused.
+    """
+    memo = {rec: _record_line(rec) for rec in set(transcript.records)}
+    header = canonical_dumps(
+        {
+            "format": TRANSCRIPT_FORMAT,
+            "config": transcript.config.to_dict(),
+            "test_indices": list(transcript.test_indices),
+            "accepted": transcript.accepted,
+        }
+    )
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            canonical_dumps(
-                {
-                    "format": "meanking-transcript-v1",
-                    "config": transcript.config.to_dict(),
-                    "test_indices": list(transcript.test_indices),
-                    "accepted": transcript.accepted,
-                }
-            )
-        )
+        fh.write(header)
         fh.write("\n")
-        for rec in transcript.records:
-            fh.write(
-                canonical_dumps(
-                    {
-                        "b": rec.b - 1,
-                        "i": rec.i - 1,
-                        "x": [v - 1 for v in rec.x],
-                        "i_prime": rec.i_prime - 1,
-                    }
-                )
-            )
-            fh.write("\n")
+        fh.write("".join(map(memo.__getitem__, transcript.records)))
+
+
+def _is_int(v) -> bool:
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _parse_header(line: str):
+    try:
+        header = json.loads(line)
+        fmt = header["format"]
+        cfg = ProtocolConfig(**header["config"])
+        tests = header["test_indices"]
+        accepted = header["accepted"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed transcript header: {exc}") from exc
+    if fmt != TRANSCRIPT_FORMAT:
+        raise ValueError(f"transcript format {fmt!r}, expected {TRANSCRIPT_FORMAT!r}")
+    if not isinstance(tests, list) or not all(_is_int(t) for t in tests):
+        raise ValueError("test_indices must be a list of integers")
+    return cfg, tuple(tests), bool(accepted)
+
+
+def _parse_record(line: str, d: int) -> RoundRecord:
+    """One 0-based record line, checked on its own; returns the 1-based record."""
+    try:
+        raw = json.loads(line)
+        b, i, x, i_prime = raw["b"], raw["i"], raw["x"], raw["i_prime"]
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ValueError(f"malformed transcript record {line.strip()!r}") from exc
+    if not (_is_int(b) and _is_int(i) and _is_int(i_prime) and isinstance(x, list)
+            and x and all(_is_int(v) for v in x)):
+        raise ValueError(f"record {line.strip()!r}: fields must be integers, x a nonempty list")
+    if not 0 <= i < d or any(not 0 <= v < d for v in x):
+        raise ValueError(f"record {line.strip()!r}: outcomes must lie in 0..{d - 1}")
+    if not 0 <= b < len(x):
+        raise ValueError(f"record {line.strip()!r}: basis must lie in 0..{len(x) - 1}")
+    if i_prime != x[b]:
+        raise ValueError(f"record {line.strip()!r}: i_prime {i_prime} differs from x[b] = {x[b]}")
+    return RoundRecord(b=b + 1, i=i + 1, x=tuple(v + 1 for v in x), i_prime=i_prime + 1)
 
 
 def load_transcript(path) -> Transcript:
+    """Read a transcript written by :func:`save_transcript`, checking it.
+
+    Raises ``ValueError`` on a foreign format, a record count other than
+    rounds*n, a malformed or inconsistent record, or test indices that are
+    not strictly increasing positions. Each distinct line is parsed once.
+    """
     with open(path, "r", encoding="utf-8") as fh:
-        header = json.loads(fh.readline())
-        cfg = ProtocolConfig(**header["config"])
+        cfg, tests, accepted = _parse_header(fh.readline())
+        memo: dict = {}
         records = []
         for line in fh:
-            if not line.strip():
-                continue
-            raw = json.loads(line)
-            records.append(
-                RoundRecord(
-                    b=raw["b"] + 1,
-                    i=raw["i"] + 1,
-                    x=tuple(v + 1 for v in raw["x"]),
-                    i_prime=raw["i_prime"] + 1,
-                )
-            )
-    return Transcript(
-        config=cfg,
-        records=records,
-        test_indices=tuple(header["test_indices"]),
-        accepted=bool(header["accepted"]),
-    )
+            rec = memo.get(line)
+            if rec is None:
+                if not line.strip():
+                    continue
+                rec = memo[line] = _parse_record(line, cfg.d)
+            records.append(rec)
+    if len({len(rec.x) for rec in memo.values()}) > 1:
+        raise ValueError("records disagree on the number of bases in x")
+    total = cfg.rounds * cfg.n
+    if len(records) != total:
+        raise ValueError(f"transcript has {len(records)} records, expected rounds*n = {total}")
+    if any(a >= b for a, b in zip(tests, tests[1:])):
+        raise ValueError("test_indices must be strictly increasing")
+    if tests and not 0 <= tests[0] <= tests[-1] < total:
+        raise ValueError(f"test_indices must lie in 0..{total - 1}")
+    return Transcript(config=cfg, records=records, test_indices=tests, accepted=accepted)

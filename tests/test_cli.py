@@ -1,9 +1,12 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import meanking
 from meanking import cli
 from meanking.serialize import file_digest
 
@@ -196,9 +199,12 @@ class TestEnvironment:
 
 class TestEntryPoint:
     def test_module_invocation(self):
+        # the child must import the package under test, installed or not
+        src = str(Path(meanking.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
         proc = subprocess.run(
             [sys.executable, "-m", "meanking.cli", "--version"],
-            capture_output=True, text=True,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
         )
         assert proc.returncode == 0
         assert "meanking" in proc.stdout

@@ -1,11 +1,14 @@
 import collections
 import hashlib
+import itertools
+import json
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from meanking import attack as atk, protocol as proto
+from meanking import attack as atk, protocol as proto, retrodiction as retro
+from meanking.serialize import canonical_dumps
 
 
 def cfg(d=2, n=1, rounds=1000, test_fraction=0.1, seed=12345):
@@ -182,3 +185,118 @@ class TestSummaries:
         am.kraus = tuple(0.7 * v for v in am.kraus)  # silently break completeness
         with pytest.raises(proto.ProtocolError):
             proto.run_protocol(cfg(rounds=5), strategy_d2, am)
+
+
+def exact_block_table(strategy, am):
+    """p(b) p(i|b) p(x|b,i) per 0-based block (bvec, ivec, xs), from alice_state."""
+    bs = strategy.basis_set
+    n = am.n
+    ps = retro.tensor_strategy(strategy, n)
+    tuples = list(ps.guessing_tuples())
+    etas = np.asarray([ps.safe_vector_grouped(xs) for xs in tuples])
+    weights = np.asarray([ps.weight(xs) for xs in tuples])
+    table = {}
+    for bvec in itertools.product(range(bs.k), repeat=n):
+        for ivec in itertools.product(range(bs.dim), repeat=n):
+            _, p_i = atk.bob_projected_state(am, bs, bvec, ivec)
+            rho = atk.alice_state(am, bs, bvec, ivec)
+            p_x = weights * np.einsum("xi,ij,xj->x", etas.conj(), rho, etas).real
+            for xs, p in zip(tuples, p_x):
+                table[(bvec, ivec, xs)] = p_i * p / bs.k**n
+    return table
+
+
+def block_counts(records, n):
+    counts = collections.Counter()
+    for start in range(0, len(records), n):
+        block = records[start:start + n]
+        counts[(
+            tuple(r.b - 1 for r in block),
+            tuple(r.i - 1 for r in block),
+            tuple(tuple(v - 1 for v in r.x) for r in block),
+        )] += 1
+    return counts
+
+
+class TestSampler:
+    @pytest.mark.parametrize("case", ["honest-d2", "honest-d3", "intercept-d2n2"])
+    def test_frequencies_match_exact_tables(self, case, strategy_d2, strategy_d3, mub2):
+        strategy, am, c = {
+            "honest-d2": (strategy_d2, None, cfg(rounds=20_000, seed=31)),
+            "honest-d3": (strategy_d3, None, cfg(d=3, rounds=60_000, seed=32)),
+            "intercept-d2n2": (strategy_d2, atk.intercept_resend(mub2, 0, n=2),
+                               cfg(n=2, rounds=50_000, seed=33)),
+        }[case]
+        t = proto.run_protocol(c, strategy, am)
+        exact = exact_block_table(strategy, am or atk.identity_attack(c.d, 1))
+        counts = block_counts(t.records, c.n if am else 1)
+        blocks = sum(counts.values())
+        assert set(counts) <= {key for key, p in exact.items() if p > 1e-12}
+        expected = np.array([p * blocks for p in exact.values() if p > 1e-12])
+        observed = np.array([counts[key] for key, p in exact.items() if p > 1e-12])
+        small = expected < 5  # pool sparse cells so the chi-square law holds
+        if small.any():
+            expected = np.append(expected[~small], expected[small].sum())
+            observed = np.append(observed[~small], observed[small].sum())
+        expected *= observed.sum() / expected.sum()
+        _, pvalue = scipy.stats.chisquare(observed, expected)
+        assert pvalue > 1e-3
+
+    @pytest.mark.parametrize("attacked", [False, True])
+    def test_first_chunk_independent_of_run_length(self, attacked, strategy_d2, mub2):
+        n, am = (2, atk.intercept_resend(mub2, 0, n=2)) if attacked else (1, None)
+        short = proto.run_protocol(cfg(n=n, rounds=proto.CHUNK, seed=40), strategy_d2, am)
+        long = proto.run_protocol(cfg(n=n, rounds=2 * proto.CHUNK, seed=40), strategy_d2, am)
+        assert long.records[: len(short.records)] == short.records
+        assert long.records[len(short.records):] != short.records
+
+
+def reference_save(transcript, path):
+    lines = [canonical_dumps({
+        "format": "meanking-transcript-v1",
+        "config": transcript.config.to_dict(),
+        "test_indices": list(transcript.test_indices),
+        "accepted": transcript.accepted,
+    })]
+    for rec in transcript.records:
+        lines.append(canonical_dumps({
+            "b": rec.b - 1, "i": rec.i - 1, "x": [v - 1 for v in rec.x], "i_prime": rec.i_prime - 1,
+        }))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("".join(line + "\n" for line in lines))
+
+
+MALFORMED = {
+    "format": (lambda h, r: h.update(format="meanking-transcript-v0"), "format"),
+    "record count": (lambda h, r: r.pop(), "expected rounds\\*n"),
+    "x length": (lambda h, r: r[0]["x"].append(r[0]["x"][0]), "number of bases"),
+    "x entry": (lambda h, r: r[0]["x"].__setitem__((r[0]["b"] + 1) % 3, 2), "0..1"),
+    "b range": (lambda h, r: r[0].update(b=3), "basis must lie in 0..2"),
+    "i_prime": (lambda h, r: r[3].update(i_prime=1 - r[3]["x"][r[3]["b"]]), "differs from x\\[b\\]"),
+    "test order": (lambda h, r: h["test_indices"].reverse(), "strictly increasing"),
+    "test range": (lambda h, r: h["test_indices"].__setitem__(-1, 20), "0..19"),
+}
+
+
+class TestTranscriptFiles:
+    def test_save_matches_reference_writer(self, strategy_d2, tmp_path):
+        t = proto.run_protocol(cfg(rounds=300, seed=50), strategy_d2)
+        rec = t.records[7]
+        t.records[7] = proto.RoundRecord(b=rec.b, i=rec.i, x=rec.x, i_prime=1 + (rec.i % 2))
+        fast, ref = tmp_path / "fast.jsonl", tmp_path / "ref.jsonl"
+        proto.save_transcript(t, fast)
+        reference_save(t, ref)
+        assert fast.read_bytes() == ref.read_bytes()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED))
+    def test_malformed_load_rejected(self, case, strategy_d2, tmp_path):
+        t = proto.run_protocol(cfg(rounds=20, test_fraction=0.25, seed=51), strategy_d2)
+        path = tmp_path / "t.jsonl"
+        proto.save_transcript(t, path)
+        lines = path.read_text().splitlines()
+        header, records = json.loads(lines[0]), [json.loads(line) for line in lines[1:]]
+        mutate, message = MALFORMED[case]
+        mutate(header, records)
+        path.write_text("".join(canonical_dumps(obj) + "\n" for obj in [header, *records]))
+        with pytest.raises(ValueError, match=message):
+            proto.load_transcript(path)
