@@ -20,16 +20,20 @@ and then Eve's final state cannot depend on (b, i): zero detection implies
 zero leakage. Detection probability and leakage are computed by exact
 enumeration, never by sampling.
 
+One pass, :func:`_outcomes`, walks the (b, i) grid; per outcome,
+:func:`_branch_vectors` yields the Kraus-branch stack w_l from which Alice's
+state, Eve's blocks and the Born weights are reduced. Detection, leakage and
+the per-outcome error table are all read from that pass.
+
 Subsystem order is always A x B x E, row-major. All indices 0-based.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 
 import numpy as np
-import scipy.linalg
 
 from . import qmath
 from .bases import BasisSet
@@ -43,6 +47,13 @@ _LEAKAGE_SKIP = 1e-12
 
 class ZeroProbabilityOutcome(RuntimeError):
     """Conditioning on an outcome the attacked source never produces."""
+
+
+def _conditionable(prob: float, bvec, ivec) -> float:
+    """``prob``, or raise if the outcome (b, i) is too rare to condition on."""
+    if prob <= _PROB_FLOOR:
+        raise ZeroProbabilityOutcome(f"outcome (b={bvec}, i={ivec}) has probability {prob:.3e}")
+    return prob
 
 
 @dataclass
@@ -156,9 +167,7 @@ def _projected_raw(am: AttackModel, bs: BasisSet, bvec, ivec):
 def bob_projected_state(am: AttackModel, bs: BasisSet, bvec, ivec):
     """Normalized post-measurement state on A x B x E and its probability."""
     out, prob = _projected_raw(am, bs, bvec, ivec)
-    if prob <= _PROB_FLOOR:
-        raise ZeroProbabilityOutcome(f"outcome (b={bvec}, i={ivec}) has probability {prob:.3e}")
-    return out.reshape(-1) / np.sqrt(prob), prob
+    return out.reshape(-1) / np.sqrt(_conditionable(prob, bvec, ivec)), prob
 
 
 def bob_projected_state_bell_form(am: AttackModel, bs: BasisSet, bvec, ivec):
@@ -175,9 +184,7 @@ def bob_projected_state_bell_form(am: AttackModel, bs: BasisSet, bvec, ivec):
     for beta in range(am.d_eve):
         out[:, :, beta] = u_hats[beta].T @ hat
     prob = float(np.linalg.norm(out) ** 2)
-    if prob <= _PROB_FLOOR:
-        raise ZeroProbabilityOutcome(f"outcome (b={bvec}, i={ivec}) has probability {prob:.3e}")
-    return out.reshape(-1) / np.sqrt(prob), prob
+    return out.reshape(-1) / np.sqrt(_conditionable(prob, bvec, ivec)), prob
 
 
 def decompose_source(psi: np.ndarray, d: int, n: int, d_eve: int) -> np.ndarray:
@@ -225,24 +232,48 @@ def _u_hat_operators(coeffs: np.ndarray, d: int, n: int):
     return u_hats
 
 
-def apply_feedback(am: AttackModel, state: np.ndarray) -> np.ndarray:
-    """Kraus action of the feedback channel on B x E, identity on A."""
+def _kraus_branches(am: AttackModel, state) -> np.ndarray:
+    """(1 x V_l) applied to a state on A x B x E, one row per branch: (branch, A x B, E)."""
     dd = am.block_dim
     s = np.asarray(state, dtype=complex).reshape(dd, dd * am.d_eve)
-    dim = dd * dd * am.d_eve
-    rho = np.zeros((dim, dim), dtype=complex)
-    for v in am.kraus:
-        w = (s @ v.T).reshape(-1)
-        rho += np.outer(w, w.conj())
-    return rho
+    return np.stack([(s @ v.T).reshape(dd * dd, am.d_eve) for v in am.kraus])
+
+
+def apply_feedback(am: AttackModel, state: np.ndarray) -> np.ndarray:
+    """Kraus action of the feedback channel on B x E, identity on A."""
+    w = _kraus_branches(am, state).reshape(len(am.kraus), -1)
+    return w.T @ w.conj()
 
 
 def _branch_vectors(am: AttackModel, bs: BasisSet, bvec, ivec):
-    """Per-Kraus-branch unnormalized vectors (1 x V_l) applied after projection."""
+    """The Kraus-branch stack of one projected outcome, and the outcome's probability."""
     out, prob = _projected_raw(am, bs, bvec, ivec)
-    dd = am.block_dim
-    s = out.reshape(dd, dd * am.d_eve)
-    return [(s @ v.T).reshape(dd * dd, am.d_eve) for v in am.kraus], prob
+    return _kraus_branches(am, out), prob
+
+
+def _outcomes(am: AttackModel, bs: BasisSet):
+    """The one walk over Bob's outcome grid: (bvec, ivec, branches, prob) per (b, i)."""
+    if bs.dim != am.d:
+        raise ValueError("strategy and attack dimensions differ")
+    for bvec in product(range(bs.k), repeat=am.n):
+        for ivec in product(range(bs.dim), repeat=am.n):
+            yield (bvec, ivec, *_branch_vectors(am, bs, bvec, ivec))
+
+
+def _alice_raw(branches: np.ndarray) -> np.ndarray:
+    """Alice's unnormalized state sum_l w_l w_l^dagger on A x B."""
+    return sum(w @ w.conj().T for w in branches)
+
+
+def _eve_blocks(branches: np.ndarray):
+    """Eve's unnormalized per-branch blocks w_l^T w_l^*, as (branch, E, E), and their trace."""
+    blocks = np.swapaxes(branches, 1, 2) @ branches.conj()
+    return blocks, float(np.einsum("lee->", blocks).real)
+
+
+def _born(etas: np.ndarray, weights: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Born weights p(x) <eta_x| rho |eta_x> of Alice's POVM elements."""
+    return weights * np.sum((etas.conj() @ rho) * etas, axis=1).real
 
 
 def alice_state_unnormalized(am: AttackModel, bs: BasisSet, bvec, ivec):
@@ -251,19 +282,13 @@ def alice_state_unnormalized(am: AttackModel, bs: BasisSet, bvec, ivec):
     The trace equals the outcome probability; returns ``(rho, prob)``.
     """
     branches, prob = _branch_vectors(am, bs, bvec, ivec)
-    dd = am.block_dim
-    rho = np.zeros((dd * dd, dd * dd), dtype=complex)
-    for w in branches:
-        rho += w @ w.conj().T
-    return rho, prob
+    return _alice_raw(branches), prob
 
 
 def alice_state(am: AttackModel, bs: BasisSet, bvec, ivec) -> np.ndarray:
     """Normalized state Alice measures, conditioned on Bob's (b, i)."""
     rho, prob = alice_state_unnormalized(am, bs, bvec, ivec)
-    if prob <= _PROB_FLOOR:
-        raise ZeroProbabilityOutcome(f"outcome (b={bvec}, i={ivec}) has probability {prob:.3e}")
-    return rho / prob
+    return rho / _conditionable(prob, bvec, ivec)
 
 
 def build_E_operators(am: AttackModel) -> np.ndarray:
@@ -312,13 +337,10 @@ def eve_final_state(am: AttackModel, bs: BasisSet, bvec, ivec) -> np.ndarray:
     Block l holds the ancilla state produced when Kraus branch l fired;
     the branch register is the slow index.
     """
-    branches, _ = _branch_vectors(am, bs, bvec, ivec)
-    blocks = [w.T @ w.conj() for w in branches]
-    rho = scipy.linalg.block_diag(*blocks)
-    prob = float(np.trace(rho).real)
-    if prob <= _PROB_FLOOR:
-        raise ZeroProbabilityOutcome(f"outcome (b={bvec}, i={ivec}) has probability {prob:.3e}")
-    return rho / prob
+    blocks, trace = _eve_blocks(_branch_vectors(am, bs, bvec, ivec)[0])
+    nb, de = blocks.shape[:2]
+    rho = np.einsum("lm,lef->lemf", np.eye(nb), blocks).reshape(nb * de, nb * de)
+    return rho / _conditionable(trace, bvec, ivec)
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -326,8 +348,17 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho - sigma))))
 
 
-def _outcome_grid(bs: BasisSet, n: int):
-    return product(product(range(bs.k), repeat=n), product(range(bs.dim), repeat=n))
+def _max_trace_distance(eve) -> float:
+    """Largest trace distance among Eve's (blocks, trace) states above ``_LEAKAGE_SKIP``.
+
+    Her states are block diagonal, so a trace distance is a sum over blocks.
+    """
+    states = np.array([blocks / trace for blocks, trace in eve if trace > _LEAKAGE_SKIP])
+    worst = 0.0
+    for j in range(len(states) - 1):
+        eigs = np.linalg.eigvalsh(states[j + 1:] - states[j])
+        worst = max(worst, 0.5 * float(np.abs(eigs).sum(axis=(1, 2)).max()))
+    return worst
 
 
 def leakage(am: AttackModel, bs: BasisSet) -> float:
@@ -337,19 +368,7 @@ def leakage(am: AttackModel, bs: BasisSet) -> float:
     of nonnegligible probability; zero means the transcript taught her
     nothing about the key.
     """
-    states = []
-    for bvec, ivec in _outcome_grid(bs, am.n):
-        branches, _ = _branch_vectors(am, bs, bvec, ivec)
-        blocks = [w.T @ w.conj() for w in branches]
-        rho = scipy.linalg.block_diag(*blocks)
-        prob = float(np.trace(rho).real)
-        if prob <= _LEAKAGE_SKIP:
-            continue
-        states.append(rho / prob)
-    worst = 0.0
-    for r1, r2 in combinations(states, 2):
-        worst = max(worst, trace_distance(r1, r2))
-    return worst
+    return _max_trace_distance(_eve_blocks(w) for _, _, w, _ in _outcomes(am, bs))
 
 
 def _product_tables(strategy: Strategy, n: int):
@@ -385,11 +404,27 @@ def guess_probability(strategy: Strategy, am: AttackModel, xvec, bvec, ivec) -> 
         xvec = (tuple(xvec),)
     xvec = tuple(tuple(int(v) for v in x) for x in xvec)
     etas, weights, xvals = _product_tables(strategy, n)
-    rho = alice_state(am, strategy.basis_set, bvec, ivec)
-    born = weights * np.einsum("xi,ij,xj->x", etas.conj(), rho, etas).real
+    born = _born(etas, weights, alice_state(am, strategy.basis_set, bvec, ivec))
     target = tuple(x[b] for x, b in zip(xvec, bvec))
-    mask = _correct_mask(xvals, bvec, target)
-    return float(born @ mask)
+    return float(born @ _correct_mask(xvals, bvec, target))
+
+
+def _attack_pass(strategy: Strategy, am: AttackModel):
+    """Detection probability, error table and Eve's (blocks, trace) per outcome, in one pass."""
+    bs = strategy.basis_set
+    etas, weights, xvals = _product_tables(strategy, am.n)
+    total, table, eve = 0.0, [], []
+    for bvec, ivec, branches, prob in _outcomes(am, bs):
+        eve.append(_eve_blocks(branches))
+        if prob <= _PROB_FLOOR:
+            continue
+        born = _born(etas, weights, _alice_raw(branches))
+        correct = float(born @ _correct_mask(xvals, bvec, ivec))
+        total += prob - correct
+        # 1-based labels in the human-facing table
+        table.append({"b": [b + 1 for b in bvec], "i": [i + 1 for i in ivec],
+                      "prob": prob, "guess_error": max(0.0, 1.0 - correct / prob)})
+    return total / bs.k**am.n, table, eve
 
 
 def detection_probability(strategy: Strategy, am: AttackModel) -> float:
@@ -398,22 +433,7 @@ def detection_probability(strategy: Strategy, am: AttackModel) -> float:
     Exact enumeration over uniform basis blocks and Born-rule outcomes; no
     sampling is involved.
     """
-    bs = strategy.basis_set
-    if bs.dim != am.d:
-        raise ValueError("strategy and attack dimensions differ")
-    n = am.n
-    etas, weights, xvals = _product_tables(strategy, n)
-    total = 0.0
-    nbases = bs.k**n
-    for bvec in product(range(bs.k), repeat=n):
-        for ivec in product(range(bs.dim), repeat=n):
-            rho_raw, prob = alice_state_unnormalized(am, bs, bvec, ivec)
-            if prob <= _PROB_FLOOR:
-                continue
-            born = weights * np.einsum("xi,ij,xj->x", etas.conj(), rho_raw, etas).real
-            correct = float(born @ _correct_mask(xvals, bvec, ivec))
-            total += prob - correct
-    return total / nbases
+    return _attack_pass(strategy, am)[0]
 
 
 @dataclass
@@ -431,33 +451,9 @@ class AttackReport:
 
 
 def evaluate_attack(strategy: Strategy, am: AttackModel) -> AttackReport:
-    """Detection probability, leakage and the per-outcome error table."""
-    bs = strategy.basis_set
-    n = am.n
-    etas, weights, xvals = _product_tables(strategy, n)
-    table = []
-    total = 0.0
-    for bvec, ivec in _outcome_grid(bs, n):
-        rho_raw, prob = alice_state_unnormalized(am, bs, bvec, ivec)
-        if prob <= _PROB_FLOOR:
-            continue
-        born = weights * np.einsum("xi,ij,xj->x", etas.conj(), rho_raw, etas).real
-        correct = float(born @ _correct_mask(xvals, bvec, ivec))
-        total += prob - correct
-        table.append(
-            {
-                # 1-based labels in the human-facing table
-                "b": [b + 1 for b in bvec],
-                "i": [i + 1 for i in ivec],
-                "prob": prob,
-                "guess_error": max(0.0, 1.0 - correct / prob),
-            }
-        )
-    return AttackReport(
-        detection_probability=total / bs.k**n,
-        leakage=leakage(am, bs),
-        per_outcome=table,
-    )
+    """Detection probability, leakage and the per-outcome error table, from one pass."""
+    detection, table, eve = _attack_pass(strategy, am)
+    return AttackReport(detection, _max_trace_distance(eve), table)
 
 
 # ---------------------------------------------------------------------------

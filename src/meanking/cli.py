@@ -56,30 +56,40 @@ def _manifest(command: str, config: dict, inputs=(), outputs=()) -> dict:
     }
 
 
-def _parse_attack_spec(spec: str, basis_set, n: int):
-    if spec in ("none", ""):
-        return None
+# the canned attacks' parameters with their defaults, and the one --sweep scales
+_ATTACK_DEFAULTS = {"intercept-resend": {"b": "1"}, "probe": {"theta": "0.5", "d_eve": "2"},
+                    "source-replace": {"eps": "0.1"}}
+_SWEPT = {"probe": "theta", "source-replace": "eps"}
+
+
+def _split_attack_spec(spec: str):
+    """``name:key=value,...`` as ``(name, params)`` with defaults; ``file:PATH`` keeps PATH."""
     name, _, rest = spec.partition(":")
     if name == "file":
-        return attack.load_attack(rest)
-    params = {}
-    for chunk in rest.split(","):
-        if not chunk:
-            continue
+        return name, {"path": rest}
+    params = dict(_ATTACK_DEFAULTS.get(name, {}))
+    for chunk in filter(None, rest.split(",")):
         key, _, value = chunk.partition("=")
         if not value:
             raise ValueError(f"malformed attack parameter {chunk!r}")
         params[key] = value
+    return name, params
+
+
+def _make_attack(name: str, params: dict, basis_set, n: int):
+    if name in ("none", ""):
+        return None
+    if name == "file":
+        return attack.load_attack(params["path"])
     if name == "intercept-resend":
-        bstar = int(params.get("b", "1")) - 1  # 1-based on the command line
+        bstar = int(params["b"]) - 1  # 1-based on the command line
         return attack.intercept_resend(basis_set, bstar, n=n)
     if name == "probe":
         return attack.probe_entangle(
-            basis_set.dim, float(params.get("theta", "0.5")), n=n,
-            d_eve=int(params.get("d_eve", "2")),
+            basis_set.dim, float(params["theta"]), n=n, d_eve=int(params["d_eve"])
         )
     if name == "source-replace":
-        return attack.source_replace(basis_set.dim, float(params.get("eps", "0.1")), n=n)
+        return attack.source_replace(basis_set.dim, float(params["eps"]), n=n)
     raise ValueError(f"unknown attack {name!r}")
 
 
@@ -153,7 +163,7 @@ def _cmd_run(args) -> int:
         test_fraction=args.test_fraction,
         seed=args.seed,
     )
-    am = _parse_attack_spec(args.attack, strategy.basis_set, args.n)
+    am = _make_attack(*_split_attack_spec(args.attack), strategy.basis_set, args.n)
     transcript = protocol.run_protocol(cfg, strategy, am)
     protocol.save_transcript(transcript, args.out)
     instances = len(transcript.records)
@@ -221,22 +231,19 @@ def _cmd_security_lemma(args) -> int:
 
 def _cmd_security_attack_eval(args) -> int:
     strategy = _load_strategy_for(args)
-    am = _parse_attack_spec(args.attack, strategy.basis_set, args.n)
+    name, params = _split_attack_spec(args.attack)
+    am = _make_attack(name, params, strategy.basis_set, args.n)
     if am is None:
         am = attack.identity_attack(strategy.basis_set.dim, n=args.n)
     report = attack.evaluate_attack(strategy, am)
     payload = report.to_dict()
-    if args.sweep and args.attack.startswith(("probe", "source-replace")):
-        name, _, rest = args.attack.partition(":")
-        key, value = ("theta", 0.5) if name == "probe" else ("eps", 0.1)
-        for chunk in rest.split(","):
-            if chunk.startswith(key + "="):
-                value = float(chunk.split("=")[1])
+    if args.sweep and name in _SWEPT:
+        key = _SWEPT[name]
+        value = float(params[key])
         curve = []
         for step in range(1, args.sweep + 1):
             param = value * step / args.sweep
-            spec = f"{name}:{key}={param}"
-            swept = _parse_attack_spec(spec, strategy.basis_set, args.n)
+            swept = _make_attack(name, {**params, key: param}, strategy.basis_set, args.n)
             swept_report = attack.evaluate_attack(strategy, swept)
             curve.append(
                 {

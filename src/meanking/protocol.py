@@ -128,8 +128,7 @@ def _outcome_dist(am, bs, bvec) -> np.ndarray:
 
 
 def _povm_dist(am, bs, etas, weights, bvec, ivec) -> np.ndarray:
-    rho = attack_mod.alice_state(am, bs, bvec, ivec)
-    born = weights * np.sum((etas.conj() @ rho) * etas, axis=1).real
+    born = attack_mod._born(etas, weights, attack_mod.alice_state(am, bs, bvec, ivec))
     return _normalized(born, f"measurement (b={bvec}, i={ivec})")
 
 
@@ -209,18 +208,17 @@ def run_protocol(cfg: ProtocolConfig, strategy: Strategy, attack=None) -> Transc
 
     records = _records(strategy, _sample(cfg.seed, strategy, am, units))
     transcript = Transcript(config=cfg, records=records)
-    accepted, _ = sift_and_test(transcript)
-    transcript.accepted = accepted
+    transcript.accepted = _check_tests(transcript)
     return transcript
 
 
-def _test_indices(cfg: ProtocolConfig, total: int) -> tuple:
-    count = ceil(cfg.test_fraction * total)
-    if count == 0:
-        return ()
-    rng = _stream(cfg.seed, _TEST_KEY)
-    picked = rng.choice(total, size=count, replace=False)
-    return tuple(sorted(int(v) for v in picked))
+def _check_tests(transcript: Transcript) -> bool:
+    """Draw the config's test positions into the transcript; True iff all have i = i'."""
+    cfg, records = transcript.config, transcript.records
+    count = ceil(cfg.test_fraction * len(records))
+    picked = _stream(cfg.seed, _TEST_KEY).choice(len(records), size=count, replace=False)
+    transcript.test_indices = tuple(sorted(picked.tolist()))
+    return all(records[t].i == records[t].i_prime for t in transcript.test_indices)
 
 
 def sift_and_test(transcript: Transcript):
@@ -231,10 +229,8 @@ def sift_and_test(transcript: Transcript):
     recomputation and also fills in ``test_indices`` if still empty.
     """
     records = transcript.records
-    tests = _test_indices(transcript.config, len(records))
-    transcript.test_indices = tests
-    accepted = all(records[t].i == records[t].i_prime for t in tests)
-    test_set = set(tests)
+    accepted = _check_tests(transcript)
+    test_set = set(transcript.test_indices)
     alice = []
     bob = []
     for pos, rec in enumerate(records):

@@ -102,3 +102,36 @@ def probe_detection(strategy, theta, d_eve=2):
                     correct += weights[pos] * float(np.vdot(etas[pos], rho @ etas[pos]).real)
             total += prob - correct
     return total / k
+
+
+def eve_state_loops(am, bs, bvec, ivec):
+    """Eve's unnormalized final state on (branch register) x E, by explicit loops.
+
+    Bob's projection onto his block eigenstate and each Kraus operator
+    (1_A x V_l) act amplitude by amplitude on the source; the ancilla block
+    of branch l is the partial trace over A x B of that branch's pure state,
+    taken by :func:`partial_trace_loops`. The blocks sit on the diagonal in
+    branch order, so the result is the full matrix, not a stack of blocks.
+    """
+    dd, de = am.d**am.n, am.d_eve
+    phi = np.ones(1, dtype=complex)
+    for b, i in zip(bvec, ivec):
+        phi = np.kron(phi, bs.vector(b, i))
+    psi = np.asarray(am.psi_abe).reshape(dd, dd, de)
+    projected = np.zeros((dd, dd * de), dtype=complex)  # rows A, columns (B, E)
+    for a in range(dd):
+        for e in range(de):
+            amp = sum(phi[j].conj() * psi[a, j, e] for j in range(dd))
+            for j in range(dd):
+                projected[a, j * de + e] = amp * phi[j]
+    nb = len(am.kraus)
+    out = np.zeros((nb * de, nb * de), dtype=complex)
+    for l, v in enumerate(am.kraus):
+        branch = np.zeros((dd, dd * de), dtype=complex)
+        for a in range(dd):
+            for row in range(dd * de):
+                branch[a, row] = sum(v[row, col] * projected[a, col] for col in range(dd * de))
+        flat = branch.reshape(-1)
+        block = partial_trace_loops(np.outer(flat, flat.conj()), (dd, dd, de), [2])
+        out[l * de:(l + 1) * de, l * de:(l + 1) * de] = block
+    return out

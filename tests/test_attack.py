@@ -277,6 +277,16 @@ class TestDetectionAndLeakage:
         assert curve == sorted(curve)  # monotone over this range
 
 
+class TestDimensionMismatch:
+    def test_evaluate_attack(self, strategy_d3):
+        with pytest.raises(ValueError, match="strategy and attack dimensions differ"):
+            atk.evaluate_attack(strategy_d3, atk.identity_attack(2))
+
+    def test_leakage(self, mub3):
+        with pytest.raises(ValueError, match="strategy and attack dimensions differ"):
+            atk.leakage(atk.identity_attack(2), mub3)
+
+
 class TestEveFinalState:
     def test_no_attack_pure_and_constant(self, mub2, ideal2):
         states = [

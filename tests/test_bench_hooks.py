@@ -1,0 +1,35 @@
+"""The benchmark tracer (``perfbench/tracing.py``) wraps package functions by name.
+
+Installing it fails if a function it names was renamed or removed, which
+would break ``perfbench/run.py --trace 1``.
+"""
+
+import importlib.util
+from pathlib import Path
+
+import meanking.cli  # noqa: F401  imports every module the tracer patches
+from meanking import attack
+
+TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+
+
+def _load_tracing():
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_tracer_hooks_and_one_projection_per_outcome(strategy_d2):
+    tracer = _load_tracing().Tracer()
+    original = attack._branch_vectors
+    tracer.install()
+    try:
+        assert attack._branch_vectors is not original
+        attack.evaluate_attack(strategy_d2, attack.intercept_resend(strategy_d2.basis_set, 0))
+    finally:
+        tracer.uninstall()
+    assert attack._branch_vectors is original
+    assert [span[0] for span in tracer.spans] == ["attack.evaluate_attack"]
+    assert tracer.counts["attack.grid_points"] == 6
+    assert tracer.counts["attack.branch_vectors"] == tracer.counts["attack.grid_points"]

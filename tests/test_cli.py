@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import meanking
-from meanking import cli
+from meanking import attack, cli
 from meanking.serialize import file_digest
 
 
@@ -159,6 +159,32 @@ class TestSecurityCommands:
         curve = json.loads(out_path.read_text())["curve"]
         assert len(curve) == 3
         assert all(pt["detection_probability"] > 0 and pt["leakage"] > 0 for pt in curve)
+
+    def test_attack_eval_sweep_keeps_other_parameters(self, capsys, monkeypatch):
+        built = []
+        probe = attack.probe_entangle
+
+        def recording_probe(d, theta, n=1, d_eve=2):
+            built.append((theta, d_eve))
+            return probe(d, theta, n=n, d_eve=d_eve)
+
+        monkeypatch.setattr(attack, "probe_entangle", recording_probe)
+        code, out = run_cli(
+            capsys, "security", "attack-eval", "--attack", "probe:theta=0.8,d_eve=3",
+            "--dim", "2", "--sweep", "2",
+        )
+        assert code == 0
+        assert built == [(0.8, 3), (0.4, 3), (0.8, 3)]
+        curve = json.loads(out)["report"]["curve"]
+        assert [pt["theta"] for pt in curve] == [0.4, 0.8]
+
+    def test_attack_eval_dimension_mismatch(self, tmp_path, capsys):
+        path = tmp_path / "attack_d2.json"
+        attack.save_attack(attack.identity_attack(2), path)
+        code = cli.main(["security", "attack-eval", "--dim", "3", "--attack", f"file:{path}"])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "strategy and attack dimensions differ" in captured.err
 
 
 class TestDeterminism:
