@@ -154,7 +154,13 @@ def phi_hat_product(bs: BasisSet, bvec, ivec, n: int) -> np.ndarray:
 
 
 def _projected_raw(am: AttackModel, bs: BasisSet, bvec, ivec):
-    """Unnormalized source state after Bob's projection, as (A, B, E) tensor."""
+    """Unnormalized source state after Bob's projection, as (A, B, E) tensor.
+
+    Every per-outcome entry point passes through here, so this is where a
+    basis set of another dimension than the attack is refused.
+    """
+    if bs.dim != am.d:
+        raise ValueError("strategy and attack dimensions differ")
     dd = am.block_dim
     phi = phi_product(bs, bvec, ivec, am.n)
     psi = am.psi_abe.reshape(dd, dd, am.d_eve)
@@ -253,8 +259,6 @@ def _branch_vectors(am: AttackModel, bs: BasisSet, bvec, ivec):
 
 def _outcomes(am: AttackModel, bs: BasisSet):
     """The one walk over Bob's outcome grid: (bvec, ivec, branches, prob) per (b, i)."""
-    if bs.dim != am.d:
-        raise ValueError("strategy and attack dimensions differ")
     for bvec in product(range(bs.k), repeat=am.n):
         for ivec in product(range(bs.dim), repeat=am.n):
             yield (bvec, ivec, *_branch_vectors(am, bs, bvec, ivec))
@@ -271,9 +275,13 @@ def _eve_blocks(branches: np.ndarray):
     return blocks, float(np.einsum("lee->", blocks).real)
 
 
-def _born(etas: np.ndarray, weights: np.ndarray, rho: np.ndarray) -> np.ndarray:
-    """Born weights p(x) <eta_x| rho |eta_x> of Alice's POVM elements."""
-    return weights * np.sum((etas.conj() @ rho) * etas, axis=1).real
+def _born(etas: np.ndarray, etas_conj: np.ndarray, weights: np.ndarray,
+          rho: np.ndarray) -> np.ndarray:
+    """Born weights p(x) <eta_x| rho |eta_x> of Alice's POVM elements.
+
+    ``etas_conj`` is ``etas.conj()``, computed once per table by the caller.
+    """
+    return weights * np.sum((etas_conj @ rho) * etas, axis=1).real
 
 
 def alice_state_unnormalized(am: AttackModel, bs: BasisSet, bvec, ivec):
@@ -372,7 +380,7 @@ def leakage(am: AttackModel, bs: BasisSet) -> float:
 
 
 def _product_tables(strategy: Strategy, n: int):
-    """Grouped safe product vectors, their weights and per-slot guess values."""
+    """Grouped safe product vectors, their conjugates, weights and per-slot guess values."""
     ps = tensor_strategy(strategy, n)
     etas = []
     weights = []
@@ -380,7 +388,8 @@ def _product_tables(strategy: Strategy, n: int):
         etas.append(ps.safe_vector_grouped(xs))
         weights.append(ps.weight(xs))
     xvals = np.asarray(strategy.guessing_functions, dtype=int)
-    return np.asarray(etas), np.asarray(weights), xvals
+    etas = np.asarray(etas)
+    return etas, etas.conj(), np.asarray(weights), xvals
 
 
 def _correct_mask(xvals: np.ndarray, bvec, ivec) -> np.ndarray:
@@ -398,13 +407,14 @@ def guess_probability(strategy: Strategy, am: AttackModel, xvec, bvec, ivec) -> 
     digits; without an attack this is 1 when x(b) = i and 0 otherwise.
     """
     n = am.n
+    rho = alice_state(am, strategy.basis_set, bvec, ivec)
     bvec = _as_tuple(bvec, n, strategy.basis_set.k, "bases")
     ivec = _as_tuple(ivec, n, strategy.d, "outcomes")
     if isinstance(xvec[0], (int, np.integer)):
         xvec = (tuple(xvec),)
     xvec = tuple(tuple(int(v) for v in x) for x in xvec)
-    etas, weights, xvals = _product_tables(strategy, n)
-    born = _born(etas, weights, alice_state(am, strategy.basis_set, bvec, ivec))
+    etas, etas_conj, weights, xvals = _product_tables(strategy, n)
+    born = _born(etas, etas_conj, weights, rho)
     target = tuple(x[b] for x, b in zip(xvec, bvec))
     return float(born @ _correct_mask(xvals, bvec, target))
 
@@ -412,13 +422,13 @@ def guess_probability(strategy: Strategy, am: AttackModel, xvec, bvec, ivec) -> 
 def _attack_pass(strategy: Strategy, am: AttackModel):
     """Detection probability, error table and Eve's (blocks, trace) per outcome, in one pass."""
     bs = strategy.basis_set
-    etas, weights, xvals = _product_tables(strategy, am.n)
+    etas, etas_conj, weights, xvals = _product_tables(strategy, am.n)
     total, table, eve = 0.0, [], []
     for bvec, ivec, branches, prob in _outcomes(am, bs):
         eve.append(_eve_blocks(branches))
         if prob <= _PROB_FLOOR:
             continue
-        born = _born(etas, weights, _alice_raw(branches))
+        born = _born(etas, etas_conj, weights, _alice_raw(branches))
         correct = float(born @ _correct_mask(xvals, bvec, ivec))
         total += prob - correct
         # 1-based labels in the human-facing table

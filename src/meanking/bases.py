@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-import scipy.sparse
 
 from . import qmath
 from .serialize import complex_to_pairs, pairs_to_complex, read_json, write_json
@@ -22,8 +21,8 @@ from .serialize import complex_to_pairs, pairs_to_complex, read_json, write_json
 SUPPORTED_GEN_DIMS = (2, 3, 5, 7)
 MAX_VALIDATE_DIM = 16
 
-# beyond this many LP variables the classical-model solve falls back to
-# direct verification of the uniform candidate (d**k grows fast)
+# the classical-model LP refuses sets with more variables than this (d**k
+# grows fast); flat sets, MUBs among them, never reach the LP
 _LP_VAR_GUARD = 200_000
 
 
@@ -170,27 +169,32 @@ def pairwise_joint(bs: BasisSet, a: int, b: int) -> np.ndarray:
 def check_classical_model(bs: BasisSet, tol: float = qmath.DEFAULT_TOL):
     """Feasibility of a joint distribution reproducing all pairwise tables.
 
-    Solves the LP over d**k nonnegative variables q(j_1..j_k) whose pairwise
-    marginals match :func:`pairwise_joint` and whose total mass is 1.
-    Returns ``(feasible, witness)``; the witness is the flat distribution
-    array (C-order over the k outcome indices) or None when infeasible.
-    For sets too large for the LP the uniform distribution is tested
-    directly and accepted only if every pairwise table is flat.
+    Looks for a distribution over d**k outcome tuples q(j_1..j_k) whose
+    pairwise marginals match :func:`pairwise_joint`. Returns
+    ``(feasible, witness)``; the witness is the flat distribution array
+    (C-order over the k outcome indices) or None when infeasible. When every
+    pairwise table is within ``tol`` of 1/d**2, as for mutually unbiased
+    bases, the uniform distribution is the witness; any other set falls
+    back to the LP of :func:`_classical_model_lp`.
     """
     d, k = bs.dim, bs.k
     nvar = d**k
+    if all(np.max(np.abs(pairwise_joint(bs, a, b) - 1.0 / d**2)) <= tol
+           for a, b in combinations(range(k), 2)):
+        return True, np.full(nvar, 1.0 / nvar)
     if nvar > _LP_VAR_GUARD:
-        flat = True
-        for a, b in combinations(range(k), 2):
-            if np.max(np.abs(pairwise_joint(bs, a, b) - 1.0 / d**2)) > tol:
-                flat = False
-                break
-        if flat:
-            return True, np.full(nvar, 1.0 / nvar)
         raise ValueError(
             f"classical-model LP with {nvar} variables exceeds the supported size"
         )
+    return _classical_model_lp(bs, tol)
 
+
+def _classical_model_lp(bs: BasisSet, tol: float):
+    """The classical-model LP over d**k nonnegative variables with total mass 1."""
+    import scipy.sparse
+
+    d, k = bs.dim, bs.k
+    nvar = d**k
     shape = (d,) * k
     flat_index = np.arange(nvar).reshape(shape)
     rows = []

@@ -7,7 +7,7 @@ result through the exit code:
 
     0  success
     1  usage, I/O or file-format error
-    2  validation or solve failure
+    2  validation or solve failure, or a strategy build over its size budget
     3  protocol aborted (a test position disagreed)
 
 All randomness flows from --seed; reruns with identical arguments produce
@@ -63,7 +63,10 @@ _SWEPT = {"probe": "theta", "source-replace": "eps"}
 
 
 def _split_attack_spec(spec: str):
-    """``name:key=value,...`` as ``(name, params)`` with defaults; ``file:PATH`` keeps PATH."""
+    """``name:key=value,...`` as ``(name, params)`` with defaults; ``file:PATH`` keeps PATH.
+
+    A key the attack does not take is an error, not silently ignored.
+    """
     name, _, rest = spec.partition(":")
     if name == "file":
         return name, {"path": rest}
@@ -72,6 +75,8 @@ def _split_attack_spec(spec: str):
         key, _, value = chunk.partition("=")
         if not value:
             raise ValueError(f"malformed attack parameter {chunk!r}")
+        if key not in params:
+            raise ValueError(f"attack {name!r} takes no parameter {key!r}")
         params[key] = value
     return name, params
 
@@ -348,6 +353,7 @@ def main(argv=None) -> int:
         retrodiction.ResidualTooLarge,
         retrodiction.NotMaximal,
         retrodiction.Infeasible,
+        retrodiction.OverBudget,
         protocol.ProtocolError,
         attack.ZeroProbabilityOutcome,
     ) as exc:

@@ -127,8 +127,9 @@ def _outcome_dist(am, bs, bvec) -> np.ndarray:
     return _normalized(np.asarray(probs), f"Bob outcomes (b={bvec})")
 
 
-def _povm_dist(am, bs, etas, weights, bvec, ivec) -> np.ndarray:
-    born = attack_mod._born(etas, weights, attack_mod.alice_state(am, bs, bvec, ivec))
+def _povm_dist(am, bs, etas, etas_conj, weights, bvec, ivec) -> np.ndarray:
+    rho = attack_mod.alice_state(am, bs, bvec, ivec)
+    born = attack_mod._born(etas, etas_conj, weights, rho)
     return _normalized(born, f"measurement (b={bvec}, i={ivec})")
 
 
@@ -161,9 +162,9 @@ def _sample(seed: int, strategy: Strategy, am, units: int) -> np.ndarray:
     iflat = _lookup(outcome, brows, u_out)
 
     pkeys, prows = np.unique(bflat * d**n + iflat, return_inverse=True)
-    etas, weights, _ = attack_mod._product_tables(strategy, n)
+    etas, etas_conj, weights, _ = attack_mod._product_tables(strategy, n)
     pairs = zip(_digits(pkeys // d**n, k, n).tolist(), _digits(pkeys % d**n, d, n).tolist())
-    povm = np.array([_povm_dist(am, bs, etas, weights, tuple(bvec), tuple(ivec))
+    povm = np.array([_povm_dist(am, bs, etas, etas_conj, weights, tuple(bvec), tuple(ivec))
                      for bvec, ivec in pairs])
     yflat = _lookup(povm, prows, u_povm)
 

@@ -12,8 +12,6 @@ from __future__ import annotations
 from math import prod
 
 import numpy as np
-import scipy.sparse
-from scipy.optimize import linprog
 
 DEFAULT_TOL = 1e-9
 
@@ -153,7 +151,11 @@ def lp_feasible(a_eq, b_eq, lower_bounds, maximize_min_of=None, feasibility_tol=
         right-hand sides can widen it from the 1e-10 floor.
 
     Returns ``(feasible, point)``; infeasibility is a result, not an error.
+    scipy is imported here, on first use: the MUB paths never reach an LP.
     """
+    import scipy.sparse
+    from scipy.optimize import linprog
+
     sparse_in = scipy.sparse.issparse(a_eq)
     if not sparse_in:
         a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
@@ -188,10 +190,13 @@ def lp_feasible(a_eq, b_eq, lower_bounds, maximize_min_of=None, feasibility_tol=
             )
         else:
             a_eq2 = np.hstack([a_eq, np.zeros((m, 1))])
-        a_ub = np.zeros((len(idx), n + 1))
-        for r, j in enumerate(idx):
-            a_ub[r, j] = -1.0
-            a_ub[r, -1] = 1.0
+        # row r is t - p[idx[r]] <= 0, i.e. [-I | 1] on the subset: sparse
+        rows = np.arange(len(idx))
+        a_ub = scipy.sparse.csr_matrix(
+            (np.r_[-np.ones(len(idx)), np.ones(len(idx))],
+             (np.r_[rows, rows], np.r_[idx, np.full(len(idx), n)])),
+            shape=(len(idx), n + 1),
+        )
         bounds = [(float(v), None) for v in lb] + [(None, None)]
         res = linprog(
             c,

@@ -9,8 +9,11 @@ are weighted projectors onto safe vectors eta_x, fixed by the condition
 
 where phi_hat_b(i) is Alice's (unnormalized) conditional state after Bob
 measured outcome i in basis b. A measurement supported on safe vectors
-never produces a wrong guess; the weights come from an LP enforcing POVM
-completeness with every weight strictly positive (a maximal strategy).
+never produces a wrong guess. The weights must make the POVM complete with
+every weight strictly positive (a maximal strategy). For mutually unbiased
+bases uniform weights do (Hayashi, Horibe & Hashimoto, PRA 71, 052331,
+2005), and an exact completeness check accepts them; other basis sets fall
+back to a max-min LP (Reimpell & Werner, PRA 75, 062334, 2007).
 
 All indices in this module are 0-based.
 """
@@ -27,6 +30,10 @@ from .bases import Basis, BasisSet
 from .serialize import complex_to_pairs, pairs_to_complex, read_json, write_json
 
 MAX_PRODUCT_DIM = 4096  # densest object handled: operators on d**(2n)
+# most guessing functions (d**k) a strategy build enumerates: the d=5 MUB
+# set (15 625) fits, d=7 (5 764 801) would run for hours and exhaust memory
+MAX_GUESSING_FUNCTIONS = 50_000
+COMPLETENESS_TOL = 1e-8  # max-norm bound on sum_x p(x) |eta_x><eta_x| - identity
 
 
 class ResidualTooLarge(RuntimeError):
@@ -39,6 +46,10 @@ class NotMaximal(RuntimeError):
 
 class Infeasible(RuntimeError):
     """No nonnegative weights satisfy the completeness condition."""
+
+
+class OverBudget(RuntimeError):
+    """The basis set has more guessing functions than a build may enumerate."""
 
 
 def enumerate_guessing_functions(d: int, k: int | None = None):
@@ -145,16 +156,19 @@ def decomposition_triple(x, b_prime: int, b_tilde: int, j_prime: int, j_tilde: i
     return tuple(u), tuple(v), tuple(w)
 
 
-def solve_povm_weights(safe_vectors, positivity_tol: float = 1e-9) -> np.ndarray:
-    """Weights p(x) >= 0 with sum_x p(x) |eta_x><eta_x| = identity.
+def _completeness_residual(etas: np.ndarray, weights: np.ndarray, dim2: int) -> float:
+    """Max-norm distance of sum_x p(x) |eta_x><eta_x| from the dim2 x dim2 identity."""
+    total = (etas.T * weights) @ etas.conj()
+    return float(np.max(np.abs(total - np.eye(dim2))))
+
+
+def _max_min_weights_lp(etas: np.ndarray) -> np.ndarray:
+    """Completing weights that maximize the smallest one, from the LP.
 
     The operator equation is expressed in real Hermitian coordinates,
     rank-reduced by SVD (the stack is highly redundant), and handed to the
-    LP with objective "maximize the smallest weight". Raises
-    :class:`Infeasible` when no nonnegative solution exists and
-    :class:`NotMaximal` when solutions exist but force some weight to zero.
+    LP with objective "maximize the smallest weight".
     """
-    etas = np.asarray([sv.eta for sv in safe_vectors])
     nx, dim2 = etas.shape
     coords = np.empty((dim2 * dim2, nx))
     for j in range(nx):
@@ -172,6 +186,25 @@ def solve_povm_weights(safe_vectors, positivity_tol: float = 1e-9) -> np.ndarray
     feasible, point = qmath.lp_feasible(reduced, rhs, np.zeros(nx), maximize_min_of=range(nx))
     if not feasible:
         raise Infeasible("no nonnegative weights complete the POVM")
+    return point
+
+
+def solve_povm_weights(safe_vectors, positivity_tol: float = 1e-9) -> np.ndarray:
+    """Weights p(x) >= 0 with sum_x p(x) |eta_x><eta_x| = identity.
+
+    The trace of completeness gives sum_x p(x) ||eta_x||^2 = d**2 for every
+    feasible p, so no feasible p has a smallest weight above the uniform
+    value d**2 / sum_x ||eta_x||^2. When that uniform point completes the
+    POVM it is therefore the max-min optimum, and it is returned without an
+    LP; otherwise :func:`_max_min_weights_lp` solves for it. Raises
+    :class:`Infeasible` when no nonnegative solution exists and
+    :class:`NotMaximal` when solutions exist but force some weight to zero.
+    """
+    etas = np.asarray([sv.eta for sv in safe_vectors])
+    nx, dim2 = etas.shape
+    point = np.full(nx, dim2 / float(np.sum(np.abs(etas) ** 2)))
+    if _completeness_residual(etas, point, dim2) > COMPLETENESS_TOL:
+        point = _max_min_weights_lp(etas)
     if float(point.min()) <= positivity_tol:
         raise NotMaximal(
             f"completeness forces a weight down to {point.min():.3e}; strategy not maximal"
@@ -215,15 +248,22 @@ class Strategy:
 
 
 def build_strategy(bs: BasisSet, residual_tol: float = 1e-8) -> Strategy:
-    """Solve every safe vector and the weight LP for a full basis set."""
+    """Solve every safe vector and the POVM weights for a full basis set.
+
+    Raises :class:`OverBudget`, before enumerating anything, when the set
+    has more than ``MAX_GUESSING_FUNCTIONS`` guessing functions.
+    """
     d = bs.dim
+    if d**bs.k > MAX_GUESSING_FUNCTIONS:
+        raise OverBudget(
+            f"{d}**{bs.k} = {d**bs.k} guessing functions exceed the build budget "
+            f"{MAX_GUESSING_FUNCTIONS}"
+        )
     svs = [solve_safe_vector(bs, x, residual_tol=residual_tol)
            for x in enumerate_guessing_functions(d, bs.k)]
     weights = solve_povm_weights(svs)
-    etas = np.asarray([sv.eta for sv in svs])
-    total = (etas.T * weights) @ etas.conj()
-    residual = float(np.max(np.abs(total - np.eye(d * d))))
-    if residual > 1e-8:
+    residual = _completeness_residual(np.asarray([sv.eta for sv in svs]), weights, d * d)
+    if residual > COMPLETENESS_TOL:
         raise Infeasible(f"POVM completeness residual {residual:.3e} after solve")
     return Strategy(
         basis_set=bs,
@@ -333,10 +373,8 @@ def load_strategy(path) -> Strategy:
         )
         weights.append(float(entry["p"]))
     weights = np.asarray(weights)
-    etas = np.asarray([sv.eta for sv in svs])
-    total = (etas.T * weights) @ etas.conj()
-    residual = float(np.max(np.abs(total - np.eye(dim * dim))))
-    if residual > 1e-8:
+    residual = _completeness_residual(np.asarray([sv.eta for sv in svs]), weights, dim * dim)
+    if residual > COMPLETENESS_TOL:
         raise Infeasible(f"stored strategy violates completeness by {residual:.3e}")
     return Strategy(
         basis_set=bs,

@@ -286,6 +286,17 @@ class TestDimensionMismatch:
         with pytest.raises(ValueError, match="strategy and attack dimensions differ"):
             atk.leakage(atk.identity_attack(2), mub3)
 
+    @pytest.mark.parametrize("entry", [atk.alice_state, atk.alice_state_unnormalized,
+                                       atk.eve_final_state])
+    def test_single_outcome_entry_points(self, mub3, entry):
+        with pytest.raises(ValueError, match="strategy and attack dimensions differ"):
+            entry(atk.identity_attack(2), mub3, 0, 0)
+
+    def test_guess_probability(self, strategy_d3):
+        x = strategy_d3.guessing_functions[0]
+        with pytest.raises(ValueError, match="strategy and attack dimensions differ"):
+            atk.guess_probability(strategy_d3, atk.identity_attack(2), (x,), (0,), (0,))
+
 
 class TestEveFinalState:
     def test_no_attack_pure_and_constant(self, mub2, ideal2):

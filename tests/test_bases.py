@@ -150,6 +150,56 @@ class TestClassicalModel:
                 assert np.max(np.abs(marg - want)) < 1e-9, (a, b)
 
 
+@pytest.fixture()
+def lp_calls(monkeypatch):
+    """Basis-set sizes (d, k) the classical-model LP is called on."""
+    calls = []
+    lp = bases._classical_model_lp
+
+    def recording(bs, tol):
+        calls.append((bs.dim, bs.k))
+        return lp(bs, tol)
+
+    monkeypatch.setattr(bases, "_classical_model_lp", recording)
+    return calls
+
+
+def assert_witness(bs, q):
+    k, d = bs.k, bs.dim
+    assert abs(q.sum() - 1.0) < 1e-9 and np.all(q >= -1e-12)
+    cube = q.reshape((d,) * k)
+    for a in range(k):
+        for b in range(a + 1, k):
+            axes = tuple(ax for ax in range(k) if ax not in (a, b))
+            assert np.max(np.abs(cube.sum(axis=axes) - bases.pairwise_joint(bs, b, a))) < 1e-9
+
+
+class TestClassicalModelPaths:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_mub_uniform_witness_without_lp(self, d, lp_calls):
+        bs = bases.gen_mub(d)
+        ok, q = bases.check_classical_model(bs)
+        assert ok and lp_calls == []
+        assert np.all(q == 1.0 / d ** (d + 1))
+        lp_ok, lp_q = bases._classical_model_lp(bs, 1e-9)
+        assert lp_ok
+        assert_witness(bs, lp_q)
+
+    @pytest.mark.parametrize("angle", [0.05, 0.6])
+    def test_biased_set_falls_back_to_lp(self, angle, mub3, lp_calls, biased_copy):
+        bs = biased_copy(mub3, angle, b=2)
+        ok, q = bases.check_classical_model(bs)
+        assert lp_calls == [(3, 4)]
+        assert ok
+        assert_witness(bs, q)
+        assert bases.validate(bs).classical_model
+
+    def test_nudged_table_needs_lp_at_tight_tolerance(self, mub2, lp_calls, biased_copy):
+        bs = biased_copy(mub2, 1e-4)  # tables off 1/4 by about 1e-4
+        assert bases.check_classical_model(bs, 1e-3)[0] and lp_calls == []
+        assert bases.check_classical_model(bs, 1e-9)[0] and lp_calls == [(2, 3)]
+
+
 class TestFileFormat:
     def test_roundtrip(self, tmp_path, mub3):
         path = tmp_path / "b3.json"

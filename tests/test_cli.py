@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import meanking
-from meanking import attack, cli
+from meanking import attack, bases, cli
 from meanking.serialize import file_digest
 
 
@@ -82,6 +82,15 @@ class TestStrategyCommand:
         assert code == 0
         assert json.loads(out)["report"]["entries"] == 81
 
+    def test_build_over_budget(self, tmp_path, capsys):
+        path = tmp_path / "b7.json"
+        bases.save_basis_set(bases.gen_mub(7), path)
+        code = cli.main(["strategy", "build", "--bases", str(path),
+                         "--out", str(tmp_path / "s7.json")])
+        assert code == 2
+        assert "exceed the build budget" in capsys.readouterr().err
+        assert not (tmp_path / "s7.json").exists()
+
     def test_degenerate_input(self, tmp_path, capsys, bases_file):
         data = json.loads(bases_file.read_text())
         data["bases"][1] = data["bases"][0]  # duplicated basis
@@ -123,6 +132,13 @@ class TestRunCommand:
             "--seed", "1", "--attack", "nonsense:a=1", "--out", str(tmp_path / "t.jsonl"),
         )
         assert code == 1
+
+    @pytest.mark.parametrize("spec", ["intercept-resend:bb=1", "none:b=1"])
+    def test_unknown_attack_parameter(self, tmp_path, capsys, strategy_file, spec):
+        code = cli.main(["run", "--strategy", str(strategy_file), "--rounds", "10",
+                         "--seed", "1", "--attack", spec, "--out", str(tmp_path / "t.jsonl")])
+        assert code == 1
+        assert "takes no parameter" in capsys.readouterr().err
 
 
 class TestSecurityCommands:
@@ -177,6 +193,12 @@ class TestSecurityCommands:
         assert built == [(0.8, 3), (0.4, 3), (0.8, 3)]
         curve = json.loads(out)["report"]["curve"]
         assert [pt["theta"] for pt in curve] == [0.4, 0.8]
+
+    def test_attack_eval_unknown_parameter(self, capsys):
+        code = cli.main(["security", "attack-eval", "--attack", "probe:thetta=0.3", "--dim", "2"])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert "attack 'probe' takes no parameter 'thetta'" in captured.err
 
     def test_attack_eval_dimension_mismatch(self, tmp_path, capsys):
         path = tmp_path / "attack_d2.json"
@@ -234,3 +256,30 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "meanking" in proc.stdout
+
+    def test_mub_pipeline_loads_no_scipy(self, tmp_path):
+        # the LPs are fallbacks for non-MUB sets; scipy must load only with them
+        script = (
+            "import json, sys\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "import meanking.cli\n"
+            "after_import = scipy_modules()\n"
+            "codes = [meanking.cli.main(['bases', 'gen', '--dim', '3', '--out', 'b3.json']),\n"
+            "         meanking.cli.main(['strategy', 'build', '--bases', 'b3.json',\n"
+            "                            '--out', 's3.json']),\n"
+            "         meanking.cli.main(['run', '--strategy', 's3.json', '--rounds', '100',\n"
+            "                            '--seed', '1', '--out', 't.jsonl'])]\n"
+            "print(json.dumps([after_import, codes, scipy_modules()]))\n"
+        )
+        src = str(Path(meanking.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path,
+            capture_output=True, text=True, env={**os.environ, "PYTHONPATH": path},
+        )
+        assert proc.returncode == 0, proc.stderr
+        after_import, codes, after_pipeline = json.loads(proc.stdout.splitlines()[-1])
+        assert after_import == []
+        assert codes == [0, 0, 0]
+        assert after_pipeline == []

@@ -11,6 +11,20 @@ def random_unitary(rng, d):
     return u
 
 
+@pytest.fixture()
+def lp_calls(monkeypatch):
+    """Sizes of the families the max-min weight LP is called on."""
+    calls = []
+    lp = rd._max_min_weights_lp
+
+    def recording(etas):
+        calls.append(len(etas))
+        return lp(etas)
+
+    monkeypatch.setattr(rd, "_max_min_weights_lp", recording)
+    return calls
+
+
 def delta_worst(bs, sv):
     worst = 0.0
     for b in range(bs.k):
@@ -157,9 +171,51 @@ class TestWeights:
             total = float(np.sum(s.weights * np.linalg.norm(s.etas, axis=1) ** 2))
             assert abs(total - d * d) < 1e-8
 
-    def test_incomplete_family_infeasible(self, strategy_d2):
+    def test_incomplete_family_infeasible(self, strategy_d2, lp_calls):
         with pytest.raises((rd.Infeasible, rd.NotMaximal)):
             rd.solve_povm_weights(strategy_d2.safe_vectors[:4])
+        assert lp_calls == [4]  # the uniform candidate failed, so the LP decided
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_uniform_weights_match_lp(self, d, strategy_d2, strategy_d3):
+        s = strategy_d2 if d == 2 else strategy_d3
+        assert np.all(s.weights == s.weights[0])
+        assert_allclose(s.weights, np.full(d ** (d + 1), 1.0 / d ** (d + 1)), rtol=0, atol=1e-15)
+        assert_allclose(s.weights, rd._max_min_weights_lp(s.etas), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_mub_weights_skip_lp(self, d, mub2, mub3, lp_calls):
+        s = rd.build_strategy(mub2 if d == 2 else mub3)
+        assert lp_calls == []
+        assert s.completeness_residual < 1e-12
+
+    @pytest.mark.parametrize("angle", [0.2, 0.6])
+    def test_biased_set_falls_back_to_lp(self, angle, mub2, lp_calls, biased_copy):
+        s = rd.build_strategy(biased_copy(mub2, angle))
+        assert lp_calls == [8]
+        assert s.weights.max() - s.weights.min() > 0.05  # the uniform point is not feasible
+        assert_allclose(s.weights, rd._max_min_weights_lp(s.etas), rtol=0, atol=1e-12)
+        assert s.completeness_residual < 1e-8
+
+    def test_biased_subset_not_maximal(self, mub2, lp_calls, biased_copy):
+        svs = rd.build_strategy(biased_copy(mub2, 0.2)).safe_vectors
+        with pytest.raises((rd.Infeasible, rd.NotMaximal)):
+            rd.solve_povm_weights(svs[:7])
+        assert lp_calls == [8, 7]
+
+
+class TestBuildBudget:
+    def test_d5_fits(self):
+        assert 5**6 <= rd.MAX_GUESSING_FUNCTIONS < 7**8
+
+    def test_d7_refused_before_enumeration(self, monkeypatch):
+        def forbidden(*args, **kwargs):
+            raise AssertionError("enumerated an over-budget basis set")
+
+        monkeypatch.setattr(rd, "enumerate_guessing_functions", forbidden)
+        monkeypatch.setattr(rd, "solve_safe_vector", forbidden)
+        with pytest.raises(rd.OverBudget, match="5764801 guessing functions"):
+            rd.build_strategy(bases.gen_mub(7))
 
 
 class TestProductStrategy:
