@@ -20,10 +20,21 @@ and then Eve's final state cannot depend on (b, i): zero detection implies
 zero leakage. Detection probability and leakage are computed by exact
 enumeration, never by sampling.
 
-One pass, :func:`_outcomes`, walks the (b, i) grid; per outcome,
-:func:`_branch_vectors` yields the Kraus-branch stack w_l from which Alice's
-state, Eve's blocks and the Born weights are reduced. Detection, leakage and
-the per-outcome error table are all read from that pass.
+One pass, :func:`_attack_pass`, walks the (b, i) grid one basis block at a
+time through :func:`_basis_blocks`: one contraction projects all d**n
+outcomes of a block, and one batched Kraus application gives their branch
+stacks w_l, from which Eve's blocks are read. Alice's chance of announcing
+Bob's digits needs no Born weight per guessing tuple: the product POVM
+summed over the tuples that agree with Bob is the tensor product of the
+per-instance digit operators Q(b_s, i_s) of
+:func:`~meanking.retrodiction.digit_operators`, so
+
+    correct(b, i) = sum_l <w_l| Q(b_1, i_1) x ... x Q(b_n, i_n) |w_l>,
+
+with each Q applied to its own (A_s, B_s) pair. Detection, leakage and the
+per-outcome error table are all read from that pass; :func:`_branch_vectors`
+is the single-outcome projection behind :func:`alice_state` and
+:func:`eve_final_state`.
 
 Subsystem order is always A x B x E, row-major. All indices 0-based.
 """
@@ -36,8 +47,8 @@ from itertools import product
 import numpy as np
 
 from . import qmath
-from .bases import BasisSet
-from .retrodiction import Strategy, omega, tensor_strategy
+from .bases import BasisSet, FormatError
+from .retrodiction import Strategy, digit_operators, omega
 from .serialize import complex_to_pairs, pairs_to_complex, read_json, write_json
 
 MAX_ATTACK_DIM = 4096  # bound on d**(2n) * d_eve
@@ -153,14 +164,18 @@ def phi_hat_product(bs: BasisSet, bvec, ivec, n: int) -> np.ndarray:
     return np.kron(phi.conj(), phi) / np.sqrt(dd)
 
 
+def _require_same_dim(am: AttackModel, bs: BasisSet) -> None:
+    if bs.dim != am.d:
+        raise ValueError("strategy and attack dimensions differ")
+
+
 def _projected_raw(am: AttackModel, bs: BasisSet, bvec, ivec):
     """Unnormalized source state after Bob's projection, as (A, B, E) tensor.
 
-    Every per-outcome entry point passes through here, so this is where a
-    basis set of another dimension than the attack is refused.
+    Every single-outcome entry point passes through here, so this is where
+    a basis set of another dimension than the attack is refused.
     """
-    if bs.dim != am.d:
-        raise ValueError("strategy and attack dimensions differ")
+    _require_same_dim(am, bs)
     dd = am.block_dim
     phi = phi_product(bs, bvec, ivec, am.n)
     psi = am.psi_abe.reshape(dd, dd, am.d_eve)
@@ -238,11 +253,12 @@ def _u_hat_operators(coeffs: np.ndarray, d: int, n: int):
     return u_hats
 
 
-def _kraus_branches(am: AttackModel, state) -> np.ndarray:
-    """(1 x V_l) applied to a state on A x B x E, one row per branch: (branch, A x B, E)."""
-    dd = am.block_dim
-    s = np.asarray(state, dtype=complex).reshape(dd, dd * am.d_eve)
-    return np.stack([(s @ v.T).reshape(dd * dd, am.d_eve) for v in am.kraus])
+def _kraus_branches(am: AttackModel, states) -> np.ndarray:
+    """(1 x V_l) applied to m states on A x B x E, one row per branch: (m, branch, A x B, E)."""
+    dd, de = am.block_dim, am.d_eve
+    s = np.asarray(states, dtype=complex).reshape(-1, 1, dd, dd * de)
+    kraus_t = np.stack([v.T for v in am.kraus])
+    return (s @ kraus_t).reshape(len(s), len(am.kraus), dd * dd, de)
 
 
 def apply_feedback(am: AttackModel, state: np.ndarray) -> np.ndarray:
@@ -254,43 +270,72 @@ def apply_feedback(am: AttackModel, state: np.ndarray) -> np.ndarray:
 def _branch_vectors(am: AttackModel, bs: BasisSet, bvec, ivec):
     """The Kraus-branch stack of one projected outcome, and the outcome's probability."""
     out, prob = _projected_raw(am, bs, bvec, ivec)
-    return _kraus_branches(am, out), prob
+    return _kraus_branches(am, out)[0], prob
 
 
-def _outcomes(am: AttackModel, bs: BasisSet):
-    """The one walk over Bob's outcome grid: (bvec, ivec, branches, prob) per (b, i)."""
+def _basis_blocks(am: AttackModel, bs: BasisSet):
+    """The one walk over Bob's outcome grid, one basis block at a time.
+
+    Yields ``(bvec, branches, probs)`` per basis vector: the Kraus-branch
+    stacks of all d**n outcomes of the block, as (outcome, branch, A x B, E),
+    and the outcome probabilities, outcomes in ``product`` order. The rows of
+    the Kronecker product of Bob's basis matrices are his block eigenstates,
+    so one contraction projects every outcome and one batched product
+    applies every Kraus operator.
+    """
+    _require_same_dim(am, bs)
+    dd = am.block_dim
+    psi = am.psi_abe.reshape(dd, dd, am.d_eve)
     for bvec in product(range(bs.k), repeat=am.n):
-        for ivec in product(range(bs.dim), repeat=am.n):
-            yield (bvec, ivec, *_branch_vectors(am, bs, bvec, ivec))
-
-
-def _alice_raw(branches: np.ndarray) -> np.ndarray:
-    """Alice's unnormalized state sum_l w_l w_l^dagger on A x B."""
-    return sum(w @ w.conj().T for w in branches)
+        phis = qmath.tensor(*[bs.bases[b].vectors for b in bvec])
+        amp = np.einsum("ib,abe->iae", phis.conj(), psi)
+        probs = np.sum(np.abs(amp) ** 2, axis=(1, 2))
+        out = np.einsum("iae,ib->iabe", amp, phis)
+        yield bvec, _kraus_branches(am, out), probs
 
 
 def _eve_blocks(branches: np.ndarray):
-    """Eve's unnormalized per-branch blocks w_l^T w_l^*, as (branch, E, E), and their trace."""
-    blocks = np.swapaxes(branches, 1, 2) @ branches.conj()
-    return blocks, float(np.einsum("lee->", blocks).real)
+    """Eve's unnormalized per-branch blocks w_l^T w_l^*, as (..., branch, E, E), and their traces.
 
-
-def _born(etas: np.ndarray, etas_conj: np.ndarray, weights: np.ndarray,
-          rho: np.ndarray) -> np.ndarray:
-    """Born weights p(x) <eta_x| rho |eta_x> of Alice's POVM elements.
-
-    ``etas_conj`` is ``etas.conj()``, computed once per table by the caller.
+    Leading axes of ``branches`` before the branch axis carry through.
     """
-    return weights * np.sum((etas_conj @ rho) * etas, axis=1).real
+    blocks = np.swapaxes(branches, -1, -2) @ branches.conj()
+    return blocks, np.einsum("...lee->...", blocks).real
+
+
+def _correct_mass(slots, branches: np.ndarray) -> np.ndarray:
+    """sum_l <w_l| Q_1 x ... x Q_n |w_l> for every combination of per-instance operators.
+
+    ``slots[s]`` stacks the m_s candidate operators of instance s, shape
+    (m_s, d*d, d*d) on its (A_s, B_s) pair. ``branches`` holds one
+    Kraus-branch stack per combination, as (m_1 * ... * m_n, branch, A x B,
+    E) with A and B grouped over the instances. Each Q_s acts on its own two
+    axes, as one batched product over its m_s candidates, so no operator on
+    the whole block is formed.
+    """
+    n = len(slots)
+    d = int(round(np.sqrt(slots[0].shape[-1])))
+    shape = tuple(len(q) for q in slots) + (branches.shape[1],) + (d,) * (2 * n)
+    w = branches.reshape(shape + (branches.shape[-1],))
+    qw = w
+    for s, q in enumerate(slots):
+        # candidate axis first, the (A_s, B_s) pair last
+        pair = (n + 1 + s, 2 * n + 1 + s)
+        perm = [s] + [ax for ax in range(w.ndim) if ax not in (s, *pair)] + list(pair)
+        moved = qw.transpose(perm)
+        applied = moved.reshape(len(q), -1, d * d) @ np.swapaxes(q, 1, 2)
+        qw = applied.reshape(moved.shape).transpose(np.argsort(perm))
+    return (w.conj() * qw).real.sum(axis=tuple(range(n, w.ndim))).reshape(-1)
 
 
 def alice_state_unnormalized(am: AttackModel, bs: BasisSet, bvec, ivec):
     """Alice's conditional state on A x B before normalization.
 
-    The trace equals the outcome probability; returns ``(rho, prob)``.
+    It is sum_l w_l w_l^dagger over the Kraus-branch stack; the trace equals
+    the outcome probability. Returns ``(rho, prob)``.
     """
     branches, prob = _branch_vectors(am, bs, bvec, ivec)
-    return _alice_raw(branches), prob
+    return sum(w @ w.conj().T for w in branches), prob
 
 
 def alice_state(am: AttackModel, bs: BasisSet, bvec, ivec) -> np.ndarray:
@@ -348,7 +393,7 @@ def eve_final_state(am: AttackModel, bs: BasisSet, bvec, ivec) -> np.ndarray:
     blocks, trace = _eve_blocks(_branch_vectors(am, bs, bvec, ivec)[0])
     nb, de = blocks.shape[:2]
     rho = np.einsum("lm,lef->lemf", np.eye(nb), blocks).reshape(nb * de, nb * de)
-    return rho / _conditionable(trace, bvec, ivec)
+    return rho / _conditionable(float(trace), bvec, ivec)
 
 
 def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -376,64 +421,46 @@ def leakage(am: AttackModel, bs: BasisSet) -> float:
     of nonnegligible probability; zero means the transcript taught her
     nothing about the key.
     """
-    return _max_trace_distance(_eve_blocks(w) for _, _, w, _ in _outcomes(am, bs))
-
-
-def _product_tables(strategy: Strategy, n: int):
-    """Grouped safe product vectors, their conjugates, weights and per-slot guess values."""
-    ps = tensor_strategy(strategy, n)
-    etas = []
-    weights = []
-    for xs in ps.guessing_tuples():
-        etas.append(ps.safe_vector_grouped(xs))
-        weights.append(ps.weight(xs))
-    xvals = np.asarray(strategy.guessing_functions, dtype=int)
-    etas = np.asarray(etas)
-    return etas, etas.conj(), np.asarray(weights), xvals
-
-
-def _correct_mask(xvals: np.ndarray, bvec, ivec) -> np.ndarray:
-    """Indicator over product guessing functions of x_l(b_l) = i_l for all l."""
-    mask = np.ones(1)
-    for b, i in zip(bvec, ivec):
-        mask = np.kron(mask, (xvals[:, b] == i).astype(float))
-    return mask
+    return _max_trace_distance(state for _, branches, _ in _basis_blocks(am, bs)
+                               for state in zip(*_eve_blocks(branches)))
 
 
 def guess_probability(strategy: Strategy, am: AttackModel, xvec, bvec, ivec) -> float:
     """Probability that Alice announces the digits x(b), given Bob saw (b, i).
 
-    Aggregates the Born weights of every guessing function sharing those
-    digits; without an attack this is 1 when x(b) = i and 0 otherwise.
+    Aggregates the POVM elements of every guessing function sharing those
+    digits, through the digit operators Q(b_s, x_s(b_s)); without an attack
+    this is 1 when x(b) = i and 0 otherwise.
     """
     n = am.n
-    rho = alice_state(am, strategy.basis_set, bvec, ivec)
+    branches, prob = _branch_vectors(am, strategy.basis_set, bvec, ivec)
+    _conditionable(prob, bvec, ivec)
     bvec = _as_tuple(bvec, n, strategy.basis_set.k, "bases")
     ivec = _as_tuple(ivec, n, strategy.d, "outcomes")
     if isinstance(xvec[0], (int, np.integer)):
         xvec = (tuple(xvec),)
     xvec = tuple(tuple(int(v) for v in x) for x in xvec)
-    etas, etas_conj, weights, xvals = _product_tables(strategy, n)
-    born = _born(etas, etas_conj, weights, rho)
-    target = tuple(x[b] for x, b in zip(xvec, bvec))
-    return float(born @ _correct_mask(xvals, bvec, target))
+    q = digit_operators(strategy)
+    slots = [q[b, x[b]][None] for x, b in zip(xvec, bvec)]
+    return float(_correct_mass(slots, branches[None])[0]) / prob
 
 
 def _attack_pass(strategy: Strategy, am: AttackModel):
     """Detection probability, error table and Eve's (blocks, trace) per outcome, in one pass."""
     bs = strategy.basis_set
-    etas, etas_conj, weights, xvals = _product_tables(strategy, am.n)
+    q = digit_operators(strategy)
+    ivecs = list(product(range(bs.dim), repeat=am.n))
     total, table, eve = 0.0, [], []
-    for bvec, ivec, branches, prob in _outcomes(am, bs):
-        eve.append(_eve_blocks(branches))
-        if prob <= _PROB_FLOOR:
-            continue
-        born = _born(etas, etas_conj, weights, _alice_raw(branches))
-        correct = float(born @ _correct_mask(xvals, bvec, ivec))
-        total += prob - correct
-        # 1-based labels in the human-facing table
-        table.append({"b": [b + 1 for b in bvec], "i": [i + 1 for i in ivec],
-                      "prob": prob, "guess_error": max(0.0, 1.0 - correct / prob)})
+    for bvec, branches, probs in _basis_blocks(am, bs):
+        eve.extend(zip(*_eve_blocks(branches)))
+        correct = _correct_mass([q[b] for b in bvec], branches)
+        for ivec, prob, right in zip(ivecs, probs.tolist(), correct.tolist()):
+            if prob <= _PROB_FLOOR:
+                continue
+            total += prob - right
+            # 1-based labels in the human-facing table
+            table.append({"b": [b + 1 for b in bvec], "i": [i + 1 for i in ivec],
+                          "prob": prob, "guess_error": max(0.0, 1.0 - right / prob)})
     return total / bs.k**am.n, table, eve
 
 
@@ -609,11 +636,19 @@ def save_attack(am: AttackModel, path) -> None:
 
 
 def load_attack(path) -> AttackModel:
+    """Read an attack written by :func:`save_attack`.
+
+    Raises :class:`~meanking.bases.FormatError` when the file does not have
+    that layout or does not describe a valid attack.
+    """
     data = read_json(path)
-    return AttackModel(
-        d=int(data["d"]),
-        n=int(data["n"]),
-        d_eve=int(data["d_E"]),
-        psi_abe=pairs_to_complex(data["psi_abe"]),
-        kraus=tuple(pairs_to_complex(v) for v in data["kraus"]),
-    )
+    try:
+        return AttackModel(
+            d=int(data["d"]),
+            n=int(data["n"]),
+            d_eve=int(data["d_E"]),
+            psi_abe=pairs_to_complex(data["psi_abe"]),
+            kraus=tuple(pairs_to_complex(v) for v in data["kraus"]),
+        )
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise FormatError(f"bad attack file {path}: {exc}") from exc

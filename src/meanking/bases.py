@@ -166,6 +166,17 @@ def pairwise_joint(bs: BasisSet, a: int, b: int) -> np.ndarray:
     return np.abs(ov) ** 2 / bs.dim
 
 
+def pairwise_flat(bs: BasisSet, tol: float = qmath.DEFAULT_TOL) -> bool:
+    """True iff every pairwise table is within ``tol`` of 1/d**2.
+
+    The uniform distribution over the d**k outcome tuples then reproduces
+    every table, so a classical model exists.
+    """
+    d = bs.dim
+    return all(np.max(np.abs(pairwise_joint(bs, a, b) - 1.0 / d**2)) <= tol
+               for a, b in combinations(range(bs.k), 2))
+
+
 def check_classical_model(bs: BasisSet, tol: float = qmath.DEFAULT_TOL):
     """Feasibility of a joint distribution reproducing all pairwise tables.
 
@@ -179,8 +190,7 @@ def check_classical_model(bs: BasisSet, tol: float = qmath.DEFAULT_TOL):
     """
     d, k = bs.dim, bs.k
     nvar = d**k
-    if all(np.max(np.abs(pairwise_joint(bs, a, b) - 1.0 / d**2)) <= tol
-           for a, b in combinations(range(k), 2)):
+    if pairwise_flat(bs, tol):
         return True, np.full(nvar, 1.0 / nvar)
     if nvar > _LP_VAR_GUARD:
         raise ValueError(
@@ -234,7 +244,9 @@ def validate(bs: BasisSet, tol: float = qmath.DEFAULT_TOL) -> ValidationReport:
     orth_ok, orth_worst = check_orthonormal(bs, tol)
     unb_ok, unb_worst = check_unbiased(bs, max(tol, 1e-10))
     nondeg_ok, rank = check_nondegenerate(bs, tol)
-    classical_ok, _ = check_classical_model(bs, max(tol, 1e-9))
+    # the flat case needs no witness, and its witness would hold d**k entries
+    model_tol = max(tol, 1e-9)
+    classical_ok = pairwise_flat(bs, model_tol) or check_classical_model(bs, model_tol)[0]
     return ValidationReport(
         orthonormal=orth_ok,
         unbiased=unb_ok,

@@ -31,7 +31,7 @@ from math import ceil
 import numpy as np
 
 from . import attack as attack_mod
-from .retrodiction import Strategy
+from .retrodiction import Strategy, tensor_strategy
 from .serialize import canonical_dumps
 
 _DIGITS = "123456789ABCDEFG"
@@ -127,9 +127,22 @@ def _outcome_dist(am, bs, bvec) -> np.ndarray:
     return _normalized(np.asarray(probs), f"Bob outcomes (b={bvec})")
 
 
+def _product_tables(strategy: Strategy, n: int):
+    """Grouped safe product vectors, their conjugates and weights, one row per guessing tuple."""
+    ps = tensor_strategy(strategy, n)
+    etas = []
+    weights = []
+    for xs in ps.guessing_tuples():
+        etas.append(ps.safe_vector_grouped(xs))
+        weights.append(ps.weight(xs))
+    etas = np.asarray(etas)
+    return etas, etas.conj(), np.asarray(weights)
+
+
 def _povm_dist(am, bs, etas, etas_conj, weights, bvec, ivec) -> np.ndarray:
+    """Born weights p(x) <eta_x| rho |eta_x> of every guessing tuple, for Alice's state rho."""
     rho = attack_mod.alice_state(am, bs, bvec, ivec)
-    born = attack_mod._born(etas, etas_conj, weights, rho)
+    born = weights * np.sum((etas_conj @ rho) * etas, axis=1).real
     return _normalized(born, f"measurement (b={bvec}, i={ivec})")
 
 
@@ -162,7 +175,7 @@ def _sample(seed: int, strategy: Strategy, am, units: int) -> np.ndarray:
     iflat = _lookup(outcome, brows, u_out)
 
     pkeys, prows = np.unique(bflat * d**n + iflat, return_inverse=True)
-    etas, etas_conj, weights, _ = attack_mod._product_tables(strategy, n)
+    etas, etas_conj, weights = _product_tables(strategy, n)
     pairs = zip(_digits(pkeys // d**n, k, n).tolist(), _digits(pkeys % d**n, d, n).tolist())
     povm = np.array([_povm_dist(am, bs, etas, etas_conj, weights, tuple(bvec), tuple(ivec))
                      for bvec, ivec in pairs])

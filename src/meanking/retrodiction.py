@@ -26,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from . import qmath
-from .bases import Basis, BasisSet
+from .bases import Basis, BasisSet, FormatError
 from .serialize import complex_to_pairs, pairs_to_complex, read_json, write_json
 
 MAX_PRODUCT_DIM = 4096  # densest object handled: operators on d**(2n)
@@ -274,6 +274,30 @@ def build_strategy(bs: BasisSet, residual_tol: float = 1e-8) -> Strategy:
     )
 
 
+def digit_operators(strategy: Strategy) -> np.ndarray:
+    """Alice's POVM coarse-grained to the digit she announces for each basis.
+
+    Returns Q with shape (k, d, d*d, d*d), where
+
+        Q[b, i] = sum over x with x(b) = i of p(x) |eta_x><eta_x|
+
+    is the element for announcing i when Bob's basis was b. Completeness
+    gives sum_i Q[b, i] = identity for every b. The POVM of n independent
+    instances is a tensor product, so its element for the digits (b_s, i_s)
+    is the product of the Q[b_s, i_s], one per instance.
+    """
+    bs = strategy.basis_set
+    d = bs.dim
+    etas = strategy.etas
+    xvals = np.asarray(strategy.guessing_functions, dtype=int)
+    q = np.empty((bs.k, d, d * d, d * d), dtype=complex)
+    for b in range(bs.k):
+        for i in range(d):
+            mask = xvals[:, b] == i
+            q[b, i] = (etas[mask].T * strategy.weights[mask]) @ etas[mask].conj()
+    return q
+
+
 def _interleaved_to_grouped_axes(n: int):
     return list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
 
@@ -351,29 +375,37 @@ def save_strategy(s: Strategy, path) -> None:
 
 
 def load_strategy(path) -> Strategy:
+    """Read a strategy written by :func:`save_strategy`.
+
+    Raises :class:`FormatError` when the file does not have that layout and
+    :class:`Infeasible` when the stored POVM is not complete.
+    """
     data = read_json(path)
-    dim = int(data["dim"])
-    bs = BasisSet(
-        dim=dim,
-        bases=tuple(
-            Basis(label=b, vectors=pairs_to_complex(entry))
-            for b, entry in enumerate(data["bases"])
-        ),
-    )
-    omega_vec = pairs_to_complex(data["omega"])
-    svs = []
-    weights = []
-    for entry in data["entries"]:
-        svs.append(
-            SafeVector(
-                x=tuple(int(v) for v in entry["x"]),
-                eta=pairs_to_complex(entry["eta"]),
-                residual=float(entry["residual"]),
-            )
+    try:
+        dim = int(data["dim"])
+        bs = BasisSet(
+            dim=dim,
+            bases=tuple(
+                Basis(label=b, vectors=pairs_to_complex(entry))
+                for b, entry in enumerate(data["bases"])
+            ),
         )
-        weights.append(float(entry["p"]))
-    weights = np.asarray(weights)
-    residual = _completeness_residual(np.asarray([sv.eta for sv in svs]), weights, dim * dim)
+        omega_vec = pairs_to_complex(data["omega"])
+        svs = []
+        weights = []
+        for entry in data["entries"]:
+            svs.append(
+                SafeVector(
+                    x=tuple(int(v) for v in entry["x"]),
+                    eta=pairs_to_complex(entry["eta"]),
+                    residual=float(entry["residual"]),
+                )
+            )
+            weights.append(float(entry["p"]))
+        weights = np.asarray(weights)
+        residual = _completeness_residual(np.asarray([sv.eta for sv in svs]), weights, dim * dim)
+    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        raise FormatError(f"bad strategy file {path}: {exc}") from exc
     if residual > COMPLETENESS_TOL:
         raise Infeasible(f"stored strategy violates completeness by {residual:.3e}")
     return Strategy(

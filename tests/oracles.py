@@ -3,6 +3,10 @@
 Everything here is written from the physics directly (explicit loops over
 amplitudes, no reuse of the library's projection / channel / partial-trace
 pipeline), so agreement is a genuine dual-route check and not a tautology.
+The one exception is :func:`attack_pass_per_outcome`, which keeps the
+library's earlier per-outcome route (the single-outcome projection and a
+Born weight per product guessing tuple) as the reference for the
+block-at-a-time attack pass that replaced it.
 """
 
 import numpy as np
@@ -135,3 +139,53 @@ def eve_state_loops(am, bs, bvec, ivec):
         block = partial_trace_loops(np.outer(flat, flat.conj()), (dd, dd, de), [2])
         out[l * de:(l + 1) * de, l * de:(l + 1) * de] = block
     return out
+
+
+def attack_pass_per_outcome(strategy, am):
+    """Detection, leakage and the per-outcome table, one outcome at a time.
+
+    This is the route the library's block pass replaced. Per outcome (b, i),
+    Alice's state comes from the single-outcome projection
+    (``alice_state_unnormalized``); every product guessing tuple gets its
+    Born weight over the full table of grouped safe product vectors, and the
+    digit mask x_s(b_s) = i_s is tested tuple by tuple. Eve's states are
+    assembled as full block-diagonal matrices and compared by full
+    eigendecompositions. Returns ``(detection, leakage, per_outcome)`` with
+    the same floors and 1-based labels as ``evaluate_attack``.
+    """
+    from itertools import product
+
+    from meanking import attack as atk, retrodiction as rd
+
+    bs = strategy.basis_set
+    ps = rd.tensor_strategy(strategy, am.n)
+    tuples = list(ps.guessing_tuples())
+    etas = np.array([ps.safe_vector_grouped(xs) for xs in tuples])
+    weights = np.array([ps.weight(xs) for xs in tuples])
+    digits = np.array(tuples)  # (tuple, instance, basis)
+    slots = np.arange(am.n)
+    total, table, eve = 0.0, [], []
+    for bvec in product(range(bs.k), repeat=am.n):
+        for ivec in product(range(bs.dim), repeat=am.n):
+            branches, _ = atk._branch_vectors(am, bs, bvec, ivec)
+            nb, de = branches.shape[0], branches.shape[2]
+            state = np.zeros((nb * de, nb * de), dtype=complex)
+            for l, w in enumerate(branches):
+                state[l * de:(l + 1) * de, l * de:(l + 1) * de] = w.T @ w.conj()
+            trace = float(np.trace(state).real)
+            if trace > atk._LEAKAGE_SKIP:
+                eve.append(state / trace)
+            rho, prob = atk.alice_state_unnormalized(am, bs, bvec, ivec)
+            if prob <= atk._PROB_FLOOR:
+                continue
+            mask = np.all(digits[:, slots, list(bvec)] == np.array(ivec), axis=1)
+            born = weights[mask] * np.sum((etas[mask].conj() @ rho) * etas[mask], axis=1).real
+            correct = float(born.sum())
+            total += prob - correct
+            table.append({"b": [b + 1 for b in bvec], "i": [i + 1 for i in ivec],
+                          "prob": prob, "guess_error": max(0.0, 1.0 - correct / prob)})
+    worst = 0.0
+    for j, r in enumerate(eve[:-1]):
+        eigs = np.linalg.eigvalsh(np.array(eve[j + 1:]) - r)
+        worst = max(worst, 0.5 * float(np.abs(eigs).sum(axis=1).max()))
+    return total / bs.k**am.n, worst, table

@@ -4,7 +4,7 @@ from numpy.testing import assert_allclose
 
 from meanking import attack as atk, qmath, retrodiction as rd
 
-from oracles import intercept_resend_detection, probe_detection
+from oracles import attack_pass_per_outcome, intercept_resend_detection, probe_detection
 
 
 @pytest.fixture(scope="module")
@@ -275,6 +275,41 @@ class TestDetectionAndLeakage:
         for det, leak in curve:
             assert det > 1e-4 and leak > 1e-4
         assert curve == sorted(curve)  # monotone over this range
+
+
+def _grid_attack(kind, bs, n):
+    d = bs.dim
+    if kind == "probe":
+        return atk.probe_entangle(d, 0.7, n=n)
+    if kind == "intercept-resend":
+        return atk.intercept_resend(bs, 1, n=n)
+    if kind == "source-replace":
+        return atk.source_replace(d, 0.3, n=n)
+    raw = atk.random_attack(d, n, 2, 2, np.random.default_rng(100 * d + n))
+    return raw if kind == "random" else atk.scalarized_attack(raw)
+
+
+class TestPassAgainstPerOutcomeOracle:
+    @pytest.mark.parametrize("kind", ["probe", "intercept-resend", "source-replace",
+                                      "random", "scalarized"])
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    def test_report_matches(self, d, n, kind, strategy_d2, strategy_d3):
+        strategy = strategy_d2 if d == 2 else strategy_d3
+        am = _grid_attack(kind, strategy.basis_set, n)
+        report = atk.evaluate_attack(strategy, am)
+        detection, leak, table = attack_pass_per_outcome(strategy, am)
+        assert abs(report.detection_probability - detection) <= 1e-12
+        assert abs(report.leakage - leak) <= 1e-12
+        assert [(e["b"], e["i"]) for e in report.per_outcome] == [(e["b"], e["i"]) for e in table]
+        for got, want in zip(report.per_outcome, table):
+            assert abs(got["prob"] - want["prob"]) <= 1e-12
+            assert abs(got["guess_error"] - want["guess_error"]) <= 1e-12
+
+    def test_intercept_resend_d3_n2_closed_form(self, strategy_d3, mub3):
+        # blocks of independent instances: detected unless every instance passes
+        p = intercept_resend_detection(strategy_d3, 1)
+        det = atk.detection_probability(strategy_d3, atk.intercept_resend(mub3, 1, n=2))
+        assert abs(det - (1 - (1 - p) ** 2)) < 1e-10
 
 
 class TestDimensionMismatch:

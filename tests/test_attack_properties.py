@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from meanking import attack as atk, retrodiction as rd
 
-from oracles import eve_state_loops
+from oracles import attack_pass_per_outcome, eve_state_loops
 
 
 @st.composite
@@ -55,6 +55,26 @@ def test_one_pass_matches_separate_calls(strategy_d2, mub2, am):
     assert abs(report.leakage - leak) <= 1e-12
     assert -1e-12 <= det <= 1.0 + 1e-12
     assert -1e-12 <= leak <= 1.0 + 1e-12
+
+
+@settings(max_examples=10, deadline=None)
+@given(am=random_attacks())
+def test_block_pass_matches_per_outcome_oracle(strategy_d2, am):
+    report = atk.evaluate_attack(strategy_d2, am)
+    detection, leak, table = attack_pass_per_outcome(strategy_d2, am)
+    assert abs(report.detection_probability - detection) <= 1e-12
+    assert abs(report.leakage - leak) <= 1e-12
+    assert len(report.per_outcome) == len(table)
+    for got, want in zip(report.per_outcome, table):
+        assert (got["b"], got["i"]) == (want["b"], want["i"])
+        assert abs(got["prob"] - want["prob"]) <= 1e-12
+        assert abs(got["guess_error"] - want["guess_error"]) <= 1e-12
+        # a guessing function per instance that announces Bob's digit in every basis
+        bvec = tuple(b - 1 for b in got["b"])
+        ivec = tuple(i - 1 for i in got["i"])
+        xvec = tuple((i,) * 3 for i in ivec)
+        guess = atk.guess_probability(strategy_d2, am, xvec, bvec, ivec)
+        assert abs(max(0.0, 1.0 - guess) - want["guess_error"]) <= 1e-10
 
 
 @settings(max_examples=25, deadline=None)

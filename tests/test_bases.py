@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -198,6 +199,24 @@ class TestClassicalModelPaths:
         bs = biased_copy(mub2, 1e-4)  # tables off 1/4 by about 1e-4
         assert bases.check_classical_model(bs, 1e-3)[0] and lp_calls == []
         assert bases.check_classical_model(bs, 1e-9)[0] and lp_calls == [(2, 3)]
+
+
+class TestValidateMemory:
+    def test_d7_allocates_no_witness(self):
+        # the uniform witness at d=7 would be 7**8 floats, 46 MB
+        bs = bases.gen_mub(7)
+        tracemalloc.start()
+        try:
+            report = bases.validate(bs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.classical_model
+        assert peak < 5 * 2**20
+
+    @pytest.mark.parametrize("angle,flat", [(0.0, True), (1e-4, False), (0.6, False)])
+    def test_flatness_predicate(self, mub3, biased_copy, angle, flat):
+        assert bases.pairwise_flat(biased_copy(mub3, angle, b=2), 1e-9) is flat
 
 
 class TestFileFormat:

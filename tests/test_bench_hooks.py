@@ -20,7 +20,9 @@ def _load_tracing():
     return module
 
 
-def test_tracer_hooks_and_one_projection_per_outcome(strategy_d2):
+def test_tracer_hooks_and_no_per_outcome_projection(strategy_d2):
+    # the pass projects a whole basis block at once; _branch_vectors is the
+    # single-outcome projection behind alice_state and eve_final_state only
     tracer = _load_tracing().Tracer()
     original = attack._branch_vectors
     tracer.install()
@@ -32,4 +34,4 @@ def test_tracer_hooks_and_one_projection_per_outcome(strategy_d2):
     assert attack._branch_vectors is original
     assert [span[0] for span in tracer.spans] == ["attack.evaluate_attack"]
     assert tracer.counts["attack.grid_points"] == 6
-    assert tracer.counts["attack.branch_vectors"] == tracer.counts["attack.grid_points"]
+    assert tracer.counts["attack.branch_vectors"] == 0

@@ -209,6 +209,33 @@ class TestSecurityCommands:
         assert "strategy and attack dimensions differ" in captured.err
 
 
+class TestMalformedFiles:
+    """A strategy or attack file of the wrong shape exits 1 with a message."""
+
+    @pytest.mark.parametrize("shape", ["kraus-number", "json-list"])
+    def test_attack_file(self, tmp_path, capsys, shape):
+        path = tmp_path / "attack.json"
+        attack.save_attack(attack.identity_attack(2), path)
+        data = json.loads(path.read_text())
+        data = {**data, "kraus": 5} if shape == "kraus-number" else [data]
+        path.write_text(json.dumps(data))
+        code = cli.main(["security", "attack-eval", "--attack", f"file:{path}"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: bad attack file") and "Traceback" not in err
+
+    def test_strategy_entries_number(self, tmp_path, capsys, strategy_file):
+        data = json.loads(strategy_file.read_text())
+        data["entries"] = 7
+        bad = tmp_path / "bad_strategy.json"
+        bad.write_text(json.dumps(data))
+        code = cli.main(["run", "--strategy", str(bad), "--rounds", "10", "--seed", "1",
+                         "--out", str(tmp_path / "t.jsonl")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith("error: bad strategy file") and "Traceback" not in err
+
+
 class TestDeterminism:
     def test_run_byte_identical(self, tmp_path, capsys, strategy_file):
         digests = []

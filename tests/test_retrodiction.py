@@ -218,6 +218,41 @@ class TestBuildBudget:
             rd.build_strategy(bases.gen_mub(7))
 
 
+def generator_strategy(bs):
+    """A strategy from one pseudoinverse instead of a solve per guessing function.
+
+    The safe-vector conditions are linear in x: conj(eta_x) is the sum over
+    b of column b*d + x(b) of pinv of the stacked conditional states. The
+    weights come from the library's solve. This builds d=5 in well under a
+    second, where ``build_strategy`` takes seconds.
+    """
+    d, k = bs.dim, bs.k
+    stacked = np.array([rd.phi_hat(bs, b, i) for b in range(k) for i in range(d)])
+    gens = np.linalg.pinv(stacked)
+    xs = np.array(list(rd.enumerate_guessing_functions(d, k)))
+    etas = gens[:, xs + d * np.arange(k)].sum(axis=2).T.conj()
+    svs = [rd.SafeVector(x=tuple(x), eta=eta, residual=0.0) for x, eta in zip(xs.tolist(), etas)]
+    weights = rd.solve_povm_weights(svs)
+    return rd.Strategy(basis_set=bs, omega=rd.omega(d), safe_vectors=svs, weights=weights,
+                       completeness_residual=rd._completeness_residual(etas, weights, d * d))
+
+
+class TestDigitOperators:
+    def test_generator_strategy_matches_build(self, mub3, strategy_d3):
+        gen = generator_strategy(mub3)
+        assert gen.guessing_functions == strategy_d3.guessing_functions
+        assert np.max(np.abs(gen.etas - strategy_d3.etas)) < 1e-12
+        assert np.max(np.abs(gen.weights - strategy_d3.weights)) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_complete_per_basis(self, d):
+        strategy = generator_strategy(bases.gen_mub(d))
+        q = rd.digit_operators(strategy)
+        assert q.shape == (d + 1, d, d * d, d * d)
+        for b in range(d + 1):
+            assert np.max(np.abs(q[b].sum(axis=0) - np.eye(d * d))) < 1e-8
+
+
 class TestProductStrategy:
     def test_n1_identical(self, strategy_d2):
         ps = rd.tensor_strategy(strategy_d2, 1)
