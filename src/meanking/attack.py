@@ -32,9 +32,10 @@ per-instance digit operators Q(b_s, i_s) of
     correct(b, i) = sum_l <w_l| Q(b_1, i_1) x ... x Q(b_n, i_n) |w_l>,
 
 with each Q applied to its own (A_s, B_s) pair. Detection, leakage and the
-per-outcome error table are all read from that pass; :func:`_branch_vectors`
-is the single-outcome projection behind :func:`alice_state` and
-:func:`eve_final_state`.
+per-outcome error table are all read from that pass, and the protocol
+sampler draws Bob's outcomes and Alice's results from the same walk;
+:func:`_branch_vectors` is the single-outcome projection behind
+:func:`alice_state` and :func:`eve_final_state`.
 
 Subsystem order is always A x B x E, row-major. All indices 0-based.
 """
@@ -281,7 +282,7 @@ def _basis_blocks(am: AttackModel, bs: BasisSet):
     and the outcome probabilities, outcomes in ``product`` order. The rows of
     the Kronecker product of Bob's basis matrices are his block eigenstates,
     so one contraction projects every outcome and one batched product
-    applies every Kraus operator.
+    applies every Kraus operator. The protocol sampler walks it too.
     """
     _require_same_dim(am, bs)
     dd = am.block_dim

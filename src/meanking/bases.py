@@ -34,6 +34,10 @@ class FormatError(ValueError):
     """A basis-set file does not match the expected JSON layout."""
 
 
+class OverBudget(RuntimeError):
+    """An input is larger than the computation it asks for may enumerate or allocate."""
+
+
 @dataclass
 class Basis:
     """One orthonormal basis: ``vectors[i]`` is the i-th basis vector."""
@@ -186,14 +190,15 @@ def check_classical_model(bs: BasisSet, tol: float = qmath.DEFAULT_TOL):
     (C-order over the k outcome indices) or None when infeasible. When every
     pairwise table is within ``tol`` of 1/d**2, as for mutually unbiased
     bases, the uniform distribution is the witness; any other set falls
-    back to the LP of :func:`_classical_model_lp`.
+    back to the LP of :func:`_classical_model_lp`, refused with
+    :class:`OverBudget` above ``_LP_VAR_GUARD`` variables.
     """
     d, k = bs.dim, bs.k
     nvar = d**k
     if pairwise_flat(bs, tol):
         return True, np.full(nvar, 1.0 / nvar)
     if nvar > _LP_VAR_GUARD:
-        raise ValueError(
+        raise OverBudget(
             f"classical-model LP with {nvar} variables exceeds the supported size"
         )
     return _classical_model_lp(bs, tol)

@@ -7,7 +7,7 @@ result through the exit code:
 
     0  success
     1  usage, I/O or file-format error
-    2  validation or solve failure, or a strategy build over its size budget
+    2  validation or solve failure, or an input over its size budget
     3  protocol aborted (a test position disagreed)
 
 All randomness flows from --seed; reruns with identical arguments produce
@@ -22,7 +22,7 @@ import os
 import sys
 
 from . import __version__, attack, bases, protocol, retrodiction, security
-from .serialize import canonical_dumps, file_digest
+from .serialize import canonical_dumps, file_digest, write_json
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -182,9 +182,7 @@ def _cmd_run(args) -> int:
     }
     outputs = [args.out]
     if args.summary:
-        with open(args.summary, "w", encoding="utf-8") as fh:
-            fh.write(canonical_dumps(summary))
-            fh.write("\n")
+        write_json(args.summary, summary)
         outputs.append(args.summary)
     _emit(
         {
@@ -216,9 +214,7 @@ def _cmd_security_lemma(args) -> int:
     payload = report.to_dict()
     payload["witness_identity_deviation"] = security.witness_identity_deviation(report)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(canonical_dumps(payload))
-            fh.write("\n")
+        write_json(args.out, payload)
     _emit(
         {
             "report": payload,
@@ -259,9 +255,7 @@ def _cmd_security_attack_eval(args) -> int:
             )
         payload["curve"] = curve
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(canonical_dumps(payload))
-            fh.write("\n")
+        write_json(args.out, payload)
     _emit(
         {
             "report": payload,
@@ -353,7 +347,7 @@ def main(argv=None) -> int:
         retrodiction.ResidualTooLarge,
         retrodiction.NotMaximal,
         retrodiction.Infeasible,
-        retrodiction.OverBudget,
+        bases.OverBudget,
         protocol.ProtocolError,
         attack.ZeroProbabilityOutcome,
     ) as exc:

@@ -14,24 +14,25 @@ by ``(seed, c)`` (Salmon et al., "Parallel random numbers: as easy as
 1, 2, 3", SC'11); test selection draws from a stream under a key no chunk
 uses. A unit's records therefore depend only on the seed and its position,
 never on how many blocks run after it. Outcomes come from inverse-CDF
-lookup in fixed-point cumulative tables, filled only for the basis and
-outcome vectors that were actually drawn. The streams are part of the
-release: a config gives byte-identical transcripts within one version of
-the package, not across versions. In-memory records carry 1-based labels;
-transcript files use 0-based indices.
+lookup in fixed-point cumulative tables, filled per basis block of the
+exact analysis's walk (:func:`~meanking.attack._basis_blocks`) and only for
+the basis and outcome vectors that were actually drawn. The streams are
+part of the release: a config gives byte-identical transcripts within one
+version of the package, not across versions. In-memory records carry
+1-based labels; transcript files use 0-based indices.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import product
+from functools import reduce
 from math import ceil
 
 import numpy as np
 
 from . import attack as attack_mod
-from .retrodiction import Strategy, tensor_strategy
+from .retrodiction import Strategy
 from .serialize import canonical_dumps
 
 _DIGITS = "123456789ABCDEFG"
@@ -121,29 +122,26 @@ def _lookup(dists: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.ndarra
     return hits - rows * dists.shape[1]
 
 
-def _outcome_dist(am, bs, bvec) -> np.ndarray:
-    probs = [attack_mod._projected_raw(am, bs, bvec, ivec)[1]
-             for ivec in product(range(bs.dim), repeat=am.n)]
-    return _normalized(np.asarray(probs), f"Bob outcomes (b={bvec})")
+def _born_rows(branches: np.ndarray, etas_conj: np.ndarray, weights, n: int) -> np.ndarray:
+    """p(x_1)...p(x_n) sum_(l,e) |<eta_x1 x ... x eta_xn|w_l>|^2 per Kraus-branch stack.
 
-
-def _product_tables(strategy: Strategy, n: int):
-    """Grouped safe product vectors, their conjugates and weights, one row per guessing tuple."""
-    ps = tensor_strategy(strategy, n)
-    etas = []
-    weights = []
-    for xs in ps.guessing_tuples():
-        etas.append(ps.safe_vector_grouped(xs))
-        weights.append(ps.weight(xs))
-    etas = np.asarray(etas)
-    return etas, etas.conj(), np.asarray(weights)
-
-
-def _povm_dist(am, bs, etas, etas_conj, weights, bvec, ivec) -> np.ndarray:
-    """Born weights p(x) <eta_x| rho |eta_x> of every guessing tuple, for Alice's state rho."""
-    rho = attack_mod.alice_state(am, bs, bvec, ivec)
-    born = weights * np.sum((etas_conj @ rho) * etas, axis=1).real
-    return _normalized(born, f"measurement (b={bvec}, i={ivec})")
+    ``branches`` is (m, branch, A x B, E), as from
+    :func:`~meanking.attack._basis_blocks`; rows list the guessing tuples in
+    lexicographic order. Each slot's (A_s, B_s) pair is contracted with the
+    conjugate safe vectors in turn, one (nx, d*d) product per slot, so no
+    product vector is formed.
+    """
+    m, nb, _, de = branches.shape
+    nx, pair = etas_conj.shape
+    d = round(pair**0.5)
+    slots = [ax for s in range(n) for ax in (2 + s, 2 + n + s)]
+    amp = branches.reshape((m, nb) + (d,) * (2 * n) + (de,))
+    amp = amp.transpose(slots + [0, 1, 2 + 2 * n])
+    for _ in range(n):
+        # the processed guess axis goes last, so slot 1's ends up slowest
+        amp = (etas_conj @ amp.reshape(pair, -1)).T
+    born = np.sum(np.abs(amp.reshape(m, nb * de, nx**n)) ** 2, axis=1)
+    return born * reduce(np.kron, [weights] * n)
 
 
 def _digits(flat: np.ndarray, base: int, n: int) -> np.ndarray:
@@ -155,11 +153,15 @@ def _sample(seed: int, strategy: Strategy, am, units: int) -> np.ndarray:
     """Instance codes (b*d + i)*nx + x for ``units`` units of ``am.n`` instances.
 
     Per unit, chunk streams give Bob's basis vector and two fixed-point
-    uniforms, one for his outcomes and one for Alice's POVM result.
+    uniforms, one for his outcomes and one for Alice's POVM result. The
+    units of each basis block are then drawn together when
+    :func:`~meanking.attack._basis_blocks` reaches it, with a Born row per
+    distinct drawn outcome; blocks nobody drew are skipped.
     """
     bs = strategy.basis_set
     d, k, n = bs.dim, bs.k, am.n
     nx = len(strategy.guessing_functions)
+    etas_conj = strategy.etas.conj()
     draws = []
     for chunk, start in enumerate(range(0, units, CHUNK)):
         rng = _stream(seed, _CHUNK_KEY, chunk)
@@ -169,17 +171,21 @@ def _sample(seed: int, strategy: Strategy, am, units: int) -> np.ndarray:
                       rng.integers(_RES, size=size)))
     bflat, u_out, u_povm = (np.concatenate(col) for col in zip(*draws))
 
-    bkeys, brows = np.unique(bflat, return_inverse=True)
-    outcome = np.array([_outcome_dist(am, bs, tuple(bvec))
-                        for bvec in _digits(bkeys, k, n).tolist()])
-    iflat = _lookup(outcome, brows, u_out)
-
-    pkeys, prows = np.unique(bflat * d**n + iflat, return_inverse=True)
-    etas, etas_conj, weights = _product_tables(strategy, n)
-    pairs = zip(_digits(pkeys // d**n, k, n).tolist(), _digits(pkeys % d**n, d, n).tolist())
-    povm = np.array([_povm_dist(am, bs, etas, etas_conj, weights, tuple(bvec), tuple(ivec))
-                     for bvec, ivec in pairs])
-    yflat = _lookup(povm, prows, u_povm)
+    iflat = np.empty_like(bflat)
+    yflat = np.empty_like(bflat)
+    for bkey, (bvec, branches, probs) in enumerate(attack_mod._basis_blocks(am, bs)):
+        sel = np.flatnonzero(bflat == bkey)
+        if not sel.size:
+            continue
+        outcome = _normalized(probs, f"Bob outcomes (b={bvec})")
+        iflat[sel] = _lookup(outcome[None], np.zeros_like(sel), u_out[sel])
+        ikeys, irows = np.unique(iflat[sel], return_inverse=True)
+        born = _born_rows(branches[ikeys], etas_conj, strategy.weights, n)
+        povm = []
+        for ikey, ivec, row in zip(ikeys, map(tuple, _digits(ikeys, d, n).tolist()), born):
+            row = row / attack_mod._conditionable(probs[ikey], bvec, ivec)
+            povm.append(_normalized(row, f"measurement (b={bvec}, i={ivec})"))
+        yflat[sel] = _lookup(np.array(povm), irows, u_povm[sel])
 
     b = _digits(bflat, k, n).ravel()
     i = _digits(iflat, d, n).ravel()

@@ -26,7 +26,7 @@ from itertools import product
 import numpy as np
 
 from . import qmath
-from .bases import Basis, BasisSet, FormatError
+from .bases import Basis, BasisSet, FormatError, OverBudget
 from .serialize import complex_to_pairs, pairs_to_complex, read_json, write_json
 
 MAX_PRODUCT_DIM = 4096  # densest object handled: operators on d**(2n)
@@ -46,10 +46,6 @@ class NotMaximal(RuntimeError):
 
 class Infeasible(RuntimeError):
     """No nonnegative weights satisfy the completeness condition."""
-
-
-class OverBudget(RuntimeError):
-    """The basis set has more guessing functions than a build may enumerate."""
 
 
 def enumerate_guessing_functions(d: int, k: int | None = None):
@@ -116,6 +112,8 @@ def solve_safe_vector(
     x = tuple(int(v) for v in x)
     if len(x) != k or any(v < 0 or v >= d for v in x):
         raise ValueError(f"guessing function {x} invalid for k={k}, d={d}")
+    if omega_vec is None:
+        omega_vec = omega(d)
     a = np.empty((k * d, d * d), dtype=complex)
     rhs = np.zeros(k * d, dtype=complex)
     for b in range(k):

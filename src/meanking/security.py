@@ -16,11 +16,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import qmath
+from .bases import OverBudget
 from .retrodiction import Strategy, tensor_strategy
 
-# dense assembly of the constraint stack; keeps memory modest
-MAX_OPERATOR_DIM = 64
-MAX_CONSTRAINT_VECTORS = 256
+# entries of the dense constraint stack, nvec * dim**3 at 16 bytes each: d=2,
+# n=2 needs 262 144; d=5, n=1 would need 244 million (3.9 GB)
+MAX_CONSTRAINT_ENTRIES = 1 << 20
 
 
 @dataclass
@@ -61,6 +62,13 @@ def constraint_matrix(etas: np.ndarray) -> np.ndarray:
     return blocks
 
 
+def _require_stack_budget(nvec: int, dim: int) -> None:
+    """Raise :class:`OverBudget` unless the (nvec*dim) x dim**2 stack fits the budget."""
+    if nvec * dim**3 > MAX_CONSTRAINT_ENTRIES:
+        raise OverBudget(f"commutant check too large: {nvec} vectors of dimension {dim} stack "
+                         f"{nvec * dim**3} entries, budget {MAX_CONSTRAINT_ENTRIES}")
+
+
 def constraint_nullspace(etas: np.ndarray, tol: float = qmath.DEFAULT_TOL):
     """Nullspace (dimension, basis, rank) of the stacked eigenvector system."""
     m = constraint_matrix(etas)
@@ -68,51 +76,37 @@ def constraint_nullspace(etas: np.ndarray, tol: float = qmath.DEFAULT_TOL):
     return dim_null, basis, m.shape[1] - dim_null
 
 
+def _commutant_report(etas: np.ndarray, d: int, n: int, tol: float) -> CommutantReport:
+    """Spanning precondition, stacked nullspace and report for one vector family."""
+    dim = etas.shape[1]
+    if qmath.matrix_rank(etas) < dim:
+        raise ValueError("safe vectors do not span the space; commutant check undefined")
+    dim_null, basis, rank = constraint_nullspace(etas, tol)
+    return CommutantReport(dim=d, n=n, constraint_rank=rank, solution_dim=dim_null,
+                           witness=basis[0].reshape(dim, dim), tol=tol)
+
+
 def eigenvector_constraint_dim(safe_vectors, tol: float = qmath.DEFAULT_TOL) -> CommutantReport:
     """Solution space of "E has every safe vector as an eigenvector".
 
     Requires the safe vectors to span the doubled space (they do for any
     maximal strategy); the expected result is solution dimension 1 with a
-    witness proportional to the identity.
+    witness proportional to the identity. Raises :class:`OverBudget`, before
+    any array is built, when the stack exceeds ``MAX_CONSTRAINT_ENTRIES``.
     """
+    dim = safe_vectors[0].eta.size
+    _require_stack_budget(len(safe_vectors), dim)
     etas = np.asarray([sv.eta for sv in safe_vectors])
-    nvec, dim = etas.shape
-    if qmath.matrix_rank(etas) < dim:
-        raise ValueError("safe vectors do not span the space; commutant check undefined")
-    dim_null, basis, rank = constraint_nullspace(etas, tol)
-    d = int(round(np.sqrt(dim)))
-    return CommutantReport(
-        dim=d,
-        n=1,
-        constraint_rank=rank,
-        solution_dim=dim_null,
-        witness=basis[0].reshape(dim, dim),
-        tol=tol,
-    )
+    return _commutant_report(etas, int(round(np.sqrt(dim))), 1, tol)
 
 
-def product_commutant_check(strategy: Strategy, n: int, tol: float = qmath.DEFAULT_TOL) -> CommutantReport:
-    """Same commutant computation over all safe product vectors of n blocks."""
-    d = strategy.d
-    dim = d ** (2 * n)
-    nx = len(strategy.safe_vectors)
-    if dim > MAX_OPERATOR_DIM or nx**n > MAX_CONSTRAINT_VECTORS:
-        raise ValueError(
-            f"product commutant check too large: dim {dim}, {nx**n} vectors"
-        )
+def product_commutant_check(strategy: Strategy, n: int,
+                            tol: float = qmath.DEFAULT_TOL) -> CommutantReport:
+    """Same commutant computation and budget over all safe product vectors of n blocks."""
+    _require_stack_budget(len(strategy.safe_vectors) ** n, strategy.d ** (2 * n))
     ps = tensor_strategy(strategy, n)
     etas = np.asarray([ps.safe_vector(xs) for xs in ps.guessing_tuples()])
-    if qmath.matrix_rank(etas) < dim:
-        raise ValueError("safe product vectors do not span the space")
-    dim_null, basis, rank = constraint_nullspace(etas, tol)
-    return CommutantReport(
-        dim=d,
-        n=n,
-        constraint_rank=rank,
-        solution_dim=dim_null,
-        witness=basis[0].reshape(dim, dim),
-        tol=tol,
-    )
+    return _commutant_report(etas, strategy.d, n, tol)
 
 
 def witness_identity_deviation(report: CommutantReport) -> float:

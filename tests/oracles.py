@@ -3,10 +3,11 @@
 Everything here is written from the physics directly (explicit loops over
 amplitudes, no reuse of the library's projection / channel / partial-trace
 pipeline), so agreement is a genuine dual-route check and not a tautology.
-The one exception is :func:`attack_pass_per_outcome`, which keeps the
-library's earlier per-outcome route (the single-outcome projection and a
-Born weight per product guessing tuple) as the reference for the
-block-at-a-time attack pass that replaced it.
+The exceptions are :func:`attack_pass_per_outcome` and
+:func:`sample_per_tuple`, which keep the library's earlier per-outcome
+routes (the single-outcome projection and a Born weight per product
+guessing tuple) as the references for the block-at-a-time attack pass and
+sampler that replaced them.
 """
 
 import numpy as np
@@ -189,3 +190,72 @@ def attack_pass_per_outcome(strategy, am):
         eigs = np.linalg.eigvalsh(np.array(eve[j + 1:]) - r)
         worst = max(worst, 0.5 * float(np.abs(eigs).sum(axis=1).max()))
     return total / bs.k**am.n, worst, table
+
+
+def product_tables(strategy, n):
+    """Grouped safe product vectors, their conjugates and weights, one row per guessing tuple."""
+    from meanking import retrodiction as rd
+
+    ps = rd.tensor_strategy(strategy, n)
+    tuples = list(ps.guessing_tuples())
+    etas = np.array([ps.safe_vector_grouped(xs) for xs in tuples])
+    return etas, etas.conj(), np.array([ps.weight(xs) for xs in tuples])
+
+
+def outcome_dist(am, bs, bvec):
+    """Bob's outcome distribution for one basis vector, one projection per outcome."""
+    from itertools import product
+
+    from meanking import attack as atk, protocol as proto
+
+    probs = [atk._projected_raw(am, bs, bvec, ivec)[1]
+             for ivec in product(range(bs.dim), repeat=am.n)]
+    return proto._normalized(np.asarray(probs), f"Bob outcomes (b={bvec})")
+
+
+def povm_dist(am, bs, tables, bvec, ivec):
+    """Born weights p(x) <eta_x| rho |eta_x> of every guessing tuple, for Alice's state rho."""
+    from meanking import attack as atk, protocol as proto
+
+    etas, etas_conj, weights = tables
+    rho = atk.alice_state(am, bs, bvec, ivec)
+    born = weights * np.sum((etas_conj @ rho) * etas, axis=1).real
+    return proto._normalized(born, f"measurement (b={bvec}, i={ivec})")
+
+
+def sample_per_tuple(seed, strategy, am, units, tables):
+    """Instance codes as ``protocol._sample`` draws them, from per-outcome tables.
+
+    The same chunk streams and inverse-CDF lookups, but Bob's rows come from
+    one projection per outcome and Alice's from ``alice_state`` against
+    ``tables``, the :func:`product_tables` of the strategy, per drawn (b, i).
+    """
+    from meanking import protocol as proto
+
+    bs = strategy.basis_set
+    d, k, n = bs.dim, bs.k, am.n
+    nx = len(strategy.guessing_functions)
+    draws = []
+    for chunk, start in enumerate(range(0, units, proto.CHUNK)):
+        rng = proto._stream(seed, proto._CHUNK_KEY, chunk)
+        size = min(proto.CHUNK, units - start)
+        draws.append((rng.integers(k**n, size=size),
+                      rng.integers(proto._RES, size=size),
+                      rng.integers(proto._RES, size=size)))
+    bflat, u_out, u_povm = (np.concatenate(col) for col in zip(*draws))
+
+    bkeys, brows = np.unique(bflat, return_inverse=True)
+    outcome = np.array([outcome_dist(am, bs, tuple(bvec))
+                        for bvec in proto._digits(bkeys, k, n).tolist()])
+    iflat = proto._lookup(outcome, brows, u_out)
+
+    pkeys, prows = np.unique(bflat * d**n + iflat, return_inverse=True)
+    pairs = zip(proto._digits(pkeys // d**n, k, n).tolist(),
+                proto._digits(pkeys % d**n, d, n).tolist())
+    povm = np.array([povm_dist(am, bs, tables, tuple(bvec), tuple(ivec)) for bvec, ivec in pairs])
+    yflat = proto._lookup(povm, prows, u_povm)
+
+    b = proto._digits(bflat, k, n).ravel()
+    i = proto._digits(iflat, d, n).ravel()
+    y = proto._digits(yflat, nx, n).ravel()
+    return (b * d + i) * nx + y

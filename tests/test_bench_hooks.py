@@ -8,7 +8,7 @@ import importlib.util
 from pathlib import Path
 
 import meanking.cli  # noqa: F401  imports every module the tracer patches
-from meanking import attack
+from meanking import attack, protocol
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -34,4 +34,19 @@ def test_tracer_hooks_and_no_per_outcome_projection(strategy_d2):
     assert attack._branch_vectors is original
     assert [span[0] for span in tracer.spans] == ["attack.evaluate_attack"]
     assert tracer.counts["attack.grid_points"] == 6
+    assert tracer.counts["attack.branch_vectors"] == 0
+
+
+def test_attacked_run_needs_no_single_outcome_state(strategy_d2):
+    # the sampler draws from the block walk, so no alice_state per drawn (b, i)
+    am = attack.intercept_resend(strategy_d2.basis_set, 0, n=2)
+    cfg = protocol.ProtocolConfig(d=2, n=2, rounds=50, test_fraction=0.1, seed=3)
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        protocol.run_protocol(cfg, strategy_d2, am)
+    finally:
+        tracer.uninstall()
+    assert [span[0] for span in tracer.spans] == ["protocol.run_protocol_attacked"]
+    assert tracer.counts["protocol.instances"] == 100
     assert tracer.counts["attack.branch_vectors"] == 0

@@ -59,6 +59,18 @@ class TestBasesCommands:
         assert code == 2
         assert not json.loads(out)["report"]["orthonormal"]
 
+    def test_check_classical_model_over_budget(self, tmp_path, capsys):
+        # 18 repeats of the d=2 MUBs are not pairwise flat, and their
+        # classical-model LP would have 2**18 variables
+        mub = bases.gen_mub(2).bases
+        repeats = bases.BasisSet(2, tuple(bases.Basis(b, mub[b % 3].vectors) for b in range(18)))
+        path = tmp_path / "repeats.json"
+        bases.save_basis_set(repeats, path)
+        code = cli.main(["bases", "check", "--in", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "262144 variables exceeds the supported size" in captured.err
+
     def test_check_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "garbage.json"
         bad.write_text('{"dim": 2}')
@@ -148,6 +160,14 @@ class TestSecurityCommands:
         report = json.loads(out)["report"]
         assert report["solution_dim"] == 1
         assert report["witness_identity_deviation"] < 1e-8
+
+    def test_lemma_over_budget(self, tmp_path, capsys):
+        out_path = tmp_path / "lemma.json"
+        code = cli.main(["security", "lemma", "--dim", "3", "--n", "2", "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "commutant check too large" in captured.err
+        assert not out_path.exists()
 
     def test_attack_eval_none(self, capsys):
         code, out = run_cli(capsys, "security", "attack-eval", "--attack", "none", "--dim", "2")

@@ -9,6 +9,7 @@ import scipy.stats
 
 from meanking import attack as atk, protocol as proto, retrodiction as retro
 from meanking.serialize import canonical_dumps
+from oracles import outcome_dist, povm_dist, product_tables, sample_per_tuple
 
 
 def cfg(d=2, n=1, rounds=1000, test_fraction=0.1, seed=12345):
@@ -187,49 +188,63 @@ class TestSummaries:
             proto.run_protocol(cfg(rounds=5), strategy_d2, am)
 
 
-def exact_block_table(strategy, am):
-    """p(b) p(i|b) p(x|b,i) per 0-based block (bvec, ivec, xs), from alice_state."""
+def exact_block_table(strategy, am, announced=False):
+    """p(b) p(i|b) p(x|b,i) per 0-based block (bvec, ivec, xs), from alice_state.
+
+    With ``announced`` the tuples are merged by the digits x_s(b_s) Alice
+    announces, which then take the place of xs in the key.
+    """
     bs = strategy.basis_set
     n = am.n
     ps = retro.tensor_strategy(strategy, n)
     tuples = list(ps.guessing_tuples())
     etas = np.asarray([ps.safe_vector_grouped(xs) for xs in tuples])
     weights = np.asarray([ps.weight(xs) for xs in tuples])
+    digits = np.asarray(tuples)  # (tuple, instance, basis)
     table = {}
     for bvec in itertools.product(range(bs.k), repeat=n):
+        said = np.ravel_multi_index(digits[:, np.arange(n), list(bvec)].T, (bs.dim,) * n)
         for ivec in itertools.product(range(bs.dim), repeat=n):
             _, p_i = atk.bob_projected_state(am, bs, bvec, ivec)
             rho = atk.alice_state(am, bs, bvec, ivec)
-            p_x = weights * np.einsum("xi,ij,xj->x", etas.conj(), rho, etas).real
-            for xs, p in zip(tuples, p_x):
-                table[(bvec, ivec, xs)] = p_i * p / bs.k**n
+            p_x = weights * np.einsum("xi,ij,xj->x", etas.conj(), rho, etas, optimize=True).real
+            if announced:
+                p_said = np.bincount(said, weights=p_x, minlength=bs.dim**n)
+                keys = itertools.product(range(bs.dim), repeat=n)
+                table.update(((bvec, ivec, a), p_i * p / bs.k**n) for a, p in zip(keys, p_said))
+            else:
+                for xs, p in zip(tuples, p_x):
+                    table[(bvec, ivec, xs)] = p_i * p / bs.k**n
     return table
 
 
-def block_counts(records, n):
+def block_counts(records, n, announced=False):
     counts = collections.Counter()
     for start in range(0, len(records), n):
         block = records[start:start + n]
-        counts[(
-            tuple(r.b - 1 for r in block),
-            tuple(r.i - 1 for r in block),
-            tuple(tuple(v - 1 for v in r.x) for r in block),
-        )] += 1
+        last = (tuple(r.i_prime - 1 for r in block) if announced
+                else tuple(tuple(v - 1 for v in r.x) for r in block))
+        counts[(tuple(r.b - 1 for r in block), tuple(r.i - 1 for r in block), last)] += 1
     return counts
 
 
 class TestSampler:
-    @pytest.mark.parametrize("case", ["honest-d2", "honest-d3", "intercept-d2n2"])
-    def test_frequencies_match_exact_tables(self, case, strategy_d2, strategy_d3, mub2):
+    @pytest.mark.parametrize("case", ["honest-d2", "honest-d3", "intercept-d2n2", "intercept-d3n2"])
+    def test_frequencies_match_exact_tables(self, case, strategy_d2, strategy_d3, mub2, mub3):
+        # at d=3, n=2 the 6561 guessing tuples per (b, i) leave every full
+        # cell sparse, so that case is checked on the announced digits x(b)
+        announced = case == "intercept-d3n2"
         strategy, am, c = {
             "honest-d2": (strategy_d2, None, cfg(rounds=20_000, seed=31)),
             "honest-d3": (strategy_d3, None, cfg(d=3, rounds=60_000, seed=32)),
             "intercept-d2n2": (strategy_d2, atk.intercept_resend(mub2, 0, n=2),
                                cfg(n=2, rounds=50_000, seed=33)),
+            "intercept-d3n2": (strategy_d3, atk.intercept_resend(mub3, 1, n=2),
+                               cfg(d=3, n=2, rounds=50_000, seed=34)),
         }[case]
         t = proto.run_protocol(c, strategy, am)
-        exact = exact_block_table(strategy, am or atk.identity_attack(c.d, 1))
-        counts = block_counts(t.records, c.n if am else 1)
+        exact = exact_block_table(strategy, am or atk.identity_attack(c.d, 1), announced)
+        counts = block_counts(t.records, c.n if am else 1, announced)
         blocks = sum(counts.values())
         assert set(counts) <= {key for key, p in exact.items() if p > 1e-12}
         expected = np.array([p * blocks for p in exact.values() if p > 1e-12])
@@ -249,6 +264,41 @@ class TestSampler:
         long = proto.run_protocol(cfg(n=n, rounds=2 * proto.CHUNK, seed=40), strategy_d2, am)
         assert long.records[: len(short.records)] == short.records
         assert long.records[len(short.records):] != short.records
+
+
+ORACLE_SHAPES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
+
+
+def oracle_attack(kind, strategy, n):
+    d = strategy.d
+    if kind == "honest":
+        return atk.identity_attack(d, n)
+    if kind == "intercept":
+        return atk.intercept_resend(strategy.basis_set, 1, n=n)
+    return atk.random_attack(d, n, 2, 2, np.random.default_rng(100 * d + n))
+
+
+class TestSamplerAgainstPerTupleOracle:
+    """The block-walk sampler against the per-outcome, per-tuple route it replaced."""
+
+    @pytest.mark.parametrize("kind", ["honest", "intercept", "random"])
+    @pytest.mark.parametrize("d,n", ORACLE_SHAPES)
+    def test_codes_and_born_rows_match(self, kind, d, n, strategy_d2, strategy_d3):
+        strategy = {2: strategy_d2, 3: strategy_d3}[d]
+        am = oracle_attack(kind, strategy, n)
+        bs = strategy.basis_set
+        tables = product_tables(strategy, n)
+        units = 200 if d**n > 4 else 1000
+        codes = proto._sample(17 + n, strategy, am, units)
+        np.testing.assert_array_equal(codes, sample_per_tuple(17 + n, strategy, am, units, tables))
+        # at d=3, n=2 every outcome costs a full 6561-row table: check two blocks
+        blocks = atk._basis_blocks(am, bs)
+        for bvec, branches, probs in itertools.islice(blocks, 2 if d**n > 8 else None):
+            np.testing.assert_allclose(probs, outcome_dist(am, bs, bvec), atol=1e-12)
+            rows = proto._born_rows(branches, strategy.etas.conj(), strategy.weights, n)
+            for ivec, row, prob in zip(itertools.product(range(d), repeat=n), rows, probs):
+                np.testing.assert_allclose(row / prob, povm_dist(am, bs, tables, bvec, ivec),
+                                           rtol=0, atol=1e-12)
 
 
 def reference_save(transcript, path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from meanking import retrodiction as rd, security
+from meanking import bases, retrodiction as rd, security
 
 
 def brute_force_solution_dim(etas):
@@ -80,8 +80,20 @@ class TestProductCommutant:
         assert security.witness_identity_deviation(report) < 1e-8
 
     def test_resource_guard(self, strategy_d3):
-        with pytest.raises(ValueError):
+        with pytest.raises(bases.OverBudget):
             security.product_commutant_check(strategy_d3, 2)
+
+    def test_resource_guard_n1(self, monkeypatch):
+        # the d=5 MUB strategy's shapes: 15 625 vectors of dimension 25 would
+        # stack a 390 625 x 625 complex matrix (3.9 GB)
+        def refuse(*_args):
+            raise AssertionError("constraint stack built despite the budget")
+
+        monkeypatch.setattr(security, "constraint_matrix", refuse)
+        eta = np.zeros(25, dtype=complex)
+        safe_vectors = [rd.SafeVector(x=(0,) * 6, eta=eta, residual=0.0)] * 5**6
+        with pytest.raises(bases.OverBudget, match="15625 vectors of dimension 25"):
+            security.eigenvector_constraint_dim(safe_vectors)
 
     def test_product_decomposition_property(self, strategy_d2):
         # the triple identity applied to one tensor slot of a product vector
