@@ -207,10 +207,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_security_lemma(args) -> int:
     strategy = _load_strategy_for(args)
-    if args.n == 1:
-        report = security.eigenvector_constraint_dim(strategy.safe_vectors, args.tol)
-    else:
-        report = security.product_commutant_check(strategy, args.n, args.tol)
+    report = security.product_commutant_check(strategy, args.n, args.tol)
     payload = report.to_dict()
     payload["witness_identity_deviation"] = security.witness_identity_deviation(report)
     if args.out:
@@ -226,8 +223,7 @@ def _cmd_security_lemma(args) -> int:
             ),
         }
     )
-    ok = report.solution_dim == 1
-    return EXIT_OK if ok else EXIT_VALIDATION
+    return EXIT_OK if report.solution_dim == 1 else EXIT_VALIDATION
 
 
 def _cmd_security_attack_eval(args) -> int:

@@ -32,6 +32,7 @@ from math import ceil
 import numpy as np
 
 from . import attack as attack_mod
+from .bases import OverBudget
 from .retrodiction import Strategy
 from .serialize import canonical_dumps
 
@@ -42,6 +43,7 @@ _CHUNK_KEY, _TEST_KEY = 0, 1  # spawn-key namespaces: sampling chunks, test sele
 # Fixed-point resolution of one inverse-CDF draw. Integer row offsets are
 # exact, so a draw never depends on which other rows the table holds.
 _RES = 1 << 40
+MAX_BORN_ENTRIES = 1 << 24  # _born_rows amplitudes per basis block, all d**n outcomes drawn
 
 
 class ProtocolError(RuntimeError):
@@ -215,6 +217,8 @@ def run_protocol(cfg: ProtocolConfig, strategy: Strategy, attack=None) -> Transc
     results follow the Born rule for the (possibly attacked) states. The
     result is deterministic given the config. Bob's bases reach Alice's
     records only through i' = x(b), evaluated after her outcomes are fixed.
+    Raises :class:`OverBudget`, before any draw, when a basis block could
+    fill more than ``MAX_BORN_ENTRIES`` amplitudes.
     """
     d = strategy.basis_set.dim
     if cfg.d != d:
@@ -225,6 +229,10 @@ def run_protocol(cfg: ProtocolConfig, strategy: Strategy, attack=None) -> Transc
         raise ValueError("attack model does not match the protocol block shape")
     else:
         am, units = attack, cfg.rounds
+    entries = (d * len(strategy.safe_vectors))**am.n * len(am.kraus) * am.d_eve
+    if entries > MAX_BORN_ENTRIES:
+        raise OverBudget(f"sampler too large: a basis block fills up to {entries} amplitudes, "
+                         f"budget {MAX_BORN_ENTRIES}")
 
     records = _records(strategy, _sample(cfg.seed, strategy, am, units))
     transcript = Transcript(config=cfg, records=records)

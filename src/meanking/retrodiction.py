@@ -34,6 +34,7 @@ MAX_PRODUCT_DIM = 4096  # densest object handled: operators on d**(2n)
 # set (15 625) fits, d=7 (5 764 801) would run for hours and exhaust memory
 MAX_GUESSING_FUNCTIONS = 50_000
 COMPLETENESS_TOL = 1e-8  # max-norm bound on sum_x p(x) |eta_x><eta_x| - identity
+POSITIVITY_TOL = 1e-9  # a weight at or below this leaves the strategy not maximal
 
 
 class ResidualTooLarge(RuntimeError):
@@ -53,14 +54,6 @@ def enumerate_guessing_functions(d: int, k: int | None = None):
     if k is None:
         k = d + 1
     return product(range(d), repeat=k)
-
-
-def guessing_index(x, d: int) -> int:
-    """Position of x in the enumeration order (base-d digits)."""
-    idx = 0
-    for v in x:
-        idx = idx * d + int(v)
-    return idx
 
 
 def omega(d: int) -> np.ndarray:
@@ -187,7 +180,7 @@ def _max_min_weights_lp(etas: np.ndarray) -> np.ndarray:
     return point
 
 
-def solve_povm_weights(safe_vectors, positivity_tol: float = 1e-9) -> np.ndarray:
+def solve_povm_weights(safe_vectors, positivity_tol: float = POSITIVITY_TOL) -> np.ndarray:
     """Weights p(x) >= 0 with sum_x p(x) |eta_x><eta_x| = identity.
 
     The trace of completeness gives sum_x p(x) ||eta_x||^2 = d**2 for every
@@ -375,8 +368,9 @@ def save_strategy(s: Strategy, path) -> None:
 def load_strategy(path) -> Strategy:
     """Read a strategy written by :func:`save_strategy`.
 
-    Raises :class:`FormatError` when the file does not have that layout and
-    :class:`Infeasible` when the stored POVM is not complete.
+    Raises :class:`FormatError` when the file does not have that layout,
+    :class:`Infeasible` when the stored POVM is not complete and
+    :class:`NotMaximal` when it is complete but some weight is not positive.
     """
     data = read_json(path)
     try:
@@ -406,6 +400,8 @@ def load_strategy(path) -> Strategy:
         raise FormatError(f"bad strategy file {path}: {exc}") from exc
     if residual > COMPLETENESS_TOL:
         raise Infeasible(f"stored strategy violates completeness by {residual:.3e}")
+    if float(weights.min()) <= POSITIVITY_TOL:
+        raise NotMaximal(f"stored strategy has weight {weights.min():.3e}; strategy not maximal")
     return Strategy(
         basis_set=bs,
         omega=omega_vec,

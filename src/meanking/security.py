@@ -7,20 +7,26 @@ vector eta contributes the linear condition "E eta is parallel to eta",
 encoded as (1 - P_eta) E eta = 0 with P_eta the projector onto eta; the
 stacked system's nullspace is computed exactly once, and the claim holds
 iff its dimension is 1 (with the identity as witness).
+
+Blocks of n instances need no larger system. For a maximal strategy
+(every p(x) > 0) completeness makes the stacked nullspace the fixed points of
+Phi(E) = sum_x p(x) <eta_x|E|eta_x> / ||eta_x||^2 |eta_x><eta_x|, a
+self-adjoint map with spectrum in [0, 1]. n blocks measure with its n-th
+tensor power, whose fixed points are the n-th tensor power of Phi's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import qmath
 from .bases import OverBudget
-from .retrodiction import Strategy, tensor_strategy
+from .retrodiction import Strategy
 
-# entries of the dense constraint stack, nvec * dim**3 at 16 bytes each: d=2,
-# n=2 needs 262 144; d=5, n=1 would need 244 million (3.9 GB)
+# entries of the dense single-block constraint stack, nvec * dim**3 at 16
+# bytes each: d=3 needs 59 049; d=5 would need 244 million (3.9 GB)
 MAX_CONSTRAINT_ENTRIES = 1 << 20
 
 
@@ -62,28 +68,11 @@ def constraint_matrix(etas: np.ndarray) -> np.ndarray:
     return blocks
 
 
-def _require_stack_budget(nvec: int, dim: int) -> None:
-    """Raise :class:`OverBudget` unless the (nvec*dim) x dim**2 stack fits the budget."""
-    if nvec * dim**3 > MAX_CONSTRAINT_ENTRIES:
-        raise OverBudget(f"commutant check too large: {nvec} vectors of dimension {dim} stack "
-                         f"{nvec * dim**3} entries, budget {MAX_CONSTRAINT_ENTRIES}")
-
-
 def constraint_nullspace(etas: np.ndarray, tol: float = qmath.DEFAULT_TOL):
     """Nullspace (dimension, basis, rank) of the stacked eigenvector system."""
     m = constraint_matrix(etas)
     dim_null, basis = qmath.nullspace(m, tol)
     return dim_null, basis, m.shape[1] - dim_null
-
-
-def _commutant_report(etas: np.ndarray, d: int, n: int, tol: float) -> CommutantReport:
-    """Spanning precondition, stacked nullspace and report for one vector family."""
-    dim = etas.shape[1]
-    if qmath.matrix_rank(etas) < dim:
-        raise ValueError("safe vectors do not span the space; commutant check undefined")
-    dim_null, basis, rank = constraint_nullspace(etas, tol)
-    return CommutantReport(dim=d, n=n, constraint_rank=rank, solution_dim=dim_null,
-                           witness=basis[0].reshape(dim, dim), tol=tol)
 
 
 def eigenvector_constraint_dim(safe_vectors, tol: float = qmath.DEFAULT_TOL) -> CommutantReport:
@@ -94,24 +83,42 @@ def eigenvector_constraint_dim(safe_vectors, tol: float = qmath.DEFAULT_TOL) -> 
     witness proportional to the identity. Raises :class:`OverBudget`, before
     any array is built, when the stack exceeds ``MAX_CONSTRAINT_ENTRIES``.
     """
-    dim = safe_vectors[0].eta.size
-    _require_stack_budget(len(safe_vectors), dim)
+    nvec, dim = len(safe_vectors), safe_vectors[0].eta.size
+    if nvec * dim**3 > MAX_CONSTRAINT_ENTRIES:
+        raise OverBudget(f"commutant check too large: {nvec} vectors of dimension {dim} stack "
+                         f"{nvec * dim**3} entries, budget {MAX_CONSTRAINT_ENTRIES}")
     etas = np.asarray([sv.eta for sv in safe_vectors])
-    return _commutant_report(etas, int(round(np.sqrt(dim))), 1, tol)
+    if qmath.matrix_rank(etas) < dim:
+        raise ValueError("safe vectors do not span the space; commutant check undefined")
+    dim_null, basis, rank = constraint_nullspace(etas, tol)
+    return CommutantReport(dim=int(round(np.sqrt(dim))), n=1, constraint_rank=rank,
+                           solution_dim=dim_null, witness=basis[0].reshape(dim, dim), tol=tol)
 
 
 def product_commutant_check(strategy: Strategy, n: int,
                             tol: float = qmath.DEFAULT_TOL) -> CommutantReport:
-    """Same commutant computation and budget over all safe product vectors of n blocks."""
-    _require_stack_budget(len(strategy.safe_vectors) ** n, strategy.d ** (2 * n))
-    ps = tensor_strategy(strategy, n)
-    etas = np.asarray([ps.safe_vector(xs) for xs in ps.guessing_tuples()])
-    return _commutant_report(etas, strategy.d, n, tol)
+    """The commutant check over the safe product vectors of n blocks, from one block's.
+
+    m solutions at n=1 give m**n (module docstring); the n-block witness is
+    the n-th tensor power of the single-block witness the report keeps.
+    """
+    if n < 1:
+        raise ValueError("block length must be >= 1")
+    single = eigenvector_constraint_dim(strategy.safe_vectors, tol)
+    solution_dim = single.solution_dim**n
+    return replace(single, n=n, solution_dim=solution_dim,
+                   constraint_rank=strategy.d ** (4 * n) - solution_dim)
 
 
 def witness_identity_deviation(report: CommutantReport) -> float:
-    """Relative distance of the witness from the scalar line."""
+    """Relative distance sin(theta_n) of the n-block witness from the scalar line.
+
+    theta is the angle to the identity, and cos(theta_n) = cos(theta_1)**n;
+    log1p and expm1 keep a 1e-16 deviation that sqrt(1 - cos^(2n)) rounds to 0.
+    """
     w = report.witness
     dim = w.shape[0]
     scalar = (np.trace(w) / dim) * np.eye(dim)
-    return float(np.linalg.norm(w - scalar) / np.linalg.norm(w))
+    sin = float(np.linalg.norm(w - scalar) / np.linalg.norm(w))
+    with np.errstate(divide="ignore"):  # a traceless witness has sin = 1
+        return float(np.sqrt(-np.expm1(report.n * np.log1p(-min(sin * sin, 1.0)))))

@@ -7,7 +7,9 @@ The exceptions are :func:`attack_pass_per_outcome` and
 :func:`sample_per_tuple`, which keep the library's earlier per-outcome
 routes (the single-outcome projection and a Born weight per product
 guessing tuple) as the references for the block-at-a-time attack pass and
-sampler that replaced them.
+sampler that replaced them, and :func:`commutant_stacked`, the earlier
+n-block commutant route over all product safe vectors, kept as the
+reference for the single-block check raised to the n-th power.
 """
 
 import numpy as np
@@ -259,3 +261,18 @@ def sample_per_tuple(seed, strategy, am, units, tables):
     i = proto._digits(iflat, d, n).ravel()
     y = proto._digits(yflat, nx, n).ravel()
     return (b * d + i) * nx + y
+
+
+def commutant_stacked(strategy, n):
+    """``(solution_dim, constraint_rank, stack)`` of the n-block eigenvector system.
+
+    Every safe product vector of n blocks (pair-interleaved order, as
+    ``tensor_strategy`` gives it) contributes its rows to one dense stack,
+    whose nullspace is taken at the library's default tolerance.
+    """
+    from meanking import qmath, retrodiction as rd, security
+
+    ps = rd.tensor_strategy(strategy, n)
+    stack = security.constraint_matrix([ps.safe_vector(xs) for xs in ps.guessing_tuples()])
+    dim_null, _ = qmath.nullspace(stack, qmath.DEFAULT_TOL)
+    return dim_null, stack.shape[1] - dim_null, stack

@@ -7,8 +7,10 @@ would break ``perfbench/run.py --trace 1``.
 import importlib.util
 from pathlib import Path
 
+import pytest
+
 import meanking.cli  # noqa: F401  imports every module the tracer patches
-from meanking import attack, protocol
+from meanking import attack, protocol, security
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -50,3 +52,15 @@ def test_attacked_run_needs_no_single_outcome_state(strategy_d2):
     assert [span[0] for span in tracer.spans] == ["protocol.run_protocol_attacked"]
     assert tracer.counts["protocol.instances"] == 100
     assert tracer.counts["attack.branch_vectors"] == 0
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_commutant_stacks_one_block(strategy_d2, n):
+    # 8 safe vectors x 4 rows each, whatever the block length
+    tracer = _load_tracing().Tracer()
+    tracer.install()
+    try:
+        security.product_commutant_check(strategy_d2, n)
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["security.constraint_rows"] == 32

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import meanking
-from meanking import attack, bases, cli
+from meanking import attack, bases, cli, protocol, retrodiction, security
 from meanking.serialize import file_digest
 
 
@@ -152,6 +152,20 @@ class TestRunCommand:
         assert code == 1
         assert "takes no parameter" in capsys.readouterr().err
 
+    def test_sampler_over_budget(self, tmp_path, capsys, strategy_d3, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("Born rows built despite the budget")
+
+        monkeypatch.setattr(protocol, "_born_rows", refuse)
+        spath, out_path = tmp_path / "s3.json", tmp_path / "t.jsonl"
+        retrodiction.save_strategy(strategy_d3, spath)
+        code = cli.main(["run", "--strategy", str(spath), "--rounds", "1", "--n", "3", "--seed",
+                         "1", "--attack", "intercept-resend:b=1", "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "sampler too large" in captured.err
+        assert not out_path.exists()
+
 
 class TestSecurityCommands:
     def test_lemma_n2(self, capsys):
@@ -161,13 +175,30 @@ class TestSecurityCommands:
         assert report["solution_dim"] == 1
         assert report["witness_identity_deviation"] < 1e-8
 
-    def test_lemma_over_budget(self, tmp_path, capsys):
+    @pytest.mark.parametrize("dim, n, rank", [(2, 3, 4095), (3, 2, 6560)])
+    def test_lemma_larger_blocks(self, capsys, dim, n, rank):
+        code, out = run_cli(capsys, "security", "lemma", "--dim", str(dim), "--n", str(n))
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert report["solution_dim"] == 1 and report["constraint_rank"] == rank
+
+    def test_lemma_over_budget(self, tmp_path, capsys, monkeypatch):
+        # the budget bounds the single-block stack, 512 entries at d=2, for every n
+        monkeypatch.setattr(security, "MAX_CONSTRAINT_ENTRIES", 511)
         out_path = tmp_path / "lemma.json"
-        code = cli.main(["security", "lemma", "--dim", "3", "--n", "2", "--out", str(out_path)])
+        code = cli.main(["security", "lemma", "--dim", "2", "--n", "2", "--out", str(out_path)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "commutant check too large" in captured.err
         assert not out_path.exists()
+
+    def test_lemma_not_maximal_strategy(self, tmp_path, capsys, zero_weight_strategy):
+        path = tmp_path / "s.json"
+        retrodiction.save_strategy(zero_weight_strategy, path)
+        code = cli.main(["security", "lemma", "--strategy", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "not maximal" in captured.err
 
     def test_attack_eval_none(self, capsys):
         code, out = run_cli(capsys, "security", "attack-eval", "--attack", "none", "--dim", "2")

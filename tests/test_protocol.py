@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from meanking import attack as atk, protocol as proto, retrodiction as retro
+from meanking import attack as atk, bases, protocol as proto, retrodiction as retro
 from meanking.serialize import canonical_dumps
 from oracles import outcome_dist, povm_dist, product_tables, sample_per_tuple
 
@@ -115,6 +115,16 @@ class TestAttackedRuns:
             proto.run_protocol(cfg(d=3), strategy_d2)
         with pytest.raises(ValueError):
             proto.run_protocol(cfg(n=2), strategy_d2, am)
+
+    def test_sampler_over_budget(self, strategy_d3, mub3, monkeypatch):
+        # 27 outcomes x 27 Kraus branches x 81**3 guessing tuples: 3.9e8 amplitudes
+        def refuse(*_args):
+            raise AssertionError("Born rows built despite the budget")
+
+        monkeypatch.setattr(proto, "_born_rows", refuse)
+        am = atk.intercept_resend(mub3, 0, n=3)
+        with pytest.raises(bases.OverBudget, match="387420489 amplitudes"):
+            proto.run_protocol(cfg(d=3, n=3, rounds=1), strategy_d3, am)
 
 
 class TestSiftAndTest:

@@ -313,3 +313,12 @@ class TestStrategyFile:
         path.write_text(json.dumps(data))
         with pytest.raises(rd.Infeasible):
             rd.load_strategy(path)
+
+    def test_zero_weight_rejected(self, tmp_path, unit_strategy, zero_weight_strategy):
+        # completeness holds either way; only the entry of weight 0 is refused
+        path = tmp_path / "s.json"
+        rd.save_strategy(unit_strategy, path)
+        assert len(rd.load_strategy(path).safe_vectors) == 4
+        rd.save_strategy(zero_weight_strategy, path)
+        with pytest.raises(rd.NotMaximal):
+            rd.load_strategy(path)

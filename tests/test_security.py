@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from meanking import bases, retrodiction as rd, security
+from oracles import commutant_stacked
 
 
 def brute_force_solution_dim(etas):
@@ -72,16 +73,58 @@ class TestProductCommutant:
     def test_n2_d2(self, strategy_d2):
         report = security.product_commutant_check(strategy_d2, 2)
         assert report.solution_dim == 1
-        assert report.witness.shape == (16, 16)
-        # witness proportional to identity, restated as a relative distance
-        w = report.witness
+        assert report.witness.shape == (4, 4)
+        # the n-block witness kron(w, w) is proportional to the identity
+        w = np.kron(report.witness, report.witness)
         scalar = (np.trace(w) / 16) * np.eye(16)
         assert np.linalg.norm(w - scalar) < report.tol * max(1.0, np.linalg.norm(w)) * 10
         assert security.witness_identity_deviation(report) < 1e-8
 
-    def test_resource_guard(self, strategy_d3):
-        with pytest.raises(bases.OverBudget):
-            security.product_commutant_check(strategy_d3, 2)
+    @pytest.mark.parametrize("n", [0, -1])
+    def test_block_length_below_one(self, strategy_d2, n):
+        with pytest.raises(ValueError):
+            security.product_commutant_check(strategy_d2, n)
+
+    @pytest.mark.parametrize("name, n", [("strategy_d2", 1), ("strategy_d2", 2),
+                                         ("strategy_d3", 1), ("unit_strategy", 1),
+                                         ("unit_strategy", 2)])
+    def test_matches_stacked_route(self, request, name, n):
+        strategy = request.getfixturevalue(name)
+        report = security.product_commutant_check(strategy, n)
+        dim_null, rank, stack = commutant_stacked(strategy, n)
+        assert (report.solution_dim, report.constraint_rank) == (dim_null, rank)
+        if name == "unit_strategy":
+            assert report.solution_dim == 4**n
+        # the lifted witness solves the stacked n-block system
+        w = report.witness
+        for _ in range(n - 1):
+            w = np.kron(w, report.witness)
+        assert np.linalg.norm(stack @ w.reshape(-1)) < 1e-12 * np.linalg.norm(stack, 2)
+
+    @pytest.mark.parametrize("name, n, rank", [("strategy_d2", 3, 4095), ("strategy_d3", 2, 6560)])
+    def test_blocks_beyond_the_stack(self, request, name, n, rank):
+        report = security.product_commutant_check(request.getfixturevalue(name), n)
+        assert (report.solution_dim, report.constraint_rank) == (1, rank)
+        assert security.witness_identity_deviation(report) < 1e-8
+
+    def test_deviation_of_the_tensor_power(self, strategy_d2, unit_strategy):
+        # against the deviation of the explicit kron(w, w), and, near the
+        # identity, against sqrt(n) times the single-block deviation
+        report = security.product_commutant_check(unit_strategy, 2)
+        w = np.kron(report.witness, report.witness)
+        direct = np.linalg.norm(w - np.trace(w) / 16 * np.eye(16)) / np.linalg.norm(w)
+        assert security.witness_identity_deviation(report) == pytest.approx(direct, rel=1e-12)
+        one, three = (security.witness_identity_deviation(
+            security.product_commutant_check(strategy_d2, n)) for n in (1, 3))
+        assert three == pytest.approx(np.sqrt(3) * one, rel=1e-6)
+
+    def test_resource_guard(self, strategy_d2, monkeypatch):
+        # every n is answered from the single-block stack, 8 x 64 = 512 entries
+        # at d=2, so that stack's budget is the one that refuses
+        monkeypatch.setattr(security, "MAX_CONSTRAINT_ENTRIES", 511)
+        for n in (1, 2, 3):
+            with pytest.raises(bases.OverBudget, match="8 vectors of dimension 4"):
+                security.product_commutant_check(strategy_d2, n)
 
     def test_resource_guard_n1(self, monkeypatch):
         # the d=5 MUB strategy's shapes: 15 625 vectors of dimension 25 would
