@@ -8,12 +8,14 @@ are weighted projectors onto safe vectors eta_x, fixed by the condition
     <eta_x | phi_hat_b(i)> = delta(x(b), i)   for all b, i,
 
 where phi_hat_b(i) is Alice's (unnormalized) conditional state after Bob
-measured outcome i in basis b. A measurement supported on safe vectors
-never produces a wrong guess. The weights must make the POVM complete with
-every weight strictly positive (a maximal strategy). For mutually unbiased
-bases uniform weights do (Hayashi, Horibe & Hashimoto, PRA 71, 052331,
-2005), and an exact completeness check accepts them; other basis sets fall
-back to a max-min LP (Reimpell & Werner, PRA 75, 062334, 2007).
+measured outcome i in basis b. The conditions are linear in x, so one
+least-squares solve gives every eta_x, whatever d is. A measurement
+supported on safe vectors never produces a wrong guess. The weights must
+make the POVM complete with every weight strictly positive (a maximal
+strategy). For mutually unbiased bases uniform weights do (Hayashi, Horibe
+& Hashimoto, PRA 71, 052331, 2005), and an exact completeness check
+accepts them; other basis sets fall back to a max-min LP (Reimpell &
+Werner, PRA 75, 062334, 2007).
 
 All indices in this module are 0-based.
 """
@@ -30,8 +32,8 @@ from .bases import Basis, BasisSet, FormatError, OverBudget
 from .serialize import complex_to_pairs, pairs_to_complex, read_json, write_json
 
 MAX_PRODUCT_DIM = 4096  # densest object handled: operators on d**(2n)
-# most guessing functions (d**k) a strategy build enumerates: the d=5 MUB
-# set (15 625) fits, d=7 (5 764 801) would run for hours and exhaust memory
+# most guessing functions (d**k) a build holds, a bound on memory: d=5 (15 625)
+# fits, d=7 would hold 5 764 801 x 49 complex entries (about 4.5 GB)
 MAX_GUESSING_FUNCTIONS = 50_000
 COMPLETENESS_TOL = 1e-8  # max-norm bound on sum_x p(x) |eta_x><eta_x| - identity
 POSITIVITY_TOL = 1e-9  # a weight at or below this leaves the strategy not maximal
@@ -65,7 +67,7 @@ def omega(d: int) -> np.ndarray:
     return v
 
 
-def phi_hat(bs: BasisSet, b: int, i: int, omega_vec: np.ndarray | None = None) -> np.ndarray:
+def phi_hat(bs: BasisSet, b: int, i: int) -> np.ndarray:
     """Alice's unnormalized conditional state (1 x |phi><phi|) Omega.
 
     Its squared norm is 1/d for the standard maximally entangled source.
@@ -73,11 +75,8 @@ def phi_hat(bs: BasisSet, b: int, i: int, omega_vec: np.ndarray | None = None) -
     d = bs.dim
     if not (0 <= b < bs.k and 0 <= i < d):
         raise IndexError(f"basis {b} / outcome {i} out of range")
-    if omega_vec is None:
-        omega_vec = omega(d)
     phi = bs.vector(b, i)
-    proj = np.outer(phi, phi.conj())
-    return (omega_vec.reshape(d, d) @ proj.T).reshape(-1)
+    return (omega(d).reshape(d, d) @ np.outer(phi, phi.conj()).T).reshape(-1)
 
 
 @dataclass
@@ -87,39 +86,40 @@ class SafeVector:
     residual: float
 
 
-def solve_safe_vector(
-    bs: BasisSet,
-    x,
-    omega_vec: np.ndarray | None = None,
-    residual_tol: float = 1e-8,
-) -> SafeVector:
+def _safe_vectors(bs: BasisSet, xs, residual_tol: float) -> list:
+    """Safe vectors of the guessing functions ``xs``, all from one least-squares solve.
+
+    conj(eta_x) is the minimum-norm solution of A y = r_x (A: the k*d
+    conditional states as rows; r_x: a 1 at each b*d + x(b)). It is linear in
+    r_x, so y and A y - r_x sum column b*d + x(b) of G and of A G - 1 over b,
+    where G solves A G = 1. Raises :class:`ResidualTooLarge` for the first x
+    whose residual exceeds ``residual_tol``: the basis set is bad input.
+    """
+    d, k = bs.dim, bs.k
+    a = np.array([phi_hat(bs, b, i) for b in range(k) for i in range(d)])
+    gens, _ = qmath.lstsq(a, np.eye(k * d))
+    cols = np.asarray(xs) + d * np.arange(k)
+    eta_gens, miss_gens = gens.T.conj(), (a @ gens - np.eye(k * d)).T
+    etas = sum(eta_gens[cols[:, b]] for b in range(k))
+    residuals = np.linalg.norm(sum(miss_gens[cols[:, b]] for b in range(k)), axis=1)
+    bad = np.flatnonzero(residuals > residual_tol)
+    if bad.size:
+        raise ResidualTooLarge(f"safe vector for x={xs[bad[0]]} has residual "
+                               f"{residuals[bad[0]]:.3e} > {residual_tol:.1e}")
+    return [SafeVector(x=x, eta=eta, residual=float(res))
+            for x, eta, res in zip(xs, etas, residuals)]
+
+
+def solve_safe_vector(bs: BasisSet, x, residual_tol: float = 1e-8) -> SafeVector:
     """Minimum-norm solution of the safe-vector conditions for one x.
 
-    Stacks the k*d complex constraints <eta|phi_hat_b(i)> = delta(x(b), i)
-    and solves by least squares (in the conjugated unknown, which makes the
-    system linear). A residual above ``residual_tol`` means the basis set
-    admits no safe vector for this guessing function, which contradicts
-    non-degeneracy plus a classical model and therefore flags bad input.
+    The one-x case of :func:`_safe_vectors`, which raises its errors.
     """
     d, k = bs.dim, bs.k
     x = tuple(int(v) for v in x)
     if len(x) != k or any(v < 0 or v >= d for v in x):
         raise ValueError(f"guessing function {x} invalid for k={k}, d={d}")
-    if omega_vec is None:
-        omega_vec = omega(d)
-    a = np.empty((k * d, d * d), dtype=complex)
-    rhs = np.zeros(k * d, dtype=complex)
-    for b in range(k):
-        for i in range(d):
-            a[b * d + i] = phi_hat(bs, b, i, omega_vec)
-            if x[b] == i:
-                rhs[b * d + i] = 1.0
-    y, residual = qmath.lstsq(a, rhs)
-    if residual > residual_tol:
-        raise ResidualTooLarge(
-            f"safe vector for x={x} has residual {residual:.3e} > {residual_tol:.1e}"
-        )
-    return SafeVector(x=x, eta=y.conj(), residual=residual)
+    return _safe_vectors(bs, [x], residual_tol)[0]
 
 
 def decomposition_triple(x, b_prime: int, b_tilde: int, j_prime: int, j_tilde: int):
@@ -239,7 +239,7 @@ class Strategy:
 
 
 def build_strategy(bs: BasisSet, residual_tol: float = 1e-8) -> Strategy:
-    """Solve every safe vector and the POVM weights for a full basis set.
+    """Every safe vector, from one solve, and the POVM weights for a full basis set.
 
     Raises :class:`OverBudget`, before enumerating anything, when the set
     has more than ``MAX_GUESSING_FUNCTIONS`` guessing functions.
@@ -250,19 +250,13 @@ def build_strategy(bs: BasisSet, residual_tol: float = 1e-8) -> Strategy:
             f"{d}**{bs.k} = {d**bs.k} guessing functions exceed the build budget "
             f"{MAX_GUESSING_FUNCTIONS}"
         )
-    svs = [solve_safe_vector(bs, x, residual_tol=residual_tol)
-           for x in enumerate_guessing_functions(d, bs.k)]
+    svs = _safe_vectors(bs, list(enumerate_guessing_functions(d, bs.k)), residual_tol)
     weights = solve_povm_weights(svs)
     residual = _completeness_residual(np.asarray([sv.eta for sv in svs]), weights, d * d)
     if residual > COMPLETENESS_TOL:
         raise Infeasible(f"POVM completeness residual {residual:.3e} after solve")
-    return Strategy(
-        basis_set=bs,
-        omega=omega(d),
-        safe_vectors=tuple(svs),
-        weights=weights,
-        completeness_residual=residual,
-    )
+    return Strategy(basis_set=bs, omega=omega(d), safe_vectors=svs, weights=weights,
+                    completeness_residual=residual)
 
 
 def digit_operators(strategy: Strategy) -> np.ndarray:

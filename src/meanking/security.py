@@ -23,7 +23,7 @@ import numpy as np
 
 from . import qmath
 from .bases import OverBudget
-from .retrodiction import Strategy
+from .retrodiction import MAX_PRODUCT_DIM, Strategy
 
 # entries of the dense single-block constraint stack, nvec * dim**3 at 16
 # bytes each: d=3 needs 59 049; d=5 would need 244 million (3.9 GB)
@@ -101,9 +101,13 @@ def product_commutant_check(strategy: Strategy, n: int,
 
     m solutions at n=1 give m**n (module docstring); the n-block witness is
     the n-th tensor power of the single-block witness the report keeps.
+    Raises :class:`OverBudget` when d**(2n) exceeds ``MAX_PRODUCT_DIM``; with
+    d >= 2, n capped at the budget's bit length decides that exactly.
     """
     if n < 1:
         raise ValueError("block length must be >= 1")
+    if strategy.d ** (2 * min(n, MAX_PRODUCT_DIM.bit_length())) > MAX_PRODUCT_DIM:
+        raise OverBudget(f"{strategy.d}**(2*{n}) exceeds the block budget {MAX_PRODUCT_DIM}")
     single = eigenvector_constraint_dim(strategy.safe_vectors, tol)
     solution_dim = single.solution_dim**n
     return replace(single, n=n, solution_dim=solution_dim,

@@ -27,6 +27,11 @@ def strategy_d3(mub3):
 
 
 @pytest.fixture(scope="session")
+def strategy_d5():
+    return retrodiction.build_strategy(bases.gen_mub(5))
+
+
+@pytest.fixture(scope="session")
 def unit_strategy(mub2):
     """The four unit vectors of C^4 with unit weights: complete and maximal,
     but every diagonal operator has them as eigenvectors (solution dimension 4)."""

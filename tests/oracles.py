@@ -7,9 +7,11 @@ The exceptions are :func:`attack_pass_per_outcome` and
 :func:`sample_per_tuple`, which keep the library's earlier per-outcome
 routes (the single-outcome projection and a Born weight per product
 guessing tuple) as the references for the block-at-a-time attack pass and
-sampler that replaced them, and :func:`commutant_stacked`, the earlier
+sampler that replaced them, :func:`commutant_stacked`, the earlier
 n-block commutant route over all product safe vectors, kept as the
-reference for the single-block check raised to the n-th power.
+reference for the single-block check raised to the n-th power, and
+:func:`safe_vector_per_x`, the earlier least-squares solve per guessing
+function, kept as the reference for the one-solve strategy build.
 """
 
 import numpy as np
@@ -43,6 +45,26 @@ def partial_trace_loops(rho, dims, keep):
                 acc += rho[np.ravel_multi_index(row, dims), np.ravel_multi_index(col, dims)]
             out[krow, kcol] = acc
     return out
+
+
+def safe_vector_per_x(bs, x):
+    """``(eta, residual)`` for one guessing function x from its own least-squares solve.
+
+    The k*d conditional states are stacked row by row, the right-hand side
+    is delta(x(b), i), and ``qmath.lstsq`` solves for conj(eta).
+    """
+    from meanking import qmath, retrodiction as rd
+
+    d, k = bs.dim, bs.k
+    a = np.empty((k * d, d * d), dtype=complex)
+    rhs = np.zeros(k * d, dtype=complex)
+    for b in range(k):
+        for i in range(d):
+            a[b * d + i] = rd.phi_hat(bs, b, i)
+            if x[b] == i:
+                rhs[b * d + i] = 1.0
+    y, residual = qmath.lstsq(a, rhs)
+    return y.conj(), residual
 
 
 def intercept_resend_detection(strategy, bstar):

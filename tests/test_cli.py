@@ -4,11 +4,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import meanking
 from meanking import attack, bases, cli, protocol, retrodiction, security
 from meanking.serialize import file_digest
+from oracles import intercept_resend_detection
 
 
 def run_cli(capsys, *argv):
@@ -192,6 +194,16 @@ class TestSecurityCommands:
         assert "commutant check too large" in captured.err
         assert not out_path.exists()
 
+    def test_lemma_over_block_budget(self, tmp_path, capsys):
+        # d**(2n) over retrodiction.MAX_PRODUCT_DIM is refused before d**(4n) is formed
+        out_path = tmp_path / "lemma.json"
+        code = cli.main(["security", "lemma", "--dim", "3", "--n", "10000000",
+                         "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "3**(2*10000000) exceeds the block budget 4096" in captured.err
+        assert not out_path.exists()
+
     def test_lemma_not_maximal_strategy(self, tmp_path, capsys, zero_weight_strategy):
         path = tmp_path / "s.json"
         retrodiction.save_strategy(zero_weight_strategy, path)
@@ -215,6 +227,20 @@ class TestSecurityCommands:
         report = json.loads(out)["report"]
         assert report["detection_probability"] > 0.01
         assert report["leakage"] > 0.01
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_attack_eval_intercept_resend_closed_form(self, capsys, request, d):
+        code, out = run_cli(
+            capsys, "security", "attack-eval", "--attack", "intercept-resend:b=1", "--dim", str(d)
+        )
+        assert code == 0
+        detection = json.loads(out)["report"]["detection_probability"]
+        assert detection == pytest.approx((d - 1) ** 2 / (d * (d + 1)), abs=1e-12)
+        strategy = request.getfixturevalue(f"strategy_d{d}")
+        if d < 5:
+            assert detection == pytest.approx(intercept_resend_detection(strategy, 0), abs=1e-12)
+        assert np.all(strategy.weights == strategy.weights[0])
+        assert strategy.completeness_residual <= 1e-8
 
     def test_attack_eval_sweep(self, tmp_path, capsys):
         out_path = tmp_path / "curve.json"

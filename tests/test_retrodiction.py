@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from numpy.testing import assert_allclose
 
 from meanking import bases, qmath, retrodiction as rd
+
+from oracles import safe_vector_per_x
 
 
 def random_unitary(rng, d):
@@ -113,6 +116,77 @@ class TestSafeVectors:
         with pytest.raises(rd.ResidualTooLarge):
             rd.solve_safe_vector(twice, (0, 1))
 
+    def test_degenerate_set_build_flagged(self, mub2):
+        # (0, 0) is consistent on the twice-listed basis; (0, 1) is the first that is not
+        twice = bases.BasisSet(2, (mub2.bases[0], mub2.bases[0]))
+        with pytest.raises(rd.ResidualTooLarge, match=r"x=\(0, 1\)"):
+            rd.build_strategy(twice)
+
+
+class TestOneSolve:
+    """``build_strategy`` against the per-x least-squares route it replaced."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_matches_per_x_oracle(self, d, request):
+        s = request.getfixturevalue(f"strategy_d{d}")
+        oracle = [safe_vector_per_x(s.basis_set, x) for x in s.guessing_functions]
+        etas = np.array([eta for eta, _ in oracle])
+        assert np.max(np.abs(s.etas - etas)) < 1e-12
+        residuals = np.array([res for _, res in oracle])
+        assert np.max(np.abs([sv.residual for sv in s.safe_vectors] - residuals)) < 1e-12
+        weights = rd.solve_povm_weights(
+            [rd.SafeVector(x, eta, res) for x, (eta, res) in zip(s.guessing_functions, oracle)])
+        assert np.max(np.abs(s.weights - weights)) < 1e-12
+
+    def test_matches_per_x_oracle_d5_sampled(self, strategy_d5):
+        # MUB safe vectors all have one norm, so the uniform weight
+        # d**2 / sum_x ||eta_x||**2 is d**2 / (d**k ||eta_x||**2) for each x
+        d, k = 5, 6
+        rng = np.random.default_rng(2025)
+        for x in map(tuple, rng.integers(d, size=(200, k)).tolist()):
+            eta, residual = safe_vector_per_x(strategy_d5.basis_set, x)
+            sv = strategy_d5.safe_vector(x)
+            assert np.max(np.abs(sv.eta - eta)) < 1e-12
+            assert abs(sv.residual - residual) < 1e-12
+            norm2 = float(np.vdot(eta, eta).real)
+            assert abs(strategy_d5.weight(x) - d**2 / (d**k * norm2)) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_one_lstsq_call(self, d, monkeypatch):
+        calls = []
+        lstsq = qmath.lstsq
+
+        def counting(a, b):
+            calls.append(np.shape(b))
+            return lstsq(a, b)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solved a safe vector on its own")
+
+        monkeypatch.setattr(qmath, "lstsq", counting)
+        monkeypatch.setattr(rd, "solve_safe_vector", forbidden)
+        rd.build_strategy(bases.gen_mub(d))
+        assert calls == [(d * (d + 1), d * (d + 1))]
+
+
+@st.composite
+def rotated_mubs(draw):
+    """``gen_mub(2)`` or ``gen_mub(3)`` with every vector turned by one random unitary."""
+    d = draw(st.sampled_from([2, 3]))
+    u = random_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), d)
+    return bases.BasisSet(d, tuple(bases.Basis(b.label, b.vectors @ u.T)
+                                   for b in bases.gen_mub(d).bases))
+
+
+@settings(max_examples=25, deadline=None)
+@given(rotated_mubs())
+def test_one_solve_safe_vector_conditions(bs):
+    d, k = bs.dim, bs.k
+    s = rd.build_strategy(bs)
+    hats = np.array([rd.phi_hat(bs, b, i) for b in range(k) for i in range(d)])
+    want = (np.array(s.guessing_functions)[:, :, None] == np.arange(d)).reshape(-1, k * d)
+    assert np.max(np.abs(s.etas.conj() @ hats.T - want)) < 1e-9
+
 
 class TestDecomposition:
     def test_defining_relations(self):
@@ -213,41 +287,15 @@ class TestBuildBudget:
             raise AssertionError("enumerated an over-budget basis set")
 
         monkeypatch.setattr(rd, "enumerate_guessing_functions", forbidden)
-        monkeypatch.setattr(rd, "solve_safe_vector", forbidden)
+        monkeypatch.setattr(rd, "_safe_vectors", forbidden)
         with pytest.raises(rd.OverBudget, match="5764801 guessing functions"):
             rd.build_strategy(bases.gen_mub(7))
 
 
-def generator_strategy(bs):
-    """A strategy from one pseudoinverse instead of a solve per guessing function.
-
-    The safe-vector conditions are linear in x: conj(eta_x) is the sum over
-    b of column b*d + x(b) of pinv of the stacked conditional states. The
-    weights come from the library's solve. This builds d=5 in well under a
-    second, where ``build_strategy`` takes seconds.
-    """
-    d, k = bs.dim, bs.k
-    stacked = np.array([rd.phi_hat(bs, b, i) for b in range(k) for i in range(d)])
-    gens = np.linalg.pinv(stacked)
-    xs = np.array(list(rd.enumerate_guessing_functions(d, k)))
-    etas = gens[:, xs + d * np.arange(k)].sum(axis=2).T.conj()
-    svs = [rd.SafeVector(x=tuple(x), eta=eta, residual=0.0) for x, eta in zip(xs.tolist(), etas)]
-    weights = rd.solve_povm_weights(svs)
-    return rd.Strategy(basis_set=bs, omega=rd.omega(d), safe_vectors=svs, weights=weights,
-                       completeness_residual=rd._completeness_residual(etas, weights, d * d))
-
-
 class TestDigitOperators:
-    def test_generator_strategy_matches_build(self, mub3, strategy_d3):
-        gen = generator_strategy(mub3)
-        assert gen.guessing_functions == strategy_d3.guessing_functions
-        assert np.max(np.abs(gen.etas - strategy_d3.etas)) < 1e-12
-        assert np.max(np.abs(gen.weights - strategy_d3.weights)) < 1e-12
-
     @pytest.mark.parametrize("d", [2, 3, 5])
-    def test_complete_per_basis(self, d):
-        strategy = generator_strategy(bases.gen_mub(d))
-        q = rd.digit_operators(strategy)
+    def test_complete_per_basis(self, d, request):
+        q = rd.digit_operators(request.getfixturevalue(f"strategy_d{d}"))
         assert q.shape == (d + 1, d, d * d, d * d)
         for b in range(d + 1):
             assert np.max(np.abs(q[b].sum(axis=0) - np.eye(d * d))) < 1e-8

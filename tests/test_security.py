@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -125,6 +127,24 @@ class TestProductCommutant:
         for n in (1, 2, 3):
             with pytest.raises(bases.OverBudget, match="8 vectors of dimension 4"):
                 security.product_commutant_check(strategy_d2, n)
+
+    @pytest.mark.parametrize("name, largest", [("strategy_d2", 6), ("strategy_d3", 3)])
+    def test_block_budget(self, request, name, largest):
+        # d**(2n) <= 4096 is the block budget of the n-block attack
+        strategy = request.getfixturevalue(name)
+        assert security.product_commutant_check(strategy, largest).solution_dim == 1
+        with pytest.raises(bases.OverBudget, match=rf"\*\*\(2\*{largest + 1}\) exceeds"):
+            security.product_commutant_check(strategy, largest + 1)
+
+    def test_block_budget_forms_no_large_power(self):
+        class Dim(int):
+            def __pow__(self, exponent):
+                assert exponent <= 64, f"formed d**{exponent}"
+                return int(self) ** exponent
+
+        strategy = SimpleNamespace(d=Dim(3), safe_vectors=None)
+        with pytest.raises(bases.OverBudget, match=r"3\*\*\(2\*10000000000\) exceeds"):
+            security.product_commutant_check(strategy, 10**10)
 
     def test_resource_guard_n1(self, monkeypatch):
         # the d=5 MUB strategy's shapes: 15 625 vectors of dimension 25 would
