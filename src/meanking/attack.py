@@ -48,13 +48,26 @@ from itertools import product
 import numpy as np
 
 from . import qmath
-from .bases import BasisSet, FormatError
+from .bases import BasisSet, FormatError, OverBudget
 from .retrodiction import Strategy, digit_operators, omega
 from .serialize import complex_to_pairs, pairs_to_complex, read_json, write_json
 
 MAX_ATTACK_DIM = 4096  # bound on d**(2n) * d_eve
 _PROB_FLOOR = 1e-14  # below this an outcome cannot be conditioned on
 _LEAKAGE_SKIP = 1e-12
+
+
+def checked_block_dim(d: int, n: int, d_eve: int = 1) -> int:
+    """d**n, or :class:`OverBudget` when d**(2n) * d_eve exceeds ``MAX_ATTACK_DIM``.
+
+    Decided before anything of size d**n exists: with d >= 2, n capped at
+    the budget's bit length decides it exactly.
+    """
+    if n < 1:
+        raise ValueError("block length must be >= 1")
+    if d ** (2 * min(n, MAX_ATTACK_DIM.bit_length())) * d_eve > MAX_ATTACK_DIM:
+        raise OverBudget(f"attack dimension {d}**(2*{n})*{d_eve} exceeds budget {MAX_ATTACK_DIM}")
+    return d**n
 
 
 class ZeroProbabilityOutcome(RuntimeError):
@@ -116,11 +129,7 @@ class AttackModel:
     def __post_init__(self):
         self.psi_abe = np.asarray(self.psi_abe, dtype=complex).reshape(-1)
         self.kraus = tuple(np.asarray(v, dtype=complex) for v in self.kraus)
-        dd = self.block_dim
-        if dd * dd * self.d_eve > MAX_ATTACK_DIM:
-            raise ValueError(
-                f"attack dimension {dd * dd * self.d_eve} exceeds budget {MAX_ATTACK_DIM}"
-            )
+        dd = checked_block_dim(self.d, self.n, self.d_eve)
         if self.psi_abe.size != dd * dd * self.d_eve:
             raise ValueError(
                 f"source state has {self.psi_abe.size} entries, expected {dd * dd * self.d_eve}"
@@ -501,7 +510,7 @@ def evaluate_attack(strategy: Strategy, am: AttackModel) -> AttackReport:
 
 def identity_attack(d: int, n: int = 1) -> AttackModel:
     """No eavesdropping: honest source, trivial feedback channel."""
-    dd = d**n
+    dd = checked_block_dim(d, n)
     return AttackModel(d=d, n=n, d_eve=1, psi_abe=omega(dd), kraus=(np.eye(dd),))
 
 
@@ -511,9 +520,9 @@ def intercept_resend(bs: BasisSet, bstar: int, n: int = 1) -> AttackModel:
     One Kraus branch per measurement result, so the branch register records
     what Eve learned; the source is untouched.
     """
+    dd = checked_block_dim(bs.dim, n)
     if not (0 <= bstar < bs.k):
         raise ValueError(f"basis {bstar} out of range")
-    dd = bs.dim**n
     ops = []
     for jvec in product(range(bs.dim), repeat=n):
         phi = phi_product(bs, (bstar,) * n, jvec, n)
@@ -523,7 +532,7 @@ def intercept_resend(bs: BasisSet, bstar: int, n: int = 1) -> AttackModel:
 
 def source_replace(d: int, eps: float, n: int = 1) -> AttackModel:
     """Rotate the source by ``eps`` toward an orthogonal product state."""
-    dd = d**n
+    dd = checked_block_dim(d, n)
     psi = np.cos(eps) * omega(dd)
     psi[1] += np.sin(eps)  # |0...0> x |0...1>, orthogonal to the entangled state
     return AttackModel(d=d, n=n, d_eve=1, psi_abe=psi, kraus=(np.eye(dd),))
@@ -538,7 +547,7 @@ def probe_entangle(d: int, theta: float, n: int = 1, d_eve: int = 2) -> AttackMo
     """
     if d_eve < 2:
         raise ValueError("the probe needs at least a qubit ancilla")
-    dd = d**n
+    dd = checked_block_dim(d, n, d_eve)
     psi = np.zeros((dd, dd, d_eve), dtype=complex)
     om = omega(dd).reshape(dd, dd)
     for j in range(dd):
@@ -559,7 +568,7 @@ def eve_local_attack(d: int, kraus_e, eve_state=None, n: int = 1) -> AttackModel
     """
     kraus_e = [np.asarray(w, dtype=complex) for w in kraus_e]
     d_eve = kraus_e[0].shape[0]
-    dd = d**n
+    dd = checked_block_dim(d, n, d_eve)
     chi = np.zeros(d_eve, dtype=complex) if eve_state is None else np.asarray(eve_state, dtype=complex)
     if eve_state is None:
         chi[0] = 1.0
@@ -587,7 +596,7 @@ def random_channel(dim: int, n_kraus: int, rng: np.random.Generator):
 
 
 def random_attack(d: int, n: int, d_eve: int, n_kraus: int, rng: np.random.Generator) -> AttackModel:
-    dd = d**n
+    dd = checked_block_dim(d, n, d_eve)
     return AttackModel(
         d=d,
         n=n,

@@ -145,7 +145,7 @@ def _cmd_strategy_build(args) -> int:
             "report": {
                 "entries": len(strategy.safe_vectors),
                 "min_weight": float(strategy.weights.min()),
-                "max_residual": max(sv.residual for sv in strategy.safe_vectors),
+                "max_residual": float(strategy.safe_vectors.residual.max()),
                 "completeness_residual": strategy.completeness_residual,
             },
             "manifest": _manifest(

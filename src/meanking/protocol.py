@@ -162,7 +162,7 @@ def _sample(seed: int, strategy: Strategy, am, units: int) -> np.ndarray:
     """
     bs = strategy.basis_set
     d, k, n = bs.dim, bs.k, am.n
-    nx = len(strategy.guessing_functions)
+    nx = len(strategy.safe_vectors)
     etas_conj = strategy.etas.conj()
     draws = []
     for chunk, start in enumerate(range(0, units, CHUNK)):
@@ -198,14 +198,14 @@ def _sample(seed: int, strategy: Strategy, am, units: int) -> np.ndarray:
 def _records(strategy: Strategy, codes: np.ndarray) -> list:
     """Records for instance codes, one interned RoundRecord per distinct code."""
     d = strategy.d
-    xs = strategy.guessing_functions
+    xs = strategy.safe_vectors.x
     nx = len(xs)
     distinct, inverse = np.unique(codes, return_inverse=True)
     table = []
     for code in distinct.tolist():
         bi, y = divmod(code, nx)
         b, i = divmod(bi, d)
-        x = xs[y]
+        x = xs[y].tolist()
         table.append(RoundRecord(b=b + 1, i=i + 1, x=tuple(v + 1 for v in x), i_prime=x[b] + 1))
     return [table[j] for j in inverse.tolist()]
 
@@ -217,13 +217,15 @@ def run_protocol(cfg: ProtocolConfig, strategy: Strategy, attack=None) -> Transc
     results follow the Born rule for the (possibly attacked) states. The
     result is deterministic given the config. Bob's bases reach Alice's
     records only through i' = x(b), evaluated after her outcomes are fixed.
-    Raises :class:`OverBudget`, before any draw, when a basis block could
-    fill more than ``MAX_BORN_ENTRIES`` amplitudes.
+    Raises :class:`OverBudget`, before any draw, when a block is over the
+    attack block budget, attacked or not, or a basis block could fill more
+    than ``MAX_BORN_ENTRIES`` amplitudes.
     """
     d = strategy.basis_set.dim
     if cfg.d != d:
         raise ValueError(f"config dimension {cfg.d} vs strategy dimension {d}")
     if attack is None:
+        attack_mod.checked_block_dim(d, cfg.n)
         am, units = attack_mod.identity_attack(d, 1), cfg.rounds * cfg.n
     elif attack.d != d or attack.n != cfg.n:
         raise ValueError("attack model does not match the protocol block shape")

@@ -9,7 +9,9 @@ are weighted projectors onto safe vectors eta_x, fixed by the condition
 
 where phi_hat_b(i) is Alice's (unnormalized) conditional state after Bob
 measured outcome i in basis b. The conditions are linear in x, so one
-least-squares solve gives every eta_x, whatever d is. A measurement
+least-squares solve gives every eta_x, whatever d is, into one table: a
+record array with a row per x and the columns ``x`` (its k digits), ``eta``
+and ``residual``, which readers take whole. A measurement
 supported on safe vectors never produces a wrong guess. The weights must
 make the POVM complete with every weight strictly positive (a maximal
 strategy). For mutually unbiased bases uniform weights do (Hayashi, Horibe
@@ -22,7 +24,7 @@ All indices in this module are 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import product
 
 import numpy as np
@@ -51,11 +53,11 @@ class Infeasible(RuntimeError):
     """No nonnegative weights satisfy the completeness condition."""
 
 
-def enumerate_guessing_functions(d: int, k: int | None = None):
-    """All k-tuples with entries in 0..d-1, first slot slowest."""
+def enumerate_guessing_functions(d: int, k: int | None = None) -> np.ndarray:
+    """All k-tuples with entries in 0..d-1, first slot slowest, as a (d**k, k) array."""
     if k is None:
         k = d + 1
-    return product(range(d), repeat=k)
+    return np.indices((d,) * k).reshape(k, -1).T
 
 
 def omega(d: int) -> np.ndarray:
@@ -79,15 +81,15 @@ def phi_hat(bs: BasisSet, b: int, i: int) -> np.ndarray:
     return (omega(d).reshape(d, d) @ np.outer(phi, phi.conj()).T).reshape(-1)
 
 
-@dataclass
-class SafeVector:
-    x: tuple
-    eta: np.ndarray
-    residual: float
+def safe_vector_table(xs, etas, residuals) -> np.recarray:
+    """The strategy table: one row per guessing function, columns ``x``, ``eta``, ``residual``."""
+    xs, etas = np.asarray(xs, dtype=np.int64), np.asarray(etas, dtype=complex)
+    return np.rec.fromarrays([xs, etas, residuals], dtype=[
+        ("x", np.int64, xs.shape[1:]), ("eta", complex, etas.shape[1:]), ("residual", float)])
 
 
-def _safe_vectors(bs: BasisSet, xs, residual_tol: float) -> list:
-    """Safe vectors of the guessing functions ``xs``, all from one least-squares solve.
+def _safe_vectors(bs: BasisSet, xs: np.ndarray, residual_tol: float) -> np.recarray:
+    """Table of the guessing functions ``xs`` (rows of k digits), all from one least-squares solve.
 
     conj(eta_x) is the minimum-norm solution of A y = r_x (A: the k*d
     conditional states as rows; r_x: a 1 at each b*d + x(b)). It is linear in
@@ -98,20 +100,19 @@ def _safe_vectors(bs: BasisSet, xs, residual_tol: float) -> list:
     d, k = bs.dim, bs.k
     a = np.array([phi_hat(bs, b, i) for b in range(k) for i in range(d)])
     gens, _ = qmath.lstsq(a, np.eye(k * d))
-    cols = np.asarray(xs) + d * np.arange(k)
+    cols = xs + d * np.arange(k)
     eta_gens, miss_gens = gens.T.conj(), (a @ gens - np.eye(k * d)).T
     etas = sum(eta_gens[cols[:, b]] for b in range(k))
     residuals = np.linalg.norm(sum(miss_gens[cols[:, b]] for b in range(k)), axis=1)
     bad = np.flatnonzero(residuals > residual_tol)
     if bad.size:
-        raise ResidualTooLarge(f"safe vector for x={xs[bad[0]]} has residual "
+        raise ResidualTooLarge(f"safe vector for x={tuple(xs[bad[0]].tolist())} has residual "
                                f"{residuals[bad[0]]:.3e} > {residual_tol:.1e}")
-    return [SafeVector(x=x, eta=eta, residual=float(res))
-            for x, eta, res in zip(xs, etas, residuals)]
+    return safe_vector_table(xs, etas, residuals)
 
 
-def solve_safe_vector(bs: BasisSet, x, residual_tol: float = 1e-8) -> SafeVector:
-    """Minimum-norm solution of the safe-vector conditions for one x.
+def solve_safe_vector(bs: BasisSet, x, residual_tol: float = 1e-8) -> np.record:
+    """Minimum-norm solution of the safe-vector conditions for one x, as a table row.
 
     The one-x case of :func:`_safe_vectors`, which raises its errors.
     """
@@ -119,7 +120,7 @@ def solve_safe_vector(bs: BasisSet, x, residual_tol: float = 1e-8) -> SafeVector
     x = tuple(int(v) for v in x)
     if len(x) != k or any(v < 0 or v >= d for v in x):
         raise ValueError(f"guessing function {x} invalid for k={k}, d={d}")
-    return _safe_vectors(bs, [x], residual_tol)[0]
+    return _safe_vectors(bs, np.array([x]), residual_tol)[0]
 
 
 def decomposition_triple(x, b_prime: int, b_tilde: int, j_prime: int, j_tilde: int):
@@ -181,7 +182,7 @@ def _max_min_weights_lp(etas: np.ndarray) -> np.ndarray:
 
 
 def solve_povm_weights(safe_vectors, positivity_tol: float = POSITIVITY_TOL) -> np.ndarray:
-    """Weights p(x) >= 0 with sum_x p(x) |eta_x><eta_x| = identity.
+    """Weights p(x) >= 0 with sum_x p(x) |eta_x><eta_x| = identity, one per table row.
 
     The trace of completeness gives sum_x p(x) ||eta_x||^2 = d**2 for every
     feasible p, so no feasible p has a smallest weight above the uniform
@@ -191,7 +192,7 @@ def solve_povm_weights(safe_vectors, positivity_tol: float = POSITIVITY_TOL) -> 
     :class:`Infeasible` when no nonnegative solution exists and
     :class:`NotMaximal` when solutions exist but force some weight to zero.
     """
-    etas = np.asarray([sv.eta for sv in safe_vectors])
+    etas = safe_vectors.eta
     nx, dim2 = etas.shape
     point = np.full(nx, dim2 / float(np.sum(np.abs(etas) ** 2)))
     if _completeness_residual(etas, point, dim2) > COMPLETENESS_TOL:
@@ -205,37 +206,34 @@ def solve_povm_weights(safe_vectors, positivity_tol: float = POSITIVITY_TOL) -> 
 
 @dataclass
 class Strategy:
-    """A maximal strategy: source state, safe vectors and POVM weights."""
+    """A maximal strategy: source state, safe-vector table and one POVM weight per row."""
 
     basis_set: BasisSet
     omega: np.ndarray
-    safe_vectors: tuple
+    safe_vectors: np.recarray
     weights: np.ndarray
     completeness_residual: float
-    _index: dict = field(init=False, repr=False)
-
-    def __post_init__(self):
-        self.safe_vectors = tuple(self.safe_vectors)
-        self.weights = np.asarray(self.weights, dtype=float)
-        self._index = {sv.x: pos for pos, sv in enumerate(self.safe_vectors)}
 
     @property
     def d(self) -> int:
         return self.basis_set.dim
 
     @property
-    def guessing_functions(self):
-        return tuple(sv.x for sv in self.safe_vectors)
-
-    @property
     def etas(self) -> np.ndarray:
-        return np.asarray([sv.eta for sv in self.safe_vectors])
+        return self.safe_vectors.eta
 
-    def safe_vector(self, x) -> SafeVector:
-        return self.safe_vectors[self._index[tuple(x)]]
+    def _rows(self, xs) -> np.ndarray:
+        """Table rows of the guessing functions ``xs``, one per row of the (m, k) array-like."""
+        match = np.all(self.safe_vectors.x == np.asarray(xs)[:, None], axis=2)
+        if not match.any(axis=1).all():
+            raise KeyError(f"guessing functions {np.asarray(xs).tolist()} not all in the strategy")
+        return match.argmax(axis=1)
+
+    def safe_vector(self, x) -> np.record:
+        return self.safe_vectors[self._rows([x])[0]]
 
     def weight(self, x) -> float:
-        return float(self.weights[self._index[tuple(x)]])
+        return float(self.weights[self._rows([x])[0]])
 
 
 def build_strategy(bs: BasisSet, residual_tol: float = 1e-8) -> Strategy:
@@ -250,12 +248,12 @@ def build_strategy(bs: BasisSet, residual_tol: float = 1e-8) -> Strategy:
             f"{d}**{bs.k} = {d**bs.k} guessing functions exceed the build budget "
             f"{MAX_GUESSING_FUNCTIONS}"
         )
-    svs = _safe_vectors(bs, list(enumerate_guessing_functions(d, bs.k)), residual_tol)
-    weights = solve_povm_weights(svs)
-    residual = _completeness_residual(np.asarray([sv.eta for sv in svs]), weights, d * d)
+    table = _safe_vectors(bs, enumerate_guessing_functions(d, bs.k), residual_tol)
+    weights = solve_povm_weights(table)
+    residual = _completeness_residual(table.eta, weights, d * d)
     if residual > COMPLETENESS_TOL:
         raise Infeasible(f"POVM completeness residual {residual:.3e} after solve")
-    return Strategy(basis_set=bs, omega=omega(d), safe_vectors=svs, weights=weights,
+    return Strategy(basis_set=bs, omega=omega(d), safe_vectors=table, weights=weights,
                     completeness_residual=residual)
 
 
@@ -273,8 +271,7 @@ def digit_operators(strategy: Strategy) -> np.ndarray:
     """
     bs = strategy.basis_set
     d = bs.dim
-    etas = strategy.etas
-    xvals = np.asarray(strategy.guessing_functions, dtype=int)
+    etas, xvals = strategy.etas, strategy.safe_vectors.x
     q = np.empty((bs.k, d, d * d, d * d), dtype=complex)
     for b in range(bs.k):
         for i in range(d):
@@ -314,16 +311,13 @@ class ProductStrategy:
         return self.base.d
 
     def guessing_tuples(self):
-        return product(self.base.guessing_functions, repeat=self.n)
+        return product(map(tuple, self.base.safe_vectors.x.tolist()), repeat=self.n)
 
     def weight(self, xs) -> float:
-        w = 1.0
-        for x in xs:
-            w *= self.base.weight(x)
-        return w
+        return float(np.prod(self.base.weights[self.base._rows(xs)]))
 
     def safe_vector(self, xs) -> np.ndarray:
-        return qmath.tensor(*[self.base.safe_vector(x).eta for x in xs])
+        return qmath.tensor(*self.base.etas[self.base._rows(xs)])
 
     def safe_vector_grouped(self, xs) -> np.ndarray:
         v = self.safe_vector(xs)
@@ -339,14 +333,11 @@ def tensor_strategy(s: Strategy, n: int) -> ProductStrategy:
 
 
 def save_strategy(s: Strategy, path) -> None:
+    table = s.safe_vectors
     entries = [
-        {
-            "x": [int(v) for v in sv.x],
-            "eta": complex_to_pairs(sv.eta),
-            "p": float(s.weights[pos]),
-            "residual": float(sv.residual),
-        }
-        for pos, sv in enumerate(s.safe_vectors)
+        {"x": x, "eta": eta, "p": p, "residual": res}
+        for x, eta, p, res in zip(table.x.tolist(), complex_to_pairs(table.eta),
+                                  s.weights.tolist(), table.residual.tolist())
     ]
     write_json(
         path,
@@ -362,7 +353,8 @@ def save_strategy(s: Strategy, path) -> None:
 def load_strategy(path) -> Strategy:
     """Read a strategy written by :func:`save_strategy`.
 
-    Raises :class:`FormatError` when the file does not have that layout,
+    Raises :class:`FormatError` when the file does not have that layout (each
+    x: k digits in 0..d-1, none repeated; each eta: d*d entries),
     :class:`Infeasible` when the stored POVM is not complete and
     :class:`NotMaximal` when it is complete but some weight is not positive.
     """
@@ -377,29 +369,25 @@ def load_strategy(path) -> Strategy:
             ),
         )
         omega_vec = pairs_to_complex(data["omega"])
-        svs = []
-        weights = []
-        for entry in data["entries"]:
-            svs.append(
-                SafeVector(
-                    x=tuple(int(v) for v in entry["x"]),
-                    eta=pairs_to_complex(entry["eta"]),
-                    residual=float(entry["residual"]),
-                )
-            )
-            weights.append(float(entry["p"]))
-        weights = np.asarray(weights)
-        residual = _completeness_residual(np.asarray([sv.eta for sv in svs]), weights, dim * dim)
+        xs, etas, weights, residuals = zip(*[(e["x"], e["eta"], e["p"], e["residual"])
+                                            for e in data["entries"]])
+        if any(len(x) != bs.k for x in xs):
+            raise ValueError(f"a guessing function does not have k = {bs.k} digits")
+        if any(len(eta) != dim * dim for eta in etas):
+            raise ValueError(f"a safe vector does not have {dim * dim} entries")
+        xs = np.array(xs, dtype=np.int64).reshape(len(xs), bs.k)
+        if xs.min() < 0 or xs.max() >= dim:
+            raise ValueError(f"a guessing function has a digit outside 0..{dim - 1}")
+        if len(np.unique(xs, axis=0)) < len(xs):
+            raise ValueError("a guessing function is listed twice")
+        table = safe_vector_table(xs, pairs_to_complex(etas).reshape(len(xs), -1), residuals)
+        weights = np.array(weights, dtype=float)
+        residual = _completeness_residual(table.eta, weights, dim * dim)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise FormatError(f"bad strategy file {path}: {exc}") from exc
     if residual > COMPLETENESS_TOL:
         raise Infeasible(f"stored strategy violates completeness by {residual:.3e}")
     if float(weights.min()) <= POSITIVITY_TOL:
         raise NotMaximal(f"stored strategy has weight {weights.min():.3e}; strategy not maximal")
-    return Strategy(
-        basis_set=bs,
-        omega=omega_vec,
-        safe_vectors=tuple(svs),
-        weights=weights,
-        completeness_residual=residual,
-    )
+    return Strategy(basis_set=bs, omega=omega_vec, safe_vectors=table, weights=weights,
+                    completeness_residual=residual)

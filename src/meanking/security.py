@@ -76,18 +76,18 @@ def constraint_nullspace(etas: np.ndarray, tol: float = qmath.DEFAULT_TOL):
 
 
 def eigenvector_constraint_dim(safe_vectors, tol: float = qmath.DEFAULT_TOL) -> CommutantReport:
-    """Solution space of "E has every safe vector as an eigenvector".
+    """Solution space of "E has every ``eta`` of a strategy table as an eigenvector".
 
     Requires the safe vectors to span the doubled space (they do for any
     maximal strategy); the expected result is solution dimension 1 with a
     witness proportional to the identity. Raises :class:`OverBudget`, before
     any array is built, when the stack exceeds ``MAX_CONSTRAINT_ENTRIES``.
     """
-    nvec, dim = len(safe_vectors), safe_vectors[0].eta.size
+    etas = safe_vectors.eta
+    nvec, dim = etas.shape
     if nvec * dim**3 > MAX_CONSTRAINT_ENTRIES:
         raise OverBudget(f"commutant check too large: {nvec} vectors of dimension {dim} stack "
                          f"{nvec * dim**3} entries, budget {MAX_CONSTRAINT_ENTRIES}")
-    etas = np.asarray([sv.eta for sv in safe_vectors])
     if qmath.matrix_rank(etas) < dim:
         raise ValueError("safe vectors do not span the space; commutant check undefined")
     dim_null, basis, rank = constraint_nullspace(etas, tol)

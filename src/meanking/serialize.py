@@ -11,11 +11,7 @@ import numpy as np
 def complex_to_pairs(arr):
     """Nested lists with every complex entry encoded as [re, im]."""
     arr = np.asarray(arr, dtype=complex)
-    re = arr.real
-    im = arr.imag
-    if arr.ndim == 1:
-        return [[float(re[i]), float(im[i])] for i in range(arr.shape[0])]
-    return [complex_to_pairs(arr[i]) for i in range(arr.shape[0])]
+    return np.stack((arr.real, arr.imag), axis=-1).tolist()
 
 
 def pairs_to_complex(data) -> np.ndarray:

@@ -35,18 +35,20 @@ def strategy_d5():
 def unit_strategy(mub2):
     """The four unit vectors of C^4 with unit weights: complete and maximal,
     but every diagonal operator has them as eigenvectors (solution dimension 4)."""
-    xs = list(retrodiction.enumerate_guessing_functions(2))[:4]
-    svs = [retrodiction.SafeVector(x=x, eta=np.eye(4, dtype=complex)[j], residual=0.0)
-           for j, x in enumerate(xs)]
-    return retrodiction.Strategy(basis_set=mub2, omega=retrodiction.omega(2), safe_vectors=svs,
+    table = retrodiction.safe_vector_table(retrodiction.enumerate_guessing_functions(2)[:4],
+                                           np.eye(4, dtype=complex), np.zeros(4))
+    return retrodiction.Strategy(basis_set=mub2, omega=retrodiction.omega(2), safe_vectors=table,
                                  weights=np.ones(4), completeness_residual=0.0)
 
 
 @pytest.fixture(scope="session")
 def zero_weight_strategy(unit_strategy):
     """``unit_strategy`` plus a fifth entry of weight 0: still complete, not maximal."""
-    extra = retrodiction.SafeVector(x=(1, 0, 0), eta=unit_strategy.etas[0], residual=0.0)
-    return dataclasses.replace(unit_strategy, safe_vectors=unit_strategy.safe_vectors + (extra,),
+    table = unit_strategy.safe_vectors
+    table = retrodiction.safe_vector_table(np.vstack([table.x, (1, 0, 0)]),
+                                           np.vstack([table.eta, table.eta[:1]]),
+                                           np.append(table.residual, 0.0))
+    return dataclasses.replace(unit_strategy, safe_vectors=table,
                                weights=np.append(unit_strategy.weights, 0.0))
 
 

@@ -77,7 +77,7 @@ def intercept_resend_detection(strategy, bstar):
     bs = strategy.basis_set
     d, k = bs.dim, bs.k
     weights = strategy.weights
-    xs = strategy.guessing_functions
+    xs = strategy.safe_vectors.x
     etas = strategy.etas
     total = 0.0
     for b in range(k):
@@ -104,7 +104,7 @@ def probe_detection(strategy, theta, d_eve=2):
     bs = strategy.basis_set
     d, k = bs.dim, bs.k
     weights = strategy.weights
-    xs = strategy.guessing_functions
+    xs = strategy.safe_vectors.x
     etas = strategy.etas
     rvecs = []
     for j in range(d):
@@ -258,7 +258,7 @@ def sample_per_tuple(seed, strategy, am, units, tables):
 
     bs = strategy.basis_set
     d, k, n = bs.dim, bs.k, am.n
-    nx = len(strategy.guessing_functions)
+    nx = len(strategy.safe_vectors)
     draws = []
     for chunk, start in enumerate(range(0, units, proto.CHUNK)):
         rng = proto._stream(seed, proto._CHUNK_KEY, chunk)

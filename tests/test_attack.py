@@ -3,6 +3,7 @@ import pytest
 from numpy.testing import assert_allclose
 
 from meanking import attack as atk, qmath, retrodiction as rd
+from meanking.bases import OverBudget
 
 from oracles import attack_pass_per_outcome, intercept_resend_detection, probe_detection
 
@@ -77,8 +78,34 @@ class TestModelValidation:
         with pytest.raises(ValueError):
             atk.AttackModel(d=2, n=1, d_eve=1, psi_abe=2 * rd.omega(2), kraus=(np.eye(2),))
 
+    @pytest.mark.parametrize("make", [
+        lambda bs, n: atk.identity_attack(2, n),
+        lambda bs, n: atk.intercept_resend(bs, 0, n),
+        lambda bs, n: atk.source_replace(2, 0.1, n),
+        lambda bs, n: atk.probe_entangle(2, 0.5, n),
+        lambda bs, n: atk.eve_local_attack(2, [np.eye(2)], n=n),
+        lambda bs, n: atk.random_attack(2, n, 2, 2, np.random.default_rng(0)),
+    ], ids=["identity", "intercept-resend", "source-replace", "probe", "eve-local", "random"])
+    def test_constructors_check_budget_first(self, make, mub2, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("allocated despite the attack budget")
+
+        for name in ("omega", "phi_product", "random_state"):
+            monkeypatch.setattr(atk, name, refuse)
+        for n in (7, 10**7):  # 2**(2*7) = 16 384 is the first block over 4 096
+            with pytest.raises(OverBudget, match=rf"2\*\*\(2\*{n}\)\*\d+ exceeds budget 4096"):
+                make(mub2, n)
+
+    def test_budget_boundary(self):
+        assert atk.checked_block_dim(2, 6) == 64
+        assert atk.checked_block_dim(3, 3, 5) == 27  # 3**6 * 5 = 3 645
+        with pytest.raises(OverBudget):
+            atk.checked_block_dim(3, 3, 6)
+        with pytest.raises(ValueError, match="block length"):
+            atk.checked_block_dim(2, 0)
+
     def test_resource_guard(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(OverBudget, match=r"2\*\*\(2\*4\)\*32 exceeds budget 4096"):
             atk.AttackModel(
                 d=2, n=4, d_eve=32,
                 psi_abe=np.zeros(2**8 * 32), kraus=(np.eye(2**4 * 32),),
@@ -328,7 +355,7 @@ class TestDimensionMismatch:
             entry(atk.identity_attack(2), mub3, 0, 0)
 
     def test_guess_probability(self, strategy_d3):
-        x = strategy_d3.guessing_functions[0]
+        x = strategy_d3.safe_vectors.x[0]
         with pytest.raises(ValueError, match="strategy and attack dimensions differ"):
             atk.guess_probability(strategy_d3, atk.identity_attack(2), (x,), (0,), (0,))
 

@@ -312,6 +312,54 @@ class TestMalformedFiles:
         assert code == 1
         assert err.startswith("error: bad strategy file") and "Traceback" not in err
 
+    @pytest.mark.parametrize("defect, message", [
+        ("x-length", "does not have k = 3 digits"),
+        ("x-digit", "digit outside 0..1"),
+        ("x-repeated", "listed twice"),
+        ("eta-size", "does not have 4 entries"),
+    ])
+    def test_strategy_guessing_function(self, tmp_path, capsys, strategy_file, defect, message):
+        data = json.loads(strategy_file.read_text())
+        entry = data["entries"][1]
+        if defect == "x-length":
+            entry["x"] = [0, 0]
+        elif defect == "x-digit":
+            entry["x"] = [5, 0, 0]
+        elif defect == "x-repeated":
+            entry["x"] = data["entries"][0]["x"]
+        else:
+            entry["eta"] = entry["eta"][:3]
+        bad = tmp_path / "bad_strategy.json"
+        bad.write_text(json.dumps(data))
+        out_path = tmp_path / "t.jsonl"
+        code = cli.main(["run", "--strategy", str(bad), "--rounds", "2000", "--seed", "1",
+                         "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not out_path.exists()
+        assert captured.err.startswith("error: bad strategy file") and message in captured.err
+
+
+class TestAttackBudget:
+    """An attack over d**(2n) * d_eve <= MAX_ATTACK_DIM exits 2 before anything is allocated."""
+
+    @pytest.mark.parametrize("n, spec", [(2000, "intercept-resend:b=1"), (10_000_000, "none")])
+    @pytest.mark.parametrize("command", ["attack-eval", "run"])
+    def test_exits_2_at_once(self, tmp_path, capsys, strategy_file, monkeypatch, command, n, spec):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("allocated despite the attack budget")
+
+        for module, name in ((attack, "omega"), (attack, "phi_product"), (protocol, "_sample")):
+            monkeypatch.setattr(module, name, refuse)
+        out_path = tmp_path / "out.json"
+        if command == "run":
+            argv = ["run", "--strategy", str(strategy_file), "--rounds", "2", "--seed", "1"]
+        else:
+            argv = ["security", "attack-eval", "--dim", "2"]
+        code = cli.main(argv + ["--n", str(n), "--attack", spec, "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out_path.exists()
+        assert f"attack dimension 2**(2*{n})*1 exceeds budget 4096" in captured.err
+
 
 class TestDeterminism:
     def test_run_byte_identical(self, tmp_path, capsys, strategy_file):

@@ -129,13 +129,14 @@ class TestOneSolve:
     @pytest.mark.parametrize("d", [2, 3])
     def test_matches_per_x_oracle(self, d, request):
         s = request.getfixturevalue(f"strategy_d{d}")
-        oracle = [safe_vector_per_x(s.basis_set, x) for x in s.guessing_functions]
+        table = s.safe_vectors
+        assert np.array_equal(table.x, rd.enumerate_guessing_functions(d))
+        oracle = [safe_vector_per_x(s.basis_set, x) for x in table.x]
         etas = np.array([eta for eta, _ in oracle])
-        assert np.max(np.abs(s.etas - etas)) < 1e-12
+        assert np.max(np.abs(table.eta - etas)) < 1e-12
         residuals = np.array([res for _, res in oracle])
-        assert np.max(np.abs([sv.residual for sv in s.safe_vectors] - residuals)) < 1e-12
-        weights = rd.solve_povm_weights(
-            [rd.SafeVector(x, eta, res) for x, (eta, res) in zip(s.guessing_functions, oracle)])
+        assert np.max(np.abs(table.residual - residuals)) < 1e-12
+        weights = rd.solve_povm_weights(rd.safe_vector_table(table.x, etas, residuals))
         assert np.max(np.abs(s.weights - weights)) < 1e-12
 
     def test_matches_per_x_oracle_d5_sampled(self, strategy_d5):
@@ -184,7 +185,7 @@ def test_one_solve_safe_vector_conditions(bs):
     d, k = bs.dim, bs.k
     s = rd.build_strategy(bs)
     hats = np.array([rd.phi_hat(bs, b, i) for b in range(k) for i in range(d)])
-    want = (np.array(s.guessing_functions)[:, :, None] == np.arange(d)).reshape(-1, k * d)
+    want = (s.safe_vectors.x[:, :, None] == np.arange(d)).reshape(-1, k * d)
     assert np.max(np.abs(s.etas.conj() @ hats.T - want)) < 1e-9
 
 
@@ -304,14 +305,14 @@ class TestDigitOperators:
 class TestProductStrategy:
     def test_n1_identical(self, strategy_d2):
         ps = rd.tensor_strategy(strategy_d2, 1)
-        for x in strategy_d2.guessing_functions:
+        for x in strategy_d2.safe_vectors.x:
             assert_allclose(ps.safe_vector((x,)), strategy_d2.safe_vector(x).eta)
             assert abs(ps.weight((x,)) - strategy_d2.weight(x)) < 1e-15
 
     def test_product_delta_conditions(self, strategy_d2, mub2):
         ps = rd.tensor_strategy(strategy_d2, 2)
         rng = np.random.default_rng(37)
-        xs = strategy_d2.guessing_functions
+        xs = strategy_d2.safe_vectors.x
         for _ in range(10):
             pair = (xs[rng.integers(8)], xs[rng.integers(8)])
             eta = ps.safe_vector(pair)  # (A1 B1)(A2 B2) order
@@ -347,9 +348,26 @@ class TestStrategyFile:
         rd.save_strategy(strategy_d2, path)
         loaded = rd.load_strategy(path)
         assert loaded.d == 2
-        assert loaded.guessing_functions == strategy_d2.guessing_functions
+        assert np.array_equal(loaded.safe_vectors.x, strategy_d2.safe_vectors.x)
         assert_allclose(loaded.weights, strategy_d2.weights)
         assert_allclose(loaded.etas, strategy_d2.etas)
+
+    def test_roundtrip_d5_bitwise(self, tmp_path, strategy_d5):
+        path = tmp_path / "s.json"
+        rd.save_strategy(strategy_d5, path)
+        loaded = rd.load_strategy(path)
+        for column in ("x", "eta", "residual"):
+            assert np.array_equal(loaded.safe_vectors[column], strategy_d5.safe_vectors[column])
+        assert np.array_equal(loaded.weights, strategy_d5.weights)
+        assert loaded.completeness_residual == strategy_d5.completeness_residual
+
+    def test_columns_are_views(self, tmp_path, strategy_d3):
+        path = tmp_path / "s.json"
+        rd.save_strategy(strategy_d3, path)
+        for s in (strategy_d3, rd.load_strategy(path)):
+            assert isinstance(s.safe_vectors, np.recarray)
+            assert np.shares_memory(s.etas, s.safe_vectors)
+            assert np.shares_memory(s.safe_vectors.x, s.safe_vectors)
 
     def test_tampered_weights_rejected(self, tmp_path, strategy_d2):
         import json

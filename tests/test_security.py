@@ -153,8 +153,8 @@ class TestProductCommutant:
             raise AssertionError("constraint stack built despite the budget")
 
         monkeypatch.setattr(security, "constraint_matrix", refuse)
-        eta = np.zeros(25, dtype=complex)
-        safe_vectors = [rd.SafeVector(x=(0,) * 6, eta=eta, residual=0.0)] * 5**6
+        safe_vectors = rd.safe_vector_table(np.zeros((5**6, 6), dtype=int),
+                                            np.zeros((5**6, 25), dtype=complex), np.zeros(5**6))
         with pytest.raises(bases.OverBudget, match="15625 vectors of dimension 25"):
             security.eigenvector_constraint_dim(safe_vectors)
 
@@ -162,7 +162,7 @@ class TestProductCommutant:
         # the triple identity applied to one tensor slot of a product vector
         ps = rd.tensor_strategy(strategy_d2, 2)
         rng = np.random.default_rng(41)
-        xs = strategy_d2.guessing_functions
+        xs = strategy_d2.safe_vectors.x
         for _ in range(10):
             x1 = xs[rng.integers(8)]
             x2 = xs[rng.integers(8)]
