@@ -48,26 +48,12 @@ from itertools import product
 import numpy as np
 
 from . import qmath
-from .bases import BasisSet, FormatError, OverBudget
-from .retrodiction import Strategy, digit_operators, omega
+from .bases import BasisSet, FormatError
+from .retrodiction import Strategy, checked_block_dim, digit_operators, omega
 from .serialize import complex_to_pairs, pairs_to_complex, read_json, write_json
 
-MAX_ATTACK_DIM = 4096  # bound on d**(2n) * d_eve
 _PROB_FLOOR = 1e-14  # below this an outcome cannot be conditioned on
 _LEAKAGE_SKIP = 1e-12
-
-
-def checked_block_dim(d: int, n: int, d_eve: int = 1) -> int:
-    """d**n, or :class:`OverBudget` when d**(2n) * d_eve exceeds ``MAX_ATTACK_DIM``.
-
-    Decided before anything of size d**n exists: with d >= 2, n capped at
-    the budget's bit length decides it exactly.
-    """
-    if n < 1:
-        raise ValueError("block length must be >= 1")
-    if d ** (2 * min(n, MAX_ATTACK_DIM.bit_length())) * d_eve > MAX_ATTACK_DIM:
-        raise OverBudget(f"attack dimension {d}**(2*{n})*{d_eve} exceeds budget {MAX_ATTACK_DIM}")
-    return d**n
 
 
 class ZeroProbabilityOutcome(RuntimeError):

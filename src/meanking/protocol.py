@@ -33,7 +33,7 @@ import numpy as np
 
 from . import attack as attack_mod
 from .bases import OverBudget
-from .retrodiction import Strategy
+from .retrodiction import Strategy, checked_block_dim
 from .serialize import canonical_dumps
 
 _DIGITS = "123456789ABCDEFG"
@@ -218,14 +218,14 @@ def run_protocol(cfg: ProtocolConfig, strategy: Strategy, attack=None) -> Transc
     result is deterministic given the config. Bob's bases reach Alice's
     records only through i' = x(b), evaluated after her outcomes are fixed.
     Raises :class:`OverBudget`, before any draw, when a block is over the
-    attack block budget, attacked or not, or a basis block could fill more
+    block budget, attacked or not, or a basis block could fill more
     than ``MAX_BORN_ENTRIES`` amplitudes.
     """
     d = strategy.basis_set.dim
     if cfg.d != d:
         raise ValueError(f"config dimension {cfg.d} vs strategy dimension {d}")
     if attack is None:
-        attack_mod.checked_block_dim(d, cfg.n)
+        checked_block_dim(d, cfg.n)
         am, units = attack_mod.identity_attack(d, 1), cfg.rounds * cfg.n
     elif attack.d != d or attack.n != cfg.n:
         raise ValueError("attack model does not match the protocol block shape")

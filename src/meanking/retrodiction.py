@@ -33,7 +33,7 @@ from . import qmath
 from .bases import Basis, BasisSet, FormatError, OverBudget
 from .serialize import complex_to_pairs, pairs_to_complex, read_json, write_json
 
-MAX_PRODUCT_DIM = 4096  # densest object handled: operators on d**(2n)
+MAX_BLOCK_DIM = 4096  # bound on d**(2n) * d_eve, the densest block operator handled
 # most guessing functions (d**k) a build holds, a bound on memory: d=5 (15 625)
 # fits, d=7 would hold 5 764 801 x 49 complex entries (about 4.5 GB)
 MAX_GUESSING_FUNCTIONS = 50_000
@@ -51,6 +51,19 @@ class NotMaximal(RuntimeError):
 
 class Infeasible(RuntimeError):
     """No nonnegative weights satisfy the completeness condition."""
+
+
+def checked_block_dim(d: int, n: int, d_eve: int = 1) -> int:
+    """d**n, or :class:`OverBudget` when d**(2n) * d_eve exceeds ``MAX_BLOCK_DIM``.
+
+    Decided before anything of size d**n exists: with d >= 2, n capped at
+    the budget's bit length decides it exactly.
+    """
+    if n < 1:
+        raise ValueError("block length must be >= 1")
+    if d ** (2 * min(n, MAX_BLOCK_DIM.bit_length())) * d_eve > MAX_BLOCK_DIM:
+        raise OverBudget(f"block dimension {d}**(2*{n})*{d_eve} exceeds budget {MAX_BLOCK_DIM}")
+    return d**n
 
 
 def enumerate_guessing_functions(d: int, k: int | None = None) -> np.ndarray:
@@ -181,27 +194,34 @@ def _max_min_weights_lp(etas: np.ndarray) -> np.ndarray:
     return point
 
 
-def solve_povm_weights(safe_vectors, positivity_tol: float = POSITIVITY_TOL) -> np.ndarray:
+def solve_povm_weights(safe_vectors,
+                       positivity_tol: float = POSITIVITY_TOL) -> tuple[np.ndarray, float]:
     """Weights p(x) >= 0 with sum_x p(x) |eta_x><eta_x| = identity, one per table row.
 
-    The trace of completeness gives sum_x p(x) ||eta_x||^2 = d**2 for every
-    feasible p, so no feasible p has a smallest weight above the uniform
-    value d**2 / sum_x ||eta_x||^2. When that uniform point completes the
-    POVM it is therefore the max-min optimum, and it is returned without an
-    LP; otherwise :func:`_max_min_weights_lp` solves for it. Raises
-    :class:`Infeasible` when no nonnegative solution exists and
-    :class:`NotMaximal` when solutions exist but force some weight to zero.
+    Returns the weights and their completeness residual. The trace of
+    completeness gives sum_x p(x) ||eta_x||^2 = d**2 for every feasible p, so
+    no feasible p has a smallest weight above the uniform value
+    d**2 / sum_x ||eta_x||^2. When that uniform point completes the POVM it
+    is therefore the max-min optimum, and it is returned without an LP;
+    otherwise :func:`_max_min_weights_lp` solves for it. Raises
+    :class:`Infeasible` when no nonnegative solution exists or the LP's
+    answer is not complete, and :class:`NotMaximal` when solutions exist
+    but force some weight to zero.
     """
     etas = safe_vectors.eta
     nx, dim2 = etas.shape
     point = np.full(nx, dim2 / float(np.sum(np.abs(etas) ** 2)))
-    if _completeness_residual(etas, point, dim2) > COMPLETENESS_TOL:
+    residual = _completeness_residual(etas, point, dim2)
+    if residual > COMPLETENESS_TOL:
         point = _max_min_weights_lp(etas)
+        residual = _completeness_residual(etas, point, dim2)
     if float(point.min()) <= positivity_tol:
         raise NotMaximal(
             f"completeness forces a weight down to {point.min():.3e}; strategy not maximal"
         )
-    return point
+    if residual > COMPLETENESS_TOL:
+        raise Infeasible(f"POVM completeness residual {residual:.3e} after solve")
+    return point, residual
 
 
 @dataclass
@@ -249,10 +269,7 @@ def build_strategy(bs: BasisSet, residual_tol: float = 1e-8) -> Strategy:
             f"{MAX_GUESSING_FUNCTIONS}"
         )
     table = _safe_vectors(bs, enumerate_guessing_functions(d, bs.k), residual_tol)
-    weights = solve_povm_weights(table)
-    residual = _completeness_residual(table.eta, weights, d * d)
-    if residual > COMPLETENESS_TOL:
-        raise Infeasible(f"POVM completeness residual {residual:.3e} after solve")
+    weights, residual = solve_povm_weights(table)
     return Strategy(basis_set=bs, omega=omega(d), safe_vectors=table, weights=weights,
                     completeness_residual=residual)
 
@@ -298,13 +315,7 @@ class ProductStrategy:
     n: int
 
     def __post_init__(self):
-        d = self.base.d
-        if self.n < 1:
-            raise ValueError("block length must be >= 1")
-        if d ** (2 * self.n) > MAX_PRODUCT_DIM:
-            raise ValueError(
-                f"d**(2n) = {d ** (2 * self.n)} exceeds the dense budget {MAX_PRODUCT_DIM}"
-            )
+        checked_block_dim(self.base.d, self.n)
 
     @property
     def d(self) -> int:

@@ -121,12 +121,13 @@ VALIDATION_REPORT = {
 
 COMMUTANT_REPORT = {
     "type": "object",
-    "required": ["dim", "n", "solution_dim", "constraint_rank", "tol"],
+    "required": ["dim", "n", "solution_dim", "constraint_rank", "spectral_gap", "tol"],
     "properties": {
         "dim": {"type": "integer", "minimum": 2},
         "n": {"type": "integer", "minimum": 1},
         "solution_dim": {"type": "integer", "minimum": 1},
         "constraint_rank": {"type": "integer", "minimum": 0},
+        "spectral_gap": {"type": "number", "minimum": 0, "maximum": 1},
         "tol": {"type": "number", "exclusiveMinimum": 0},
         "witness_identity_deviation": {"type": "number", "minimum": 0},
     },

@@ -4,30 +4,37 @@ The security of the protocol reduces to one linear-algebra fact: an
 operator that has every safe (product) vector as an eigenvector must be a
 multiple of the identity. This module verifies that numerically. Each safe
 vector eta contributes the linear condition "E eta is parallel to eta",
-encoded as (1 - P_eta) E eta = 0 with P_eta the projector onto eta; the
-stacked system's nullspace is computed exactly once, and the claim holds
-iff its dimension is 1 (with the identity as witness).
+encoded as (1 - P_eta) E eta = 0 with P_eta the projector onto eta. Summed,
+they are one Hermitian positive semidefinite form on vec(E),
+vec(E)^H G vec(E) = sum_eta ||(1 - P_eta) E eta||^2, of size D^2 x D^2 for
+vectors of dimension D however many there are. One ``eigh`` of G decides
+the claim: it holds iff exactly one eigenvalue is at or below ``tol`` times
+the largest (with the identity as witness). The eigenvalues are the squared
+singular values of the per-vector stack of conditions, so ``tol`` bounds
+those squares. The smallest eigenvalue above the cutoff, over the largest,
+is reported as the margin of that decision.
 
-Blocks of n instances need no larger system. For a maximal strategy
-(every p(x) > 0) completeness makes the stacked nullspace the fixed points of
+Blocks of n instances need no larger form. For a maximal strategy
+(every p(x) > 0) completeness makes the nullspace the fixed points of
 Phi(E) = sum_x p(x) <eta_x|E|eta_x> / ||eta_x||^2 |eta_x><eta_x|, a
-self-adjoint map with spectrum in [0, 1]. n blocks measure with its n-th
+self-adjoint map with spectrum in [0, 1]; on mutually unbiased bases
+G = nx (1 - Phi) and the margin is 1 - 1/d. n blocks measure with its n-th
 tensor power, whose fixed points are the n-th tensor power of Phi's.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
 from . import qmath
 from .bases import OverBudget
-from .retrodiction import MAX_PRODUCT_DIM, Strategy
+from .retrodiction import Strategy, checked_block_dim
 
-# entries of the dense single-block constraint stack, nvec * dim**3 at 16
-# bytes each: d=3 needs 59 049; d=5 would need 244 million (3.9 GB)
-MAX_CONSTRAINT_ENTRIES = 1 << 20
+# entries of the largest array the form builds, max(nvec, dim**2) * dim**2:
+# the d=5 MUB strategy needs 15 625 * 625 = 9.8 million (156 MB)
+MAX_CONSTRAINT_ENTRIES = 1 << 24
 
 
 @dataclass
@@ -38,41 +45,35 @@ class CommutantReport:
     solution_dim: int
     witness: np.ndarray
     tol: float
+    spectral_gap: float
 
     def to_dict(self) -> dict:
-        return {
-            "dim": self.dim,
-            "n": self.n,
-            "solution_dim": self.solution_dim,
-            "constraint_rank": self.constraint_rank,
-            "tol": self.tol,
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "witness"}
 
 
 def constraint_matrix(etas: np.ndarray) -> np.ndarray:
-    """Stack the eigenvector conditions for a family of vectors.
+    """The form G = 1 (x) conj(S) - sum_eta w w^H of the eigenvector conditions of the rows eta.
 
-    For each row eta the block maps vec(E) (row-major) to
-    (1 - P_eta) E eta; an operator lies in the nullspace of the stack iff
-    every eta is one of its eigenvectors.
+    S = sum_eta |eta><eta| and w = (eta (x) conj(eta)) / ||eta||; vec(E) is
+    row-major. E lies in G's nullspace iff every eta is one of its eigenvectors.
     """
     etas = np.asarray(etas, dtype=complex)
     nvec, dim = etas.shape
-    blocks = np.empty((nvec * dim, dim * dim), dtype=complex)
-    eye = np.eye(dim)
-    for j in range(nvec):
-        eta = etas[j]
-        norm2 = float(np.vdot(eta, eta).real)
-        proj = eye - np.outer(eta, eta.conj()) / norm2
-        blocks[j * dim : (j + 1) * dim] = np.kron(proj, eta.reshape(1, -1))
-    return blocks
+    w = (etas[:, :, None] * etas.conj()[:, None, :]).reshape(nvec, dim * dim)
+    w /= np.linalg.norm(etas, axis=1)[:, None]
+    return np.kron(np.eye(dim), etas.conj().T @ etas) - w.T @ w.conj()
 
 
 def constraint_nullspace(etas: np.ndarray, tol: float = qmath.DEFAULT_TOL):
-    """Nullspace (dimension, basis, rank) of the stacked eigenvector system."""
-    m = constraint_matrix(etas)
-    dim_null, basis = qmath.nullspace(m, tol)
-    return dim_null, basis, m.shape[1] - dim_null
+    """Nullspace of the eigenvector conditions, from one ``eigh`` of their form.
+
+    Returns ``(dimension, vectors, eigenvalues)``: the eigenvalues ascend,
+    row j of ``vectors`` is the eigenvector of eigenvalue j, and the
+    dimension counts the eigenvalues at or below ``tol`` times the largest,
+    so the first ``dimension`` rows span the nullspace.
+    """
+    evals, evecs = np.linalg.eigh(constraint_matrix(etas))
+    return int(np.sum(evals <= tol * evals[-1])), evecs.T, evals
 
 
 def eigenvector_constraint_dim(safe_vectors, tol: float = qmath.DEFAULT_TOL) -> CommutantReport:
@@ -81,18 +82,21 @@ def eigenvector_constraint_dim(safe_vectors, tol: float = qmath.DEFAULT_TOL) -> 
     Requires the safe vectors to span the doubled space (they do for any
     maximal strategy); the expected result is solution dimension 1 with a
     witness proportional to the identity. Raises :class:`OverBudget`, before
-    any array is built, when the stack exceeds ``MAX_CONSTRAINT_ENTRIES``.
+    any array is built, when the form needs more than ``MAX_CONSTRAINT_ENTRIES``.
     """
     etas = safe_vectors.eta
     nvec, dim = etas.shape
-    if nvec * dim**3 > MAX_CONSTRAINT_ENTRIES:
-        raise OverBudget(f"commutant check too large: {nvec} vectors of dimension {dim} stack "
-                         f"{nvec * dim**3} entries, budget {MAX_CONSTRAINT_ENTRIES}")
+    entries = max(nvec, dim * dim) * dim * dim
+    if entries > MAX_CONSTRAINT_ENTRIES:
+        raise OverBudget(f"commutant check too large: {nvec} vectors of dimension {dim} need "
+                         f"{entries} entries, budget {MAX_CONSTRAINT_ENTRIES}")
     if qmath.matrix_rank(etas) < dim:
         raise ValueError("safe vectors do not span the space; commutant check undefined")
-    dim_null, basis, rank = constraint_nullspace(etas, tol)
-    return CommutantReport(dim=int(round(np.sqrt(dim))), n=1, constraint_rank=rank,
-                           solution_dim=dim_null, witness=basis[0].reshape(dim, dim), tol=tol)
+    dim_null, vectors, evals = constraint_nullspace(etas, tol)
+    gap = float(evals[dim_null] / evals[-1]) if dim_null < evals.size else 0.0
+    return CommutantReport(dim=int(round(np.sqrt(dim))), n=1, constraint_rank=evals.size - dim_null,
+                           solution_dim=dim_null, witness=vectors[0].reshape(dim, dim), tol=tol,
+                           spectral_gap=gap)
 
 
 def product_commutant_check(strategy: Strategy, n: int,
@@ -100,14 +104,11 @@ def product_commutant_check(strategy: Strategy, n: int,
     """The commutant check over the safe product vectors of n blocks, from one block's.
 
     m solutions at n=1 give m**n (module docstring); the n-block witness is
-    the n-th tensor power of the single-block witness the report keeps.
-    Raises :class:`OverBudget` when d**(2n) exceeds ``MAX_PRODUCT_DIM``; with
-    d >= 2, n capped at the budget's bit length decides that exactly.
+    the n-th tensor power of the single-block witness the report keeps, and
+    the spectral gap is the single block's, the only rank decision made.
+    Raises :class:`OverBudget` when n blocks are over the block budget.
     """
-    if n < 1:
-        raise ValueError("block length must be >= 1")
-    if strategy.d ** (2 * min(n, MAX_PRODUCT_DIM.bit_length())) > MAX_PRODUCT_DIM:
-        raise OverBudget(f"{strategy.d}**(2*{n}) exceeds the block budget {MAX_PRODUCT_DIM}")
+    checked_block_dim(strategy.d, n)
     single = eigenvector_constraint_dim(strategy.safe_vectors, tol)
     solution_dim = single.solution_dim**n
     return replace(single, n=n, solution_dim=solution_dim,

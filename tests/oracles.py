@@ -288,13 +288,17 @@ def sample_per_tuple(seed, strategy, am, units, tables):
 def commutant_stacked(strategy, n):
     """``(solution_dim, constraint_rank, stack)`` of the n-block eigenvector system.
 
-    Every safe product vector of n blocks (pair-interleaved order, as
-    ``tensor_strategy`` gives it) contributes its rows to one dense stack,
+    Every safe product vector eta of n blocks (pair-interleaved order, as
+    ``tensor_strategy`` gives it) contributes the rows (1 - P_eta) (x) eta^T,
+    which map vec(E) (row-major) to (1 - P_eta) E eta, to one dense stack,
     whose nullspace is taken at the library's default tolerance.
     """
-    from meanking import qmath, retrodiction as rd, security
+    from meanking import qmath, retrodiction as rd
 
     ps = rd.tensor_strategy(strategy, n)
-    stack = security.constraint_matrix([ps.safe_vector(xs) for xs in ps.guessing_tuples()])
+    etas = [ps.safe_vector(xs) for xs in ps.guessing_tuples()]
+    eye = np.eye(etas[0].size)
+    stack = np.vstack([np.kron(eye - np.outer(eta, eta.conj()) / np.vdot(eta, eta).real, eta)
+                       for eta in etas])
     dim_null, _ = qmath.nullspace(stack, qmath.DEFAULT_TOL)
     return dim_null, stack.shape[1] - dim_null, stack

@@ -56,11 +56,11 @@ def test_attacked_run_needs_no_single_outcome_state(strategy_d2):
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_commutant_stacks_one_block(strategy_d2, n):
-    # 8 safe vectors x 4 rows each, whatever the block length
+    # the d=2 form is D**2 x D**2 with D = 4, whatever the block length
     tracer = _load_tracing().Tracer()
     tracer.install()
     try:
         security.product_commutant_check(strategy_d2, n)
     finally:
         tracer.uninstall()
-    assert tracer.counts["security.constraint_rows"] == 32
+    assert tracer.counts["security.constraint_rows"] == 16

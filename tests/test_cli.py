@@ -177,16 +177,19 @@ class TestSecurityCommands:
         assert report["solution_dim"] == 1
         assert report["witness_identity_deviation"] < 1e-8
 
-    @pytest.mark.parametrize("dim, n, rank", [(2, 3, 4095), (3, 2, 6560)])
+    @pytest.mark.parametrize("dim, n, rank", [(2, 3, 4095), (3, 2, 6560), (5, 1, 624)])
     def test_lemma_larger_blocks(self, capsys, dim, n, rank):
+        # d=5 is decided by its 625 x 625 form; on MUBs the margin is 1 - 1/d
         code, out = run_cli(capsys, "security", "lemma", "--dim", str(dim), "--n", str(n))
         assert code == 0
         report = json.loads(out)["report"]
         assert report["solution_dim"] == 1 and report["constraint_rank"] == rank
+        assert report["witness_identity_deviation"] < 1e-8
+        assert report["spectral_gap"] == pytest.approx(1 - 1 / dim, abs=1e-9)
 
     def test_lemma_over_budget(self, tmp_path, capsys, monkeypatch):
-        # the budget bounds the single-block stack, 512 entries at d=2, for every n
-        monkeypatch.setattr(security, "MAX_CONSTRAINT_ENTRIES", 511)
+        # the budget bounds the single-block form, 256 entries at d=2, for every n
+        monkeypatch.setattr(security, "MAX_CONSTRAINT_ENTRIES", 255)
         out_path = tmp_path / "lemma.json"
         code = cli.main(["security", "lemma", "--dim", "2", "--n", "2", "--out", str(out_path)])
         captured = capsys.readouterr()
@@ -195,13 +198,13 @@ class TestSecurityCommands:
         assert not out_path.exists()
 
     def test_lemma_over_block_budget(self, tmp_path, capsys):
-        # d**(2n) over retrodiction.MAX_PRODUCT_DIM is refused before d**(4n) is formed
+        # d**(2n) over retrodiction.MAX_BLOCK_DIM is refused before d**(4n) is formed
         out_path = tmp_path / "lemma.json"
         code = cli.main(["security", "lemma", "--dim", "3", "--n", "10000000",
                          "--out", str(out_path)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
-        assert "3**(2*10000000) exceeds the block budget 4096" in captured.err
+        assert "block dimension 3**(2*10000000)*1 exceeds budget 4096" in captured.err
         assert not out_path.exists()
 
     def test_lemma_not_maximal_strategy(self, tmp_path, capsys, zero_weight_strategy):
@@ -340,7 +343,7 @@ class TestMalformedFiles:
 
 
 class TestAttackBudget:
-    """An attack over d**(2n) * d_eve <= MAX_ATTACK_DIM exits 2 before anything is allocated."""
+    """An attack over d**(2n) * d_eve <= MAX_BLOCK_DIM exits 2 before anything is allocated."""
 
     @pytest.mark.parametrize("n, spec", [(2000, "intercept-resend:b=1"), (10_000_000, "none")])
     @pytest.mark.parametrize("command", ["attack-eval", "run"])
@@ -358,7 +361,7 @@ class TestAttackBudget:
         code = cli.main(argv + ["--n", str(n), "--attack", spec, "--out", str(out_path)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and not out_path.exists()
-        assert f"attack dimension 2**(2*{n})*1 exceeds budget 4096" in captured.err
+        assert f"block dimension 2**(2*{n})*1 exceeds budget 4096" in captured.err
 
 
 class TestDeterminism:

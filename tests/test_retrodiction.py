@@ -136,7 +136,7 @@ class TestOneSolve:
         assert np.max(np.abs(table.eta - etas)) < 1e-12
         residuals = np.array([res for _, res in oracle])
         assert np.max(np.abs(table.residual - residuals)) < 1e-12
-        weights = rd.solve_povm_weights(rd.safe_vector_table(table.x, etas, residuals))
+        weights, _ = rd.solve_povm_weights(rd.safe_vector_table(table.x, etas, residuals))
         assert np.max(np.abs(s.weights - weights)) < 1e-12
 
     def test_matches_per_x_oracle_d5_sampled(self, strategy_d5):
@@ -272,6 +272,26 @@ class TestWeights:
         assert_allclose(s.weights, rd._max_min_weights_lp(s.etas), rtol=0, atol=1e-12)
         assert s.completeness_residual < 1e-8
 
+    @pytest.mark.parametrize("name, angle, calls", [("mub2", None, 1), ("mub3", None, 1),
+                                                     ("mub2", 0.2, 2)])
+    def test_completeness_residual_per_candidate(self, request, biased_copy, monkeypatch,
+                                                 name, angle, calls):
+        # one residual for the uniform candidate, which a MUB set takes; a
+        # biased set's LP answer gets a second one after its solve
+        bs = request.getfixturevalue(name)
+        if angle is not None:
+            bs = biased_copy(bs, angle)
+        original, seen = rd._completeness_residual, []
+
+        def counting(*args):
+            seen.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(rd, "_completeness_residual", counting)
+        s = rd.build_strategy(bs)
+        assert len(seen) == calls
+        assert s.completeness_residual == original(s.etas, s.weights, bs.dim**2)
+
     def test_biased_subset_not_maximal(self, mub2, lp_calls, biased_copy):
         svs = rd.build_strategy(biased_copy(mub2, 0.2)).safe_vectors
         with pytest.raises((rd.Infeasible, rd.NotMaximal)):
@@ -338,7 +358,7 @@ class TestProductStrategy:
         assert np.max(np.abs(total - np.eye(16))) < 1e-7
 
     def test_resource_guard(self, strategy_d2):
-        with pytest.raises(ValueError):
+        with pytest.raises(rd.OverBudget, match=r"2\*\*\(2\*7\)\*1 exceeds budget 4096"):
             rd.tensor_strategy(strategy_d2, 7)
 
 

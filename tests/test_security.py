@@ -2,6 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from meanking import bases, retrodiction as rd, security
 from oracles import commutant_stacked
@@ -23,6 +24,45 @@ def brute_force_solution_dim(etas):
             rows.append(row)
     m = np.asarray(rows)
     return dim * dim - np.linalg.matrix_rank(m, tol=1e-9 * np.linalg.norm(m, 2))
+
+
+def residuals_per_vector(etas, e):
+    """||(1 - P_eta) E eta||**2 for each row eta, one row at a time."""
+    out = []
+    for eta in etas:
+        v = e @ eta
+        v = v - eta * np.vdot(eta, v) / np.vdot(eta, eta).real
+        out.append(np.vdot(v, v).real)
+    return np.array(out)
+
+
+def random_operator(rng, dim):
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+class TestForm:
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
+    def test_form_sums_the_conditions(self, strategy_d2, strategy_d3, d, seed):
+        rng = np.random.default_rng(seed)
+        etas = (strategy_d2 if d == 2 else strategy_d3).etas
+        etas = etas[rng.choice(len(etas), size=rng.integers(1, len(etas) + 1), replace=False)]
+        e = random_operator(rng, d * d)
+        form = np.vdot(e.reshape(-1), security.constraint_matrix(etas) @ e.reshape(-1))
+        direct = residuals_per_vector(etas, e).sum()
+        assert form.real == pytest.approx(direct, rel=1e-10)
+        assert abs(form.imag) <= 1e-10 * direct
+
+    @settings(max_examples=40, deadline=None)
+    @given(d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1))
+    def test_quantitative_lemma(self, strategy_d2, strategy_d3, d, seed):
+        # beyond the paper: on MUBs the weighted residuals bound E's distance
+        # from the scalar line by the spectral gap 1 - 1/d
+        strategy = strategy_d2 if d == 2 else strategy_d3
+        e = random_operator(np.random.default_rng(seed), d * d)
+        weighted = float(strategy.weights @ residuals_per_vector(strategy.etas, e))
+        off_scalar = np.linalg.norm(e - np.trace(e) / (d * d) * np.eye(d * d)) ** 2
+        assert weighted >= (1 - 1 / d) * off_scalar * (1 - 1e-12)
 
 
 class TestSingleRunCommutant:
@@ -121,9 +161,9 @@ class TestProductCommutant:
         assert three == pytest.approx(np.sqrt(3) * one, rel=1e-6)
 
     def test_resource_guard(self, strategy_d2, monkeypatch):
-        # every n is answered from the single-block stack, 8 x 64 = 512 entries
-        # at d=2, so that stack's budget is the one that refuses
-        monkeypatch.setattr(security, "MAX_CONSTRAINT_ENTRIES", 511)
+        # every n is answered from the single-block form, max(8, 16) x 16 = 256
+        # entries at d=2, so that form's budget is the one that refuses
+        monkeypatch.setattr(security, "MAX_CONSTRAINT_ENTRIES", 255)
         for n in (1, 2, 3):
             with pytest.raises(bases.OverBudget, match="8 vectors of dimension 4"):
                 security.product_commutant_check(strategy_d2, n)
@@ -133,7 +173,7 @@ class TestProductCommutant:
         # d**(2n) <= 4096 is the block budget of the n-block attack
         strategy = request.getfixturevalue(name)
         assert security.product_commutant_check(strategy, largest).solution_dim == 1
-        with pytest.raises(bases.OverBudget, match=rf"\*\*\(2\*{largest + 1}\) exceeds"):
+        with pytest.raises(bases.OverBudget, match=rf"\*\*\(2\*{largest + 1}\)\*1 exceeds"):
             security.product_commutant_check(strategy, largest + 1)
 
     def test_block_budget_forms_no_large_power(self):
@@ -143,19 +183,19 @@ class TestProductCommutant:
                 return int(self) ** exponent
 
         strategy = SimpleNamespace(d=Dim(3), safe_vectors=None)
-        with pytest.raises(bases.OverBudget, match=r"3\*\*\(2\*10000000000\) exceeds"):
+        with pytest.raises(bases.OverBudget, match=r"3\*\*\(2\*10000000000\)\*1 exceeds"):
             security.product_commutant_check(strategy, 10**10)
 
     def test_resource_guard_n1(self, monkeypatch):
-        # the d=5 MUB strategy's shapes: 15 625 vectors of dimension 25 would
-        # stack a 390 625 x 625 complex matrix (3.9 GB)
+        # 50 000 vectors of dimension 25 would fill a 50 000 x 625 complex
+        # array (500 MB) on the way to the form
         def refuse(*_args):
-            raise AssertionError("constraint stack built despite the budget")
+            raise AssertionError("constraint form built despite the budget")
 
         monkeypatch.setattr(security, "constraint_matrix", refuse)
-        safe_vectors = rd.safe_vector_table(np.zeros((5**6, 6), dtype=int),
-                                            np.zeros((5**6, 25), dtype=complex), np.zeros(5**6))
-        with pytest.raises(bases.OverBudget, match="15625 vectors of dimension 25"):
+        safe_vectors = rd.safe_vector_table(np.zeros((50_000, 6), dtype=int),
+                                            np.zeros((50_000, 25), dtype=complex), np.zeros(50_000))
+        with pytest.raises(bases.OverBudget, match="50000 vectors of dimension 25"):
             security.eigenvector_constraint_dim(safe_vectors)
 
     def test_product_decomposition_property(self, strategy_d2):
@@ -188,5 +228,6 @@ class TestReport:
             "n": 2,
             "solution_dim": 1,
             "constraint_rank": payload["constraint_rank"],
+            "spectral_gap": pytest.approx(0.5, abs=1e-12),
             "tol": report.tol,
         }
