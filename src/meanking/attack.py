@@ -20,22 +20,26 @@ and then Eve's final state cannot depend on (b, i): zero detection implies
 zero leakage. Detection probability and leakage are computed by exact
 enumeration, never by sampling.
 
-One pass, :func:`_attack_pass`, walks the (b, i) grid one basis block at a
-time through :func:`_basis_blocks`: one contraction projects all d**n
-outcomes of a block, and one batched Kraus application gives their branch
-stacks w_l, from which Eve's blocks are read. Alice's chance of announcing
-Bob's digits needs no Born weight per guessing tuple: the product POVM
-summed over the tuples that agree with Bob is the tensor product of the
-per-instance digit operators Q(b_s, i_s) of
+One pass, :func:`_attack_pass`, walks the (b, i) grid through :func:`_walk`
+in chunks of basis blocks, each chunk a few whole-grid arrays: one
+broadcast Kronecker product gives Bob's eigenstates for every block of the
+chunk, one contraction projects all their outcomes, and one batched Kraus
+application gives their branch stacks w_l, from which Eve's blocks are
+read. Alice's chance of announcing Bob's digits needs no Born weight per
+guessing tuple: the product POVM summed over the tuples that agree with Bob
+is the tensor product of the per-instance digit operators Q(b_s, i_s) of
 :func:`~meanking.retrodiction.digit_operators`, so
 
     correct(b, i) = sum_l <w_l| Q(b_1, i_1) x ... x Q(b_n, i_n) |w_l>,
 
-with each Q applied to its own (A_s, B_s) pair. Detection, leakage and the
-per-outcome error table are all read from that pass, and the protocol
-sampler draws Bob's outcomes and Alice's results from the same walk;
-:func:`_branch_vectors` is the single-outcome projection behind
-:func:`alice_state` and :func:`eve_final_state`.
+with each Q applied to its own (A_s, B_s) pair, for a whole chunk at once.
+Detection, leakage and the per-outcome error table are all read from that
+pass, and the protocol sampler draws Bob's outcomes and Alice's results
+from the same walk; :func:`_branch_vectors` is the single-outcome
+projection behind :func:`alice_state` and :func:`eve_final_state`. Leakage
+compares Eve's states pairwise in chunks of the pair triangle. A chunk of
+either kind holds a bounded number of entries, so memory does not grow
+with the grid.
 
 Subsystem order is always A x B x E, row-major. All indices 0-based.
 """
@@ -54,6 +58,11 @@ from .serialize import complex_to_pairs, pairs_to_complex, read_json, write_json
 
 _PROB_FLOOR = 1e-14  # below this an outcome cannot be conditioned on
 _LEAKAGE_SKIP = 1e-12
+# Chunk budgets, in complex entries: Kraus-branch stacks per chunk of the
+# walk, and state differences per chunk of the leakage pair triangle. A
+# chunk always takes at least one basis block, or one row of pairs.
+_WALK_ENTRIES = 1 << 12
+_PAIR_ENTRIES = 1 << 13
 
 
 class ZeroProbabilityOutcome(RuntimeError):
@@ -157,7 +166,7 @@ def phi_hat_product(bs: BasisSet, bvec, ivec, n: int) -> np.ndarray:
     """Alice's unnormalized conditional block state on A x B."""
     dd = bs.dim**n
     phi = phi_product(bs, bvec, ivec, n)
-    return np.kron(phi.conj(), phi) / np.sqrt(dd)
+    return qmath.tensor(phi.conj(), phi) / np.sqrt(dd)
 
 
 def _require_same_dim(am: AttackModel, bs: BasisSet) -> None:
@@ -269,25 +278,36 @@ def _branch_vectors(am: AttackModel, bs: BasisSet, bvec, ivec):
     return _kraus_branches(am, out)[0], prob
 
 
-def _basis_blocks(am: AttackModel, bs: BasisSet):
-    """The one walk over Bob's outcome grid, one basis block at a time.
+def _walk(am: AttackModel, bs: BasisSet):
+    """The one walk over Bob's outcome grid, in chunks of basis blocks.
 
-    Yields ``(bvec, branches, probs)`` per basis vector: the Kraus-branch
-    stacks of all d**n outcomes of the block, as (outcome, branch, A x B, E),
-    and the outcome probabilities, outcomes in ``product`` order. The rows of
-    the Kronecker product of Bob's basis matrices are his block eigenstates,
-    so one contraction projects every outcome and one batched product
-    applies every Kraus operator. The protocol sampler walks it too.
+    Yields ``(bvecs, branches, probs)`` per chunk: its c basis vectors as a
+    (c, n) array in ``product`` order, the Kraus-branch stacks of all their
+    outcomes as (c, d**n, branch, A x B, E), and the outcome probabilities
+    as (c, d**n), outcomes in ``product`` order. The rows of the Kronecker
+    product of Bob's basis matrices are his block eigenstates; one broadcast
+    product per slot forms them for the whole chunk, one contraction
+    projects every outcome and one batched product applies every Kraus
+    operator. A chunk holds at most ``_WALK_ENTRIES`` branch-stack entries,
+    or one block. The protocol sampler walks it too.
     """
     _require_same_dim(am, bs)
-    dd = am.block_dim
+    n, dd = am.n, am.block_dim
     psi = am.psi_abe.reshape(dd, dd, am.d_eve)
-    for bvec in product(range(bs.k), repeat=am.n):
-        phis = qmath.tensor(*[bs.bases[b].vectors for b in bvec])
+    mats = np.stack([basis.vectors for basis in bs.bases]).astype(complex)
+    bvecs = np.stack(np.unravel_index(np.arange(bs.k**n), (bs.k,) * n), axis=-1)
+    step = max(1, _WALK_ENTRIES // (dd**3 * len(am.kraus) * am.d_eve))
+    for start in range(0, len(bvecs), step):
+        chunk = bvecs[start:start + step]
+        phis = mats[chunk[:, 0]]
+        for s in range(1, n):
+            phis = qmath.kron(phis, mats[chunk[:, s]], batch=1)
+        phis = phis.reshape(-1, dd)
         amp = np.einsum("ib,abe->iae", phis.conj(), psi)
         probs = np.sum(np.abs(amp) ** 2, axis=(1, 2))
         out = np.einsum("iae,ib->iabe", amp, phis)
-        yield bvec, _kraus_branches(am, out), probs
+        branches = _kraus_branches(am, out)
+        yield chunk, branches.reshape((len(chunk), dd) + branches.shape[1:]), probs.reshape(-1, dd)
 
 
 def _eve_blocks(branches: np.ndarray):
@@ -300,28 +320,29 @@ def _eve_blocks(branches: np.ndarray):
 
 
 def _correct_mass(slots, branches: np.ndarray) -> np.ndarray:
-    """sum_l <w_l| Q_1 x ... x Q_n |w_l> for every combination of per-instance operators.
+    """sum_l <w_l| Q_1 x ... x Q_n |w_l> for every block and combination of per-instance operators.
 
-    ``slots[s]`` stacks the m_s candidate operators of instance s, shape
-    (m_s, d*d, d*d) on its (A_s, B_s) pair. ``branches`` holds one
-    Kraus-branch stack per combination, as (m_1 * ... * m_n, branch, A x B,
-    E) with A and B grouped over the instances. Each Q_s acts on its own two
-    axes, as one batched product over its m_s candidates, so no operator on
+    ``slots[s]`` stacks, per block, the m_s candidate operators of instance
+    s, shape (c, m_s, d*d, d*d) on its (A_s, B_s) pair. ``branches`` holds
+    one Kraus-branch stack per block and combination, as (c, m_1 * ... *
+    m_n, branch, A x B, E) with A and B grouped over the instances; the
+    result is (c, m_1 * ... * m_n). Each Q_s acts on its own two axes, as
+    one batched product over the blocks and candidates, so no operator on
     the whole block is formed.
     """
     n = len(slots)
-    d = int(round(np.sqrt(slots[0].shape[-1])))
-    shape = tuple(len(q) for q in slots) + (branches.shape[1],) + (d,) * (2 * n)
+    c, d = len(branches), round(slots[0].shape[-1] ** 0.5)
+    shape = (c,) + tuple(q.shape[1] for q in slots) + (branches.shape[2],) + (d,) * (2 * n)
     w = branches.reshape(shape + (branches.shape[-1],))
     qw = w
     for s, q in enumerate(slots):
-        # candidate axis first, the (A_s, B_s) pair last
-        pair = (n + 1 + s, 2 * n + 1 + s)
-        perm = [s] + [ax for ax in range(w.ndim) if ax not in (s, *pair)] + list(pair)
+        # block and candidate axes first, the (A_s, B_s) pair last
+        pair = (n + 2 + s, 2 * n + 2 + s)
+        perm = [0, 1 + s] + [ax for ax in range(1, w.ndim) if ax not in (1 + s, *pair)] + list(pair)
         moved = qw.transpose(perm)
-        applied = moved.reshape(len(q), -1, d * d) @ np.swapaxes(q, 1, 2)
+        applied = moved.reshape(c, q.shape[1], -1, d * d) @ np.swapaxes(q, -1, -2)
         qw = applied.reshape(moved.shape).transpose(np.argsort(perm))
-    return (w.conj() * qw).real.sum(axis=tuple(range(n, w.ndim))).reshape(-1)
+    return (w.conj() * qw).real.sum(axis=tuple(range(n + 1, w.ndim))).reshape(c, -1)
 
 
 def alice_state_unnormalized(am: AttackModel, bs: BasisSet, bvec, ivec):
@@ -350,12 +371,11 @@ def build_E_operators(am: AttackModel) -> np.ndarray:
     dd = am.block_dim
     coeffs = decompose_source(am.psi_abe, am.d, am.n, am.d_eve)
     u_hats = _u_hat_operators(coeffs, am.d, am.n)
+    vr = np.stack(am.kraus).reshape(len(am.kraus), dd, am.d_eve, dd, am.d_eve)
     ops = np.zeros((len(am.kraus), am.d_eve, dd * dd, dd * dd), dtype=complex)
-    for l, v in enumerate(am.kraus):
-        vr = v.reshape(dd, am.d_eve, dd, am.d_eve)
-        for k in range(am.d_eve):
-            for beta in range(am.d_eve):
-                ops[l, k] += np.kron(u_hats[beta].T, vr[:, k, :, beta])
+    for beta in range(am.d_eve):
+        # M_(l,k,beta) for every branch l and component k, as (l, k, B, B)
+        ops += qmath.kron(u_hats[beta].T[None, None], vr[..., beta].transpose(0, 2, 1, 3), batch=2)
     return ops
 
 
@@ -397,16 +417,43 @@ def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho - sigma))))
 
 
-def _max_trace_distance(eve) -> float:
-    """Largest trace distance among Eve's (blocks, trace) states above ``_LEAKAGE_SKIP``.
+def _eve_states(branches: np.ndarray) -> np.ndarray:
+    """Eve's normalized states of a chunk of :func:`_walk`, as (m, branch, E, E).
+
+    Outcomes whose trace is at or below ``_LEAKAGE_SKIP`` are left out.
+    """
+    blocks, trace = _eve_blocks(branches.reshape((-1,) + branches.shape[2:]))
+    keep = trace > _LEAKAGE_SKIP
+    return blocks[keep] / trace[keep, None, None, None]
+
+
+def _max_trace_distance(states: np.ndarray) -> float:
+    """Largest trace distance between any two of Eve's states, stacked as (m, branch, E, E).
 
     Her states are block diagonal, so a trace distance is a sum over blocks.
+    The pair triangle goes in chunks of rows of at most ``_PAIR_ENTRIES``
+    entries, or one row, each one ``eigvalsh`` of the differences
+    states[later] - states[earlier]. With a one-dimensional E the blocks are
+    scalars, whose eigenvalue is their real part, so the distance is the l1
+    distance of the real diagonals and needs no ``eigvalsh``.
     """
-    states = np.array([blocks / trace for blocks, trace in eve if trace > _LEAKAGE_SKIP])
-    worst = 0.0
-    for j in range(len(states) - 1):
-        eigs = np.linalg.eigvalsh(states[j + 1:] - states[j])
-        worst = max(worst, 0.5 * float(np.abs(eigs).sum(axis=(1, 2)).max()))
+    m, nb, de, _ = states.shape
+    scalar = de == 1
+    if scalar:
+        states = states[:, :, 0, 0].real
+    rows_done = np.cumsum(np.arange(m - 1, 0, -1))  # pairs in rows 0..j
+    worst, j0 = 0.0, 0
+    while j0 < m - 1:
+        budget = (rows_done[j0 - 1] if j0 else 0) + _PAIR_ENTRIES // (nb * de * de)
+        j1 = max(j0 + 1, int(np.searchsorted(rows_done, budget, side="right")))
+        earlier, later = np.nonzero(np.arange(j0, j1)[:, None] < np.arange(m))
+        diff = states[later] - states[earlier + j0]
+        if scalar:
+            dist = np.abs(diff).sum(axis=1)
+        else:
+            dist = np.abs(np.linalg.eigvalsh(diff)).sum(axis=(1, 2))
+        worst = max(worst, 0.5 * float(dist.max()))
+        j0 = j1
     return worst
 
 
@@ -417,8 +464,8 @@ def leakage(am: AttackModel, bs: BasisSet) -> float:
     of nonnegligible probability; zero means the transcript taught her
     nothing about the key.
     """
-    return _max_trace_distance(state for _, branches, _ in _basis_blocks(am, bs)
-                               for state in zip(*_eve_blocks(branches)))
+    return _max_trace_distance(np.concatenate([_eve_states(branches)
+                                               for _, branches, _ in _walk(am, bs)]))
 
 
 def guess_probability(strategy: Strategy, am: AttackModel, xvec, bvec, ivec) -> float:
@@ -437,27 +484,29 @@ def guess_probability(strategy: Strategy, am: AttackModel, xvec, bvec, ivec) -> 
         xvec = (tuple(xvec),)
     xvec = tuple(tuple(int(v) for v in x) for x in xvec)
     q = digit_operators(strategy)
-    slots = [q[b, x[b]][None] for x, b in zip(xvec, bvec)]
-    return float(_correct_mass(slots, branches[None])[0]) / prob
+    slots = [q[b, x[b]][None, None] for x, b in zip(xvec, bvec)]
+    return float(_correct_mass(slots, branches[None, None])[0, 0]) / prob
 
 
 def _attack_pass(strategy: Strategy, am: AttackModel):
-    """Detection probability, error table and Eve's (blocks, trace) per outcome, in one pass."""
+    """Detection probability, error table and Eve's states (:func:`_eve_states`), in one pass."""
     bs = strategy.basis_set
     q = digit_operators(strategy)
     ivecs = list(product(range(bs.dim), repeat=am.n))
-    total, table, eve = 0.0, [], []
-    for bvec, branches, probs in _basis_blocks(am, bs):
-        eve.extend(zip(*_eve_blocks(branches)))
-        correct = _correct_mass([q[b] for b in bvec], branches)
-        for ivec, prob, right in zip(ivecs, probs.tolist(), correct.tolist()):
+    total, table, states = 0.0, [], []
+    for bvecs, branches, probs in _walk(am, bs):
+        states.append(_eve_states(branches))
+        correct = _correct_mass([q[bvecs[:, s]] for s in range(am.n)], branches)
+        outcomes = zip(product(bvecs.tolist(), ivecs), probs.ravel().tolist(),
+                       correct.ravel().tolist())
+        for (bvec, ivec), prob, right in outcomes:
             if prob <= _PROB_FLOOR:
                 continue
             total += prob - right
             # 1-based labels in the human-facing table
             table.append({"b": [b + 1 for b in bvec], "i": [i + 1 for i in ivec],
                           "prob": prob, "guess_error": max(0.0, 1.0 - right / prob)})
-    return total / bs.k**am.n, table, eve
+    return total / bs.k**am.n, table, np.concatenate(states)
 
 
 def detection_probability(strategy: Strategy, am: AttackModel) -> float:
@@ -485,8 +534,8 @@ class AttackReport:
 
 def evaluate_attack(strategy: Strategy, am: AttackModel) -> AttackReport:
     """Detection probability, leakage and the per-outcome error table, from one pass."""
-    detection, table, eve = _attack_pass(strategy, am)
-    return AttackReport(detection, _max_trace_distance(eve), table)
+    detection, table, states = _attack_pass(strategy, am)
+    return AttackReport(detection, _max_trace_distance(states), table)
 
 
 # ---------------------------------------------------------------------------
@@ -559,8 +608,8 @@ def eve_local_attack(d: int, kraus_e, eve_state=None, n: int = 1) -> AttackModel
     if eve_state is None:
         chi[0] = 1.0
     chi = chi / np.linalg.norm(chi)
-    psi = np.kron(omega(dd), chi)
-    ops = tuple(np.kron(np.eye(dd), w) for w in kraus_e)
+    psi = qmath.kron(omega(dd), chi)
+    ops = tuple(qmath.kron(np.eye(dd), w) for w in kraus_e)
     return AttackModel(d=d, n=n, d_eve=d_eve, psi_abe=psi, kraus=ops)
 
 

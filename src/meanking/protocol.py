@@ -14,11 +14,11 @@ by ``(seed, c)`` (Salmon et al., "Parallel random numbers: as easy as
 1, 2, 3", SC'11); test selection draws from a stream under a key no chunk
 uses. A unit's records therefore depend only on the seed and its position,
 never on how many blocks run after it. Outcomes come from inverse-CDF
-lookup in fixed-point cumulative tables, filled per basis block of the
-exact analysis's walk (:func:`~meanking.attack._basis_blocks`) and only for
-the basis and outcome vectors that were actually drawn. The streams are
-part of the release: a config gives byte-identical transcripts within one
-version of the package, not across versions. In-memory records carry
+lookup in fixed-point cumulative tables, filled per basis block from the
+chunks of the exact analysis's walk (:func:`~meanking.attack._walk`) and
+only for the basis and outcome vectors that were actually drawn. The
+streams are part of the release: a config gives byte-identical transcripts
+within one version of the package, not across versions. In-memory records carry
 1-based labels; transcript files use 0-based indices.
 """
 
@@ -32,6 +32,7 @@ from math import ceil
 import numpy as np
 
 from . import attack as attack_mod
+from . import qmath
 from .bases import OverBudget
 from .retrodiction import Strategy, checked_block_dim
 from .serialize import canonical_dumps
@@ -127,8 +128,8 @@ def _lookup(dists: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.ndarra
 def _born_rows(branches: np.ndarray, etas_conj: np.ndarray, weights, n: int) -> np.ndarray:
     """p(x_1)...p(x_n) sum_(l,e) |<eta_x1 x ... x eta_xn|w_l>|^2 per Kraus-branch stack.
 
-    ``branches`` is (m, branch, A x B, E), as from
-    :func:`~meanking.attack._basis_blocks`; rows list the guessing tuples in
+    ``branches`` is (m, branch, A x B, E), outcomes of one basis block of
+    :func:`~meanking.attack._walk`; rows list the guessing tuples in
     lexicographic order. Each slot's (A_s, B_s) pair is contracted with the
     conjugate safe vectors in turn, one (nx, d*d) product per slot, so no
     product vector is formed.
@@ -143,7 +144,7 @@ def _born_rows(branches: np.ndarray, etas_conj: np.ndarray, weights, n: int) -> 
         # the processed guess axis goes last, so slot 1's ends up slowest
         amp = (etas_conj @ amp.reshape(pair, -1)).T
     born = np.sum(np.abs(amp.reshape(m, nb * de, nx**n)) ** 2, axis=1)
-    return born * reduce(np.kron, [weights] * n)
+    return born * reduce(qmath.kron, [weights] * n)
 
 
 def _digits(flat: np.ndarray, base: int, n: int) -> np.ndarray:
@@ -156,9 +157,9 @@ def _sample(seed: int, strategy: Strategy, am, units: int) -> np.ndarray:
 
     Per unit, chunk streams give Bob's basis vector and two fixed-point
     uniforms, one for his outcomes and one for Alice's POVM result. The
-    units of each basis block are then drawn together when
-    :func:`~meanking.attack._basis_blocks` reaches it, with a Born row per
-    distinct drawn outcome; blocks nobody drew are skipped.
+    units of each basis block are then drawn together when the chunks of
+    :func:`~meanking.attack._walk` reach it, with a Born row per distinct
+    drawn outcome; blocks nobody drew are skipped.
     """
     bs = strategy.basis_set
     d, k, n = bs.dim, bs.k, am.n
@@ -175,7 +176,9 @@ def _sample(seed: int, strategy: Strategy, am, units: int) -> np.ndarray:
 
     iflat = np.empty_like(bflat)
     yflat = np.empty_like(bflat)
-    for bkey, (bvec, branches, probs) in enumerate(attack_mod._basis_blocks(am, bs)):
+    blocks = ((tuple(bvec), *block) for bvecs, *chunk in attack_mod._walk(am, bs)
+              for bvec, *block in zip(bvecs.tolist(), *chunk))
+    for bkey, (bvec, branches, probs) in enumerate(blocks):
         sel = np.flatnonzero(bflat == bkey)
         if not sel.size:
             continue

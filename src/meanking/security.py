@@ -61,7 +61,7 @@ def constraint_matrix(etas: np.ndarray) -> np.ndarray:
     nvec, dim = etas.shape
     w = (etas[:, :, None] * etas.conj()[:, None, :]).reshape(nvec, dim * dim)
     w /= np.linalg.norm(etas, axis=1)[:, None]
-    return np.kron(np.eye(dim), etas.conj().T @ etas) - w.T @ w.conj()
+    return qmath.kron(np.eye(dim), etas.conj().T @ etas) - w.T @ w.conj()
 
 
 def constraint_nullspace(etas: np.ndarray, tol: float = qmath.DEFAULT_TOL):
@@ -70,8 +70,16 @@ def constraint_nullspace(etas: np.ndarray, tol: float = qmath.DEFAULT_TOL):
     Returns ``(dimension, vectors, eigenvalues)``: the eigenvalues ascend,
     row j of ``vectors`` is the eigenvector of eigenvalue j, and the
     dimension counts the eigenvalues at or below ``tol`` times the largest,
-    so the first ``dimension`` rows span the nullspace.
+    so the first ``dimension`` rows span the nullspace. Raises
+    ``ValueError`` when ``tol`` is below the form's rounding floor,
+    D**2 * eps for vectors of dimension D: ``eigh`` cannot resolve a null
+    eigenvalue below that, so such a cutoff would report no solution.
     """
+    dim = np.shape(etas)[1]
+    floor = dim**2 * np.finfo(float).eps
+    if not tol >= floor:
+        raise ValueError(f"tolerance {tol:.3g} is below the rounding floor {floor:.3g} "
+                         f"of the {dim**2} x {dim**2} commutant form")
     evals, evecs = np.linalg.eigh(constraint_matrix(etas))
     return int(np.sum(evals <= tol * evals[-1])), evecs.T, evals
 

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from meanking import attack as atk, qmath, retrodiction as rd
+from meanking import attack as atk, protocol as proto, qmath, retrodiction as rd
 from meanking.bases import OverBudget
 
 from oracles import attack_pass_per_outcome, intercept_resend_detection, probe_detection
@@ -337,6 +339,64 @@ class TestPassAgainstPerOutcomeOracle:
         p = intercept_resend_detection(strategy_d3, 1)
         det = atk.detection_probability(strategy_d3, atk.intercept_resend(mub3, 1, n=2))
         assert abs(det - (1 - (1 - p) ** 2)) < 1e-10
+
+
+class TestChunkBudgets:
+    """The walk and pair-triangle budgets bound memory; they never change a result."""
+
+    @staticmethod
+    def _results(strategy, am):
+        report = atk.evaluate_attack(strategy, am)
+        # repr tells every double apart, -0.0 from 0.0 included
+        exact = repr((report.detection_probability, report.leakage, report.per_outcome,
+                      atk.leakage(am, strategy.basis_set)))
+        return exact, proto._sample(3, strategy, am, 300)
+
+    @pytest.mark.parametrize("kind", ["probe", "intercept-resend", "random"])
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    def test_one_block_and_one_row_per_chunk(self, d, n, kind, strategy_d2, strategy_d3,
+                                             monkeypatch):
+        strategy = strategy_d2 if d == 2 else strategy_d3
+        am = _grid_attack(kind, strategy.basis_set, n)
+        exact, codes = self._results(strategy, am)
+        monkeypatch.setattr(atk, "_WALK_ENTRIES", 1)
+        monkeypatch.setattr(atk, "_PAIR_ENTRIES", 1)
+        assert len(list(atk._walk(am, strategy.basis_set))) == strategy.basis_set.k**n
+        small_exact, small_codes = self._results(strategy, am)
+        assert small_exact == exact
+        np.testing.assert_array_equal(small_codes, codes)
+
+    def test_default_budget_batches_blocks(self, strategy_d2):
+        am = atk.intercept_resend(strategy_d2.basis_set, 1, n=2)
+        chunks = list(atk._walk(am, strategy_d2.basis_set))
+        assert len(chunks) == 1 and chunks[0][0].tolist() == [[b, c] for b in range(3)
+                                                               for c in range(3)]
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1)])
+    def test_scalar_blocks_match_eigvalsh(self, d, n, strategy_d2, strategy_d3, monkeypatch):
+        # intercept-resend leaves Eve only a branch register: her blocks are 1 x 1
+        strategy = strategy_d2 if d == 2 else strategy_d3
+        states = atk._attack_pass(strategy, atk.intercept_resend(strategy.basis_set, 1, n=n))[2]
+        assert states.shape[2:] == (1, 1)
+        want = max(0.5 * float(np.abs(np.linalg.eigvalsh(states[j + 1:] - states[j]))
+                               .sum(axis=(1, 2)).max()) for j in range(len(states) - 1))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("eigvalsh called on scalar blocks")
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+        assert atk._max_trace_distance(states) == want > 0.1
+
+    def test_peak_memory_n3(self, strategy_d2, mub2):
+        am = atk.intercept_resend(mub2, 0, n=3)
+        atk.evaluate_attack(strategy_d2, am)  # first-call allocations stay outside
+        tracemalloc.start()
+        try:
+            atk.evaluate_attack(strategy_d2, am)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 class TestDimensionMismatch:

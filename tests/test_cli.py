@@ -207,6 +207,18 @@ class TestSecurityCommands:
         assert "block dimension 3**(2*10000000)*1 exceeds budget 4096" in captured.err
         assert not out_path.exists()
 
+    def test_lemma_tol_below_rounding_floor(self, tmp_path, capsys):
+        # no eigenvalue of the 81 x 81 form resolves below 81 * eps of the largest
+        out_path = tmp_path / "lemma.json"
+        code = cli.main(["security", "lemma", "--dim", "3", "--tol", "1e-20",
+                         "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.count("\n") == 1 and "below the rounding floor" in captured.err
+        assert not out_path.exists()
+        code, out = run_cli(capsys, "security", "lemma", "--dim", "3")
+        assert code == 0 and json.loads(out)["report"]["solution_dim"] == 1
+
     def test_lemma_not_maximal_strategy(self, tmp_path, capsys, zero_weight_strategy):
         path = tmp_path / "s.json"
         retrodiction.save_strategy(zero_weight_strategy, path)

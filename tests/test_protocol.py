@@ -302,7 +302,8 @@ class TestSamplerAgainstPerTupleOracle:
         codes = proto._sample(17 + n, strategy, am, units)
         np.testing.assert_array_equal(codes, sample_per_tuple(17 + n, strategy, am, units, tables))
         # at d=3, n=2 every outcome costs a full 6561-row table: check two blocks
-        blocks = atk._basis_blocks(am, bs)
+        blocks = ((tuple(bvec), *block) for bvecs, *chunk in atk._walk(am, bs)
+                  for bvec, *block in zip(bvecs.tolist(), *chunk))
         for bvec, branches, probs in itertools.islice(blocks, 2 if d**n > 8 else None):
             np.testing.assert_allclose(probs, outcome_dist(am, bs, bvec), atol=1e-12)
             rows = proto._born_rows(branches, strategy.etas.conj(), strategy.weights, n)

@@ -54,6 +54,37 @@ class TestTensor:
             )
 
 
+class TestKron:
+    """The broadcast Kronecker product against ``np.kron``, bit for bit."""
+
+    def test_matches_numpy_bitwise(self):
+        rng = np.random.default_rng(5)
+        for shape_a, shape_b in [((2, 3), (3, 2)), ((4,), (3,)), ((3, 3), (1, 2))]:
+            a, b = rand_complex(rng, *shape_a), rand_complex(rng, *shape_b)
+            np.testing.assert_array_equal(qmath.kron(a, b), np.kron(a, b))
+            np.testing.assert_array_equal(qmath.kron(a.T, b), np.kron(a.T, b))
+
+    def test_keeps_dtype(self):
+        w = np.array([0.25, 0.75])
+        out = qmath.kron(w, w)
+        assert out.dtype == np.float64
+        np.testing.assert_array_equal(out, np.kron(w, w))
+
+    def test_batch_axes_broadcast(self):
+        rng = np.random.default_rng(6)
+        a, b = rand_complex(rng, 4, 2, 3), rand_complex(rng, 4, 3, 2)
+        out = qmath.kron(a, b, batch=1)
+        for j in range(4):
+            np.testing.assert_array_equal(out[j], np.kron(a[j], b[j]))
+        single = qmath.kron(a[:1], b, batch=1)
+        for j in range(4):
+            np.testing.assert_array_equal(single[j], np.kron(a[0], b[j]))
+
+    def test_axis_count_mismatch(self):
+        with pytest.raises(ValueError, match="kron of 1- and 2-axis factors"):
+            qmath.kron(np.ones(2), np.eye(2))
+
+
 class TestPartialTrace:
     def test_maximally_entangled_reduction(self):
         v = np.zeros(4, dtype=complex)

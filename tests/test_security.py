@@ -87,6 +87,15 @@ class TestSingleRunCommutant:
             dim_null, _, _ = security.constraint_nullspace(etas)
             assert dim_null == brute_force_solution_dim(etas), count
 
+    def test_tol_below_rounding_floor(self, strategy_d2):
+        # vectors of dimension 4 give a 16 x 16 form, floor 16 * eps
+        eps = np.finfo(float).eps
+        with pytest.raises(ValueError, match="below the rounding floor"):
+            security.constraint_nullspace(strategy_d2.etas, tol=15 * eps)
+        with pytest.raises(ValueError, match="below the rounding floor"):
+            security.constraint_nullspace(strategy_d2.etas, tol=float("nan"))
+        assert security.constraint_nullspace(strategy_d2.etas, tol=16 * eps)[0] == 1
+
     def test_monotone_in_removed_vectors(self, strategy_d2):
         dims = []
         for count in (8, 6, 3, 1):
