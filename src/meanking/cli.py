@@ -171,7 +171,7 @@ def _cmd_run(args) -> int:
     am = _make_attack(*_split_attack_spec(args.attack), strategy.basis_set, args.n)
     transcript = protocol.run_protocol(cfg, strategy, am)
     protocol.save_transcript(transcript, args.out)
-    instances = len(transcript.records)
+    instances = len(transcript.codes)
     tests = len(transcript.test_indices)
     summary = {
         "accepted": transcript.accepted,

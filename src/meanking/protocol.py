@@ -12,20 +12,26 @@ is the identity attack with n = 1. Units are grouped in chunks of
 ``CHUNK``, and chunk c draws from its own counter-based Philox stream keyed
 by ``(seed, c)`` (Salmon et al., "Parallel random numbers: as easy as
 1, 2, 3", SC'11); test selection draws from a stream under a key no chunk
-uses. A unit's records therefore depend only on the seed and its position,
+uses. A unit's draws therefore depend only on the seed and its position,
 never on how many blocks run after it. Outcomes come from inverse-CDF
 lookup in fixed-point cumulative tables, filled per basis block from the
 chunks of the exact analysis's walk (:func:`~meanking.attack._walk`) and
 only for the basis and outcome vectors that were actually drawn. The
 streams are part of the release: a config gives byte-identical transcripts
-within one version of the package, not across versions. In-memory records carry
-1-based labels; transcript files use 0-based indices.
+within one version of the package, not across versions.
+
+A :class:`Transcript` is one int64 code per instance, from which basis,
+outcomes, guessing function and i' = x(b) follow by divmod; sifting,
+testing and agreement are masks over it. Transcript files hold one 0-based
+JSON record per instance. :attr:`Transcript.records` derives the older
+1-based :class:`RoundRecord` list on demand.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass, field, fields
 from functools import reduce
 from math import ceil
 
@@ -38,6 +44,7 @@ from .retrodiction import Strategy, checked_block_dim
 from .serialize import canonical_dumps
 
 _DIGITS = "123456789ABCDEFG"
+_DIGIT_BYTES = np.frombuffer(_DIGITS.encode("ascii"), dtype=np.uint8)  # key byte per digit
 TRANSCRIPT_FORMAT = "meanking-transcript-v1"
 CHUNK = 4096  # units per Philox stream
 _CHUNK_KEY, _TEST_KEY = 0, 1  # spawn-key namespaces: sampling chunks, test selection
@@ -77,7 +84,10 @@ class ProtocolConfig:
 
 @dataclass(frozen=True)
 class RoundRecord:
-    """One retrodiction instance, 1-based: basis b, outcomes i and i' = x(b)."""
+    """One retrodiction instance, 1-based: basis b, outcomes i and i' = x(b).
+
+    Made only by the derived view :attr:`Transcript.records`.
+    """
 
     b: int
     i: int
@@ -85,12 +95,33 @@ class RoundRecord:
     i_prime: int
 
 
-@dataclass
+@dataclass(eq=False)
 class Transcript:
+    """A protocol run: one int64 code per instance, ``(b*d + i)*d**k + x``.
+
+    All labels are 0-based: b is Bob's basis, i his outcome and x the base-d
+    index of Alice's guessing function over the k bases, first basis
+    slowest, so i' = x(b) is digit b of x. :meth:`columns` decodes them.
+    """
+
     config: ProtocolConfig
-    records: list
+    k: int
+    codes: np.ndarray
     test_indices: tuple = field(default_factory=tuple)
     accepted: bool = False
+
+    def columns(self):
+        """0-based ``(b, i, x, i_prime)`` arrays, one entry per instance."""
+        return _fields(self.codes, self.config.d, self.k)
+
+    @property
+    def records(self) -> tuple:
+        """1-based :class:`RoundRecord` per instance, one per distinct code, built on each read."""
+        d, k = self.config.d, self.k
+        distinct, inverse = np.unique(self.codes, return_inverse=True)
+        rows = (_record_rows(distinct, d, k) + 1).tolist()
+        table = [RoundRecord(b=row[0], i=row[1], x=tuple(row[3:]), i_prime=row[2]) for row in rows]
+        return tuple(map(table.__getitem__, inverse.tolist()))
 
 
 @dataclass(frozen=True)
@@ -152,6 +183,26 @@ def _digits(flat: np.ndarray, base: int, n: int) -> np.ndarray:
     return np.stack(np.unravel_index(flat, (base,) * n), axis=-1)
 
 
+def _span(d: int, k: int) -> int:
+    """d**k, the range of x in a code; ``ValueError`` if codes would overflow int64."""
+    if k * d ** (k + 1) > 1 << 63:  # the largest code is k*d**(k+1) - 1
+        raise ValueError(f"instance codes of {k} bases in dimension {d} overflow 64 bits")
+    return d**k
+
+
+def _fields(codes: np.ndarray, d: int, k: int):
+    """0-based ``(b, i, x, i_prime)`` of each code ``(b*d + i)*d**k + x``."""
+    bi, x = np.divmod(codes, _span(d, k))
+    b, i = np.divmod(bi, d)
+    return b, i, x, x // d ** (k - 1 - b) % d
+
+
+def _record_rows(codes: np.ndarray, d: int, k: int) -> np.ndarray:
+    """0-based rows ``(b, i, i_prime, x digits...)`` of each code, in the file's key order."""
+    b, i, x, i_prime = _fields(codes, d, k)
+    return np.column_stack([b, i, i_prime, _digits(x, d, k)])
+
+
 def _sample(seed: int, strategy: Strategy, am, units: int) -> np.ndarray:
     """Instance codes (b*d + i)*nx + x for ``units`` units of ``am.n`` instances.
 
@@ -198,21 +249,6 @@ def _sample(seed: int, strategy: Strategy, am, units: int) -> np.ndarray:
     return (b * d + i) * nx + y
 
 
-def _records(strategy: Strategy, codes: np.ndarray) -> list:
-    """Records for instance codes, one interned RoundRecord per distinct code."""
-    d = strategy.d
-    xs = strategy.safe_vectors.x
-    nx = len(xs)
-    distinct, inverse = np.unique(codes, return_inverse=True)
-    table = []
-    for code in distinct.tolist():
-        bi, y = divmod(code, nx)
-        b, i = divmod(bi, d)
-        x = xs[y].tolist()
-        table.append(RoundRecord(b=b + 1, i=i + 1, x=tuple(v + 1 for v in x), i_prime=x[b] + 1))
-    return [table[j] for j in inverse.tolist()]
-
-
 def run_protocol(cfg: ProtocolConfig, strategy: Strategy, attack=None) -> Transcript:
     """Execute ``cfg.rounds`` blocks of n instances, with an optional attack.
 
@@ -239,19 +275,23 @@ def run_protocol(cfg: ProtocolConfig, strategy: Strategy, attack=None) -> Transc
         raise OverBudget(f"sampler too large: a basis block fills up to {entries} amplitudes, "
                          f"budget {MAX_BORN_ENTRIES}")
 
-    records = _records(strategy, _sample(cfg.seed, strategy, am, units))
-    transcript = Transcript(config=cfg, records=records)
+    k, nx = strategy.basis_set.k, len(strategy.safe_vectors)
+    span = _span(d, k)
+    bi, y = np.divmod(_sample(cfg.seed, strategy, am, units), nx)
+    x = np.ravel_multi_index(strategy.safe_vectors.x.T, (d,) * k)
+    transcript = Transcript(config=cfg, k=k, codes=bi * span + x[y])
     transcript.accepted = _check_tests(transcript)
     return transcript
 
 
 def _check_tests(transcript: Transcript) -> bool:
     """Draw the config's test positions into the transcript; True iff all have i = i'."""
-    cfg, records = transcript.config, transcript.records
-    count = ceil(cfg.test_fraction * len(records))
-    picked = _stream(cfg.seed, _TEST_KEY).choice(len(records), size=count, replace=False)
-    transcript.test_indices = tuple(sorted(picked.tolist()))
-    return all(records[t].i == records[t].i_prime for t in transcript.test_indices)
+    cfg, codes = transcript.config, transcript.codes
+    count = ceil(cfg.test_fraction * len(codes))
+    picked = np.sort(_stream(cfg.seed, _TEST_KEY).choice(len(codes), size=count, replace=False))
+    transcript.test_indices = tuple(picked.tolist())
+    _, i, _, i_prime = _fields(codes[picked], cfg.d, transcript.k)
+    return bool(np.array_equal(i, i_prime))
 
 
 def sift_and_test(transcript: Transcript):
@@ -261,45 +301,42 @@ def sift_and_test(transcript: Transcript):
     i = i'. Selection depends only on the config, so the function is a pure
     recomputation and also fills in ``test_indices`` if still empty.
     """
-    records = transcript.records
     accepted = _check_tests(transcript)
-    test_set = set(transcript.test_indices)
-    alice = []
-    bob = []
-    for pos, rec in enumerate(records):
-        if pos in test_set:
-            continue
-        alice.append(_DIGITS[rec.i_prime - 1])
-        bob.append(_DIGITS[rec.i - 1])
-    return accepted, KeyPair(alice_key="".join(alice), bob_key="".join(bob))
+    kept = np.delete(transcript.codes, transcript.test_indices)
+    _, i, _, i_prime = _fields(kept, transcript.config.d, transcript.k)
+    return accepted, KeyPair(alice_key=_DIGIT_BYTES[i_prime].tobytes().decode("ascii"),
+                             bob_key=_DIGIT_BYTES[i].tobytes().decode("ascii"))
 
 
 def agreement_rate(transcript: Transcript) -> float:
     """Fraction of instances where Alice's inferred digit matches Bob's."""
-    records = transcript.records
-    if not records:
+    if not len(transcript.codes):
         return 1.0
-    hits = sum(1 for rec in records if rec.i == rec.i_prime)
-    return hits / len(records)
+    _, i, _, i_prime = transcript.columns()
+    return int(np.count_nonzero(i == i_prime)) / len(transcript.codes)
 
 
-def _record_line(rec: RoundRecord) -> str:
-    return canonical_dumps(
-        {
-            "b": rec.b - 1,
-            "i": rec.i - 1,
-            "x": [v - 1 for v in rec.x],
-            "i_prime": rec.i_prime - 1,
-        }
-    ) + "\n"
+def _record_format(k: int, slot: str) -> str:
+    """A record line of k bases as ``canonical_dumps`` writes it, each integer as ``slot``."""
+    return '{"b":%s,"i":%s,"i_prime":%s,"x":[%s]}\n' % (slot, slot, slot, ",".join([slot] * k))
+
+
+# a JSON integer below 10**18, so that np.fromstring, which saturates past
+# int64, reads it exactly
+_JSON_INT = "(?:0|[1-9][0-9]{0,17})"
+_NOT_DIGITS = str.maketrans(dict.fromkeys(_record_format(1, ""), " "))  # a record line's non-digits
 
 
 def save_transcript(transcript: Transcript, path) -> None:
     """JSON-lines dump: a header line, then one 0-based record per instance.
 
-    Each distinct record is serialized once and its line reused.
+    Each distinct code is formatted once, and the lines are written
+    ``CHUNK`` instances at a time.
     """
-    memo = {rec: _record_line(rec) for rec in set(transcript.records)}
+    d, k = transcript.config.d, transcript.k
+    distinct, inverse = np.unique(transcript.codes, return_inverse=True)
+    fmt = _record_format(k, "%d")
+    lines = [fmt % tuple(row) for row in _record_rows(distinct, d, k).tolist()]
     header = canonical_dumps(
         {
             "format": TRANSCRIPT_FORMAT,
@@ -311,7 +348,8 @@ def save_transcript(transcript: Transcript, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header)
         fh.write("\n")
-        fh.write("".join(map(memo.__getitem__, transcript.records)))
+        for start in range(0, len(inverse), CHUNK):
+            fh.write("".join(map(lines.__getitem__, inverse[start:start + CHUNK].tolist())))
 
 
 def _is_int(v) -> bool:
@@ -322,62 +360,111 @@ def _parse_header(line: str):
     try:
         header = json.loads(line)
         fmt = header["format"]
-        cfg = ProtocolConfig(**header["config"])
+        raw = header["config"]
         tests = header["test_indices"]
         accepted = header["accepted"]
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed transcript header: {exc}") from exc
     if fmt != TRANSCRIPT_FORMAT:
         raise ValueError(f"transcript format {fmt!r}, expected {TRANSCRIPT_FORMAT!r}")
+    keys = sorted(f.name for f in fields(ProtocolConfig))
+    if not isinstance(raw, dict) or sorted(raw) != keys:
+        raise ValueError(f"transcript config must have the keys {keys}")
+    for key, least in (("d", 2), ("n", 1), ("rounds", 1), ("seed", 0)):
+        if not _is_int(raw[key]) or raw[key] < least:
+            raise ValueError(f"transcript config {key} must be an integer >= {least}, "
+                             f"not {raw[key]!r}")
+    if not isinstance(raw["test_fraction"], (int, float)) or isinstance(raw["test_fraction"], bool):
+        raise ValueError(f"transcript config test_fraction must be a number, "
+                         f"not {raw['test_fraction']!r}")
+    if not isinstance(accepted, bool):
+        raise ValueError(f"transcript accepted must be true or false, not {accepted!r}")
     if not isinstance(tests, list) or not all(_is_int(t) for t in tests):
         raise ValueError("test_indices must be a list of integers")
-    return cfg, tuple(tests), bool(accepted)
+    return ProtocolConfig(**raw), tuple(tests), accepted
 
 
-def _parse_record(line: str, d: int) -> RoundRecord:
-    """One 0-based record line, checked on its own; returns the 1-based record."""
+def _parse_record(line: str, d: int) -> tuple:
+    """One 0-based record line, checked on its own; returns ``(k, code)``."""
     try:
         raw = json.loads(line)
         b, i, x, i_prime = raw["b"], raw["i"], raw["x"], raw["i_prime"]
     except (ValueError, KeyError, TypeError) as exc:
         raise ValueError(f"malformed transcript record {line.strip()!r}") from exc
-    if not (_is_int(b) and _is_int(i) and _is_int(i_prime) and isinstance(x, list)
-            and x and all(_is_int(v) for v in x)):
+    # type() is int leaves out bool, which JSON gives for true and false
+    if not (type(x) is list and x and {type(v) for v in (b, i, i_prime, *x)} == {int}):
         raise ValueError(f"record {line.strip()!r}: fields must be integers, x a nonempty list")
-    if not 0 <= i < d or any(not 0 <= v < d for v in x):
+    if not (0 <= i < d and 0 <= min(x) and max(x) < d):
         raise ValueError(f"record {line.strip()!r}: outcomes must lie in 0..{d - 1}")
     if not 0 <= b < len(x):
         raise ValueError(f"record {line.strip()!r}: basis must lie in 0..{len(x) - 1}")
     if i_prime != x[b]:
         raise ValueError(f"record {line.strip()!r}: i_prime {i_prime} differs from x[b] = {x[b]}")
-    return RoundRecord(b=b + 1, i=i + 1, x=tuple(v + 1 for v in x), i_prime=i_prime + 1)
+    _span(d, len(x))  # refuses an x too long for a 64-bit code
+    code = b * d + i
+    for v in x:
+        code = code * d + v
+    return len(x), code
+
+
+def _canonical_codes(lines: list, d: int):
+    """``(k, codes)`` of record lines exactly as :func:`save_transcript` writes them, else None.
+
+    One regular-expression match checks the shape of every line, one parse
+    reads all their integers, and the ranges and i' = x(b) are checked on
+    the arrays. None means some line is not canonical or not valid; such
+    files go through :func:`_parse_record` line by line.
+    """
+    k = lines[0].count(",") - 2 if lines else 0
+    if k < 1:
+        return None
+    shape = re.escape(_record_format(k, "@")).replace("@", _JSON_INT)
+    blob = "".join(lines)
+    if not re.fullmatch(f"(?:{shape})*", blob):
+        return None
+    span = _span(d, k)
+    ints = np.fromstring(blob.translate(_NOT_DIGITS), dtype=np.int64, sep=" ")
+    cols = ints.reshape(len(lines), 3 + k).T
+    b, i, i_prime, x = cols[0], cols[1], cols[2], cols[3:]
+    if not ((b < k).all() and (i < d).all() and (x < d).all()):
+        return None
+    if not np.array_equal(i_prime, x[b, np.arange(len(b))]):
+        return None
+    return k, (b * d + i) * span + np.ravel_multi_index(x, (d,) * k)
+
+
+def _record_codes(lines: list, d: int):
+    """``(k, codes)`` of distinct record lines, code -1 for a blank line."""
+    fast = _canonical_codes(lines, d)
+    if fast is not None:
+        return fast
+    parsed = [_parse_record(line, d) if line.strip() else (0, -1) for line in lines]
+    ks = {k for k, code in parsed if code >= 0}
+    if len(ks) > 1:
+        raise ValueError("records disagree on the number of bases in x")
+    return max(ks, default=0), np.array([code for _, code in parsed], dtype=np.int64)
 
 
 def load_transcript(path) -> Transcript:
     """Read a transcript written by :func:`save_transcript`, checking it.
 
-    Raises ``ValueError`` on a foreign format, a record count other than
-    rounds*n, a malformed or inconsistent record, or test indices that are
-    not strictly increasing positions. Each distinct line is parsed once.
+    Raises ``ValueError`` on a foreign format, a config field of the wrong
+    type or range, a record count other than rounds*n, a malformed or
+    inconsistent record, or test indices that are not strictly increasing
+    positions. Lines are streamed, and each distinct line is decoded once.
     """
     with open(path, "r", encoding="utf-8") as fh:
         cfg, tests, accepted = _parse_header(fh.readline())
-        memo: dict = {}
-        records = []
-        for line in fh:
-            rec = memo.get(line)
-            if rec is None:
-                if not line.strip():
-                    continue
-                rec = memo[line] = _parse_record(line, cfg.d)
-            records.append(rec)
-    if len({len(rec.x) for rec in memo.values()}) > 1:
-        raise ValueError("records disagree on the number of bases in x")
+        slots: dict = {}  # distinct line -> its row in the code table
+        order = np.fromiter((slots.setdefault(line, len(slots)) for line in fh), dtype=np.int64)
+    k, table = _record_codes(list(slots), cfg.d)
+    codes = table[order]
+    codes = codes[codes >= 0]  # blank lines
     total = cfg.rounds * cfg.n
-    if len(records) != total:
-        raise ValueError(f"transcript has {len(records)} records, expected rounds*n = {total}")
+    if len(codes) != total:
+        raise ValueError(f"transcript has {len(codes)} records, expected rounds*n = {total}")
     if any(a >= b for a, b in zip(tests, tests[1:])):
         raise ValueError("test_indices must be strictly increasing")
     if tests and not 0 <= tests[0] <= tests[-1] < total:
         raise ValueError(f"test_indices must lie in 0..{total - 1}")
-    return Transcript(config=cfg, records=records, test_indices=tests, accepted=accepted)
+    return Transcript(config=cfg, k=k, codes=codes, test_indices=tests, accepted=accepted)

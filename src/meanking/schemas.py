@@ -76,7 +76,7 @@ TRANSCRIPT_HEADER = {
                 "n": {"type": "integer", "minimum": 1},
                 "rounds": {"type": "integer", "minimum": 1},
                 "test_fraction": {"type": "number", "minimum": 0, "maximum": 1},
-                "seed": {"type": "integer"},
+                "seed": {"type": "integer", "minimum": 0},
             },
             "additionalProperties": False,
         },

@@ -115,9 +115,9 @@ def test_criterion_5_honest_protocol(strategy_d2, strategy_d3):
         )
         t = proto.run_protocol(cfg, s)
         rates.append(proto.agreement_rate(t))
-        failures += sum(
-            1 for pos in t.test_indices if t.records[pos].i != t.records[pos].i_prime
-        )
+        _, i, _, i_prime = t.columns()
+        tested = list(t.test_indices)
+        failures += int(np.count_nonzero(i[tested] != i_prime[tested]))
     elapsed = time.time() - t0
     _report(
         "criterion-5",

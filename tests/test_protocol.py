@@ -1,5 +1,7 @@
 import collections
+import contextlib
 import hashlib
+import io
 import itertools
 import json
 
@@ -7,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from meanking import attack as atk, bases, protocol as proto, retrodiction as retro
+from meanking import attack as atk, bases, cli, protocol as proto, retrodiction as retro
 from meanking.serialize import canonical_dumps
 from oracles import outcome_dist, povm_dist, product_tables, sample_per_tuple
 
@@ -18,6 +20,13 @@ def cfg(d=2, n=1, rounds=1000, test_fraction=0.1, seed=12345):
 
 def file_hash(path):
     return hashlib.sha256(open(path, "rb").read()).hexdigest()
+
+
+def disagree(t, pos):
+    """Re-code instance(s) ``pos`` of ``t`` with Bob's outcome i set to i' + 1 mod d."""
+    b, i, x, i_prime = (col[pos] for col in t.columns())
+    d = t.config.d
+    t.codes[pos] = (b * d + (i_prime + 1) % d) * d**t.k + x
 
 
 class TestHonestRuns:
@@ -137,10 +146,8 @@ class TestSiftAndTest:
 
     def test_single_disagreement_full_testing(self, strategy_d2):
         t = proto.run_protocol(cfg(rounds=50, test_fraction=1.0, seed=4), strategy_d2)
-        rec = t.records[17]
-        t.records[17] = proto.RoundRecord(
-            b=rec.b, i=rec.i, x=rec.x, i_prime=1 + (rec.i % 2)
-        )
+        disagree(t, 17)
+        assert t.records[17].i != t.records[17].i_prime
         accepted, _ = proto.sift_and_test(t)
         assert not accepted
 
@@ -173,11 +180,9 @@ class TestSiftAndTest:
 class TestSummaries:
     def test_agreement_rate_all_wrong(self, strategy_d2):
         t = proto.run_protocol(cfg(rounds=30), strategy_d2)
-        bad = [
-            proto.RoundRecord(b=r.b, i=r.i, x=r.x, i_prime=1 + (r.i % 2))
-            for r in t.records
-        ]
-        assert proto.agreement_rate(proto.Transcript(config=t.config, records=bad)) == 0.0
+        disagree(t, slice(None))
+        assert all(r.i != r.i_prime for r in t.records)
+        assert proto.agreement_rate(t) == 0.0
 
     def test_transcript_roundtrip(self, strategy_d2, tmp_path):
         t = proto.run_protocol(cfg(rounds=120, seed=21), strategy_d2)
@@ -313,16 +318,19 @@ class TestSamplerAgainstPerTupleOracle:
 
 
 def reference_save(transcript, path):
+    """The transcript file, one ``canonical_dumps`` per instance, decoding codes with int divmod."""
+    d, k = transcript.config.d, transcript.k
     lines = [canonical_dumps({
         "format": "meanking-transcript-v1",
         "config": transcript.config.to_dict(),
         "test_indices": list(transcript.test_indices),
         "accepted": transcript.accepted,
     })]
-    for rec in transcript.records:
-        lines.append(canonical_dumps({
-            "b": rec.b - 1, "i": rec.i - 1, "x": [v - 1 for v in rec.x], "i_prime": rec.i_prime - 1,
-        }))
+    for code in transcript.codes.tolist():
+        bi, xi = divmod(code, d**k)
+        b, i = divmod(bi, d)
+        x = [xi // d ** (k - 1 - j) % d for j in range(k)]
+        lines.append(canonical_dumps({"b": b, "i": i, "x": x, "i_prime": x[b]}))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("".join(line + "\n" for line in lines))
 
@@ -336,18 +344,32 @@ MALFORMED = {
     "i_prime": (lambda h, r: r[3].update(i_prime=1 - r[3]["x"][r[3]["b"]]), "differs from x\\[b\\]"),
     "test order": (lambda h, r: h["test_indices"].reverse(), "strictly increasing"),
     "test range": (lambda h, r: h["test_indices"].__setitem__(-1, 20), "0..19"),
+    "d string": (lambda h, r: h["config"].update(d="2"), "d must be an integer"),
+    "d null": (lambda h, r: h["config"].update(d=None), "d must be an integer"),
+    "d one": (lambda h, r: h["config"].update(d=1), "d must be an integer >= 2"),
+    "n string": (lambda h, r: h["config"].update(n="1"), "n must be an integer"),
+    "n float": (lambda h, r: h["config"].update(n=1.0), "n must be an integer"),
+    "rounds bool": (lambda h, r: h["config"].update(rounds=True), "rounds must be an integer"),
+    "seed float": (lambda h, r: h["config"].update(seed=51.0), "seed must be an integer"),
+    "seed negative": (lambda h, r: h["config"].update(seed=-1), "seed must be an integer >= 0"),
+    "test_fraction string": (lambda h, r: h["config"].update(test_fraction="0.25"),
+                             "test_fraction must be a number"),
+    "config key": (lambda h, r: h["config"].pop("seed"), "config must have the keys"),
+    "accepted string": (lambda h, r: h.update(accepted="no"), "accepted must be true or false"),
 }
 
 
 class TestTranscriptFiles:
     def test_save_matches_reference_writer(self, strategy_d2, tmp_path):
         t = proto.run_protocol(cfg(rounds=300, seed=50), strategy_d2)
-        rec = t.records[7]
-        t.records[7] = proto.RoundRecord(b=rec.b, i=rec.i, x=rec.x, i_prime=1 + (rec.i % 2))
+        disagree(t, 7)
         fast, ref = tmp_path / "fast.jsonl", tmp_path / "ref.jsonl"
         proto.save_transcript(t, fast)
         reference_save(t, ref)
         assert fast.read_bytes() == ref.read_bytes()
+        tampered = json.loads(fast.read_text().splitlines()[8])
+        assert tampered["i"] != tampered["i_prime"]
+        np.testing.assert_array_equal(proto.load_transcript(fast).codes, t.codes)
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_load_rejected(self, case, strategy_d2, tmp_path):
@@ -361,3 +383,63 @@ class TestTranscriptFiles:
         path.write_text("".join(canonical_dumps(obj) + "\n" for obj in [header, *records]))
         with pytest.raises(ValueError, match=message):
             proto.load_transcript(path)
+
+
+# SHA-256 digests of what 0.7.0 writes: transcripts of the protocol-sim
+# benchmark's four shapes at reduced rounds, and the README pipeline's `run`
+# outputs at reduced rounds. The sampler draws from numpy Generator streams,
+# which numpy does not promise to keep across versions, so the CI workflow
+# pins numpy. A release that changes the streams changes these on purpose.
+GOLDEN_TRANSCRIPTS = {
+    "honest-d3n1": "009a94286ccb9d2cf2ba1a58b9e1db1f9009fd2cb5c7b792c9a76629ca5af9e2",
+    "honest-d2n2": "060b5fcc9afc6a5fbc19c0ca4f147d781309bd8394fea74e804c135af547ed65",
+    "intercept-d2n2": "4115ebafa59be81e3337c785369168e1d0c4603d2ad899539da8c3466360a272",
+    "probe-d3n1": "a84f3ffe69f1dfc8ad8c195b58c7a19e9eab736be9127e4f3cbc32fe623cd265",
+}
+GOLDEN_README_RUN = {
+    "run stdout": "ee2a32205b5997174a0967e336b741fd6908e3c38facead501b88b6a3efa8f2c",
+    "transcript.jsonl": "e85ee09b7557d05c52889d994b65d1f2ccf1ba3cc17b568b4e85bd92e435222b",
+    "summary.json": "acb81d80872736ba27245b29413f4493e01dc02e98be2c1944c90b73fca12193",
+    "attacked run stdout": "23711fb752e9c7f475e5947dc2da8fac4d2ca5c2c832ca3a0b6f5007f3cd9d98",
+    "t.jsonl": "3bebdcf557d46ef91e581b464bf7a44b2fc76889b8a1ff5c9c2841a17322f33a",
+}
+
+
+class TestGoldenDigests:
+    @pytest.mark.parametrize("name", sorted(GOLDEN_TRANSCRIPTS))
+    def test_protocol_sim_shapes(self, name, strategy_d2, strategy_d3, mub2, tmp_path):
+        strategy, am, c = {
+            "honest-d3n1": (strategy_d3, None, cfg(d=3, rounds=1000, seed=101)),
+            "honest-d2n2": (strategy_d2, None, cfg(n=2, rounds=500, seed=102)),
+            "intercept-d2n2": (strategy_d2, atk.intercept_resend(mub2, 0, n=2),
+                               cfg(n=2, rounds=500, seed=103)),
+            "probe-d3n1": (strategy_d3, atk.probe_entangle(3, 0.8, n=1),
+                           cfg(d=3, rounds=500, seed=104)),
+        }[name]
+        path = tmp_path / "t.jsonl"
+        proto.save_transcript(proto.run_protocol(c, strategy, am), path)
+        assert file_hash(path) == GOLDEN_TRANSCRIPTS[name]
+
+    def test_readme_pipeline(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the manifests echo the relative paths
+
+        def run(*argv):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main(list(argv))
+            return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
+
+        assert run("bases", "gen", "--dim", "3", "--out", "bases3.json")[0] == 0
+        assert run("strategy", "build", "--bases", "bases3.json", "--out", "strategy3.json")[0] == 0
+        code, honest = run("run", "--strategy", "strategy3.json", "--rounds", "2000", "--seed", "7",
+                           "--test-fraction", "0.1", "--out", "transcript.jsonl",
+                           "--summary", "summary.json")
+        assert code == 0
+        code, attacked = run("run", "--strategy", "strategy3.json", "--rounds", "100",
+                             "--seed", "7", "--attack", "intercept-resend:b=1",
+                             "--test-fraction", "1.0", "--out", "t.jsonl")
+        assert code == 3
+        got = {"run stdout": honest, "attacked run stdout": attacked}
+        got.update((name, file_hash(name))
+                   for name in ("transcript.jsonl", "summary.json", "t.jsonl"))
+        assert got == GOLDEN_README_RUN
