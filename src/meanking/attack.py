@@ -15,6 +15,10 @@ channel collapses into operators E_(l,k) acting on A x B with
 
     rho_A(b, i) = sum_(l,k)  E_(l,k) |phi_hat><phi_hat| E_(l,k)^dagger.
 
+The n-slot unitaries are tensor products of one-slot ones, so the operator
+form contracts the closed-form one-slot table :func:`weyl_operators` with
+each slot's index pair in turn and builds no d**n x d**n unitary per label.
+
 An attack is undetectable iff every E_(l,k) is a multiple of the identity,
 and then Eve's final state cannot depend on (b, i): zero detection implies
 zero leakage. Detection probability and leakage are computed by exact
@@ -76,39 +80,36 @@ def _conditionable(prob: float, bvec, ivec) -> float:
     return prob
 
 
-@dataclass
-class WeylOperator:
-    """Generalized Pauli unitary X^m Z^l on a d-dimensional space."""
+def weyl_operators(d: int) -> np.ndarray:
+    """Every shift/clock unitary X^m Z^l on d dimensions, as table[m, l] of shape (d, d, d, d).
 
-    d: int
-    m: int
-    l: int
-    matrix: np.ndarray
-
-
-def weyl(d: int, m: int, l: int) -> WeylOperator:
-    """Shift/clock unitary: X cycles |j> -> |j+1>, Z phases |j> by omega^j."""
-    if not (0 <= m < d and 0 <= l < d):
-        raise ValueError(f"powers ({m},{l}) out of range for d={d}")
-    x = np.roll(np.eye(d, dtype=complex), 1, axis=0)
-    z = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
-    mat = np.linalg.matrix_power(x, m) @ np.linalg.matrix_power(z, l)
-    return WeylOperator(d=d, m=m, l=l, matrix=mat)
+    X cycles |j> -> |j+1> and Z phases |j> by omega^j, so entry [m, l, a, b]
+    is delta(a, b + m mod d) omega^(l b), with omega = exp(2 pi i / d).
+    """
+    j = np.arange(d)
+    shift = j[None, :, None] == (j[None, None, :] + j[:, None, None]) % d  # [m, a, b]
+    phase = np.exp(2j * np.pi * (np.outer(j, j) % d) / d)  # [l, b]
+    return shift[:, None] * phase[None, :, None, :]
 
 
-def weyl_block(d: int, mvec, lvec) -> np.ndarray:
-    """Tensor product of per-slot shift/clock unitaries on d**n dimensions."""
-    mats = [weyl(d, int(m), int(l)).matrix for m, l in zip(mvec, lvec)]
-    return qmath.tensor(*mats)
+def _per_slot(table: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
+    """Apply a one-slot table[u, v, x, y] to each of the n slots of t, shaped (d**n, d**n) + rest.
+
+    Each slot's base-d digit pair (x_s, y_s), first slot slowest, becomes
+    (u_s, v_s) by one ``tensordot``; the n-slot operator is never formed.
+    """
+    d, rest = len(table), t.shape[2:]
+    t = t.reshape((d,) * (2 * n) + rest)
+    for s in range(n):
+        t = np.moveaxis(np.tensordot(table, t, axes=([2, 3], [s, n + s])), (0, 1), (s, n + s))
+    return t.reshape((d**n, d**n) + rest)
 
 
 def entangled_basis_vector(d: int, n: int, m_flat: int, l_flat: int) -> np.ndarray:
     """(1 x U) Omega for the Weyl label given as flat base-d integers."""
-    dd = d**n
-    mvec = np.unravel_index(m_flat, (d,) * n)
-    lvec = np.unravel_index(l_flat, (d,) * n)
-    u = weyl_block(d, mvec, lvec)
-    return (omega(dd).reshape(dd, dd) @ u.T).reshape(-1)
+    labels = np.unravel_index(m_flat, (d,) * n), np.unravel_index(l_flat, (d,) * n)
+    u = qmath.tensor(*weyl_operators(d)[labels])
+    return u.T.reshape(-1) / np.sqrt(d**n)
 
 
 @dataclass
@@ -130,7 +131,7 @@ class AttackModel:
                 f"source state has {self.psi_abe.size} entries, expected {dd * dd * self.d_eve}"
             )
         norm = float(np.linalg.norm(self.psi_abe))
-        if abs(norm - 1.0) > 1e-9:
+        if not abs(norm - 1.0) <= 1e-9:  # refuses NaN too
             raise ValueError(f"source state norm {norm} is not 1")
         comp = np.zeros((dd * self.d_eve, dd * self.d_eve), dtype=complex)
         for v in self.kraus:
@@ -138,7 +139,7 @@ class AttackModel:
                 raise ValueError("Kraus operators must be square on B x E")
             comp += qmath.dagger(v) @ v
         dev = float(np.max(np.abs(comp - np.eye(dd * self.d_eve))))
-        if dev > 1e-9:
+        if not dev <= 1e-9:
             raise ValueError(f"feedback channel not trace preserving (deviation {dev:.3e})")
 
     @property
@@ -203,12 +204,9 @@ def bob_projected_state_bell_form(am: AttackModel, bs: BasisSet, bvec, ivec):
     source coefficients; used to cross-check :func:`bob_projected_state`.
     """
     dd = am.block_dim
-    coeffs = decompose_source(am.psi_abe, am.d, am.n, am.d_eve)
-    u_hats = _u_hat_operators(coeffs, am.d, am.n)
-    hat = phi_hat_product(bs, bvec, ivec, am.n).reshape(dd, dd)
-    out = np.empty((dd, dd, am.d_eve), dtype=complex)
-    for beta in range(am.d_eve):
-        out[:, :, beta] = u_hats[beta].T @ hat
+    u_hats = _per_slot(weyl_operators(am.d).transpose(2, 3, 0, 1),
+                       decompose_source(am.psi_abe, am.d, am.n, am.d_eve), am.n)
+    out = np.einsum("cae,cb->abe", u_hats, phi_hat_product(bs, bvec, ivec, am.n).reshape(dd, dd))
     prob = float(np.linalg.norm(out) ** 2)
     return out.reshape(-1) / np.sqrt(_conditionable(prob, bvec, ivec)), prob
 
@@ -217,45 +215,19 @@ def decompose_source(psi: np.ndarray, d: int, n: int, d_eve: int) -> np.ndarray:
     """Source coefficients in the maximally entangled basis on A x B.
 
     Returns c[m, l, beta] with flat base-d Weyl labels; the squared
-    magnitudes sum to 1 and resynthesizing reproduces psi exactly.
+    magnitudes sum to 1 and resynthesizing reproduces psi exactly. The basis
+    vector of label (m, l) holds U_(m,l)[b, a] / sqrt(d**n) at (a, b), so each
+    slot contracts with conj(X^m Z^l)[b, a].
     """
     dd = d**n
-    psi = np.asarray(psi, dtype=complex).reshape(dd * dd, d_eve)
-    coeffs = np.empty((dd, dd, d_eve), dtype=complex)
-    for m_flat in range(dd):
-        for l_flat in range(dd):
-            bell = entangled_basis_vector(d, n, m_flat, l_flat)
-            coeffs[m_flat, l_flat] = bell.conj() @ psi
-    return coeffs
+    psi = np.asarray(psi, dtype=complex).reshape(dd, dd, d_eve)
+    return _per_slot(weyl_operators(d).conj().swapaxes(2, 3), psi, n) / np.sqrt(dd)
 
 
 def source_from_coefficients(coeffs: np.ndarray, d: int, n: int) -> np.ndarray:
     """Resynthesize a source state from entangled-basis coefficients."""
-    dd = d**n
-    d_eve = coeffs.shape[2]
-    psi = np.zeros((dd * dd, d_eve), dtype=complex)
-    for m_flat in range(dd):
-        for l_flat in range(dd):
-            bell = entangled_basis_vector(d, n, m_flat, l_flat)
-            psi += np.outer(bell, coeffs[m_flat, l_flat])
-    return psi.reshape(-1)
-
-
-def _u_hat_operators(coeffs: np.ndarray, d: int, n: int):
-    """Per-ancilla-component operators U_hat_beta absorbing the expansion."""
-    dd = d**n
-    d_eve = coeffs.shape[2]
-    u_hats = [np.zeros((dd, dd), dtype=complex) for _ in range(d_eve)]
-    for m_flat in range(dd):
-        mvec = np.unravel_index(m_flat, (d,) * n)
-        for l_flat in range(dd):
-            lvec = np.unravel_index(l_flat, (d,) * n)
-            u = weyl_block(d, mvec, lvec)
-            for beta in range(d_eve):
-                c = coeffs[m_flat, l_flat, beta]
-                if c != 0:
-                    u_hats[beta] += c * u
-    return u_hats
+    psi = _per_slot(weyl_operators(d).transpose(3, 2, 0, 1), np.asarray(coeffs, dtype=complex), n)
+    return psi.reshape(-1) / np.sqrt(d**n)
 
 
 def _kraus_branches(am: AttackModel, states) -> np.ndarray:
@@ -364,19 +336,17 @@ def alice_state(am: AttackModel, bs: BasisSet, bvec, ivec) -> np.ndarray:
 def build_E_operators(am: AttackModel) -> np.ndarray:
     """Operator form of the attack: E[l, k] acting on A x B.
 
-    E_(l,k) = sum_beta U_hat_beta^T x M_(l,k,beta), with M the B-block of
-    Kraus operator V_l mapping Eve's component beta to k. Reconstructs
-    Alice's unnormalized state as sum E |phi_hat><phi_hat| E^dagger.
+    E_(l,k) = sum_beta U_hat_beta^T x M_(l,k,beta), with U_hat_beta =
+    sum_(m,l) c[m, l, beta] U_(m,l) and M the B-block of Kraus operator V_l
+    mapping Eve's component beta to k. Reconstructs Alice's unnormalized
+    state as sum E |phi_hat><phi_hat| E^dagger.
     """
-    dd = am.block_dim
-    coeffs = decompose_source(am.psi_abe, am.d, am.n, am.d_eve)
-    u_hats = _u_hat_operators(coeffs, am.d, am.n)
-    vr = np.stack(am.kraus).reshape(len(am.kraus), dd, am.d_eve, dd, am.d_eve)
-    ops = np.zeros((len(am.kraus), am.d_eve, dd * dd, dd * dd), dtype=complex)
-    for beta in range(am.d_eve):
-        # M_(l,k,beta) for every branch l and component k, as (l, k, B, B)
-        ops += qmath.kron(u_hats[beta].T[None, None], vr[..., beta].transpose(0, 2, 1, 3), batch=2)
-    return ops
+    dd, de = am.block_dim, am.d_eve
+    u_hats = _per_slot(weyl_operators(am.d).transpose(2, 3, 0, 1),
+                       decompose_source(am.psi_abe, am.d, am.n, de), am.n)
+    vr = np.stack(am.kraus).reshape(len(am.kraus), dd, de, dd, de)
+    ops = np.einsum("xae,lbkye->lkabxy", u_hats, vr)
+    return ops.reshape(len(am.kraus), de, dd * dd, dd * dd)
 
 
 def reconstruct_alice_state(am: AttackModel, bs: BasisSet, bvec, ivec,
@@ -384,14 +354,8 @@ def reconstruct_alice_state(am: AttackModel, bs: BasisSet, bvec, ivec,
     """Alice's unnormalized state from the E_(l,k) operators (cross-check)."""
     if ops is None:
         ops = build_E_operators(am)
-    hat = phi_hat_product(bs, bvec, ivec, am.n)
-    dim = hat.size
-    rho = np.zeros((dim, dim), dtype=complex)
-    for l in range(ops.shape[0]):
-        for k in range(ops.shape[1]):
-            w = ops[l, k] @ hat
-            rho += np.outer(w, w.conj())
-    return rho
+    w = ops @ phi_hat_product(bs, bvec, ivec, am.n)
+    return np.einsum("lki,lkj->ij", w, w.conj())
 
 
 def scalar_deviation(op: np.ndarray) -> float:
@@ -604,10 +568,11 @@ def eve_local_attack(d: int, kraus_e, eve_state=None, n: int = 1) -> AttackModel
     kraus_e = [np.asarray(w, dtype=complex) for w in kraus_e]
     d_eve = kraus_e[0].shape[0]
     dd = checked_block_dim(d, n, d_eve)
-    chi = np.zeros(d_eve, dtype=complex) if eve_state is None else np.asarray(eve_state, dtype=complex)
-    if eve_state is None:
-        chi[0] = 1.0
-    chi = chi / np.linalg.norm(chi)
+    chi = np.asarray(np.eye(d_eve)[0] if eve_state is None else eve_state, dtype=complex)
+    norm = float(np.linalg.norm(chi))
+    if not 0.0 < norm < np.inf:
+        raise ValueError(f"ancilla state has norm {norm}")
+    chi = chi / norm
     psi = qmath.kron(omega(dd), chi)
     ops = tuple(qmath.kron(np.eye(dd), w) for w in kraus_e)
     return AttackModel(d=d, n=n, d_eve=d_eve, psi_abe=psi, kraus=ops)
@@ -648,22 +613,17 @@ def scalarized_attack(am: AttackModel) -> AttackModel:
     every Kraus operator, renormalized back to a valid channel; the result
     is always of scalar form.
     """
-    dd = am.block_dim
-    coeffs = decompose_source(am.psi_abe, am.d, am.n, am.d_eve)
-    chi = coeffs[0, 0]
+    dd, de = am.block_dim, am.d_eve
+    chi = decompose_source(am.psi_abe, am.d, am.n, de)[0, 0]
     if np.linalg.norm(chi) < 1e-9:
         chi = None  # no honest component; fall back to a fresh ancilla
-    ws = []
-    for v in am.kraus:
-        vr = v.reshape(dd, am.d_eve, dd, am.d_eve)
-        ws.append(np.einsum("aiaj->ij", vr) / dd)
-    gram = sum(w.conj().T @ w for w in ws)
-    vals, vecs = np.linalg.eigh(gram)
+    # W_l = tr_B(V_l) / d**n for every Kraus operator, and sum_l W_l^dagger W_l
+    ws = np.einsum("lbibj->lij", np.stack(am.kraus).reshape(-1, dd, de, dd, de)) / dd
+    vals, vecs = np.linalg.eigh(np.einsum("lki,lkj->ij", ws.conj(), ws))
     if vals.min() < 1e-12:
-        ws = [np.eye(am.d_eve)]
+        ws = [np.eye(de)]
     else:
-        inv_sqrt = vecs @ np.diag(vals**-0.5) @ vecs.conj().T
-        ws = [w @ inv_sqrt for w in ws]
+        ws = ws @ (vecs @ np.diag(vals**-0.5) @ vecs.conj().T)
     return eve_local_attack(am.d, ws, eve_state=chi, n=am.n)
 
 

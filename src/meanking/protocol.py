@@ -137,7 +137,7 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 
 def _normalized(dist: np.ndarray, what: str) -> np.ndarray:
     total = float(dist.sum())
-    if abs(total - 1.0) > 1e-6 or np.any(dist < -1e-12):
+    if not (abs(total - 1.0) <= 1e-6 and np.all(dist >= -1e-12)):  # refuses NaN too
         raise ProtocolError(f"{what} distribution sums to {total:.8f}")
     return np.clip(dist, 0.0, None) / total
 

@@ -393,12 +393,14 @@ def load_strategy(path) -> Strategy:
             raise ValueError("a guessing function is listed twice")
         table = safe_vector_table(xs, pairs_to_complex(etas).reshape(len(xs), -1), residuals)
         weights = np.array(weights, dtype=float)
+        if not np.isfinite(weights).all() or not np.isfinite(table.residual).all():
+            raise ValueError("a weight or residual is not finite")
         residual = _completeness_residual(table.eta, weights, dim * dim)
     except (KeyError, TypeError, ValueError, IndexError) as exc:
         raise FormatError(f"bad strategy file {path}: {exc}") from exc
-    if residual > COMPLETENESS_TOL:
+    if not residual <= COMPLETENESS_TOL:
         raise Infeasible(f"stored strategy violates completeness by {residual:.3e}")
-    if float(weights.min()) <= POSITIVITY_TOL:
+    if not float(weights.min()) > POSITIVITY_TOL:
         raise NotMaximal(f"stored strategy has weight {weights.min():.3e}; strategy not maximal")
     return Strategy(basis_set=bs, omega=omega_vec, safe_vectors=table, weights=weights,
                     completeness_residual=residual)

@@ -19,6 +19,8 @@ def pairs_to_complex(data) -> np.ndarray:
     a = np.asarray(data, dtype=float)
     if a.ndim < 2 or a.shape[-1] != 2:
         raise ValueError("complex data must be nested [re, im] pairs")
+    if not np.isfinite(a).all():
+        raise ValueError("complex data holds a number that is not finite")
     return a[..., 0] + 1j * a[..., 1]
 
 

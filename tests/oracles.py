@@ -11,7 +11,10 @@ sampler that replaced them, :func:`commutant_stacked`, the earlier
 n-block commutant route over all product safe vectors, kept as the
 reference for the single-block check raised to the n-th power, and
 :func:`safe_vector_per_x`, the earlier least-squares solve per guessing
-function, kept as the reference for the one-solve strategy build.
+function, kept as the reference for the one-solve strategy build, and
+:func:`weyl_loops` with :func:`operator_form_loops`, the earlier Weyl
+unitary per flat label, kept as the reference for the closed-form table
+applied slot by slot.
 """
 
 import numpy as np
@@ -180,14 +183,11 @@ def attack_pass_per_outcome(strategy, am):
     """
     from itertools import product
 
-    from meanking import attack as atk, retrodiction as rd
+    from meanking import attack as atk
 
     bs = strategy.basis_set
-    ps = rd.tensor_strategy(strategy, am.n)
-    tuples = list(ps.guessing_tuples())
-    etas = np.array([ps.safe_vector_grouped(xs) for xs in tuples])
-    weights = np.array([ps.weight(xs) for xs in tuples])
-    digits = np.array(tuples)  # (tuple, instance, basis)
+    etas, _, weights = product_tables(strategy, am.n)
+    digits = tuple_digits(strategy, am.n)
     slots = np.arange(am.n)
     total, table, eve = 0.0, [], []
     for bvec in product(range(bs.k), repeat=am.n):
@@ -216,14 +216,30 @@ def attack_pass_per_outcome(strategy, am):
     return total / bs.k**am.n, worst, table
 
 
-def product_tables(strategy, n):
-    """Grouped safe product vectors, their conjugates and weights, one row per guessing tuple."""
-    from meanking import retrodiction as rd
+def product_tables(strategy, n, interleaved=False):
+    """Safe product vectors, their conjugates and weights, one row per guessing tuple.
 
-    ps = rd.tensor_strategy(strategy, n)
-    tuples = list(ps.guessing_tuples())
-    etas = np.array([ps.safe_vector_grouped(xs) for xs in tuples])
-    return etas, etas.conj(), np.array([ps.weight(xs) for xs in tuples])
+    Tuples run over n rows of the strategy table, first instance slowest.
+    Each vector is one einsum of the eta rows as (A, B) matrices, in grouped
+    order (A1..An B1..Bn), or pair-interleaved (A1 B1 A2 B2 ...) with
+    ``interleaved``; each weight is a Kronecker product of the row weights.
+    """
+    from functools import reduce
+
+    d = strategy.d
+    etas = strategy.etas.reshape(-1, d, d)
+    slots = [[s, n + s, 2 * n + s] for s in range(n)]  # row, A and B axis of each instance
+    pairs = [ax for slot in slots for ax in slot[1:]]
+    out = list(range(n)) + (pairs if interleaved else pairs[0::2] + pairs[1::2])
+    table = np.einsum(*[x for slot in slots for x in (etas, slot)], out)
+    table = table.reshape(len(etas) ** n, -1)
+    return table, table.conj(), reduce(np.kron, [strategy.weights] * n)
+
+
+def tuple_digits(strategy, n):
+    """The guessing tuples of :func:`product_tables`, as digits (tuple, instance, basis)."""
+    xs = strategy.safe_vectors.x
+    return xs[np.indices((len(xs),) * n).reshape(n, -1).T]
 
 
 def outcome_dist(am, bs, bvec):
@@ -288,17 +304,67 @@ def sample_per_tuple(seed, strategy, am, units, tables):
 def commutant_stacked(strategy, n):
     """``(solution_dim, constraint_rank, stack)`` of the n-block eigenvector system.
 
-    Every safe product vector eta of n blocks (pair-interleaved order, as
-    ``tensor_strategy`` gives it) contributes the rows (1 - P_eta) (x) eta^T,
+    Every safe product vector eta of n blocks (pair-interleaved order, from
+    :func:`product_tables`) contributes the rows (1 - P_eta) (x) eta^T,
     which map vec(E) (row-major) to (1 - P_eta) E eta, to one dense stack,
     whose nullspace is taken at the library's default tolerance.
     """
-    from meanking import qmath, retrodiction as rd
+    from meanking import qmath
 
-    ps = rd.tensor_strategy(strategy, n)
-    etas = [ps.safe_vector(xs) for xs in ps.guessing_tuples()]
-    eye = np.eye(etas[0].size)
+    etas = product_tables(strategy, n, interleaved=True)[0]
+    eye = np.eye(etas.shape[1])
     stack = np.vstack([np.kron(eye - np.outer(eta, eta.conj()) / np.vdot(eta, eta).real, eta)
                        for eta in etas])
     dim_null, _ = qmath.nullspace(stack, qmath.DEFAULT_TOL)
     return dim_null, stack.shape[1] - dim_null, stack
+
+
+def weyl_loops(d, n):
+    """Every n-slot Weyl unitary, as (d**n,) * 4 indexed [m, l] by flat base-d labels.
+
+    One label at a time: X^m Z^l per slot from ``matrix_power`` of the shift
+    and clock matrices, then ``qmath.tensor`` over the slots, first slot
+    slowest.
+    """
+    from meanking import qmath
+
+    dd = d**n
+    shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
+    out = np.empty((dd,) * 4, dtype=complex)
+    for m_flat in range(dd):
+        for l_flat in range(dd):
+            labels = zip(np.unravel_index(m_flat, (d,) * n), np.unravel_index(l_flat, (d,) * n))
+            out[m_flat, l_flat] = qmath.tensor(*[np.linalg.matrix_power(shift, m)
+                                                 @ np.linalg.matrix_power(clock, l)
+                                                 for m, l in labels])
+    return out
+
+
+def operator_form_loops(am):
+    """``(coeffs, ops)``: the source's entangled-basis coefficients and the E_(l,k) operators.
+
+    Label by label over :func:`weyl_loops`: the basis vector (1 x U) Omega
+    has entries U[b, a] / sqrt(d**n), c[m, l] is its overlap with the source,
+    U_hat_beta sums c[m, l, beta] U over the labels, and E_(l,k) sums
+    U_hat_beta^T x M_(l,k,beta) over beta, M the B-block of Kraus operator
+    V_l mapping Eve's component beta to k.
+    """
+    from meanking import qmath
+
+    dd, de = am.d**am.n, am.d_eve
+    units = weyl_loops(am.d, am.n)
+    psi = am.psi_abe.reshape(dd * dd, de)
+    coeffs = np.empty((dd, dd, de), dtype=complex)
+    u_hats = np.zeros((de, dd, dd), dtype=complex)
+    for m_flat in range(dd):
+        for l_flat in range(dd):
+            bell = units[m_flat, l_flat].T.reshape(-1) / np.sqrt(dd)
+            coeffs[m_flat, l_flat] = bell.conj() @ psi
+            for beta in range(de):
+                u_hats[beta] += coeffs[m_flat, l_flat, beta] * units[m_flat, l_flat]
+    vr = np.stack(am.kraus).reshape(len(am.kraus), dd, de, dd, de)
+    ops = np.zeros((len(am.kraus), de, dd * dd, dd * dd), dtype=complex)
+    for beta in range(de):
+        ops += qmath.kron(u_hats[beta].T[None, None], vr[..., beta].transpose(0, 2, 1, 3), batch=2)
+    return coeffs, ops

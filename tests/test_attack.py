@@ -7,7 +7,11 @@ from numpy.testing import assert_allclose
 from meanking import attack as atk, protocol as proto, qmath, retrodiction as rd
 from meanking.bases import OverBudget
 
-from oracles import attack_pass_per_outcome, intercept_resend_detection, probe_detection
+from oracles import (attack_pass_per_outcome, intercept_resend_detection, operator_form_loops,
+                     probe_detection, weyl_loops)
+
+# (d, n, d_E) of the operator-form checks against the per-label loops
+LOOP_SHAPES = [(2, 1, 2), (2, 2, 2), (3, 1, 2), (3, 2, 1), (5, 1, 1)]
 
 
 @pytest.fixture(scope="module")
@@ -17,16 +21,16 @@ def ideal2():
 
 class TestWeyl:
     def test_identity(self):
-        assert_allclose(atk.weyl(2, 0, 0).matrix, np.eye(2))
+        assert_allclose(atk.weyl_operators(2)[0, 0], np.eye(2))
 
     def test_shift_times_clock(self):
         # multiplied by hand: X Z = [[0, -1], [1, 0]]
-        assert_allclose(atk.weyl(2, 1, 1).matrix, np.array([[0, -1], [1, 0]]), atol=1e-15)
+        assert_allclose(atk.weyl_operators(2)[1, 1], np.array([[0, -1], [1, 0]]), atol=1e-15)
 
     def test_orders(self):
         for d in (2, 3, 5):
-            x = atk.weyl(d, 1, 0).matrix
-            z = atk.weyl(d, 0, 1).matrix
+            x = atk.weyl_operators(d)[1, 0]
+            z = atk.weyl_operators(d)[0, 1]
             assert_allclose(np.linalg.matrix_power(x, d), np.eye(d), atol=1e-12)
             assert_allclose(np.linalg.matrix_power(z, d), np.eye(d), atol=1e-12)
 
@@ -42,6 +46,38 @@ class TestWeyl:
         )
         gram = vecs.conj() @ vecs.T
         assert np.max(np.abs(gram - np.eye(dd * dd))) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_table_matches_loops(self, d):
+        assert_allclose(atk.weyl_operators(d), weyl_loops(d, 1), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d,n", [(2, 2), (3, 2)])
+    def test_entangled_basis_matches_loops(self, d, n):
+        units = weyl_loops(d, n)
+        for m, l in [(0, 0), (1, d**n - 1), (d**n - 1, 2)]:
+            want = units[m, l].T.reshape(-1) / np.sqrt(d**n)
+            assert_allclose(atk.entangled_basis_vector(d, n, m, l), want, rtol=0, atol=1e-12)
+
+
+class TestOperatorFormAgainstLoops:
+    """The closed-form table applied slot by slot against one Weyl unitary per flat label."""
+
+    @pytest.mark.parametrize("d,n,de", LOOP_SHAPES)
+    def test_coefficients_and_operators(self, d, n, de):
+        am = atk.random_attack(d, n, de, 2, np.random.default_rng(7 * d + n))
+        coeffs, ops = operator_form_loops(am)
+        assert_allclose(atk.decompose_source(am.psi_abe, d, n, de), coeffs, rtol=0, atol=1e-12)
+        assert_allclose(atk.build_E_operators(am), ops, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d,n,de", LOOP_SHAPES)
+    def test_resynthesis(self, d, n, de):
+        rng = np.random.default_rng(11 * d + n)
+        dd = d**n
+        coeffs = atk.random_state(dd * dd * de, rng).reshape(dd, dd, de)
+        # psi[a, b] = sum over labels of c[m, l] U_(m,l)[b, a] / sqrt(d**n)
+        want = np.einsum("mlba,mle->abe", weyl_loops(d, n), coeffs) / np.sqrt(dd)
+        assert_allclose(atk.source_from_coefficients(coeffs, d, n), want.reshape(-1),
+                        rtol=0, atol=1e-12)
 
 
 class TestDecomposeSource:
@@ -63,12 +99,25 @@ class TestDecomposeSource:
 
     def test_reconstruction(self):
         rng = np.random.default_rng(43)
-        for d, n, de in [(2, 1, 3), (3, 1, 2), (2, 2, 2)]:
+        for d, n, de in [(2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 2, 2), (5, 1, 2)]:
             psi = atk.random_state(d ** (2 * n) * de, rng)
             c = atk.decompose_source(psi, d, n, de)
             assert abs(np.sum(np.abs(c) ** 2) - 1.0) < 1e-12
             back = atk.source_from_coefficients(c, d, n)
             assert np.linalg.norm(psi - back) < 1e-10
+
+    def test_round_trip_at_the_block_budget(self):
+        # d**(2n) = 4096: a table over all label pairs would hold 2**24
+        # complex entries (268 MB); slot by slot stays near the state's size
+        psi = atk.random_state(4096, np.random.default_rng(5))
+        tracemalloc.start()
+        try:
+            back = atk.source_from_coefficients(atk.decompose_source(psi, 2, 6, 1), 2, 6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.linalg.norm(psi - back) < 1e-10
+        assert peak < 2 * 2**20
 
 
 class TestModelValidation:
@@ -79,6 +128,24 @@ class TestModelValidation:
     def test_unnormalized_source_rejected(self):
         with pytest.raises(ValueError):
             atk.AttackModel(d=2, n=1, d_eve=1, psi_abe=2 * rd.omega(2), kraus=(np.eye(2),))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_source_rejected(self, value):
+        psi = rd.omega(2)
+        psi[1] = value
+        with pytest.raises(ValueError, match="source state norm"):
+            atk.AttackModel(d=2, n=1, d_eve=1, psi_abe=psi, kraus=(np.eye(2),))
+
+    def test_nan_kraus_rejected(self):
+        kraus = np.eye(2, dtype=complex)
+        kraus[0, 1] = np.nan
+        with pytest.raises(ValueError, match="not trace preserving"):
+            atk.AttackModel(d=2, n=1, d_eve=1, psi_abe=rd.omega(2), kraus=(kraus,))
+
+    @pytest.mark.parametrize("eve_state", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0]])
+    def test_degenerate_ancilla_state_rejected(self, eve_state):
+        with pytest.raises(ValueError, match="ancilla state has norm"):
+            atk.eve_local_attack(2, [np.eye(2)], eve_state=eve_state)
 
     @pytest.mark.parametrize("make", [
         lambda bs, n: atk.identity_attack(2, n),
@@ -157,8 +224,8 @@ class TestFeedback:
 
     def test_depolarizing_marginal(self, mub2):
         p = 1.0  # full depolarizing on the returned qubit
-        paulis = [np.eye(2), atk.weyl(2, 1, 0).matrix,
-                  atk.weyl(2, 0, 1).matrix, atk.weyl(2, 1, 1).matrix]
+        table = atk.weyl_operators(2)
+        paulis = [np.eye(2), table[1, 0], table[0, 1], table[1, 1]]
         ops = [np.sqrt(1 - 3 * p / 4) * paulis[0]] + [np.sqrt(p / 4) * m for m in paulis[1:]]
         am = atk.AttackModel(d=2, n=1, d_eve=1, psi_abe=rd.omega(2), kraus=tuple(ops))
         state, _ = atk.bob_projected_state(am, mub2, 0, 0)

@@ -9,9 +9,9 @@ from itertools import product
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from meanking import attack as atk, retrodiction as rd
+from meanking import attack as atk
 
-from oracles import attack_pass_per_outcome, eve_state_loops
+from oracles import attack_pass_per_outcome, eve_state_loops, product_tables, tuple_digits
 
 
 @st.composite
@@ -30,17 +30,17 @@ def opform_detection(strategy, am) -> float:
     the Born rule runs over the product guessing tuples one at a time.
     """
     bs = strategy.basis_set
-    ps = rd.tensor_strategy(strategy, am.n)
+    etas, _, weights = product_tables(strategy, am.n)
+    tuples = list(zip(tuple_digits(strategy, am.n), etas, weights))
     ops = atk.build_E_operators(am)
     total = 0.0
     for bvec in product(range(bs.k), repeat=am.n):
         for ivec in product(range(bs.dim), repeat=am.n):
             rho = atk.reconstruct_alice_state(am, bs, bvec, ivec, ops)
             correct = 0.0
-            for xs in ps.guessing_tuples():
+            for xs, eta, weight in tuples:
                 if all(x[b] == i for x, b, i in zip(xs, bvec, ivec)):
-                    eta = ps.safe_vector_grouped(xs)
-                    correct += ps.weight(xs) * float(np.vdot(eta, rho @ eta).real)
+                    correct += weight * float(np.vdot(eta, rho @ eta).real)
             total += float(np.trace(rho).real) - correct
     return total / bs.k**am.n
 

@@ -354,6 +354,61 @@ class TestMalformedFiles:
         assert captured.err.startswith("error: bad strategy file") and message in captured.err
 
 
+class TestNonFiniteNumbers:
+    """A NaN or infinite number in a basis, strategy or attack file exits 1 with a message.
+
+    Python's ``json`` reads ``NaN``, ``Infinity`` and an overflowing ``1e400``;
+    NaN fails every ``value > tol`` comparison, so unchecked it would pass
+    every tolerance check downstream.
+    """
+
+    SENTINEL = 12345.678
+
+    @pytest.fixture()
+    def attack_file(self, tmp_path):
+        path = tmp_path / "attack.json"
+        attack.save_attack(attack.intercept_resend(bases.gen_mub(2), 0), path)
+        return path
+
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])
+    @pytest.mark.parametrize("target", ["bases", "strategy-eta", "strategy-p", "strategy-residual",
+                                        "attack-psi", "attack-kraus"])
+    def test_refused(self, tmp_path, capsys, bases_file, strategy_file, attack_file, target, value):
+        source = {"bases": bases_file, "strategy": strategy_file, "attack": attack_file}
+        data = json.loads(source[target.split("-")[0]].read_text())
+        if target == "bases":
+            data["bases"][1][0][1][0] = self.SENTINEL
+        elif target == "strategy-eta":
+            data["entries"][3]["eta"][2][1] = self.SENTINEL
+        elif target.startswith("strategy"):
+            data["entries"][3][target.split("-")[1]] = self.SENTINEL
+        elif target == "attack-psi":
+            data["psi_abe"][0][0] = self.SENTINEL
+        else:
+            data["kraus"][1][0][1][1] = self.SENTINEL
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data).replace(str(self.SENTINEL), value))
+        out_path = tmp_path / "out.json"
+        commands = {
+            "bases": [["bases", "check", "--in", str(bad)],
+                      ["strategy", "build", "--bases", str(bad), "--out", str(out_path)]],
+            "strategy": [["run", "--strategy", str(bad), "--rounds", "10", "--seed", "1",
+                          "--out", str(out_path)],
+                         ["security", "lemma", "--strategy", str(bad)],
+                         ["security", "attack-eval", "--attack", "none", "--strategy", str(bad)]],
+            "attack": [["security", "attack-eval", "--attack", f"file:{bad}"],
+                       ["run", "--strategy", str(strategy_file), "--attack", f"file:{bad}",
+                        "--rounds", "10", "--seed", "1", "--out", str(out_path)]],
+        }[target.split("-")[0]]
+        for argv in commands:
+            code = cli.main(argv)
+            captured = capsys.readouterr()
+            assert code == 1, argv
+            assert captured.out == "" and not out_path.exists()
+            assert captured.err.startswith("error: bad ") and "not finite" in captured.err
+            assert "Traceback" not in captured.err
+
+
 class TestAttackBudget:
     """An attack over d**(2n) * d_eve <= MAX_BLOCK_DIM exits 2 before anything is allocated."""
 

@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from meanking import attack as atk, bases, cli, protocol as proto, retrodiction as retro
+from meanking import attack as atk, bases, cli, protocol as proto
 from meanking.serialize import canonical_dumps
-from oracles import outcome_dist, povm_dist, product_tables, sample_per_tuple
+from oracles import outcome_dist, povm_dist, product_tables, sample_per_tuple, tuple_digits
 
 
 def cfg(d=2, n=1, rounds=1000, test_fraction=0.1, seed=12345):
@@ -196,6 +196,11 @@ class TestSummaries:
         proto.save_transcript(back, p2)
         assert file_hash(p1) == file_hash(p2)
 
+    def test_nan_distribution_flagged(self):
+        # NaN fails every comparison, so a check of the form value > tol would pass it
+        with pytest.raises(proto.ProtocolError):
+            proto._normalized(np.array([0.5, np.nan, 0.5]), "Bob outcomes")
+
     def test_broken_attack_flagged(self, strategy_d2, mub2):
         am = atk.intercept_resend(mub2, 0)
         am.kraus = tuple(0.7 * v for v in am.kraus)  # silently break completeness
@@ -211,11 +216,9 @@ def exact_block_table(strategy, am, announced=False):
     """
     bs = strategy.basis_set
     n = am.n
-    ps = retro.tensor_strategy(strategy, n)
-    tuples = list(ps.guessing_tuples())
-    etas = np.asarray([ps.safe_vector_grouped(xs) for xs in tuples])
-    weights = np.asarray([ps.weight(xs) for xs in tuples])
-    digits = np.asarray(tuples)  # (tuple, instance, basis)
+    etas, _, weights = product_tables(strategy, n)
+    digits = tuple_digits(strategy, n)  # (tuple, instance, basis)
+    tuples = [tuple(map(tuple, xs)) for xs in digits.tolist()]
     table = {}
     for bvec in itertools.product(range(bs.k), repeat=n):
         said = np.ravel_multi_index(digits[:, np.arange(n), list(bvec)].T, (bs.dim,) * n)

@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 
 from meanking import bases, qmath, retrodiction as rd
 
-from oracles import safe_vector_per_x
+from oracles import product_tables, safe_vector_per_x, tuple_digits
 
 
 def random_unitary(rng, d):
@@ -356,6 +356,17 @@ class TestProductStrategy:
             count += 1
         assert count == 64
         assert np.max(np.abs(total - np.eye(16))) < 1e-7
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_tables_match_oracle(self, strategy_d2, n):
+        ps = rd.tensor_strategy(strategy_d2, n)
+        tuples = list(ps.guessing_tuples())
+        grouped, _, weights = product_tables(strategy_d2, n)
+        interleaved = product_tables(strategy_d2, n, interleaved=True)[0]
+        assert_allclose([ps.safe_vector_grouped(xs) for xs in tuples], grouped, rtol=0, atol=1e-12)
+        assert_allclose([ps.safe_vector(xs) for xs in tuples], interleaved, rtol=0, atol=1e-12)
+        assert_allclose([ps.weight(xs) for xs in tuples], weights, rtol=0, atol=1e-12)
+        assert np.array_equal(np.array(tuples), tuple_digits(strategy_d2, n))
 
     def test_resource_guard(self, strategy_d2):
         with pytest.raises(rd.OverBudget, match=r"2\*\*\(2\*7\)\*1 exceeds budget 4096"):

@@ -209,7 +209,9 @@ class TestProductCommutant:
 
     def test_product_decomposition_property(self, strategy_d2):
         # the triple identity applied to one tensor slot of a product vector
-        ps = rd.tensor_strategy(strategy_d2, 2)
+        def eta(x1, x2):  # the product safe vector, pair-interleaved
+            return np.kron(strategy_d2.safe_vector(x1).eta, strategy_d2.safe_vector(x2).eta)
+
         rng = np.random.default_rng(41)
         xs = strategy_d2.safe_vectors.x
         for _ in range(10):
@@ -219,12 +221,8 @@ class TestProductCommutant:
             jp = int((x1[bp] + 1) % 2)
             jt = int((x1[bt] + 1) % 2)
             u, v, w = rd.decomposition_triple(x1, bp, bt, jp, jt)
-            lhs = ps.safe_vector((x1, x2))
-            rhs = (
-                ps.safe_vector((u, x2))
-                + ps.safe_vector((v, x2))
-                - ps.safe_vector((w, x2))
-            )
+            lhs = eta(x1, x2)
+            rhs = eta(u, x2) + eta(v, x2) - eta(w, x2)
             assert np.linalg.norm(lhs - rhs) < 1e-8
 
 
