@@ -15,9 +15,11 @@ channel collapses into operators E_(l,k) acting on A x B with
 
     rho_A(b, i) = sum_(l,k)  E_(l,k) |phi_hat><phi_hat| E_(l,k)^dagger.
 
-The n-slot unitaries are tensor products of one-slot ones, so the operator
-form contracts the closed-form one-slot table :func:`weyl_operators` with
-each slot's index pair in turn and builds no d**n x d**n unitary per label.
+The expansion resums to operators U_hat_beta = sqrt(d**n) psi_beta^T, one
+per ancilla component, so the operator form reads them off the source. The
+expansion itself, :func:`decompose_source`, contracts the closed-form
+one-slot table :func:`weyl_operators` with each slot's index pair in turn
+and builds no d**n x d**n unitary per label.
 
 An attack is undetectable iff every E_(l,k) is a multiple of the identity,
 and then Eve's final state cannot depend on (b, i): zero detection implies
@@ -114,31 +116,35 @@ def entangled_basis_vector(d: int, n: int, m_flat: int, l_flat: int) -> np.ndarr
 
 @dataclass
 class AttackModel:
-    """Eve's source state plus feedback channel, validated on construction."""
+    """Eve's source state plus feedback channel, validated on construction.
+
+    ``kraus`` holds the Kraus operators on B x E as one (r, m, m) array, built
+    from any sequence of r equal-shape matrices; m = d**n * d_eve.
+    """
 
     d: int
     n: int
     d_eve: int
     psi_abe: np.ndarray
-    kraus: tuple
+    kraus: np.ndarray
 
     def __post_init__(self):
         self.psi_abe = np.asarray(self.psi_abe, dtype=complex).reshape(-1)
-        self.kraus = tuple(np.asarray(v, dtype=complex) for v in self.kraus)
+        self.kraus = np.asarray(self.kraus, dtype=complex)
         dd = checked_block_dim(self.d, self.n, self.d_eve)
-        if self.psi_abe.size != dd * dd * self.d_eve:
-            raise ValueError(
-                f"source state has {self.psi_abe.size} entries, expected {dd * dd * self.d_eve}"
-            )
-        norm = float(np.linalg.norm(self.psi_abe))
-        if not abs(norm - 1.0) <= 1e-9:  # refuses NaN too
+        m = dd * self.d_eve
+        if self.psi_abe.size != dd * m:
+            raise ValueError(f"source state has {self.psi_abe.size} entries, expected {dd * m}")
+        if self.kraus.ndim != 3 or self.kraus.shape[1:] != (m, m) or not len(self.kraus):
+            raise ValueError("Kraus operators must be square on B x E")
+        if not (np.isfinite(self.psi_abe).all() and np.isfinite(self.kraus).all()):
+            raise ValueError("the source state or a Kraus operator is not finite")
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow fails the checks below
+            norm = float(np.linalg.norm(self.psi_abe))
+            comp = np.tensordot(self.kraus.conj(), self.kraus, axes=([0, 1], [0, 1]))
+            dev = float(np.max(np.abs(comp - np.eye(m))))
+        if not abs(norm - 1.0) <= 1e-9:
             raise ValueError(f"source state norm {norm} is not 1")
-        comp = np.zeros((dd * self.d_eve, dd * self.d_eve), dtype=complex)
-        for v in self.kraus:
-            if v.shape != (dd * self.d_eve, dd * self.d_eve):
-                raise ValueError("Kraus operators must be square on B x E")
-            comp += qmath.dagger(v) @ v
-        dev = float(np.max(np.abs(comp - np.eye(dd * self.d_eve))))
         if not dev <= 1e-9:
             raise ValueError(f"feedback channel not trace preserving (deviation {dev:.3e})")
 
@@ -160,7 +166,7 @@ def phi_product(bs: BasisSet, bvec, ivec, n: int) -> np.ndarray:
     """Bob's returned eigenstate for a block of basis choices and outcomes."""
     bvec = _as_tuple(bvec, n, bs.k, "bases")
     ivec = _as_tuple(ivec, n, bs.dim, "outcomes")
-    return qmath.tensor(*[bs.vector(b, i) for b, i in zip(bvec, ivec)])
+    return qmath.tensor(*bs.vectors[bvec, ivec])
 
 
 def phi_hat_product(bs: BasisSet, bvec, ivec, n: int) -> np.ndarray:
@@ -197,16 +203,21 @@ def bob_projected_state(am: AttackModel, bs: BasisSet, bvec, ivec):
     return out.reshape(-1) / np.sqrt(_conditionable(prob, bvec, ivec)), prob
 
 
+def _u_hats(am: AttackModel) -> np.ndarray:
+    """U_hat_beta[x, a] as (x, a, beta): sum_(m,l) c[m, l, beta] U_(m,l) = sqrt(d**n) psi_beta^T."""
+    dd = am.block_dim
+    return np.sqrt(dd) * am.psi_abe.reshape(dd, dd, am.d_eve).transpose(1, 0, 2)
+
+
 def bob_projected_state_bell_form(am: AttackModel, bs: BasisSet, bvec, ivec):
     """Second route to the projected state, via the entangled-basis expansion.
 
     Rebuilds sum_beta (U_hat_beta^T x 1 x 1) phi_hat x e_beta from the
-    source coefficients; used to cross-check :func:`bob_projected_state`.
+    operators U_hat_beta; used to cross-check :func:`bob_projected_state`.
     """
     dd = am.block_dim
-    u_hats = _per_slot(weyl_operators(am.d).transpose(2, 3, 0, 1),
-                       decompose_source(am.psi_abe, am.d, am.n, am.d_eve), am.n)
-    out = np.einsum("cae,cb->abe", u_hats, phi_hat_product(bs, bvec, ivec, am.n).reshape(dd, dd))
+    out = np.einsum("cae,cb->abe", _u_hats(am),
+                    phi_hat_product(bs, bvec, ivec, am.n).reshape(dd, dd))
     prob = float(np.linalg.norm(out) ** 2)
     return out.reshape(-1) / np.sqrt(_conditionable(prob, bvec, ivec)), prob
 
@@ -234,8 +245,7 @@ def _kraus_branches(am: AttackModel, states) -> np.ndarray:
     """(1 x V_l) applied to m states on A x B x E, one row per branch: (m, branch, A x B, E)."""
     dd, de = am.block_dim, am.d_eve
     s = np.asarray(states, dtype=complex).reshape(-1, 1, dd, dd * de)
-    kraus_t = np.stack([v.T for v in am.kraus])
-    return (s @ kraus_t).reshape(len(s), len(am.kraus), dd * dd, de)
+    return (s @ am.kraus.transpose(0, 2, 1)).reshape(len(s), len(am.kraus), dd * dd, de)
 
 
 def apply_feedback(am: AttackModel, state: np.ndarray) -> np.ndarray:
@@ -266,14 +276,13 @@ def _walk(am: AttackModel, bs: BasisSet):
     _require_same_dim(am, bs)
     n, dd = am.n, am.block_dim
     psi = am.psi_abe.reshape(dd, dd, am.d_eve)
-    mats = np.stack([basis.vectors for basis in bs.bases]).astype(complex)
     bvecs = np.stack(np.unravel_index(np.arange(bs.k**n), (bs.k,) * n), axis=-1)
     step = max(1, _WALK_ENTRIES // (dd**3 * len(am.kraus) * am.d_eve))
     for start in range(0, len(bvecs), step):
         chunk = bvecs[start:start + step]
-        phis = mats[chunk[:, 0]]
+        phis = bs.vectors[chunk[:, 0]]
         for s in range(1, n):
-            phis = qmath.kron(phis, mats[chunk[:, s]], batch=1)
+            phis = qmath.kron(phis, bs.vectors[chunk[:, s]], batch=1)
         phis = phis.reshape(-1, dd)
         amp = np.einsum("ib,abe->iae", phis.conj(), psi)
         probs = np.sum(np.abs(amp) ** 2, axis=(1, 2))
@@ -337,15 +346,13 @@ def build_E_operators(am: AttackModel) -> np.ndarray:
     """Operator form of the attack: E[l, k] acting on A x B.
 
     E_(l,k) = sum_beta U_hat_beta^T x M_(l,k,beta), with U_hat_beta =
-    sum_(m,l) c[m, l, beta] U_(m,l) and M the B-block of Kraus operator V_l
-    mapping Eve's component beta to k. Reconstructs Alice's unnormalized
-    state as sum E |phi_hat><phi_hat| E^dagger.
+    sum_(m,l) c[m, l, beta] U_(m,l) (:func:`_u_hats`) and M the B-block of
+    Kraus operator V_l mapping Eve's component beta to k. Reconstructs
+    Alice's unnormalized state as sum E |phi_hat><phi_hat| E^dagger.
     """
     dd, de = am.block_dim, am.d_eve
-    u_hats = _per_slot(weyl_operators(am.d).transpose(2, 3, 0, 1),
-                       decompose_source(am.psi_abe, am.d, am.n, de), am.n)
-    vr = np.stack(am.kraus).reshape(len(am.kraus), dd, de, dd, de)
-    ops = np.einsum("xae,lbkye->lkabxy", u_hats, vr)
+    vr = am.kraus.reshape(len(am.kraus), dd, de, dd, de)
+    ops = np.einsum("xae,lbkye->lkabxy", _u_hats(am), vr)
     return ops.reshape(len(am.kraus), de, dd * dd, dd * dd)
 
 
@@ -522,11 +529,10 @@ def intercept_resend(bs: BasisSet, bstar: int, n: int = 1) -> AttackModel:
     dd = checked_block_dim(bs.dim, n)
     if not (0 <= bstar < bs.k):
         raise ValueError(f"basis {bstar} out of range")
-    ops = []
-    for jvec in product(range(bs.dim), repeat=n):
-        phi = phi_product(bs, (bstar,) * n, jvec, n)
-        ops.append(np.outer(phi, phi.conj()))
-    return AttackModel(d=bs.dim, n=n, d_eve=1, psi_abe=omega(dd), kraus=tuple(ops))
+    # the rows of basis bstar's n-fold Kronecker power are its block eigenstates
+    phis = qmath.tensor(*[bs.vectors[bstar]] * n)
+    return AttackModel(d=bs.dim, n=n, d_eve=1, psi_abe=omega(dd),
+                       kraus=phis[:, :, None] * phis[:, None, :].conj())
 
 
 def source_replace(d: int, eps: float, n: int = 1) -> AttackModel:
@@ -565,8 +571,8 @@ def eve_local_attack(d: int, kraus_e, eve_state=None, n: int = 1) -> AttackModel
     The source is the honest entangled state paired with an arbitrary
     ancilla state; such attacks are undetectable and leak nothing.
     """
-    kraus_e = [np.asarray(w, dtype=complex) for w in kraus_e]
-    d_eve = kraus_e[0].shape[0]
+    kraus_e = np.asarray(kraus_e, dtype=complex)
+    d_eve = kraus_e.shape[-1]
     dd = checked_block_dim(d, n, d_eve)
     chi = np.asarray(np.eye(d_eve)[0] if eve_state is None else eve_state, dtype=complex)
     norm = float(np.linalg.norm(chi))
@@ -574,7 +580,7 @@ def eve_local_attack(d: int, kraus_e, eve_state=None, n: int = 1) -> AttackModel
         raise ValueError(f"ancilla state has norm {norm}")
     chi = chi / norm
     psi = qmath.kron(omega(dd), chi)
-    ops = tuple(qmath.kron(np.eye(dd), w) for w in kraus_e)
+    ops = qmath.kron(np.eye(dd)[None], kraus_e, batch=1)
     return AttackModel(d=d, n=n, d_eve=d_eve, psi_abe=psi, kraus=ops)
 
 
@@ -584,15 +590,11 @@ def random_state(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def random_channel(dim: int, n_kraus: int, rng: np.random.Generator):
-    """Random trace-preserving Kraus family on a ``dim``-dimensional space."""
-    raw = [
-        rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        for _ in range(n_kraus)
-    ]
-    gram = sum(qmath.dagger(g) @ g for g in raw)
-    vals, vecs = np.linalg.eigh(gram)
-    inv_sqrt = vecs @ np.diag(vals**-0.5) @ vecs.conj().T
-    return [g @ inv_sqrt for g in raw]
+    """Random trace-preserving Kraus family on ``dim`` dimensions, as (n_kraus, dim, dim)."""
+    parts = rng.standard_normal((n_kraus, 2, dim, dim))  # each operator's real, then imaginary part
+    raw = parts[:, 0] + 1j * parts[:, 1]
+    vals, vecs = np.linalg.eigh(sum(qmath.dagger(g) @ g for g in raw))
+    return raw @ (vecs @ np.diag(vals**-0.5) @ vecs.conj().T)
 
 
 def random_attack(d: int, n: int, d_eve: int, n_kraus: int, rng: np.random.Generator) -> AttackModel:
@@ -602,7 +604,7 @@ def random_attack(d: int, n: int, d_eve: int, n_kraus: int, rng: np.random.Gener
         n=n,
         d_eve=d_eve,
         psi_abe=random_state(dd * dd * d_eve, rng),
-        kraus=tuple(random_channel(dd * d_eve, n_kraus, rng)),
+        kraus=random_channel(dd * d_eve, n_kraus, rng),
     )
 
 
@@ -618,7 +620,7 @@ def scalarized_attack(am: AttackModel) -> AttackModel:
     if np.linalg.norm(chi) < 1e-9:
         chi = None  # no honest component; fall back to a fresh ancilla
     # W_l = tr_B(V_l) / d**n for every Kraus operator, and sum_l W_l^dagger W_l
-    ws = np.einsum("lbibj->lij", np.stack(am.kraus).reshape(-1, dd, de, dd, de)) / dd
+    ws = np.einsum("lbibj->lij", am.kraus.reshape(-1, dd, de, dd, de)) / dd
     vals, vecs = np.linalg.eigh(np.einsum("lki,lkj->ij", ws.conj(), ws))
     if vals.min() < 1e-12:
         ws = [np.eye(de)]
@@ -635,7 +637,7 @@ def save_attack(am: AttackModel, path) -> None:
             "n": am.n,
             "d_E": am.d_eve,
             "psi_abe": complex_to_pairs(am.psi_abe),
-            "kraus": [complex_to_pairs(v) for v in am.kraus],
+            "kraus": complex_to_pairs(am.kraus),
         },
     )
 
@@ -653,7 +655,7 @@ def load_attack(path) -> AttackModel:
             n=int(data["n"]),
             d_eve=int(data["d_E"]),
             psi_abe=pairs_to_complex(data["psi_abe"]),
-            kraus=tuple(pairs_to_complex(v) for v in data["kraus"]),
+            kraus=pairs_to_complex(data["kraus"]),
         )
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FormatError(f"bad attack file {path}: {exc}") from exc

@@ -1,11 +1,12 @@
 """Mutually unbiased bases for prime dimensions and basis-set validation.
 
-A basis set is k orthonormal bases of a d-dimensional complex space. The
-retrodiction game is winnable whenever the set is non-degenerate (the d*k
-rank-one projectors span a k(d-1)+1 dimensional real space) and the pairwise
-outcome statistics admit a classical joint model. d+1 mutually unbiased
-bases satisfy both; this module generates them for prime d and checks the
-conditions numerically for any supplied set.
+A basis set is k orthonormal bases of a d-dimensional complex space, held
+as one (k, d, d) array (:class:`BasisSet`). The retrodiction game is
+winnable whenever the set is non-degenerate (the d*k rank-one projectors
+span a k(d-1)+1 dimensional real space) and the pairwise outcome statistics
+admit a classical joint model. d+1 mutually unbiased bases satisfy both;
+this module generates them for prime d and checks the conditions
+numerically for any supplied set.
 """
 
 from __future__ import annotations
@@ -20,6 +21,9 @@ from .serialize import complex_to_pairs, pairs_to_complex, read_json, write_json
 
 SUPPORTED_GEN_DIMS = (2, 3, 5, 7)
 MAX_VALIDATE_DIM = 16
+# no entry of an orthonormal basis exceeds 1 in magnitude; one past this bound
+# is refused, which keeps the checks' products of up to four entries finite
+MAX_ENTRY = 1e6
 
 # the classical-model LP refuses sets with more variables than this (d**k
 # grows fast); flat sets, MUBs among them, never reach the LP
@@ -39,37 +43,30 @@ class OverBudget(RuntimeError):
 
 
 @dataclass
-class Basis:
-    """One orthonormal basis: ``vectors[i]`` is the i-th basis vector."""
+class BasisSet:
+    """k orthonormal bases of C^d as one (k, d, d) array: ``vectors[b, i]`` is vector i of basis b.
 
-    label: int
-    vectors: np.ndarray  # shape (d, d), complex
+    Refuses, before any arithmetic, an array of another shape and one holding
+    a number that is not finite or above ``MAX_ENTRY`` in magnitude.
+    """
+
+    vectors: np.ndarray
 
     def __post_init__(self):
         self.vectors = np.asarray(self.vectors, dtype=complex)
-        if self.vectors.ndim != 2 or self.vectors.shape[0] != self.vectors.shape[1]:
-            raise ValueError("a basis must be a square array of vectors")
+        shape = self.vectors.shape
+        if len(shape) != 3 or shape[1] != shape[2] or 0 in shape:
+            raise ValueError(f"a basis set is a (k, d, d) array with k, d >= 1, not {shape}")
+        if not np.abs(self.vectors).max() <= MAX_ENTRY:  # NaN fails too
+            raise ValueError(f"a basis vector holds a number not finite or above {MAX_ENTRY:g}")
 
-
-@dataclass
-class BasisSet:
-    dim: int
-    bases: tuple
-
-    def __post_init__(self):
-        self.bases = tuple(self.bases)
-        if not self.bases:
-            raise ValueError("a basis set needs at least one basis")
-        for basis in self.bases:
-            if basis.vectors.shape != (self.dim, self.dim):
-                raise ValueError("all bases must share the set dimension")
+    @property
+    def dim(self) -> int:
+        return self.vectors.shape[1]
 
     @property
     def k(self) -> int:
-        return len(self.bases)
-
-    def vector(self, b: int, i: int) -> np.ndarray:
-        return self.bases[b].vectors[i]
+        return len(self.vectors)
 
 
 @dataclass
@@ -106,53 +103,35 @@ def gen_mub(d: int) -> BasisSet:
         )
     if d == 2:
         s = 1.0 / np.sqrt(2.0)
-        mats = [
-            np.eye(2, dtype=complex),
-            np.array([[s, s], [s, -s]], dtype=complex),
-            np.array([[s, 1j * s], [s, -1j * s]], dtype=complex),
-        ]
-        return BasisSet(dim=2, bases=tuple(Basis(b, m) for b, m in enumerate(mats)))
+        return BasisSet([np.eye(2), [[s, s], [s, -s]], [[s, 1j * s], [s, -1j * s]]])
 
     omega = np.exp(2j * np.pi / d)
-    s = np.arange(d)
-    mats = [np.eye(d, dtype=complex)]
-    for a in range(d):
-        vecs = np.empty((d, d), dtype=complex)
-        for i in range(d):
-            vecs[i] = omega ** ((a * s * s + i * s) % d) / np.sqrt(d)
-        mats.append(vecs)
-    return BasisSet(dim=d, bases=tuple(Basis(b, m) for b, m in enumerate(mats)))
+    a, i, s = np.ogrid[:d, :d, :d]
+    phases = omega ** ((a * s * s + i * s) % d) / np.sqrt(d)
+    return BasisSet(np.concatenate([np.eye(d)[None], phases]))
 
 
 def check_orthonormal(bs: BasisSet, tol: float = qmath.DEFAULT_TOL):
     """Max-norm deviation of every per-basis Gram matrix from the identity."""
-    worst = 0.0
-    eye = np.eye(bs.dim)
-    for basis in bs.bases:
-        gram = basis.vectors.conj() @ basis.vectors.T
-        worst = max(worst, float(np.max(np.abs(gram - eye))))
+    gram = bs.vectors.conj() @ bs.vectors.transpose(0, 2, 1)
+    worst = float(np.max(np.abs(gram - np.eye(bs.dim))))
     return worst <= tol, worst
 
 
 def check_unbiased(bs: BasisSet, tol: float = qmath.DEFAULT_TOL):
-    """Worst deviation of cross-basis squared overlaps from 1/d."""
-    d = bs.dim
-    worst = 0.0
-    for a, b in combinations(range(bs.k), 2):
-        ov = np.abs(bs.bases[a].vectors.conj() @ bs.bases[b].vectors.T) ** 2
-        worst = max(worst, float(np.max(np.abs(ov - 1.0 / d))))
+    """Worst deviation of cross-basis squared overlaps from 1/d, each basis against later ones."""
+    v, worst = bs.vectors, 0.0
+    for a in range(bs.k - 1):
+        ov = np.abs(v[a].conj() @ v[a + 1:].transpose(0, 2, 1)) ** 2
+        worst = max(worst, float(np.max(np.abs(ov - 1.0 / bs.dim))))
     return worst <= tol, worst
 
 
 def check_nondegenerate(bs: BasisSet, tol: float = qmath.DEFAULT_TOL):
     """Real-linear rank of the k*d rank-one projectors; ok iff k(d-1)+1."""
-    d, k = bs.dim, bs.k
-    coords = np.empty((k * d, d * d))
-    for b, basis in enumerate(bs.bases):
-        for i in range(d):
-            v = basis.vectors[i]
-            coords[b * d + i] = qmath.hermitian_coords(np.outer(v, v.conj()))
-    rank = qmath.matrix_rank(coords, tol)
+    d, k, v = bs.dim, bs.k, bs.vectors
+    coords = qmath.hermitian_coords(v[..., :, None] * v[..., None, :].conj())
+    rank = qmath.matrix_rank(coords.reshape(k * d, d * d), tol)
     return rank == k * (d - 1) + 1, rank
 
 
@@ -166,7 +145,7 @@ def pairwise_joint(bs: BasisSet, a: int, b: int) -> np.ndarray:
         raise ValueError("pairwise_joint needs two distinct bases")
     if not (0 <= a < bs.k and 0 <= b < bs.k):
         raise ValueError(f"basis index out of range (k={bs.k})")
-    ov = bs.bases[b].vectors.conj() @ bs.bases[a].vectors.T
+    ov = bs.vectors[b].conj() @ bs.vectors[a].T
     return np.abs(ov) ** 2 / bs.dim
 
 
@@ -245,7 +224,7 @@ def _classical_model_lp(bs: BasisSet, tol: float):
 def validate(bs: BasisSet, tol: float = qmath.DEFAULT_TOL) -> ValidationReport:
     """Run all structural checks and collect them into one report."""
     if bs.dim > MAX_VALIDATE_DIM:
-        raise UnsupportedDimension(f"validation supports d <= {MAX_VALIDATE_DIM}")
+        raise OverBudget(f"validation supports d <= {MAX_VALIDATE_DIM}, not d = {bs.dim}")
     orth_ok, orth_worst = check_orthonormal(bs, tol)
     unb_ok, unb_worst = check_unbiased(bs, max(tol, 1e-10))
     nondeg_ok, rank = check_nondegenerate(bs, tol)
@@ -263,26 +242,20 @@ def validate(bs: BasisSet, tol: float = qmath.DEFAULT_TOL) -> ValidationReport:
 
 
 def save_basis_set(bs: BasisSet, path) -> None:
-    write_json(
-        path,
-        {
-            "dim": bs.dim,
-            "bases": [complex_to_pairs(basis.vectors) for basis in bs.bases],
-        },
-    )
+    write_json(path, {"dim": bs.dim, "bases": complex_to_pairs(bs.vectors)})
+
+
+def basis_set_from_json(data) -> BasisSet:
+    """The basis set of the ``dim`` and ``bases`` fields of a basis-set or strategy file."""
+    bs = BasisSet(pairs_to_complex(data["bases"]))
+    if bs.dim != int(data["dim"]):
+        raise ValueError(f"bases have shape {bs.vectors.shape}, expected dimension {data['dim']}")
+    return bs
 
 
 def load_basis_set(path) -> BasisSet:
     data = read_json(path)
     try:
-        dim = int(data["dim"])
-        raw = data["bases"]
-        bases = []
-        for b, entry in enumerate(raw):
-            vecs = pairs_to_complex(entry)
-            if vecs.shape != (dim, dim):
-                raise ValueError(f"basis {b} has shape {vecs.shape}, expected {(dim, dim)}")
-            bases.append(Basis(label=b, vectors=vecs))
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+        return basis_set_from_json(data)
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FormatError(f"bad basis-set file {path}: {exc}") from exc
-    return BasisSet(dim=dim, bases=tuple(bases))

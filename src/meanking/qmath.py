@@ -139,18 +139,16 @@ def lstsq(a: np.ndarray, b: np.ndarray):
 
 
 def hermitian_coords(h: np.ndarray) -> np.ndarray:
-    """Real coordinates of a Hermitian matrix.
+    """Real coordinates of a Hermitian matrix, or of each in a stack over the leading axes.
 
     The map is a real-linear isometry onto R^(n^2) (diagonal, then scaled
     real and imaginary parts of the upper triangle), so real-linear rank
     and inner products of Hermitian families are preserved.
     """
     h = np.asarray(h, dtype=complex)
-    n = h.shape[0]
-    iu = np.triu_indices(n, k=1)
-    return np.concatenate(
-        [np.diag(h).real, np.sqrt(2.0) * h[iu].real, np.sqrt(2.0) * h[iu].imag]
-    )
+    upper = h[(..., *np.triu_indices(h.shape[-1], k=1))]
+    return np.concatenate([np.diagonal(h, axis1=-2, axis2=-1).real,
+                           np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag], axis=-1)
 
 
 def lp_feasible(a_eq, b_eq, lower_bounds, maximize_min_of=None, feasibility_tol=1e-10):

@@ -30,7 +30,7 @@ from itertools import product
 import numpy as np
 
 from . import qmath
-from .bases import Basis, BasisSet, FormatError, OverBudget
+from .bases import BasisSet, FormatError, OverBudget, basis_set_from_json
 from .serialize import complex_to_pairs, pairs_to_complex, read_json, write_json
 
 MAX_BLOCK_DIM = 4096  # bound on d**(2n) * d_eve, the densest block operator handled
@@ -90,7 +90,7 @@ def phi_hat(bs: BasisSet, b: int, i: int) -> np.ndarray:
     d = bs.dim
     if not (0 <= b < bs.k and 0 <= i < d):
         raise IndexError(f"basis {b} / outcome {i} out of range")
-    phi = bs.vector(b, i)
+    phi = bs.vectors[b, i]
     return (omega(d).reshape(d, d) @ np.outer(phi, phi.conj()).T).reshape(-1)
 
 
@@ -163,8 +163,9 @@ def decomposition_triple(x, b_prime: int, b_tilde: int, j_prime: int, j_tilde: i
 
 def _completeness_residual(etas: np.ndarray, weights: np.ndarray, dim2: int) -> float:
     """Max-norm distance of sum_x p(x) |eta_x><eta_x| from the dim2 x dim2 identity."""
-    total = (etas.T * weights) @ etas.conj()
-    return float(np.max(np.abs(total - np.eye(dim2))))
+    with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or NaN
+        total = (etas.T * weights) @ etas.conj()
+        return float(np.max(np.abs(total - np.eye(dim2))))
 
 
 def _max_min_weights_lp(etas: np.ndarray) -> np.ndarray:
@@ -175,9 +176,7 @@ def _max_min_weights_lp(etas: np.ndarray) -> np.ndarray:
     LP with objective "maximize the smallest weight".
     """
     nx, dim2 = etas.shape
-    coords = np.empty((dim2 * dim2, nx))
-    for j in range(nx):
-        coords[:, j] = qmath.hermitian_coords(np.outer(etas[j], etas[j].conj()))
+    coords = qmath.hermitian_coords(etas[:, :, None] * etas[:, None, :].conj()).T
     target = qmath.hermitian_coords(np.eye(dim2))
 
     u, s, _ = np.linalg.svd(coords, full_matrices=False)
@@ -226,10 +225,9 @@ def solve_povm_weights(safe_vectors,
 
 @dataclass
 class Strategy:
-    """A maximal strategy: source state, safe-vector table and one POVM weight per row."""
+    """A maximal strategy for the source :func:`omega`: safe-vector table, a weight per row."""
 
     basis_set: BasisSet
-    omega: np.ndarray
     safe_vectors: np.recarray
     weights: np.ndarray
     completeness_residual: float
@@ -270,7 +268,7 @@ def build_strategy(bs: BasisSet, residual_tol: float = 1e-8) -> Strategy:
         )
     table = _safe_vectors(bs, enumerate_guessing_functions(d, bs.k), residual_tol)
     weights, residual = solve_povm_weights(table)
-    return Strategy(basis_set=bs, omega=omega(d), safe_vectors=table, weights=weights,
+    return Strategy(basis_set=bs, safe_vectors=table, weights=weights,
                     completeness_residual=residual)
 
 
@@ -350,15 +348,8 @@ def save_strategy(s: Strategy, path) -> None:
         for x, eta, p, res in zip(table.x.tolist(), complex_to_pairs(table.eta),
                                   s.weights.tolist(), table.residual.tolist())
     ]
-    write_json(
-        path,
-        {
-            "dim": s.basis_set.dim,
-            "bases": [complex_to_pairs(b.vectors) for b in s.basis_set.bases],
-            "omega": complex_to_pairs(s.omega),
-            "entries": entries,
-        },
-    )
+    write_json(path, {"dim": s.d, "bases": complex_to_pairs(s.basis_set.vectors),
+                      "omega": complex_to_pairs(omega(s.d)), "entries": entries})
 
 
 def load_strategy(path) -> Strategy:
@@ -371,15 +362,11 @@ def load_strategy(path) -> Strategy:
     """
     data = read_json(path)
     try:
-        dim = int(data["dim"])
-        bs = BasisSet(
-            dim=dim,
-            bases=tuple(
-                Basis(label=b, vectors=pairs_to_complex(entry))
-                for b, entry in enumerate(data["bases"])
-            ),
-        )
-        omega_vec = pairs_to_complex(data["omega"])
+        bs = basis_set_from_json(data)
+        dim = bs.dim
+        source = pairs_to_complex(data["omega"])
+        if source.shape != (dim * dim,) or np.max(np.abs(source - omega(dim))) > 1e-9:
+            raise ValueError(f"omega is not the maximally entangled state of dimension {dim}")
         xs, etas, weights, residuals = zip(*[(e["x"], e["eta"], e["p"], e["residual"])
                                             for e in data["entries"]])
         if any(len(x) != bs.k for x in xs):
@@ -396,11 +383,11 @@ def load_strategy(path) -> Strategy:
         if not np.isfinite(weights).all() or not np.isfinite(table.residual).all():
             raise ValueError("a weight or residual is not finite")
         residual = _completeness_residual(table.eta, weights, dim * dim)
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FormatError(f"bad strategy file {path}: {exc}") from exc
     if not residual <= COMPLETENESS_TOL:
         raise Infeasible(f"stored strategy violates completeness by {residual:.3e}")
     if not float(weights.min()) > POSITIVITY_TOL:
         raise NotMaximal(f"stored strategy has weight {weights.min():.3e}; strategy not maximal")
-    return Strategy(basis_set=bs, omega=omega_vec, safe_vectors=table, weights=weights,
+    return Strategy(basis_set=bs, safe_vectors=table, weights=weights,
                     completeness_residual=residual)

@@ -1,4 +1,5 @@
 import dataclasses
+import warnings
 
 import numpy as np
 import pytest
@@ -37,8 +38,8 @@ def unit_strategy(mub2):
     but every diagonal operator has them as eigenvectors (solution dimension 4)."""
     table = retrodiction.safe_vector_table(retrodiction.enumerate_guessing_functions(2)[:4],
                                            np.eye(4, dtype=complex), np.zeros(4))
-    return retrodiction.Strategy(basis_set=mub2, omega=retrodiction.omega(2), safe_vectors=table,
-                                 weights=np.ones(4), completeness_residual=0.0)
+    return retrodiction.Strategy(basis_set=mub2, safe_vectors=table, weights=np.ones(4),
+                                 completeness_residual=0.0)
 
 
 @pytest.fixture(scope="session")
@@ -52,15 +53,32 @@ def zero_weight_strategy(unit_strategy):
                                weights=np.append(unit_strategy.weights, 0.0))
 
 
+@pytest.fixture()
+def refused_quietly(capfd):
+    """``check(make, match)``: ``make()`` raises a matching ValueError, warns and prints nothing.
+
+    ``capfd`` sees what LAPACK writes to the process's own file descriptors.
+    """
+
+    def check(make, match):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=match):
+                make()
+        assert capfd.readouterr() == ("", "")
+
+    return check
+
+
 @pytest.fixture(scope="session")
 def biased_copy():
     """Copy a basis set with basis b turned by an angle in its own plane: no longer unbiased."""
 
     def make(bs, angle, b=1):
-        mats = [basis.vectors.copy() for basis in bs.bases]
-        v0, v1 = mats[b][0].copy(), mats[b][1].copy()
-        mats[b][0] = np.cos(angle) * v0 + np.sin(angle) * v1
-        mats[b][1] = -np.sin(angle) * v0 + np.cos(angle) * v1
-        return bases.BasisSet(bs.dim, tuple(bases.Basis(j, m) for j, m in enumerate(mats)))
+        mats = bs.vectors.copy()
+        v0, v1 = mats[b, 0].copy(), mats[b, 1].copy()
+        mats[b, 0] = np.cos(angle) * v0 + np.sin(angle) * v1
+        mats[b, 1] = -np.sin(angle) * v0 + np.cos(angle) * v1
+        return bases.BasisSet(mats)
 
     return make

@@ -85,9 +85,9 @@ def intercept_resend_detection(strategy, bstar):
     total = 0.0
     for b in range(k):
         for i in range(d):
-            phi_b = bs.vector(b, i)
+            phi_b = bs.vectors[b, i]
             for j in range(d):
-                phi_star = bs.vector(bstar, j)
+                phi_star = bs.vectors[bstar, j]
                 w = abs(np.vdot(phi_star, phi_b)) ** 2
                 psi = np.kron(phi_b.conj(), phi_star)
                 correct = 0.0
@@ -118,7 +118,7 @@ def probe_detection(strategy, theta, d_eve=2):
     total = 0.0
     for b in range(k):
         for i in range(d):
-            phi = bs.vector(b, i)
+            phi = bs.vectors[b, i]
             pmat = np.outer(phi, phi.conj())
             rho = np.zeros((d * d, d * d), dtype=complex)
             for j in range(d):
@@ -148,7 +148,7 @@ def eve_state_loops(am, bs, bvec, ivec):
     dd, de = am.d**am.n, am.d_eve
     phi = np.ones(1, dtype=complex)
     for b, i in zip(bvec, ivec):
-        phi = np.kron(phi, bs.vector(b, i))
+        phi = np.kron(phi, bs.vectors[b, i])
     psi = np.asarray(am.psi_abe).reshape(dd, dd, de)
     projected = np.zeros((dd, dd * de), dtype=complex)  # rows A, columns (B, E)
     for a in range(dd):
@@ -363,7 +363,7 @@ def operator_form_loops(am):
             coeffs[m_flat, l_flat] = bell.conj() @ psi
             for beta in range(de):
                 u_hats[beta] += coeffs[m_flat, l_flat, beta] * units[m_flat, l_flat]
-    vr = np.stack(am.kraus).reshape(len(am.kraus), dd, de, dd, de)
+    vr = am.kraus.reshape(len(am.kraus), dd, de, dd, de)
     ops = np.zeros((len(am.kraus), de, dd * dd, dd * dd), dtype=complex)
     for beta in range(de):
         ops += qmath.kron(u_hats[beta].T[None, None], vr[..., beta].transpose(0, 2, 1, 3), batch=2)

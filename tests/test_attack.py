@@ -70,6 +70,18 @@ class TestOperatorFormAgainstLoops:
         assert_allclose(atk.build_E_operators(am), ops, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("d,n,de", LOOP_SHAPES)
+    def test_weyl_expansion_resums_to_source(self, d, n, de):
+        # U_hat_beta = sum_(m,l) c[m, l, beta] U_(m,l) is sqrt(d**n) psi_beta^T, which the
+        # operator form reads off the source
+        am = atk.random_attack(d, n, de, 2, np.random.default_rng(13 * d + n))
+        dd = d**n
+        coeffs, _ = operator_form_loops(am)
+        resummed = np.einsum("mle,mlxa->xae", coeffs, weyl_loops(d, n))
+        want = np.sqrt(dd) * am.psi_abe.reshape(dd, dd, de).transpose(1, 0, 2)
+        assert_allclose(resummed, want, rtol=0, atol=1e-12)
+        assert_allclose(atk._u_hats(am), resummed, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d,n,de", LOOP_SHAPES)
     def test_resynthesis(self, d, n, de):
         rng = np.random.default_rng(11 * d + n)
         dd = d**n
@@ -130,17 +142,36 @@ class TestModelValidation:
             atk.AttackModel(d=2, n=1, d_eve=1, psi_abe=2 * rd.omega(2), kraus=(np.eye(2),))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
-    def test_non_finite_source_rejected(self, value):
+    def test_non_finite_source_rejected(self, value, refused_quietly):
         psi = rd.omega(2)
         psi[1] = value
-        with pytest.raises(ValueError, match="source state norm"):
-            atk.AttackModel(d=2, n=1, d_eve=1, psi_abe=psi, kraus=(np.eye(2),))
+        refused_quietly(lambda: atk.AttackModel(d=2, n=1, d_eve=1, psi_abe=psi,
+                                                kraus=(np.eye(2),)), "not finite")
 
-    def test_nan_kraus_rejected(self):
+    def test_nan_kraus_rejected(self, refused_quietly):
         kraus = np.eye(2, dtype=complex)
         kraus[0, 1] = np.nan
-        with pytest.raises(ValueError, match="not trace preserving"):
-            atk.AttackModel(d=2, n=1, d_eve=1, psi_abe=rd.omega(2), kraus=(kraus,))
+        refused_quietly(lambda: atk.AttackModel(d=2, n=1, d_eve=1, psi_abe=rd.omega(2),
+                                                kraus=(kraus,)), "not finite")
+
+    def test_infinite_kraus_rejected(self, refused_quietly):
+        # the V^dagger V sum would meet inf * 0 and warn in matmul
+        kraus = np.eye(2, dtype=complex)
+        kraus[1, 0] = np.inf
+        refused_quietly(lambda: atk.AttackModel(d=2, n=1, d_eve=1, psi_abe=rd.omega(2),
+                                                kraus=(kraus, np.zeros((2, 2)))), "not finite")
+
+    @pytest.mark.parametrize("kraus", [np.eye(2), np.eye(3)[None], np.zeros((0, 2, 2)),
+                                       [np.eye(2), np.eye(3)]],
+                             ids=["one-matrix", "wrong-size", "none", "ragged"])
+    def test_kraus_shape_rejected(self, kraus):
+        with pytest.raises(ValueError):
+            atk.AttackModel(d=2, n=1, d_eve=1, psi_abe=rd.omega(2), kraus=kraus)
+
+    def test_kraus_is_one_array(self, mub2):
+        am = atk.intercept_resend(mub2, 1)
+        assert am.kraus.shape == (2, 2, 2) and am.kraus.dtype == complex
+        assert_allclose(am.kraus.sum(axis=0), np.eye(2), atol=1e-15)
 
     @pytest.mark.parametrize("eve_state", [[0.0, 0.0], [np.nan, 1.0], [np.inf, 0.0]])
     def test_degenerate_ancilla_state_rejected(self, eve_state):

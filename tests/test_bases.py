@@ -12,18 +12,16 @@ Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
 def scaled_copy(bs, factor, which=0):
-    mats = [b.vectors.copy() for b in bs.bases]
-    mats[which] = mats[which] * factor
-    return bases.BasisSet(
-        dim=bs.dim, bases=tuple(bases.Basis(b, m) for b, m in enumerate(mats))
-    )
+    mats = bs.vectors.copy()
+    mats[which] *= factor
+    return bases.BasisSet(mats)
 
 
 class TestGenMub:
     def test_d2_is_pauli_eigenbases(self, mub2):
         # each basis diagonalizes the matching shift/clock operator
-        for op, basis in zip([Z2, X2, X2 @ Z2], mub2.bases):
-            for v in basis.vectors:
+        for op, basis in zip([Z2, X2, X2 @ Z2], mub2.vectors):
+            for v in basis:
                 ev = np.vdot(v, op @ v)
                 assert np.linalg.norm(op @ v - ev * v) < 1e-12
 
@@ -49,15 +47,36 @@ class TestGenMub:
         assert report.classical_model
 
 
+class TestBasisSet:
+    def test_shape_read_from_array(self, mub3):
+        assert mub3.vectors.shape == (4, 3, 3) and (mub3.k, mub3.dim) == (4, 3)
+        assert mub3.vectors.dtype == complex
+
+    @pytest.mark.parametrize("vectors", [np.eye(2), np.zeros((2, 2, 3)), np.zeros((0, 2, 2)),
+                                         [np.eye(2), np.eye(3)]],
+                             ids=["one-basis", "not-square", "empty", "ragged"])
+    def test_shape_refused(self, vectors):
+        with pytest.raises(ValueError):
+            bases.BasisSet(vectors)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_refused_before_lapack(self, mub2, refused_quietly, value):
+        # a NaN once reached LAPACK in build_strategy and validate, which
+        # printed "On entry to DLASCL parameter number 4 had an illegal value"
+        mats = mub2.vectors.copy()
+        mats[1, 0, 1] = value
+        refused_quietly(lambda: bases.BasisSet(mats), "not finite")
+
+
 class TestOrthonormal:
     def test_generated_sets(self, mub3):
         ok, worst = bases.check_orthonormal(mub3)
         assert ok and worst < 1e-12
 
     def test_duplicated_vector(self, mub2):
-        mats = [b.vectors.copy() for b in mub2.bases]
-        mats[1][1] = mats[1][0]
-        bs = bases.BasisSet(2, tuple(bases.Basis(b, m) for b, m in enumerate(mats)))
+        mats = mub2.vectors.copy()
+        mats[1, 1] = mats[1, 0]
+        bs = bases.BasisSet(mats)
         ok, _ = bases.check_orthonormal(bs)
         assert not ok
 
@@ -73,27 +92,26 @@ class TestNondegenerate:
         assert ok and rank == 4
 
     def test_single_basis(self, mub3):
-        bs = bases.BasisSet(3, (mub3.bases[0],))
+        bs = bases.BasisSet(mub3.vectors[:1])
         ok, rank = bases.check_nondegenerate(bs)
         assert ok and rank == 3  # 1*(d-1)+1
 
     def test_duplicated_basis(self, mub3):
-        bs = bases.BasisSet(3, (mub3.bases[0], mub3.bases[0]))
+        bs = bases.BasisSet(mub3.vectors[[0, 0]])
         ok, rank = bases.check_nondegenerate(bs)
         assert not ok and rank == 3  # below 2(d-1)+1
 
     def test_invariances(self, mub3):
         rng = np.random.default_rng(23)
         # relabel vectors within a basis
-        mats = [b.vectors.copy() for b in mub3.bases]
+        mats = mub3.vectors.copy()
         mats[2] = mats[2][rng.permutation(3)]
-        shuffled = bases.BasisSet(3, tuple(bases.Basis(b, m) for b, m in enumerate(mats)))
+        shuffled = bases.BasisSet(mats)
         assert bases.check_nondegenerate(shuffled) == bases.check_nondegenerate(mub3)
         # global unitary rotation
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         u, _ = np.linalg.qr(g)
-        mats = [b.vectors @ u.T for b in mub3.bases]
-        rotated = bases.BasisSet(3, tuple(bases.Basis(b, m) for b, m in enumerate(mats)))
+        rotated = bases.BasisSet(mub3.vectors @ u.T)
         assert bases.check_nondegenerate(rotated) == bases.check_nondegenerate(mub3)
 
 
@@ -112,8 +130,7 @@ class TestPairwiseJoint:
         rng = np.random.default_rng(29)
         g = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         u, _ = np.linalg.qr(g)
-        mats = [mub3.bases[0].vectors, np.asarray(u)]
-        bs = bases.BasisSet(3, tuple(bases.Basis(b, m) for b, m in enumerate(mats)))
+        bs = bases.BasisSet([mub3.vectors[0], u])
         table = bases.pairwise_joint(bs, 0, 1)
         assert_allclose(table.sum(axis=0), np.full(3, 1 / 3), atol=1e-12)
         assert_allclose(table.sum(axis=1), np.full(3, 1 / 3), atol=1e-12)
@@ -134,7 +151,7 @@ class TestClassicalModel:
                 assert np.max(np.abs(marg - bases.pairwise_joint(mub2, b, a))) < 1e-9
 
     def test_single_basis_uniform(self, mub3):
-        bs = bases.BasisSet(3, (mub3.bases[0],))
+        bs = bases.BasisSet(mub3.vectors[:1])
         ok, q = bases.check_classical_model(bs)
         assert ok and abs(q.sum() - 1.0) < 1e-9
 
@@ -225,8 +242,7 @@ class TestFileFormat:
         bases.save_basis_set(mub3, path)
         loaded = bases.load_basis_set(path)
         assert loaded.dim == 3 and loaded.k == 4
-        for orig, new in zip(mub3.bases, loaded.bases):
-            assert_allclose(orig.vectors, new.vectors)
+        assert_allclose(loaded.vectors, mub3.vectors)
 
     def test_complex_pairs_layout(self, tmp_path, mub2):
         path = tmp_path / "b2.json"

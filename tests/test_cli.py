@@ -9,7 +9,7 @@ import pytest
 
 import meanking
 from meanking import attack, bases, cli, protocol, retrodiction, security
-from meanking.serialize import file_digest
+from meanking.serialize import complex_to_pairs, file_digest
 from oracles import intercept_resend_detection
 
 
@@ -64,14 +64,24 @@ class TestBasesCommands:
     def test_check_classical_model_over_budget(self, tmp_path, capsys):
         # 18 repeats of the d=2 MUBs are not pairwise flat, and their
         # classical-model LP would have 2**18 variables
-        mub = bases.gen_mub(2).bases
-        repeats = bases.BasisSet(2, tuple(bases.Basis(b, mub[b % 3].vectors) for b in range(18)))
+        repeats = bases.BasisSet(bases.gen_mub(2).vectors[np.arange(18) % 3])
         path = tmp_path / "repeats.json"
         bases.save_basis_set(repeats, path)
         code = cli.main(["bases", "check", "--in", str(path)])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""
         assert "262144 variables exceeds the supported size" in captured.err
+
+    def test_check_over_validation_budget(self, tmp_path, capsys):
+        # d = 17 is one past bases.MAX_VALIDATE_DIM: an input over its size budget
+        d = 17
+        fourier = np.exp(2j * np.pi * np.outer(np.arange(d), np.arange(d)) / d) / np.sqrt(d)
+        path = tmp_path / "b17.json"
+        bases.save_basis_set(bases.BasisSet([np.eye(d), fourier]), path)
+        code = cli.main(["bases", "check", "--in", str(path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err == "error: validation supports d <= 16, not d = 17\n"
 
     def test_check_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "garbage.json"
@@ -327,6 +337,22 @@ class TestMalformedFiles:
         assert code == 1
         assert err.startswith("error: bad strategy file") and "Traceback" not in err
 
+    @pytest.mark.parametrize("source", ["product", "d3", "scaled"])
+    def test_strategy_foreign_omega(self, tmp_path, capsys, strategy_file, source):
+        # every computation assumes the maximally entangled source, so a file naming
+        # another one is refused, not silently analysed as if it held omega(d)
+        data = json.loads(strategy_file.read_text())
+        data["omega"] = {"product": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
+                         "d3": complex_to_pairs(retrodiction.omega(3)),
+                         "scaled": [[v * (1 + 1e-8), w] for v, w in data["omega"]]}[source]
+        bad = tmp_path / "foreign_omega.json"
+        bad.write_text(json.dumps(data))
+        code = cli.main(["security", "attack-eval", "--attack", "none", "--strategy", str(bad)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == (f"error: bad strategy file {bad}: omega is not the maximally "
+                                "entangled state of dimension 2\n")
+
     @pytest.mark.parametrize("defect, message", [
         ("x-length", "does not have k = 3 digits"),
         ("x-digit", "digit outside 0..1"),
@@ -407,6 +433,50 @@ class TestNonFiniteNumbers:
             assert captured.out == "" and not out_path.exists()
             assert captured.err.startswith("error: bad ") and "not finite" in captured.err
             assert "Traceback" not in captured.err
+
+
+class TestOverflowingNumbers:
+    """A finite number too large to compute with exits 1 or 2 with a message, warning nothing."""
+
+    @pytest.mark.parametrize("target, value, code, message", [
+        ("bases-entry", 1e200, 1, "not finite or above 1e+06"),
+        ("bases-dim", "Infinity", 1, "cannot convert float infinity"),
+        ("strategy-x", 2**70, 1, "too large"),
+        ("strategy-eta", 1e200, 2, "violates completeness by inf"),
+        ("attack-psi", 1e200, 1, "source state norm inf"),
+        ("attack-kraus", 1e200, 1, "not trace preserving (deviation inf)"),
+        ("attack-d", "Infinity", 1, "cannot convert float infinity"),
+    ])
+    def test_refused(self, tmp_path, capsys, bases_file, strategy_file, target, value, code,
+                     message):
+        kind, field = target.split("-")
+        if kind == "attack":
+            path = tmp_path / "attack.json"
+            attack.save_attack(attack.intercept_resend(bases.gen_mub(2), 0), path)
+        else:
+            path = {"bases": bases_file, "strategy": strategy_file}[kind]
+        data = json.loads(path.read_text())
+        if field == "entry":
+            data["bases"][1][0][1][0] = value
+        elif field == "x":
+            data["entries"][3]["x"][0] = value
+        elif field == "eta":
+            data["entries"][3]["eta"][0][0] = value
+        elif field == "psi":
+            data["psi_abe"][0][0] = value
+        elif field == "kraus":
+            data["kraus"][1][0][1][1] = value
+        else:
+            data[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(data).replace('"Infinity"', "Infinity"))
+        argv = {"bases": ["bases", "check", "--in", str(bad)],
+                "strategy": ["security", "lemma", "--strategy", str(bad)],
+                "attack": ["security", "attack-eval", "--attack", f"file:{bad}"]}[kind]
+        assert cli.main(argv) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert message in captured.err and captured.err.count("\n") == 1
 
 
 class TestAttackBudget:

@@ -203,7 +203,7 @@ class TestSummaries:
 
     def test_broken_attack_flagged(self, strategy_d2, mub2):
         am = atk.intercept_resend(mub2, 0)
-        am.kraus = tuple(0.7 * v for v in am.kraus)  # silently break completeness
+        am.kraus = 0.7 * am.kraus  # silently break completeness
         with pytest.raises(proto.ProtocolError):
             proto.run_protocol(cfg(rounds=5), strategy_d2, am)
 
@@ -389,8 +389,8 @@ class TestTranscriptFiles:
 
 
 # SHA-256 digests of what 0.7.0 writes: transcripts of the protocol-sim
-# benchmark's four shapes at reduced rounds, and the README pipeline's `run`
-# outputs at reduced rounds. The sampler draws from numpy Generator streams,
+# benchmark's four shapes at reduced rounds, and the README pipeline's
+# outputs (the `run` steps at reduced rounds). The sampler draws from numpy Generator streams,
 # which numpy does not promise to keep across versions, so the CI workflow
 # pins numpy. A release that changes the streams changes these on purpose.
 GOLDEN_TRANSCRIPTS = {
@@ -400,6 +400,11 @@ GOLDEN_TRANSCRIPTS = {
     "probe-d3n1": "a84f3ffe69f1dfc8ad8c195b58c7a19e9eab736be9127e4f3cbc32fe623cd265",
 }
 GOLDEN_README_RUN = {
+    "bases gen stdout": "bb7086b7c2d33c171f7d0203a2e6b101df2a6ae1651bccc12e708ecde4121302",
+    "bases3.json": "b8814958647460da10423529abcc86fa6a3447a601d12f584871f4f9e765f730",
+    "bases check stdout": "f490161b57bbb0d9f734f493bb935fff8c4629fa9c8e22cc816876472399d572",
+    "strategy build stdout": "aff86269aa2d997923b1e5ba97d4adc678c22069c75872e18a61ffe6d555c276",
+    "strategy3.json": "b73a3cde0523c41468dbd5ed593508ee0cdfe4cc598d26aad137343e38f903ea",
     "run stdout": "ee2a32205b5997174a0967e336b741fd6908e3c38facead501b88b6a3efa8f2c",
     "transcript.jsonl": "e85ee09b7557d05c52889d994b65d1f2ccf1ba3cc17b568b4e85bd92e435222b",
     "summary.json": "acb81d80872736ba27245b29413f4493e01dc02e98be2c1944c90b73fca12193",
@@ -432,8 +437,12 @@ class TestGoldenDigests:
                 code = cli.main(list(argv))
             return code, hashlib.sha256(out.getvalue().encode()).hexdigest()
 
-        assert run("bases", "gen", "--dim", "3", "--out", "bases3.json")[0] == 0
-        assert run("strategy", "build", "--bases", "bases3.json", "--out", "strategy3.json")[0] == 0
+        code, gen = run("bases", "gen", "--dim", "3", "--out", "bases3.json")
+        assert code == 0
+        code, check = run("bases", "check", "--in", "bases3.json")
+        assert code == 0
+        code, build = run("strategy", "build", "--bases", "bases3.json", "--out", "strategy3.json")
+        assert code == 0
         code, honest = run("run", "--strategy", "strategy3.json", "--rounds", "2000", "--seed", "7",
                            "--test-fraction", "0.1", "--out", "transcript.jsonl",
                            "--summary", "summary.json")
@@ -442,7 +451,9 @@ class TestGoldenDigests:
                              "--seed", "7", "--attack", "intercept-resend:b=1",
                              "--test-fraction", "1.0", "--out", "t.jsonl")
         assert code == 3
-        got = {"run stdout": honest, "attacked run stdout": attacked}
-        got.update((name, file_hash(name))
-                   for name in ("transcript.jsonl", "summary.json", "t.jsonl"))
+        got = {"bases gen stdout": gen, "bases check stdout": check, "strategy build stdout": build,
+               "run stdout": honest, "attacked run stdout": attacked}
+        got.update((name, file_hash(name)) for name in ("bases3.json", "strategy3.json",
+                                                        "transcript.jsonl", "summary.json",
+                                                        "t.jsonl"))
         assert got == GOLDEN_README_RUN

@@ -112,13 +112,13 @@ class TestSafeVectors:
         assert res < 1e-10
 
     def test_degenerate_set_flagged(self, mub2):
-        twice = bases.BasisSet(2, (mub2.bases[0], mub2.bases[0]))
+        twice = bases.BasisSet(mub2.vectors[[0, 0]])
         with pytest.raises(rd.ResidualTooLarge):
             rd.solve_safe_vector(twice, (0, 1))
 
     def test_degenerate_set_build_flagged(self, mub2):
         # (0, 0) is consistent on the twice-listed basis; (0, 1) is the first that is not
-        twice = bases.BasisSet(2, (mub2.bases[0], mub2.bases[0]))
+        twice = bases.BasisSet(mub2.vectors[[0, 0]])
         with pytest.raises(rd.ResidualTooLarge, match=r"x=\(0, 1\)"):
             rd.build_strategy(twice)
 
@@ -175,8 +175,7 @@ def rotated_mubs(draw):
     """``gen_mub(2)`` or ``gen_mub(3)`` with every vector turned by one random unitary."""
     d = draw(st.sampled_from([2, 3]))
     u = random_unitary(np.random.default_rng(draw(st.integers(0, 2**32 - 1))), d)
-    return bases.BasisSet(d, tuple(bases.Basis(b.label, b.vectors @ u.T)
-                                   for b in bases.gen_mub(d).bases))
+    return bases.BasisSet(bases.gen_mub(d).vectors @ u.T)
 
 
 @settings(max_examples=25, deadline=None)
