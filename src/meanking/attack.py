@@ -209,19 +209,6 @@ def _u_hats(am: AttackModel) -> np.ndarray:
     return np.sqrt(dd) * am.psi_abe.reshape(dd, dd, am.d_eve).transpose(1, 0, 2)
 
 
-def bob_projected_state_bell_form(am: AttackModel, bs: BasisSet, bvec, ivec):
-    """Second route to the projected state, via the entangled-basis expansion.
-
-    Rebuilds sum_beta (U_hat_beta^T x 1 x 1) phi_hat x e_beta from the
-    operators U_hat_beta; used to cross-check :func:`bob_projected_state`.
-    """
-    dd = am.block_dim
-    out = np.einsum("cae,cb->abe", _u_hats(am),
-                    phi_hat_product(bs, bvec, ivec, am.n).reshape(dd, dd))
-    prob = float(np.linalg.norm(out) ** 2)
-    return out.reshape(-1) / np.sqrt(_conditionable(prob, bvec, ivec)), prob
-
-
 def decompose_source(psi: np.ndarray, d: int, n: int, d_eve: int) -> np.ndarray:
     """Source coefficients in the maximally entangled basis on A x B.
 

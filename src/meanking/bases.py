@@ -215,9 +215,7 @@ def _classical_model_lp(bs: BasisSet, tol: float):
     data = np.ones(len(rows))
     a_eq = scipy.sparse.csr_matrix((data, (rows, cols)), shape=(row, nvar))
     # floating-point marginals need slack; absorbed by the solver
-    feasible, point = qmath.lp_feasible(
-        a_eq, np.array(rhs), np.zeros(nvar), feasibility_tol=max(tol, 1e-9)
-    )
+    feasible, point = qmath.lp_feasible(a_eq, np.array(rhs), feasibility_tol=max(tol, 1e-9))
     return feasible, point
 
 

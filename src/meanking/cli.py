@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from typing import Callable, NamedTuple, Sequence
 
 from . import __version__, attack, bases, protocol, retrodiction, security
 from .serialize import canonical_dumps, file_digest, write_json
@@ -41,25 +42,43 @@ def _default_tol() -> float:
     return float(os.environ.get("MEANKING_TOL", "1e-9"))
 
 
-def _emit(payload: dict) -> None:
-    sys.stdout.write(canonical_dumps(payload))
-    sys.stdout.write("\n")
+class _Result(NamedTuple):
+    """What a command computed; ``main`` prints it with its manifest."""
+
+    report: dict
+    config: dict
+    inputs: Sequence = ()
+    outputs: Sequence = ()
+    code: int = EXIT_OK
 
 
-def _manifest(command: str, config: dict, inputs=(), outputs=()) -> dict:
+def _manifest(command: str, result: _Result) -> dict:
     return {
         "command": command,
         "version": __version__,
-        "config": config,
-        "inputs": {str(p): file_digest(p) for p in inputs},
-        "outputs": {str(p): file_digest(p) for p in outputs},
+        "config": result.config,
+        "inputs": {str(p): file_digest(p) for p in result.inputs},
+        "outputs": {str(p): file_digest(p) for p in result.outputs},
     }
 
 
-# the canned attacks' parameters with their defaults, and the one --sweep scales
-_ATTACK_DEFAULTS = {"intercept-resend": {"b": "1"}, "probe": {"theta": "0.5", "d_eve": "2"},
-                    "source-replace": {"eps": "0.1"}}
-_SWEPT = {"probe": "theta", "source-replace": "eps"}
+class _Attack(NamedTuple):
+    make: Callable  # (basis set, n, params) -> AttackModel
+    defaults: dict  # every parameter the attack takes, as command-line text
+    swept: str | None = None  # the parameter --sweep scales
+
+
+_ATTACKS = {
+    "intercept-resend": _Attack(  # b is 1-based on the command line
+        lambda bs, n, p: attack.intercept_resend(bs, int(p["b"]) - 1, n=n), {"b": "1"}),
+    "probe": _Attack(
+        lambda bs, n, p: attack.probe_entangle(bs.dim, float(p["theta"]), n=n,
+                                               d_eve=int(p["d_eve"])),
+        {"theta": "0.5", "d_eve": "2"}, "theta"),
+    "source-replace": _Attack(
+        lambda bs, n, p: attack.source_replace(bs.dim, float(p["eps"]), n=n),
+        {"eps": "0.1"}, "eps"),
+}
 
 
 def _split_attack_spec(spec: str):
@@ -70,7 +89,7 @@ def _split_attack_spec(spec: str):
     name, _, rest = spec.partition(":")
     if name == "file":
         return name, {"path": rest}
-    params = dict(_ATTACK_DEFAULTS.get(name, {}))
+    params = dict(_ATTACKS[name].defaults) if name in _ATTACKS else {}
     for chunk in filter(None, rest.split(",")):
         key, _, value = chunk.partition("=")
         if not value:
@@ -86,80 +105,58 @@ def _make_attack(name: str, params: dict, basis_set, n: int):
         return None
     if name == "file":
         return attack.load_attack(params["path"])
-    if name == "intercept-resend":
-        bstar = int(params["b"]) - 1  # 1-based on the command line
-        return attack.intercept_resend(basis_set, bstar, n=n)
-    if name == "probe":
-        return attack.probe_entangle(
-            basis_set.dim, float(params["theta"]), n=n, d_eve=int(params["d_eve"])
-        )
-    if name == "source-replace":
-        return attack.source_replace(basis_set.dim, float(params["eps"]), n=n)
-    raise ValueError(f"unknown attack {name!r}")
+    if name not in _ATTACKS:
+        raise ValueError(f"unknown attack {name!r}")
+    return _ATTACKS[name].make(basis_set, n, params)
 
 
 def _load_strategy_for(args) -> retrodiction.Strategy:
-    if getattr(args, "strategy", None):
+    if args.strategy:
         return retrodiction.load_strategy(args.strategy)
-    if getattr(args, "bases", None):
+    if args.bases:
         return retrodiction.build_strategy(bases.load_basis_set(args.bases))
     return retrodiction.build_strategy(bases.gen_mub(args.dim))
 
 
-def _cmd_bases_gen(args) -> int:
+def _security_result(args, strategy, payload: dict, code: int = EXIT_OK, **config) -> _Result:
+    """Write a security report to --out if asked; echo the dimension the strategy has."""
+    if args.out:
+        write_json(args.out, payload)
+    return _Result(payload, {"dim": strategy.d, "n": args.n, **config},
+                   inputs=[p for p in [args.bases, args.strategy] if p],
+                   outputs=[args.out] if args.out else [], code=code)
+
+
+def _cmd_bases_gen(args) -> _Result:
     bs = bases.gen_mub(args.dim)
     bases.save_basis_set(bs, args.out)
     report = bases.validate(bs, args.tol)
-    _emit(
-        {
-            "report": report.to_dict(),
-            "manifest": _manifest(
-                "bases gen", {"dim": args.dim, "tol": args.tol}, outputs=[args.out]
-            ),
-        }
-    )
-    return EXIT_OK
+    return _Result(report.to_dict(), {"dim": args.dim, "tol": args.tol}, outputs=[args.out])
 
 
-def _cmd_bases_check(args) -> int:
+def _cmd_bases_check(args) -> _Result:
     bs = bases.load_basis_set(args.infile)
     report = bases.validate(bs, args.tol)
-    _emit(
-        {
-            "report": report.to_dict(),
-            "manifest": _manifest(
-                "bases check", {"in": args.infile, "tol": args.tol}, inputs=[args.infile]
-            ),
-        }
-    )
     ok = report.orthonormal and report.nondegenerate and report.classical_model
-    return EXIT_OK if ok else EXIT_VALIDATION
+    return _Result(report.to_dict(), {"in": args.infile, "tol": args.tol}, inputs=[args.infile],
+                   code=EXIT_OK if ok else EXIT_VALIDATION)
 
 
-def _cmd_strategy_build(args) -> int:
+def _cmd_strategy_build(args) -> _Result:
     bs = bases.load_basis_set(args.bases)
     strategy = retrodiction.build_strategy(bs, residual_tol=args.residual_tol)
     retrodiction.save_strategy(strategy, args.out)
-    _emit(
-        {
-            "report": {
-                "entries": len(strategy.safe_vectors),
-                "min_weight": float(strategy.weights.min()),
-                "max_residual": float(strategy.safe_vectors.residual.max()),
-                "completeness_residual": strategy.completeness_residual,
-            },
-            "manifest": _manifest(
-                "strategy build",
-                {"bases": args.bases, "residual_tol": args.residual_tol},
-                inputs=[args.bases],
-                outputs=[args.out],
-            ),
-        }
-    )
-    return EXIT_OK
+    report = {
+        "entries": len(strategy.safe_vectors),
+        "min_weight": float(strategy.weights.min()),
+        "max_residual": float(strategy.safe_vectors.residual.max()),
+        "completeness_residual": strategy.completeness_residual,
+    }
+    return _Result(report, {"bases": args.bases, "residual_tol": args.residual_tol},
+                   inputs=[args.bases], outputs=[args.out])
 
 
-def _cmd_run(args) -> int:
+def _cmd_run(args) -> _Result:
     strategy = retrodiction.load_strategy(args.strategy)
     cfg = protocol.ProtocolConfig(
         d=strategy.basis_set.dim,
@@ -184,58 +181,30 @@ def _cmd_run(args) -> int:
     if args.summary:
         write_json(args.summary, summary)
         outputs.append(args.summary)
-    _emit(
-        {
-            "report": summary,
-            "manifest": _manifest(
-                "run",
-                {
-                    "strategy": args.strategy,
-                    "rounds": args.rounds,
-                    "n": args.n,
-                    "test_fraction": args.test_fraction,
-                    "seed": args.seed,
-                    "attack": args.attack,
-                },
-                inputs=[args.strategy],
-                outputs=outputs,
-            ),
-        }
-    )
-    return EXIT_OK if transcript.accepted else EXIT_ABORT
+    config = {key: getattr(args, key)
+              for key in ("strategy", "rounds", "n", "test_fraction", "seed", "attack")}
+    return _Result(summary, config, inputs=[args.strategy], outputs=outputs,
+                   code=EXIT_OK if transcript.accepted else EXIT_ABORT)
 
 
-def _cmd_security_lemma(args) -> int:
+def _cmd_security_lemma(args) -> _Result:
     strategy = _load_strategy_for(args)
     report = security.product_commutant_check(strategy, args.n, args.tol)
     payload = report.to_dict()
     payload["witness_identity_deviation"] = security.witness_identity_deviation(report)
-    if args.out:
-        write_json(args.out, payload)
-    _emit(
-        {
-            "report": payload,
-            "manifest": _manifest(
-                "security lemma",
-                {"dim": args.dim, "n": args.n, "tol": args.tol},
-                inputs=[p for p in [args.bases, args.strategy] if p],
-                outputs=[args.out] if args.out else [],
-            ),
-        }
-    )
-    return EXIT_OK if report.solution_dim == 1 else EXIT_VALIDATION
+    return _security_result(args, strategy, payload, tol=args.tol,
+                            code=EXIT_OK if report.solution_dim == 1 else EXIT_VALIDATION)
 
 
-def _cmd_security_attack_eval(args) -> int:
+def _cmd_security_attack_eval(args) -> _Result:
     strategy = _load_strategy_for(args)
     name, params = _split_attack_spec(args.attack)
     am = _make_attack(name, params, strategy.basis_set, args.n)
     if am is None:
         am = attack.identity_attack(strategy.basis_set.dim, n=args.n)
-    report = attack.evaluate_attack(strategy, am)
-    payload = report.to_dict()
-    if args.sweep and name in _SWEPT:
-        key = _SWEPT[name]
+    payload = attack.evaluate_attack(strategy, am).to_dict()
+    key = _ATTACKS[name].swept if name in _ATTACKS else None
+    if args.sweep and key:
         value = float(params[key])
         curve = []
         for step in range(1, args.sweep + 1):
@@ -250,20 +219,7 @@ def _cmd_security_attack_eval(args) -> int:
                 }
             )
         payload["curve"] = curve
-    if args.out:
-        write_json(args.out, payload)
-    _emit(
-        {
-            "report": payload,
-            "manifest": _manifest(
-                "security attack-eval",
-                {"dim": args.dim, "n": args.n, "attack": args.attack, "sweep": args.sweep},
-                inputs=[p for p in [args.bases, args.strategy] if p],
-                outputs=[args.out] if args.out else [],
-            ),
-        }
-    )
-    return EXIT_OK
+    return _security_result(args, strategy, payload, attack=args.attack, sweep=args.sweep)
 
 
 def _build_parser() -> _Parser:
@@ -304,22 +260,19 @@ def _build_parser() -> _Parser:
 
     p_security = sub.add_parser("security", help="lemma and attack evaluation")
     secsub = p_security.add_subparsers(dest="subcommand", required=True)
-    p_lemma = secsub.add_parser("lemma")
-    p_lemma.add_argument("--dim", type=int, default=2)
-    p_lemma.add_argument("--n", type=int, default=1)
-    p_lemma.add_argument("--bases")
-    p_lemma.add_argument("--strategy")
+    # where both security commands take their strategy, and where they write the report
+    source = argparse.ArgumentParser(add_help=False)
+    source.add_argument("--dim", type=int, default=2)
+    source.add_argument("--n", type=int, default=1)
+    source.add_argument("--bases")
+    source.add_argument("--strategy")
+    source.add_argument("--out")
+    p_lemma = secsub.add_parser("lemma", parents=[source])
     p_lemma.add_argument("--tol", type=float, default=_default_tol())
-    p_lemma.add_argument("--out")
     p_lemma.set_defaults(func=_cmd_security_lemma)
-    p_eval = secsub.add_parser("attack-eval")
+    p_eval = secsub.add_parser("attack-eval", parents=[source])
     p_eval.add_argument("--attack", required=True)
-    p_eval.add_argument("--dim", type=int, default=2)
-    p_eval.add_argument("--n", type=int, default=1)
-    p_eval.add_argument("--bases")
-    p_eval.add_argument("--strategy")
     p_eval.add_argument("--sweep", type=int, default=0)
-    p_eval.add_argument("--out")
     p_eval.set_defaults(func=_cmd_security_attack_eval)
 
     return parser
@@ -331,11 +284,12 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = " ".join(filter(None, [args.command, getattr(args, "subcommand", None)]))
     try:
-        return args.func(args)
-    except (bases.UnsupportedDimension, bases.FormatError) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
+        result = args.func(args)
+        payload = {"report": result.report, "manifest": _manifest(command, result)}
+        sys.stdout.write(canonical_dumps(payload) + "\n")
+        return result.code
     except (OSError, ValueError, KeyError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE

@@ -151,16 +151,14 @@ def hermitian_coords(h: np.ndarray) -> np.ndarray:
                            np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag], axis=-1)
 
 
-def lp_feasible(a_eq, b_eq, lower_bounds, maximize_min_of=None, feasibility_tol=1e-10):
-    """Feasibility (and optional max-min) solve for ``A p = b, p >= lb``.
+def lp_feasible(a_eq, b_eq, maximize_min=False, feasibility_tol=1e-10):
+    """Feasibility (and optional max-min) solve for ``A p = b, p >= 0``.
 
     Parameters
     ----------
     a_eq : equality constraint matrix (dense or scipy sparse).
     b_eq : equality right-hand side.
-    lower_bounds : per-variable lower bounds (no upper bounds).
-    maximize_min_of : optional iterable of variable indices; when given,
-        the solver maximizes ``min(p[i] for i in maximize_min_of)``.
+    maximize_min : when true, the solver maximizes ``min(p)``.
     feasibility_tol : allowed constraint slack; callers with floating-point
         right-hand sides can widen it from the 1e-10 floor.
 
@@ -174,28 +172,18 @@ def lp_feasible(a_eq, b_eq, lower_bounds, maximize_min_of=None, feasibility_tol=
     if not sparse_in:
         a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
     b_eq = np.asarray(b_eq, dtype=float).ravel()
-    lb = np.asarray(lower_bounds, dtype=float).ravel()
     m, n = a_eq.shape
-    if b_eq.size != m or lb.size != n:
+    if b_eq.size != m:
         raise ValueError("inconsistent LP shapes")
     options = dict(_LP_OPTIONS)
     options["primal_feasibility_tolerance"] = max(1e-10, float(feasibility_tol))
 
-    idx = list(maximize_min_of) if maximize_min_of is not None else []
-    if not idx:
-        c = np.zeros(n)
-        res = linprog(
-            c,
-            A_eq=a_eq,
-            b_eq=b_eq,
-            bounds=[(float(v), None) for v in lb],
-            method="highs",
-            options=options,
-        )
+    if not maximize_min:
+        # linprog's default bounds are p >= 0
+        res = linprog(np.zeros(n), A_eq=a_eq, b_eq=b_eq, method="highs", options=options)
         point = res.x
     else:
-        # auxiliary variable t with t <= p[i] for the designated subset,
-        # maximized; the subset variables keep their lower bounds
+        # auxiliary variable t with t <= p[i] for every i, maximized
         c = np.zeros(n + 1)
         c[-1] = -1.0
         if sparse_in:
@@ -204,21 +192,19 @@ def lp_feasible(a_eq, b_eq, lower_bounds, maximize_min_of=None, feasibility_tol=
             )
         else:
             a_eq2 = np.hstack([a_eq, np.zeros((m, 1))])
-        # row r is t - p[idx[r]] <= 0, i.e. [-I | 1] on the subset: sparse
-        rows = np.arange(len(idx))
+        # row r is t - p[r] <= 0, i.e. [-I | 1]: sparse
+        rows = np.arange(n)
         a_ub = scipy.sparse.csr_matrix(
-            (np.r_[-np.ones(len(idx)), np.ones(len(idx))],
-             (np.r_[rows, rows], np.r_[idx, np.full(len(idx), n)])),
-            shape=(len(idx), n + 1),
+            (np.r_[-np.ones(n), np.ones(n)], (np.r_[rows, rows], np.r_[rows, np.full(n, n)])),
+            shape=(n, n + 1),
         )
-        bounds = [(float(v), None) for v in lb] + [(None, None)]
         res = linprog(
             c,
             A_ub=a_ub,
-            b_ub=np.zeros(len(idx)),
+            b_ub=np.zeros(n),
             A_eq=a_eq2,
             b_eq=b_eq,
-            bounds=bounds,
+            bounds=[(0.0, None)] * n + [(None, None)],
             method="highs",
             options=options,
         )

@@ -187,14 +187,13 @@ def _max_min_weights_lp(etas: np.ndarray) -> np.ndarray:
     if np.linalg.norm(basis @ rhs - target) > 1e-8:
         raise Infeasible("identity lies outside the span of the safe-vector projectors")
 
-    feasible, point = qmath.lp_feasible(reduced, rhs, np.zeros(nx), maximize_min_of=range(nx))
+    feasible, point = qmath.lp_feasible(reduced, rhs, maximize_min=True)
     if not feasible:
         raise Infeasible("no nonnegative weights complete the POVM")
     return point
 
 
-def solve_povm_weights(safe_vectors,
-                       positivity_tol: float = POSITIVITY_TOL) -> tuple[np.ndarray, float]:
+def solve_povm_weights(safe_vectors) -> tuple[np.ndarray, float]:
     """Weights p(x) >= 0 with sum_x p(x) |eta_x><eta_x| = identity, one per table row.
 
     Returns the weights and their completeness residual. The trace of
@@ -214,7 +213,7 @@ def solve_povm_weights(safe_vectors,
     if residual > COMPLETENESS_TOL:
         point = _max_min_weights_lp(etas)
         residual = _completeness_residual(etas, point, dim2)
-    if float(point.min()) <= positivity_tol:
+    if float(point.min()) <= POSITIVITY_TOL:
         raise NotMaximal(
             f"completeness forces a weight down to {point.min():.3e}; strategy not maximal"
         )

@@ -229,15 +229,23 @@ class TestProjectedState:
             assert abs(total - 1.0) < 1e-10
 
     def test_two_routes_agree(self, mub2):
+        # second route, label by label over the source's Weyl expansion:
+        # sum c[m, l, beta] (U_(m,l)^T x 1) phi_hat x e_beta
         rng = np.random.default_rng(53)
+        units, eve = weyl_loops(2, 1), np.eye(2)
         for _ in range(10):
             am = atk.random_attack(2, 1, 2, 2, rng)
+            coeffs, _ = operator_form_loops(am)
             for b in range(3):
                 for i in range(2):
                     s1, p1 = atk.bob_projected_state(am, mub2, b, i)
-                    s2, p2 = atk.bob_projected_state_bell_form(am, mub2, b, i)
+                    hat = atk.phi_hat_product(mub2, (b,), (i,), 1)
+                    out = sum(coeffs[m, l, beta]
+                              * np.kron(np.kron(units[m, l].T, np.eye(2)) @ hat, eve[beta])
+                              for m in range(2) for l in range(2) for beta in range(2))
+                    p2 = float(np.linalg.norm(out) ** 2)
                     assert abs(p1 - p2) < 1e-12
-                    assert np.linalg.norm(s1 - s2) < 1e-10
+                    assert np.linalg.norm(s1 - out / np.sqrt(p2)) < 1e-10
 
     def test_zero_probability_raises(self, mub2):
         # source with Bob's factor pinned to |0>, measured against |1>

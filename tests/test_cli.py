@@ -237,6 +237,20 @@ class TestSecurityCommands:
         assert code == 2 and captured.out == ""
         assert "not maximal" in captured.err
 
+    @pytest.mark.parametrize("command", [["lemma"], ["attack-eval", "--attack", "none"]])
+    @pytest.mark.parametrize("source", ["--strategy", "--bases"])
+    def test_manifest_echoes_the_strategy_dimension(self, tmp_path, capsys, mub3, strategy_d3,
+                                                    command, source):
+        # a d=3 file decides the dimension; the ignored --dim default of 2 is not echoed
+        path = tmp_path / "in.json"
+        if source == "--strategy":
+            retrodiction.save_strategy(strategy_d3, path)
+        else:
+            bases.save_basis_set(mub3, path)
+        code, out = run_cli(capsys, "security", *command, source, str(path))
+        assert code == 0
+        assert json.loads(out)["manifest"]["config"]["dim"] == 3
+
     def test_attack_eval_none(self, capsys):
         code, out = run_cli(capsys, "security", "attack-eval", "--attack", "none", "--dim", "2")
         assert code == 0
@@ -548,6 +562,14 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert "meanking" in proc.stdout
+
+    def test_version_matches_pyproject(self, capsys):
+        # manifests record meanking.__version__; pyproject.toml repeats it
+        tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        version = tomllib.loads(pyproject.read_text())["project"]["version"]
+        assert cli.main(["--version"]) == 0
+        assert capsys.readouterr().out == f"meanking {version}\n"
 
     def test_mub_pipeline_loads_no_scipy(self, tmp_path):
         # the LPs are fallbacks for non-MUB sets; scipy must load only with them

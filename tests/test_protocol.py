@@ -410,6 +410,9 @@ GOLDEN_README_RUN = {
     "summary.json": "acb81d80872736ba27245b29413f4493e01dc02e98be2c1944c90b73fca12193",
     "attacked run stdout": "23711fb752e9c7f475e5947dc2da8fac4d2ca5c2c832ca3a0b6f5007f3cd9d98",
     "t.jsonl": "3bebdcf557d46ef91e581b464bf7a44b2fc76889b8a1ff5c9c2841a17322f33a",
+    "security lemma stdout": "9e1a03ef0a466baf83c9e030be1a2955e97d8b145432e69f34772d025df9c7da",
+    "security attack-eval stdout":
+        "9deff9b67630bf239f0c0c731cc20fad1095070781b1ba585a2e69dd16801169",
 }
 
 
@@ -451,8 +454,14 @@ class TestGoldenDigests:
                              "--seed", "7", "--attack", "intercept-resend:b=1",
                              "--test-fraction", "1.0", "--out", "t.jsonl")
         assert code == 3
+        code, lemma = run("security", "lemma", "--dim", "2", "--n", "2")
+        assert code == 0
+        code, evaluation = run("security", "attack-eval", "--attack", "probe:theta=0.8",
+                               "--dim", "2", "--sweep", "8")
+        assert code == 0
         got = {"bases gen stdout": gen, "bases check stdout": check, "strategy build stdout": build,
-               "run stdout": honest, "attacked run stdout": attacked}
+               "run stdout": honest, "attacked run stdout": attacked,
+               "security lemma stdout": lemma, "security attack-eval stdout": evaluation}
         got.update((name, file_hash(name)) for name in ("bases3.json", "strategy3.json",
                                                         "transcript.jsonl", "summary.json",
                                                         "t.jsonl"))

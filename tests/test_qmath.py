@@ -180,11 +180,11 @@ class TestLstsq:
 
 class TestLpFeasible:
     def test_single_variable(self):
-        ok, p = qmath.lp_feasible([[1.0]], [1.0], [0.0])
+        ok, p = qmath.lp_feasible([[1.0]], [1.0])
         assert ok and abs(p[0] - 1.0) < 1e-9
 
     def test_infeasible(self):
-        ok, p = qmath.lp_feasible([[1.0]], [-1.0], [0.0])
+        ok, p = qmath.lp_feasible([[1.0]], [-1.0])
         assert not ok and p is None
 
     def test_constraint_satisfaction(self):
@@ -192,12 +192,12 @@ class TestLpFeasible:
         a = rng.standard_normal((3, 6))
         p0 = rng.uniform(0.5, 1.5, 6)
         b = a @ p0  # feasible by construction
-        ok, p = qmath.lp_feasible(a, b, np.zeros(6))
+        ok, p = qmath.lp_feasible(a, b)
         assert ok
         assert np.max(np.abs(a @ p - b)) < 1e-9
         assert np.all(p >= -1e-12)
 
     def test_maximize_min(self):
-        ok, p = qmath.lp_feasible([[1.0, 1.0]], [1.0], [0.0, 0.0], maximize_min_of=[0, 1])
+        ok, p = qmath.lp_feasible([[1.0, 1.0]], [1.0], maximize_min=True)
         assert ok
         assert_allclose(p, [0.5, 0.5], atol=1e-8)
