@@ -9,5 +9,5 @@ from . import attack, bases, protocol, qmath, retrodiction, security  # noqa: F4
 from .attack import AttackModel, detection_probability, evaluate_attack, leakage  # noqa: F401
 from .bases import BasisSet, gen_mub, validate  # noqa: F401
 from .protocol import ProtocolConfig, agreement_rate, run_protocol, sift_and_test  # noqa: F401
-from .retrodiction import Strategy, build_strategy, tensor_strategy  # noqa: F401
+from .retrodiction import Strategy, build_strategy  # noqa: F401
 from .security import eigenvector_constraint_dim, product_commutant_check  # noqa: F401

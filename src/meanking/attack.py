@@ -7,11 +7,12 @@ channel to B x E while Bob's system travels back to Alice. Her effective
 final system is (branch register) x E, i.e. she also keeps which Kraus
 branch fired.
 
-The analysis works with two equivalent computations of Alice's conditional
-state: the direct pipeline (project Bob's factor, apply the feedback
-channel, trace out Eve) and the operator form, where the source is expanded
-in the maximally entangled basis generated by shift/clock unitaries and the
-channel collapses into operators E_(l,k) acting on A x B with
+Alice's conditional state has two equivalent forms. The direct one,
+:func:`alice_state`, projects Bob's factor onto his eigenstate, applies
+each Kraus operator to get the branch stack w_l and sums w_l w_l^dagger.
+In the operator form the source is expanded in the maximally entangled
+basis generated by shift/clock unitaries, and the channel collapses into
+operators E_(l,k) acting on A x B with
 
     rho_A(b, i) = sum_(l,k)  E_(l,k) |phi_hat><phi_hat| E_(l,k)^dagger.
 
@@ -42,10 +43,9 @@ with each Q applied to its own (A_s, B_s) pair, for a whole chunk at once.
 Detection, leakage and the per-outcome error table are all read from that
 pass, and the protocol sampler draws Bob's outcomes and Alice's results
 from the same walk; :func:`_branch_vectors` is the single-outcome
-projection behind :func:`alice_state` and :func:`eve_final_state`. Leakage
-compares Eve's states pairwise in chunks of the pair triangle. A chunk of
-either kind holds a bounded number of entries, so memory does not grow
-with the grid.
+projection behind :func:`alice_state`. Leakage compares Eve's states
+pairwise in chunks of the pair triangle. A chunk of either kind holds a
+bounded number of entries, so memory does not grow with the grid.
 
 Subsystem order is always A x B x E, row-major. All indices 0-based.
 """
@@ -105,13 +105,6 @@ def _per_slot(table: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
     for s in range(n):
         t = np.moveaxis(np.tensordot(table, t, axes=([2, 3], [s, n + s])), (0, 1), (s, n + s))
     return t.reshape((d**n, d**n) + rest)
-
-
-def entangled_basis_vector(d: int, n: int, m_flat: int, l_flat: int) -> np.ndarray:
-    """(1 x U) Omega for the Weyl label given as flat base-d integers."""
-    labels = np.unravel_index(m_flat, (d,) * n), np.unravel_index(l_flat, (d,) * n)
-    u = qmath.tensor(*weyl_operators(d)[labels])
-    return u.T.reshape(-1) / np.sqrt(d**n)
 
 
 @dataclass
@@ -197,12 +190,6 @@ def _projected_raw(am: AttackModel, bs: BasisSet, bvec, ivec):
     return out, prob
 
 
-def bob_projected_state(am: AttackModel, bs: BasisSet, bvec, ivec):
-    """Normalized post-measurement state on A x B x E and its probability."""
-    out, prob = _projected_raw(am, bs, bvec, ivec)
-    return out.reshape(-1) / np.sqrt(_conditionable(prob, bvec, ivec)), prob
-
-
 def _u_hats(am: AttackModel) -> np.ndarray:
     """U_hat_beta[x, a] as (x, a, beta): sum_(m,l) c[m, l, beta] U_(m,l) = sqrt(d**n) psi_beta^T."""
     dd = am.block_dim
@@ -222,23 +209,11 @@ def decompose_source(psi: np.ndarray, d: int, n: int, d_eve: int) -> np.ndarray:
     return _per_slot(weyl_operators(d).conj().swapaxes(2, 3), psi, n) / np.sqrt(dd)
 
 
-def source_from_coefficients(coeffs: np.ndarray, d: int, n: int) -> np.ndarray:
-    """Resynthesize a source state from entangled-basis coefficients."""
-    psi = _per_slot(weyl_operators(d).transpose(3, 2, 0, 1), np.asarray(coeffs, dtype=complex), n)
-    return psi.reshape(-1) / np.sqrt(d**n)
-
-
 def _kraus_branches(am: AttackModel, states) -> np.ndarray:
     """(1 x V_l) applied to m states on A x B x E, one row per branch: (m, branch, A x B, E)."""
     dd, de = am.block_dim, am.d_eve
     s = np.asarray(states, dtype=complex).reshape(-1, 1, dd, dd * de)
     return (s @ am.kraus.transpose(0, 2, 1)).reshape(len(s), len(am.kraus), dd * dd, de)
-
-
-def apply_feedback(am: AttackModel, state: np.ndarray) -> np.ndarray:
-    """Kraus action of the feedback channel on B x E, identity on A."""
-    w = _kraus_branches(am, state).reshape(len(am.kraus), -1)
-    return w.T @ w.conj()
 
 
 def _branch_vectors(am: AttackModel, bs: BasisSet, bvec, ivec):
@@ -352,29 +327,6 @@ def reconstruct_alice_state(am: AttackModel, bs: BasisSet, bvec, ivec,
     return np.einsum("lki,lkj->ij", w, w.conj())
 
 
-def scalar_deviation(op: np.ndarray) -> float:
-    """Distance of an operator from the scalar line (Frobenius norm)."""
-    dim = op.shape[0]
-    return float(np.linalg.norm(op - (np.trace(op) / dim) * np.eye(dim)))
-
-
-def eve_final_state(am: AttackModel, bs: BasisSet, bvec, ivec) -> np.ndarray:
-    """Eve's normalized final state on (branch register) x E.
-
-    Block l holds the ancilla state produced when Kraus branch l fired;
-    the branch register is the slow index.
-    """
-    blocks, trace = _eve_blocks(_branch_vectors(am, bs, bvec, ivec)[0])
-    nb, de = blocks.shape[:2]
-    rho = np.einsum("lm,lef->lemf", np.eye(nb), blocks).reshape(nb * de, nb * de)
-    return rho / _conditionable(float(trace), bvec, ivec)
-
-
-def trace_distance(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """(1/2) ||rho - sigma||_1 for Hermitian matrices."""
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(rho - sigma))))
-
-
 def _eve_states(branches: np.ndarray) -> np.ndarray:
     """Eve's normalized states of a chunk of :func:`_walk`, as (m, branch, E, E).
 
@@ -424,26 +376,6 @@ def leakage(am: AttackModel, bs: BasisSet) -> float:
     """
     return _max_trace_distance(np.concatenate([_eve_states(branches)
                                                for _, branches, _ in _walk(am, bs)]))
-
-
-def guess_probability(strategy: Strategy, am: AttackModel, xvec, bvec, ivec) -> float:
-    """Probability that Alice announces the digits x(b), given Bob saw (b, i).
-
-    Aggregates the POVM elements of every guessing function sharing those
-    digits, through the digit operators Q(b_s, x_s(b_s)); without an attack
-    this is 1 when x(b) = i and 0 otherwise.
-    """
-    n = am.n
-    branches, prob = _branch_vectors(am, strategy.basis_set, bvec, ivec)
-    _conditionable(prob, bvec, ivec)
-    bvec = _as_tuple(bvec, n, strategy.basis_set.k, "bases")
-    ivec = _as_tuple(ivec, n, strategy.d, "outcomes")
-    if isinstance(xvec[0], (int, np.integer)):
-        xvec = (tuple(xvec),)
-    xvec = tuple(tuple(int(v) for v in x) for x in xvec)
-    q = digit_operators(strategy)
-    slots = [q[b, x[b]][None, None] for x, b in zip(xvec, bvec)]
-    return float(_correct_mass(slots, branches[None, None])[0, 0]) / prob
 
 
 def _attack_pass(strategy: Strategy, am: AttackModel):

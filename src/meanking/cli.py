@@ -115,7 +115,7 @@ def _load_strategy_for(args) -> retrodiction.Strategy:
         return retrodiction.load_strategy(args.strategy)
     if args.bases:
         return retrodiction.build_strategy(bases.load_basis_set(args.bases))
-    return retrodiction.build_strategy(bases.gen_mub(args.dim))
+    return retrodiction.build_strategy(bases.gen_mub(2 if args.dim is None else args.dim))
 
 
 def _security_result(args, strategy, payload: dict, code: int = EXIT_OK, **config) -> _Result:
@@ -260,12 +260,14 @@ def _build_parser() -> _Parser:
 
     p_security = sub.add_parser("security", help="lemma and attack evaluation")
     secsub = p_security.add_subparsers(dest="subcommand", required=True)
-    # where both security commands take their strategy, and where they write the report
+    # where both security commands take their strategy, and where they write the report;
+    # --dim has no argparse default, so that an explicit --dim 2 also counts as given
     source = argparse.ArgumentParser(add_help=False)
-    source.add_argument("--dim", type=int, default=2)
+    one_source = source.add_mutually_exclusive_group()
+    one_source.add_argument("--dim", type=int)
+    one_source.add_argument("--bases")
+    one_source.add_argument("--strategy")
     source.add_argument("--n", type=int, default=1)
-    source.add_argument("--bases")
-    source.add_argument("--strategy")
     source.add_argument("--out")
     p_lemma = secsub.add_parser("lemma", parents=[source])
     p_lemma.add_argument("--tol", type=float, default=_default_tol())

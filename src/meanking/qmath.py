@@ -67,35 +67,6 @@ def permute_factors(v: np.ndarray, dims, perm) -> np.ndarray:
     return v.reshape(dims).transpose(perm).reshape(-1)
 
 
-def partial_trace(rho: np.ndarray, dims, keep) -> np.ndarray:
-    """Trace out all factors not listed in ``keep``.
-
-    Parameters
-    ----------
-    rho : square matrix on the composite space described by ``dims``.
-    dims : factor dimensions, slow index first.
-    keep : int or iterable of factor indices to retain (original order).
-    """
-    rho = np.asarray(rho, dtype=complex)
-    dims = tuple(int(x) for x in dims)
-    total = prod(dims)
-    if rho.shape != (total, total):
-        raise ValueError(f"matrix shape {rho.shape} does not match factor dims {dims}")
-    if isinstance(keep, (int, np.integer)):
-        keep = (int(keep),)
-    keep = sorted(set(int(x) for x in keep))
-    if any(x < 0 or x >= len(dims) for x in keep):
-        raise ValueError(f"keep indices {keep} out of range for {len(dims)} factors")
-    nfac = len(dims)
-    t = rho.reshape(dims + dims)
-    dropped = [ax for ax in range(nfac) if ax not in keep]
-    for removed, ax in enumerate(dropped):
-        a = ax - removed
-        t = np.trace(t, axis1=a, axis2=a + nfac - removed)
-    kept_dim = prod(dims[i] for i in keep) if keep else 1
-    return t.reshape(kept_dim, kept_dim)
-
-
 def matrix_rank(a: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     """Rank with a relative cutoff: singular values > tol * sigma_max count."""
     s = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)

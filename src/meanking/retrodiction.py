@@ -66,10 +66,8 @@ def checked_block_dim(d: int, n: int, d_eve: int = 1) -> int:
     return d**n
 
 
-def enumerate_guessing_functions(d: int, k: int | None = None) -> np.ndarray:
+def enumerate_guessing_functions(d: int, k: int) -> np.ndarray:
     """All k-tuples with entries in 0..d-1, first slot slowest, as a (d**k, k) array."""
-    if k is None:
-        k = d + 1
     return np.indices((d,) * k).reshape(k, -1).T
 
 
@@ -134,31 +132,6 @@ def solve_safe_vector(bs: BasisSet, x, residual_tol: float = 1e-8) -> np.record:
     if len(x) != k or any(v < 0 or v >= d for v in x):
         raise ValueError(f"guessing function {x} invalid for k={k}, d={d}")
     return _safe_vectors(bs, np.array([x]), residual_tol)[0]
-
-
-def decomposition_triple(x, b_prime: int, b_tilde: int, j_prime: int, j_tilde: int):
-    """The three guessing functions with eta_x = eta_u + eta_v - eta_w.
-
-    u agrees with x except u(b') = j', v except v(b~) = j~, and w differs
-    in both slots. Requires b' != b~, j' != x(b') and j~ != x(b~).
-    """
-    x = tuple(int(v) for v in x)
-    if b_prime == b_tilde:
-        raise ValueError("the two bases must differ")
-    if not (0 <= b_prime < len(x) and 0 <= b_tilde < len(x)):
-        raise ValueError("basis index out of range")
-    if j_prime == x[b_prime]:
-        raise ValueError("j' must differ from x(b')")
-    if j_tilde == x[b_tilde]:
-        raise ValueError("j~ must differ from x(b~)")
-    u = list(x)
-    v = list(x)
-    w = list(x)
-    u[b_prime] = j_prime
-    v[b_tilde] = j_tilde
-    w[b_prime] = j_prime
-    w[b_tilde] = j_tilde
-    return tuple(u), tuple(v), tuple(w)
 
 
 def _completeness_residual(etas: np.ndarray, weights: np.ndarray, dim2: int) -> float:
@@ -245,12 +218,6 @@ class Strategy:
         if not match.any(axis=1).all():
             raise KeyError(f"guessing functions {np.asarray(xs).tolist()} not all in the strategy")
         return match.argmax(axis=1)
-
-    def safe_vector(self, x) -> np.record:
-        return self.safe_vectors[self._rows([x])[0]]
-
-    def weight(self, x) -> float:
-        return float(self.weights[self._rows([x])[0]])
 
 
 def build_strategy(bs: BasisSet, residual_tol: float = 1e-8) -> Strategy:

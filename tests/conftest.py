@@ -36,7 +36,7 @@ def strategy_d5():
 def unit_strategy(mub2):
     """The four unit vectors of C^4 with unit weights: complete and maximal,
     but every diagonal operator has them as eigenvectors (solution dimension 4)."""
-    table = retrodiction.safe_vector_table(retrodiction.enumerate_guessing_functions(2)[:4],
+    table = retrodiction.safe_vector_table(retrodiction.enumerate_guessing_functions(2, 3)[:4],
                                            np.eye(4, dtype=complex), np.zeros(4))
     return retrodiction.Strategy(basis_set=mub2, safe_vectors=table, weights=np.ones(4),
                                  completeness_residual=0.0)

@@ -1,8 +1,8 @@
 """Independent brute-force oracles the tests compare the library against.
 
 Everything here is written from the physics directly (explicit loops over
-amplitudes, no reuse of the library's projection / channel / partial-trace
-pipeline), so agreement is a genuine dual-route check and not a tautology.
+amplitudes, no reuse of the library's projection / channel pipeline), so
+agreement is a genuine dual-route check and not a tautology.
 The exceptions are :func:`attack_pass_per_outcome` and
 :func:`sample_per_tuple`, which keep the library's earlier per-outcome
 routes (the single-outcome projection and a Born weight per product
@@ -15,6 +15,11 @@ function, kept as the reference for the one-solve strategy build, and
 :func:`weyl_loops` with :func:`operator_form_loops`, the earlier Weyl
 unitary per flat label, kept as the reference for the closed-form table
 applied slot by slot.
+
+Two residents are not references but constructs only the tests read:
+:func:`decomposition_triple`, the paper's eta_x = eta_u + eta_v - eta_w
+identity, and :func:`source_from_coefficients`, the resynthesis that
+inverts ``attack.decompose_source``.
 """
 
 import numpy as np
@@ -368,3 +373,33 @@ def operator_form_loops(am):
     for beta in range(de):
         ops += qmath.kron(u_hats[beta].T[None, None], vr[..., beta].transpose(0, 2, 1, 3), batch=2)
     return coeffs, ops
+
+
+def decomposition_triple(x, b_prime, b_tilde, j_prime, j_tilde):
+    """The three guessing functions with eta_x = eta_u + eta_v - eta_w.
+
+    u agrees with x except u(b') = j', v except v(b~) = j~, and w differs
+    in both slots. Requires b' != b~, j' != x(b') and j~ != x(b~).
+    """
+    x = tuple(int(v) for v in x)
+    if b_prime == b_tilde:
+        raise ValueError("the two bases must differ")
+    if not (0 <= b_prime < len(x) and 0 <= b_tilde < len(x)):
+        raise ValueError("basis index out of range")
+    if j_prime == x[b_prime]:
+        raise ValueError("j' must differ from x(b')")
+    if j_tilde == x[b_tilde]:
+        raise ValueError("j~ must differ from x(b~)")
+    u, v, w = list(x), list(x), list(x)
+    u[b_prime] = w[b_prime] = j_prime
+    v[b_tilde] = w[b_tilde] = j_tilde
+    return tuple(u), tuple(v), tuple(w)
+
+
+def source_from_coefficients(coeffs, d, n):
+    """Resynthesize a source state from entangled-basis coefficients, slot by slot."""
+    from meanking import attack as atk
+
+    psi = atk._per_slot(atk.weyl_operators(d).transpose(3, 2, 0, 1),
+                        np.asarray(coeffs, dtype=complex), n)
+    return psi.reshape(-1) / np.sqrt(d**n)

@@ -17,7 +17,7 @@ from meanking import (
 )
 from meanking.serialize import file_digest
 
-from oracles import intercept_resend_detection, probe_detection
+from oracles import decomposition_triple, intercept_resend_detection, probe_detection
 
 
 def _report(tag, ok, detail):
@@ -52,7 +52,7 @@ def test_criterion_2_safe_vector_existence(mub2, mub3):
             (b, i): rd.phi_hat(bs, b, i) for b in range(bs.k) for i in range(d)
         }
         count = 0
-        for x in rd.enumerate_guessing_functions(d):
+        for x in rd.enumerate_guessing_functions(d, d + 1):
             sv = rd.solve_safe_vector(bs, x)
             worst_res = max(worst_res, sv.residual)
             for (b, i), hat in hats.items():
@@ -86,7 +86,7 @@ def test_criterion_3_decomposition_identity(d, mub2, mub3):
         bp, bt = (int(v) for v in rng.choice(d + 1, size=2, replace=False))
         jp = int((x[bp] + 1 + rng.integers(d - 1)) % d)
         jt = int((x[bt] + 1 + rng.integers(d - 1)) % d)
-        u, v, w = rd.decomposition_triple(x, bp, bt, jp, jt)
+        u, v, w = decomposition_triple(x, bp, bt, jp, jt)
         worst = max(worst, np.linalg.norm(eta(x) - (eta(u) + eta(v) - eta(w))))
     _report(
         f"criterion-3-d{d}",

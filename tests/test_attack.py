@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from meanking import attack as atk, protocol as proto, qmath, retrodiction as rd
+from meanking import attack as atk, protocol as proto, retrodiction as rd
 from meanking.bases import OverBudget
 
 from oracles import (attack_pass_per_outcome, intercept_resend_detection, operator_form_loops,
-                     probe_detection, weyl_loops)
+                     probe_detection, source_from_coefficients, weyl_loops)
 
 # (d, n, d_E) of the operator-form checks against the per-label loops
 LOOP_SHAPES = [(2, 1, 2), (2, 2, 2), (3, 1, 2), (3, 2, 1), (5, 1, 1)]
@@ -36,14 +36,9 @@ class TestWeyl:
 
     @pytest.mark.parametrize("d,n", [(2, 1), (3, 1), (2, 2)])
     def test_entangled_basis_orthonormal(self, d, n):
+        # row (m, l) is the Bell vector (1 x U_(m,l)) Omega, entries U[b, a] / sqrt(d**n)
         dd = d**n
-        vecs = np.array(
-            [
-                atk.entangled_basis_vector(d, n, m, l)
-                for m in range(dd)
-                for l in range(dd)
-            ]
-        )
+        vecs = weyl_loops(d, n).swapaxes(2, 3).reshape(dd * dd, dd * dd) / np.sqrt(dd)
         gram = vecs.conj() @ vecs.T
         assert np.max(np.abs(gram - np.eye(dd * dd))) < 1e-12
 
@@ -53,10 +48,14 @@ class TestWeyl:
 
     @pytest.mark.parametrize("d,n", [(2, 2), (3, 2)])
     def test_entangled_basis_matches_loops(self, d, n):
+        # the loops' Bell vector of label (m, l) has the one coefficient c[m, l] = 1
+        dd = d**n
         units = weyl_loops(d, n)
-        for m, l in [(0, 0), (1, d**n - 1), (d**n - 1, 2)]:
-            want = units[m, l].T.reshape(-1) / np.sqrt(d**n)
-            assert_allclose(atk.entangled_basis_vector(d, n, m, l), want, rtol=0, atol=1e-12)
+        for m, l in [(0, 0), (1, dd - 1), (dd - 1, 2)]:
+            want = np.zeros((dd, dd, 1))
+            want[m, l] = 1.0
+            bell = units[m, l].T.reshape(-1) / np.sqrt(dd)
+            assert_allclose(atk.decompose_source(bell, d, n, 1), want, rtol=0, atol=1e-12)
 
 
 class TestOperatorFormAgainstLoops:
@@ -88,7 +87,7 @@ class TestOperatorFormAgainstLoops:
         coeffs = atk.random_state(dd * dd * de, rng).reshape(dd, dd, de)
         # psi[a, b] = sum over labels of c[m, l] U_(m,l)[b, a] / sqrt(d**n)
         want = np.einsum("mlba,mle->abe", weyl_loops(d, n), coeffs) / np.sqrt(dd)
-        assert_allclose(atk.source_from_coefficients(coeffs, d, n), want.reshape(-1),
+        assert_allclose(source_from_coefficients(coeffs, d, n), want.reshape(-1),
                         rtol=0, atol=1e-12)
 
 
@@ -101,9 +100,10 @@ class TestDecomposeSource:
         assert_allclose(c, expect, atol=1e-14)
 
     def test_basis_states(self):
+        units = weyl_loops(2, 1)
         for m in range(2):
             for l in range(2):
-                psi = np.kron(atk.entangled_basis_vector(2, 1, m, l), [0.0, 1.0])
+                psi = np.kron(units[m, l].T.reshape(-1) / np.sqrt(2), [0.0, 1.0])
                 c = atk.decompose_source(psi, 2, 1, 2)
                 assert abs(c[m, l, 1] - 1.0) < 1e-12
                 c[m, l, 1] = 0.0
@@ -115,7 +115,7 @@ class TestDecomposeSource:
             psi = atk.random_state(d ** (2 * n) * de, rng)
             c = atk.decompose_source(psi, d, n, de)
             assert abs(np.sum(np.abs(c) ** 2) - 1.0) < 1e-12
-            back = atk.source_from_coefficients(c, d, n)
+            back = source_from_coefficients(c, d, n)
             assert np.linalg.norm(psi - back) < 1e-10
 
     def test_round_trip_at_the_block_budget(self):
@@ -124,7 +124,7 @@ class TestDecomposeSource:
         psi = atk.random_state(4096, np.random.default_rng(5))
         tracemalloc.start()
         try:
-            back = atk.source_from_coefficients(atk.decompose_source(psi, 2, 6, 1), 2, 6)
+            back = source_from_coefficients(atk.decompose_source(psi, 2, 6, 1), 2, 6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -212,11 +212,17 @@ class TestModelValidation:
             )
 
 
+def _projected(am, bs, b, i):
+    """Bob's normalized post-measurement state on A x B x E, and its probability."""
+    out, prob = atk._projected_raw(am, bs, (b,), (i,))
+    return out.reshape(-1) / np.sqrt(prob), prob
+
+
 class TestProjectedState:
     def test_ideal_probabilities_and_state(self, mub2, ideal2):
         for b in range(3):
             for i in range(2):
-                state, prob = atk.bob_projected_state(ideal2, mub2, b, i)
+                state, prob = _projected(ideal2, mub2, b, i)
                 assert abs(prob - 0.5) < 1e-12
                 hat = atk.phi_hat_product(mub2, (b,), (i,), 1)
                 assert np.linalg.norm(state - np.sqrt(2) * np.kron(hat, [1.0])) < 1e-12
@@ -238,7 +244,7 @@ class TestProjectedState:
             coeffs, _ = operator_form_loops(am)
             for b in range(3):
                 for i in range(2):
-                    s1, p1 = atk.bob_projected_state(am, mub2, b, i)
+                    s1, p1 = _projected(am, mub2, b, i)
                     hat = atk.phi_hat_product(mub2, (b,), (i,), 1)
                     out = sum(coeffs[m, l, beta]
                               * np.kron(np.kron(units[m, l].T, np.eye(2)) @ hat, eve[beta])
@@ -252,13 +258,15 @@ class TestProjectedState:
         psi = np.kron(np.kron([1.0, 0.0], [1.0, 0.0]), [1.0])
         am = atk.AttackModel(d=2, n=1, d_eve=1, psi_abe=psi, kraus=(np.eye(2),))
         with pytest.raises(atk.ZeroProbabilityOutcome):
-            atk.bob_projected_state(am, mub2, 0, 1)
+            atk.alice_state(am, mub2, 0, 1)
 
 
 class TestFeedback:
+    """The feedback channel as ``alice_state`` applies it to the projected source."""
+
     def test_trivial_channel(self, mub2, ideal2):
-        state, _ = atk.bob_projected_state(ideal2, mub2, 1, 0)
-        rho = atk.apply_feedback(ideal2, state)
+        state, _ = _projected(ideal2, mub2, 1, 0)
+        rho = atk.alice_state(ideal2, mub2, 1, 0)
         assert_allclose(rho, np.outer(state, state.conj()), atol=1e-14)
 
     def test_depolarizing_marginal(self, mub2):
@@ -267,18 +275,18 @@ class TestFeedback:
         paulis = [np.eye(2), table[1, 0], table[0, 1], table[1, 1]]
         ops = [np.sqrt(1 - 3 * p / 4) * paulis[0]] + [np.sqrt(p / 4) * m for m in paulis[1:]]
         am = atk.AttackModel(d=2, n=1, d_eve=1, psi_abe=rd.omega(2), kraus=tuple(ops))
-        state, _ = atk.bob_projected_state(am, mub2, 0, 0)
-        rho = atk.apply_feedback(am, state)
-        marginal = qmath.partial_trace(rho, (2, 2, 1), 1)
+        rho = atk.alice_state(am, mub2, 0, 0)
+        marginal = np.trace(rho.reshape(2, 2, 2, 2), axis1=0, axis2=2)  # A traced out, B kept
         assert_allclose(marginal, np.eye(2) / 2, atol=1e-12)
 
     def test_trace_preserved(self, mub2):
+        # the branches sum to the projected state's norm, whatever the channel does
         rng = np.random.default_rng(59)
         am = atk.random_attack(2, 1, 2, 3, rng)
-        for _ in range(5):
-            v = atk.random_state(8, rng)
-            rho = atk.apply_feedback(am, v)
-            assert abs(np.trace(rho).real - 1.0) < 1e-12
+        for b in range(3):
+            for i in range(2):
+                rho, prob = atk.alice_state_unnormalized(am, mub2, b, i)
+                assert abs(np.trace(rho).real - prob) < 1e-12
 
 
 class TestAliceState:
@@ -323,33 +331,34 @@ class TestEOperators:
                 2, atk.random_channel(3, 2, rng), eve_state=atk.random_state(3, rng)
             )
             ops = atk.build_E_operators(am)
-            for l in range(ops.shape[0]):
-                for k in range(ops.shape[1]):
-                    assert atk.scalar_deviation(ops[l, k]) < 1e-9
+            dim = ops.shape[-1]
+            scalars = np.einsum("lkii->lk", ops)[..., None, None] * np.eye(dim) / dim
+            # Frobenius distance of each E_(l,k) from the scalar line
+            assert np.linalg.norm(ops - scalars, axis=(2, 3)).max() < 1e-9
 
 
 class TestGuessProbability:
+    """Alice's chance of announcing a digit: tr(Q[b, j] rho) for her state rho."""
+
     def test_no_attack_correct_digit(self, strategy_d2, mub2, ideal2):
-        x = (0, 1, 0)
-        assert abs(atk.guess_probability(strategy_d2, ideal2, (x,), (1,), (1,)) - 1.0) < 1e-9
-
-    def test_no_attack_wrong_digit(self, strategy_d2, ideal2):
-        x = (0, 1, 0)  # x(0) = 0 but Bob saw i = 1
-        assert atk.guess_probability(strategy_d2, ideal2, (x,), (0,), (1,)) < 1e-12
-
-    def test_intercept_resend_against_oracle(self, strategy_d2, mub2):
-        am = atk.intercept_resend(mub2, 0)
-        # aggregate over outcomes reproduces 1 - detection
-        det = atk.detection_probability(strategy_d2, am)
-        agree = 0.0
+        q = rd.digit_operators(strategy_d2)
         for b in range(3):
             for i in range(2):
-                _, prob = atk.alice_state_unnormalized(am, mub2, (b,), (i,))
-                x_match = (i, i, i)  # any x with x(b) = i
-                agree += prob * atk.guess_probability(
-                    strategy_d2, am, (x_match,), (b,), (i,)
-                )
-        assert abs(agree / 3 - (1 - det)) < 1e-10
+                rho = atk.alice_state(ideal2, mub2, b, i)
+                assert abs(np.trace(q[b, i] @ rho).real - 1.0) < 1e-9
+
+    def test_no_attack_wrong_digit(self, strategy_d2, mub2, ideal2):
+        q = rd.digit_operators(strategy_d2)
+        for b in range(3):
+            for i in range(2):
+                rho = atk.alice_state(ideal2, mub2, b, i)
+                assert np.trace(q[b, 1 - i] @ rho).real < 1e-12
+
+    def test_intercept_resend_against_oracle(self, strategy_d2, mub2):
+        # the per-outcome table's guess errors, weighted by their outcomes, give detection
+        table = atk.evaluate_attack(strategy_d2, atk.intercept_resend(mub2, 0)).per_outcome
+        agree = sum(row["prob"] * (1.0 - row["guess_error"]) for row in table)
+        assert abs(agree / 3 - (1 - intercept_resend_detection(strategy_d2, 0))) < 1e-10
 
 
 class TestDetectionAndLeakage:
@@ -514,40 +523,40 @@ class TestDimensionMismatch:
         with pytest.raises(ValueError, match="strategy and attack dimensions differ"):
             atk.leakage(atk.identity_attack(2), mub3)
 
-    @pytest.mark.parametrize("entry", [atk.alice_state, atk.alice_state_unnormalized,
-                                       atk.eve_final_state])
+    @pytest.mark.parametrize("entry", [atk.alice_state, atk.alice_state_unnormalized])
     def test_single_outcome_entry_points(self, mub3, entry):
         with pytest.raises(ValueError, match="strategy and attack dimensions differ"):
             entry(atk.identity_attack(2), mub3, 0, 0)
 
-    def test_guess_probability(self, strategy_d3):
-        x = strategy_d3.safe_vectors.x[0]
-        with pytest.raises(ValueError, match="strategy and attack dimensions differ"):
-            atk.guess_probability(strategy_d3, atk.identity_attack(2), (x,), (0,), (0,))
+
+def _eve_final_states(am, bs):
+    """Eve's normalized states over the walk's outcomes, as (outcome, branch, E, E) blocks."""
+    return np.concatenate([atk._eve_states(branches) for _, branches, _ in atk._walk(am, bs)])
+
+
+def _trace_distances(states, rho):
+    """(1/2) ||states[j] - rho||_1 for each j; the states are block diagonal."""
+    return 0.5 * np.abs(np.linalg.eigvalsh(states - rho)).sum(axis=(1, 2))
 
 
 class TestEveFinalState:
     def test_no_attack_pure_and_constant(self, mub2, ideal2):
-        states = [
-            atk.eve_final_state(ideal2, mub2, b, i) for b in range(3) for i in range(2)
-        ]
-        for rho in states:
-            assert_allclose(rho, np.array([[1.0]]), atol=1e-12)
+        states = _eve_final_states(ideal2, mub2)
+        assert_allclose(states, np.ones((6, 1, 1, 1)), atol=1e-12)
 
     def test_scalar_attack_outcome_independent(self, mub2):
         rng = np.random.default_rng(83)
         am = atk.eve_local_attack(
             2, atk.random_channel(2, 2, rng), eve_state=atk.random_state(2, rng)
         )
-        states = [atk.eve_final_state(am, mub2, b, i) for b in range(3) for i in range(2)]
-        for rho in states[1:]:
-            assert atk.trace_distance(states[0], rho) < 1e-9
+        states = _eve_final_states(am, mub2)
+        assert len(states) == 6
+        assert _trace_distances(states[1:], states[0]).max() < 1e-9
 
     def test_intercept_resend_depends_on_outcome(self, mub2):
-        am = atk.intercept_resend(mub2, 0)
-        r0 = atk.eve_final_state(am, mub2, 0, 0)
-        r1 = atk.eve_final_state(am, mub2, 0, 1)
-        assert atk.trace_distance(r0, r1) > 0.1
+        # outcomes (b, i) = (0, 0) and (0, 1) come first in the walk
+        states = _eve_final_states(atk.intercept_resend(mub2, 0), mub2)
+        assert _trace_distances(states[1:2], states[0])[0] > 0.1
 
 
 class TestAttackFile:

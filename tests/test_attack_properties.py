@@ -69,12 +69,6 @@ def test_block_pass_matches_per_outcome_oracle(strategy_d2, am):
         assert (got["b"], got["i"]) == (want["b"], want["i"])
         assert abs(got["prob"] - want["prob"]) <= 1e-12
         assert abs(got["guess_error"] - want["guess_error"]) <= 1e-12
-        # a guessing function per instance that announces Bob's digit in every basis
-        bvec = tuple(b - 1 for b in got["b"])
-        ivec = tuple(i - 1 for i in got["i"])
-        xvec = tuple((i,) * 3 for i in ivec)
-        guess = atk.guess_probability(strategy_d2, am, xvec, bvec, ivec)
-        assert abs(max(0.0, 1.0 - guess) - want["guess_error"]) <= 1e-10
 
 
 @settings(max_examples=25, deadline=None)
@@ -101,7 +95,13 @@ def test_eve_states_and_leakage_against_loops(mub2, am):
             trace = float(np.trace(rho).real)
             if trace > atk._LEAKAGE_SKIP:
                 states.append(rho / trace)
-                assert np.max(np.abs(atk.eve_final_state(am, mub2, bvec, ivec) - states[-1])) <= 1e-10
+    # the walk keeps the same outcomes, in the same order, as diagonal blocks
+    blocks = np.concatenate([atk._eve_states(branches) for _, branches, _ in atk._walk(am, mub2)])
+    assert len(blocks) == len(states)
+    de = blocks.shape[2]
+    for got, want in zip(blocks, states):
+        for l, block in enumerate(got):
+            assert np.max(np.abs(block - want[l * de:(l + 1) * de, l * de:(l + 1) * de])) <= 1e-10
     # full-matrix trace distances, not the library's sum over blocks
     worst = max(
         (0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(r - s)))) for j, r in enumerate(states)

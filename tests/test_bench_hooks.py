@@ -24,7 +24,7 @@ def _load_tracing():
 
 def test_tracer_hooks_and_no_per_outcome_projection(strategy_d2):
     # the pass projects a whole basis block at once; _branch_vectors is the
-    # single-outcome projection behind alice_state and eve_final_state only
+    # single-outcome projection behind alice_state only
     tracer = _load_tracing().Tracer()
     original = attack._branch_vectors
     tracer.install()

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import meanking
-from meanking import attack, bases, cli, protocol, retrodiction, security
+from meanking import attack, bases, cli, protocol, qmath, retrodiction, security
 from meanking.serialize import complex_to_pairs, file_digest
 from oracles import intercept_resend_detection
 
@@ -241,7 +241,7 @@ class TestSecurityCommands:
     @pytest.mark.parametrize("source", ["--strategy", "--bases"])
     def test_manifest_echoes_the_strategy_dimension(self, tmp_path, capsys, mub3, strategy_d3,
                                                     command, source):
-        # a d=3 file decides the dimension; the ignored --dim default of 2 is not echoed
+        # a d=3 file decides the dimension, and the manifest echoes it
         path = tmp_path / "in.json"
         if source == "--strategy":
             retrodiction.save_strategy(strategy_d3, path)
@@ -250,6 +250,19 @@ class TestSecurityCommands:
         code, out = run_cli(capsys, "security", *command, source, str(path))
         assert code == 0
         assert json.loads(out)["manifest"]["config"]["dim"] == 3
+
+    @pytest.mark.parametrize("command", [["lemma"], ["attack-eval", "--attack", "none"]])
+    @pytest.mark.parametrize("first, second", [("--dim", "--bases"), ("--dim", "--strategy"),
+                                               ("--bases", "--strategy")])
+    def test_one_strategy_source(self, tmp_path, capsys, strategy_file, command, first, second):
+        # an explicit --dim 2, the value used when no source is given, counts as given too
+        values = {"--dim": "2", "--bases": str(tmp_path / "unread.json"),
+                  "--strategy": str(strategy_file)}
+        code = cli.main(["security", *command, first, values[first], second, values[second]])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err.count("\n") == 1
+        assert f"argument {second}: not allowed with argument {first}" in captured.err
 
     def test_attack_eval_none(self, capsys):
         code, out = run_cli(capsys, "security", "attack-eval", "--attack", "none", "--dim", "2")
@@ -570,6 +583,20 @@ class TestEntryPoint:
         version = tomllib.loads(pyproject.read_text())["project"]["version"]
         assert cli.main(["--version"]) == 0
         assert capsys.readouterr().out == f"meanking {version}\n"
+
+    def test_test_only_routes_are_gone(self):
+        # tests reach what these did through tests/oracles.py or inline expressions
+        removed = {
+            qmath: ["partial_trace"],
+            attack: ["entangled_basis_vector", "eve_final_state", "guess_probability",
+                     "bob_projected_state", "apply_feedback", "trace_distance", "scalar_deviation",
+                     "source_from_coefficients"],
+            retrodiction: ["decomposition_triple"],
+            retrodiction.Strategy: ["safe_vector", "weight"],
+        }
+        assert [f"{owner.__name__}.{name}" for owner, names in removed.items()
+                for name in names if hasattr(owner, name)] == []
+        assert not hasattr(meanking, "tensor_strategy")
 
     def test_mub_pipeline_loads_no_scipy(self, tmp_path):
         # the LPs are fallbacks for non-MUB sets; scipy must load only with them

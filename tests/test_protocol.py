@@ -223,7 +223,7 @@ def exact_block_table(strategy, am, announced=False):
     for bvec in itertools.product(range(bs.k), repeat=n):
         said = np.ravel_multi_index(digits[:, np.arange(n), list(bvec)].T, (bs.dim,) * n)
         for ivec in itertools.product(range(bs.dim), repeat=n):
-            _, p_i = atk.bob_projected_state(am, bs, bvec, ivec)
+            p_i = atk._projected_raw(am, bs, bvec, ivec)[1]
             rho = atk.alice_state(am, bs, bvec, ivec)
             p_x = weights * np.einsum("xi,ij,xj->x", etas.conj(), rho, etas, optimize=True).real
             if announced:

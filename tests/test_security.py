@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meanking import bases, retrodiction as rd, security
-from oracles import commutant_stacked
+from oracles import commutant_stacked, decomposition_triple
 
 
 def brute_force_solution_dim(etas):
@@ -210,7 +210,9 @@ class TestProductCommutant:
     def test_product_decomposition_property(self, strategy_d2):
         # the triple identity applied to one tensor slot of a product vector
         def eta(x1, x2):  # the product safe vector, pair-interleaved
-            return np.kron(strategy_d2.safe_vector(x1).eta, strategy_d2.safe_vector(x2).eta)
+            # the table lists x first digit slowest, so x's row is its base-2 value
+            e1, e2 = (strategy_d2.etas[np.ravel_multi_index(x, (2, 2, 2))] for x in (x1, x2))
+            return np.kron(e1, e2)
 
         rng = np.random.default_rng(41)
         xs = strategy_d2.safe_vectors.x
@@ -220,7 +222,7 @@ class TestProductCommutant:
             bp, bt = rng.choice(3, size=2, replace=False)
             jp = int((x1[bp] + 1) % 2)
             jt = int((x1[bt] + 1) % 2)
-            u, v, w = rd.decomposition_triple(x1, bp, bt, jp, jt)
+            u, v, w = decomposition_triple(x1, bp, bt, jp, jt)
             lhs = eta(x1, x2)
             rhs = eta(u, x2) + eta(v, x2) - eta(w, x2)
             assert np.linalg.norm(lhs - rhs) < 1e-8
