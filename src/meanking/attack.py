@@ -52,7 +52,7 @@ Subsystem order is always A x B x E, row-major. All indices 0-based.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import product
 
 import numpy as np
@@ -136,9 +136,9 @@ class AttackModel:
             norm = float(np.linalg.norm(self.psi_abe))
             comp = np.tensordot(self.kraus.conj(), self.kraus, axes=([0, 1], [0, 1]))
             dev = float(np.max(np.abs(comp - np.eye(m))))
-        if not abs(norm - 1.0) <= 1e-9:
+        if not abs(norm - 1.0) <= qmath.DEFAULT_TOL:
             raise ValueError(f"source state norm {norm} is not 1")
-        if not dev <= 1e-9:
+        if not dev <= qmath.DEFAULT_TOL:
             raise ValueError(f"feedback channel not trace preserving (deviation {dev:.3e})")
 
     @property
@@ -415,11 +415,7 @@ class AttackReport:
     per_outcome: list
 
     def to_dict(self) -> dict:
-        return {
-            "detection_probability": self.detection_probability,
-            "leakage": self.leakage,
-            "per_outcome": self.per_outcome,
-        }
+        return asdict(self)
 
 
 def evaluate_attack(strategy: Strategy, am: AttackModel) -> AttackReport:
@@ -536,7 +532,7 @@ def scalarized_attack(am: AttackModel) -> AttackModel:
     """
     dd, de = am.block_dim, am.d_eve
     chi = decompose_source(am.psi_abe, am.d, am.n, de)[0, 0]
-    if np.linalg.norm(chi) < 1e-9:
+    if np.linalg.norm(chi) < qmath.DEFAULT_TOL:
         chi = None  # no honest component; fall back to a fresh ancilla
     # W_l = tr_B(V_l) / d**n for every Kraus operator, and sum_l W_l^dagger W_l
     ws = np.einsum("lbibj->lij", am.kraus.reshape(-1, dd, de, dd, de)) / dd

@@ -11,7 +11,7 @@ numerically for any supplied set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from itertools import combinations
 
 import numpy as np
@@ -20,14 +20,16 @@ from . import qmath
 from .serialize import complex_to_pairs, pairs_to_complex, read_json, write_json
 
 SUPPORTED_GEN_DIMS = (2, 3, 5, 7)
+# The size limits of every enumerating path. Entries of the largest dense array
+# built: a block operator, a basis block's sampler amplitudes, the commutant form.
+MAX_ARRAY_ENTRIES = 1 << 24
+# d**k outcome tuples a strategy build or the classical-model LP enumerates:
+# d=5 (15 625) fits, d=7 would hold 5 764 801 x 49 complex entries (about 4.5 GB)
+MAX_GUESSING_FUNCTIONS = 50_000
 MAX_VALIDATE_DIM = 16
 # no entry of an orthonormal basis exceeds 1 in magnitude; one past this bound
 # is refused, which keeps the checks' products of up to four entries finite
 MAX_ENTRY = 1e6
-
-# the classical-model LP refuses sets with more variables than this (d**k
-# grows fast); flat sets, MUBs among them, never reach the LP
-_LP_VAR_GUARD = 200_000
 
 
 class UnsupportedDimension(ValueError):
@@ -79,14 +81,12 @@ class ValidationReport:
     worst_violation: float
 
     def to_dict(self) -> dict:
-        return {
-            "orthonormal": self.orthonormal,
-            "unbiased": self.unbiased,
-            "nondegenerate": self.nondegenerate,
-            "span_rank": self.span_rank,
-            "classical_model": self.classical_model,
-            "worst_violation": self.worst_violation,
-        }
+        return asdict(self)
+
+
+def enumerate_guessing_functions(d: int, k: int) -> np.ndarray:
+    """All k-tuples with entries in 0..d-1, first slot slowest, as a (d**k, k) array."""
+    return np.indices((d,) * k).reshape(k, -1).T
 
 
 def gen_mub(d: int) -> BasisSet:
@@ -170,53 +170,36 @@ def check_classical_model(bs: BasisSet, tol: float = qmath.DEFAULT_TOL):
     pairwise table is within ``tol`` of 1/d**2, as for mutually unbiased
     bases, the uniform distribution is the witness; any other set falls
     back to the LP of :func:`_classical_model_lp`, refused with
-    :class:`OverBudget` above ``_LP_VAR_GUARD`` variables.
+    :class:`OverBudget` above ``MAX_GUESSING_FUNCTIONS`` variables, the
+    budget of a strategy build over the same tuples.
     """
     d, k = bs.dim, bs.k
     nvar = d**k
     if pairwise_flat(bs, tol):
         return True, np.full(nvar, 1.0 / nvar)
-    if nvar > _LP_VAR_GUARD:
-        raise OverBudget(
-            f"classical-model LP with {nvar} variables exceeds the supported size"
-        )
+    if nvar > MAX_GUESSING_FUNCTIONS:
+        raise OverBudget(f"classical-model LP with {nvar} variables exceeds the supported size")
     return _classical_model_lp(bs, tol)
 
 
 def _classical_model_lp(bs: BasisSet, tol: float):
-    """The classical-model LP over d**k nonnegative variables with total mass 1."""
+    """The classical-model LP over d**k nonnegative variables with total mass 1.
+
+    Variable j is the tuple ``enumerate_guessing_functions(d, k)[j]``; row
+    p*d*d + x_a*d + x_b holds pair p = (a, b) of bases to its Born table.
+    """
     import scipy.sparse
 
     d, k = bs.dim, bs.k
-    nvar = d**k
-    shape = (d,) * k
-    flat_index = np.arange(nvar).reshape(shape)
-    rows = []
-    cols = []
-    rhs = []
-    row = 0
-    for a, b in combinations(range(k), 2):
-        # P(var_a = alpha, var_b = beta) must equal the Born-rule table
-        table = pairwise_joint(bs, b, a)
-        for alpha in range(d):
-            for beta in range(d):
-                sl = [slice(None)] * k
-                sl[a] = alpha
-                sl[b] = beta
-                members = flat_index[tuple(sl)].ravel()
-                rows.extend([row] * members.size)
-                cols.extend(members.tolist())
-                rhs.append(float(table[alpha, beta]))
-                row += 1
-    rows.extend([row] * nvar)
-    cols.extend(range(nvar))
-    rhs.append(1.0)
-    row += 1
-    data = np.ones(len(rows))
-    a_eq = scipy.sparse.csr_matrix((data, (rows, cols)), shape=(row, nvar))
+    xs = enumerate_guessing_functions(d, k)
+    pairs = list(combinations(range(k), 2))
+    rows = np.concatenate([p * d * d + xs[:, a] * d + xs[:, b] for p, (a, b) in enumerate(pairs)]
+                          + [np.full(len(xs), len(pairs) * d * d)])
+    rhs = np.concatenate([pairwise_joint(bs, b, a).ravel() for a, b in pairs] + [[1.0]])
+    cols = np.tile(np.arange(len(xs)), len(pairs) + 1)
+    a_eq = scipy.sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(rhs.size, len(xs)))
     # floating-point marginals need slack; absorbed by the solver
-    feasible, point = qmath.lp_feasible(a_eq, np.array(rhs), feasibility_tol=max(tol, 1e-9))
-    return feasible, point
+    return qmath.lp_feasible(a_eq, rhs, feasibility_tol=max(tol, 1e-9))
 
 
 def validate(bs: BasisSet, tol: float = qmath.DEFAULT_TOL) -> ValidationReport:

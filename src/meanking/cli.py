@@ -22,7 +22,7 @@ import os
 import sys
 from typing import Callable, NamedTuple, Sequence
 
-from . import __version__, attack, bases, protocol, retrodiction, security
+from . import __version__, attack, bases, protocol, qmath, retrodiction, security
 from .serialize import canonical_dumps, file_digest, write_json
 
 EXIT_OK = 0
@@ -39,7 +39,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _default_tol() -> float:
-    return float(os.environ.get("MEANKING_TOL", "1e-9"))
+    return float(os.environ.get("MEANKING_TOL", qmath.DEFAULT_TOL))
 
 
 class _Result(NamedTuple):
@@ -244,7 +244,7 @@ def _build_parser() -> _Parser:
     p_build = ssub.add_parser("build")
     p_build.add_argument("--bases", required=True)
     p_build.add_argument("--out", required=True)
-    p_build.add_argument("--residual-tol", type=float, default=1e-8)
+    p_build.add_argument("--residual-tol", type=float, default=retrodiction.RESIDUAL_TOL)
     p_build.set_defaults(func=_cmd_strategy_build)
 
     p_run = sub.add_parser("run", help="simulate the protocol")

@@ -31,15 +31,14 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields
 from functools import reduce
 from math import ceil
 
 import numpy as np
 
 from . import attack as attack_mod
-from . import qmath
-from .bases import OverBudget
+from . import bases, qmath
 from .retrodiction import Strategy, checked_block_dim
 from .serialize import canonical_dumps
 
@@ -51,7 +50,6 @@ _CHUNK_KEY, _TEST_KEY = 0, 1  # spawn-key namespaces: sampling chunks, test sele
 # Fixed-point resolution of one inverse-CDF draw. Integer row offsets are
 # exact, so a draw never depends on which other rows the table holds.
 _RES = 1 << 40
-MAX_BORN_ENTRIES = 1 << 24  # _born_rows amplitudes per basis block, all d**n outcomes drawn
 
 
 class ProtocolError(RuntimeError):
@@ -73,13 +71,7 @@ class ProtocolConfig:
             raise ValueError("test_fraction must lie in [0, 1]")
 
     def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "n": self.n,
-            "rounds": self.rounds,
-            "test_fraction": self.test_fraction,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -257,8 +249,8 @@ def run_protocol(cfg: ProtocolConfig, strategy: Strategy, attack=None) -> Transc
     result is deterministic given the config. Bob's bases reach Alice's
     records only through i' = x(b), evaluated after her outcomes are fixed.
     Raises :class:`OverBudget`, before any draw, when a block is over the
-    block budget, attacked or not, or a basis block could fill more
-    than ``MAX_BORN_ENTRIES`` amplitudes.
+    block budget, attacked or not, or a basis block with all d**n outcomes
+    drawn could fill more than ``bases.MAX_ARRAY_ENTRIES`` amplitudes.
     """
     d = strategy.basis_set.dim
     if cfg.d != d:
@@ -271,9 +263,9 @@ def run_protocol(cfg: ProtocolConfig, strategy: Strategy, attack=None) -> Transc
     else:
         am, units = attack, cfg.rounds
     entries = (d * len(strategy.safe_vectors))**am.n * len(am.kraus) * am.d_eve
-    if entries > MAX_BORN_ENTRIES:
-        raise OverBudget(f"sampler too large: a basis block fills up to {entries} amplitudes, "
-                         f"budget {MAX_BORN_ENTRIES}")
+    if entries > bases.MAX_ARRAY_ENTRIES:
+        raise bases.OverBudget(f"sampler too large: a basis block fills up to {entries} "
+                               f"amplitudes, budget {bases.MAX_ARRAY_ENTRIES}")
 
     k, nx = strategy.basis_set.k, len(strategy.safe_vectors)
     span = _span(d, k)

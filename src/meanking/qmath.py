@@ -139,9 +139,8 @@ def lp_feasible(a_eq, b_eq, maximize_min=False, feasibility_tol=1e-10):
     import scipy.sparse
     from scipy.optimize import linprog
 
-    sparse_in = scipy.sparse.issparse(a_eq)
-    if not sparse_in:
-        a_eq = np.atleast_2d(np.asarray(a_eq, dtype=float))
+    if not scipy.sparse.issparse(a_eq):
+        a_eq = scipy.sparse.csr_matrix(np.atleast_2d(np.asarray(a_eq, dtype=float)))
     b_eq = np.asarray(b_eq, dtype=float).ravel()
     m, n = a_eq.shape
     if b_eq.size != m:
@@ -157,12 +156,7 @@ def lp_feasible(a_eq, b_eq, maximize_min=False, feasibility_tol=1e-10):
         # auxiliary variable t with t <= p[i] for every i, maximized
         c = np.zeros(n + 1)
         c[-1] = -1.0
-        if sparse_in:
-            a_eq2 = scipy.sparse.hstack(
-                [a_eq, scipy.sparse.csr_matrix((m, 1))], format="csr"
-            )
-        else:
-            a_eq2 = np.hstack([a_eq, np.zeros((m, 1))])
+        a_eq2 = scipy.sparse.hstack([a_eq, scipy.sparse.csr_matrix((m, 1))], format="csr")
         # row r is t - p[r] <= 0, i.e. [-I | 1]: sparse
         rows = np.arange(n)
         a_ub = scipy.sparse.csr_matrix(

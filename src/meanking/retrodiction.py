@@ -26,17 +26,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
+from math import isqrt
 
 import numpy as np
 
-from . import qmath
-from .bases import BasisSet, FormatError, OverBudget, basis_set_from_json
+from . import bases, qmath
+from .bases import (MAX_GUESSING_FUNCTIONS, BasisSet, FormatError, OverBudget,
+                    basis_set_from_json, enumerate_guessing_functions)
 from .serialize import complex_to_pairs, pairs_to_complex, read_json, write_json
 
-MAX_BLOCK_DIM = 4096  # bound on d**(2n) * d_eve, the densest block operator handled
-# most guessing functions (d**k) a build holds, a bound on memory: d=5 (15 625)
-# fits, d=7 would hold 5 764 801 x 49 complex entries (about 4.5 GB)
-MAX_GUESSING_FUNCTIONS = 50_000
+RESIDUAL_TOL = 1e-8  # default bound on a safe vector's least-squares residual
 COMPLETENESS_TOL = 1e-8  # max-norm bound on sum_x p(x) |eta_x><eta_x| - identity
 POSITIVITY_TOL = 1e-9  # a weight at or below this leaves the strategy not maximal
 
@@ -54,21 +53,18 @@ class Infeasible(RuntimeError):
 
 
 def checked_block_dim(d: int, n: int, d_eve: int = 1) -> int:
-    """d**n, or :class:`OverBudget` when d**(2n) * d_eve exceeds ``MAX_BLOCK_DIM``.
+    """d**n, or :class:`OverBudget` when (d**(2n) * d_eve)**2 exceeds ``bases.MAX_ARRAY_ENTRIES``.
 
-    Decided before anything of size d**n exists: with d >= 2, n capped at
-    the budget's bit length decides it exactly.
+    That square counts the entries of a dense operator on the block's A x B x E
+    space; the refusal names its root, 4096. Decided before anything of size
+    d**n exists: with d >= 2, n capped at the root's bit length decides it exactly.
     """
     if n < 1:
         raise ValueError("block length must be >= 1")
-    if d ** (2 * min(n, MAX_BLOCK_DIM.bit_length())) * d_eve > MAX_BLOCK_DIM:
-        raise OverBudget(f"block dimension {d}**(2*{n})*{d_eve} exceeds budget {MAX_BLOCK_DIM}")
+    limit = isqrt(bases.MAX_ARRAY_ENTRIES)
+    if d ** (2 * min(n, limit.bit_length())) * d_eve > limit:
+        raise OverBudget(f"block dimension {d}**(2*{n})*{d_eve} exceeds budget {limit}")
     return d**n
-
-
-def enumerate_guessing_functions(d: int, k: int) -> np.ndarray:
-    """All k-tuples with entries in 0..d-1, first slot slowest, as a (d**k, k) array."""
-    return np.indices((d,) * k).reshape(k, -1).T
 
 
 def omega(d: int) -> np.ndarray:
@@ -122,7 +118,7 @@ def _safe_vectors(bs: BasisSet, xs: np.ndarray, residual_tol: float) -> np.recar
     return safe_vector_table(xs, etas, residuals)
 
 
-def solve_safe_vector(bs: BasisSet, x, residual_tol: float = 1e-8) -> np.record:
+def solve_safe_vector(bs: BasisSet, x, residual_tol: float = RESIDUAL_TOL) -> np.record:
     """Minimum-norm solution of the safe-vector conditions for one x, as a table row.
 
     The one-x case of :func:`_safe_vectors`, which raises its errors.
@@ -157,7 +153,7 @@ def _max_min_weights_lp(etas: np.ndarray) -> np.ndarray:
     basis = u[:, :rank]
     reduced = basis.T @ coords
     rhs = basis.T @ target
-    if np.linalg.norm(basis @ rhs - target) > 1e-8:
+    if np.linalg.norm(basis @ rhs - target) > COMPLETENESS_TOL:
         raise Infeasible("identity lies outside the span of the safe-vector projectors")
 
     feasible, point = qmath.lp_feasible(reduced, rhs, maximize_min=True)
@@ -220,7 +216,7 @@ class Strategy:
         return match.argmax(axis=1)
 
 
-def build_strategy(bs: BasisSet, residual_tol: float = 1e-8) -> Strategy:
+def build_strategy(bs: BasisSet, residual_tol: float = RESIDUAL_TOL) -> Strategy:
     """Every safe vector, from one solve, and the POVM weights for a full basis set.
 
     Raises :class:`OverBudget`, before enumerating anything, when the set
@@ -331,7 +327,7 @@ def load_strategy(path) -> Strategy:
         bs = basis_set_from_json(data)
         dim = bs.dim
         source = pairs_to_complex(data["omega"])
-        if source.shape != (dim * dim,) or np.max(np.abs(source - omega(dim))) > 1e-9:
+        if source.shape != (dim * dim,) or np.max(np.abs(source - omega(dim))) > qmath.DEFAULT_TOL:
             raise ValueError(f"omega is not the maximally entangled state of dimension {dim}")
         xs, etas, weights, residuals = zip(*[(e["x"], e["eta"], e["p"], e["residual"])
                                             for e in data["entries"]])

@@ -28,13 +28,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from . import qmath
-from .bases import OverBudget
+from . import bases, qmath
 from .retrodiction import Strategy, checked_block_dim
-
-# entries of the largest array the form builds, max(nvec, dim**2) * dim**2:
-# the d=5 MUB strategy needs 15 625 * 625 = 9.8 million (156 MB)
-MAX_CONSTRAINT_ENTRIES = 1 << 24
 
 
 @dataclass
@@ -90,14 +85,16 @@ def eigenvector_constraint_dim(safe_vectors, tol: float = qmath.DEFAULT_TOL) -> 
     Requires the safe vectors to span the doubled space (they do for any
     maximal strategy); the expected result is solution dimension 1 with a
     witness proportional to the identity. Raises :class:`OverBudget`, before
-    any array is built, when the form needs more than ``MAX_CONSTRAINT_ENTRIES``.
+    any array is built, when the largest array on the way to the form,
+    max(nvec, dim**2) * dim**2 entries, exceeds ``bases.MAX_ARRAY_ENTRIES``:
+    the d=5 MUB strategy needs 15 625 * 625 = 9.8 million (156 MB).
     """
     etas = safe_vectors.eta
     nvec, dim = etas.shape
     entries = max(nvec, dim * dim) * dim * dim
-    if entries > MAX_CONSTRAINT_ENTRIES:
-        raise OverBudget(f"commutant check too large: {nvec} vectors of dimension {dim} need "
-                         f"{entries} entries, budget {MAX_CONSTRAINT_ENTRIES}")
+    if entries > bases.MAX_ARRAY_ENTRIES:
+        raise bases.OverBudget(f"commutant check too large: {nvec} vectors of dimension {dim} "
+                               f"need {entries} entries, budget {bases.MAX_ARRAY_ENTRIES}")
     if qmath.matrix_rank(etas) < dim:
         raise ValueError("safe vectors do not span the space; commutant check undefined")
     dim_null, vectors, evals = constraint_nullspace(etas, tol)

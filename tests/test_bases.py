@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from meanking import bases
+from meanking import bases, protocol, retrodiction, security
 
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -234,6 +234,33 @@ class TestValidateMemory:
     @pytest.mark.parametrize("angle,flat", [(0.0, True), (1e-4, False), (0.6, False)])
     def test_flatness_predicate(self, mub3, biased_copy, angle, flat):
         assert bases.pairwise_flat(biased_copy(mub3, angle, b=2), 1e-9) is flat
+
+
+class TestSizePolicy:
+    """Each size limit lives in ``bases``; the dense-array refusals all read MAX_ARRAY_ENTRIES."""
+
+    def test_block_lemma_and_sampler_read_one_budget(self, monkeypatch, strategy_d2, strategy_d3):
+        monkeypatch.setattr(bases, "MAX_ARRAY_ENTRIES", 255)
+        # a block's operator on A x B has (d**(2n))**2 entries: 16 at n=1, 256 at n=2
+        assert retrodiction.checked_block_dim(2, 1) == 2
+        with pytest.raises(bases.OverBudget, match=r"2\*\*\(2\*2\)\*1 exceeds budget 15"):
+            retrodiction.checked_block_dim(2, 2)
+        with pytest.raises(bases.OverBudget, match="need 256 entries, budget 255"):
+            security.eigenvector_constraint_dim(strategy_d2.safe_vectors)
+        # an honest d=3 basis block fills 3 outcomes x 81 guessing functions
+        cfg = protocol.ProtocolConfig(d=3, n=1, rounds=1, test_fraction=0.0, seed=1)
+        monkeypatch.setattr(bases, "MAX_ARRAY_ENTRIES", 242)
+        with pytest.raises(bases.OverBudget, match="up to 243 amplitudes, budget 242"):
+            protocol.run_protocol(cfg, strategy_d3)
+        monkeypatch.setattr(bases, "MAX_ARRAY_ENTRIES", 243)
+        assert len(protocol.run_protocol(cfg, strategy_d3).codes) == 1
+
+    def test_no_module_keeps_a_copy(self):
+        removed = {retrodiction: "MAX_BLOCK_DIM", protocol: "MAX_BORN_ENTRIES",
+                   security: "MAX_CONSTRAINT_ENTRIES", bases: "_LP_VAR_GUARD"}
+        assert [f"{m.__name__}.{name}" for m, name in removed.items() if hasattr(m, name)] == []
+        assert retrodiction.MAX_GUESSING_FUNCTIONS is bases.MAX_GUESSING_FUNCTIONS
+        assert retrodiction.enumerate_guessing_functions is bases.enumerate_guessing_functions
 
 
 class TestFileFormat:

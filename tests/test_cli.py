@@ -61,16 +61,21 @@ class TestBasesCommands:
         assert code == 2
         assert not json.loads(out)["report"]["orthonormal"]
 
-    def test_check_classical_model_over_budget(self, tmp_path, capsys):
-        # 18 repeats of the d=2 MUBs are not pairwise flat, and their
-        # classical-model LP would have 2**18 variables
-        repeats = bases.BasisSet(bases.gen_mub(2).vectors[np.arange(18) % 3])
-        path = tmp_path / "repeats.json"
-        bases.save_basis_set(repeats, path)
-        code = cli.main(["bases", "check", "--in", str(path)])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert "262144 variables exceeds the supported size" in captured.err
+    def test_check_classical_model_over_budget(self, tmp_path, capsys, monkeypatch):
+        # k repeats of the d=2 MUBs are not pairwise flat, and their
+        # classical-model LP would have 2**k variables, over MAX_GUESSING_FUNCTIONS
+        def refuse(*_args):
+            raise AssertionError("LP built despite the budget")
+
+        monkeypatch.setattr(bases, "_classical_model_lp", refuse)
+        for k in (16, 18):
+            repeats = bases.BasisSet(bases.gen_mub(2).vectors[np.arange(k) % 3])
+            path = tmp_path / f"repeats{k}.json"
+            bases.save_basis_set(repeats, path)
+            code = cli.main(["bases", "check", "--in", str(path)])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert f"{2**k} variables exceeds the supported size" in captured.err
 
     def test_check_over_validation_budget(self, tmp_path, capsys):
         # d = 17 is one past bases.MAX_VALIDATE_DIM: an input over its size budget
@@ -198,17 +203,21 @@ class TestSecurityCommands:
         assert report["spectral_gap"] == pytest.approx(1 - 1 / dim, abs=1e-9)
 
     def test_lemma_over_budget(self, tmp_path, capsys, monkeypatch):
-        # the budget bounds the single-block form, 256 entries at d=2, for every n
-        monkeypatch.setattr(security, "MAX_CONSTRAINT_ENTRIES", 255)
+        # 255 entries refuse the single-block form's 256 at d=2, and for n >= 2
+        # the 16 x 16 block operator (256 entries) first
+        monkeypatch.setattr(bases, "MAX_ARRAY_ENTRIES", 255)
         out_path = tmp_path / "lemma.json"
-        code = cli.main(["security", "lemma", "--dim", "2", "--n", "2", "--out", str(out_path)])
-        captured = capsys.readouterr()
-        assert code == 2 and captured.out == ""
-        assert "commutant check too large" in captured.err
-        assert not out_path.exists()
+        for n, message in ((1, "commutant check too large"),
+                           (2, "block dimension 2**(2*2)*1 exceeds budget 15")):
+            code = cli.main(["security", "lemma", "--dim", "2", "--n", str(n),
+                             "--out", str(out_path)])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == ""
+            assert message in captured.err
+            assert not out_path.exists()
 
     def test_lemma_over_block_budget(self, tmp_path, capsys):
-        # d**(2n) over retrodiction.MAX_BLOCK_DIM is refused before d**(4n) is formed
+        # d**(2n) over the block budget is refused before d**(4n) is formed
         out_path = tmp_path / "lemma.json"
         code = cli.main(["security", "lemma", "--dim", "3", "--n", "10000000",
                          "--out", str(out_path)])
@@ -507,7 +516,7 @@ class TestOverflowingNumbers:
 
 
 class TestAttackBudget:
-    """An attack over d**(2n) * d_eve <= MAX_BLOCK_DIM exits 2 before anything is allocated."""
+    """An attack over the block budget, d**(2n) * d_eve <= 4096, exits 2 before allocating."""
 
     @pytest.mark.parametrize("n, spec", [(2000, "intercept-resend:b=1"), (10_000_000, "none")])
     @pytest.mark.parametrize("command", ["attack-eval", "run"])

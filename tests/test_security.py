@@ -171,10 +171,13 @@ class TestProductCommutant:
 
     def test_resource_guard(self, strategy_d2, monkeypatch):
         # every n is answered from the single-block form, max(8, 16) x 16 = 256
-        # entries at d=2, so that form's budget is the one that refuses
-        monkeypatch.setattr(security, "MAX_CONSTRAINT_ENTRIES", 255)
-        for n in (1, 2, 3):
-            with pytest.raises(bases.OverBudget, match="8 vectors of dimension 4"):
+        # entries at d=2; from n = 2 on the block's 16 x 16 operator is as large
+        # and is checked first
+        monkeypatch.setattr(bases, "MAX_ARRAY_ENTRIES", 255)
+        with pytest.raises(bases.OverBudget, match="8 vectors of dimension 4"):
+            security.product_commutant_check(strategy_d2, 1)
+        for n in (2, 3):
+            with pytest.raises(bases.OverBudget, match=rf"2\*\*\(2\*{n}\)\*1 exceeds budget 15"):
                 security.product_commutant_check(strategy_d2, n)
 
     @pytest.mark.parametrize("name, largest", [("strategy_d2", 6), ("strategy_d3", 3)])
