@@ -52,7 +52,7 @@ Subsystem order is always A x B x E, row-major. All indices 0-based.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from itertools import product
 
 import numpy as np
@@ -415,7 +415,8 @@ class AttackReport:
     per_outcome: list
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        """The report's fields, holding the per-outcome table as it is, not a deep copy."""
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def evaluate_attack(strategy: Strategy, am: AttackModel) -> AttackReport:

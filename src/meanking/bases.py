@@ -27,6 +27,9 @@ MAX_ARRAY_ENTRIES = 1 << 24
 # d=5 (15 625) fits, d=7 would hold 5 764 801 x 49 complex entries (about 4.5 GB)
 MAX_GUESSING_FUNCTIONS = 50_000
 MAX_VALIDATE_DIM = 16
+# floating-point marginals need this much slack in the classical-model LP, so
+# validation refuses a tighter tolerance rather than silently raising it
+MIN_VALIDATE_TOL = 1e-9
 # no entry of an orthonormal basis exceeds 1 in magnitude; one past this bound
 # is refused, which keeps the checks' products of up to four entries finite
 MAX_ENTRY = 1e6
@@ -199,19 +202,24 @@ def _classical_model_lp(bs: BasisSet, tol: float):
     cols = np.tile(np.arange(len(xs)), len(pairs) + 1)
     a_eq = scipy.sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(rhs.size, len(xs)))
     # floating-point marginals need slack; absorbed by the solver
-    return qmath.lp_feasible(a_eq, rhs, feasibility_tol=max(tol, 1e-9))
+    return qmath.lp_feasible(a_eq, rhs, feasibility_tol=max(tol, MIN_VALIDATE_TOL))
 
 
 def validate(bs: BasisSet, tol: float = qmath.DEFAULT_TOL) -> ValidationReport:
-    """Run all structural checks and collect them into one report."""
+    """Run all structural checks at ``tol`` and collect them into one report.
+
+    Raises ``ValueError`` when ``tol`` is below ``MIN_VALIDATE_TOL``.
+    """
+    if not tol >= MIN_VALIDATE_TOL:  # refuses NaN too
+        raise ValueError(f"tolerance {tol:.3g} is below the validation floor "
+                         f"{MIN_VALIDATE_TOL:.3g}")
     if bs.dim > MAX_VALIDATE_DIM:
         raise OverBudget(f"validation supports d <= {MAX_VALIDATE_DIM}, not d = {bs.dim}")
     orth_ok, orth_worst = check_orthonormal(bs, tol)
-    unb_ok, unb_worst = check_unbiased(bs, max(tol, 1e-10))
+    unb_ok, unb_worst = check_unbiased(bs, tol)
     nondeg_ok, rank = check_nondegenerate(bs, tol)
     # the flat case needs no witness, and its witness would hold d**k entries
-    model_tol = max(tol, 1e-9)
-    classical_ok = pairwise_flat(bs, model_tol) or check_classical_model(bs, model_tol)[0]
+    classical_ok = pairwise_flat(bs, tol) or check_classical_model(bs, tol)[0]
     return ValidationReport(
         orthonormal=orth_ok,
         unbiased=unb_ok,

@@ -129,8 +129,8 @@ def _security_result(args, strategy, payload: dict, code: int = EXIT_OK, **confi
 
 def _cmd_bases_gen(args) -> _Result:
     bs = bases.gen_mub(args.dim)
+    report = bases.validate(bs, args.tol)  # before the write, so a refused tol leaves no file
     bases.save_basis_set(bs, args.out)
-    report = bases.validate(bs, args.tol)
     return _Result(report.to_dict(), {"dim": args.dim, "tol": args.tol}, outputs=[args.out])
 
 

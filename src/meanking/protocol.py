@@ -22,15 +22,22 @@ within one version of the package, not across versions.
 
 A :class:`Transcript` is one int64 code per instance, from which basis,
 outcomes, guessing function and i' = x(b) follow by divmod; sifting,
-testing and agreement are masks over it. Transcript files hold one 0-based
-JSON record per instance. :attr:`Transcript.records` derives the older
-1-based :class:`RoundRecord` list on demand.
+testing and agreement are masks over it. :attr:`Transcript.records`
+derives the older 1-based :class:`RoundRecord` list on demand.
+
+Transcript files hold a JSON header line, then one 0-based JSON record per
+instance. When every field is one digit, as at d <= 10 and k <= 10, all
+record lines have one width, and both directions move ``CHUNK`` lines at a
+time as a (rows, width) byte array: the writer gathers rows of a table of
+the distinct lines, and the loader checks the rows against the line
+template and reads the fields from the digit columns. Any other body is
+read line by line in text mode, each distinct line decoded once as JSON.
 """
 
 from __future__ import annotations
 
 import json
-import re
+import operator
 from dataclasses import asdict, dataclass, field, fields
 from functools import reduce
 from math import ceil
@@ -186,7 +193,12 @@ def _fields(codes: np.ndarray, d: int, k: int):
     """0-based ``(b, i, x, i_prime)`` of each code ``(b*d + i)*d**k + x``."""
     bi, x = np.divmod(codes, _span(d, k))
     b, i = np.divmod(bi, d)
-    return b, i, x, x // d ** (k - 1 - b) % d
+    return b, i, x, x // _powers(d, k)[b] % d
+
+
+def _powers(d: int, k: int) -> np.ndarray:
+    """Place values of the k base-d digits of x, first basis slowest."""
+    return d ** np.arange(k - 1, -1, -1, dtype=np.int64)
 
 
 def _record_rows(codes: np.ndarray, d: int, k: int) -> np.ndarray:
@@ -313,22 +325,18 @@ def _record_format(k: int, slot: str) -> str:
     return '{"b":%s,"i":%s,"i_prime":%s,"x":[%s]}\n' % (slot, slot, slot, ",".join([slot] * k))
 
 
-# a JSON integer below 10**18, so that np.fromstring, which saturates past
-# int64, reads it exactly
-_JSON_INT = "(?:0|[1-9][0-9]{0,17})"
-_NOT_DIGITS = str.maketrans(dict.fromkeys(_record_format(1, ""), " "))  # a record line's non-digits
-
-
 def save_transcript(transcript: Transcript, path) -> None:
     """JSON-lines dump: a header line, then one 0-based record per instance.
 
-    Each distinct code is formatted once, and the lines are written
-    ``CHUNK`` instances at a time.
+    Each distinct code is formatted once. When all distinct lines have one
+    width, as whenever every field is one digit, each ``CHUNK`` of
+    instances is one gather of rows from the byte table of those lines;
+    otherwise the chunk's lines are joined.
     """
     d, k = transcript.config.d, transcript.k
     distinct, inverse = np.unique(transcript.codes, return_inverse=True)
     fmt = _record_format(k, "%d")
-    lines = [fmt % tuple(row) for row in _record_rows(distinct, d, k).tolist()]
+    lines = [(fmt % tuple(row)).encode("ascii") for row in _record_rows(distinct, d, k).tolist()]
     header = canonical_dumps(
         {
             "format": TRANSCRIPT_FORMAT,
@@ -337,11 +345,17 @@ def save_transcript(transcript: Transcript, path) -> None:
             "accepted": transcript.accepted,
         }
     )
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(header)
-        fh.write("\n")
+    fixed = len(set(map(len, lines))) == 1
+    if fixed:
+        line_matrix = np.frombuffer(b"".join(lines), dtype=np.uint8).reshape(len(lines), -1)
+    with open(path, "wb") as fh:
+        fh.write(header.encode("utf-8") + b"\n")
         for start in range(0, len(inverse), CHUNK):
-            fh.write("".join(map(lines.__getitem__, inverse[start:start + CHUNK].tolist())))
+            chunk = inverse[start:start + CHUNK]
+            if fixed:
+                fh.write(line_matrix[chunk].tobytes())
+            else:
+                fh.write(b"".join(map(lines.__getitem__, chunk.tolist())))
 
 
 def _is_int(v) -> bool:
@@ -371,7 +385,8 @@ def _parse_header(line: str):
                          f"not {raw['test_fraction']!r}")
     if not isinstance(accepted, bool):
         raise ValueError(f"transcript accepted must be true or false, not {accepted!r}")
-    if not isinstance(tests, list) or not all(_is_int(t) for t in tests):
+    # type() is int leaves out bool, which JSON gives for true and false
+    if not isinstance(tests, list) or not set(map(type, tests)) <= {int}:
         raise ValueError("test_indices must be a list of integers")
     return ProtocolConfig(**raw), tuple(tests), accepted
 
@@ -399,37 +414,47 @@ def _parse_record(line: str, d: int) -> tuple:
     return len(x), code
 
 
-def _canonical_codes(lines: list, d: int):
-    """``(k, codes)`` of record lines exactly as :func:`save_transcript` writes them, else None.
+def _fixed_width_codes(fh, d: int):
+    """``(k, codes)`` of a body whose lines all fill the one-digit template, else None.
 
-    One regular-expression match checks the shape of every line, one parse
-    reads all their integers, and the ranges and i' = x(b) are checked on
-    the arrays. None means some line is not canonical or not valid; such
-    files go through :func:`_parse_record` line by line.
+    k is read from the first line. The body is read ``CHUNK`` lines at a
+    time as a (rows, width) byte array; per chunk, every non-digit byte must
+    equal the template's, every digit byte must be 0-9, and the ranges and
+    i' = x(b) are checked on the digit columns. None sends the whole body to
+    the general route, which reports the first bad line.
     """
-    k = lines[0].count(",") - 2 if lines else 0
+    first = fh.readline()
+    k = first.count(b",") - 2
     if k < 1:
         return None
-    shape = re.escape(_record_format(k, "@")).replace("@", _JSON_INT)
-    blob = "".join(lines)
-    if not re.fullmatch(f"(?:{shape})*", blob):
+    template = np.frombuffer(_record_format(k, "0").encode("ascii"), dtype=np.uint8)
+    width = len(template)
+    if len(first) != width:
         return None
-    span = _span(d, k)
-    ints = np.fromstring(blob.translate(_NOT_DIGITS), dtype=np.int64, sep=" ")
-    cols = ints.reshape(len(lines), 3 + k).T
-    b, i, i_prime, x = cols[0], cols[1], cols[2], cols[3:]
-    if not ((b < k).all() and (i < d).all() and (x < d).all()):
-        return None
-    if not np.array_equal(i_prime, x[b, np.arange(len(b))]):
-        return None
-    return k, (b * d + i) * span + np.ravel_multi_index(x, (d,) * k)
+    slots = template == ord("0")
+    limit = np.where(slots, 10, 1).astype(np.uint8)  # offsets from the template allowed per byte
+    codes = []
+    block = first + fh.read((CHUNK - 1) * width)
+    while block:
+        if len(block) % width:
+            return None
+        offsets = np.frombuffer(block, dtype=np.uint8).reshape(-1, width) - template
+        if not (offsets < limit).all():
+            return None
+        digits = offsets[:, slots].astype(np.int64)
+        (b, i, i_prime), x = digits[:, :3].T, digits[:, 3:]
+        if not ((b < k).all() and (i < d).all() and (x < d).all()):
+            return None
+        if not np.array_equal(i_prime, np.take_along_axis(x, b[:, None], axis=1)[:, 0]):
+            return None
+        span = _span(d, k)  # after the field checks, in the general route's order
+        codes.append((b * d + i) * span + x @ _powers(d, k))
+        block = fh.read(CHUNK * width)
+    return k, np.concatenate(codes)
 
 
 def _record_codes(lines: list, d: int):
-    """``(k, codes)`` of distinct record lines, code -1 for a blank line."""
-    fast = _canonical_codes(lines, d)
-    if fast is not None:
-        return fast
+    """``(k, codes)`` of distinct record lines, each parsed on its own; code -1 for a blank line."""
     parsed = [_parse_record(line, d) if line.strip() else (0, -1) for line in lines]
     ks = {k for k, code in parsed if code >= 0}
     if len(ks) > 1:
@@ -443,19 +468,33 @@ def load_transcript(path) -> Transcript:
     Raises ``ValueError`` on a foreign format, a config field of the wrong
     type or range, a record count other than rounds*n, a malformed or
     inconsistent record, or test indices that are not strictly increasing
-    positions. Lines are streamed, and each distinct line is decoded once.
+    positions. Two routes read the body. The fixed-width route reads
+    ``CHUNK`` lines at a time as byte rows when every line fills the
+    one-digit record template (see :func:`_fixed_width_codes`); any other
+    body goes to the general route, which reads text lines and decodes each
+    distinct line once with :func:`_parse_record`.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        cfg, tests, accepted = _parse_header(fh.readline())
-        slots: dict = {}  # distinct line -> its row in the code table
-        order = np.fromiter((slots.setdefault(line, len(slots)) for line in fh), dtype=np.int64)
-    k, table = _record_codes(list(slots), cfg.d)
-    codes = table[order]
-    codes = codes[codes >= 0]  # blank lines
+    fixed = None
+    with open(path, "rb") as fh:
+        head = fh.readline()
+        if head.isascii() and b"\r" not in head:  # the same first line as in text mode
+            cfg, tests, accepted = _parse_header(head.decode("ascii"))
+            fixed = _fixed_width_codes(fh, cfg.d)
+    if fixed is not None:
+        k, codes = fixed
+    else:
+        with open(path, "r", encoding="utf-8") as fh:
+            cfg, tests, accepted = _parse_header(fh.readline())
+            slots: dict = {}  # distinct line -> its row in the code table
+            order = np.fromiter((slots.setdefault(line, len(slots)) for line in fh),
+                                dtype=np.int64)
+        k, table = _record_codes(list(slots), cfg.d)
+        codes = table[order]
+        codes = codes[codes >= 0]  # blank lines
     total = cfg.rounds * cfg.n
     if len(codes) != total:
         raise ValueError(f"transcript has {len(codes)} records, expected rounds*n = {total}")
-    if any(a >= b for a, b in zip(tests, tests[1:])):
+    if not all(map(operator.lt, tests, tests[1:])):
         raise ValueError("test_indices must be strictly increasing")
     if tests and not 0 <= tests[0] <= tests[-1] < total:
         raise ValueError(f"test_indices must lie in 0..{total - 1}")

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -585,3 +586,9 @@ class TestReportObject:
         assert abs(probs - 3.0) < 1e-9  # one unit of mass per basis
         for entry in report.per_outcome:
             assert 0.0 <= entry["guess_error"] <= 1.0 + 1e-10
+
+    def test_to_dict_holds_the_table(self, strategy_d3, mub3):
+        report = atk.evaluate_attack(strategy_d3, atk.intercept_resend(mub3, 0, n=2))
+        payload = report.to_dict()
+        assert payload == dataclasses.asdict(report)
+        assert payload["per_outcome"] is report.per_outcome

@@ -263,6 +263,22 @@ class TestSizePolicy:
         assert retrodiction.enumerate_guessing_functions is bases.enumerate_guessing_functions
 
 
+class TestValidateTolerance:
+    def test_tol_below_floor_refused(self, mub2, biased_copy):
+        # cross overlaps off 1/d by 3e-11: visible at 1e-12, hidden under the floor
+        bs = biased_copy(mub2, 3e-11)
+        assert not bases.check_unbiased(bs, 1e-12)[0]
+        for tol in (1e-12, 1e-10, float("nan")):
+            with pytest.raises(ValueError, match="below the validation floor 1e-09"):
+                bases.validate(bs, tol)
+        assert bases.validate(bs, bases.MIN_VALIDATE_TOL).unbiased
+
+    def test_tol_applied_as_given(self, mub2, biased_copy):
+        bs = biased_copy(mub2, 1e-6)  # off by about 1e-6, refused at 1e-9, accepted at 1e-5
+        assert not bases.validate(bs, 1e-9).unbiased
+        assert bases.validate(bs, 1e-5).unbiased
+
+
 class TestFileFormat:
     def test_roundtrip(self, tmp_path, mub3):
         path = tmp_path / "b3.json"

@@ -88,6 +88,19 @@ class TestBasesCommands:
         assert code == 2 and captured.out == ""
         assert captured.err == "error: validation supports d <= 16, not d = 17\n"
 
+    def test_tol_below_validation_floor_refused(self, tmp_path, capsys, mub2, biased_copy):
+        path = tmp_path / "turned.json"
+        bases.save_basis_set(biased_copy(mub2, 3e-11), path)
+        for argv in (["check", "--in", str(path)],
+                     ["gen", "--dim", "2", "--out", str(tmp_path / "b2.json")]):
+            code = cli.main(["bases", *argv, "--tol", "1e-12"])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == ""
+            assert captured.err == "error: tolerance 1e-12 is below the validation floor 1e-09\n"
+        assert not (tmp_path / "b2.json").exists()
+        code, out = run_cli(capsys, "bases", "check", "--in", str(path), "--tol", "1e-9")
+        assert code == 0 and json.loads(out)["report"]["unbiased"]
+
     def test_check_malformed_file(self, tmp_path, capsys):
         bad = tmp_path / "garbage.json"
         bad.write_text('{"dim": 2}')

@@ -344,6 +344,7 @@ MALFORMED = {
     "x length": (lambda h, r: r[0]["x"].append(r[0]["x"][0]), "number of bases"),
     "x entry": (lambda h, r: r[0]["x"].__setitem__((r[0]["b"] + 1) % 3, 2), "0..1"),
     "b range": (lambda h, r: r[0].update(b=3), "basis must lie in 0..2"),
+    "i range": (lambda h, r: r[0].update(i=2), "outcomes must lie in 0..1"),
     "i_prime": (lambda h, r: r[3].update(i_prime=1 - r[3]["x"][r[3]["b"]]), "differs from x\\[b\\]"),
     "test order": (lambda h, r: h["test_indices"].reverse(), "strictly increasing"),
     "test range": (lambda h, r: h["test_indices"].__setitem__(-1, 20), "0..19"),
@@ -359,6 +360,7 @@ MALFORMED = {
                              "test_fraction must be a number"),
     "config key": (lambda h, r: h["config"].pop("seed"), "config must have the keys"),
     "accepted string": (lambda h, r: h.update(accepted="no"), "accepted must be true or false"),
+    "test bool": (lambda h, r: h["test_indices"].__setitem__(0, True), "list of integers"),
 }
 
 
@@ -386,6 +388,120 @@ class TestTranscriptFiles:
         path.write_text("".join(canonical_dumps(obj) + "\n" for obj in [header, *records]))
         with pytest.raises(ValueError, match=message):
             proto.load_transcript(path)
+
+
+def general_load(path, monkeypatch):
+    """``load_transcript`` through the general route only, or the ``ValueError`` it raises."""
+    with monkeypatch.context() as patch:
+        patch.setattr(proto, "_fixed_width_codes", lambda fh, d: None)
+        try:
+            return proto.load_transcript(path)
+        except ValueError as exc:
+            return exc
+
+
+def same_load(fast, general):
+    """True iff both loads raised the same message or read the same transcript."""
+    if isinstance(fast, ValueError) or isinstance(general, ValueError):
+        return type(fast) is type(general) and str(fast) == str(general)
+    return (np.array_equal(fast.codes, general.codes) and fast.k == general.k
+            and (fast.config, fast.test_indices, fast.accepted)
+            == (general.config, general.test_indices, general.accepted))
+
+
+def fixed_width_codes(path, d):
+    """What the fixed-width route reads from the body of the file at ``path``."""
+    with open(path, "rb") as fh:
+        fh.readline()
+        return proto._fixed_width_codes(fh, d)
+
+
+class TestFixedWidthRoute:
+    """The fixed-width loader and writer against the general line-by-line route."""
+
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_codes_match_general_route(self, d, n, strategy_d2, strategy_d3, tmp_path):
+        strategy = {2: strategy_d2, 3: strategy_d3}[d]
+        t = proto.run_protocol(cfg(d=d, n=n, rounds=3000, seed=60 + d + n), strategy)
+        disagree(t, 5)
+        path = tmp_path / "t.jsonl"
+        proto.save_transcript(t, path)
+        k, codes = fixed_width_codes(path, d)
+        lines = path.read_text().splitlines(keepends=True)[1:]
+        assert (k, len(lines)) == (t.k, len(t.codes))
+        general_k, general_codes = proto._record_codes(lines, d)
+        assert general_k == k
+        np.testing.assert_array_equal(codes, general_codes)
+        np.testing.assert_array_equal(codes, t.codes)
+
+    @pytest.mark.parametrize("mutation", ["two-digit i", "two-digit b", "crlf", "space",
+                                          "blank line", "no final newline"])
+    def test_last_chunk_mutation_loads_as_general_route(self, mutation, strategy_d2, tmp_path,
+                                                        monkeypatch):
+        t = proto.run_protocol(cfg(rounds=2 * proto.CHUNK + 300, seed=61), strategy_d2)
+        path = tmp_path / "t.jsonl"
+        proto.save_transcript(t, path)
+        assert fixed_width_codes(path, 2) is not None
+        header, *lines = path.read_bytes().splitlines(keepends=True)
+        at = 2 * proto.CHUNK + 100  # a line of the third and last chunk
+        if mutation == "no final newline":
+            lines[-1] = lines[-1].rstrip(b"\n")
+        else:
+            lines[at] = {
+                "two-digit i": lines[at].replace(b'"i":', b'"i":1'),
+                "two-digit b": lines[at].replace(b'"b":', b'"b":1'),
+                "crlf": lines[at].replace(b"\n", b"\r\n"),
+                "space": lines[at].replace(b'"b":', b'"b": '),
+                "blank line": lines[at] + b"\n",
+            }[mutation]
+        path.write_bytes(header + b"".join(lines))
+        assert fixed_width_codes(path, 2) is None
+        try:
+            fast = proto.load_transcript(path)
+        except ValueError as exc:
+            fast = exc
+        general = general_load(path, monkeypatch)
+        assert same_load(fast, general)
+        if mutation in ("crlf", "space", "blank line", "no final newline"):
+            np.testing.assert_array_equal(fast.codes, t.codes)
+        else:
+            assert isinstance(fast, ValueError)
+
+    def test_non_digit_byte_refused(self, tmp_path):
+        # at d=12 a one-digit file fits the template, and ':' is the byte after '9':
+        # read as a digit it would be x = 10 < d
+        d, k, count = 12, 2, 50
+        rng = np.random.default_rng(63)
+        x = rng.integers(10, size=(count, k))
+        codes = rng.integers(10, size=count) * d**k + x @ [d, 1]  # b = 0
+        t = proto.Transcript(config=cfg(d=d, rounds=count), k=k, codes=codes)
+        path = tmp_path / "t.jsonl"
+        proto.save_transcript(t, path)
+        assert fixed_width_codes(path, d) is not None
+        header, *lines = path.read_bytes().splitlines(keepends=True)
+        lines[20] = lines[20][:-4] + b":]}\n"  # x[1], which i' does not read
+        path.write_bytes(header + b"".join(lines))
+        with pytest.raises(ValueError, match="malformed transcript record"):
+            proto.load_transcript(path)
+
+    @pytest.mark.parametrize("bases_seen", ["mixed", "two-digit"])
+    def test_two_digit_basis_saves_like_reference(self, bases_seen, tmp_path, monkeypatch):
+        # d=2, k=11: b reaches 10, so lines differ in width or all miss the one-digit template
+        d, k, count = 2, 11, 700
+        rng = np.random.default_rng(62)
+        b = rng.integers(11, size=count) if bases_seen == "mixed" else np.full(count, 10)
+        codes = (b * d + rng.integers(d, size=count)) * d**k + rng.integers(d**k, size=count)
+        t = proto.Transcript(config=cfg(rounds=count, seed=62), k=k, codes=codes,
+                             test_indices=(3, 50), accepted=True)
+        fast, ref = tmp_path / "fast.jsonl", tmp_path / "ref.jsonl"
+        proto.save_transcript(t, fast)
+        reference_save(t, ref)
+        assert fast.read_bytes() == ref.read_bytes()
+        assert fixed_width_codes(fast, d) is None
+        back = proto.load_transcript(fast)
+        np.testing.assert_array_equal(back.codes, codes)
+        assert (back.k, back.test_indices, back.accepted) == (k, (3, 50), True)
+        assert same_load(back, general_load(fast, monkeypatch))
 
 
 # SHA-256 digests of what 0.7.0 writes: transcripts of the protocol-sim
