@@ -200,11 +200,15 @@ def _cmd_security_attack_eval(args) -> _Result:
     strategy = _load_strategy_for(args)
     name, params = _split_attack_spec(args.attack)
     am = _make_attack(name, params, strategy.basis_set, args.n)
+    key = _ATTACKS[name].swept if name in _ATTACKS else None
+    if args.sweep < 0:
+        raise ValueError(f"--sweep must be 0 or more steps, not {args.sweep}")
+    if args.sweep and key is None:
+        raise ValueError(f"attack {args.attack!r} has no parameter to sweep")
     if am is None:
         am = attack.identity_attack(strategy.basis_set.dim, n=args.n)
     payload = attack.evaluate_attack(strategy, am).to_dict()
-    key = _ATTACKS[name].swept if name in _ATTACKS else None
-    if args.sweep and key:
+    if args.sweep:
         value = float(params[key])
         curve = []
         for step in range(1, args.sweep + 1):

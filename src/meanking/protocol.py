@@ -20,26 +20,30 @@ only for the basis and outcome vectors that were actually drawn. The
 streams are part of the release: a config gives byte-identical transcripts
 within one version of the package, not across versions.
 
-A :class:`Transcript` is one int64 code per instance, from which basis,
-outcomes, guessing function and i' = x(b) follow by divmod; sifting,
-testing and agreement are masks over it. :attr:`Transcript.records`
-derives the older 1-based :class:`RoundRecord` list on demand.
+A :class:`Transcript` is its config, k and one int64 code per instance,
+from which basis, outcomes, guessing function and i' = x(b) follow by
+divmod; sifting, testing and agreement are masks over it. The test
+positions are the config's draw over the codes and the verdict is whether
+the codes agree at them, so both are derived, never stored.
+:attr:`Transcript.records` derives the older 1-based :class:`RoundRecord`
+list on demand.
 
 Transcript files hold a JSON header line, then one 0-based JSON record per
-instance. When every field is one digit, as at d <= 10 and k <= 10, all
-record lines have one width, and both directions move ``CHUNK`` lines at a
-time as a (rows, width) byte array: the writer gathers rows of a table of
-the distinct lines, and the loader checks the rows against the line
-template and reads the fields from the digit columns. Any other body is
-read line by line in text mode, each distinct line decoded once as JSON.
+instance. The header repeats the test positions and the verdict; the
+loader refuses a header that differs from what the config and the records
+give. When every field is one digit, as at d <= 10 and k <= 10, all record
+lines have one width, and both directions move ``CHUNK`` lines at a time
+as a (rows, width) byte array: the writer gathers rows of a table of the
+distinct lines, and the loader checks the rows against the line template
+and reads the fields from the digit columns. Any other body is read line
+by line in text mode, each distinct line decoded once as JSON.
 """
 
 from __future__ import annotations
 
 import json
-import operator
-from dataclasses import asdict, dataclass, field, fields
-from functools import reduce
+from dataclasses import asdict, dataclass, fields
+from functools import cached_property, reduce
 from math import ceil
 
 import numpy as np
@@ -94,20 +98,42 @@ class RoundRecord:
     i_prime: int
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Transcript:
-    """A protocol run: one int64 code per instance, ``(b*d + i)*d**k + x``.
+    """A protocol run: its config, k and one int64 code per instance, ``(b*d + i)*d**k + x``.
 
     All labels are 0-based: b is Bob's basis, i his outcome and x the base-d
     index of Alice's guessing function over the k bases, first basis
     slowest, so i' = x(b) is digit b of x. :meth:`columns` decodes them.
+    The fields cannot be reassigned (the codes may be edited in place), and
+    :attr:`test_indices` and :attr:`accepted` are derived from them.
     """
 
     config: ProtocolConfig
     k: int
     codes: np.ndarray
-    test_indices: tuple = field(default_factory=tuple)
-    accepted: bool = False
+
+    @cached_property
+    def _tested(self) -> np.ndarray:
+        """Sorted test positions, ``ceil(test_fraction * len(codes))`` of them, from the seed."""
+        cfg, total = self.config, len(self.codes)
+        count = ceil(cfg.test_fraction * total)
+        return np.sort(_stream(cfg.seed, _TEST_KEY).choice(total, size=count, replace=False))
+
+    @cached_property
+    def _test_tuple(self) -> tuple:
+        return tuple(self._tested.tolist())
+
+    @property
+    def test_indices(self) -> tuple:
+        """The 0-based test positions, increasing; drawn on first read, then cached."""
+        return self._test_tuple
+
+    @property
+    def accepted(self) -> bool:
+        """True iff every test position has i = i'; read from the codes on each access."""
+        _, i, _, i_prime = _fields(self.codes[self._tested], self.config.d, self.k)
+        return bool(np.array_equal(i, i_prime))
 
     def columns(self):
         """0-based ``(b, i, x, i_prime)`` arrays, one entry per instance."""
@@ -261,8 +287,10 @@ def run_protocol(cfg: ProtocolConfig, strategy: Strategy, attack=None) -> Transc
     result is deterministic given the config. Bob's bases reach Alice's
     records only through i' = x(b), evaluated after her outcomes are fixed.
     Raises :class:`OverBudget`, before any draw, when a block is over the
-    block budget, attacked or not, or a basis block with all d**n outcomes
-    drawn could fill more than ``bases.MAX_ARRAY_ENTRIES`` amplitudes.
+    block budget, attacked or not, the run has more than
+    ``bases.MAX_ARRAY_ENTRIES`` instances (the entries of its code array),
+    or a basis block with all d**n outcomes drawn could fill more than that
+    many amplitudes.
     """
     d = strategy.basis_set.dim
     if cfg.d != d:
@@ -274,6 +302,9 @@ def run_protocol(cfg: ProtocolConfig, strategy: Strategy, attack=None) -> Transc
         raise ValueError("attack model does not match the protocol block shape")
     else:
         am, units = attack, cfg.rounds
+    if cfg.rounds * cfg.n > bases.MAX_ARRAY_ENTRIES:
+        raise bases.OverBudget(f"run too large: {cfg.rounds} rounds of {cfg.n} instances, "
+                               f"budget {bases.MAX_ARRAY_ENTRIES} instances")
     entries = (d * len(strategy.safe_vectors))**am.n * len(am.kraus) * am.d_eve
     if entries > bases.MAX_ARRAY_ENTRIES:
         raise bases.OverBudget(f"sampler too large: a basis block fills up to {entries} "
@@ -283,33 +314,20 @@ def run_protocol(cfg: ProtocolConfig, strategy: Strategy, attack=None) -> Transc
     span = _span(d, k)
     bi, y = np.divmod(_sample(cfg.seed, strategy, am, units), nx)
     x = np.ravel_multi_index(strategy.safe_vectors.x.T, (d,) * k)
-    transcript = Transcript(config=cfg, k=k, codes=bi * span + x[y])
-    transcript.accepted = _check_tests(transcript)
-    return transcript
-
-
-def _check_tests(transcript: Transcript) -> bool:
-    """Draw the config's test positions into the transcript; True iff all have i = i'."""
-    cfg, codes = transcript.config, transcript.codes
-    count = ceil(cfg.test_fraction * len(codes))
-    picked = np.sort(_stream(cfg.seed, _TEST_KEY).choice(len(codes), size=count, replace=False))
-    transcript.test_indices = tuple(picked.tolist())
-    _, i, _, i_prime = _fields(codes[picked], cfg.d, transcript.k)
-    return bool(np.array_equal(i, i_prime))
+    return Transcript(config=cfg, k=k, codes=bi * span + x[y])
 
 
 def sift_and_test(transcript: Transcript):
-    """Select test positions, check them, and build keys from the rest.
+    """Build the keys from the positions the transcript does not test.
 
-    Returns ``(accepted, KeyPair)``; accepted iff every tested position has
-    i = i'. Selection depends only on the config, so the function is a pure
-    recomputation and also fills in ``test_indices`` if still empty.
+    Returns ``(transcript.accepted, KeyPair)``; accepted iff every tested
+    position has i = i'. The transcript is not changed.
     """
-    accepted = _check_tests(transcript)
-    kept = np.delete(transcript.codes, transcript.test_indices)
+    kept = np.delete(transcript.codes, transcript._tested)
     _, i, _, i_prime = _fields(kept, transcript.config.d, transcript.k)
-    return accepted, KeyPair(alice_key=_DIGIT_BYTES[i_prime].tobytes().decode("ascii"),
-                             bob_key=_DIGIT_BYTES[i].tobytes().decode("ascii"))
+    keys = KeyPair(alice_key=_DIGIT_BYTES[i_prime].tobytes().decode("ascii"),
+                   bob_key=_DIGIT_BYTES[i].tobytes().decode("ascii"))
+    return transcript.accepted, keys
 
 
 def agreement_rate(transcript: Transcript) -> float:
@@ -467,8 +485,9 @@ def load_transcript(path) -> Transcript:
 
     Raises ``ValueError`` on a foreign format, a config field of the wrong
     type or range, a record count other than rounds*n, a malformed or
-    inconsistent record, or test indices that are not strictly increasing
-    positions. Two routes read the body. The fixed-width route reads
+    inconsistent record, or a header whose ``test_indices`` differ from the
+    config's draw or whose ``accepted`` differs from the tested records.
+    Two routes read the body. The fixed-width route reads
     ``CHUNK`` lines at a time as byte rows when every line fills the
     one-digit record template (see :func:`_fixed_width_codes`); any other
     body goes to the general route, which reads text lines and decodes each
@@ -494,8 +513,10 @@ def load_transcript(path) -> Transcript:
     total = cfg.rounds * cfg.n
     if len(codes) != total:
         raise ValueError(f"transcript has {len(codes)} records, expected rounds*n = {total}")
-    if not all(map(operator.lt, tests, tests[1:])):
-        raise ValueError("test_indices must be strictly increasing")
-    if tests and not 0 <= tests[0] <= tests[-1] < total:
-        raise ValueError(f"test_indices must lie in 0..{total - 1}")
-    return Transcript(config=cfg, k=k, codes=codes, test_indices=tests, accepted=accepted)
+    transcript = Transcript(config=cfg, k=k, codes=codes)
+    if tests != transcript.test_indices:
+        raise ValueError("test_indices differ from the positions the config draws")
+    if accepted != transcript.accepted:
+        raise ValueError(f"accepted is {str(accepted).lower()}, but the tested records say "
+                         f"{str(transcript.accepted).lower()}")
+    return transcript

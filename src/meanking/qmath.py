@@ -9,8 +9,6 @@ All functions are pure and never mutate their arguments.
 
 from __future__ import annotations
 
-from math import prod
-
 import numpy as np
 
 DEFAULT_TOL = 1e-9
@@ -52,19 +50,6 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
 def dagger(a: np.ndarray) -> np.ndarray:
     """Conjugate transpose."""
     return np.asarray(a).conj().T
-
-
-def permute_factors(v: np.ndarray, dims, perm) -> np.ndarray:
-    """Reorder the tensor factors of a state vector.
-
-    ``dims`` are the factor dimensions of ``v`` in its current order and
-    ``perm[i]`` names the old factor that moves to position ``i``.
-    """
-    v = np.asarray(v)
-    dims = tuple(int(x) for x in dims)
-    if v.size != prod(dims):
-        raise ValueError(f"vector of size {v.size} does not factor as {dims}")
-    return v.reshape(dims).transpose(perm).reshape(-1)
 
 
 def matrix_rank(a: np.ndarray, tol: float = DEFAULT_TOL) -> int:

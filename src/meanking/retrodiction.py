@@ -257,10 +257,6 @@ def digit_operators(strategy: Strategy) -> np.ndarray:
     return q
 
 
-def _interleaved_to_grouped_axes(n: int):
-    return list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))
-
-
 @dataclass
 class ProductStrategy:
     """n independent runs of a base strategy, viewed as one big game.
@@ -268,7 +264,8 @@ class ProductStrategy:
     Safe product vectors and weights are exposed through indexed accessors
     rather than materialized tables; ``safe_vector`` returns the natural
     pair-interleaved order (A1 B1 A2 B2 ...) while ``safe_vector_grouped``
-    regroups to (A1..An B1..Bn), the layout the attack analysis uses.
+    returns the grouped order (A1..An B1..Bn), the layout the attack
+    analysis uses.
     """
 
     base: Strategy
@@ -291,12 +288,9 @@ class ProductStrategy:
         return qmath.tensor(*self.base.etas[self.base._rows(xs)])
 
     def safe_vector_grouped(self, xs) -> np.ndarray:
-        v = self.safe_vector(xs)
-        if self.n == 1:
-            return v
-        return qmath.permute_factors(
-            v, (self.d, self.d) * self.n, _interleaved_to_grouped_axes(self.n)
-        )
+        # the Kronecker product of the (A_s, B_s) matrices is indexed (A1..An, B1..Bn)
+        pairs = self.base.etas[self.base._rows(xs)].reshape(-1, self.d, self.d)
+        return qmath.tensor(*pairs).reshape(-1)
 
 
 def tensor_strategy(s: Strategy, n: int) -> ProductStrategy:

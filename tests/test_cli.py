@@ -345,6 +345,21 @@ class TestSecurityCommands:
         curve = json.loads(out)["report"]["curve"]
         assert [pt["theta"] for pt in curve] == [0.4, 0.8]
 
+    @pytest.mark.parametrize("sweep, spec, message", [
+        ("-3", "probe:theta=0.8", "--sweep must be 0 or more steps, not -3"),
+        ("8", "intercept-resend", "attack 'intercept-resend' has no parameter to sweep"),
+        ("8", "none", "attack 'none' has no parameter to sweep"),
+        ("8", "file:{path}", "attack 'file:{path}' has no parameter to sweep"),
+    ], ids=["negative", "intercept-resend", "none", "file"])
+    def test_attack_eval_sweep_refused(self, tmp_path, capsys, sweep, spec, message):
+        path = tmp_path / "attack.json"
+        attack.save_attack(attack.identity_attack(2), path)
+        code = cli.main(["security", "attack-eval", "--attack", spec.format(path=path),
+                         "--dim", "2", "--sweep", sweep])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == ""
+        assert captured.err == f"error: {message.format(path=path)}\n"
+
     def test_attack_eval_unknown_parameter(self, capsys):
         code = cli.main(["security", "attack-eval", "--attack", "probe:thetta=0.3", "--dim", "2"])
         captured = capsys.readouterr()
@@ -548,6 +563,19 @@ class TestAttackBudget:
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and not out_path.exists()
         assert f"block dimension 2**(2*{n})*1 exceeds budget 4096" in captured.err
+
+
+def test_run_over_instance_budget_exits_2(tmp_path, capsys, strategy_file, monkeypatch):
+    def refuse(*_args):
+        raise AssertionError("sampled despite the instance budget")
+
+    monkeypatch.setattr(protocol, "_sample", refuse)
+    out_path = tmp_path / "t.jsonl"
+    code = cli.main(["run", "--strategy", str(strategy_file), "--rounds",
+                     str(bases.MAX_ARRAY_ENTRIES + 1), "--seed", "1", "--out", str(out_path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == "" and not out_path.exists()
+    assert captured.err.startswith("error: run too large: 16777217 rounds")
 
 
 class TestDeterminism:

@@ -135,6 +135,17 @@ class TestAttackedRuns:
         with pytest.raises(bases.OverBudget, match="387420489 amplitudes"):
             proto.run_protocol(cfg(d=3, n=3, rounds=1), strategy_d3, am)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_instances_over_budget(self, strategy_d2, mub2, monkeypatch, n):
+        def refuse(*_args):
+            raise AssertionError("sampled despite the instance budget")
+
+        monkeypatch.setattr(proto, "_sample", refuse)
+        rounds = bases.MAX_ARRAY_ENTRIES // n + 1
+        for am in (None, atk.intercept_resend(mub2, 0, n=n)):
+            with pytest.raises(bases.OverBudget, match=f"budget {bases.MAX_ARRAY_ENTRIES} inst"):
+                proto.run_protocol(cfg(n=n, rounds=rounds), strategy_d2, am)
+
 
 class TestSiftAndTest:
     def test_attack_free_accepts_with_equal_keys(self, strategy_d2):
@@ -155,6 +166,14 @@ class TestSiftAndTest:
         am = atk.intercept_resend(mub2, 0)
         t = proto.run_protocol(cfg(rounds=300, test_fraction=0.0, seed=10), strategy_d2, am)
         assert t.accepted and t.test_indices == ()
+
+    def test_leaves_a_built_transcript_as_it_was(self):
+        codes = np.random.default_rng(14).integers(2 * 2 * 2**3, size=200)
+        t = proto.Transcript(config=cfg(rounds=200, test_fraction=0.25, seed=14), k=3, codes=codes)
+        before = (t.test_indices, t.accepted)
+        assert len(before[0]) == 50
+        proto.sift_and_test(t)
+        assert (t.test_indices, t.accepted) == before
 
     def test_acceptance_probability_closed_form(self, strategy_d2, mub2):
         # a transcript with i.i.d. disagreement rate q passes m tests
@@ -346,8 +365,12 @@ MALFORMED = {
     "b range": (lambda h, r: r[0].update(b=3), "basis must lie in 0..2"),
     "i range": (lambda h, r: r[0].update(i=2), "outcomes must lie in 0..1"),
     "i_prime": (lambda h, r: r[3].update(i_prime=1 - r[3]["x"][r[3]["b"]]), "differs from x\\[b\\]"),
-    "test order": (lambda h, r: h["test_indices"].reverse(), "strictly increasing"),
-    "test range": (lambda h, r: h["test_indices"].__setitem__(-1, 20), "0..19"),
+    "test order": (lambda h, r: h["test_indices"].reverse(), "test_indices differ"),
+    "test range": (lambda h, r: h["test_indices"].__setitem__(-1, 20), "test_indices differ"),
+    "test moved": (lambda h, r: h.update(test_indices=[
+        p for p in range(20) if p not in h["test_indices"]][:5]), "test_indices differ"),
+    "accepted flipped": (lambda h, r: h.update(accepted=not h["accepted"]),
+                         "accepted is false, but the tested records say true"),
     "d string": (lambda h, r: h["config"].update(d="2"), "d must be an integer"),
     "d null": (lambda h, r: h["config"].update(d=None), "d must be an integer"),
     "d one": (lambda h, r: h["config"].update(d=1), "d must be an integer >= 2"),
@@ -491,8 +514,7 @@ class TestFixedWidthRoute:
         rng = np.random.default_rng(62)
         b = rng.integers(11, size=count) if bases_seen == "mixed" else np.full(count, 10)
         codes = (b * d + rng.integers(d, size=count)) * d**k + rng.integers(d**k, size=count)
-        t = proto.Transcript(config=cfg(rounds=count, seed=62), k=k, codes=codes,
-                             test_indices=(3, 50), accepted=True)
+        t = proto.Transcript(config=cfg(rounds=count, seed=62), k=k, codes=codes)
         fast, ref = tmp_path / "fast.jsonl", tmp_path / "ref.jsonl"
         proto.save_transcript(t, fast)
         reference_save(t, ref)
@@ -500,7 +522,8 @@ class TestFixedWidthRoute:
         assert fixed_width_codes(fast, d) is None
         back = proto.load_transcript(fast)
         np.testing.assert_array_equal(back.codes, codes)
-        assert (back.k, back.test_indices, back.accepted) == (k, (3, 50), True)
+        assert len(t.test_indices) == 70
+        assert (back.k, back.test_indices, back.accepted) == (k, t.test_indices, t.accepted)
         assert same_load(back, general_load(fast, monkeypatch))
 
 
