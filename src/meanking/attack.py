@@ -17,10 +17,7 @@ operators E_(l,k) acting on A x B with
     rho_A(b, i) = sum_(l,k)  E_(l,k) |phi_hat><phi_hat| E_(l,k)^dagger.
 
 The expansion resums to operators U_hat_beta = sqrt(d**n) psi_beta^T, one
-per ancilla component, so the operator form reads them off the source. The
-expansion itself, :func:`decompose_source`, contracts the closed-form
-one-slot table :func:`weyl_operators` with each slot's index pair in turn
-and builds no d**n x d**n unitary per label.
+per ancilla component, so the operator form reads them off the source.
 
 An attack is undetectable iff every E_(l,k) is a multiple of the identity,
 and then Eve's final state cannot depend on (b, i): zero detection implies
@@ -82,31 +79,6 @@ def _conditionable(prob: float, bvec, ivec) -> float:
     return prob
 
 
-def weyl_operators(d: int) -> np.ndarray:
-    """Every shift/clock unitary X^m Z^l on d dimensions, as table[m, l] of shape (d, d, d, d).
-
-    X cycles |j> -> |j+1> and Z phases |j> by omega^j, so entry [m, l, a, b]
-    is delta(a, b + m mod d) omega^(l b), with omega = exp(2 pi i / d).
-    """
-    j = np.arange(d)
-    shift = j[None, :, None] == (j[None, None, :] + j[:, None, None]) % d  # [m, a, b]
-    phase = np.exp(2j * np.pi * (np.outer(j, j) % d) / d)  # [l, b]
-    return shift[:, None] * phase[None, :, None, :]
-
-
-def _per_slot(table: np.ndarray, t: np.ndarray, n: int) -> np.ndarray:
-    """Apply a one-slot table[u, v, x, y] to each of the n slots of t, shaped (d**n, d**n) + rest.
-
-    Each slot's base-d digit pair (x_s, y_s), first slot slowest, becomes
-    (u_s, v_s) by one ``tensordot``; the n-slot operator is never formed.
-    """
-    d, rest = len(table), t.shape[2:]
-    t = t.reshape((d,) * (2 * n) + rest)
-    for s in range(n):
-        t = np.moveaxis(np.tensordot(table, t, axes=([2, 3], [s, n + s])), (0, 1), (s, n + s))
-    return t.reshape((d**n, d**n) + rest)
-
-
 @dataclass
 class AttackModel:
     """Eve's source state plus feedback channel, validated on construction.
@@ -162,13 +134,6 @@ def phi_product(bs: BasisSet, bvec, ivec, n: int) -> np.ndarray:
     return qmath.tensor(*bs.vectors[bvec, ivec])
 
 
-def phi_hat_product(bs: BasisSet, bvec, ivec, n: int) -> np.ndarray:
-    """Alice's unnormalized conditional block state on A x B."""
-    dd = bs.dim**n
-    phi = phi_product(bs, bvec, ivec, n)
-    return qmath.tensor(phi.conj(), phi) / np.sqrt(dd)
-
-
 def _require_same_dim(am: AttackModel, bs: BasisSet) -> None:
     if bs.dim != am.d:
         raise ValueError("strategy and attack dimensions differ")
@@ -194,19 +159,6 @@ def _u_hats(am: AttackModel) -> np.ndarray:
     """U_hat_beta[x, a] as (x, a, beta): sum_(m,l) c[m, l, beta] U_(m,l) = sqrt(d**n) psi_beta^T."""
     dd = am.block_dim
     return np.sqrt(dd) * am.psi_abe.reshape(dd, dd, am.d_eve).transpose(1, 0, 2)
-
-
-def decompose_source(psi: np.ndarray, d: int, n: int, d_eve: int) -> np.ndarray:
-    """Source coefficients in the maximally entangled basis on A x B.
-
-    Returns c[m, l, beta] with flat base-d Weyl labels; the squared
-    magnitudes sum to 1 and resynthesizing reproduces psi exactly. The basis
-    vector of label (m, l) holds U_(m,l)[b, a] / sqrt(d**n) at (a, b), so each
-    slot contracts with conj(X^m Z^l)[b, a].
-    """
-    dd = d**n
-    psi = np.asarray(psi, dtype=complex).reshape(dd, dd, d_eve)
-    return _per_slot(weyl_operators(d).conj().swapaxes(2, 3), psi, n) / np.sqrt(dd)
 
 
 def _kraus_branches(am: AttackModel, states) -> np.ndarray:
@@ -323,7 +275,8 @@ def reconstruct_alice_state(am: AttackModel, bs: BasisSet, bvec, ivec,
     """Alice's unnormalized state from the E_(l,k) operators (cross-check)."""
     if ops is None:
         ops = build_E_operators(am)
-    w = ops @ phi_hat_product(bs, bvec, ivec, am.n)
+    phi = phi_product(bs, bvec, ivec, am.n)
+    w = ops @ (qmath.tensor(phi.conj(), phi) / np.sqrt(am.block_dim))
     return np.einsum("lki,lkj->ij", w, w.conj())
 
 
@@ -532,7 +485,8 @@ def scalarized_attack(am: AttackModel) -> AttackModel:
     is always of scalar form.
     """
     dd, de = am.block_dim, am.d_eve
-    chi = decompose_source(am.psi_abe, am.d, am.n, de)[0, 0]
+    # the honest coefficient of the source's Weyl expansion, sum_a psi[a, a] / sqrt(d**n)
+    chi = np.einsum("aae->e", am.psi_abe.reshape(dd, dd, de)) / np.sqrt(dd)
     if np.linalg.norm(chi) < qmath.DEFAULT_TOL:
         chi = None  # no honest component; fall back to a fresh ancilla
     # W_l = tr_B(V_l) / d**n for every Kraus operator, and sum_l W_l^dagger W_l

@@ -27,6 +27,9 @@ MAX_ARRAY_ENTRIES = 1 << 24
 # d=5 (15 625) fits, d=7 would hold 5 764 801 x 49 complex entries (about 4.5 GB)
 MAX_GUESSING_FUNCTIONS = 50_000
 MAX_VALIDATE_DIM = 16
+# (b, i) grid points an attack-eval sweep evaluates over all its steps,
+# S * (k*d)**n: 455 steps at d=3, n=2, each one full attack evaluation
+MAX_SWEEP_POINTS = 1 << 16
 # floating-point marginals need this much slack in the classical-model LP, so
 # validation refuses a tighter tolerance rather than silently raising it
 MIN_VALIDATE_TOL = 1e-9

@@ -11,13 +11,14 @@ result through the exit code:
     3  protocol aborted (a test position disagreed)
 
 All randomness flows from --seed; reruns with identical arguments produce
-byte-identical files and output. MEANKING_TOL overrides the default
-numerical tolerance of the check commands.
+byte-identical files and output. MEANKING_TOL, when set, is the default
+of ``--tol``; a tolerance must be a finite number above 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from typing import Callable, NamedTuple, Sequence
@@ -38,8 +39,15 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _default_tol() -> float:
-    return float(os.environ.get("MEANKING_TOL", qmath.DEFAULT_TOL))
+def _tol(text: str) -> float:
+    """A tolerance from the command line or MEANKING_TOL: a finite number above 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number above 0, not {text!r}")
+    return value
 
 
 class _Result(NamedTuple):
@@ -68,15 +76,23 @@ class _Attack(NamedTuple):
     swept: str | None = None  # the parameter --sweep scales
 
 
+def _finite(params: dict, key: str) -> float:
+    """Attack parameter ``key`` as a float, refused before any arithmetic unless it is finite."""
+    value = float(params[key])
+    if not math.isfinite(value):
+        raise ValueError(f"attack parameter {key} must be finite, not {params[key]!r}")
+    return value
+
+
 _ATTACKS = {
     "intercept-resend": _Attack(  # b is 1-based on the command line
         lambda bs, n, p: attack.intercept_resend(bs, int(p["b"]) - 1, n=n), {"b": "1"}),
     "probe": _Attack(
-        lambda bs, n, p: attack.probe_entangle(bs.dim, float(p["theta"]), n=n,
+        lambda bs, n, p: attack.probe_entangle(bs.dim, _finite(p, "theta"), n=n,
                                                d_eve=int(p["d_eve"])),
         {"theta": "0.5", "d_eve": "2"}, "theta"),
     "source-replace": _Attack(
-        lambda bs, n, p: attack.source_replace(bs.dim, float(p["eps"]), n=n),
+        lambda bs, n, p: attack.source_replace(bs.dim, _finite(p, "eps"), n=n),
         {"eps": "0.1"}, "eps"),
 }
 
@@ -205,6 +221,10 @@ def _cmd_security_attack_eval(args) -> _Result:
         raise ValueError(f"--sweep must be 0 or more steps, not {args.sweep}")
     if args.sweep and key is None:
         raise ValueError(f"attack {args.attack!r} has no parameter to sweep")
+    grid = (strategy.basis_set.k * strategy.d) ** args.n  # the (b, i) pairs of one evaluation
+    if args.sweep * grid > bases.MAX_SWEEP_POINTS:
+        raise bases.OverBudget(f"sweep too large: {args.sweep} steps of {grid} grid points, "
+                               f"budget {bases.MAX_SWEEP_POINTS} points")
     if am is None:
         am = attack.identity_attack(strategy.basis_set.dim, n=args.n)
     payload = attack.evaluate_attack(strategy, am).to_dict()
@@ -229,6 +249,7 @@ def _cmd_security_attack_eval(args) -> _Result:
 def _build_parser() -> _Parser:
     parser = _Parser(prog="meanking", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"meanking {__version__}")
+    tol = os.environ.get("MEANKING_TOL", str(qmath.DEFAULT_TOL))  # parsed by --tol commands only
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_bases = sub.add_parser("bases", help="generate or validate basis sets")
@@ -236,11 +257,11 @@ def _build_parser() -> _Parser:
     p_gen = bsub.add_parser("gen")
     p_gen.add_argument("--dim", type=int, required=True)
     p_gen.add_argument("--out", required=True)
-    p_gen.add_argument("--tol", type=float, default=_default_tol())
+    p_gen.add_argument("--tol", type=_tol, default=tol)
     p_gen.set_defaults(func=_cmd_bases_gen)
     p_check = bsub.add_parser("check")
     p_check.add_argument("--in", dest="infile", required=True)
-    p_check.add_argument("--tol", type=float, default=_default_tol())
+    p_check.add_argument("--tol", type=_tol, default=tol)
     p_check.set_defaults(func=_cmd_bases_check)
 
     p_strategy = sub.add_parser("strategy", help="solve safe vectors and weights")
@@ -248,7 +269,7 @@ def _build_parser() -> _Parser:
     p_build = ssub.add_parser("build")
     p_build.add_argument("--bases", required=True)
     p_build.add_argument("--out", required=True)
-    p_build.add_argument("--residual-tol", type=float, default=retrodiction.RESIDUAL_TOL)
+    p_build.add_argument("--residual-tol", type=_tol, default=retrodiction.RESIDUAL_TOL)
     p_build.set_defaults(func=_cmd_strategy_build)
 
     p_run = sub.add_parser("run", help="simulate the protocol")
@@ -274,7 +295,7 @@ def _build_parser() -> _Parser:
     source.add_argument("--n", type=int, default=1)
     source.add_argument("--out")
     p_lemma = secsub.add_parser("lemma", parents=[source])
-    p_lemma.add_argument("--tol", type=float, default=_default_tol())
+    p_lemma.add_argument("--tol", type=_tol, default=tol)
     p_lemma.set_defaults(func=_cmd_security_lemma)
     p_eval = secsub.add_parser("attack-eval", parents=[source])
     p_eval.add_argument("--attack", required=True)

@@ -69,6 +69,8 @@ class ProtocolError(RuntimeError):
 
 @dataclass(frozen=True)
 class ProtocolConfig:
+    """A run's parameters, checked on construction, whether from a caller or a transcript file."""
+
     d: int
     n: int
     rounds: int
@@ -76,10 +78,13 @@ class ProtocolConfig:
     seed: int
 
     def __post_init__(self):
-        if self.rounds < 1:
-            raise ValueError("need at least one block")
-        if not 0.0 <= self.test_fraction <= 1.0:
-            raise ValueError("test_fraction must lie in [0, 1]")
+        for key, least in (("d", 2), ("n", 1), ("rounds", 1), ("seed", 0)):
+            value = getattr(self, key)
+            if type(value) is not int or value < least:  # type() leaves out bool
+                raise ValueError(f"config {key} must be an integer >= {least}, not {value!r}")
+        frac = self.test_fraction
+        if isinstance(frac, bool) or not isinstance(frac, (int, float)) or not 0 <= frac <= 1:
+            raise ValueError(f"config test_fraction must be a number in [0, 1], not {frac!r}")
 
     def to_dict(self) -> dict:
         return asdict(self)
@@ -376,10 +381,6 @@ def save_transcript(transcript: Transcript, path) -> None:
                 fh.write(b"".join(map(lines.__getitem__, chunk.tolist())))
 
 
-def _is_int(v) -> bool:
-    return isinstance(v, int) and not isinstance(v, bool)
-
-
 def _parse_header(line: str):
     try:
         header = json.loads(line)
@@ -394,19 +395,12 @@ def _parse_header(line: str):
     keys = sorted(f.name for f in fields(ProtocolConfig))
     if not isinstance(raw, dict) or sorted(raw) != keys:
         raise ValueError(f"transcript config must have the keys {keys}")
-    for key, least in (("d", 2), ("n", 1), ("rounds", 1), ("seed", 0)):
-        if not _is_int(raw[key]) or raw[key] < least:
-            raise ValueError(f"transcript config {key} must be an integer >= {least}, "
-                             f"not {raw[key]!r}")
-    if not isinstance(raw["test_fraction"], (int, float)) or isinstance(raw["test_fraction"], bool):
-        raise ValueError(f"transcript config test_fraction must be a number, "
-                         f"not {raw['test_fraction']!r}")
     if not isinstance(accepted, bool):
         raise ValueError(f"transcript accepted must be true or false, not {accepted!r}")
     # type() is int leaves out bool, which JSON gives for true and false
     if not isinstance(tests, list) or not set(map(type, tests)) <= {int}:
         raise ValueError("test_indices must be a list of integers")
-    return ProtocolConfig(**raw), tuple(tests), accepted
+    return ProtocolConfig(**raw), tuple(tests), accepted  # the config checks its own fields
 
 
 def _parse_record(line: str, d: int) -> tuple:

@@ -262,10 +262,8 @@ class ProductStrategy:
     """n independent runs of a base strategy, viewed as one big game.
 
     Safe product vectors and weights are exposed through indexed accessors
-    rather than materialized tables; ``safe_vector`` returns the natural
-    pair-interleaved order (A1 B1 A2 B2 ...) while ``safe_vector_grouped``
-    returns the grouped order (A1..An B1..Bn), the layout the attack
-    analysis uses.
+    rather than materialized tables; ``safe_vector_grouped`` returns the
+    grouped order (A1..An B1..Bn), the layout the attack analysis uses.
     """
 
     base: Strategy
@@ -283,9 +281,6 @@ class ProductStrategy:
 
     def weight(self, xs) -> float:
         return float(np.prod(self.base.weights[self.base._rows(xs)]))
-
-    def safe_vector(self, xs) -> np.ndarray:
-        return qmath.tensor(*self.base.etas[self.base._rows(xs)])
 
     def safe_vector_grouped(self, xs) -> np.ndarray:
         # the Kronecker product of the (A_s, B_s) matrices is indexed (A1..An, B1..Bn)

@@ -25,13 +25,14 @@ def pairs_to_complex(data) -> np.ndarray:
 
 
 def canonical_dumps(obj) -> str:
-    """Deterministic JSON text: sorted keys, no whitespace padding."""
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    """Deterministic JSON text: sorted keys, no whitespace padding; NaN and infinities raise."""
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), allow_nan=False)
 
 
 def write_json(path, obj) -> None:
+    text = canonical_dumps(obj)  # before the open, so a refused payload leaves no file
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(canonical_dumps(obj))
+        fh.write(text)
         fh.write("\n")
 
 

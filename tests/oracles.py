@@ -12,14 +12,14 @@ n-block commutant route over all product safe vectors, kept as the
 reference for the single-block check raised to the n-th power, and
 :func:`safe_vector_per_x`, the earlier least-squares solve per guessing
 function, kept as the reference for the one-solve strategy build, and
-:func:`weyl_loops` with :func:`operator_form_loops`, the earlier Weyl
-unitary per flat label, kept as the reference for the closed-form table
-applied slot by slot.
+:func:`weyl_loops` with :func:`operator_form_loops`, the source's Weyl
+expansion with one unitary per flat label, kept as the reference for the
+operator form and the honest coefficient, which the library reads off the
+source without expanding it.
 
-Two residents are not references but constructs only the tests read:
+One resident is not a reference but a construct only the tests read:
 :func:`decomposition_triple`, the paper's eta_x = eta_u + eta_v - eta_w
-identity, and :func:`source_from_coefficients`, the resynthesis that
-inverts ``attack.decompose_source``.
+identity.
 """
 
 import numpy as np
@@ -395,11 +395,3 @@ def decomposition_triple(x, b_prime, b_tilde, j_prime, j_tilde):
     v[b_tilde] = w[b_tilde] = j_tilde
     return tuple(u), tuple(v), tuple(w)
 
-
-def source_from_coefficients(coeffs, d, n):
-    """Resynthesize a source state from entangled-basis coefficients, slot by slot."""
-    from meanking import attack as atk
-
-    psi = atk._per_slot(atk.weyl_operators(d).transpose(3, 2, 0, 1),
-                        np.asarray(coeffs, dtype=complex), n)
-    return psi.reshape(-1) / np.sqrt(d**n)

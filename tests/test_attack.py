@@ -9,7 +9,7 @@ from meanking import attack as atk, protocol as proto, retrodiction as rd
 from meanking.bases import OverBudget
 
 from oracles import (attack_pass_per_outcome, intercept_resend_detection, operator_form_loops,
-                     probe_detection, source_from_coefficients, weyl_loops)
+                     probe_detection, weyl_loops)
 
 # (d, n, d_E) of the operator-form checks against the per-label loops
 LOOP_SHAPES = [(2, 1, 2), (2, 2, 2), (3, 1, 2), (3, 2, 1), (5, 1, 1)]
@@ -22,16 +22,15 @@ def ideal2():
 
 class TestWeyl:
     def test_identity(self):
-        assert_allclose(atk.weyl_operators(2)[0, 0], np.eye(2))
+        assert_allclose(weyl_loops(2, 1)[0, 0], np.eye(2))
 
     def test_shift_times_clock(self):
         # multiplied by hand: X Z = [[0, -1], [1, 0]]
-        assert_allclose(atk.weyl_operators(2)[1, 1], np.array([[0, -1], [1, 0]]), atol=1e-15)
+        assert_allclose(weyl_loops(2, 1)[1, 1], np.array([[0, -1], [1, 0]]), atol=1e-15)
 
     def test_orders(self):
         for d in (2, 3, 5):
-            x = atk.weyl_operators(d)[1, 0]
-            z = atk.weyl_operators(d)[0, 1]
+            x, z = weyl_loops(d, 1)[[1, 0], [0, 1]]
             assert_allclose(np.linalg.matrix_power(x, d), np.eye(d), atol=1e-12)
             assert_allclose(np.linalg.matrix_power(z, d), np.eye(d), atol=1e-12)
 
@@ -43,31 +42,23 @@ class TestWeyl:
         gram = vecs.conj() @ vecs.T
         assert np.max(np.abs(gram - np.eye(dd * dd))) < 1e-12
 
-    @pytest.mark.parametrize("d", [2, 3, 5, 7])
-    def test_table_matches_loops(self, d):
-        assert_allclose(atk.weyl_operators(d), weyl_loops(d, 1), rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("d,n", [(2, 2), (3, 2)])
-    def test_entangled_basis_matches_loops(self, d, n):
-        # the loops' Bell vector of label (m, l) has the one coefficient c[m, l] = 1
-        dd = d**n
-        units = weyl_loops(d, n)
-        for m, l in [(0, 0), (1, dd - 1), (dd - 1, 2)]:
-            want = np.zeros((dd, dd, 1))
-            want[m, l] = 1.0
-            bell = units[m, l].T.reshape(-1) / np.sqrt(dd)
-            assert_allclose(atk.decompose_source(bell, d, n, 1), want, rtol=0, atol=1e-12)
-
 
 class TestOperatorFormAgainstLoops:
-    """The closed-form table applied slot by slot against one Weyl unitary per flat label."""
+    """The operator form read off the source against one Weyl unitary per flat label."""
 
     @pytest.mark.parametrize("d,n,de", LOOP_SHAPES)
     def test_coefficients_and_operators(self, d, n, de):
         am = atk.random_attack(d, n, de, 2, np.random.default_rng(7 * d + n))
-        coeffs, ops = operator_form_loops(am)
-        assert_allclose(atk.decompose_source(am.psi_abe, d, n, de), coeffs, rtol=0, atol=1e-12)
+        _, ops = operator_form_loops(am)
         assert_allclose(atk.build_E_operators(am), ops, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d,n,de", LOOP_SHAPES)
+    def test_scalarized_source_is_the_honest_coefficient(self, d, n, de):
+        # the undetectable part keeps the Weyl label (0, 0) of the source, normalized
+        am = atk.random_attack(d, n, de, 2, np.random.default_rng(17 * d + n))
+        c00 = operator_form_loops(am)[0][0, 0]
+        want = np.kron(rd.omega(d**n), c00 / np.linalg.norm(c00))
+        assert_allclose(atk.scalarized_attack(am).psi_abe, want, rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("d,n,de", LOOP_SHAPES)
     def test_weyl_expansion_resums_to_source(self, d, n, de):
@@ -80,57 +71,6 @@ class TestOperatorFormAgainstLoops:
         want = np.sqrt(dd) * am.psi_abe.reshape(dd, dd, de).transpose(1, 0, 2)
         assert_allclose(resummed, want, rtol=0, atol=1e-12)
         assert_allclose(atk._u_hats(am), resummed, rtol=0, atol=1e-12)
-
-    @pytest.mark.parametrize("d,n,de", LOOP_SHAPES)
-    def test_resynthesis(self, d, n, de):
-        rng = np.random.default_rng(11 * d + n)
-        dd = d**n
-        coeffs = atk.random_state(dd * dd * de, rng).reshape(dd, dd, de)
-        # psi[a, b] = sum over labels of c[m, l] U_(m,l)[b, a] / sqrt(d**n)
-        want = np.einsum("mlba,mle->abe", weyl_loops(d, n), coeffs) / np.sqrt(dd)
-        assert_allclose(source_from_coefficients(coeffs, d, n), want.reshape(-1),
-                        rtol=0, atol=1e-12)
-
-
-class TestDecomposeSource:
-    def test_ideal_source_single_coefficient(self):
-        psi = np.kron(rd.omega(2), [1.0, 0.0])
-        c = atk.decompose_source(psi, 2, 1, 2)
-        expect = np.zeros((2, 2, 2), dtype=complex)
-        expect[0, 0, 0] = 1.0
-        assert_allclose(c, expect, atol=1e-14)
-
-    def test_basis_states(self):
-        units = weyl_loops(2, 1)
-        for m in range(2):
-            for l in range(2):
-                psi = np.kron(units[m, l].T.reshape(-1) / np.sqrt(2), [0.0, 1.0])
-                c = atk.decompose_source(psi, 2, 1, 2)
-                assert abs(c[m, l, 1] - 1.0) < 1e-12
-                c[m, l, 1] = 0.0
-                assert np.max(np.abs(c)) < 1e-12
-
-    def test_reconstruction(self):
-        rng = np.random.default_rng(43)
-        for d, n, de in [(2, 1, 3), (3, 1, 2), (2, 2, 2), (3, 2, 2), (5, 1, 2)]:
-            psi = atk.random_state(d ** (2 * n) * de, rng)
-            c = atk.decompose_source(psi, d, n, de)
-            assert abs(np.sum(np.abs(c) ** 2) - 1.0) < 1e-12
-            back = source_from_coefficients(c, d, n)
-            assert np.linalg.norm(psi - back) < 1e-10
-
-    def test_round_trip_at_the_block_budget(self):
-        # d**(2n) = 4096: a table over all label pairs would hold 2**24
-        # complex entries (268 MB); slot by slot stays near the state's size
-        psi = atk.random_state(4096, np.random.default_rng(5))
-        tracemalloc.start()
-        try:
-            back = source_from_coefficients(atk.decompose_source(psi, 2, 6, 1), 2, 6)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert np.linalg.norm(psi - back) < 1e-10
-        assert peak < 2 * 2**20
 
 
 class TestModelValidation:
@@ -225,7 +165,7 @@ class TestProjectedState:
             for i in range(2):
                 state, prob = _projected(ideal2, mub2, b, i)
                 assert abs(prob - 0.5) < 1e-12
-                hat = atk.phi_hat_product(mub2, (b,), (i,), 1)
+                hat = rd.phi_hat(mub2, b, i)
                 assert np.linalg.norm(state - np.sqrt(2) * np.kron(hat, [1.0])) < 1e-12
 
     def test_outcome_probabilities_sum_to_one(self, mub2):
@@ -246,7 +186,7 @@ class TestProjectedState:
             for b in range(3):
                 for i in range(2):
                     s1, p1 = _projected(am, mub2, b, i)
-                    hat = atk.phi_hat_product(mub2, (b,), (i,), 1)
+                    hat = rd.phi_hat(mub2, b, i)
                     out = sum(coeffs[m, l, beta]
                               * np.kron(np.kron(units[m, l].T, np.eye(2)) @ hat, eve[beta])
                               for m in range(2) for l in range(2) for beta in range(2))
@@ -272,7 +212,7 @@ class TestFeedback:
 
     def test_depolarizing_marginal(self, mub2):
         p = 1.0  # full depolarizing on the returned qubit
-        table = atk.weyl_operators(2)
+        table = weyl_loops(2, 1)
         paulis = [np.eye(2), table[1, 0], table[0, 1], table[1, 1]]
         ops = [np.sqrt(1 - 3 * p / 4) * paulis[0]] + [np.sqrt(p / 4) * m for m in paulis[1:]]
         am = atk.AttackModel(d=2, n=1, d_eve=1, psi_abe=rd.omega(2), kraus=tuple(ops))
@@ -295,7 +235,7 @@ class TestAliceState:
         for b in range(3):
             for i in range(2):
                 rho = atk.alice_state(ideal2, mub2, b, i)
-                hat = atk.phi_hat_product(mub2, (b,), (i,), 1)
+                hat = rd.phi_hat(mub2, b, i)
                 assert np.max(np.abs(rho - 2 * np.outer(hat, hat.conj()))) < 1e-12
 
     def test_psd_unit_trace(self, mub2):

@@ -9,7 +9,7 @@ import pytest
 
 import meanking
 from meanking import attack, bases, cli, protocol, qmath, retrodiction, security
-from meanking.serialize import complex_to_pairs, file_digest
+from meanking.serialize import canonical_dumps, complex_to_pairs, file_digest, write_json
 from oracles import intercept_resend_detection
 
 
@@ -181,6 +181,25 @@ class TestRunCommand:
                          "--seed", "1", "--attack", spec, "--out", str(tmp_path / "t.jsonl")])
         assert code == 1
         assert "takes no parameter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--seed", "-1", "config seed must be an integer >= 0, not -1"),
+        ("--n", "0", "config n must be an integer >= 1, not 0"),
+        ("--test-fraction", "nan", "config test_fraction must be a number in [0, 1], not nan"),
+    ])
+    def test_bad_config_refused(self, tmp_path, capsys, strategy_file, monkeypatch, flag, value,
+                                message):
+        def refuse(*_args):
+            raise AssertionError("sampled despite a bad config")
+
+        monkeypatch.setattr(protocol, "_sample", refuse)
+        out_path = tmp_path / "t.jsonl"
+        argv = {"--seed": "1", "--n": "1", "--test-fraction": "0.1", flag: value}
+        code = cli.main(["run", "--strategy", str(strategy_file), "--rounds", "10",
+                         "--out", str(out_path), *[x for kv in argv.items() for x in kv]])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not out_path.exists()
+        assert captured.err == f"error: {message}\n"
 
     def test_sampler_over_budget(self, tmp_path, capsys, strategy_d3, monkeypatch):
         def refuse(*_args):
@@ -359,6 +378,40 @@ class TestSecurityCommands:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == ""
         assert captured.err == f"error: {message.format(path=path)}\n"
+
+    def test_attack_eval_sweep_over_budget(self, tmp_path, capsys, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("evaluated despite the sweep budget")
+
+        monkeypatch.setattr(attack, "evaluate_attack", refuse)
+        out_path = tmp_path / "eval.json"
+        code = cli.main(["security", "attack-eval", "--attack", "probe:theta=0.8", "--dim", "2",
+                         "--sweep", "1000000000", "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == "" and not out_path.exists()
+        assert captured.err == ("error: sweep too large: 1000000000 steps of 6 grid points, "
+                                f"budget {bases.MAX_SWEEP_POINTS} points\n")
+
+    def test_attack_eval_sweep_budget_is_inclusive(self, capsys, monkeypatch):
+        # 8 steps of the (k*d)**n = 6 grid points at d=2, n=1 fill a budget of 48 exactly
+        monkeypatch.setattr(bases, "MAX_SWEEP_POINTS", 48)
+        argv = ["security", "attack-eval", "--attack", "probe:theta=0.8", "--dim", "2", "--sweep"]
+        assert cli.main(argv + ["8"]) == 0
+        assert len(json.loads(capsys.readouterr().out)["report"]["curve"]) == 8
+        assert cli.main(argv + ["9"]) == 2
+
+    @pytest.mark.parametrize("spec", ["source-replace:eps=inf", "probe:theta=nan",
+                                      "probe:theta=-inf"])
+    @pytest.mark.parametrize("command", ["attack-eval", "run"])
+    def test_non_finite_attack_parameter(self, tmp_path, capsys, strategy_file, command, spec):
+        out_path = tmp_path / "out.json"
+        argv = (["security", "attack-eval", "--dim", "2"] if command == "attack-eval" else
+                ["run", "--strategy", str(strategy_file), "--rounds", "2", "--seed", "1"])
+        code = cli.main(argv + ["--attack", spec, "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not out_path.exists()
+        key, _, value = spec.partition(":")[2].partition("=")
+        assert captured.err == f"error: attack parameter {key} must be finite, not {value!r}\n"
 
     def test_attack_eval_unknown_parameter(self, capsys):
         code = cli.main(["security", "attack-eval", "--attack", "probe:thetta=0.3", "--dim", "2"])
@@ -614,6 +667,62 @@ class TestEnvironment:
         assert code == 0
 
 
+class TestTolerances:
+    """A tolerance from --tol, --residual-tol or MEANKING_TOL must be a finite number above 0."""
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc"])
+    @pytest.mark.parametrize("command", ["bases gen", "bases check", "strategy build",
+                                         "security lemma", "env bases gen", "env security lemma"])
+    def test_refused(self, tmp_path, capsys, bases_file, monkeypatch, command, value):
+        out_path = tmp_path / "out.json"
+        argv = {
+            "bases gen": ["bases", "gen", "--dim", "2", "--out", str(out_path)],
+            "bases check": ["bases", "check", "--in", str(bases_file)],
+            "strategy build": ["strategy", "build", "--bases", str(bases_file),
+                               "--out", str(out_path), "--residual-tol", value],
+            "security lemma": ["security", "lemma", "--out", str(out_path)],
+        }[command.removeprefix("env ")]
+        if command.startswith("env "):
+            monkeypatch.setenv("MEANKING_TOL", value)
+        elif command != "strategy build":
+            argv += ["--tol", value]
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not out_path.exists()
+        assert captured.err.count("\n") == 1
+        assert captured.err.endswith(f"must be a finite number above 0, not {value!r}\n")
+
+    def test_bad_environment_tolerance_is_one_line(self, tmp_path, bases_file):
+        # the tolerance is parsed inside main, so even the parser's default gives no traceback
+        src = str(Path(meanking.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "meanking.cli", "bases", "check", "--in", str(bases_file)],
+            capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": path, "MEANKING_TOL": "abc"},
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr == ("meanking bases check: error: argument --tol: "
+                               "must be a finite number above 0, not 'abc'\n")
+
+    def test_environment_tolerance_only_reaches_tol(self, tmp_path, capsys, strategy_file,
+                                                    monkeypatch):
+        argv = ["run", "--strategy", str(strategy_file), "--rounds", "50", "--seed", "3",
+                "--out", str(tmp_path / "t.jsonl")]
+        plain = run_cli(capsys, *argv)
+        monkeypatch.setenv("MEANKING_TOL", "abc")
+        assert run_cli(capsys, *argv) == plain and plain[0] == 0
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_json_refuses_non_finite(self, tmp_path, value):
+        with pytest.raises(ValueError):
+            canonical_dumps({"x": value})
+        path = tmp_path / "out.json"
+        with pytest.raises(ValueError):
+            write_json(path, {"x": [1.0, value]})
+        assert not path.exists()
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         # the child must import the package under test, installed or not
@@ -640,9 +749,11 @@ class TestEntryPoint:
             qmath: ["partial_trace"],
             attack: ["entangled_basis_vector", "eve_final_state", "guess_probability",
                      "bob_projected_state", "apply_feedback", "trace_distance", "scalar_deviation",
-                     "source_from_coefficients"],
+                     "source_from_coefficients", "decompose_source", "weyl_operators",
+                     "phi_hat_product"],
             retrodiction: ["decomposition_triple"],
             retrodiction.Strategy: ["safe_vector", "weight"],
+            retrodiction.ProductStrategy: ["safe_vector"],
         }
         assert [f"{owner.__name__}.{name}" for owner, names in removed.items()
                 for name in names if hasattr(owner, name)] == []

@@ -29,6 +29,31 @@ def disagree(t, pos):
     t.codes[pos] = (b * d + (i_prime + 1) % d) * d**t.k + x
 
 
+class TestConfig:
+    @pytest.mark.parametrize("field, value, message", [
+        ("d", 1, "d must be an integer >= 2, not 1"),
+        ("d", True, "d must be an integer >= 2, not True"),
+        ("d", np.int64(2), "d must be an integer >= 2"),
+        ("n", 0, "n must be an integer >= 1, not 0"),
+        ("rounds", 0, "rounds must be an integer >= 1, not 0"),
+        ("rounds", 10.0, "rounds must be an integer >= 1, not 10.0"),
+        ("seed", -1, "seed must be an integer >= 0, not -1"),
+        ("seed", "1", "seed must be an integer >= 0, not '1'"),
+        ("test_fraction", "0.25", "test_fraction must be a number in \\[0, 1\\], not '0.25'"),
+        ("test_fraction", float("nan"), "test_fraction must be a number in \\[0, 1\\], not nan"),
+        ("test_fraction", 1.5, "test_fraction must be a number"),
+        ("test_fraction", False, "test_fraction must be a number"),
+    ], ids=["d-1", "d-bool", "d-numpy", "n-0", "rounds-0", "rounds-float", "seed-negative",
+            "seed-string", "fraction-string", "fraction-nan", "fraction-above-1", "fraction-bool"])
+    def test_refused_at_construction(self, field, value, message):
+        fields = dict(d=2, n=1, rounds=10, test_fraction=0.25, seed=1)
+        with pytest.raises(ValueError, match=message):
+            proto.ProtocolConfig(**{**fields, field: value})
+
+    def test_integral_fraction_accepted(self):
+        assert proto.ProtocolConfig(d=2, n=1, rounds=10, test_fraction=1, seed=0).test_fraction == 1
+
+
 class TestHonestRuns:
     def test_perfect_agreement_d2(self, strategy_d2):
         t = proto.run_protocol(cfg(rounds=2000), strategy_d2)

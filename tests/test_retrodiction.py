@@ -328,17 +328,20 @@ class TestDigitOperators:
 class TestProductStrategy:
     def test_n1_identical(self, strategy_d2):
         ps = rd.tensor_strategy(strategy_d2, 1)
+        interleaved = product_tables(strategy_d2, 1, interleaved=True)[0]
         for row, x in enumerate(strategy_d2.safe_vectors.x):
-            assert_allclose(ps.safe_vector((x,)), strategy_d2.etas[row])
+            assert_allclose(interleaved[row], strategy_d2.etas[row])
+            assert_allclose(ps.safe_vector_grouped((x,)), strategy_d2.etas[row])
             assert abs(ps.weight((x,)) - strategy_d2.weights[row]) < 1e-15
 
     def test_product_delta_conditions(self, strategy_d2, mub2):
-        ps = rd.tensor_strategy(strategy_d2, 2)
+        interleaved = product_tables(strategy_d2, 2, interleaved=True)[0]
         rng = np.random.default_rng(37)
         xs = strategy_d2.safe_vectors.x
         for _ in range(10):
-            pair = (xs[rng.integers(8)], xs[rng.integers(8)])
-            eta = ps.safe_vector(pair)  # (A1 B1)(A2 B2) order
+            rows = (rng.integers(8), rng.integers(8))
+            pair = (xs[rows[0]], xs[rows[1]])
+            eta = interleaved[rows[0] * 8 + rows[1]]  # (A1 B1)(A2 B2) order
             for b1 in range(3):
                 for i1 in range(2):
                     for b2 in range(3):
@@ -351,10 +354,10 @@ class TestProductStrategy:
 
     def test_product_completeness(self, strategy_d2):
         ps = rd.tensor_strategy(strategy_d2, 2)
+        interleaved = product_tables(strategy_d2, 2, interleaved=True)[0]
         total = np.zeros((16, 16), dtype=complex)
         count = 0
-        for pair in ps.guessing_tuples():
-            eta = ps.safe_vector(pair)
+        for eta, pair in zip(interleaved, ps.guessing_tuples(), strict=True):
             total += ps.weight(pair) * np.outer(eta, eta.conj())
             count += 1
         assert count == 64
@@ -366,8 +369,12 @@ class TestProductStrategy:
         tuples = list(ps.guessing_tuples())
         grouped, _, weights = product_tables(strategy_d2, n)
         interleaved = product_tables(strategy_d2, n, interleaved=True)[0]
-        assert_allclose([ps.safe_vector_grouped(xs) for xs in tuples], grouped, rtol=0, atol=1e-12)
-        assert_allclose([ps.safe_vector(xs) for xs in tuples], interleaved, rtol=0, atol=1e-12)
+        mine = np.array([ps.safe_vector_grouped(xs) for xs in tuples])
+        assert_allclose(mine, grouped, rtol=0, atol=1e-12)
+        # (A1..An B1..Bn) to (A1 B1 A2 B2 ...): each instance's A and B axes side by side
+        pairs = [ax for s in range(n) for ax in (1 + s, 1 + n + s)]
+        mine = mine.reshape((len(tuples),) + (2,) * (2 * n)).transpose([0] + pairs)
+        assert_allclose(mine.reshape(len(tuples), -1), interleaved, rtol=0, atol=1e-12)
         assert_allclose([ps.weight(xs) for xs in tuples], weights, rtol=0, atol=1e-12)
         assert np.array_equal(np.array(tuples), tuple_digits(strategy_d2, n))
 
