@@ -55,7 +55,7 @@ from itertools import product
 import numpy as np
 
 from . import qmath
-from .bases import BasisSet, FormatError
+from .bases import BasisSet, FormatError, digits
 from .retrodiction import Strategy, checked_block_dim, digit_operators, omega
 from .serialize import complex_to_pairs, pairs_to_complex, read_json, write_json
 
@@ -190,7 +190,7 @@ def _walk(am: AttackModel, bs: BasisSet):
     _require_same_dim(am, bs)
     n, dd = am.n, am.block_dim
     psi = am.psi_abe.reshape(dd, dd, am.d_eve)
-    bvecs = np.stack(np.unravel_index(np.arange(bs.k**n), (bs.k,) * n), axis=-1)
+    bvecs = digits(np.arange(bs.k**n), bs.k, n)
     step = max(1, _WALK_ENTRIES // (dd**3 * len(am.kraus) * am.d_eve))
     for start in range(0, len(bvecs), step):
         chunk = bvecs[start:start + step]

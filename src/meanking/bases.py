@@ -33,6 +33,7 @@ MAX_SWEEP_POINTS = 1 << 16
 # floating-point marginals need this much slack in the classical-model LP, so
 # validation refuses a tighter tolerance rather than silently raising it
 MIN_VALIDATE_TOL = 1e-9
+MAX_TOL = 1.0  # every tolerance bounds a unit-scale deviation, so one at 1 checks nothing
 # no entry of an orthonormal basis exceeds 1 in magnitude; one past this bound
 # is refused, which keeps the checks' products of up to four entries finite
 MAX_ENTRY = 1e6
@@ -90,9 +91,14 @@ class ValidationReport:
         return asdict(self)
 
 
+def digits(flat, base: int, n: int) -> np.ndarray:
+    """Base-``base`` digits of each flat index, first slot slowest, as (len, n)."""
+    return np.stack(np.unravel_index(flat, (base,) * n), axis=-1)
+
+
 def enumerate_guessing_functions(d: int, k: int) -> np.ndarray:
-    """All k-tuples with entries in 0..d-1, first slot slowest, as a (d**k, k) array."""
-    return np.indices((d,) * k).reshape(k, -1).T
+    """All k-tuples over 0..d-1 as a (d**k, k) array: row j holds the base-d digits of j."""
+    return digits(np.arange(d**k), d, k)
 
 
 def gen_mub(d: int) -> BasisSet:
@@ -211,11 +217,13 @@ def _classical_model_lp(bs: BasisSet, tol: float):
 def validate(bs: BasisSet, tol: float = qmath.DEFAULT_TOL) -> ValidationReport:
     """Run all structural checks at ``tol`` and collect them into one report.
 
-    Raises ``ValueError`` when ``tol`` is below ``MIN_VALIDATE_TOL``.
+    Raises ``ValueError`` when ``tol`` is outside [MIN_VALIDATE_TOL, MAX_TOL).
     """
     if not tol >= MIN_VALIDATE_TOL:  # refuses NaN too
         raise ValueError(f"tolerance {tol:.3g} is below the validation floor "
                          f"{MIN_VALIDATE_TOL:.3g}")
+    if tol >= MAX_TOL:
+        raise ValueError(f"tolerance {tol:.3g} is not below the ceiling {MAX_TOL:g}")
     if bs.dim > MAX_VALIDATE_DIM:
         raise OverBudget(f"validation supports d <= {MAX_VALIDATE_DIM}, not d = {bs.dim}")
     orth_ok, orth_worst = check_orthonormal(bs, tol)

@@ -12,7 +12,7 @@ result through the exit code:
 
 All randomness flows from --seed; reruns with identical arguments produce
 byte-identical files and output. MEANKING_TOL, when set, is the default
-of ``--tol``; a tolerance must be a finite number above 0.
+of ``--tol``; a tolerance must be a number strictly between 0 and 1.
 """
 
 from __future__ import annotations
@@ -40,13 +40,13 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _tol(text: str) -> float:
-    """A tolerance from the command line or MEANKING_TOL: a finite number above 0."""
+    """A tolerance from the command line or MEANKING_TOL: a number in (0, bases.MAX_TOL)."""
     try:
         value = float(text)
     except ValueError:
         value = math.nan
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be a finite number above 0, not {text!r}")
+    if not 0 < value < bases.MAX_TOL:
+        raise argparse.ArgumentTypeError(f"must be a number above 0 and below 1, not {text!r}")
     return value
 
 
@@ -216,17 +216,19 @@ def _cmd_security_attack_eval(args) -> _Result:
     strategy = _load_strategy_for(args)
     name, params = _split_attack_spec(args.attack)
     am = _make_attack(name, params, strategy.basis_set, args.n)
+    if am is None:  # built before the sweep budget, so a block over budget exits 2 at once
+        am = attack.identity_attack(strategy.d, n=args.n)
+    if am.n != args.n:  # an attack file has its own block length
+        raise ValueError(f"attack block length {am.n} differs from --n {args.n}")
     key = _ATTACKS[name].swept if name in _ATTACKS else None
     if args.sweep < 0:
         raise ValueError(f"--sweep must be 0 or more steps, not {args.sweep}")
     if args.sweep and key is None:
         raise ValueError(f"attack {args.attack!r} has no parameter to sweep")
-    grid = (strategy.basis_set.k * strategy.d) ** args.n  # the (b, i) pairs of one evaluation
+    grid = (strategy.basis_set.k * strategy.d) ** am.n  # the (b, i) pairs of one evaluation
     if args.sweep * grid > bases.MAX_SWEEP_POINTS:
         raise bases.OverBudget(f"sweep too large: {args.sweep} steps of {grid} grid points, "
                                f"budget {bases.MAX_SWEEP_POINTS} points")
-    if am is None:
-        am = attack.identity_attack(strategy.basis_set.dim, n=args.n)
     payload = attack.evaluate_attack(strategy, am).to_dict()
     if args.sweep:
         value = float(params[key])

@@ -126,13 +126,9 @@ class Transcript:
         return np.sort(_stream(cfg.seed, _TEST_KEY).choice(total, size=count, replace=False))
 
     @cached_property
-    def _test_tuple(self) -> tuple:
-        return tuple(self._tested.tolist())
-
-    @property
     def test_indices(self) -> tuple:
         """The 0-based test positions, increasing; drawn on first read, then cached."""
-        return self._test_tuple
+        return tuple(self._tested.tolist())
 
     @property
     def accepted(self) -> bool:
@@ -208,11 +204,6 @@ def _born_rows(branches: np.ndarray, etas_conj: np.ndarray, weights, n: int) -> 
     return born * reduce(qmath.kron, [weights] * n)
 
 
-def _digits(flat: np.ndarray, base: int, n: int) -> np.ndarray:
-    """Base-``base`` digits of each flat index, first slot slowest, as (len, n)."""
-    return np.stack(np.unravel_index(flat, (base,) * n), axis=-1)
-
-
 def _span(d: int, k: int) -> int:
     """d**k, the range of x in a code; ``ValueError`` if codes would overflow int64."""
     if k * d ** (k + 1) > 1 << 63:  # the largest code is k*d**(k+1) - 1
@@ -235,11 +226,13 @@ def _powers(d: int, k: int) -> np.ndarray:
 def _record_rows(codes: np.ndarray, d: int, k: int) -> np.ndarray:
     """0-based rows ``(b, i, i_prime, x digits...)`` of each code, in the file's key order."""
     b, i, x, i_prime = _fields(codes, d, k)
-    return np.column_stack([b, i, i_prime, _digits(x, d, k)])
+    return np.column_stack([b, i, i_prime, bases.digits(x, d, k)])
 
 
 def _sample(seed: int, strategy: Strategy, am, units: int) -> np.ndarray:
-    """Instance codes (b*d + i)*nx + x for ``units`` units of ``am.n`` instances.
+    """:class:`Transcript` codes (b*d + i)*d**k + x of ``units`` units of ``am.n`` instances.
+
+    x is the drawn table row, which is the base-d value of its guessing function.
 
     Per unit, chunk streams give Bob's basis vector and two fixed-point
     uniforms, one for his outcomes and one for Alice's POVM result. The
@@ -273,14 +266,14 @@ def _sample(seed: int, strategy: Strategy, am, units: int) -> np.ndarray:
         ikeys, irows = np.unique(iflat[sel], return_inverse=True)
         born = _born_rows(branches[ikeys], etas_conj, strategy.weights, n)
         povm = []
-        for ikey, ivec, row in zip(ikeys, map(tuple, _digits(ikeys, d, n).tolist()), born):
+        for ikey, ivec, row in zip(ikeys, map(tuple, bases.digits(ikeys, d, n).tolist()), born):
             row = row / attack_mod._conditionable(probs[ikey], bvec, ivec)
             povm.append(_normalized(row, f"measurement (b={bvec}, i={ivec})"))
         yflat[sel] = _lookup(np.array(povm), irows, u_povm[sel])
 
-    b = _digits(bflat, k, n).ravel()
-    i = _digits(iflat, d, n).ravel()
-    y = _digits(yflat, nx, n).ravel()
+    b = bases.digits(bflat, k, n).ravel()
+    i = bases.digits(iflat, d, n).ravel()
+    y = bases.digits(yflat, nx, n).ravel()
     return (b * d + i) * nx + y
 
 
@@ -314,12 +307,8 @@ def run_protocol(cfg: ProtocolConfig, strategy: Strategy, attack=None) -> Transc
     if entries > bases.MAX_ARRAY_ENTRIES:
         raise bases.OverBudget(f"sampler too large: a basis block fills up to {entries} "
                                f"amplitudes, budget {bases.MAX_ARRAY_ENTRIES}")
-
-    k, nx = strategy.basis_set.k, len(strategy.safe_vectors)
-    span = _span(d, k)
-    bi, y = np.divmod(_sample(cfg.seed, strategy, am, units), nx)
-    x = np.ravel_multi_index(strategy.safe_vectors.x.T, (d,) * k)
-    return Transcript(config=cfg, k=k, codes=bi * span + x[y])
+    return Transcript(config=cfg, k=strategy.basis_set.k,
+                      codes=_sample(cfg.seed, strategy, am, units))
 
 
 def sift_and_test(transcript: Transcript):

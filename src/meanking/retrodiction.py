@@ -10,8 +10,8 @@ are weighted projectors onto safe vectors eta_x, fixed by the condition
 where phi_hat_b(i) is Alice's (unnormalized) conditional state after Bob
 measured outcome i in basis b. The conditions are linear in x, so one
 least-squares solve gives every eta_x, whatever d is, into one table: a
-record array with a row per x and the columns ``x`` (its k digits), ``eta``
-and ``residual``, which readers take whole. A measurement
+record array with the columns ``eta`` and ``residual`` and row j for the x
+whose base-d digits are j, which readers take whole. A measurement
 supported on safe vectors never produces a wrong guess. The weights must
 make the POVM complete with every weight strictly positive (a maximal
 strategy). For mutually unbiased bases uniform weights do (Hayashi, Horibe
@@ -32,7 +32,7 @@ import numpy as np
 
 from . import bases, qmath
 from .bases import (MAX_GUESSING_FUNCTIONS, BasisSet, FormatError, OverBudget,
-                    basis_set_from_json, enumerate_guessing_functions)
+                    basis_set_from_json, digits, enumerate_guessing_functions)
 from .serialize import complex_to_pairs, pairs_to_complex, read_json, write_json
 
 RESIDUAL_TOL = 1e-8  # default bound on a safe vector's least-squares residual
@@ -88,15 +88,15 @@ def phi_hat(bs: BasisSet, b: int, i: int) -> np.ndarray:
     return (omega(d).reshape(d, d) @ np.outer(phi, phi.conj()).T).reshape(-1)
 
 
-def safe_vector_table(xs, etas, residuals) -> np.recarray:
-    """The strategy table: one row per guessing function, columns ``x``, ``eta``, ``residual``."""
-    xs, etas = np.asarray(xs, dtype=np.int64), np.asarray(etas, dtype=complex)
-    return np.rec.fromarrays([xs, etas, residuals], dtype=[
-        ("x", np.int64, xs.shape[1:]), ("eta", complex, etas.shape[1:]), ("residual", float)])
+def safe_vector_table(etas, residuals) -> np.recarray:
+    """The strategy table: a row per guessing function, columns ``eta`` and ``residual``."""
+    etas = np.asarray(etas, dtype=complex)
+    return np.rec.fromarrays([etas, residuals],
+                             dtype=[("eta", complex, etas.shape[1:]), ("residual", float)])
 
 
 def _safe_vectors(bs: BasisSet, xs: np.ndarray, residual_tol: float) -> np.recarray:
-    """Table of the guessing functions ``xs`` (rows of k digits), all from one least-squares solve.
+    """Rows for the guessing functions ``xs`` (rows of k digits), all from one least-squares solve.
 
     conj(eta_x) is the minimum-norm solution of A y = r_x (A: the k*d
     conditional states as rows; r_x: a 1 at each b*d + x(b)). It is linear in
@@ -115,7 +115,7 @@ def _safe_vectors(bs: BasisSet, xs: np.ndarray, residual_tol: float) -> np.recar
     if bad.size:
         raise ResidualTooLarge(f"safe vector for x={tuple(xs[bad[0]].tolist())} has residual "
                                f"{residuals[bad[0]]:.3e} > {residual_tol:.1e}")
-    return safe_vector_table(xs, etas, residuals)
+    return safe_vector_table(etas, residuals)
 
 
 def solve_safe_vector(bs: BasisSet, x, residual_tol: float = RESIDUAL_TOL) -> np.record:
@@ -193,12 +193,17 @@ def solve_povm_weights(safe_vectors) -> tuple[np.ndarray, float]:
 
 @dataclass
 class Strategy:
-    """A maximal strategy for the source :func:`omega`: safe-vector table, a weight per row."""
+    """A maximal strategy for :func:`omega`: table row and weight j for guessing function j."""
 
     basis_set: BasisSet
     safe_vectors: np.recarray
     weights: np.ndarray
     completeness_residual: float
+
+    def __post_init__(self):
+        if not len(self.safe_vectors) == len(self.weights) == self.d**self.basis_set.k:
+            raise ValueError(f"a strategy has {self.d}**{self.basis_set.k} rows and weights, "
+                             f"not {len(self.safe_vectors)} and {len(self.weights)}")
 
     @property
     def d(self) -> int:
@@ -210,10 +215,7 @@ class Strategy:
 
     def _rows(self, xs) -> np.ndarray:
         """Table rows of the guessing functions ``xs``, one per row of the (m, k) array-like."""
-        match = np.all(self.safe_vectors.x == np.asarray(xs)[:, None], axis=2)
-        if not match.any(axis=1).all():
-            raise KeyError(f"guessing functions {np.asarray(xs).tolist()} not all in the strategy")
-        return match.argmax(axis=1)
+        return np.ravel_multi_index(np.asarray(xs).T, (self.d,) * self.basis_set.k)
 
 
 def build_strategy(bs: BasisSet, residual_tol: float = RESIDUAL_TOL) -> Strategy:
@@ -224,10 +226,8 @@ def build_strategy(bs: BasisSet, residual_tol: float = RESIDUAL_TOL) -> Strategy
     """
     d = bs.dim
     if d**bs.k > MAX_GUESSING_FUNCTIONS:
-        raise OverBudget(
-            f"{d}**{bs.k} = {d**bs.k} guessing functions exceed the build budget "
-            f"{MAX_GUESSING_FUNCTIONS}"
-        )
+        raise OverBudget(f"{d}**{bs.k} = {d**bs.k} guessing functions exceed the build "
+                         f"budget {MAX_GUESSING_FUNCTIONS}")
     table = _safe_vectors(bs, enumerate_guessing_functions(d, bs.k), residual_tol)
     weights, residual = solve_povm_weights(table)
     return Strategy(basis_set=bs, safe_vectors=table, weights=weights,
@@ -248,7 +248,7 @@ def digit_operators(strategy: Strategy) -> np.ndarray:
     """
     bs = strategy.basis_set
     d = bs.dim
-    etas, xvals = strategy.etas, strategy.safe_vectors.x
+    etas, xvals = strategy.etas, enumerate_guessing_functions(d, bs.k)
     q = np.empty((bs.k, d, d * d, d * d), dtype=complex)
     for b in range(bs.k):
         for i in range(d):
@@ -277,7 +277,8 @@ class ProductStrategy:
         return self.base.d
 
     def guessing_tuples(self):
-        return product(map(tuple, self.base.safe_vectors.x.tolist()), repeat=self.n)
+        xs = enumerate_guessing_functions(self.d, self.base.basis_set.k)
+        return product(map(tuple, xs.tolist()), repeat=self.n)
 
     def weight(self, xs) -> float:
         return float(np.prod(self.base.weights[self.base._rows(xs)]))
@@ -293,12 +294,10 @@ def tensor_strategy(s: Strategy, n: int) -> ProductStrategy:
 
 
 def save_strategy(s: Strategy, path) -> None:
-    table = s.safe_vectors
-    entries = [
-        {"x": x, "eta": eta, "p": p, "residual": res}
-        for x, eta, p, res in zip(table.x.tolist(), complex_to_pairs(table.eta),
-                                  s.weights.tolist(), table.residual.tolist())
-    ]
+    table, xs = s.safe_vectors, enumerate_guessing_functions(s.d, s.basis_set.k)
+    entries = [{"x": x, "eta": eta, "p": p, "residual": res} for x, eta, p, res in
+               zip(xs.tolist(), complex_to_pairs(table.eta), s.weights.tolist(),
+                   table.residual.tolist())]
     write_json(path, {"dim": s.d, "bases": complex_to_pairs(s.basis_set.vectors),
                       "omega": complex_to_pairs(omega(s.d)), "entries": entries})
 
@@ -306,9 +305,9 @@ def save_strategy(s: Strategy, path) -> None:
 def load_strategy(path) -> Strategy:
     """Read a strategy written by :func:`save_strategy`.
 
-    Raises :class:`FormatError` when the file does not have that layout (each
-    x: k digits in 0..d-1, none repeated; each eta: d*d entries),
-    :class:`Infeasible` when the stored POVM is not complete and
+    Raises :class:`FormatError` when the file does not have that layout
+    (d**k entries, entry j with guessing function j as its x and d*d eta
+    entries), :class:`Infeasible` when the stored POVM is not complete and
     :class:`NotMaximal` when it is complete but some weight is not positive.
     """
     data = read_json(path)
@@ -318,18 +317,16 @@ def load_strategy(path) -> Strategy:
         source = pairs_to_complex(data["omega"])
         if source.shape != (dim * dim,) or np.max(np.abs(source - omega(dim))) > qmath.DEFAULT_TOL:
             raise ValueError(f"omega is not the maximally entangled state of dimension {dim}")
-        xs, etas, weights, residuals = zip(*[(e["x"], e["eta"], e["p"], e["residual"])
-                                            for e in data["entries"]])
-        if any(len(x) != bs.k for x in xs):
-            raise ValueError(f"a guessing function does not have k = {bs.k} digits")
+        entries = data["entries"]  # nothing longer than the entry list is built
+        want = digits(np.arange(min(len(entries), dim**bs.k)), dim, bs.k).tolist()
+        bad = next((j for j, (e, x) in enumerate(zip(entries, want)) if e["x"] != x), len(want))
+        if bad < len(entries) or len(entries) != dim**bs.k:
+            raise ValueError(f"entry {bad} of {len(entries)} is not guessing function {bad}: "
+                             f"the entries list all {dim}**{bs.k} in order, first basis slowest")
+        etas, weights, residuals = zip(*[(e["eta"], e["p"], e["residual"]) for e in entries])
         if any(len(eta) != dim * dim for eta in etas):
             raise ValueError(f"a safe vector does not have {dim * dim} entries")
-        xs = np.array(xs, dtype=np.int64).reshape(len(xs), bs.k)
-        if xs.min() < 0 or xs.max() >= dim:
-            raise ValueError(f"a guessing function has a digit outside 0..{dim - 1}")
-        if len(np.unique(xs, axis=0)) < len(xs):
-            raise ValueError("a guessing function is listed twice")
-        table = safe_vector_table(xs, pairs_to_complex(etas).reshape(len(xs), -1), residuals)
+        table = safe_vector_table(pairs_to_complex(etas).reshape(len(etas), -1), residuals)
         weights = np.array(weights, dtype=float)
         if not np.isfinite(weights).all() or not np.isfinite(table.residual).all():
             raise ValueError("a weight or residual is not finite")

@@ -34,23 +34,18 @@ def strategy_d5():
 
 @pytest.fixture(scope="session")
 def unit_strategy(mub2):
-    """The four unit vectors of C^4 with unit weights: complete and maximal,
+    """The four unit vectors of C^4, each in two rows of weight 1/2: complete and maximal,
     but every diagonal operator has them as eigenvectors (solution dimension 4)."""
-    table = retrodiction.safe_vector_table(retrodiction.enumerate_guessing_functions(2, 3)[:4],
-                                           np.eye(4, dtype=complex), np.zeros(4))
-    return retrodiction.Strategy(basis_set=mub2, safe_vectors=table, weights=np.ones(4),
+    table = retrodiction.safe_vector_table(np.tile(np.eye(4, dtype=complex), (2, 1)), np.zeros(8))
+    return retrodiction.Strategy(basis_set=mub2, safe_vectors=table, weights=np.full(8, 0.5),
                                  completeness_residual=0.0)
 
 
 @pytest.fixture(scope="session")
 def zero_weight_strategy(unit_strategy):
-    """``unit_strategy`` plus a fifth entry of weight 0: still complete, not maximal."""
-    table = unit_strategy.safe_vectors
-    table = retrodiction.safe_vector_table(np.vstack([table.x, (1, 0, 0)]),
-                                           np.vstack([table.eta, table.eta[:1]]),
-                                           np.append(table.residual, 0.0))
-    return dataclasses.replace(unit_strategy, safe_vectors=table,
-                               weights=np.append(unit_strategy.weights, 0.0))
+    """``unit_strategy`` with weights 1 on the first four rows and 0 on the last four:
+    still complete, not maximal."""
+    return dataclasses.replace(unit_strategy, weights=np.repeat([1.0, 0.0], 4))
 
 
 @pytest.fixture()

@@ -25,6 +25,13 @@ identity.
 import numpy as np
 
 
+def guessing_functions(strategy):
+    """The digits of each strategy table row: row j is guessing function j."""
+    from meanking import bases
+
+    return bases.enumerate_guessing_functions(strategy.d, strategy.basis_set.k)
+
+
 def partial_trace_loops(rho, dims, keep):
     """Index-by-index contraction, quadruple loop over kept/traced labels."""
     dims = tuple(dims)
@@ -85,7 +92,7 @@ def intercept_resend_detection(strategy, bstar):
     bs = strategy.basis_set
     d, k = bs.dim, bs.k
     weights = strategy.weights
-    xs = strategy.safe_vectors.x
+    xs = guessing_functions(strategy)
     etas = strategy.etas
     total = 0.0
     for b in range(k):
@@ -112,7 +119,7 @@ def probe_detection(strategy, theta, d_eve=2):
     bs = strategy.basis_set
     d, k = bs.dim, bs.k
     weights = strategy.weights
-    xs = strategy.safe_vectors.x
+    xs = guessing_functions(strategy)
     etas = strategy.etas
     rvecs = []
     for j in range(d):
@@ -243,7 +250,7 @@ def product_tables(strategy, n, interleaved=False):
 
 def tuple_digits(strategy, n):
     """The guessing tuples of :func:`product_tables`, as digits (tuple, instance, basis)."""
-    xs = strategy.safe_vectors.x
+    xs = guessing_functions(strategy)
     return xs[np.indices((len(xs),) * n).reshape(n, -1).T]
 
 
@@ -275,7 +282,7 @@ def sample_per_tuple(seed, strategy, am, units, tables):
     one projection per outcome and Alice's from ``alice_state`` against
     ``tables``, the :func:`product_tables` of the strategy, per drawn (b, i).
     """
-    from meanking import protocol as proto
+    from meanking import bases, protocol as proto
 
     bs = strategy.basis_set
     d, k, n = bs.dim, bs.k, am.n
@@ -291,18 +298,18 @@ def sample_per_tuple(seed, strategy, am, units, tables):
 
     bkeys, brows = np.unique(bflat, return_inverse=True)
     outcome = np.array([outcome_dist(am, bs, tuple(bvec))
-                        for bvec in proto._digits(bkeys, k, n).tolist()])
+                        for bvec in bases.digits(bkeys, k, n).tolist()])
     iflat = proto._lookup(outcome, brows, u_out)
 
     pkeys, prows = np.unique(bflat * d**n + iflat, return_inverse=True)
-    pairs = zip(proto._digits(pkeys // d**n, k, n).tolist(),
-                proto._digits(pkeys % d**n, d, n).tolist())
+    pairs = zip(bases.digits(pkeys // d**n, k, n).tolist(),
+                bases.digits(pkeys % d**n, d, n).tolist())
     povm = np.array([povm_dist(am, bs, tables, tuple(bvec), tuple(ivec)) for bvec, ivec in pairs])
     yflat = proto._lookup(povm, prows, u_povm)
 
-    b = proto._digits(bflat, k, n).ravel()
-    i = proto._digits(iflat, d, n).ravel()
-    y = proto._digits(yflat, nx, n).ravel()
+    b = bases.digits(bflat, k, n).ravel()
+    i = bases.digits(iflat, d, n).ravel()
+    y = bases.digits(yflat, nx, n).ravel()
     return (b * d + i) * nx + y
 
 

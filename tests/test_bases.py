@@ -273,6 +273,14 @@ class TestValidateTolerance:
                 bases.validate(bs, tol)
         assert bases.validate(bs, bases.MIN_VALIDATE_TOL).unbiased
 
+    def test_tol_at_or_above_ceiling_refused(self, mub2, biased_copy):
+        # a tolerance of 1 bounds no overlap of unit vectors: it would accept this set
+        bs = biased_copy(mub2, 0.3)
+        for tol in (1.0, 1e300, float("inf")):
+            with pytest.raises(ValueError, match="is not below the ceiling 1$"):
+                bases.validate(bs, tol)
+        assert not bases.validate(bs, 0.1).unbiased
+
     def test_tol_applied_as_given(self, mub2, biased_copy):
         bs = biased_copy(mub2, 1e-6)  # off by about 1e-6, refused at 1e-9, accepted at 1e-5
         assert not bases.validate(bs, 1e-9).unbiased

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -419,6 +420,20 @@ class TestSecurityCommands:
         assert code == 1 and captured.out == ""
         assert "attack 'probe' takes no parameter 'thetta'" in captured.err
 
+    def test_attack_eval_block_length_mismatch(self, tmp_path, capsys):
+        # the file's block length decides what is evaluated, so another --n is refused
+        path = tmp_path / "attack_n1.json"
+        attack.save_attack(attack.intercept_resend(bases.gen_mub(2), 0, n=1), path)
+        out_path = tmp_path / "report.json"
+        code = cli.main(["security", "attack-eval", "--dim", "2", "--n", "3",
+                         "--attack", f"file:{path}", "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not out_path.exists()
+        assert captured.err == "error: attack block length 1 differs from --n 3\n"
+        code = cli.main(["security", "attack-eval", "--dim", "2", "--n", "1",
+                         "--attack", f"file:{path}", "--out", str(out_path)])
+        assert code == 0 and out_path.exists()
+
     def test_attack_eval_dimension_mismatch(self, tmp_path, capsys):
         path = tmp_path / "attack_d2.json"
         attack.save_attack(attack.identity_attack(2), path)
@@ -471,9 +486,9 @@ class TestMalformedFiles:
                                 "entangled state of dimension 2\n")
 
     @pytest.mark.parametrize("defect, message", [
-        ("x-length", "does not have k = 3 digits"),
-        ("x-digit", "digit outside 0..1"),
-        ("x-repeated", "listed twice"),
+        ("x-length", "entry 1 of 8 is not guessing function 1"),
+        ("x-digit", "entry 1 of 8 is not guessing function 1"),
+        ("x-repeated", "entry 1 of 8 is not guessing function 1"),
         ("eta-size", "does not have 4 entries"),
     ])
     def test_strategy_guessing_function(self, tmp_path, capsys, strategy_file, defect, message):
@@ -495,6 +510,43 @@ class TestMalformedFiles:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == "" and not out_path.exists()
         assert captured.err.startswith("error: bad strategy file") and message in captured.err
+
+    @pytest.mark.parametrize("defect, message", [
+        ("swapped", "entry 3 of 8 is not guessing function 3"),
+        ("dropped", "entry 4 of 7 is not guessing function 4"),
+        ("dropped-last", "entry 7 of 7 is not guessing function 7"),
+        ("repeated", "entry 6 of 8 is not guessing function 6"),
+        ("repeated-inserted", "entry 6 of 9 is not guessing function 6"),
+        ("appended", "entry 8 of 9 is not guessing function 8"),
+    ])
+    def test_strategy_entries_in_order(self, tmp_path, capsys, strategy_file, defect, message):
+        # entry j is guessing function j, so a reordered or partial table is refused at
+        # the first entry out of place, wherever it is read
+        data = json.loads(strategy_file.read_text())
+        entries = data["entries"]
+        if defect == "swapped":
+            entries[3], entries[5] = entries[5], entries[3]
+        elif defect == "dropped":
+            del entries[4]
+        elif defect == "dropped-last":
+            del entries[7]
+        elif defect == "repeated":
+            entries[6] = entries[5]
+        elif defect == "repeated-inserted":
+            entries.insert(6, entries[5])
+        else:
+            entries.append(entries[0])
+        bad = tmp_path / "bad_strategy.json"
+        bad.write_text(json.dumps(data))
+        out_path = tmp_path / "out.json"
+        for argv in (["run", "--strategy", str(bad), "--rounds", "10", "--seed", "1"],
+                     ["security", "lemma", "--strategy", str(bad)],
+                     ["security", "attack-eval", "--attack", "none", "--strategy", str(bad)]):
+            code = cli.main(argv + ["--out", str(out_path)])
+            captured = capsys.readouterr()
+            assert code == 1 and captured.out == "" and not out_path.exists()
+            assert captured.err.startswith(f"error: bad strategy file {bad}: {message}:")
+            assert captured.err.count("\n") == 1
 
 
 class TestNonFiniteNumbers:
@@ -558,7 +610,7 @@ class TestOverflowingNumbers:
     @pytest.mark.parametrize("target, value, code, message", [
         ("bases-entry", 1e200, 1, "not finite or above 1e+06"),
         ("bases-dim", "Infinity", 1, "cannot convert float infinity"),
-        ("strategy-x", 2**70, 1, "too large"),
+        ("strategy-x", 2**70, 1, "entry 3 of 8 is not guessing function 3"),
         ("strategy-eta", 1e200, 2, "violates completeness by inf"),
         ("attack-psi", 1e200, 1, "source state norm inf"),
         ("attack-kraus", 1e200, 1, "not trace preserving (deviation inf)"),
@@ -612,10 +664,15 @@ class TestAttackBudget:
             argv = ["run", "--strategy", str(strategy_file), "--rounds", "2", "--seed", "1"]
         else:
             argv = ["security", "attack-eval", "--dim", "2"]
+        start = time.perf_counter()
         code = cli.main(argv + ["--n", str(n), "--attack", spec, "--out", str(out_path)])
+        elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and not out_path.exists()
         assert f"block dimension 2**(2*{n})*1 exceeds budget 4096" in captured.err
+        if (command, spec) == ("attack-eval", "none"):
+            # refused before anything is sized by n, such as the sweep's (k*d)**n grid
+            assert elapsed < 1.0
 
 
 def test_run_over_instance_budget_exits_2(tmp_path, capsys, strategy_file, monkeypatch):
@@ -668,9 +725,9 @@ class TestEnvironment:
 
 
 class TestTolerances:
-    """A tolerance from --tol, --residual-tol or MEANKING_TOL must be a finite number above 0."""
+    """A tolerance from --tol, --residual-tol or MEANKING_TOL must be a number in (0, 1)."""
 
-    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "0", "-1", "abc", "1", "1e300"])
     @pytest.mark.parametrize("command", ["bases gen", "bases check", "strategy build",
                                          "security lemma", "env bases gen", "env security lemma"])
     def test_refused(self, tmp_path, capsys, bases_file, monkeypatch, command, value):
@@ -690,7 +747,7 @@ class TestTolerances:
         captured = capsys.readouterr()
         assert code == 1 and captured.out == "" and not out_path.exists()
         assert captured.err.count("\n") == 1
-        assert captured.err.endswith(f"must be a finite number above 0, not {value!r}\n")
+        assert captured.err.endswith(f"must be a number above 0 and below 1, not {value!r}\n")
 
     def test_bad_environment_tolerance_is_one_line(self, tmp_path, bases_file):
         # the tolerance is parsed inside main, so even the parser's default gives no traceback
@@ -703,7 +760,7 @@ class TestTolerances:
         )
         assert proc.returncode == 1 and proc.stdout == ""
         assert proc.stderr == ("meanking bases check: error: argument --tol: "
-                               "must be a finite number above 0, not 'abc'\n")
+                               "must be a number above 0 and below 1, not 'abc'\n")
 
     def test_environment_tolerance_only_reaches_tol(self, tmp_path, capsys, strategy_file,
                                                     monkeypatch):

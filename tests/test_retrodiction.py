@@ -29,12 +29,12 @@ def lp_calls(monkeypatch):
     return calls
 
 
-def delta_worst(bs, sv):
+def delta_worst(bs, x, sv):
     worst = 0.0
     for b in range(bs.k):
         for i in range(bs.dim):
             val = np.vdot(sv.eta, rd.phi_hat(bs, b, i))
-            want = 1.0 if sv.x[b] == i else 0.0
+            want = 1.0 if x[b] == i else 0.0
             worst = max(worst, abs(val - want))
     return worst
 
@@ -94,15 +94,16 @@ class TestSafeVectors:
         for x in rd.enumerate_guessing_functions(2, 3):
             sv = rd.solve_safe_vector(mub2, x)
             assert sv.residual < 1e-10
-            assert delta_worst(mub2, sv) < 1e-9
+            assert delta_worst(mub2, x, sv) < 1e-9
             count += 1
         assert count == 8
 
     def test_d3_all_81(self, mub3):
-        svs = [rd.solve_safe_vector(mub3, x) for x in rd.enumerate_guessing_functions(3, 4)]
+        xs = rd.enumerate_guessing_functions(3, 4)
+        svs = [rd.solve_safe_vector(mub3, x) for x in xs]
         assert len(svs) == 81
         assert max(sv.residual for sv in svs) < 1e-9
-        assert max(delta_worst(mub3, sv) for sv in svs) < 1e-9
+        assert max(delta_worst(mub3, x, sv) for x, sv in zip(xs, svs)) < 1e-9
 
     def test_constraint_system_consistent_d2(self, mub2):
         # 6 complex rows (12 real constraints) on 4 complex unknowns
@@ -131,13 +132,14 @@ class TestOneSolve:
     def test_matches_per_x_oracle(self, d, request):
         s = request.getfixturevalue(f"strategy_d{d}")
         table = s.safe_vectors
-        assert np.array_equal(table.x, rd.enumerate_guessing_functions(d, d + 1))
-        oracle = [safe_vector_per_x(s.basis_set, x) for x in table.x]
+        assert table.dtype.names == ("eta", "residual")
+        xs = rd.enumerate_guessing_functions(d, d + 1)
+        oracle = [safe_vector_per_x(s.basis_set, x) for x in xs]
         etas = np.array([eta for eta, _ in oracle])
         assert np.max(np.abs(table.eta - etas)) < 1e-12
         residuals = np.array([res for _, res in oracle])
         assert np.max(np.abs(table.residual - residuals)) < 1e-12
-        weights, _ = rd.solve_povm_weights(rd.safe_vector_table(table.x, etas, residuals))
+        weights, _ = rd.solve_povm_weights(rd.safe_vector_table(etas, residuals))
         assert np.max(np.abs(s.weights - weights)) < 1e-12
 
     def test_matches_per_x_oracle_d5_sampled(self, strategy_d5):
@@ -150,7 +152,6 @@ class TestOneSolve:
             eta, residual = safe_vector_per_x(strategy_d5.basis_set, x)
             row = np.ravel_multi_index(x, (d,) * k)
             sv = strategy_d5.safe_vectors[row]
-            assert tuple(sv.x) == x
             assert np.max(np.abs(sv.eta - eta)) < 1e-12
             assert abs(sv.residual - residual) < 1e-12
             norm2 = float(np.vdot(eta, eta).real)
@@ -188,7 +189,7 @@ def test_one_solve_safe_vector_conditions(bs):
     d, k = bs.dim, bs.k
     s = rd.build_strategy(bs)
     hats = np.array([rd.phi_hat(bs, b, i) for b in range(k) for i in range(d)])
-    want = (s.safe_vectors.x[:, :, None] == np.arange(d)).reshape(-1, k * d)
+    want = (rd.enumerate_guessing_functions(d, k)[:, :, None] == np.arange(d)).reshape(-1, k * d)
     assert np.max(np.abs(s.etas.conj() @ hats.T - want)) < 1e-9
 
 
@@ -329,7 +330,7 @@ class TestProductStrategy:
     def test_n1_identical(self, strategy_d2):
         ps = rd.tensor_strategy(strategy_d2, 1)
         interleaved = product_tables(strategy_d2, 1, interleaved=True)[0]
-        for row, x in enumerate(strategy_d2.safe_vectors.x):
+        for row, x in enumerate(rd.enumerate_guessing_functions(2, 3)):
             assert_allclose(interleaved[row], strategy_d2.etas[row])
             assert_allclose(ps.safe_vector_grouped((x,)), strategy_d2.etas[row])
             assert abs(ps.weight((x,)) - strategy_d2.weights[row]) < 1e-15
@@ -337,7 +338,7 @@ class TestProductStrategy:
     def test_product_delta_conditions(self, strategy_d2, mub2):
         interleaved = product_tables(strategy_d2, 2, interleaved=True)[0]
         rng = np.random.default_rng(37)
-        xs = strategy_d2.safe_vectors.x
+        xs = rd.enumerate_guessing_functions(2, 3)
         for _ in range(10):
             rows = (rng.integers(8), rng.integers(8))
             pair = (xs[rows[0]], xs[rows[1]])
@@ -383,13 +384,32 @@ class TestProductStrategy:
             rd.tensor_strategy(strategy_d2, 7)
 
 
+class TestStrategyTable:
+    """Row j of every strategy table is guessing function j, so a table holds all d**k."""
+
+    @pytest.mark.parametrize("rows, weights", [(4, 4), (9, 9), (8, 7)])
+    def test_refuses_other_lengths(self, strategy_d2, rows, weights):
+        table = np.resize(strategy_d2.safe_vectors, rows).view(np.recarray)
+        with pytest.raises(ValueError, match=f"2\\*\\*3 rows and weights, not {rows} and {weights}"):
+            rd.Strategy(basis_set=strategy_d2.basis_set, safe_vectors=table,
+                        weights=np.resize(strategy_d2.weights, weights), completeness_residual=0.0)
+
+    def test_columns(self, strategy_d2):
+        assert strategy_d2.safe_vectors.dtype.names == ("eta", "residual")
+
+    def test_rows_are_base_d_values(self, strategy_d3):
+        xs = rd.enumerate_guessing_functions(3, 4)
+        rows = strategy_d3._rows(xs)
+        assert np.array_equal(rows, np.arange(81))
+
+
 class TestStrategyFile:
     def test_roundtrip(self, tmp_path, strategy_d2):
         path = tmp_path / "s.json"
         rd.save_strategy(strategy_d2, path)
         loaded = rd.load_strategy(path)
         assert loaded.d == 2
-        assert np.array_equal(loaded.safe_vectors.x, strategy_d2.safe_vectors.x)
+        assert loaded.safe_vectors.dtype == strategy_d2.safe_vectors.dtype
         assert_allclose(loaded.weights, strategy_d2.weights)
         assert_allclose(loaded.etas, strategy_d2.etas)
 
@@ -397,7 +417,7 @@ class TestStrategyFile:
         path = tmp_path / "s.json"
         rd.save_strategy(strategy_d5, path)
         loaded = rd.load_strategy(path)
-        for column in ("x", "eta", "residual"):
+        for column in ("eta", "residual"):
             assert np.array_equal(loaded.safe_vectors[column], strategy_d5.safe_vectors[column])
         assert np.array_equal(loaded.weights, strategy_d5.weights)
         assert loaded.completeness_residual == strategy_d5.completeness_residual
@@ -408,7 +428,7 @@ class TestStrategyFile:
         for s in (strategy_d3, rd.load_strategy(path)):
             assert isinstance(s.safe_vectors, np.recarray)
             assert np.shares_memory(s.etas, s.safe_vectors)
-            assert np.shares_memory(s.safe_vectors.x, s.safe_vectors)
+            assert np.shares_memory(s.safe_vectors.residual, s.safe_vectors)
 
     def test_tampered_weights_rejected(self, tmp_path, strategy_d2):
         import json
@@ -425,7 +445,7 @@ class TestStrategyFile:
         # completeness holds either way; only the entry of weight 0 is refused
         path = tmp_path / "s.json"
         rd.save_strategy(unit_strategy, path)
-        assert len(rd.load_strategy(path).safe_vectors) == 4
+        assert len(rd.load_strategy(path).safe_vectors) == 8
         rd.save_strategy(zero_weight_strategy, path)
         with pytest.raises(rd.NotMaximal):
             rd.load_strategy(path)

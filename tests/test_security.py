@@ -96,6 +96,13 @@ class TestSingleRunCommutant:
             security.constraint_nullspace(strategy_d2.etas, tol=float("nan"))
         assert security.constraint_nullspace(strategy_d2.etas, tol=16 * eps)[0] == 1
 
+    def test_tol_at_or_above_ceiling(self, strategy_d2):
+        # a cutoff at the largest eigenvalue would count all 16 directions as solutions
+        for tol in (1.0, 1e300):
+            with pytest.raises(ValueError, match="is not below the ceiling 1$"):
+                security.constraint_nullspace(strategy_d2.etas, tol=tol)
+        assert security.constraint_nullspace(strategy_d2.etas, tol=0.1)[0] == 1
+
     def test_monotone_in_removed_vectors(self, strategy_d2):
         dims = []
         for count in (8, 6, 3, 1):
@@ -205,8 +212,7 @@ class TestProductCommutant:
             raise AssertionError("constraint form built despite the budget")
 
         monkeypatch.setattr(security, "constraint_matrix", refuse)
-        safe_vectors = rd.safe_vector_table(np.zeros((50_000, 6), dtype=int),
-                                            np.zeros((50_000, 25), dtype=complex), np.zeros(50_000))
+        safe_vectors = rd.safe_vector_table(np.zeros((50_000, 25), dtype=complex), np.zeros(50_000))
         with pytest.raises(bases.OverBudget, match="50000 vectors of dimension 25"):
             security.eigenvector_constraint_dim(safe_vectors)
 
@@ -218,7 +224,7 @@ class TestProductCommutant:
             return np.kron(e1, e2)
 
         rng = np.random.default_rng(41)
-        xs = strategy_d2.safe_vectors.x
+        xs = rd.enumerate_guessing_functions(2, 3)
         for _ in range(10):
             x1 = xs[rng.integers(8)]
             x2 = xs[rng.integers(8)]
