@@ -59,8 +59,6 @@ from .bases import BasisSet, FormatError, digits
 from .retrodiction import Strategy, checked_block_dim, digit_operators, omega
 from .serialize import complex_to_pairs, pairs_to_complex, read_json, write_json
 
-_PROB_FLOOR = 1e-14  # below this an outcome cannot be conditioned on
-_LEAKAGE_SKIP = 1e-12
 # Chunk budgets, in complex entries: Kraus-branch stacks per chunk of the
 # walk, and state differences per chunk of the leakage pair triangle. A
 # chunk always takes at least one basis block, or one row of pairs.
@@ -74,7 +72,7 @@ class ZeroProbabilityOutcome(RuntimeError):
 
 def _conditionable(prob: float, bvec, ivec) -> float:
     """``prob``, or raise if the outcome (b, i) is too rare to condition on."""
-    if prob <= _PROB_FLOOR:
+    if prob <= qmath.PROB_FLOOR:
         raise ZeroProbabilityOutcome(f"outcome (b={bvec}, i={ivec}) has probability {prob:.3e}")
     return prob
 
@@ -283,10 +281,10 @@ def reconstruct_alice_state(am: AttackModel, bs: BasisSet, bvec, ivec,
 def _eve_states(branches: np.ndarray) -> np.ndarray:
     """Eve's normalized states of a chunk of :func:`_walk`, as (m, branch, E, E).
 
-    Outcomes whose trace is at or below ``_LEAKAGE_SKIP`` are left out.
+    Outcomes whose trace is at or below ``qmath.LEAKAGE_SKIP`` are left out.
     """
     blocks, trace = _eve_blocks(branches.reshape((-1,) + branches.shape[2:]))
-    keep = trace > _LEAKAGE_SKIP
+    keep = trace > qmath.LEAKAGE_SKIP
     return blocks[keep] / trace[keep, None, None, None]
 
 
@@ -343,7 +341,7 @@ def _attack_pass(strategy: Strategy, am: AttackModel):
         outcomes = zip(product(bvecs.tolist(), ivecs), probs.ravel().tolist(),
                        correct.ravel().tolist())
         for (bvec, ivec), prob, right in outcomes:
-            if prob <= _PROB_FLOOR:
+            if prob <= qmath.PROB_FLOOR:
                 continue
             total += prob - right
             # 1-based labels in the human-facing table
@@ -492,7 +490,7 @@ def scalarized_attack(am: AttackModel) -> AttackModel:
     # W_l = tr_B(V_l) / d**n for every Kraus operator, and sum_l W_l^dagger W_l
     ws = np.einsum("lbibj->lij", am.kraus.reshape(-1, dd, de, dd, de)) / dd
     vals, vecs = np.linalg.eigh(np.einsum("lki,lkj->ij", ws.conj(), ws))
-    if vals.min() < 1e-12:
+    if vals.min() < qmath.KRAUS_FLOOR:
         ws = [np.eye(de)]
     else:
         ws = ws @ (vecs @ np.diag(vals**-0.5) @ vecs.conj().T)

@@ -30,10 +30,6 @@ MAX_VALIDATE_DIM = 16
 # (b, i) grid points an attack-eval sweep evaluates over all its steps,
 # S * (k*d)**n: 455 steps at d=3, n=2, each one full attack evaluation
 MAX_SWEEP_POINTS = 1 << 16
-# floating-point marginals need this much slack in the classical-model LP, so
-# validation refuses a tighter tolerance rather than silently raising it
-MIN_VALIDATE_TOL = 1e-9
-MAX_TOL = 1.0  # every tolerance bounds a unit-scale deviation, so one at 1 checks nothing
 # no entry of an orthonormal basis exceeds 1 in magnitude; one past this bound
 # is refused, which keeps the checks' products of up to four entries finite
 MAX_ENTRY = 1e6
@@ -178,13 +174,14 @@ def check_classical_model(bs: BasisSet, tol: float = qmath.DEFAULT_TOL):
     Looks for a distribution over d**k outcome tuples q(j_1..j_k) whose
     pairwise marginals match :func:`pairwise_joint`. Returns
     ``(feasible, witness)``; the witness is the flat distribution array
-    (C-order over the k outcome indices) or None when infeasible. When every
-    pairwise table is within ``tol`` of 1/d**2, as for mutually unbiased
-    bases, the uniform distribution is the witness; any other set falls
-    back to the LP of :func:`_classical_model_lp`, refused with
-    :class:`OverBudget` above ``MAX_GUESSING_FUNCTIONS`` variables, the
-    budget of a strategy build over the same tuples.
+    (C-order over the k outcome indices) or None when infeasible. A ``tol``
+    outside qmath's [MIN_VALIDATE_TOL, MAX_TOL) raises ``ValueError``. When
+    every pairwise table is within ``tol`` of 1/d**2, as for mutually unbiased
+    bases, the uniform distribution is the witness; any other set falls back
+    to the LP of :func:`_classical_model_lp`, refused with :class:`OverBudget`
+    above ``MAX_GUESSING_FUNCTIONS`` variables, the build's budget.
     """
+    qmath.check_tol(tol, qmath.MIN_VALIDATE_TOL, "validation floor")
     d, k = bs.dim, bs.k
     nvar = d**k
     if pairwise_flat(bs, tol):
@@ -210,20 +207,15 @@ def _classical_model_lp(bs: BasisSet, tol: float):
     rhs = np.concatenate([pairwise_joint(bs, b, a).ravel() for a, b in pairs] + [[1.0]])
     cols = np.tile(np.arange(len(xs)), len(pairs) + 1)
     a_eq = scipy.sparse.csr_matrix((np.ones(rows.size), (rows, cols)), shape=(rhs.size, len(xs)))
-    # floating-point marginals need slack; absorbed by the solver
-    return qmath.lp_feasible(a_eq, rhs, feasibility_tol=max(tol, MIN_VALIDATE_TOL))
+    return qmath.lp_feasible(a_eq, rhs, feasibility_tol=tol)
 
 
 def validate(bs: BasisSet, tol: float = qmath.DEFAULT_TOL) -> ValidationReport:
     """Run all structural checks at ``tol`` and collect them into one report.
 
-    Raises ``ValueError`` when ``tol`` is outside [MIN_VALIDATE_TOL, MAX_TOL).
+    Raises ``ValueError`` when ``tol`` is outside qmath's [MIN_VALIDATE_TOL, MAX_TOL).
     """
-    if not tol >= MIN_VALIDATE_TOL:  # refuses NaN too
-        raise ValueError(f"tolerance {tol:.3g} is below the validation floor "
-                         f"{MIN_VALIDATE_TOL:.3g}")
-    if tol >= MAX_TOL:
-        raise ValueError(f"tolerance {tol:.3g} is not below the ceiling {MAX_TOL:g}")
+    qmath.check_tol(tol, qmath.MIN_VALIDATE_TOL, "validation floor")
     if bs.dim > MAX_VALIDATE_DIM:
         raise OverBudget(f"validation supports d <= {MAX_VALIDATE_DIM}, not d = {bs.dim}")
     orth_ok, orth_worst = check_orthonormal(bs, tol)

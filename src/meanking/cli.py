@@ -40,14 +40,11 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _tol(text: str) -> float:
-    """A tolerance from the command line or MEANKING_TOL: a number in (0, bases.MAX_TOL)."""
+    """A tolerance from the command line or MEANKING_TOL: a number in (0, qmath.MAX_TOL)."""
     try:
-        value = float(text)
+        return qmath.check_tol(float(text), qmath.POSITIVE_FLOOR, "positive floor")
     except ValueError:
-        value = math.nan
-    if not 0 < value < bases.MAX_TOL:
         raise argparse.ArgumentTypeError(f"must be a number above 0 and below 1, not {text!r}")
-    return value
 
 
 class _Result(NamedTuple):
@@ -271,7 +268,7 @@ def _build_parser() -> _Parser:
     p_build = ssub.add_parser("build")
     p_build.add_argument("--bases", required=True)
     p_build.add_argument("--out", required=True)
-    p_build.add_argument("--residual-tol", type=_tol, default=retrodiction.RESIDUAL_TOL)
+    p_build.add_argument("--residual-tol", type=_tol, default=qmath.RESIDUAL_TOL)
     p_build.set_defaults(func=_cmd_strategy_build)
 
     p_run = sub.add_parser("run", help="simulate the protocol")

@@ -162,8 +162,8 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
 
 
 def _normalized(dist: np.ndarray, what: str) -> np.ndarray:
-    total = float(dist.sum())
-    if not (abs(total - 1.0) <= 1e-6 and np.all(dist >= -1e-12)):  # refuses NaN too
+    total = float(dist.sum())  # a NaN anywhere fails the check below
+    if not (abs(total - 1.0) <= qmath.SUM_SLACK and np.all(dist >= -qmath.NEGATIVITY_FLOOR)):
         raise ProtocolError(f"{what} distribution sums to {total:.8f}")
     return np.clip(dist, 0.0, None) / total
 
@@ -340,15 +340,22 @@ def _record_format(k: int, slot: str) -> str:
 def save_transcript(transcript: Transcript, path) -> None:
     """JSON-lines dump: a header line, then one 0-based record per instance.
 
-    Each distinct code is formatted once. When all distinct lines have one
-    width, as whenever every field is one digit, each ``CHUNK`` of
-    instances is one gather of rows from the byte table of those lines;
-    otherwise the chunk's lines are joined.
+    Each distinct code becomes one line. When every field is one digit (d <= 10
+    and k <= 10), the lines are the one-digit template of :func:`_fixed_width_codes`
+    plus the fields, and a ``CHUNK`` of instances is one gather of their rows;
+    otherwise each line is formatted and a chunk's lines are joined.
     """
     d, k = transcript.config.d, transcript.k
     distinct, inverse = np.unique(transcript.codes, return_inverse=True)
-    fmt = _record_format(k, "%d")
-    lines = [(fmt % tuple(row)).encode("ascii") for row in _record_rows(distinct, d, k).tolist()]
+    rows = _record_rows(distinct, d, k)
+    fixed = d <= 10 and k <= 10
+    if fixed:
+        template = np.frombuffer(_record_format(k, "0").encode("ascii"), dtype=np.uint8)
+        line_matrix = np.tile(template, (len(rows), 1))
+        line_matrix[:, template == ord("0")] += rows.astype(np.uint8)
+    else:
+        fmt = _record_format(k, "%d")
+        lines = [(fmt % tuple(row)).encode("ascii") for row in rows.tolist()]
     header = canonical_dumps(
         {
             "format": TRANSCRIPT_FORMAT,
@@ -357,9 +364,6 @@ def save_transcript(transcript: Transcript, path) -> None:
             "accepted": transcript.accepted,
         }
     )
-    fixed = len(set(map(len, lines))) == 1
-    if fixed:
-        line_matrix = np.frombuffer(b"".join(lines), dtype=np.uint8).reshape(len(lines), -1)
     with open(path, "wb") as fh:
         fh.write(header.encode("utf-8") + b"\n")
         for start in range(0, len(inverse), CHUNK):

@@ -4,21 +4,40 @@ Conventions: state vectors are 1-D complex128 arrays, operators are 2-D
 arrays, and composite systems use row-major Kronecker order (the first
 factor is the slow index). Rank decisions use a relative singular-value
 cutoff; everything else is an absolute tolerance defaulting to 1e-9.
-All functions are pure and never mutate their arguments.
+All functions are pure and never mutate their arguments. The module is
+also the tolerance policy: the table below and :func:`check_tol`.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
-DEFAULT_TOL = 1e-9
+# Every tolerance default and numerical floor of the package, each with the reason for its value.
+DEFAULT_TOL = 1e-9  # of every check: ~5e6 ulps of a unit-scale entry, far below a real defect
+MAX_TOL = 1.0  # every tolerance bounds a unit-scale deviation, so one at 1 checks nothing
+MIN_VALIDATE_TOL = 1e-9  # the slack floating-point marginals need in the classical-model LP
+POSITIVE_FLOOR = math.ulp(0.0)  # the least positive float: no solve promises an exact zero
+RESIDUAL_TOL = 1e-8  # default bound on a safe vector's least-squares residual
+COMPLETENESS_TOL = 1e-8  # max-norm bound on sum_x p(x) |eta_x><eta_x| - identity
+POSITIVITY_TOL = 1e-9  # a weight at or below this leaves the strategy not maximal
+LP_FEASIBILITY_TOL = 1e-10  # HiGHS's least; its default 1e-7 is looser than DEFAULT_TOL
+WEIGHT_SVD_CUTOFF = 1e-12  # relative: the weight LP's redundant directions sit below it
+PROB_FLOOR = 1e-14  # an outcome at or below this cannot be conditioned on
+LEAKAGE_SKIP = 1e-12  # an Eve state of trace at or below this is left out of leakage
+KRAUS_FLOOR = 1e-12  # sum W^dagger W with an eigenvalue below this has no inverse root to take
+SUM_SLACK = 1e-6  # a sampled distribution further than this from sum 1 is a broken model
+NEGATIVITY_FLOOR = 1e-12  # nor may an entry be below -NEGATIVITY_FLOOR, beyond rounding
 
-# HiGHS default feasibility tolerances (1e-7) are looser than the 1e-9
-# constraint satisfaction promised to callers; pin them at their minimum.
-_LP_OPTIONS = {
-    "primal_feasibility_tolerance": 1e-10,
-    "dual_feasibility_tolerance": 1e-10,
-}
+
+def check_tol(tol: float, floor: float, name: str, where: str = "") -> float:
+    """``tol``, or ``ValueError`` naming the caller's floor unless floor <= tol < MAX_TOL."""
+    if not tol >= floor:  # refuses NaN too
+        raise ValueError(f"tolerance {tol:.3g} is below the {name} {floor:.3g}{where}")
+    if tol >= MAX_TOL:
+        raise ValueError(f"tolerance {tol:.3g} is not below the ceiling {MAX_TOL:g}")
+    return tol
 
 
 def kron(a: np.ndarray, b: np.ndarray, batch: int = 0) -> np.ndarray:
@@ -55,9 +74,7 @@ def dagger(a: np.ndarray) -> np.ndarray:
 def matrix_rank(a: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     """Rank with a relative cutoff: singular values > tol * sigma_max count."""
     s = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    return int(np.sum(s > tol * s[:1]))  # s[:1] is empty for an empty matrix: rank 0
 
 
 def nullspace(a: np.ndarray, tol: float = DEFAULT_TOL):
@@ -71,10 +88,7 @@ def nullspace(a: np.ndarray, tol: float = DEFAULT_TOL):
     a = np.asarray(a, dtype=complex)
     m, n = a.shape
     _, s, vh = np.linalg.svd(a, full_matrices=(m < n))
-    if s.size == 0 or s[0] == 0.0:
-        rank = 0
-    else:
-        rank = int(np.sum(s > tol * s[0]))
+    rank = int(np.sum(s > tol * s[:1]))
     return n - rank, vh[rank:].conj()
 
 
@@ -107,7 +121,7 @@ def hermitian_coords(h: np.ndarray) -> np.ndarray:
                            np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag], axis=-1)
 
 
-def lp_feasible(a_eq, b_eq, maximize_min=False, feasibility_tol=1e-10):
+def lp_feasible(a_eq, b_eq, maximize_min=False, feasibility_tol=LP_FEASIBILITY_TOL):
     """Feasibility (and optional max-min) solve for ``A p = b, p >= 0``.
 
     Parameters
@@ -115,12 +129,13 @@ def lp_feasible(a_eq, b_eq, maximize_min=False, feasibility_tol=1e-10):
     a_eq : equality constraint matrix (dense or scipy sparse).
     b_eq : equality right-hand side.
     maximize_min : when true, the solver maximizes ``min(p)``.
-    feasibility_tol : allowed constraint slack; callers with floating-point
-        right-hand sides can widen it from the 1e-10 floor.
+    feasibility_tol : allowed constraint slack, in [LP_FEASIBILITY_TOL, MAX_TOL);
+        callers with floating-point right-hand sides can widen it from the floor.
 
     Returns ``(feasible, point)``; infeasibility is a result, not an error.
     scipy is imported here, on first use: the MUB paths never reach an LP.
     """
+    check_tol(feasibility_tol, LP_FEASIBILITY_TOL, "LP feasibility floor")
     import scipy.sparse
     from scipy.optimize import linprog
 
@@ -130,8 +145,8 @@ def lp_feasible(a_eq, b_eq, maximize_min=False, feasibility_tol=1e-10):
     m, n = a_eq.shape
     if b_eq.size != m:
         raise ValueError("inconsistent LP shapes")
-    options = dict(_LP_OPTIONS)
-    options["primal_feasibility_tolerance"] = max(1e-10, float(feasibility_tol))
+    options = {"primal_feasibility_tolerance": float(feasibility_tol),
+               "dual_feasibility_tolerance": LP_FEASIBILITY_TOL}
 
     if not maximize_min:
         # linprog's default bounds are p >= 0

@@ -35,10 +35,6 @@ from .bases import (MAX_GUESSING_FUNCTIONS, BasisSet, FormatError, OverBudget,
                     basis_set_from_json, digits, enumerate_guessing_functions)
 from .serialize import complex_to_pairs, pairs_to_complex, read_json, write_json
 
-RESIDUAL_TOL = 1e-8  # default bound on a safe vector's least-squares residual
-COMPLETENESS_TOL = 1e-8  # max-norm bound on sum_x p(x) |eta_x><eta_x| - identity
-POSITIVITY_TOL = 1e-9  # a weight at or below this leaves the strategy not maximal
-
 
 class ResidualTooLarge(RuntimeError):
     """The safe-vector system is inconsistent for this basis set."""
@@ -101,9 +97,10 @@ def _safe_vectors(bs: BasisSet, xs: np.ndarray, residual_tol: float) -> np.recar
     conj(eta_x) is the minimum-norm solution of A y = r_x (A: the k*d
     conditional states as rows; r_x: a 1 at each b*d + x(b)). It is linear in
     r_x, so y and A y - r_x sum column b*d + x(b) of G and of A G - 1 over b,
-    where G solves A G = 1. Raises :class:`ResidualTooLarge` for the first x
-    whose residual exceeds ``residual_tol``: the basis set is bad input.
+    where G solves A G = 1. Raises ``ValueError`` for a ``residual_tol`` outside
+    qmath's (0, MAX_TOL), then :class:`ResidualTooLarge` for the first x over it.
     """
+    qmath.check_tol(residual_tol, qmath.POSITIVE_FLOOR, "positive floor")
     d, k = bs.dim, bs.k
     a = np.array([phi_hat(bs, b, i) for b in range(k) for i in range(d)])
     gens, _ = qmath.lstsq(a, np.eye(k * d))
@@ -118,7 +115,7 @@ def _safe_vectors(bs: BasisSet, xs: np.ndarray, residual_tol: float) -> np.recar
     return safe_vector_table(etas, residuals)
 
 
-def solve_safe_vector(bs: BasisSet, x, residual_tol: float = RESIDUAL_TOL) -> np.record:
+def solve_safe_vector(bs: BasisSet, x, residual_tol: float = qmath.RESIDUAL_TOL) -> np.record:
     """Minimum-norm solution of the safe-vector conditions for one x, as a table row.
 
     The one-x case of :func:`_safe_vectors`, which raises its errors.
@@ -137,6 +134,14 @@ def _completeness_residual(etas: np.ndarray, weights: np.ndarray, dim2: int) -> 
         return float(np.max(np.abs(total - np.eye(dim2))))
 
 
+def _check_complete_and_maximal(weights: np.ndarray, residual: float, what: str) -> None:
+    """The one verdict on a solved or stored strategy, at qmath's tolerances; NaN fails it."""
+    if not float(weights.min()) > qmath.POSITIVITY_TOL:
+        raise NotMaximal(f"{what} has weight {weights.min():.3e}; strategy not maximal")
+    if not residual <= qmath.COMPLETENESS_TOL:
+        raise Infeasible(f"{what} violates completeness by {residual:.3e}")
+
+
 def _max_min_weights_lp(etas: np.ndarray) -> np.ndarray:
     """Completing weights that maximize the smallest one, from the LP.
 
@@ -149,11 +154,11 @@ def _max_min_weights_lp(etas: np.ndarray) -> np.ndarray:
     target = qmath.hermitian_coords(np.eye(dim2))
 
     u, s, _ = np.linalg.svd(coords, full_matrices=False)
-    rank = int(np.sum(s > 1e-12 * s[0]))
+    rank = int(np.sum(s > qmath.WEIGHT_SVD_CUTOFF * s[0]))
     basis = u[:, :rank]
     reduced = basis.T @ coords
     rhs = basis.T @ target
-    if np.linalg.norm(basis @ rhs - target) > COMPLETENESS_TOL:
+    if np.linalg.norm(basis @ rhs - target) > qmath.COMPLETENESS_TOL:
         raise Infeasible("identity lies outside the span of the safe-vector projectors")
 
     feasible, point = qmath.lp_feasible(reduced, rhs, maximize_min=True)
@@ -179,15 +184,10 @@ def solve_povm_weights(safe_vectors) -> tuple[np.ndarray, float]:
     nx, dim2 = etas.shape
     point = np.full(nx, dim2 / float(np.sum(np.abs(etas) ** 2)))
     residual = _completeness_residual(etas, point, dim2)
-    if residual > COMPLETENESS_TOL:
+    if residual > qmath.COMPLETENESS_TOL:
         point = _max_min_weights_lp(etas)
         residual = _completeness_residual(etas, point, dim2)
-    if float(point.min()) <= POSITIVITY_TOL:
-        raise NotMaximal(
-            f"completeness forces a weight down to {point.min():.3e}; strategy not maximal"
-        )
-    if residual > COMPLETENESS_TOL:
-        raise Infeasible(f"POVM completeness residual {residual:.3e} after solve")
+    _check_complete_and_maximal(point, residual, "solved strategy")
     return point, residual
 
 
@@ -218,7 +218,7 @@ class Strategy:
         return np.ravel_multi_index(np.asarray(xs).T, (self.d,) * self.basis_set.k)
 
 
-def build_strategy(bs: BasisSet, residual_tol: float = RESIDUAL_TOL) -> Strategy:
+def build_strategy(bs: BasisSet, residual_tol: float = qmath.RESIDUAL_TOL) -> Strategy:
     """Every safe vector, from one solve, and the POVM weights for a full basis set.
 
     Raises :class:`OverBudget`, before enumerating anything, when the set
@@ -307,8 +307,8 @@ def load_strategy(path) -> Strategy:
 
     Raises :class:`FormatError` when the file does not have that layout
     (d**k entries, entry j with guessing function j as its x and d*d eta
-    entries), :class:`Infeasible` when the stored POVM is not complete and
-    :class:`NotMaximal` when it is complete but some weight is not positive.
+    entries), then :class:`NotMaximal` or :class:`Infeasible` on the verdict
+    of :func:`_check_complete_and_maximal`.
     """
     data = read_json(path)
     try:
@@ -333,9 +333,6 @@ def load_strategy(path) -> Strategy:
         residual = _completeness_residual(table.eta, weights, dim * dim)
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FormatError(f"bad strategy file {path}: {exc}") from exc
-    if not residual <= COMPLETENESS_TOL:
-        raise Infeasible(f"stored strategy violates completeness by {residual:.3e}")
-    if not float(weights.min()) > POSITIVITY_TOL:
-        raise NotMaximal(f"stored strategy has weight {weights.min():.3e}; strategy not maximal")
+    _check_complete_and_maximal(weights, residual, "stored strategy")
     return Strategy(basis_set=bs, safe_vectors=table, weights=weights,
                     completeness_residual=residual)

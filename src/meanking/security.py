@@ -69,15 +69,11 @@ def constraint_nullspace(etas: np.ndarray, tol: float = qmath.DEFAULT_TOL):
     ``ValueError`` when ``tol`` is below the form's rounding floor,
     D**2 * eps for vectors of dimension D: ``eigh`` cannot resolve a null
     eigenvalue below that, so such a cutoff would report no solution; nor
-    can it reach ``bases.MAX_TOL``, where every direction counts as one.
+    can it reach ``qmath.MAX_TOL``, where every direction counts as one.
     """
-    dim = np.shape(etas)[1]
-    floor = dim**2 * np.finfo(float).eps
-    if not tol >= floor:
-        raise ValueError(f"tolerance {tol:.3g} is below the rounding floor {floor:.3g} "
-                         f"of the {dim**2} x {dim**2} commutant form")
-    if tol >= bases.MAX_TOL:
-        raise ValueError(f"tolerance {tol:.3g} is not below the ceiling {bases.MAX_TOL:g}")
+    size = np.shape(etas)[1] ** 2
+    qmath.check_tol(tol, size * np.finfo(float).eps, "rounding floor",
+                    f" of the {size} x {size} commutant form")
     evals, evecs = np.linalg.eigh(constraint_matrix(etas))
     return int(np.sum(evals <= tol * evals[-1])), evecs.T, evals
 

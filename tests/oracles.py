@@ -195,7 +195,7 @@ def attack_pass_per_outcome(strategy, am):
     """
     from itertools import product
 
-    from meanking import attack as atk
+    from meanking import attack as atk, qmath
 
     bs = strategy.basis_set
     etas, _, weights = product_tables(strategy, am.n)
@@ -210,10 +210,10 @@ def attack_pass_per_outcome(strategy, am):
             for l, w in enumerate(branches):
                 state[l * de:(l + 1) * de, l * de:(l + 1) * de] = w.T @ w.conj()
             trace = float(np.trace(state).real)
-            if trace > atk._LEAKAGE_SKIP:
+            if trace > qmath.LEAKAGE_SKIP:
                 eve.append(state / trace)
             rho, prob = atk.alice_state_unnormalized(am, bs, bvec, ivec)
-            if prob <= atk._PROB_FLOOR:
+            if prob <= qmath.PROB_FLOOR:
                 continue
             mask = np.all(digits[:, slots, list(bvec)] == np.array(ivec), axis=1)
             born = weights[mask] * np.sum((etas[mask].conj() @ rho) * etas[mask], axis=1).real

@@ -9,7 +9,7 @@ from itertools import product
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from meanking import attack as atk
+from meanking import attack as atk, qmath
 
 from oracles import attack_pass_per_outcome, eve_state_loops, product_tables, tuple_digits
 
@@ -93,7 +93,7 @@ def test_eve_states_and_leakage_against_loops(mub2, am):
         for ivec in product(range(mub2.dim), repeat=am.n):
             rho = eve_state_loops(am, mub2, bvec, ivec)
             trace = float(np.trace(rho).real)
-            if trace > atk._LEAKAGE_SKIP:
+            if trace > qmath.LEAKAGE_SKIP:
                 states.append(rho / trace)
     # the walk keeps the same outcomes, in the same order, as diagonal blocks
     blocks = np.concatenate([atk._eve_states(branches) for _, branches, _ in atk._walk(am, mub2)])

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from meanking import bases, protocol, retrodiction, security
+from meanking import bases, protocol, qmath, retrodiction, security
 
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -271,7 +271,7 @@ class TestValidateTolerance:
         for tol in (1e-12, 1e-10, float("nan")):
             with pytest.raises(ValueError, match="below the validation floor 1e-09"):
                 bases.validate(bs, tol)
-        assert bases.validate(bs, bases.MIN_VALIDATE_TOL).unbiased
+        assert bases.validate(bs, qmath.MIN_VALIDATE_TOL).unbiased
 
     def test_tol_at_or_above_ceiling_refused(self, mub2, biased_copy):
         # a tolerance of 1 bounds no overlap of unit vectors: it would accept this set

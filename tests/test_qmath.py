@@ -1,8 +1,11 @@
+import ast
+import pathlib
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from meanking import qmath
+from meanking import bases, qmath, retrodiction, security
 
 from oracles import partial_trace_loops
 
@@ -131,6 +134,8 @@ class TestNullspace:
     def test_zero_matrix(self):
         dim, basis = qmath.nullspace(np.zeros((4, 4)))
         assert dim == 4 and basis.shape == (4, 4)
+        assert qmath.nullspace(np.zeros((0, 3)))[0] == 3
+        assert qmath.matrix_rank(np.zeros((4, 4))) == qmath.matrix_rank(np.zeros((0, 3))) == 0
 
     def test_identity(self):
         dim, _ = qmath.nullspace(np.eye(5))
@@ -202,3 +207,69 @@ class TestLpFeasible:
         ok, p = qmath.lp_feasible([[1.0, 1.0]], [1.0], maximize_min=True)
         assert ok
         assert_allclose(p, [0.5, 0.5], atol=1e-8)
+
+
+# Every entry point that takes a caller's tolerance: (call of tol, a value below
+# its floor, the floor's words in the refusal).
+TOLERANCE_ENTRY_POINTS = {
+    "validate": (lambda f, tol: bases.validate(f("mub2"), tol),
+                 1e-12, "validation floor 1e-09"),
+    "check_classical_model": (lambda f, tol: bases.check_classical_model(f("mub2"), tol),
+                              1e-12, "validation floor 1e-09"),
+    "constraint_nullspace": (lambda f, tol: security.constraint_nullspace(f("strategy_d2").etas,
+                                                                          tol),
+                             1e-20, "rounding floor 3.55e-15 of the 16 x 16 commutant form"),
+    "eigenvector_constraint_dim": (
+        lambda f, tol: security.eigenvector_constraint_dim(f("strategy_d2").safe_vectors, tol),
+        1e-20, "rounding floor 3.55e-15 of the 16 x 16 commutant form"),
+    "build_strategy": (lambda f, tol: retrodiction.build_strategy(f("mub2"), residual_tol=tol),
+                       0.0, "positive floor 4.94e-324"),
+    "solve_safe_vector": (lambda f, tol: retrodiction.solve_safe_vector(f("mub2"), (0, 1, 0),
+                                                                        residual_tol=tol),
+                          -1e-3, "positive floor 4.94e-324"),
+    "lp_feasible": (lambda f, tol: qmath.lp_feasible([[1.0]], [1.0], feasibility_tol=tol),
+                    1e-12, "LP feasibility floor 1e-10"),
+}
+
+
+class TestTolerancePolicy:
+    @pytest.mark.parametrize("entry", sorted(TOLERANCE_ENTRY_POINTS))
+    @pytest.mark.parametrize("value", ["nan", "-inf", "inf", "floor", 1.0, 1e300])
+    def test_refused_before_any_solve(self, request, monkeypatch, entry, value):
+        import scipy.optimize
+
+        call, below, floor = TOLERANCE_ENTRY_POINTS[entry]
+        get = request.getfixturevalue
+        get("mub2"), get("strategy_d2")  # built before the solves are cut off
+
+        def solve(*args, **kwargs):
+            raise AssertionError("a solve ran before the tolerance was checked")
+
+        for module, name in ((np.linalg, "eigh"), (np.linalg, "lstsq"),
+                             (scipy.optimize, "linprog")):
+            monkeypatch.setattr(module, name, solve)
+        tol = below if value == "floor" else float(value)
+        if value in ("nan", "-inf", "floor"):
+            message = f"^tolerance {tol:.3g} is below the {floor}$"
+        else:
+            message = "^tolerance .* is not below the ceiling 1$"
+        with pytest.raises(ValueError, match=message):
+            call(get, tol)
+
+    @pytest.mark.parametrize("entry", sorted(TOLERANCE_ENTRY_POINTS))
+    def test_default_accepted(self, request, entry):
+        TOLERANCE_ENTRY_POINTS[entry][0](request.getfixturevalue, qmath.DEFAULT_TOL)
+
+    def test_no_tolerance_literal_outside_the_table(self):
+        # a float below 1e-3 in the package is a tolerance or a floor; each is named once,
+        # in a module-level assignment of qmath
+        found = []
+        for path in sorted(pathlib.Path(qmath.__file__).parent.glob("*.py")):
+            tree = ast.parse(path.read_text())
+            table = {id(node) for stmt in tree.body if path.name == "qmath.py"
+                     and isinstance(stmt, ast.Assign) for node in ast.walk(stmt)}
+            for node in ast.walk(tree):
+                if (isinstance(node, ast.Constant) and type(node.value) is float
+                        and 0 < abs(node.value) < 1e-3 and id(node) not in table):
+                    found.append(f"{path.name}:{node.lineno} {node.value!r}")
+        assert found == []
