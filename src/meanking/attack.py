@@ -40,9 +40,12 @@ with each Q applied to its own (A_s, B_s) pair, for a whole chunk at once.
 Detection, leakage and the per-outcome error table are all read from that
 pass, and the protocol sampler draws Bob's outcomes and Alice's results
 from the same walk; :func:`_branch_vectors` is the single-outcome
-projection behind :func:`alice_state`. Leakage compares Eve's states
-pairwise in chunks of the pair triangle. A chunk of either kind holds a
-bounded number of entries, so memory does not grow with the grid.
+projection behind :func:`alice_state`. Eve's state depends on (b, i) only
+through what her interaction learns, so structured attacks repeat a few
+states over the whole grid: leakage keeps one copy of each byte-identical
+state and compares those pairwise in chunks of the pair triangle. A chunk
+of either kind holds a bounded number of entries, so memory does not grow
+with the grid.
 
 Subsystem order is always A x B x E, row-major. All indices 0-based.
 """
@@ -291,6 +294,13 @@ def _eve_states(branches: np.ndarray) -> np.ndarray:
 def _max_trace_distance(states: np.ndarray) -> float:
     """Largest trace distance between any two of Eve's states, stacked as (m, branch, E, E).
 
+    A state repeated byte for byte adds no new distance, so only the first
+    copy of each is kept, in the order of the stack. That order keeps every
+    difference formed one that the whole triangle also forms, with the same
+    sign: ``eigvalsh`` of the negation returns its eigenvalues reversed,
+    and summing them in another order can move the last bit. States that
+    are only close are not merged, so the value is the whole triangle's.
+
     Her states are block diagonal, so a trace distance is a sum over blocks.
     The pair triangle goes in chunks of rows of at most ``_PAIR_ENTRIES``
     entries, or one row, each one ``eigvalsh`` of the differences
@@ -298,6 +308,10 @@ def _max_trace_distance(states: np.ndarray) -> float:
     scalars, whose eigenvalue is their real part, so the distance is the l1
     distance of the real diagonals and needs no ``eigvalsh``.
     """
+    firsts = {}
+    for j, state in enumerate(states):
+        firsts.setdefault(state.tobytes(), j)
+    states = states[list(firsts.values())]
     m, nb, de, _ = states.shape
     scalar = de == 1
     if scalar:
@@ -323,7 +337,8 @@ def leakage(am: AttackModel, bs: BasisSet) -> float:
 
     Maximum trace distance between her states for any two outcomes (b, i)
     of nonnegligible probability; zero means the transcript taught her
-    nothing about the key.
+    nothing about the key. Only her distinct states are compared
+    (:func:`_max_trace_distance`), in the order the walk first meets them.
     """
     return _max_trace_distance(np.concatenate([_eve_states(branches)
                                                for _, branches, _ in _walk(am, bs)]))

@@ -25,6 +25,7 @@ All indices in this module are 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 from math import isqrt
 
@@ -178,10 +179,15 @@ def solve_povm_weights(safe_vectors) -> tuple[np.ndarray, float]:
     otherwise :func:`_max_min_weights_lp` solves for it. Raises
     :class:`Infeasible` when no nonnegative solution exists or the LP's
     answer is not complete, and :class:`NotMaximal` when solutions exist
-    but force some weight to zero.
+    but force some weight to zero. A table holding a NaN or infinite entry
+    is refused first, with ``ValueError``.
     """
     etas = safe_vectors.eta
     nx, dim2 = etas.shape
+    bad = np.argwhere(~np.isfinite(etas))
+    if bad.size:
+        j, c = bad[0]
+        raise ValueError(f"safe vector {j} has the non-finite entry {etas[j, c]}")
     point = np.full(nx, dim2 / float(np.sum(np.abs(etas) ** 2)))
     residual = _completeness_residual(etas, point, dim2)
     if residual > qmath.COMPLETENESS_TOL:
@@ -191,9 +197,14 @@ def solve_povm_weights(safe_vectors) -> tuple[np.ndarray, float]:
     return point, residual
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class Strategy:
-    """A maximal strategy for :func:`omega`: table row and weight j for guessing function j."""
+    """A maximal strategy for :func:`omega`: table row and weight j for guessing function j.
+
+    Its arrays are not edited after construction: the stored
+    ``completeness_residual`` and the digit operators, built once on first
+    use, describe them as they were.
+    """
 
     basis_set: BasisSet
     safe_vectors: np.recarray
@@ -216,6 +227,19 @@ class Strategy:
     def _rows(self, xs) -> np.ndarray:
         """Table rows of the guessing functions ``xs``, one per row of the (m, k) array-like."""
         return np.ravel_multi_index(np.asarray(xs).T, (self.d,) * self.basis_set.k)
+
+    @cached_property
+    def _digit_operators(self) -> np.ndarray:
+        """:func:`digit_operators`, built on first read, then cached read-only."""
+        bs, d = self.basis_set, self.d
+        etas, xvals = self.etas, enumerate_guessing_functions(d, bs.k)
+        q = np.empty((bs.k, d, d * d, d * d), dtype=complex)
+        for b in range(bs.k):
+            for i in range(d):
+                mask = xvals[:, b] == i
+                q[b, i] = (etas[mask].T * self.weights[mask]) @ etas[mask].conj()
+        q.flags.writeable = False
+        return q
 
 
 def build_strategy(bs: BasisSet, residual_tol: float = qmath.RESIDUAL_TOL) -> Strategy:
@@ -245,16 +269,12 @@ def digit_operators(strategy: Strategy) -> np.ndarray:
     gives sum_i Q[b, i] = identity for every b. The POVM of n independent
     instances is a tensor product, so its element for the digits (b_s, i_s)
     is the product of the Q[b_s, i_s], one per instance.
+
+    Q is built once per strategy, on first use, and every later call returns
+    that same read-only array: an attack sweep against one strategy does
+    not rebuild it.
     """
-    bs = strategy.basis_set
-    d = bs.dim
-    etas, xvals = strategy.etas, enumerate_guessing_functions(d, bs.k)
-    q = np.empty((bs.k, d, d * d, d * d), dtype=complex)
-    for b in range(bs.k):
-        for i in range(d):
-            mask = xvals[:, b] == i
-            q[b, i] = (etas[mask].T * strategy.weights[mask]) @ etas[mask].conj()
-    return q
+    return strategy._digit_operators
 
 
 @dataclass

@@ -59,6 +59,13 @@ def constraint_matrix(etas: np.ndarray) -> np.ndarray:
     return qmath.kron(np.eye(dim), etas.conj().T @ etas) - w.T @ w.conj()
 
 
+def _check_form_tol(dim: int, tol: float) -> None:
+    """Refuse a ``tol`` outside [D**2 * eps, MAX_TOL) for the form of vectors of dimension D."""
+    size = dim * dim
+    qmath.check_tol(tol, size * np.finfo(float).eps, "rounding floor",
+                    f" of the {size} x {size} commutant form")
+
+
 def constraint_nullspace(etas: np.ndarray, tol: float = qmath.DEFAULT_TOL):
     """Nullspace of the eigenvector conditions, from one ``eigh`` of their form.
 
@@ -71,9 +78,7 @@ def constraint_nullspace(etas: np.ndarray, tol: float = qmath.DEFAULT_TOL):
     eigenvalue below that, so such a cutoff would report no solution; nor
     can it reach ``qmath.MAX_TOL``, where every direction counts as one.
     """
-    size = np.shape(etas)[1] ** 2
-    qmath.check_tol(tol, size * np.finfo(float).eps, "rounding floor",
-                    f" of the {size} x {size} commutant form")
+    _check_form_tol(np.shape(etas)[1], tol)
     evals, evecs = np.linalg.eigh(constraint_matrix(etas))
     return int(np.sum(evals <= tol * evals[-1])), evecs.T, evals
 
@@ -86,10 +91,13 @@ def eigenvector_constraint_dim(safe_vectors, tol: float = qmath.DEFAULT_TOL) -> 
     witness proportional to the identity. Raises :class:`OverBudget`, before
     any array is built, when the largest array on the way to the form,
     max(nvec, dim**2) * dim**2 entries, exceeds ``bases.MAX_ARRAY_ENTRIES``:
-    the d=5 MUB strategy needs 15 625 * 625 = 9.8 million (156 MB).
+    the d=5 MUB strategy needs 15 625 * 625 = 9.8 million (156 MB). A
+    ``tol`` that :func:`constraint_nullspace` refuses is refused first,
+    before the span check's SVD.
     """
     etas = safe_vectors.eta
     nvec, dim = etas.shape
+    _check_form_tol(dim, tol)
     entries = max(nvec, dim * dim) * dim * dim
     if entries > bases.MAX_ARRAY_ENTRIES:
         raise bases.OverBudget(f"commutant check too large: {nvec} vectors of dimension {dim} "

@@ -15,7 +15,9 @@ function, kept as the reference for the one-solve strategy build, and
 :func:`weyl_loops` with :func:`operator_form_loops`, the source's Weyl
 expansion with one unitary per flat label, kept as the reference for the
 operator form and the honest coefficient, which the library reads off the
-source without expanding it.
+source without expanding it, and :func:`max_trace_distance_all_pairs`,
+the earlier leakage triangle over every pair of Eve's states, duplicates
+included, kept as the reference for the triangle over her distinct states.
 
 One resident is not a reference but a construct only the tests read:
 :func:`decomposition_triple`, the paper's eta_x = eta_u + eta_v - eta_w
@@ -226,6 +228,16 @@ def attack_pass_per_outcome(strategy, am):
         eigs = np.linalg.eigvalsh(np.array(eve[j + 1:]) - r)
         worst = max(worst, 0.5 * float(np.abs(eigs).sum(axis=1).max()))
     return total / bs.k**am.n, worst, table
+
+
+def max_trace_distance_all_pairs(states):
+    """Largest trace distance over every pair of Eve's states, stacked as (m, branch, E, E).
+
+    One ``eigvalsh`` of states[later] - states[j] per row j of the pair
+    triangle; repeated states are compared like any others.
+    """
+    return max((0.5 * float(np.abs(np.linalg.eigvalsh(states[j + 1:] - states[j]))
+                            .sum(axis=(1, 2)).max()) for j in range(len(states) - 1)), default=0.0)
 
 
 def product_tables(strategy, n, interleaved=False):

@@ -8,8 +8,9 @@ from numpy.testing import assert_allclose
 from meanking import attack as atk, protocol as proto, retrodiction as rd
 from meanking.bases import OverBudget
 
-from oracles import (attack_pass_per_outcome, intercept_resend_detection, operator_form_loops,
-                     probe_detection, weyl_loops)
+from oracles import (attack_pass_per_outcome, intercept_resend_detection,
+                     max_trace_distance_all_pairs, operator_form_loops, probe_detection,
+                     weyl_loops)
 
 # (d, n, d_E) of the operator-form checks against the per-label loops
 LOOP_SHAPES = [(2, 1, 2), (2, 2, 2), (3, 1, 2), (3, 2, 1), (5, 1, 1)]
@@ -370,6 +371,8 @@ def _grid_attack(kind, bs, n):
         return atk.intercept_resend(bs, 1, n=n)
     if kind == "source-replace":
         return atk.source_replace(d, 0.3, n=n)
+    if kind == "probe-E3":
+        return atk.probe_entangle(d, 0.7, n=n, d_eve=3)
     raw = atk.random_attack(d, n, 2, 2, np.random.default_rng(100 * d + n))
     return raw if kind == "random" else atk.scalarized_attack(raw)
 
@@ -434,8 +437,7 @@ class TestChunkBudgets:
         strategy = strategy_d2 if d == 2 else strategy_d3
         states = atk._attack_pass(strategy, atk.intercept_resend(strategy.basis_set, 1, n=n))[2]
         assert states.shape[2:] == (1, 1)
-        want = max(0.5 * float(np.abs(np.linalg.eigvalsh(states[j + 1:] - states[j]))
-                               .sum(axis=(1, 2)).max()) for j in range(len(states) - 1))
+        want = max_trace_distance_all_pairs(states)
 
         def refuse(*args, **kwargs):
             raise AssertionError("eigvalsh called on scalar blocks")
@@ -453,6 +455,67 @@ class TestChunkBudgets:
         finally:
             tracemalloc.stop()
         assert peak < 1 << 20
+
+
+class TestDistinctStates:
+    """Leakage compares Eve's distinct states only, and reports what every pair gives."""
+
+    KINDS = ["probe", "probe-E3", "intercept-resend", "source-replace", "scalarized", "random"]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
+    def test_matches_all_pairs_reference(self, d, n, kind, strategy_d2, strategy_d3):
+        strategy = strategy_d2 if d == 2 else strategy_d3
+        am = _grid_attack(kind, strategy.basis_set, n)
+        states = atk._attack_pass(strategy, am)[2]
+        want = max_trace_distance_all_pairs(states).hex()
+        assert atk._max_trace_distance(states).hex() == want
+        assert atk.leakage(am, strategy.basis_set).hex() == want
+        assert atk.evaluate_attack(strategy, am).leakage.hex() == want
+
+    @pytest.mark.parametrize("kind, distinct", [("probe", 9), ("random", 36)])
+    def test_repeats_cost_no_eigvalsh(self, kind, distinct, strategy_d2, monkeypatch):
+        states = atk._attack_pass(strategy_d2, _grid_attack(kind, strategy_d2.basis_set, 2))[2]
+        branches = states.shape[1]
+        assert len({state.tobytes() for state in states}) == distinct
+        want = atk._max_trace_distance(states)
+        seen = []
+        real = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            seen.append(int(np.prod(np.shape(a)[:-2])))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert atk._max_trace_distance(np.concatenate([states] * 3)).hex() == want.hex() != "0x0.0p+0"
+        assert sum(seen) <= distinct * (distinct - 1) // 2 * branches
+
+
+class TestDigitOperatorsOnce:
+    def test_built_once_per_strategy(self, strategy_d2, mub2, monkeypatch):
+        strategy = dataclasses.replace(strategy_d2)  # a fresh instance, nothing cached
+        served = []  # the arrays themselves, so no id is reused
+
+        def recording(s):
+            served.append(rd.digit_operators(s))
+            return served[-1]
+
+        monkeypatch.setattr(atk, "digit_operators", recording)
+        am = atk.intercept_resend(mub2, 1, n=2)
+        first = atk.evaluate_attack(strategy, am)
+        assert atk.evaluate_attack(strategy, am) == first
+        assert atk.detection_probability(strategy, am) == first.detection_probability
+        assert len(served) == 3 and all(q is served[0] for q in served)
+        assert rd.digit_operators(strategy_d2) is not served[0]
+
+    def test_read_only_and_frozen(self, strategy_d2):
+        q = rd.digit_operators(strategy_d2)
+        assert rd.digit_operators(strategy_d2) is q
+        assert not q.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            q[0, 0, 0, 0] = 0.0
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            strategy_d2.weights = np.ones(8)
 
 
 class TestDimensionMismatch:

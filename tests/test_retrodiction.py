@@ -296,6 +296,14 @@ class TestWeights:
         assert len(seen) == calls
         assert s.completeness_residual == original(s.etas, s.weights, bs.dim**2)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_table_refused(self, strategy_d2, lp_calls, bad):
+        table = strategy_d2.safe_vectors.copy()
+        table.eta[5, 2] = bad
+        with pytest.raises(ValueError, match=f"^safe vector 5 has the non-finite entry \\({bad}"):
+            rd.solve_povm_weights(table)
+        assert lp_calls == []
+
     def test_biased_subset_not_maximal(self, mub2, lp_calls, biased_copy):
         svs = rd.build_strategy(biased_copy(mub2, 0.2)).safe_vectors
         with pytest.raises((rd.Infeasible, rd.NotMaximal)):

@@ -116,6 +116,15 @@ class TestSingleRunCommutant:
         with pytest.raises(ValueError):
             security.eigenvector_constraint_dim(strategy_d2.safe_vectors[:3])
 
+    def test_tol_refused_before_span_check(self, strategy_d2, monkeypatch):
+        def refuse(*_args, **_kwargs):
+            raise AssertionError("span SVD ran before the tolerance was checked")
+
+        monkeypatch.setattr(security.qmath, "matrix_rank", refuse)
+        with pytest.raises(ValueError, match="^tolerance 1e-20 is below the rounding floor "
+                                             "3.55e-15 of the 16 x 16 commutant form$"):
+            security.eigenvector_constraint_dim(strategy_d2.safe_vectors, tol=1e-20)
+
     def test_constraint_rank(self, strategy_d2):
         report = security.eigenvector_constraint_dim(strategy_d2.safe_vectors)
         assert report.constraint_rank == 16 - report.solution_dim
