@@ -1,13 +1,67 @@
 """Numerical toolkit for Mean King retrodiction games and the two-way QKD
 protocol built on them: basis-set construction and validation, safe-vector
 strategies, protocol simulation, coherent-attack analysis and the
-zero-detection / zero-leakage security checks."""
+zero-detection / zero-leakage security checks.
+
+``import meanking`` runs none of the package modules. Each of ``qmath``,
+``serialize``, ``bases``, ``retrodiction``, ``attack``, ``protocol`` and
+``security`` is registered in ``sys.modules`` and as a package attribute,
+and its code runs on the first attribute access (``importlib.util.LazyLoader``).
+The package-level names (``meanking.evaluate_attack``, ``meanking.gen_mub``, ...)
+resolve the same way, on first access. So each CLI command loads only what
+it runs: ``bases gen`` and ``bases check`` load ``bases``, ``qmath`` and
+``serialize``; ``strategy build`` adds ``retrodiction``; ``security lemma``
+adds ``retrodiction`` and ``security``; ``security attack-eval`` adds
+``retrodiction`` and ``attack``; ``run`` adds ``retrodiction``, ``attack`` and
+``protocol``. A missing numpy shows at that first use, not at import.
+``LazyLoader`` locks a first load on Python 3.13 but not on 3.12.1 and older,
+where a module first used from several threads at once should be touched
+before they start.
+"""
+
+import importlib.util
+import sys
 
 __version__ = "0.7.0"
 
-from . import attack, bases, protocol, qmath, retrodiction, security  # noqa: F401
-from .attack import AttackModel, detection_probability, evaluate_attack, leakage  # noqa: F401
-from .bases import BasisSet, gen_mub, validate  # noqa: F401
-from .protocol import ProtocolConfig, agreement_rate, run_protocol, sift_and_test  # noqa: F401
-from .retrodiction import Strategy, build_strategy  # noqa: F401
-from .security import eigenvector_constraint_dim, product_commutant_check  # noqa: F401
+_MODULES = ("qmath", "serialize", "bases", "retrodiction", "attack", "protocol", "security")
+
+_NAMES = {
+    "AttackModel": "attack", "detection_probability": "attack",
+    "evaluate_attack": "attack", "leakage": "attack",
+    "BasisSet": "bases", "gen_mub": "bases", "validate": "bases",
+    "ProtocolConfig": "protocol", "agreement_rate": "protocol",
+    "run_protocol": "protocol", "sift_and_test": "protocol",
+    "Strategy": "retrodiction", "build_strategy": "retrodiction",
+    "eigenvector_constraint_dim": "security", "product_commutant_check": "security",
+}
+
+__all__ = [*_MODULES, *_NAMES]
+
+
+def _register(name: str):
+    """The module ``meanking.<name>``, put in ``sys.modules`` with its code not yet run."""
+    fullname = f"{__name__}.{name}"
+    if fullname in sys.modules:  # a reload of the package keeps the loaded modules
+        return sys.modules[fullname]
+    spec = importlib.util.find_spec(fullname)
+    spec.loader = importlib.util.LazyLoader(spec.loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[fullname] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+for _name in _MODULES:
+    globals()[_name] = _register(_name)
+del _name
+
+
+def __getattr__(name: str):
+    if name in _NAMES:
+        return getattr(globals()[_NAMES[name]], name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_NAMES})

@@ -46,17 +46,29 @@ class CommutantReport:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "witness"}
 
 
+# entries of the rows w that constraint_matrix builds at once (16 MB); at least one row
+_FORM_ENTRIES = 1 << 20
+
+
 def constraint_matrix(etas: np.ndarray) -> np.ndarray:
     """The form G = 1 (x) conj(S) - sum_eta w w^H of the eigenvector conditions of the rows eta.
 
     S = sum_eta |eta><eta| and w = (eta (x) conj(eta)) / ||eta||; vec(E) is
     row-major. E lies in G's nullspace iff every eta is one of its eigenvectors.
+    The w w^H terms are subtracted over chunks of at most ``_FORM_ENTRIES``
+    entries of w, so memory beyond G is bounded whatever the number of rows.
     """
     etas = np.asarray(etas, dtype=complex)
     nvec, dim = etas.shape
-    w = (etas[:, :, None] * etas.conj()[:, None, :]).reshape(nvec, dim * dim)
-    w /= np.linalg.norm(etas, axis=1)[:, None]
-    return qmath.kron(np.eye(dim), etas.conj().T @ etas) - w.T @ w.conj()
+    norms = np.linalg.norm(etas, axis=1)
+    form = qmath.kron(np.eye(dim), etas.conj().T @ etas)
+    step = max(1, _FORM_ENTRIES // (dim * dim))
+    for start in range(0, nvec, step):
+        chunk = etas[start:start + step]
+        w = (chunk[:, :, None] * chunk.conj()[:, None, :]).reshape(len(chunk), dim * dim)
+        w /= norms[start:start + step, None]
+        form -= w.T @ w.conj()
+    return form
 
 
 def _check_form_tol(dim: int, tol: float) -> None:
@@ -91,7 +103,8 @@ def eigenvector_constraint_dim(safe_vectors, tol: float = qmath.DEFAULT_TOL) -> 
     witness proportional to the identity. Raises :class:`OverBudget`, before
     any array is built, when the largest array on the way to the form,
     max(nvec, dim**2) * dim**2 entries, exceeds ``bases.MAX_ARRAY_ENTRIES``:
-    the d=5 MUB strategy needs 15 625 * 625 = 9.8 million (156 MB). A
+    the d=5 MUB strategy counts 15 625 * 625 = 9.8 million, though
+    :func:`constraint_matrix` builds them in chunks of 2**20 (16 MB). A
     ``tol`` that :func:`constraint_nullspace` refuses is refused first,
     before the span check's SVD.
     """

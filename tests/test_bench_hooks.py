@@ -5,14 +5,19 @@ would break ``perfbench/run.py --trace 1``.
 """
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-import meanking.cli  # noqa: F401  imports every module the tracer patches
+import meanking.cli  # noqa: F401  install() also rebinds the names the CLI imported
 from meanking import attack, protocol, security
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
 
 
 def _load_tracing():
@@ -64,3 +69,34 @@ def test_commutant_stacks_one_block(strategy_d2, n):
     finally:
         tracer.uninstall()
     assert tracer.counts["security.constraint_rows"] == 16
+
+
+@pytest.mark.parametrize("step, argv, spans", [
+    ("bases-gen", ["bases", "gen", "--dim", "2", "--out", "b2.json"],
+     ["bases.gen_mub", "serialize.write_json"]),
+    ("attack-eval", ["security", "attack-eval", "--attack", "probe", "--dim", "2"],
+     ["attack.evaluate_attack"]),
+])
+def test_traced_child_matches_plain_run(tmp_path, step, argv, spans):
+    # perfbench/cli_child.py installs the tracer after `import meanking.cli`, when
+    # the modules are registered but not yet run; install() loads each one it wraps
+    src = str(Path(meanking.cli.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    plain_dir, traced_dir = tmp_path / "plain", tmp_path / "traced"
+    plain_dir.mkdir()
+    traced_dir.mkdir()
+    plain = subprocess.run([sys.executable, "-m", "meanking.cli", *argv], cwd=plain_dir,
+                           capture_output=True, env=env)
+    spans_path = tmp_path / "spans.json"
+    traced = subprocess.run([sys.executable, str(PERFBENCH / "cli_child.py"), str(spans_path), step,
+                             *argv], cwd=traced_dir, capture_output=True, env=env)
+    assert plain.returncode == 0, plain.stderr
+    assert traced.returncode == 0, traced.stderr
+    assert traced.stdout == plain.stdout
+    files = sorted(path.name for path in plain_dir.iterdir())
+    assert sorted(path.name for path in traced_dir.iterdir()) == files
+    for name in files:
+        assert (traced_dir / name).read_bytes() == (plain_dir / name).read_bytes()
+    names = {span[0] for span in json.loads(spans_path.read_text())["spans"]}
+    assert {"import.meanking", f"cli.{step}", *spans} <= names

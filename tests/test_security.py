@@ -1,3 +1,4 @@
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -63,6 +64,27 @@ class TestForm:
         weighted = float(strategy.weights @ residuals_per_vector(strategy.etas, e))
         off_scalar = np.linalg.norm(e - np.trace(e) / (d * d) * np.eye(d * d)) ** 2
         assert weighted >= (1 - 1 / d) * off_scalar * (1 - 1e-12)
+
+    @pytest.mark.parametrize("name", ["strategy_d2", "strategy_d3"])
+    def test_chunks_of_one_row(self, request, monkeypatch, name):
+        # d <= 3 fits the default budget in one chunk, so its form is the one-shot sum
+        etas = request.getfixturevalue(name).etas
+        assert etas.size * etas.shape[1] <= security._FORM_ENTRIES
+        whole = security.constraint_matrix(etas)
+        monkeypatch.setattr(security, "_FORM_ENTRIES", 1)
+        np.testing.assert_allclose(security.constraint_matrix(etas), whole, rtol=0, atol=1e-12)
+
+    def test_peak_memory_d5(self, strategy_d5):
+        # w of the d=5 strategy is 15 625 x 625 entries (156 MB) and never built whole
+        etas = strategy_d5.etas
+        security.constraint_matrix(etas[:1])  # first-call allocations stay outside
+        tracemalloc.start()
+        try:
+            security.constraint_matrix(etas)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 << 20
 
 
 class TestSingleRunCommutant:
