@@ -14,7 +14,9 @@ it runs: ``bases gen`` and ``bases check`` load ``bases``, ``qmath`` and
 adds ``retrodiction`` and ``security``; ``security attack-eval`` adds
 ``retrodiction`` and ``attack``; ``run`` adds ``retrodiction``, ``attack`` and
 ``protocol``. A missing numpy shows at that first use, not at import.
-``LazyLoader`` locks a first load on Python 3.13 but not on 3.12.1 and older,
+A module whose first run fails is taken out of ``sys.modules`` and the
+package again, so a retry, or an import that needs it, repeats the real
+error. ``LazyLoader`` locks a first load on Python 3.13 but not on 3.12.1 and older,
 where a module first used from several threads at once should be touched
 before they start.
 """
@@ -22,7 +24,7 @@ before they start.
 import importlib.util
 import sys
 
-__version__ = "0.7.0"
+__version__ = "0.8.0"
 
 _MODULES = ("qmath", "serialize", "bases", "retrodiction", "attack", "protocol", "security")
 
@@ -39,13 +41,39 @@ _NAMES = {
 __all__ = [*_MODULES, *_NAMES]
 
 
+class _Forgetful:
+    """A module's loader that, when the module's first run fails, forgets the module.
+
+    It takes the module out of ``sys.modules`` and the package before the
+    error goes on, so that the next use runs it afresh and meets the real
+    error again, not a half-run module.
+    """
+
+    def __init__(self, loader):
+        self.loader = loader
+
+    def __getattr__(self, name):
+        return getattr(self.loader, name)
+
+    def exec_module(self, module):
+        try:
+            self.loader.exec_module(module)
+        except BaseException:
+            name = module.__spec__.name
+            if sys.modules.get(name) is module:
+                del sys.modules[name]
+            if globals().get(name.rpartition(".")[2]) is module:
+                del globals()[name.rpartition(".")[2]]
+            raise
+
+
 def _register(name: str):
     """The module ``meanking.<name>``, put in ``sys.modules`` with its code not yet run."""
     fullname = f"{__name__}.{name}"
     if fullname in sys.modules:  # a reload of the package keeps the loaded modules
         return sys.modules[fullname]
     spec = importlib.util.find_spec(fullname)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
+    spec.loader = importlib.util.LazyLoader(_Forgetful(spec.loader))
     module = importlib.util.module_from_spec(spec)
     sys.modules[fullname] = module
     spec.loader.exec_module(module)
@@ -58,8 +86,10 @@ del _name
 
 
 def __getattr__(name: str):
+    if name in _MODULES:  # forgotten after a failed first run: run it again
+        return importlib.import_module(f"{__name__}.{name}")
     if name in _NAMES:
-        return getattr(globals()[_NAMES[name]], name)
+        return getattr(importlib.import_module(f"{__name__}.{_NAMES[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 

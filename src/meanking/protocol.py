@@ -303,7 +303,7 @@ def run_protocol(cfg: ProtocolConfig, strategy: Strategy, attack=None) -> Transc
     if cfg.rounds * cfg.n > bases.MAX_ARRAY_ENTRIES:
         raise bases.OverBudget(f"run too large: {cfg.rounds} rounds of {cfg.n} instances, "
                                f"budget {bases.MAX_ARRAY_ENTRIES} instances")
-    entries = (d * len(strategy.safe_vectors))**am.n * len(am.kraus) * am.d_eve
+    entries = d ** ((1 + strategy.basis_set.k) * am.n) * len(am.kraus) * am.d_eve
     if entries > bases.MAX_ARRAY_ENTRIES:
         raise bases.OverBudget(f"sampler too large: a basis block fills up to {entries} "
                                f"amplitudes, budget {bases.MAX_ARRAY_ENTRIES}")

@@ -11,6 +11,7 @@ also the tolerance policy: the table below and :func:`check_tol`.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 
 import numpy as np
 
@@ -108,6 +109,14 @@ def lstsq(a: np.ndarray, b: np.ndarray):
     return x, residual
 
 
+@lru_cache(maxsize=None)
+def triu_indices(n: int, k: int = 0):
+    """``np.triu_indices(n, k)``, formed once per (n, k) and read-only."""
+    rows, cols = np.triu_indices(n, k)
+    rows.flags.writeable = cols.flags.writeable = False
+    return rows, cols
+
+
 def hermitian_coords(h: np.ndarray) -> np.ndarray:
     """Real coordinates of a Hermitian matrix, or of each in a stack over the leading axes.
 
@@ -116,7 +125,7 @@ def hermitian_coords(h: np.ndarray) -> np.ndarray:
     and inner products of Hermitian families are preserved.
     """
     h = np.asarray(h, dtype=complex)
-    upper = h[(..., *np.triu_indices(h.shape[-1], k=1))]
+    upper = h[(..., *triu_indices(h.shape[-1], 1))]
     return np.concatenate([np.diagonal(h, axis1=-2, axis2=-1).real,
                            np.sqrt(2.0) * upper.real, np.sqrt(2.0) * upper.imag], axis=-1)
 

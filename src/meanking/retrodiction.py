@@ -9,15 +9,35 @@ are weighted projectors onto safe vectors eta_x, fixed by the condition
 
 where phi_hat_b(i) is Alice's (unnormalized) conditional state after Bob
 measured outcome i in basis b. The conditions are linear in x, so one
-least-squares solve gives every eta_x, whatever d is, into one table: a
-record array with the columns ``eta`` and ``residual`` and row j for the x
-whose base-d digits are j, which readers take whole. A measurement
-supported on safe vectors never produces a wrong guess. The weights must
-make the POVM complete with every weight strictly positive (a maximal
-strategy). For mutually unbiased bases uniform weights do (Hayashi, Horibe
-& Hashimoto, PRA 71, 052331, 2005), and an exact completeness check
-accepts them; other basis sets fall back to a max-min LP (Reimpell &
-Werner, PRA 75, 062334, 2007).
+least-squares solve gives k*d generators g[b, j], one per basis and
+outcome, and eta_x = sum_b g[b, x(b)] whatever d is. A :class:`Strategy`
+holds the generators and the weights. A measurement supported on safe
+vectors never produces a wrong guess. The weights must make the POVM
+complete with every weight strictly positive (a maximal strategy). For
+mutually unbiased bases uniform weights do (Hayashi, Horibe & Hashimoto,
+PRA 71, 052331, 2005); other basis sets fall back to a max-min LP
+(Reimpell & Werner, PRA 75, 062334, 2007).
+
+Under uniform weights no sum over the d**k guessing functions needs them
+listed, because the digits of x are independent and uniform: each sum is a
+moment of every basis's generators. With mu_b the mean of g[b, j] over j,
+C_b = mean_j g[b, j] g[b, j]^dagger - mu_b mu_b^dagger and m = sum_b mu_b,
+
+    sum_x |eta_x><eta_x| = d**k (m m^dagger + sum_b C_b),
+    Q[b, i] = p d**(k-1) (v v^dagger + sum_(b' != b) C_b'),   v = g[b, i] + m - mu_b,
+
+which give the uniform weight p = d**2 / trace, its completeness residual
+and the digit operators Q. The residual of eta_x is the norm of a sum of
+one miss vector r[b, x(b)] per basis, so with nu_b their mean over j,
+||sum_b nu_b|| + sum_b max_j ||r[b, j] - nu_b|| bounds every one of them.
+
+The table of all d**k safe vectors, a record array with the columns
+``eta`` and ``residual`` and row j for the x whose base-d digits are j, is
+a cached, read-only view, summed from the generators the way the solve
+always summed them. Only what must enumerate builds it: the protocol
+sampler, the lemma, the LP weights and the digit operators under them, and
+the per-x check of a residual bound above its tolerance.
+``MAX_GUESSING_FUNCTIONS`` bounds that view.
 
 All indices in this module are 0-based.
 """
@@ -35,6 +55,8 @@ from . import bases, qmath
 from .bases import (MAX_GUESSING_FUNCTIONS, BasisSet, FormatError, OverBudget,
                     basis_set_from_json, digits, enumerate_guessing_functions)
 from .serialize import complex_to_pairs, pairs_to_complex, read_json, write_json
+
+STRATEGY_FORMAT = "meanking-strategy-v2"
 
 
 class ResidualTooLarge(RuntimeError):
@@ -85,6 +107,14 @@ def phi_hat(bs: BasisSet, b: int, i: int) -> np.ndarray:
     return (omega(d).reshape(d, d) @ np.outer(phi, phi.conj()).T).reshape(-1)
 
 
+def conditional_states(bs: BasisSet) -> np.ndarray:
+    """Every :func:`phi_hat`, row b*d + i of a (k*d, d*d) array, from one batched product."""
+    d, k = bs.dim, bs.k
+    v = bs.vectors.reshape(k * d, d)
+    projectors = v[:, :, None] * v[:, None, :].conj()
+    return (omega(d).reshape(d, d) @ projectors.transpose(0, 2, 1)).reshape(k * d, -1)
+
+
 def safe_vector_table(etas, residuals) -> np.recarray:
     """The strategy table: a row per guessing function, columns ``eta`` and ``residual``."""
     etas = np.asarray(etas, dtype=complex)
@@ -92,40 +122,102 @@ def safe_vector_table(etas, residuals) -> np.recarray:
                              dtype=[("eta", complex, etas.shape[1:]), ("residual", float)])
 
 
-def _safe_vectors(bs: BasisSet, xs: np.ndarray, residual_tol: float) -> np.recarray:
-    """Rows for the guessing functions ``xs`` (rows of k digits), all from one least-squares solve.
+def _check_size(bs: BasisSet) -> None:
+    """:class:`OverBudget` when a strategy's largest array is over ``bases.MAX_ARRAY_ENTRIES``.
 
-    conj(eta_x) is the minimum-norm solution of A y = r_x (A: the k*d
-    conditional states as rows; r_x: a 1 at each b*d + x(b)). It is linear in
-    r_x, so y and A y - r_x sum column b*d + x(b) of G and of A G - 1 over b,
-    where G solves A G = 1. Raises ``ValueError`` for a ``residual_tol`` outside
-    qmath's (0, MAX_TOL), then :class:`ResidualTooLarge` for the first x over it.
+    That is k*d * max(k*d, d**4) entries: the solve's identity right-hand
+    side, or the k*d digit operators on the d*d dimensional pair space.
     """
-    qmath.check_tol(residual_tol, qmath.POSITIVE_FLOOR, "positive floor")
+    kd, d = bs.k * bs.dim, bs.dim
+    entries = kd * max(kd, d**4)
+    if entries > bases.MAX_ARRAY_ENTRIES:
+        raise OverBudget(f"a strategy for {bs.k} bases in dimension {d} needs {entries} "
+                         f"entries, budget {bases.MAX_ARRAY_ENTRIES}")
+
+
+def _generators(a: np.ndarray, d: int) -> np.ndarray:
+    """The generators g[b, j] as (k, d, d*d), from one least-squares solve.
+
+    conj(g[b, j]) is the minimum-norm solution of A y = e_(b*d + j), A the
+    conditional states as rows, so conj(eta_x) = sum_b conj(g[b, x(b)])
+    solves A y = r_x (r_x: a 1 at each b*d + x(b)).
+    """
+    gens, _ = qmath.lstsq(a, np.eye(len(a)))
+    return gens.T.conj().reshape(-1, d, d * d)
+
+
+def _miss_vectors(a: np.ndarray, generators: np.ndarray) -> np.ndarray:
+    """A conj(g[b, j]) - e_(b*d + j) per generator, as (k, d, k*d): a residual is a sum's norm."""
+    k, d, _ = generators.shape
+    misses = a @ generators.reshape(k * d, -1).T.conj() - np.eye(k * d)
+    return misses.T.reshape(k, d, k * d)
+
+
+def _residual_bound(misses: np.ndarray) -> float:
+    """||sum_b nu_b|| + sum_b max_j ||r[b, j] - nu_b||, nu_b = mean_j r[b, j]: >= every residual."""
+    nu = misses.sum(axis=1, keepdims=True) / misses.shape[1]
+    spread = np.linalg.norm(misses - nu, axis=2).max(axis=1)
+    return float(np.linalg.norm(nu.sum(axis=0)) + spread.sum())
+
+
+def _guessing_functions(bs: BasisSet) -> np.ndarray:
+    """Every guessing function; :class:`OverBudget`, before any is listed, past the budget."""
     d, k = bs.dim, bs.k
-    a = np.array([phi_hat(bs, b, i) for b in range(k) for i in range(d)])
-    gens, _ = qmath.lstsq(a, np.eye(k * d))
-    cols = xs + d * np.arange(k)
-    eta_gens, miss_gens = gens.T.conj(), (a @ gens - np.eye(k * d)).T
-    etas = sum(eta_gens[cols[:, b]] for b in range(k))
-    residuals = np.linalg.norm(sum(miss_gens[cols[:, b]] for b in range(k)), axis=1)
-    bad = np.flatnonzero(residuals > residual_tol)
+    if d**k > MAX_GUESSING_FUNCTIONS:
+        raise OverBudget(f"{d}**{k} = {d**k} guessing functions exceed the enumeration budget "
+                         f"{MAX_GUESSING_FUNCTIONS}")
+    return enumerate_guessing_functions(d, k)
+
+
+def _table(generators: np.ndarray, misses: np.ndarray, xs: np.ndarray) -> np.recarray:
+    """Table rows of the guessing functions ``xs`` (rows of k digits), summed basis by basis."""
+    k = len(generators)
+    etas = sum(generators[b, xs[:, b]] for b in range(k))
+    residuals = np.linalg.norm(sum(misses[b, xs[:, b]] for b in range(k)), axis=1)
+    return safe_vector_table(etas, residuals)
+
+
+def _check_residuals(table: np.recarray, xs: np.ndarray, residual_tol: float) -> None:
+    """:class:`ResidualTooLarge` for the first row of ``table`` over ``residual_tol``."""
+    bad = np.flatnonzero(table.residual > residual_tol)
     if bad.size:
         raise ResidualTooLarge(f"safe vector for x={tuple(xs[bad[0]].tolist())} has residual "
-                               f"{residuals[bad[0]]:.3e} > {residual_tol:.1e}")
-    return safe_vector_table(etas, residuals)
+                               f"{table.residual[bad[0]]:.3e} > {residual_tol:.1e}")
 
 
 def solve_safe_vector(bs: BasisSet, x, residual_tol: float = qmath.RESIDUAL_TOL) -> np.record:
     """Minimum-norm solution of the safe-vector conditions for one x, as a table row.
 
-    The one-x case of :func:`_safe_vectors`, which raises its errors.
+    Raises ``ValueError`` for an x that is not a guessing function of the
+    set or a ``residual_tol`` outside qmath's (0, MAX_TOL), then
+    :class:`ResidualTooLarge` when x's residual is over it.
     """
     d, k = bs.dim, bs.k
     x = tuple(int(v) for v in x)
     if len(x) != k or any(v < 0 or v >= d for v in x):
         raise ValueError(f"guessing function {x} invalid for k={k}, d={d}")
-    return _safe_vectors(bs, np.array([x]), residual_tol)[0]
+    qmath.check_tol(residual_tol, qmath.POSITIVE_FLOOR, "positive floor")
+    _check_size(bs)
+    a, xs = conditional_states(bs), np.array([x])
+    generators = _generators(a, d)
+    row = _table(generators, _miss_vectors(a, generators), xs)
+    _check_residuals(row, xs, residual_tol)
+    return row[0]
+
+
+def _moments(generators: np.ndarray):
+    """mu_b, C_b (both stacked over b) and T = m m^dagger + sum_b C_b of the module docstring."""
+    d = generators.shape[1]
+    mu = generators.sum(axis=1) / d
+    cov = (np.swapaxes(generators, 1, 2) @ generators.conj() / d
+           - mu[:, :, None] * mu[:, None, :].conj())
+    m = mu.sum(axis=0)
+    return mu, cov, np.outer(m, m.conj()) + cov.sum(axis=0)
+
+
+def _uniform_residual(total: np.ndarray, weight: float, count: int) -> float:
+    """Max-norm distance from the identity of sum_x p |eta_x><eta_x| = p * count * total."""
+    return float(np.max(np.abs(weight * count * total - np.eye(len(total)))))
 
 
 def _completeness_residual(etas: np.ndarray, weights: np.ndarray, dim2: int) -> float:
@@ -199,30 +291,71 @@ def solve_povm_weights(safe_vectors) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True, eq=False)
 class Strategy:
-    """A maximal strategy for :func:`omega`: table row and weight j for guessing function j.
+    """A maximal strategy for :func:`omega`: weight j, and table row j, for guessing function j.
 
-    Its arrays are not edited after construction: the stored
-    ``completeness_residual`` and the digit operators, built once on first
-    use, describe them as they were.
+    It is given by its generators, shape (k, d, d*d), as :func:`build_strategy`
+    and a v2 file give it, or by its whole ``table``, as a v1 file or a table
+    made by hand gives it; by exactly one of the two. Uniform weights may be
+    one value broadcast read-only to all d**k. The arrays are not edited after
+    construction: the stored ``completeness_residual``, and the table view and
+    digit operators built on first use, describe them as they were.
     """
 
     basis_set: BasisSet
-    safe_vectors: np.recarray
     weights: np.ndarray
     completeness_residual: float
+    generators: np.ndarray | None = None
+    table: np.recarray | None = None
 
     def __post_init__(self):
-        if not len(self.safe_vectors) == len(self.weights) == self.d**self.basis_set.k:
-            raise ValueError(f"a strategy has {self.d}**{self.basis_set.k} rows and weights, "
-                             f"not {len(self.safe_vectors)} and {len(self.weights)}")
+        bs, count = self.basis_set, self.d**self.basis_set.k
+        if (self.generators is None) == (self.table is None):
+            raise ValueError("a strategy is given by its generators or by its table, one of them")
+        shape = (bs.k, bs.dim, bs.dim**2)
+        if self.generators is not None and self.generators.shape != shape:
+            raise ValueError(f"generators have shape {self.generators.shape}, not {shape}")
+        rows = count if self.table is None else len(self.table)
+        if not rows == len(self.weights) == count:
+            raise ValueError(f"a strategy has {self.d}**{bs.k} rows and weights, "
+                             f"not {rows} and {len(self.weights)}")
 
     @property
     def d(self) -> int:
         return self.basis_set.dim
 
+    @cached_property
+    def safe_vectors(self) -> np.recarray:
+        """The table: the one given, or a read-only view built from the generators on first read.
+
+        Building it raises :class:`OverBudget` past ``MAX_GUESSING_FUNCTIONS``.
+        """
+        if self.table is not None:
+            return self.table
+        xs = _guessing_functions(self.basis_set)
+        table = _table(self.generators, self._misses, xs)
+        table.flags.writeable = False
+        return table
+
     @property
     def etas(self) -> np.ndarray:
         return self.safe_vectors.eta
+
+    @cached_property
+    def _misses(self) -> np.ndarray:
+        return _miss_vectors(conditional_states(self.basis_set), self.generators)
+
+    @property
+    def max_residual(self) -> float:
+        """The bound of the module docstring on every residual, or the given table's largest one."""
+        if self.table is not None:
+            return float(self.table.residual.max())
+        return _residual_bound(self._misses)
+
+    @property
+    def uniform_weight(self) -> float | None:
+        """The weight of every guessing function when they all have one, else None."""
+        w = self.weights
+        return float(w[0]) if w.min() == w.max() else None
 
     def _rows(self, xs) -> np.ndarray:
         """Table rows of the guessing functions ``xs``, one per row of the (m, k) array-like."""
@@ -230,32 +363,66 @@ class Strategy:
 
     @cached_property
     def _digit_operators(self) -> np.ndarray:
-        """:func:`digit_operators`, built on first read, then cached read-only."""
-        bs, d = self.basis_set, self.d
-        etas, xvals = self.etas, enumerate_guessing_functions(d, bs.k)
-        q = np.empty((bs.k, d, d * d, d * d), dtype=complex)
-        for b in range(bs.k):
-            for i in range(d):
-                mask = xvals[:, b] == i
-                q[b, i] = (etas[mask].T * self.weights[mask]) @ etas[mask].conj()
+        """:func:`digit_operators`, built on first read, then cached read-only.
+
+        In closed form from the generators under uniform weights; summed over
+        the table otherwise.
+        """
+        bs, d, p = self.basis_set, self.d, self.uniform_weight
+        _check_size(bs)
+        if self.generators is not None and p is not None:
+            mu, cov, _ = _moments(self.generators)
+            v = self.generators + (mu.sum(axis=0) - mu)[:, None, :]
+            rest = cov.sum(axis=0) - cov  # sum_(b' != b) C_b'
+            q = p * d ** (bs.k - 1) * (v[..., :, None] * v[..., None, :].conj() + rest[:, None])
+        else:
+            etas, xvals = self.etas, _guessing_functions(bs)
+            q = np.empty((bs.k, d, d * d, d * d), dtype=complex)
+            for b in range(bs.k):
+                for i in range(d):
+                    mask = xvals[:, b] == i
+                    q[b, i] = (etas[mask].T * self.weights[mask]) @ etas[mask].conj()
         q.flags.writeable = False
         return q
 
 
 def build_strategy(bs: BasisSet, residual_tol: float = qmath.RESIDUAL_TOL) -> Strategy:
-    """Every safe vector, from one solve, and the POVM weights for a full basis set.
+    """The generators, from one solve, and the POVM weights for a full basis set.
 
-    Raises :class:`OverBudget`, before enumerating anything, when the set
-    has more than ``MAX_GUESSING_FUNCTIONS`` guessing functions.
+    Nothing is enumerated when the residual bound is within ``residual_tol``
+    and the uniform weight completes the POVM, as for mutually unbiased
+    bases. Otherwise every residual is checked, or the max-min weights are
+    solved for by the LP of :func:`solve_povm_weights`, over the table of all
+    d**k guessing functions. Raises ``ValueError`` for a ``residual_tol``
+    outside qmath's (0, MAX_TOL); :class:`OverBudget` for a set whose strategy arrays are
+    over ``bases.MAX_ARRAY_ENTRIES``, or which must enumerate past
+    ``MAX_GUESSING_FUNCTIONS``; :class:`ResidualTooLarge` for the first x over
+    ``residual_tol``; and :class:`NotMaximal` or :class:`Infeasible` on the
+    verdict of :func:`_check_complete_and_maximal`.
     """
-    d = bs.dim
-    if d**bs.k > MAX_GUESSING_FUNCTIONS:
-        raise OverBudget(f"{d}**{bs.k} = {d**bs.k} guessing functions exceed the build "
-                         f"budget {MAX_GUESSING_FUNCTIONS}")
-    table = _safe_vectors(bs, enumerate_guessing_functions(d, bs.k), residual_tol)
-    weights, residual = solve_povm_weights(table)
-    return Strategy(basis_set=bs, safe_vectors=table, weights=weights,
-                    completeness_residual=residual)
+    qmath.check_tol(residual_tol, qmath.POSITIVE_FLOOR, "positive floor")
+    _check_size(bs)
+    d, count = bs.dim, bs.dim**bs.k
+    a = conditional_states(bs)
+    generators = _generators(a, d)
+    misses = _miss_vectors(a, generators)
+    if _residual_bound(misses) > residual_tol:
+        xs = _guessing_functions(bs)
+        _check_residuals(_table(generators, misses, xs), xs, residual_tol)
+    # the uniform candidate of solve_povm_weights, in closed form
+    total = _moments(generators)[2]
+    weight = d * d / (count * float(np.trace(total).real))
+    residual = _uniform_residual(total, weight, count)
+    if residual <= qmath.COMPLETENESS_TOL:
+        _check_complete_and_maximal(np.array([weight]), residual, "solved strategy")
+        weights = np.broadcast_to(weight, (count,))
+    else:
+        etas = _table(generators, misses, _guessing_functions(bs)).eta
+        weights = _max_min_weights_lp(etas)
+        residual = _completeness_residual(etas, weights, d * d)
+        _check_complete_and_maximal(weights, residual, "solved strategy")
+    return Strategy(basis_set=bs, weights=weights, completeness_residual=residual,
+                    generators=generators)
 
 
 def digit_operators(strategy: Strategy) -> np.ndarray:
@@ -272,7 +439,12 @@ def digit_operators(strategy: Strategy) -> np.ndarray:
 
     Q is built once per strategy, on first use, and every later call returns
     that same read-only array: an attack sweep against one strategy does
-    not rebuild it.
+    not rebuild it. Under uniform weights it comes from the generators in
+    closed form (module docstring), which lists no guessing function; under
+    other weights, or for a strategy given as its table, it is summed over
+    the table. Raises :class:`OverBudget` when its k*d operators on the pair
+    space are over ``bases.MAX_ARRAY_ENTRIES``, or when it must list more
+    than ``MAX_GUESSING_FUNCTIONS`` guessing functions.
     """
     return strategy._digit_operators
 
@@ -314,45 +486,106 @@ def tensor_strategy(s: Strategy, n: int) -> ProductStrategy:
 
 
 def save_strategy(s: Strategy, path) -> None:
-    table, xs = s.safe_vectors, enumerate_guessing_functions(s.d, s.basis_set.k)
-    entries = [{"x": x, "eta": eta, "p": p, "residual": res} for x, eta, p, res in
-               zip(xs.tolist(), complex_to_pairs(table.eta), s.weights.tolist(),
-                   table.residual.tolist())]
-    write_json(path, {"dim": s.d, "bases": complex_to_pairs(s.basis_set.vectors),
-                      "omega": complex_to_pairs(omega(s.d)), "entries": entries})
+    """Write a strategy: its generators in the v2 layout, or its table in the v1 layout.
+
+    A v2 file holds ``format``, ``dim``, ``bases``, ``generators`` (k, d, d*d)
+    and ``weights``, one number when every guessing function has the same
+    weight and a list of d**k otherwise. A strategy given as its table has
+    no generators, and only the v1 layout stores a table: ``dim``, ``bases``,
+    ``omega`` and one entry with ``x``, ``eta``, ``p`` and ``residual`` per row.
+    """
+    bs = s.basis_set
+    if s.table is not None:
+        xs = enumerate_guessing_functions(s.d, bs.k)
+        entries = [{"x": x, "eta": eta, "p": p, "residual": res} for x, eta, p, res in
+                   zip(xs.tolist(), complex_to_pairs(s.table.eta), s.weights.tolist(),
+                       s.table.residual.tolist())]
+        write_json(path, {"dim": s.d, "bases": complex_to_pairs(bs.vectors),
+                          "omega": complex_to_pairs(omega(s.d)), "entries": entries})
+        return
+    weight = s.uniform_weight
+    write_json(path, {"format": STRATEGY_FORMAT, "dim": s.d, "bases": complex_to_pairs(bs.vectors),
+                      "generators": complex_to_pairs(s.generators),
+                      "weights": s.weights.tolist() if weight is None else weight})
+
+
+def _number(value) -> float:
+    """A JSON number as a float; ``ValueError`` for anything else or one that is not finite."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
+    value = float(value)
+    if not np.isfinite(value):
+        raise ValueError(f"{value} is not finite")
+    return value
+
+
+def _read_v2(data, bs: BasisSet) -> Strategy:
+    """The strategy of a v2 file's fields, its completeness residual recomputed."""
+    d, k = bs.dim, bs.k
+    if data["format"] != STRATEGY_FORMAT:
+        raise ValueError(f"unknown strategy format {data['format']!r}")
+    _check_size(bs)
+    generators = pairs_to_complex(data["generators"])
+    if generators.shape != (k, d, d * d):
+        raise ValueError(f"generators have shape {generators.shape}, not {(k, d, d * d)}")
+    count = d**k
+    if isinstance(data["weights"], list):
+        weights = np.array([_number(w) for w in data["weights"]])
+        if len(weights) != count:
+            raise ValueError(f"{len(weights)} weights, not {d}**{k}")
+        a, xs = conditional_states(bs), _guessing_functions(bs)
+        etas = _table(generators, _miss_vectors(a, generators), xs).eta
+        residual = _completeness_residual(etas, weights, d * d)
+    else:
+        weight = _number(data["weights"])
+        with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or NaN
+            residual = _uniform_residual(_moments(generators)[2], weight, count)
+        weights = np.broadcast_to(weight, (count,))
+    return Strategy(basis_set=bs, weights=weights, completeness_residual=residual,
+                    generators=generators)
+
+
+def _read_v1(data, bs: BasisSet) -> Strategy:
+    """The strategy of a v1 file's fields, as its table, its completeness residual recomputed."""
+    dim = bs.dim
+    source = pairs_to_complex(data["omega"])
+    if source.shape != (dim * dim,) or np.max(np.abs(source - omega(dim))) > qmath.DEFAULT_TOL:
+        raise ValueError(f"omega is not the maximally entangled state of dimension {dim}")
+    entries = data["entries"]  # nothing longer than the entry list is built
+    want = digits(np.arange(min(len(entries), dim**bs.k)), dim, bs.k).tolist()
+    bad = next((j for j, (e, x) in enumerate(zip(entries, want)) if e["x"] != x), len(want))
+    if bad < len(entries) or len(entries) != dim**bs.k:
+        raise ValueError(f"entry {bad} of {len(entries)} is not guessing function {bad}: "
+                         f"the entries list all {dim}**{bs.k} in order, first basis slowest")
+    etas, weights, residuals = zip(*[(e["eta"], e["p"], e["residual"]) for e in entries])
+    if any(len(eta) != dim * dim for eta in etas):
+        raise ValueError(f"a safe vector does not have {dim * dim} entries")
+    table = safe_vector_table(pairs_to_complex(etas).reshape(len(etas), -1), residuals)
+    weights = np.array(weights, dtype=float)
+    if not np.isfinite(weights).all() or not np.isfinite(table.residual).all():
+        raise ValueError("a weight or residual is not finite")
+    return Strategy(basis_set=bs, weights=weights, table=table,
+                    completeness_residual=_completeness_residual(table.eta, weights, dim * dim))
 
 
 def load_strategy(path) -> Strategy:
-    """Read a strategy written by :func:`save_strategy`.
+    """Read a strategy written by :func:`save_strategy`, in either layout.
 
-    Raises :class:`FormatError` when the file does not have that layout
-    (d**k entries, entry j with guessing function j as its x and d*d eta
-    entries), then :class:`NotMaximal` or :class:`Infeasible` on the verdict
-    of :func:`_check_complete_and_maximal`.
+    A file with a ``format`` field is v2; one without is v1. Raises
+    :class:`FormatError` when the file does not have its layout (a v1 file
+    lists d**k entries, entry j with guessing function j as its x and d*d
+    eta entries, and the maximally entangled ``omega``), then
+    :class:`NotMaximal` or :class:`Infeasible` on the verdict of
+    :func:`_check_complete_and_maximal`. A v2 file with uniform weights is
+    checked in closed form; one with a weight list, and every v1 file, over
+    its d**k safe vectors, which raises :class:`OverBudget` past
+    ``MAX_GUESSING_FUNCTIONS`` for a v2 file (a v1 file lists them already).
     """
     data = read_json(path)
     try:
         bs = basis_set_from_json(data)
-        dim = bs.dim
-        source = pairs_to_complex(data["omega"])
-        if source.shape != (dim * dim,) or np.max(np.abs(source - omega(dim))) > qmath.DEFAULT_TOL:
-            raise ValueError(f"omega is not the maximally entangled state of dimension {dim}")
-        entries = data["entries"]  # nothing longer than the entry list is built
-        want = digits(np.arange(min(len(entries), dim**bs.k)), dim, bs.k).tolist()
-        bad = next((j for j, (e, x) in enumerate(zip(entries, want)) if e["x"] != x), len(want))
-        if bad < len(entries) or len(entries) != dim**bs.k:
-            raise ValueError(f"entry {bad} of {len(entries)} is not guessing function {bad}: "
-                             f"the entries list all {dim}**{bs.k} in order, first basis slowest")
-        etas, weights, residuals = zip(*[(e["eta"], e["p"], e["residual"]) for e in entries])
-        if any(len(eta) != dim * dim for eta in etas):
-            raise ValueError(f"a safe vector does not have {dim * dim} entries")
-        table = safe_vector_table(pairs_to_complex(etas).reshape(len(etas), -1), residuals)
-        weights = np.array(weights, dtype=float)
-        if not np.isfinite(weights).all() or not np.isfinite(table.residual).all():
-            raise ValueError("a weight or residual is not finite")
-        residual = _completeness_residual(table.eta, weights, dim * dim)
+        strategy = (_read_v2 if "format" in data else _read_v1)(data, bs)
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FormatError(f"bad strategy file {path}: {exc}") from exc
-    _check_complete_and_maximal(weights, residual, "stored strategy")
-    return Strategy(basis_set=bs, safe_vectors=table, weights=weights,
-                    completeness_residual=residual)
+    _check_complete_and_maximal(strategy.weights, strategy.completeness_residual, "stored strategy")
+    return strategy

@@ -24,6 +24,28 @@ BASIS_SET = {
     "additionalProperties": False,
 }
 
+STRATEGY_V2 = {
+    "type": "object",
+    "required": ["format", "dim", "bases", "generators", "weights"],
+    "properties": {
+        "format": {"const": "meanking-strategy-v2"},
+        "dim": {"type": "integer", "minimum": 2},
+        "bases": {"type": "array", "items": CMATRIX, "minItems": 1},
+        # generators[b][j] is g[b, j], of d*d entries; eta_x = sum_b g[b, x(b)]
+        "generators": {"type": "array", "items": CMATRIX, "minItems": 1},
+        # one number when every guessing function has it, else one per guessing function
+        "weights": {
+            "oneOf": [
+                {"type": "number", "exclusiveMinimum": 0},
+                {"type": "array", "items": {"type": "number", "minimum": 0}, "minItems": 1},
+            ],
+        },
+    },
+    "additionalProperties": False,
+}
+
+# the v1 layout, which load_strategy still reads and save_strategy writes for a
+# strategy given as its table: one entry per guessing function
 STRATEGY = {
     "type": "object",
     "required": ["dim", "bases", "omega", "entries"],

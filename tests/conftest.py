@@ -1,5 +1,6 @@
 import dataclasses
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -33,11 +34,18 @@ def strategy_d5():
 
 
 @pytest.fixture(scope="session")
+def v1_files():
+    """Strategy files in the v1 layout, as version 0.7.0's ``strategy build`` wrote them for
+    ``gen_mub(d)``, d = 2 and 3."""
+    return {d: Path(__file__).parent / "data" / f"strategy{d}_v1.json" for d in (2, 3)}
+
+
+@pytest.fixture(scope="session")
 def unit_strategy(mub2):
     """The four unit vectors of C^4, each in two rows of weight 1/2: complete and maximal,
     but every diagonal operator has them as eigenvectors (solution dimension 4)."""
     table = retrodiction.safe_vector_table(np.tile(np.eye(4, dtype=complex), (2, 1)), np.zeros(8))
-    return retrodiction.Strategy(basis_set=mub2, safe_vectors=table, weights=np.full(8, 0.5),
+    return retrodiction.Strategy(basis_set=mub2, table=table, weights=np.full(8, 0.5),
                                  completeness_residual=0.0)
 
 

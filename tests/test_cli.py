@@ -38,6 +38,14 @@ def strategy_file(tmp_path, capsys, bases_file):
     return path
 
 
+@pytest.fixture()
+def v1_strategy_file(tmp_path, v1_files):
+    """A copy of the d=2 strategy file in the v1 layout, which the loader still reads."""
+    path = tmp_path / "s2_v1.json"
+    path.write_bytes(v1_files[2].read_bytes())
+    return path
+
+
 class TestBasesCommands:
     def test_gen_then_check(self, tmp_path, capsys):
         path = tmp_path / "b3.json"
@@ -112,8 +120,9 @@ class TestBasesCommands:
 class TestStrategyCommand:
     def test_build(self, capsys, strategy_file):
         data = json.loads(strategy_file.read_text())
-        assert len(data["entries"]) == 8
-        assert all(e["p"] > 0 for e in data["entries"])
+        assert data["format"] == retrodiction.STRATEGY_FORMAT
+        assert np.shape(data["generators"]) == (3, 2, 4, 2)
+        assert data["weights"] > 0
 
     def test_build_d3(self, tmp_path, capsys):
         bpath = tmp_path / "b3.json"
@@ -126,13 +135,17 @@ class TestStrategyCommand:
         assert json.loads(out)["report"]["entries"] == 81
 
     def test_build_over_budget(self, tmp_path, capsys):
-        path = tmp_path / "b7.json"
+        # d=7 builds without listing its 7**8 guessing functions; what must list them is refused
+        path, spath, out = tmp_path / "b7.json", tmp_path / "s7.json", tmp_path / "out.json"
         bases.save_basis_set(bases.gen_mub(7), path)
-        code = cli.main(["strategy", "build", "--bases", str(path),
-                         "--out", str(tmp_path / "s7.json")])
-        assert code == 2
-        assert "exceed the build budget" in capsys.readouterr().err
-        assert not (tmp_path / "s7.json").exists()
+        assert cli.main(["strategy", "build", "--bases", str(path), "--out", str(spath)]) == 0
+        assert json.loads(capsys.readouterr().out)["report"]["entries"] == 7**8
+        for argv, message in ((["security", "lemma"], "exceed the enumeration budget"),
+                              (["run", "--rounds", "10", "--seed", "1"], "sampler too large")):
+            code = cli.main(argv + ["--strategy", str(spath), "--out", str(out)])
+            captured = capsys.readouterr()
+            assert code == 2 and captured.out == "" and message in captured.err
+            assert not out.exists()
 
     def test_degenerate_input(self, tmp_path, capsys, bases_file):
         data = json.loads(bases_file.read_text())
@@ -458,8 +471,8 @@ class TestMalformedFiles:
         assert code == 1
         assert err.startswith("error: bad attack file") and "Traceback" not in err
 
-    def test_strategy_entries_number(self, tmp_path, capsys, strategy_file):
-        data = json.loads(strategy_file.read_text())
+    def test_strategy_entries_number(self, tmp_path, capsys, v1_strategy_file):
+        data = json.loads(v1_strategy_file.read_text())
         data["entries"] = 7
         bad = tmp_path / "bad_strategy.json"
         bad.write_text(json.dumps(data))
@@ -470,10 +483,10 @@ class TestMalformedFiles:
         assert err.startswith("error: bad strategy file") and "Traceback" not in err
 
     @pytest.mark.parametrize("source", ["product", "d3", "scaled"])
-    def test_strategy_foreign_omega(self, tmp_path, capsys, strategy_file, source):
+    def test_strategy_foreign_omega(self, tmp_path, capsys, v1_strategy_file, source):
         # every computation assumes the maximally entangled source, so a file naming
         # another one is refused, not silently analysed as if it held omega(d)
-        data = json.loads(strategy_file.read_text())
+        data = json.loads(v1_strategy_file.read_text())
         data["omega"] = {"product": [[0.0, 0.0], [1.0, 0.0], [0.0, 0.0], [0.0, 0.0]],
                          "d3": complex_to_pairs(retrodiction.omega(3)),
                          "scaled": [[v * (1 + 1e-8), w] for v, w in data["omega"]]}[source]
@@ -491,8 +504,8 @@ class TestMalformedFiles:
         ("x-repeated", "entry 1 of 8 is not guessing function 1"),
         ("eta-size", "does not have 4 entries"),
     ])
-    def test_strategy_guessing_function(self, tmp_path, capsys, strategy_file, defect, message):
-        data = json.loads(strategy_file.read_text())
+    def test_strategy_guessing_function(self, tmp_path, capsys, v1_strategy_file, defect, message):
+        data = json.loads(v1_strategy_file.read_text())
         entry = data["entries"][1]
         if defect == "x-length":
             entry["x"] = [0, 0]
@@ -519,10 +532,10 @@ class TestMalformedFiles:
         ("repeated-inserted", "entry 6 of 9 is not guessing function 6"),
         ("appended", "entry 8 of 9 is not guessing function 8"),
     ])
-    def test_strategy_entries_in_order(self, tmp_path, capsys, strategy_file, defect, message):
+    def test_strategy_entries_in_order(self, tmp_path, capsys, v1_strategy_file, defect, message):
         # entry j is guessing function j, so a reordered or partial table is refused at
         # the first entry out of place, wherever it is read
-        data = json.loads(strategy_file.read_text())
+        data = json.loads(v1_strategy_file.read_text())
         entries = data["entries"]
         if defect == "swapped":
             entries[3], entries[5] = entries[5], entries[3]
@@ -567,14 +580,24 @@ class TestNonFiniteNumbers:
 
     @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "1e400"])
     @pytest.mark.parametrize("target", ["bases", "strategy-eta", "strategy-p", "strategy-residual",
-                                        "attack-psi", "attack-kraus"])
-    def test_refused(self, tmp_path, capsys, bases_file, strategy_file, attack_file, target, value):
-        source = {"bases": bases_file, "strategy": strategy_file, "attack": attack_file}
+                                        "strategy2-generators", "strategy2-weights",
+                                        "strategy2-weightlist", "attack-psi", "attack-kraus"])
+    def test_refused(self, tmp_path, capsys, bases_file, strategy_file, v1_strategy_file,
+                     attack_file, target, value):
+        # "strategy" targets a v1 file, "strategy2" a v2 file
+        source = {"bases": bases_file, "strategy": v1_strategy_file, "strategy2": strategy_file,
+                  "attack": attack_file}
         data = json.loads(source[target.split("-")[0]].read_text())
         if target == "bases":
             data["bases"][1][0][1][0] = self.SENTINEL
         elif target == "strategy-eta":
             data["entries"][3]["eta"][2][1] = self.SENTINEL
+        elif target == "strategy2-generators":
+            data["generators"][1][0][2][1] = self.SENTINEL
+        elif target == "strategy2-weights":
+            data["weights"] = self.SENTINEL
+        elif target == "strategy2-weightlist":
+            data["weights"] = [data["weights"]] * 3 + [self.SENTINEL] + [data["weights"]] * 4
         elif target.startswith("strategy"):
             data["entries"][3][target.split("-")[1]] = self.SENTINEL
         elif target == "attack-psi":
@@ -594,7 +617,7 @@ class TestNonFiniteNumbers:
             "attack": [["security", "attack-eval", "--attack", f"file:{bad}"],
                        ["run", "--strategy", str(strategy_file), "--attack", f"file:{bad}",
                         "--rounds", "10", "--seed", "1", "--out", str(out_path)]],
-        }[target.split("-")[0]]
+        }[target.split("-")[0].rstrip("2")]
         for argv in commands:
             code = cli.main(argv)
             captured = capsys.readouterr()
@@ -612,20 +635,26 @@ class TestOverflowingNumbers:
         ("bases-dim", "Infinity", 1, "cannot convert float infinity"),
         ("strategy-x", 2**70, 1, "entry 3 of 8 is not guessing function 3"),
         ("strategy-eta", 1e200, 2, "violates completeness by inf"),
+        ("strategy2-weights", 1e200, 2, "violates completeness by 8.000e+200"),
+        ("strategy2-generators", 1e200, 2, "violates completeness by nan"),
         ("attack-psi", 1e200, 1, "source state norm inf"),
         ("attack-kraus", 1e200, 1, "not trace preserving (deviation inf)"),
         ("attack-d", "Infinity", 1, "cannot convert float infinity"),
     ])
-    def test_refused(self, tmp_path, capsys, bases_file, strategy_file, target, value, code,
-                     message):
+    def test_refused(self, tmp_path, capsys, bases_file, strategy_file, v1_strategy_file, target,
+                     value, code, message):
         kind, field = target.split("-")
         if kind == "attack":
             path = tmp_path / "attack.json"
             attack.save_attack(attack.intercept_resend(bases.gen_mub(2), 0), path)
         else:
-            path = {"bases": bases_file, "strategy": strategy_file}[kind]
+            path = {"bases": bases_file, "strategy": v1_strategy_file,
+                    "strategy2": strategy_file}[kind]
+        kind = kind.rstrip("2")
         data = json.loads(path.read_text())
-        if field == "entry":
+        if field == "generators":
+            data["generators"][1][0][0][0] = value
+        elif field == "entry":
             data["bases"][1][0][1][0] = value
         elif field == "x":
             data["entries"][3]["x"][0] = value
@@ -842,3 +871,27 @@ class TestEntryPoint:
         assert after_import == []
         assert codes == [0, 0, 0]
         assert after_pipeline == []
+
+
+class TestDimension7:
+    """d=7 builds in closed form: attack-eval at n=1 runs; what lists 7**8 functions exits 2."""
+
+    def test_oracle_formula(self, strategy_d2, strategy_d3):
+        # intercept-resend on d+1 MUBs is detected with probability (d-1)**2 / (d(d+1))
+        for d, s in ((2, strategy_d2), (3, strategy_d3)):
+            assert abs(intercept_resend_detection(s, 0) - (d - 1) ** 2 / (d * (d + 1))) < 1e-12
+
+    def test_attack_eval(self, capsys):
+        code, out = run_cli(capsys, "security", "attack-eval", "--attack", "intercept-resend:b=1",
+                            "--dim", "7")
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert abs(report["detection_probability"] - 36 / 56) < 1e-12
+        assert abs(report["leakage"] - 1.0) < 1e-12
+        assert len(report["per_outcome"]) == 56
+
+    def test_lemma_refused(self, capsys):
+        code = cli.main(["security", "lemma", "--dim", "7"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert "7**8 = 5764801 guessing functions exceed the enumeration budget" in captured.err

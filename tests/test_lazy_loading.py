@@ -112,3 +112,31 @@ def test_package_names_are_the_defining_modules_objects():
     assert set(meanking.__all__) <= set(dir(meanking))
     with pytest.raises(AttributeError, match="no attribute 'tensor_strategy'"):
         meanking.tensor_strategy
+
+
+def test_failed_first_run_is_forgotten(tmp_path):
+    # a module whose first run fails leaves sys.modules and the package, so a retry and
+    # an import that needs it meet the real error again, not a half-run module
+    script = (
+        "import sys\n"
+        "class NoNumpy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'numpy':\n"
+        "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
+        "sys.meta_path.insert(0, NoNumpy())\n"
+        "import meanking\n"
+        "def show(use):\n"
+        "    try:\n"
+        "        use()\n"
+        "    except Exception as exc:\n"
+        "        print(type(exc).__name__, exc.name)\n"
+        "show(lambda: meanking.gen_mub)\n"
+        "print('meanking.bases' in sys.modules)\n"
+        "show(lambda: meanking.gen_mub)\n"
+        "show(lambda: __import__('meanking.cli'))\n"
+        "show(lambda: meanking.bases.gen_mub)\n"
+    )
+    proc = _child([], tmp_path, script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == (["ModuleNotFoundError numpy", "False"]
+                                        + ["ModuleNotFoundError numpy"] * 3)

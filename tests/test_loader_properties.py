@@ -27,19 +27,21 @@ json_values = st.recursive(
 
 
 @pytest.fixture(scope="module")
-def saved(tmp_path_factory, mub2, strategy_d2):
-    """The text of each kind of file, as written by the package."""
+def saved(tmp_path_factory, mub2, strategy_d2, v1_files):
+    """The text of each kind of file, as written by the package; a v1 strategy as 0.7.0 wrote it."""
     root = tmp_path_factory.mktemp("saved")
     paths = {kind: root / f"{kind}.json" for kind in ("bases", "strategy", "attack")}
     bases.save_basis_set(mub2, paths["bases"])
     retrodiction.save_strategy(strategy_d2, paths["strategy"])
     attack.save_attack(attack.intercept_resend(mub2, 1), paths["attack"])
+    paths["strategy_v1"] = v1_files[2]
     return {kind: path.read_text() for kind, path in paths.items()}
 
 
 def _commands(kind, path):
     return {"bases": [["bases", "check", "--in", path]],
             "strategy": [["security", "lemma", "--strategy", path]],
+            "strategy_v1": [["security", "lemma", "--strategy", path]],
             "attack": [["security", "attack-eval", "--attack", f"file:{path}"]]}[kind]
 
 
@@ -88,7 +90,7 @@ def mutations(draw):
 
 
 @_SETTINGS
-@given(kind=st.sampled_from(["bases", "strategy", "attack"]), mutate=mutations())
+@given(kind=st.sampled_from(["bases", "strategy", "strategy_v1", "attack"]), mutate=mutations())
 def test_mutated_file_exits_cleanly(kind, mutate, saved, tmp_path, capsys):
     path = tmp_path / f"{kind}.json"
     path.write_text(mutate(saved[kind]))
@@ -99,3 +101,52 @@ def test_mutated_file_exits_cleanly(kind, mutate, saved, tmp_path, capsys):
         if code == 1:
             assert captured.out == "" and captured.err.startswith("error: ")
         assert "Traceback" not in captured.err
+
+
+def _v2_defects(data):
+    """Each malformed variant of a v2 strategy file's fields, by name."""
+    g = data["generators"]
+    return {
+        "format": {**data, "format": "meanking-strategy-v3"},
+        "no-format": {k: v for k, v in data.items() if k != "format"},
+        "no-generators": {k: v for k, v in data.items() if k != "generators"},
+        "generators-short": {**data, "generators": g[:-1]},
+        "generator-short": {**data, "generators": [g[0][:1]] + g[1:]},
+        "generators-flat": {**data, "generators": [z for b in g for j in b for z in j]},
+        "generators-not-pairs": {**data, "generators": [[[1.0, 2.0, 3.0]]]},
+        "weights-text": {**data, "weights": "0.125"},
+        "weights-bool": {**data, "weights": True},
+        "weights-null": {**data, "weights": None},
+        "weights-short": {**data, "weights": [data["weights"]] * 7},
+        "weights-nested": {**data, "weights": [[data["weights"]]] * 8},
+        "dim": {**data, "dim": 3},
+    }
+
+
+@pytest.mark.parametrize("defect", sorted(_v2_defects({"generators": [[]], "weights": 0})))
+def test_malformed_v2_file_exits_1(defect, saved, tmp_path, capsys):
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps(_v2_defects(json.loads(saved["strategy"]))[defect]))
+    for argv in (_commands("strategy", str(path))
+                 + [["run", "--strategy", str(path), "--rounds", "4", "--seed", "1",
+                     "--out", str(tmp_path / "t.jsonl")]]):
+        code = cli.main(argv)
+        captured = capsys.readouterr()
+        assert code == 1, (defect, argv, captured.err)
+        assert captured.out == "" and captured.err.startswith("error: bad strategy file")
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(b=st.integers(0, 2), j=st.integers(0, 1), entry=st.integers(0, 3),
+       part=st.integers(0, 1), shift=st.sampled_from([-1e-3, 1e-3, 0.1, 2.0]))
+def test_perturbed_generator_exits_2(b, j, entry, part, shift, saved, tmp_path, capsys):
+    # a generator moved by more than the tolerances breaks completeness: a verdict, exit 2
+    data = json.loads(saved["strategy"])
+    data["generators"][b][j][entry][part] += shift
+    path = tmp_path / "strategy.json"
+    path.write_text(json.dumps(data))
+    code = cli.main(_commands("strategy", str(path))[0])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: stored strategy violates completeness")

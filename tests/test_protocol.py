@@ -552,7 +552,7 @@ class TestFixedWidthRoute:
         assert same_load(back, general_load(fast, monkeypatch))
 
 
-# SHA-256 digests of what 0.7.0 writes: transcripts of the protocol-sim
+# SHA-256 digests of what 0.8.0 writes: transcripts of the protocol-sim
 # benchmark's four shapes at reduced rounds, and the README pipeline's
 # outputs (the `run` steps at reduced rounds). The sampler draws from numpy Generator streams,
 # which numpy does not promise to keep across versions, so the CI workflow
@@ -564,19 +564,19 @@ GOLDEN_TRANSCRIPTS = {
     "probe-d3n1": "a84f3ffe69f1dfc8ad8c195b58c7a19e9eab736be9127e4f3cbc32fe623cd265",
 }
 GOLDEN_README_RUN = {
-    "bases gen stdout": "bb7086b7c2d33c171f7d0203a2e6b101df2a6ae1651bccc12e708ecde4121302",
+    "bases gen stdout": "ed99aad73837c670ee68fd2de4a56b5e792695fa0f93aaf71bb428f269ad75e9",
     "bases3.json": "b8814958647460da10423529abcc86fa6a3447a601d12f584871f4f9e765f730",
-    "bases check stdout": "f490161b57bbb0d9f734f493bb935fff8c4629fa9c8e22cc816876472399d572",
-    "strategy build stdout": "aff86269aa2d997923b1e5ba97d4adc678c22069c75872e18a61ffe6d555c276",
-    "strategy3.json": "b73a3cde0523c41468dbd5ed593508ee0cdfe4cc598d26aad137343e38f903ea",
-    "run stdout": "ee2a32205b5997174a0967e336b741fd6908e3c38facead501b88b6a3efa8f2c",
+    "bases check stdout": "91fe6f30ea1cc887d5ae3ed1983333bbf45c0c35eb1a1617afbc7b940602feee",
+    "strategy build stdout": "b7b957f7850273276cc1336d286f439a774ee1ef7de216176cd0c86145ecd947",
+    "strategy3.json": "8ed9e1d352b58f70f6de45d96f6ee33630dcac01ce95978a335205c6f738894c",
+    "run stdout": "b0ee935fb7a548f89d1ea68ef110dc0423bd77d2b7bf660c9cba9698ec707e91",
     "transcript.jsonl": "e85ee09b7557d05c52889d994b65d1f2ccf1ba3cc17b568b4e85bd92e435222b",
     "summary.json": "acb81d80872736ba27245b29413f4493e01dc02e98be2c1944c90b73fca12193",
-    "attacked run stdout": "23711fb752e9c7f475e5947dc2da8fac4d2ca5c2c832ca3a0b6f5007f3cd9d98",
+    "attacked run stdout": "cec461e9ec73cebe69d13372132ed3debe776347709d1b481f3fcac28f6ca1da",
     "t.jsonl": "3bebdcf557d46ef91e581b464bf7a44b2fc76889b8a1ff5c9c2841a17322f33a",
-    "security lemma stdout": "9e1a03ef0a466baf83c9e030be1a2955e97d8b145432e69f34772d025df9c7da",
+    "security lemma stdout": "1cb1dd39b3326dfd4607e460be4af762b99d582a239a6f6800de4a830825366d",
     "security attack-eval stdout":
-        "9deff9b67630bf239f0c0c731cc20fad1095070781b1ba585a2e69dd16801169",
+        "3c0e3c61f5a785a5533896723e288657628095acb7f5d7ce01628196366c8a03",
 }
 
 

@@ -280,21 +280,28 @@ class TestWeights:
                                                      ("mub2", 0.2, 2)])
     def test_completeness_residual_per_candidate(self, request, biased_copy, monkeypatch,
                                                  name, angle, calls):
-        # one residual for the uniform candidate, which a MUB set takes; a
-        # biased set's LP answer gets a second one after its solve
+        # one residual for the uniform candidate, in closed form, which a MUB set
+        # takes; a biased set's LP answer gets a second one, over its table
         bs = request.getfixturevalue(name)
         if angle is not None:
             bs = biased_copy(bs, angle)
         original, seen = rd._completeness_residual, []
 
-        def counting(*args):
-            seen.append(args)
-            return original(*args)
+        def counting(original):
+            def count(*args):
+                seen.append(original.__name__)
+                return original(*args)
+            return count
 
-        monkeypatch.setattr(rd, "_completeness_residual", counting)
+        monkeypatch.setattr(rd, "_completeness_residual", counting(original))
+        monkeypatch.setattr(rd, "_uniform_residual", counting(rd._uniform_residual))
         s = rd.build_strategy(bs)
-        assert len(seen) == calls
-        assert s.completeness_residual == original(s.etas, s.weights, bs.dim**2)
+        assert seen == ["_uniform_residual", "_completeness_residual"][:calls]
+        enumerated = original(s.etas, s.weights, bs.dim**2)
+        if calls == 1:
+            assert abs(s.completeness_residual - enumerated) < 1e-14
+        else:
+            assert s.completeness_residual == enumerated
 
     @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
     def test_non_finite_table_refused(self, strategy_d2, lp_calls, bad):
@@ -316,13 +323,21 @@ class TestBuildBudget:
         assert 5**6 <= rd.MAX_GUESSING_FUNCTIONS < 7**8
 
     def test_d7_refused_before_enumeration(self, monkeypatch):
+        # d=7 builds without listing x; only the paths that list it are refused
         def forbidden(*args, **kwargs):
             raise AssertionError("enumerated an over-budget basis set")
 
         monkeypatch.setattr(rd, "enumerate_guessing_functions", forbidden)
-        monkeypatch.setattr(rd, "_safe_vectors", forbidden)
+        monkeypatch.setattr(rd, "_table", forbidden)
+        s = rd.build_strategy(bases.gen_mub(7))
+        for enumerating in (lambda: s.safe_vectors, lambda: s.etas,
+                            lambda: rd.solve_povm_weights(s.safe_vectors)):
+            with pytest.raises(rd.OverBudget, match="5764801 guessing functions"):
+                enumerating()
+        lp_weighted = rd.Strategy(basis_set=s.basis_set, generators=s.generators,
+                                  weights=np.linspace(1, 2, 7**8), completeness_residual=0.0)
         with pytest.raises(rd.OverBudget, match="5764801 guessing functions"):
-            rd.build_strategy(bases.gen_mub(7))
+            rd.digit_operators(lp_weighted)
 
 
 class TestDigitOperators:
@@ -399,7 +414,7 @@ class TestStrategyTable:
     def test_refuses_other_lengths(self, strategy_d2, rows, weights):
         table = np.resize(strategy_d2.safe_vectors, rows).view(np.recarray)
         with pytest.raises(ValueError, match=f"2\\*\\*3 rows and weights, not {rows} and {weights}"):
-            rd.Strategy(basis_set=strategy_d2.basis_set, safe_vectors=table,
+            rd.Strategy(basis_set=strategy_d2.basis_set, table=table,
                         weights=np.resize(strategy_d2.weights, weights), completeness_residual=0.0)
 
     def test_columns(self, strategy_d2):
@@ -438,12 +453,18 @@ class TestStrategyFile:
             assert np.shares_memory(s.etas, s.safe_vectors)
             assert np.shares_memory(s.safe_vectors.residual, s.safe_vectors)
 
-    def test_tampered_weights_rejected(self, tmp_path, strategy_d2):
+    def test_tampered_weights_rejected(self, tmp_path, strategy_d2, v1_files):
         import json
 
         path = tmp_path / "s.json"
         rd.save_strategy(strategy_d2, path)
         data = json.loads(path.read_text())
+        for weights in (0.9, [0.9] + [strategy_d2.uniform_weight] * 7):
+            data["weights"] = weights
+            path.write_text(json.dumps(data))
+            with pytest.raises(rd.Infeasible):
+                rd.load_strategy(path)
+        data = json.loads(v1_files[2].read_text())
         data["entries"][0]["p"] = 0.9
         path.write_text(json.dumps(data))
         with pytest.raises(rd.Infeasible):
@@ -457,3 +478,161 @@ class TestStrategyFile:
         rd.save_strategy(zero_weight_strategy, path)
         with pytest.raises(rd.NotMaximal):
             rd.load_strategy(path)
+
+
+def enumerated_q(strategy):
+    """Q summed over the table, the route the closed form replaced, via a table strategy."""
+    return rd.digit_operators(rd.Strategy(basis_set=strategy.basis_set, table=strategy.safe_vectors,
+                                          weights=np.array(strategy.weights),
+                                          completeness_residual=0.0))
+
+
+@st.composite
+def generator_sets(draw):
+    """Random generators g[b, j] and miss vectors r[b, j] for d = 2 or 3, k = d + 1."""
+    d = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = d + 1
+    gens = rng.standard_normal((k, d, d * d, 2)) @ [1, 1j]
+    misses = rng.standard_normal((k, d, k * d, 2)) @ [1, 1j] * draw(st.sampled_from([1e-16, 1.0]))
+    return bases.gen_mub(d), gens, misses
+
+
+@settings(max_examples=40, deadline=None)
+@given(generator_sets())
+def test_closed_forms_match_enumeration(case):
+    bs, gens, misses = case
+    d, k = bs.dim, bs.k
+    xs = rd.enumerate_guessing_functions(d, k)
+    table = rd._table(gens, misses, xs)
+    total = np.einsum("xi,xj->ij", table.eta, table.eta.conj())
+    closed = d**k * rd._moments(gens)[2]
+    assert np.max(np.abs(closed - total)) <= 1e-12 * np.max(np.abs(total))
+    weights = np.full(d**k, 0.25 / d**k)
+    uniform = rd.Strategy(basis_set=bs, weights=np.broadcast_to(weights[0], d**k),
+                          completeness_residual=0.0, generators=gens)
+    q = rd.digit_operators(uniform)
+    want = enumerated_q(rd.Strategy(basis_set=bs, weights=weights, completeness_residual=0.0,
+                                    table=table))
+    assert np.array_equal(uniform.etas, table.eta)
+    assert np.max(np.abs(q - want)) <= 1e-12 * np.max(np.abs(want))
+    assert rd._residual_bound(misses) >= table.residual.max()
+
+
+class TestClosedForms:
+    """The uniform weight, completeness residual, Q and residual bound against enumeration."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_match_enumeration(self, d, request):
+        s = request.getfixturevalue(f"strategy_d{d}")
+        etas, nx = s.etas, d ** (d + 1)
+        assert abs(s.uniform_weight - d * d / float(np.sum(np.abs(etas) ** 2))) < 1e-14
+        assert abs(s.completeness_residual
+                   - rd._completeness_residual(etas, s.weights, d * d)) < 1e-14
+        assert np.max(np.abs(rd.digit_operators(s) - enumerated_q(s))) < 1e-14
+        assert s.max_residual >= s.safe_vectors.residual.max()
+        assert s.max_residual < 1e-14
+        assert len(s.weights) == nx and s.weights.strides == (0,)
+
+    def test_biased_set_takes_lp_bitwise(self, mub2, biased_copy, lp_calls):
+        bs = biased_copy(mub2, 0.2)
+        s = rd.build_strategy(bs)
+        table = rd.safe_vector_table(s.etas, s.safe_vectors.residual)
+        assert np.array_equal(s.weights, rd.solve_povm_weights(table)[0])
+        assert lp_calls == [8, 8]
+        assert s.uniform_weight is None
+        assert np.max(np.abs(rd.digit_operators(s) - enumerated_q(s))) < 1e-14
+
+    def test_conditional_states_one_product(self):
+        for d in (2, 3, 5, 7):
+            bs = bases.gen_mub(d)
+            loop = np.array([rd.phi_hat(bs, b, i) for b in range(bs.k) for i in range(d)])
+            assert rd.conditional_states(bs).tobytes() == loop.tobytes()
+
+    def test_residual_bound_over_tolerance_checks_each_x(self, mub2, monkeypatch):
+        # a bound over the tolerance alone does not refuse: each x is checked
+        monkeypatch.setattr(rd, "_residual_bound", lambda misses: 1.0)
+        seen = []
+        check = rd._check_residuals
+        monkeypatch.setattr(rd, "_check_residuals", lambda *args: seen.append(len(args[0]))
+                            or check(*args))
+        rd.build_strategy(mub2)
+        assert seen == [8]
+
+
+class TestNoEnumeration:
+    """Under uniform weights no step lists the d**k guessing functions."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_strategy_steps(self, d, tmp_path, monkeypatch):
+        from meanking import attack as atk
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("listed the guessing functions")
+
+        monkeypatch.setattr(rd, "enumerate_guessing_functions", forbidden)
+        monkeypatch.setattr(rd, "_table", forbidden)
+        bs = bases.gen_mub(d)
+        s = rd.build_strategy(bs)
+        q = rd.digit_operators(s)
+        assert np.max(np.abs(q.sum(axis=1) - np.eye(d * d))) < 1e-12
+        path = tmp_path / "s.json"
+        rd.save_strategy(s, path)
+        loaded = rd.load_strategy(path)
+        assert np.array_equal(loaded.generators, s.generators)
+        assert loaded.uniform_weight == s.uniform_weight
+        assert loaded.completeness_residual == s.completeness_residual
+        report = atk.evaluate_attack(loaded, atk.intercept_resend(bs, 0))
+        assert abs(report.detection_probability - (d - 1) ** 2 / (d * (d + 1))) < 1e-12
+        assert abs(report.leakage - 1.0) < 1e-12
+        assert "safe_vectors" not in vars(s) and "safe_vectors" not in vars(loaded)
+
+
+class TestVersionedFiles:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_v1_files_load_bitwise(self, d, v1_files, request):
+        import json
+
+        entries = json.loads(v1_files[d].read_text())["entries"]
+        loaded = rd.load_strategy(v1_files[d])
+        assert loaded.generators is None
+        assert np.array_equal(loaded.etas, [[complex(*z) for z in e["eta"]] for e in entries])
+        assert np.array_equal(loaded.weights, [e["p"] for e in entries])
+        assert np.array_equal(loaded.safe_vectors.residual, [e["residual"] for e in entries])
+        # the table a build sums from its generators is the one 0.7.0 wrote
+        built = request.getfixturevalue(f"strategy_d{d}")
+        assert np.max(np.abs(built.etas - loaded.etas)) < 1e-12
+        assert np.max(np.abs(built.weights - loaded.weights)) < 1e-12
+
+    def test_v2_layout(self, tmp_path, strategy_d5):
+        import json
+
+        path = tmp_path / "s.json"
+        rd.save_strategy(strategy_d5, path)
+        data = json.loads(path.read_text())
+        assert sorted(data) == ["bases", "dim", "format", "generators", "weights"]
+        assert data["format"] == "meanking-strategy-v2"
+        assert data["weights"] == strategy_d5.uniform_weight
+        assert np.shape(data["generators"]) == (6, 5, 25, 2)
+        assert path.stat().st_size < 64_000  # the v1 layout took 17.95 MB
+
+    def test_v2_weight_list_roundtrip(self, tmp_path, mub2, biased_copy):
+        s = rd.build_strategy(biased_copy(mub2, 0.2))
+        path = tmp_path / "s.json"
+        rd.save_strategy(s, path)
+        loaded = rd.load_strategy(path)
+        assert np.array_equal(loaded.weights, s.weights)
+        assert loaded.completeness_residual == s.completeness_residual
+
+    def test_table_strategy_saved_as_v1(self, tmp_path, v1_files):
+        path = tmp_path / "s.json"
+        rd.save_strategy(rd.load_strategy(v1_files[2]), path)
+        assert path.read_text() == v1_files[2].read_text()
+
+    @pytest.mark.parametrize("given", ["both", "neither"])
+    def test_generators_or_table(self, strategy_d2, unit_strategy, given):
+        sources = {"both": {"generators": strategy_d2.generators, "table": unit_strategy.table},
+                   "neither": {}}[given]
+        with pytest.raises(ValueError, match="by its generators or by its table, one of them"):
+            rd.Strategy(basis_set=strategy_d2.basis_set, weights=strategy_d2.weights,
+                        completeness_residual=0.0, **sources)

@@ -16,10 +16,14 @@ class TestFileSchemas:
         bases.save_basis_set(mub3, path)
         check(json.loads(path.read_text()), schemas.BASIS_SET)
 
-    def test_strategy_file(self, tmp_path, strategy_d2):
+    def test_strategy_file(self, tmp_path, strategy_d2, unit_strategy, v1_files):
         path = tmp_path / "s.json"
         rd.save_strategy(strategy_d2, path)
+        check(json.loads(path.read_text()), schemas.STRATEGY_V2)
+        rd.save_strategy(unit_strategy, path)  # a strategy given as its table
         check(json.loads(path.read_text()), schemas.STRATEGY)
+        for v1 in v1_files.values():
+            check(json.loads(v1.read_text()), schemas.STRATEGY)
 
     def test_attack_file(self, tmp_path, mub2):
         path = tmp_path / "a.json"
