@@ -161,7 +161,7 @@ def _cmd_strategy_build(args) -> _Result:
     retrodiction.save_strategy(strategy, args.out)
     report = {  # counted and bounded without listing the guessing functions
         "entries": strategy.d**bs.k,
-        "min_weight": float(strategy.weights.min()),
+        "min_weight": strategy.min_weight,
         "max_residual": strategy.max_residual,
         "completeness_residual": strategy.completeness_residual,
     }

@@ -11,12 +11,13 @@ where phi_hat_b(i) is Alice's (unnormalized) conditional state after Bob
 measured outcome i in basis b. The conditions are linear in x, so one
 least-squares solve gives k*d generators g[b, j], one per basis and
 outcome, and eta_x = sum_b g[b, x(b)] whatever d is. A :class:`Strategy`
-holds the generators and the weights. A measurement supported on safe
-vectors never produces a wrong guess. The weights must make the POVM
-complete with every weight strictly positive (a maximal strategy). For
-mutually unbiased bases uniform weights do (Hayashi, Horibe & Hashimoto,
-PRA 71, 052331, 2005); other basis sets fall back to a max-min LP
-(Reimpell & Werner, PRA 75, 062334, 2007).
+holds only the generators and the weights, and derives the rest (the
+completeness residual, the table) on first read. A measurement supported
+on safe vectors never produces a wrong guess. The weights must make the
+POVM complete with every weight strictly positive (a maximal strategy).
+For mutually unbiased bases uniform weights do (Hayashi, Horibe &
+Hashimoto, PRA 71, 052331, 2005); other basis sets fall back to a max-min
+LP (Reimpell & Werner, PRA 75, 062334, 2007).
 
 Under uniform weights no sum over the d**k guessing functions needs them
 listed, because the digits of x are independent and uniform: each sum is a
@@ -95,20 +96,8 @@ def omega(d: int) -> np.ndarray:
     return v
 
 
-def phi_hat(bs: BasisSet, b: int, i: int) -> np.ndarray:
-    """Alice's unnormalized conditional state (1 x |phi><phi|) Omega.
-
-    Its squared norm is 1/d for the standard maximally entangled source.
-    """
-    d = bs.dim
-    if not (0 <= b < bs.k and 0 <= i < d):
-        raise IndexError(f"basis {b} / outcome {i} out of range")
-    phi = bs.vectors[b, i]
-    return (omega(d).reshape(d, d) @ np.outer(phi, phi.conj()).T).reshape(-1)
-
-
 def conditional_states(bs: BasisSet) -> np.ndarray:
-    """Every :func:`phi_hat`, row b*d + i of a (k*d, d*d) array, from one batched product."""
+    """Each phi_hat_b(i) = (1 x |phi_b(i)><phi_b(i)|) Omega as row b*d + i, in one product."""
     d, k = bs.dim, bs.k
     v = bs.vectors.reshape(k * d, d)
     projectors = v[:, :, None] * v[:, None, :].conj()
@@ -215,11 +204,6 @@ def _moments(generators: np.ndarray):
     return mu, cov, np.outer(m, m.conj()) + cov.sum(axis=0)
 
 
-def _uniform_residual(total: np.ndarray, weight: float, count: int) -> float:
-    """Max-norm distance from the identity of sum_x p |eta_x><eta_x| = p * count * total."""
-    return float(np.max(np.abs(weight * count * total - np.eye(len(total)))))
-
-
 def _completeness_residual(etas: np.ndarray, weights: np.ndarray, dim2: int) -> float:
     """Max-norm distance of sum_x p(x) |eta_x><eta_x| from the dim2 x dim2 identity."""
     with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or NaN
@@ -227,10 +211,10 @@ def _completeness_residual(etas: np.ndarray, weights: np.ndarray, dim2: int) -> 
         return float(np.max(np.abs(total - np.eye(dim2))))
 
 
-def _check_complete_and_maximal(weights: np.ndarray, residual: float, what: str) -> None:
+def _check_complete_and_maximal(min_weight: float, residual: float, what: str) -> None:
     """The one verdict on a solved or stored strategy, at qmath's tolerances; NaN fails it."""
-    if not float(weights.min()) > qmath.POSITIVITY_TOL:
-        raise NotMaximal(f"{what} has weight {weights.min():.3e}; strategy not maximal")
+    if not min_weight > qmath.POSITIVITY_TOL:
+        raise NotMaximal(f"{what} has weight {min_weight:.3e}; strategy not maximal")
     if not residual <= qmath.COMPLETENESS_TOL:
         raise Infeasible(f"{what} violates completeness by {residual:.3e}")
 
@@ -285,7 +269,7 @@ def solve_povm_weights(safe_vectors) -> tuple[np.ndarray, float]:
     if residual > qmath.COMPLETENESS_TOL:
         point = _max_min_weights_lp(etas)
         residual = _completeness_residual(etas, point, dim2)
-    _check_complete_and_maximal(point, residual, "solved strategy")
+    _check_complete_and_maximal(float(point.min()), residual, "solved strategy")
     return point, residual
 
 
@@ -297,13 +281,12 @@ class Strategy:
     and a v2 file give it, or by its whole ``table``, as a v1 file or a table
     made by hand gives it; by exactly one of the two. Uniform weights may be
     one value broadcast read-only to all d**k. The arrays are not edited after
-    construction: the stored ``completeness_residual``, and the table view and
-    digit operators built on first use, describe them as they were.
+    construction: the completeness residual, the uniform weight, the table view
+    and the digit operators are derived from them on first read and cached.
     """
 
     basis_set: BasisSet
     weights: np.ndarray
-    completeness_residual: float
     generators: np.ndarray | None = None
     table: np.recarray | None = None
 
@@ -344,6 +327,10 @@ class Strategy:
     def _misses(self) -> np.ndarray:
         return _miss_vectors(conditional_states(self.basis_set), self.generators)
 
+    @cached_property
+    def _generator_moments(self):
+        return _moments(self.generators)
+
     @property
     def max_residual(self) -> float:
         """The bound of the module docstring on every residual, or the given table's largest one."""
@@ -351,11 +338,29 @@ class Strategy:
             return float(self.table.residual.max())
         return _residual_bound(self._misses)
 
-    @property
+    @cached_property
     def uniform_weight(self) -> float | None:
-        """The weight of every guessing function when they all have one, else None."""
+        """The one weight of every guessing function, else None; O(1) for a one-value broadcast."""
         w = self.weights
-        return float(w[0]) if w.min() == w.max() else None
+        return float(w[0]) if w.strides == (0,) or w.min() == w.max() else None
+
+    @property
+    def min_weight(self) -> float:
+        """The smallest weight; the uniform one, when there is one, read without a scan."""
+        return float(self.weights.min()) if self.uniform_weight is None else self.uniform_weight
+
+    @cached_property
+    def completeness_residual(self) -> float:
+        """Max-norm distance of sum_x p(x) |eta_x><eta_x| from the identity.
+
+        Under uniform weights p * d**k * T from the generators (module
+        docstring), else summed over the table: the choice of :func:`digit_operators`.
+        """
+        p = self.uniform_weight
+        if self.generators is None or p is None:
+            return _completeness_residual(self.etas, self.weights, self.d**2)
+        total = p * len(self.weights) * self._generator_moments[2]
+        return float(np.max(np.abs(total - np.eye(self.d**2))))
 
     def _rows(self, xs) -> np.ndarray:
         """Table rows of the guessing functions ``xs``, one per row of the (m, k) array-like."""
@@ -371,7 +376,7 @@ class Strategy:
         bs, d, p = self.basis_set, self.d, self.uniform_weight
         _check_size(bs)
         if self.generators is not None and p is not None:
-            mu, cov, _ = _moments(self.generators)
+            mu, cov, _ = self._generator_moments
             v = self.generators + (mu.sum(axis=0) - mu)[:, None, :]
             rest = cov.sum(axis=0) - cov  # sum_(b' != b) C_b'
             q = p * d ** (bs.k - 1) * (v[..., :, None] * v[..., None, :].conj() + rest[:, None])
@@ -405,24 +410,20 @@ def build_strategy(bs: BasisSet, residual_tol: float = qmath.RESIDUAL_TOL) -> St
     d, count = bs.dim, bs.dim**bs.k
     a = conditional_states(bs)
     generators = _generators(a, d)
-    misses = _miss_vectors(a, generators)
+    misses, moments = _miss_vectors(a, generators), _moments(generators)
+    # the uniform candidate, in closed form; its cached properties get what they'd compute
+    weight = d * d / (count * float(np.trace(moments[2]).real))
+    strategy = Strategy(bs, np.broadcast_to(weight, (count,)), generators)
+    vars(strategy).update(_misses=misses, _generator_moments=moments, uniform_weight=weight)
     if _residual_bound(misses) > residual_tol:
-        xs = _guessing_functions(bs)
-        _check_residuals(_table(generators, misses, xs), xs, residual_tol)
-    # the uniform candidate of solve_povm_weights, in closed form
-    total = _moments(generators)[2]
-    weight = d * d / (count * float(np.trace(total).real))
-    residual = _uniform_residual(total, weight, count)
-    if residual <= qmath.COMPLETENESS_TOL:
-        _check_complete_and_maximal(np.array([weight]), residual, "solved strategy")
-        weights = np.broadcast_to(weight, (count,))
-    else:
-        etas = _table(generators, misses, _guessing_functions(bs)).eta
-        weights = _max_min_weights_lp(etas)
-        residual = _completeness_residual(etas, weights, d * d)
-        _check_complete_and_maximal(weights, residual, "solved strategy")
-    return Strategy(basis_set=bs, weights=weights, completeness_residual=residual,
-                    generators=generators)
+        _check_residuals(strategy.safe_vectors, _guessing_functions(bs), residual_tol)
+    if strategy.completeness_residual > qmath.COMPLETENESS_TOL:
+        table = strategy.safe_vectors
+        strategy = Strategy(bs, _max_min_weights_lp(table.eta), generators)
+        vars(strategy).update(_misses=misses, _generator_moments=moments, safe_vectors=table)
+    _check_complete_and_maximal(strategy.min_weight, strategy.completeness_residual,
+                                "solved strategy")
+    return strategy
 
 
 def digit_operators(strategy: Strategy) -> np.ndarray:
@@ -520,33 +521,20 @@ def _number(value) -> float:
 
 
 def _read_v2(data, bs: BasisSet) -> Strategy:
-    """The strategy of a v2 file's fields, its completeness residual recomputed."""
-    d, k = bs.dim, bs.k
+    """The strategy of a v2 file's fields; :class:`Strategy` checks their shapes."""
     if data["format"] != STRATEGY_FORMAT:
         raise ValueError(f"unknown strategy format {data['format']!r}")
     _check_size(bs)
     generators = pairs_to_complex(data["generators"])
-    if generators.shape != (k, d, d * d):
-        raise ValueError(f"generators have shape {generators.shape}, not {(k, d, d * d)}")
-    count = d**k
     if isinstance(data["weights"], list):
         weights = np.array([_number(w) for w in data["weights"]])
-        if len(weights) != count:
-            raise ValueError(f"{len(weights)} weights, not {d}**{k}")
-        a, xs = conditional_states(bs), _guessing_functions(bs)
-        etas = _table(generators, _miss_vectors(a, generators), xs).eta
-        residual = _completeness_residual(etas, weights, d * d)
     else:
-        weight = _number(data["weights"])
-        with np.errstate(over="ignore", invalid="ignore"):  # past the float range: inf or NaN
-            residual = _uniform_residual(_moments(generators)[2], weight, count)
-        weights = np.broadcast_to(weight, (count,))
-    return Strategy(basis_set=bs, weights=weights, completeness_residual=residual,
-                    generators=generators)
+        weights = np.broadcast_to(_number(data["weights"]), (bs.dim**bs.k,))
+    return Strategy(basis_set=bs, weights=weights, generators=generators)
 
 
 def _read_v1(data, bs: BasisSet) -> Strategy:
-    """The strategy of a v1 file's fields, as its table, its completeness residual recomputed."""
+    """The strategy of a v1 file's fields, as its table."""
     dim = bs.dim
     source = pairs_to_complex(data["omega"])
     if source.shape != (dim * dim,) or np.max(np.abs(source - omega(dim))) > qmath.DEFAULT_TOL:
@@ -564,8 +552,7 @@ def _read_v1(data, bs: BasisSet) -> Strategy:
     weights = np.array(weights, dtype=float)
     if not np.isfinite(weights).all() or not np.isfinite(table.residual).all():
         raise ValueError("a weight or residual is not finite")
-    return Strategy(basis_set=bs, weights=weights, table=table,
-                    completeness_residual=_completeness_residual(table.eta, weights, dim * dim))
+    return Strategy(basis_set=bs, weights=weights, table=table)
 
 
 def load_strategy(path) -> Strategy:
@@ -576,16 +563,17 @@ def load_strategy(path) -> Strategy:
     lists d**k entries, entry j with guessing function j as its x and d*d
     eta entries, and the maximally entangled ``omega``), then
     :class:`NotMaximal` or :class:`Infeasible` on the verdict of
-    :func:`_check_complete_and_maximal`. A v2 file with uniform weights is
-    checked in closed form; one with a weight list, and every v1 file, over
-    its d**k safe vectors, which raises :class:`OverBudget` past
-    ``MAX_GUESSING_FUNCTIONS`` for a v2 file (a v1 file lists them already).
+    :func:`_check_complete_and_maximal` on the derived completeness residual:
+    closed form for a v2 file with uniform weights, else over its d**k safe
+    vectors, which raises :class:`OverBudget` past ``MAX_GUESSING_FUNCTIONS``
+    for a v2 file (a v1 file lists them already).
     """
     data = read_json(path)
     try:
         bs = basis_set_from_json(data)
-        strategy = (_read_v2 if "format" in data else _read_v1)(data, bs)
+        s = (_read_v2 if "format" in data else _read_v1)(data, bs)
     except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FormatError(f"bad strategy file {path}: {exc}") from exc
-    _check_complete_and_maximal(strategy.weights, strategy.completeness_residual, "stored strategy")
-    return strategy
+    with np.errstate(over="ignore", invalid="ignore"):  # a file's numbers past the float range
+        _check_complete_and_maximal(s.min_weight, s.completeness_residual, "stored strategy")
+    return s

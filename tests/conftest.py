@@ -45,8 +45,7 @@ def unit_strategy(mub2):
     """The four unit vectors of C^4, each in two rows of weight 1/2: complete and maximal,
     but every diagonal operator has them as eigenvectors (solution dimension 4)."""
     table = retrodiction.safe_vector_table(np.tile(np.eye(4, dtype=complex), (2, 1)), np.zeros(8))
-    return retrodiction.Strategy(basis_set=mub2, table=table, weights=np.full(8, 0.5),
-                                 completeness_residual=0.0)
+    return retrodiction.Strategy(basis_set=mub2, table=table, weights=np.full(8, 0.5))
 
 
 @pytest.fixture(scope="session")

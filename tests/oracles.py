@@ -22,6 +22,10 @@ included, kept as the reference for the triangle over her distinct states.
 One resident is not a reference but a construct only the tests read:
 :func:`decomposition_triple`, the paper's eta_x = eta_u + eta_v - eta_w
 identity.
+
+:func:`phi_hat`, one conditional state, is the per-(b, i) reference for
+the library's ``retrodiction.conditional_states``, which forms all k*d of
+them in one batched product.
 """
 
 import numpy as np
@@ -64,6 +68,20 @@ def partial_trace_loops(rho, dims, keep):
     return out
 
 
+def phi_hat(bs, b, i):
+    """Alice's unnormalized conditional state (1 x |phi><phi|) Omega, phi vector i of basis b.
+
+    Its squared norm is 1/d for the standard maximally entangled source.
+    """
+    from meanking import retrodiction as rd
+
+    d = bs.dim
+    if not (0 <= b < bs.k and 0 <= i < d):
+        raise IndexError(f"basis {b} / outcome {i} out of range")
+    phi = bs.vectors[b, i]
+    return (rd.omega(d).reshape(d, d) @ np.outer(phi, phi.conj()).T).reshape(-1)
+
+
 def safe_vector_per_x(bs, x):
     """``(eta, residual)`` for one guessing function x from its own least-squares solve.
 
@@ -77,7 +95,7 @@ def safe_vector_per_x(bs, x):
     rhs = np.zeros(k * d, dtype=complex)
     for b in range(k):
         for i in range(d):
-            a[b * d + i] = rd.phi_hat(bs, b, i)
+            a[b * d + i] = phi_hat(bs, b, i)
             if x[b] == i:
                 rhs[b * d + i] = 1.0
     y, residual = qmath.lstsq(a, rhs)

@@ -1,5 +1,7 @@
 """JSON Schemas for every file format and CLI payload the package emits.
 
+``tests/test_schemas.py`` checks the package's files and reports against them.
+
 Complex numbers are always [re, im] pairs; indices in files are 0-based.
 """
 

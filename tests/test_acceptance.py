@@ -17,7 +17,7 @@ from meanking import (
 )
 from meanking.serialize import file_digest
 
-from oracles import decomposition_triple, intercept_resend_detection, probe_detection
+from oracles import decomposition_triple, intercept_resend_detection, phi_hat, probe_detection
 
 
 def _report(tag, ok, detail):
@@ -49,7 +49,7 @@ def test_criterion_2_safe_vector_existence(mub2, mub3):
     for bs in (mub2, mub3):
         d = bs.dim
         hats = {
-            (b, i): rd.phi_hat(bs, b, i) for b in range(bs.k) for i in range(d)
+            (b, i): phi_hat(bs, b, i) for b in range(bs.k) for i in range(d)
         }
         count = 0
         for x in rd.enumerate_guessing_functions(d, d + 1):

@@ -9,8 +9,8 @@ from meanking import attack as atk, protocol as proto, retrodiction as rd
 from meanking.bases import OverBudget
 
 from oracles import (attack_pass_per_outcome, intercept_resend_detection,
-                     max_trace_distance_all_pairs, operator_form_loops, probe_detection,
-                     weyl_loops)
+                     max_trace_distance_all_pairs, operator_form_loops, phi_hat,
+                     probe_detection, weyl_loops)
 
 # (d, n, d_E) of the operator-form checks against the per-label loops
 LOOP_SHAPES = [(2, 1, 2), (2, 2, 2), (3, 1, 2), (3, 2, 1), (5, 1, 1)]
@@ -166,7 +166,7 @@ class TestProjectedState:
             for i in range(2):
                 state, prob = _projected(ideal2, mub2, b, i)
                 assert abs(prob - 0.5) < 1e-12
-                hat = rd.phi_hat(mub2, b, i)
+                hat = phi_hat(mub2, b, i)
                 assert np.linalg.norm(state - np.sqrt(2) * np.kron(hat, [1.0])) < 1e-12
 
     def test_outcome_probabilities_sum_to_one(self, mub2):
@@ -187,7 +187,7 @@ class TestProjectedState:
             for b in range(3):
                 for i in range(2):
                     s1, p1 = _projected(am, mub2, b, i)
-                    hat = rd.phi_hat(mub2, b, i)
+                    hat = phi_hat(mub2, b, i)
                     out = sum(coeffs[m, l, beta]
                               * np.kron(np.kron(units[m, l].T, np.eye(2)) @ hat, eve[beta])
                               for m in range(2) for l in range(2) for beta in range(2))
@@ -236,7 +236,7 @@ class TestAliceState:
         for b in range(3):
             for i in range(2):
                 rho = atk.alice_state(ideal2, mub2, b, i)
-                hat = rd.phi_hat(mub2, b, i)
+                hat = phi_hat(mub2, b, i)
                 assert np.max(np.abs(rho - 2 * np.outer(hat, hat.conj()))) < 1e-12
 
     def test_psd_unit_trace(self, mub2):

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import os
 import subprocess
@@ -837,13 +838,14 @@ class TestEntryPoint:
                      "bob_projected_state", "apply_feedback", "trace_distance", "scalar_deviation",
                      "source_from_coefficients", "decompose_source", "weyl_operators",
                      "phi_hat_product"],
-            retrodiction: ["decomposition_triple"],
+            retrodiction: ["decomposition_triple", "phi_hat"],
             retrodiction.Strategy: ["safe_vector", "weight"],
             retrodiction.ProductStrategy: ["safe_vector"],
         }
         assert [f"{owner.__name__}.{name}" for owner, names in removed.items()
                 for name in names if hasattr(owner, name)] == []
         assert not hasattr(meanking, "tensor_strategy")
+        assert importlib.util.find_spec("meanking.schemas") is None  # now tests/schemas.py
 
     def test_mub_pipeline_loads_no_scipy(self, tmp_path):
         # the LPs are fallbacks for non-MUB sets; scipy must load only with them

@@ -10,16 +10,12 @@ import pytest
 import scipy.stats
 
 from meanking import attack as atk, bases, cli, protocol as proto
-from meanking.serialize import canonical_dumps
+from meanking.serialize import canonical_dumps, file_digest
 from oracles import outcome_dist, povm_dist, product_tables, sample_per_tuple, tuple_digits
 
 
 def cfg(d=2, n=1, rounds=1000, test_fraction=0.1, seed=12345):
     return proto.ProtocolConfig(d=d, n=n, rounds=rounds, test_fraction=test_fraction, seed=seed)
-
-
-def file_hash(path):
-    return hashlib.sha256(open(path, "rb").read()).hexdigest()
 
 
 def disagree(t, pos):
@@ -107,7 +103,7 @@ class TestDeterminism:
         p1, p2 = tmp_path / "t1.jsonl", tmp_path / "t2.jsonl"
         proto.save_transcript(t1, p1)
         proto.save_transcript(t2, p2)
-        assert file_hash(p1) == file_hash(p2)
+        assert file_digest(p1) == file_digest(p2)
 
     def test_seed_changes_transcript(self, strategy_d2):
         t1 = proto.run_protocol(cfg(rounds=300, seed=1), strategy_d2)
@@ -238,7 +234,7 @@ class TestSummaries:
         assert back.test_indices == t.test_indices
         assert back.accepted == t.accepted
         proto.save_transcript(back, p2)
-        assert file_hash(p1) == file_hash(p2)
+        assert file_digest(p1) == file_digest(p2)
 
     def test_nan_distribution_flagged(self):
         # NaN fails every comparison, so a check of the form value > tol would pass it
@@ -593,7 +589,7 @@ class TestGoldenDigests:
         }[name]
         path = tmp_path / "t.jsonl"
         proto.save_transcript(proto.run_protocol(c, strategy, am), path)
-        assert file_hash(path) == GOLDEN_TRANSCRIPTS[name]
+        assert file_digest(path) == GOLDEN_TRANSCRIPTS[name]
 
     def test_readme_pipeline(self, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)  # the manifests echo the relative paths
@@ -626,7 +622,7 @@ class TestGoldenDigests:
         got = {"bases gen stdout": gen, "bases check stdout": check, "strategy build stdout": build,
                "run stdout": honest, "attacked run stdout": attacked,
                "security lemma stdout": lemma, "security attack-eval stdout": evaluation}
-        got.update((name, file_hash(name)) for name in ("bases3.json", "strategy3.json",
+        got.update((name, file_digest(name)) for name in ("bases3.json", "strategy3.json",
                                                         "transcript.jsonl", "summary.json",
                                                         "t.jsonl"))
         assert got == GOLDEN_README_RUN

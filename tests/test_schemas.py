@@ -3,7 +3,8 @@ import json
 import jsonschema
 import pytest
 
-from meanking import attack as atk, bases, cli, protocol as proto, retrodiction as rd, schemas
+import schemas
+from meanking import attack as atk, bases, cli, protocol as proto, retrodiction as rd
 
 
 def check(instance, schema):
