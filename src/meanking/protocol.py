@@ -14,11 +14,13 @@ by ``(seed, c)`` (Salmon et al., "Parallel random numbers: as easy as
 1, 2, 3", SC'11); test selection draws from a stream under a key no chunk
 uses. A unit's draws therefore depend only on the seed and its position,
 never on how many blocks run after it. Outcomes come from inverse-CDF
-lookup in fixed-point cumulative tables, filled per basis block from the
-chunks of the exact analysis's walk (:func:`~meanking.attack._walk`) and
-only for the basis and outcome vectors that were actually drawn. The
-streams are part of the release: a config gives byte-identical transcripts
-within one version of the package, not across versions.
+lookups in fixed-point cumulative tables, two per chunk of the exact
+analysis's walk (:func:`~meanking.attack._walk`): Bob's outcomes from the
+outcome rows of the chunk's basis blocks, then Alice's results from Born
+rows built only for the (block, outcome) pairs that were actually drawn.
+Each lookup searches its keys in sorted order. The streams are part of the
+release: a config gives byte-identical transcripts within one version of
+the package, not across versions.
 
 A :class:`Transcript` is its config, k and one int64 code per instance,
 from which basis, outcomes, guessing function and i' = x(b) follow by
@@ -144,7 +146,7 @@ class Transcript:
     def records(self) -> tuple:
         """1-based :class:`RoundRecord` per instance, one per distinct code, built on each read."""
         d, k = self.config.d, self.k
-        distinct, inverse = np.unique(self.codes, return_inverse=True)
+        distinct, inverse = _distinct(self.codes, k * d ** (k + 1))
         rows = (_record_rows(distinct, d, k) + 1).tolist()
         table = [RoundRecord(b=row[0], i=row[1], x=tuple(row[3:]), i_prime=row[2]) for row in rows]
         return tuple(map(table.__getitem__, inverse.tolist()))
@@ -161,35 +163,58 @@ def _stream(seed: int, *key: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-def _normalized(dist: np.ndarray, what: str) -> np.ndarray:
-    total = float(dist.sum())  # a NaN anywhere fails the check below
-    if not (abs(total - 1.0) <= qmath.SUM_SLACK and np.all(dist >= -qmath.NEGATIVITY_FLOOR)):
-        raise ProtocolError(f"{what} distribution sums to {total:.8f}")
-    return np.clip(dist, 0.0, None) / total
+def _normalized(dist: np.ndarray, what) -> np.ndarray:
+    """``dist`` clipped at 0 and scaled to sum 1 along its last axis, each row on its own.
+
+    ``what`` names the distribution in the error, or is a function from the
+    index of the first row that fails to its name.
+    """
+    total = dist.sum(axis=-1)  # a NaN anywhere fails the check below
+    fine = (abs(total - 1.0) <= qmath.SUM_SLACK) & np.all(dist >= -qmath.NEGATIVITY_FLOOR, axis=-1)
+    if not fine.all():
+        row = int(np.argmin(fine))
+        name = what if isinstance(what, str) else what(row)
+        raise ProtocolError(f"{name} distribution sums to {np.ravel(total)[row]:.8f}")
+    return np.clip(dist, 0.0, None) / total[..., None]
 
 
-def _lookup(dists: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
-    """Inverse-CDF draw: the bin of row ``rows[j]`` hit by ``draws[j]`` in [0, _RES).
+def _cdf(dists: np.ndarray) -> np.ndarray:
+    """The fixed-point cumulative table of the rows of ``dists``, as :func:`_lookup` reads it.
 
-    Row r of the flat cumulative table spans (r*_RES, (r+1)*_RES] with its
-    last entry pinned to the top, so no draw leaves its row, and an empty
-    bin (equal neighbours) is never the first entry above a draw.
+    Row r spans (r*_RES, (r+1)*_RES] with its last entry pinned to the top,
+    so no draw leaves its row, and an empty bin (equal neighbours) is never
+    the first entry above a draw.
     """
     cum = np.rint(np.cumsum(dists, axis=1) * _RES).astype(np.int64)
     cum[:, -1] = _RES
     cum += np.arange(len(cum), dtype=np.int64)[:, None] * _RES
-    hits = np.searchsorted(cum.ravel(), rows * _RES + draws, side="right")
-    return hits - rows * dists.shape[1]
+    return cum
+
+
+def _lookup(table: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """Inverse-CDF draw: the bin of row ``rows[j]`` of a :func:`_cdf` table hit by ``draws[j]``.
+
+    Draws lie in [0, _RES). The keys ``rows*_RES + draws`` are searched in
+    sorted order, where ``np.searchsorted`` starts each search at the
+    previous hit, and the hits are scattered back, so every key lands in the
+    bin an unsorted search gives. The sampler hands it a ``CHUNK`` of keys
+    at a time.
+    """
+    keys = rows * _RES + draws
+    order = np.argsort(keys)
+    hits = np.empty_like(keys)
+    hits[order] = np.searchsorted(table.ravel(), keys[order], side="right")
+    return hits - rows * table.shape[1]
 
 
 def _born_rows(branches: np.ndarray, etas_conj: np.ndarray, weights, n: int) -> np.ndarray:
     """p(x_1)...p(x_n) sum_(l,e) |<eta_x1 x ... x eta_xn|w_l>|^2 per Kraus-branch stack.
 
-    ``branches`` is (m, branch, A x B, E), outcomes of one basis block of
-    :func:`~meanking.attack._walk`; rows list the guessing tuples in
-    lexicographic order. Each slot's (A_s, B_s) pair is contracted with the
-    conjugate safe vectors in turn, one (nx, d*d) product per slot, so no
-    product vector is formed.
+    ``branches`` is (m, branch, A x B, E), one stack per drawn (block,
+    outcome) pair of a chunk of :func:`~meanking.attack._walk`; rows list
+    the guessing tuples in lexicographic order. Each slot's (A_s, B_s) pair
+    is contracted with the conjugate safe vectors in turn, one (nx, d*d)
+    product per slot, so no product vector is formed.
     """
     m, nb, _, de = branches.shape
     nx, pair = etas_conj.shape
@@ -223,10 +248,39 @@ def _powers(d: int, k: int) -> np.ndarray:
     return d ** np.arange(k - 1, -1, -1, dtype=np.int64)
 
 
+def _distinct(codes: np.ndarray, span: int):
+    """``(distinct, inverse)``: the sorted distinct codes and each code's index among them.
+
+    The codes lie in [0, span). When that range is no longer than the codes
+    (k*d**(k+1) = 972 codes at d=3), a presence count finds them in one
+    pass; otherwise, as at d=5 with 468 750, ``np.unique`` sorts the codes,
+    since a count array would outgrow them.
+    """
+    if span > len(codes):
+        return np.unique(codes, return_inverse=True)
+    seen = np.bincount(codes) > 0
+    return np.flatnonzero(seen), (np.cumsum(seen) - 1)[codes]
+
+
 def _record_rows(codes: np.ndarray, d: int, k: int) -> np.ndarray:
     """0-based rows ``(b, i, i_prime, x digits...)`` of each code, in the file's key order."""
     b, i, x, i_prime = _fields(codes, d, k)
     return np.column_stack([b, i, i_prime, bases.digits(x, d, k)])
+
+
+def _units_in(bflat: np.ndarray, first: int, last: int, blocks: int):
+    """Per ``CHUNK`` of units, those drawn in blocks first..last-1 of ``blocks``.
+
+    Yields their positions, as a slice when the range holds every block, and
+    their blocks less ``first``.
+    """
+    for start in range(0, len(bflat), CHUNK):
+        b = bflat[start:start + CHUNK]
+        if last - first == blocks:
+            yield slice(start, start + len(b)), b
+        else:
+            at = np.flatnonzero((b >= first) & (b < last))
+            yield at + start, b[at] - first
 
 
 def _sample(seed: int, strategy: Strategy, am, units: int) -> np.ndarray:
@@ -235,41 +289,61 @@ def _sample(seed: int, strategy: Strategy, am, units: int) -> np.ndarray:
     x is the drawn table row, which is the base-d value of its guessing function.
 
     Per unit, chunk streams give Bob's basis vector and two fixed-point
-    uniforms, one for his outcomes and one for Alice's POVM result. The
-    units of each basis block are then drawn together when the chunks of
-    :func:`~meanking.attack._walk` reach it, with a Born row per distinct
-    drawn outcome; blocks nobody drew are skipped.
+    uniforms, one for his outcomes and one for Alice's POVM result. Each
+    chunk of :func:`~meanking.attack._walk` then costs two inverse-CDF
+    lookups: Bob's outcomes are drawn from its blocks' outcome rows, and
+    Alice's results from the Born rows of the (block, outcome) pairs drawn,
+    which a presence count finds. Each lookup's table is built once and
+    searched a ``CHUNK`` of units at a time, so no temporary outgrows a chunk. A walk chunk whose
+    Born rows the budget checked for one block does not cover is taken in
+    runs of blocks that it covers.
     """
     bs = strategy.basis_set
     d, k, n = bs.dim, bs.k, am.n
-    nx = len(strategy.safe_vectors)
-    etas_conj = strategy.etas.conj()
-    draws = []
+    dd, nx, blocks = d**n, len(strategy.safe_vectors), k**n
+    bflat, u_out, u_povm = (np.empty(units, dtype=np.int64) for _ in range(3))
     for chunk, start in enumerate(range(0, units, CHUNK)):
         rng = _stream(seed, _CHUNK_KEY, chunk)
         size = min(CHUNK, units - start)
-        draws.append((rng.integers(k**n, size=size),
-                      rng.integers(_RES, size=size),
-                      rng.integers(_RES, size=size)))
-    bflat, u_out, u_povm = (np.concatenate(col) for col in zip(*draws))
+        for col, high in ((bflat, blocks), (u_out, _RES), (u_povm, _RES)):
+            col[start:start + size] = rng.integers(high, size=size)
 
+    etas_conj = strategy.etas.conj()
+    # blocks per run: one block's Born rows fill d**n * nx**n * r * d_E amplitudes
+    most = max(1, bases.MAX_ARRAY_ENTRIES // (dd * nx**n * len(am.kraus) * am.d_eve))
+    runs = ((bvecs[s:s + most], branches[s:s + most], probs[s:s + most])
+            for bvecs, branches, probs in attack_mod._walk(am, bs)
+            for s in range(0, len(bvecs), most))
     iflat = np.empty_like(bflat)
     yflat = np.empty_like(bflat)
-    blocks = ((tuple(bvec), *block) for bvecs, *chunk in attack_mod._walk(am, bs)
-              for bvec, *block in zip(bvecs.tolist(), *chunk))
-    for bkey, (bvec, branches, probs) in enumerate(blocks):
-        sel = np.flatnonzero(bflat == bkey)
-        if not sel.size:
+    last = 0
+    for bvecs, branches, probs in runs:
+        first, last = last, last + len(bvecs)
+        bkeys = list(map(tuple, bvecs.tolist()))
+        table = _cdf(_normalized(probs, lambda j: f"Bob outcomes (b={bkeys[j]})"))
+        drawn = np.zeros(len(bkeys) * dd, dtype=np.int64)
+        for at, rows in _units_in(bflat, first, last, blocks):
+            iflat[at] = _lookup(table, rows, u_out[at])
+            drawn += np.bincount(rows * dd + iflat[at], minlength=len(drawn))
+        pairs = np.flatnonzero(drawn)
+        if not pairs.size:
             continue
-        outcome = _normalized(probs, f"Bob outcomes (b={bvec})")
-        iflat[sel] = _lookup(outcome[None], np.zeros_like(sel), u_out[sel])
-        ikeys, irows = np.unique(iflat[sel], return_inverse=True)
-        born = _born_rows(branches[ikeys], etas_conj, strategy.weights, n)
-        povm = []
-        for ikey, ivec, row in zip(ikeys, map(tuple, bases.digits(ikeys, d, n).tolist()), born):
-            row = row / attack_mod._conditionable(probs[ikey], bvec, ivec)
-            povm.append(_normalized(row, f"measurement (b={bvec}, i={ivec})"))
-        yflat[sel] = _lookup(np.array(povm), irows, u_povm[sel])
+
+        def pair(j):
+            block, ikey = divmod(int(pairs[j]), dd)
+            return bkeys[block], tuple(bases.digits(ikey, d, n).tolist())
+
+        prob = probs.ravel()[pairs]
+        least = int(np.argmin(prob))  # raises if even the least likely pair is too rare
+        attack_mod._conditionable(prob[least], *pair(least))
+        born = _born_rows(branches.reshape((-1,) + branches.shape[2:])[pairs],
+                          etas_conj, strategy.weights, n)
+        table = _cdf(_normalized(born / prob[:, None],
+                                 lambda j: "measurement (b={}, i={})".format(*pair(j))))
+        rank = np.cumsum(drawn > 0) - 1  # a drawn pair's row of the table
+        for at, rows in _units_in(bflat, first, last, blocks):
+            yflat[at] = _lookup(table, rank[rows * dd + iflat[at]], u_povm[at])
+    del u_out, u_povm  # not held while the codes are built
 
     b = bases.digits(bflat, k, n).ravel()
     i = bases.digits(iflat, d, n).ravel()
@@ -288,7 +362,11 @@ def run_protocol(cfg: ProtocolConfig, strategy: Strategy, attack=None) -> Transc
     block budget, attacked or not, the run has more than
     ``bases.MAX_ARRAY_ENTRIES`` instances (the entries of its code array),
     or a basis block with all d**n outcomes drawn could fill more than that
-    many amplitudes.
+    many amplitudes. The sampler takes a walk chunk's blocks in runs whose
+    Born rows, d**((1+k)n) * r * d_E amplitudes per block, stay within that
+    budget, so the check also bounds its outcome and POVM tables and their
+    Born rows. Past its draw, outcome and code arrays, every temporary of
+    the sampler holds at most ``CHUNK`` units.
     """
     d = strategy.basis_set.dim
     if cfg.d != d:
@@ -346,7 +424,7 @@ def save_transcript(transcript: Transcript, path) -> None:
     otherwise each line is formatted and a chunk's lines are joined.
     """
     d, k = transcript.config.d, transcript.k
-    distinct, inverse = np.unique(transcript.codes, return_inverse=True)
+    distinct, inverse = _distinct(transcript.codes, k * d ** (k + 1))
     rows = _record_rows(distinct, d, k)
     fixed = d <= 10 and k <= 10
     if fixed:

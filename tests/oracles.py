@@ -305,12 +305,28 @@ def povm_dist(am, bs, tables, bvec, ivec):
     return proto._normalized(born, f"measurement (b={bvec}, i={ivec})")
 
 
+def lookup(dists, rows, draws):
+    """Inverse-CDF draw: the bin of row ``rows[j]`` of ``dists`` hit by ``draws[j]`` in [0, _RES).
+
+    The fixed-point table of ``protocol._cdf`` built inline and one unsorted
+    ``np.searchsorted`` over all keys: the reference for ``protocol._lookup``.
+    """
+    from meanking import protocol as proto
+
+    cum = np.rint(np.cumsum(dists, axis=1) * proto._RES).astype(np.int64)
+    cum[:, -1] = proto._RES
+    cum += np.arange(len(cum), dtype=np.int64)[:, None] * proto._RES
+    hits = np.searchsorted(cum.ravel(), rows * proto._RES + draws, side="right")
+    return hits - rows * dists.shape[1]
+
+
 def sample_per_tuple(seed, strategy, am, units, tables):
     """Instance codes as ``protocol._sample`` draws them, from per-outcome tables.
 
-    The same chunk streams and inverse-CDF lookups, but Bob's rows come from
-    one projection per outcome and Alice's from ``alice_state`` against
-    ``tables``, the :func:`product_tables` of the strategy, per drawn (b, i).
+    The same chunk streams, and inverse-CDF draws by :func:`lookup`, but
+    Bob's rows come from one projection per outcome and Alice's from
+    ``alice_state`` against ``tables``, the :func:`product_tables` of the
+    strategy, per drawn (b, i).
     """
     from meanking import bases, protocol as proto
 
@@ -329,13 +345,13 @@ def sample_per_tuple(seed, strategy, am, units, tables):
     bkeys, brows = np.unique(bflat, return_inverse=True)
     outcome = np.array([outcome_dist(am, bs, tuple(bvec))
                         for bvec in bases.digits(bkeys, k, n).tolist()])
-    iflat = proto._lookup(outcome, brows, u_out)
+    iflat = lookup(outcome, brows, u_out)
 
     pkeys, prows = np.unique(bflat * d**n + iflat, return_inverse=True)
     pairs = zip(bases.digits(pkeys // d**n, k, n).tolist(),
                 bases.digits(pkeys % d**n, d, n).tolist())
     povm = np.array([povm_dist(am, bs, tables, tuple(bvec), tuple(ivec)) for bvec, ivec in pairs])
-    yflat = proto._lookup(povm, prows, u_povm)
+    yflat = lookup(povm, prows, u_povm)
 
     b = bases.digits(bflat, k, n).ravel()
     i = bases.digits(iflat, d, n).ravel()

@@ -404,24 +404,31 @@ class TestChunkBudgets:
     """The walk and pair-triangle budgets bound memory; they never change a result."""
 
     @staticmethod
-    def _results(strategy, am):
+    def _results(strategy, am, units):
         report = atk.evaluate_attack(strategy, am)
         # repr tells every double apart, -0.0 from 0.0 included
         exact = repr((report.detection_probability, report.leakage, report.per_outcome,
                       atk.leakage(am, strategy.basis_set)))
-        return exact, proto._sample(3, strategy, am, 300)
+        return exact, proto._sample(3, strategy, am, units)
 
-    @pytest.mark.parametrize("kind", ["probe", "intercept-resend", "random"])
-    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
-    def test_one_block_and_one_row_per_chunk(self, d, n, kind, strategy_d2, strategy_d3,
+    # 300 units each, and one run of 3 units in 81 basis blocks: most blocks are then
+    # drawn by nobody, and the default walk already comes in several chunks
+    CASES = [(d, n, kind, 300) for d, n in [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
+             for kind in ["probe", "intercept-resend", "random"]]
+    CASES.append((3, 2, "intercept-resend", 3))
+
+    @pytest.mark.parametrize("d,n,kind,units", CASES, ids=[
+        f"{d}-{n}-{kind}" + ("" if units == 300 else f"-{units}-units")
+        for d, n, kind, units in CASES])
+    def test_one_block_and_one_row_per_chunk(self, d, n, kind, units, strategy_d2, strategy_d3,
                                              monkeypatch):
         strategy = strategy_d2 if d == 2 else strategy_d3
         am = _grid_attack(kind, strategy.basis_set, n)
-        exact, codes = self._results(strategy, am)
+        exact, codes = self._results(strategy, am, units)
         monkeypatch.setattr(atk, "_WALK_ENTRIES", 1)
         monkeypatch.setattr(atk, "_PAIR_ENTRIES", 1)
         assert len(list(atk._walk(am, strategy.basis_set))) == strategy.basis_set.k**n
-        small_exact, small_codes = self._results(strategy, am)
+        small_exact, small_codes = self._results(strategy, am, units)
         assert small_exact == exact
         np.testing.assert_array_equal(small_codes, codes)
 

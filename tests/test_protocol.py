@@ -4,6 +4,7 @@ import hashlib
 import io
 import itertools
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -323,6 +324,43 @@ class TestSampler:
         assert long.records[: len(short.records)] == short.records
         assert long.records[len(short.records):] != short.records
 
+    @pytest.mark.parametrize("case", ["honest-d3", "intercept-d2n2"])
+    def test_born_rows_in_runs_the_budget_covers(self, case, strategy_d2, strategy_d3, mub2,
+                                                 monkeypatch):
+        # a budget of one block's Born rows splits the walk chunk into runs of one block
+        strategy, am, units = {
+            "honest-d3": (strategy_d3, atk.identity_attack(3, 1), 5000),
+            "intercept-d2n2": (strategy_d2, atk.intercept_resend(mub2, 0, n=2), 3000),
+        }[case]
+        codes = proto._sample(71, strategy, am, units)
+        assert len(list(atk._walk(am, strategy.basis_set))) == 1
+        rows = []
+        born_rows = proto._born_rows
+
+        def counted(branches, *args):
+            rows.append(len(branches))
+            return born_rows(branches, *args)
+
+        block = (am.block_dim * len(strategy.safe_vectors) ** am.n) * len(am.kraus) * am.d_eve
+        monkeypatch.setattr(bases, "MAX_ARRAY_ENTRIES", block)
+        monkeypatch.setattr(proto, "_born_rows", counted)
+        np.testing.assert_array_equal(proto._sample(71, strategy, am, units), codes)
+        assert len(rows) == strategy.basis_set.k ** am.n and max(rows) <= am.block_dim
+
+    def test_peak_memory_honest_d3(self, strategy_d3):
+        # past the draw, outcome and code arrays every temporary holds at most a CHUNK of
+        # units, and this run peaks near 1.4 MiB; the bound sits just above the 2.1 MiB of
+        # the per-block sampler this one replaced
+        c = cfg(d=3, rounds=20_000, seed=72)
+        proto.run_protocol(c, strategy_d3)  # first-call allocations stay outside
+        tracemalloc.start()
+        try:
+            proto.run_protocol(c, strategy_d3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2.2 * 2**20
+
 
 ORACLE_SHAPES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]
 
@@ -419,6 +457,31 @@ class TestTranscriptFiles:
         tampered = json.loads(fast.read_text().splitlines()[8])
         assert tampered["i"] != tampered["i_prime"]
         np.testing.assert_array_equal(proto.load_transcript(fast).codes, t.codes)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_distinct_code_routes_agree(self, d, strategy_d2, strategy_d3, strategy_d5,
+                                        tmp_path, monkeypatch):
+        # the count route runs where the code range k*d**(k+1) is no longer than the
+        # transcript: at d=2 (48 codes) and d=3 (972), not at d=5 (468 750)
+        strategy = {2: strategy_d2, 3: strategy_d3, 5: strategy_d5}[d]
+        t = proto.run_protocol(cfg(d=d, rounds=2000, seed=80 + d), strategy)
+        disagree(t, 3)
+        assert (t.k * d ** (t.k + 1) > len(t.codes)) == (d == 5)
+        distinct = proto._distinct
+        unique = np.unique(t.codes, return_inverse=True)
+        seen = {}
+        for route, span in (("count", 0), ("sort", len(t.codes) + 1)):
+            for got, want in zip(distinct(t.codes, span), unique):
+                assert got.dtype == want.dtype
+                np.testing.assert_array_equal(got, want)
+            with monkeypatch.context() as patch:
+                patch.setattr(proto, "_distinct", lambda codes, _span, span=span:
+                              distinct(codes, span))
+                proto.save_transcript(t, tmp_path / f"{route}.jsonl")
+                seen[route] = ((tmp_path / f"{route}.jsonl").read_bytes(), t.records)
+        reference_save(t, tmp_path / "ref.jsonl")
+        assert seen["count"] == seen["sort"]
+        assert seen["count"][0] == (tmp_path / "ref.jsonl").read_bytes()
 
     @pytest.mark.parametrize("case", sorted(MALFORMED))
     def test_malformed_load_rejected(self, case, strategy_d2, tmp_path):
