@@ -22,13 +22,15 @@ Each lookup searches its keys in sorted order. The streams are part of the
 release: a config gives byte-identical transcripts within one version of
 the package, not across versions.
 
-A :class:`Transcript` is its config, k and one int64 code per instance,
-from which basis, outcomes, guessing function and i' = x(b) follow by
-divmod; sifting, testing and agreement are masks over it. The test
-positions are the config's draw over the codes and the verdict is whether
-the codes agree at them, so both are derived, never stored.
-:attr:`Transcript.records` derives the older 1-based :class:`RoundRecord`
-list on demand.
+A :class:`Transcript` is its config, k and one read-only int64 code per
+instance, from which basis, outcomes, guessing function and i' = x(b)
+follow by divmod. The transcript decodes its codes once: it finds the
+distinct codes, each code's index among them and the fields of each
+distinct code, and sifting, testing, agreement, the records and the
+writer all gather through that table. The test positions are the config's
+draw over the codes and the verdict is whether the codes agree at them, so
+both are derived, never stored. :attr:`Transcript.records` derives the
+older 1-based :class:`RoundRecord` list on demand.
 
 Transcript files hold a JSON header line, then one 0-based JSON record per
 instance. The header repeats the test positions and the verdict; the
@@ -112,13 +114,31 @@ class Transcript:
     All labels are 0-based: b is Bob's basis, i his outcome and x the base-d
     index of Alice's guessing function over the k bases, first basis
     slowest, so i' = x(b) is digit b of x. :meth:`columns` decodes them.
-    The fields cannot be reassigned (the codes may be edited in place), and
+    The fields cannot be reassigned and the codes are read-only: the sampler
+    and the loader hand over arrays they froze, and any other array is
+    copied once. The codes are decoded once, on first use, into the fields
+    of the distinct codes and one int64 index per instance;
     :attr:`test_indices` and :attr:`accepted` are derived from them.
     """
 
     config: ProtocolConfig
     k: int
     codes: np.ndarray
+
+    def __post_init__(self):
+        codes = self.codes
+        if codes.flags.writeable or not codes.flags.owndata:  # the caller can still write to it
+            codes = np.array(codes, dtype=np.int64)
+            codes.flags.writeable = False
+            object.__setattr__(self, "codes", codes)
+
+    @cached_property
+    def _decoded(self):
+        """``(inverse, fields)``: each code's index among the distinct codes, and their
+        ``(b, i, x, i_prime)``; the one call of :func:`_fields`."""
+        d, k = self.config.d, self.k
+        distinct, inverse = _distinct(self.codes, k * d ** (k + 1))
+        return inverse, _fields(distinct, d, k)
 
     @cached_property
     def _tested(self) -> np.ndarray:
@@ -132,22 +152,22 @@ class Transcript:
         """The 0-based test positions, increasing; drawn on first read, then cached."""
         return tuple(self._tested.tolist())
 
-    @property
+    @cached_property
     def accepted(self) -> bool:
-        """True iff every test position has i = i'; read from the codes on each access."""
-        _, i, _, i_prime = _fields(self.codes[self._tested], self.config.d, self.k)
-        return bool(np.array_equal(i, i_prime))
+        """True iff every test position has i = i'; found on first read, then cached."""
+        inverse, (_, i, _, i_prime) = self._decoded
+        return bool((i == i_prime)[inverse[self._tested]].all())
 
     def columns(self):
         """0-based ``(b, i, x, i_prime)`` arrays, one entry per instance."""
-        return _fields(self.codes, self.config.d, self.k)
+        inverse, fields = self._decoded
+        return tuple(field[inverse] for field in fields)
 
     @property
     def records(self) -> tuple:
         """1-based :class:`RoundRecord` per instance, one per distinct code, built on each read."""
-        d, k = self.config.d, self.k
-        distinct, inverse = _distinct(self.codes, k * d ** (k + 1))
-        rows = (_record_rows(distinct, d, k) + 1).tolist()
+        inverse, fields = self._decoded
+        rows = (_record_rows(fields, self.config.d, self.k) + 1).tolist()
         table = [RoundRecord(b=row[0], i=row[1], x=tuple(row[3:]), i_prime=row[2]) for row in rows]
         return tuple(map(table.__getitem__, inverse.tolist()))
 
@@ -240,12 +260,8 @@ def _fields(codes: np.ndarray, d: int, k: int):
     """0-based ``(b, i, x, i_prime)`` of each code ``(b*d + i)*d**k + x``."""
     bi, x = np.divmod(codes, _span(d, k))
     b, i = np.divmod(bi, d)
-    return b, i, x, x // _powers(d, k)[b] % d
-
-
-def _powers(d: int, k: int) -> np.ndarray:
-    """Place values of the k base-d digits of x, first basis slowest."""
-    return d ** np.arange(k - 1, -1, -1, dtype=np.int64)
+    places = d ** np.arange(k - 1, -1, -1, dtype=np.int64)  # of x's digits, first basis slowest
+    return b, i, x, x // places[b] % d
 
 
 def _distinct(codes: np.ndarray, span: int):
@@ -262,9 +278,9 @@ def _distinct(codes: np.ndarray, span: int):
     return np.flatnonzero(seen), (np.cumsum(seen) - 1)[codes]
 
 
-def _record_rows(codes: np.ndarray, d: int, k: int) -> np.ndarray:
-    """0-based rows ``(b, i, i_prime, x digits...)`` of each code, in the file's key order."""
-    b, i, x, i_prime = _fields(codes, d, k)
+def _record_rows(fields, d: int, k: int) -> np.ndarray:
+    """0-based rows ``(b, i, i_prime, x digits...)`` of decoded codes, in the file's key order."""
+    b, i, x, i_prime = fields
     return np.column_stack([b, i, i_prime, bases.digits(x, d, k)])
 
 
@@ -287,6 +303,7 @@ def _sample(seed: int, strategy: Strategy, am, units: int) -> np.ndarray:
     """:class:`Transcript` codes (b*d + i)*d**k + x of ``units`` units of ``am.n`` instances.
 
     x is the drawn table row, which is the base-d value of its guessing function.
+    The array is returned read-only, for :class:`Transcript` to take without a copy.
 
     Per unit, chunk streams give Bob's basis vector and two fixed-point
     uniforms, one for his outcomes and one for Alice's POVM result. Each
@@ -345,10 +362,15 @@ def _sample(seed: int, strategy: Strategy, am, units: int) -> np.ndarray:
             yflat[at] = _lookup(table, rank[rows * dd + iflat[at]], u_povm[at])
     del u_out, u_povm  # not held while the codes are built
 
-    b = bases.digits(bflat, k, n).ravel()
-    i = bases.digits(iflat, d, n).ravel()
-    y = bases.digits(yflat, nx, n).ravel()
-    return (b * d + i) * nx + y
+    codes = np.empty(units * n, dtype=np.int64)
+    for s in range(n - 1, 0, -1):  # peel the fastest digit, the last slot, off each unit
+        bflat, b = np.divmod(bflat, k)
+        iflat, i = np.divmod(iflat, d)
+        yflat, y = np.divmod(yflat, nx)
+        codes[s::n] = (b * d + i) * nx + y
+    codes[::n] = (bflat * d + iflat) * nx + yflat
+    codes.flags.writeable = False
+    return codes
 
 
 def run_protocol(cfg: ProtocolConfig, strategy: Strategy, attack=None) -> Transcript:
@@ -395,10 +417,10 @@ def sift_and_test(transcript: Transcript):
     Returns ``(transcript.accepted, KeyPair)``; accepted iff every tested
     position has i = i'. The transcript is not changed.
     """
-    kept = np.delete(transcript.codes, transcript._tested)
-    _, i, _, i_prime = _fields(kept, transcript.config.d, transcript.k)
-    keys = KeyPair(alice_key=_DIGIT_BYTES[i_prime].tobytes().decode("ascii"),
-                   bob_key=_DIGIT_BYTES[i].tobytes().decode("ascii"))
+    inverse, (_, i, _, i_prime) = transcript._decoded
+    kept = np.delete(inverse, transcript._tested)
+    keys = KeyPair(alice_key=_DIGIT_BYTES[i_prime][kept].tobytes().decode("ascii"),
+                   bob_key=_DIGIT_BYTES[i][kept].tobytes().decode("ascii"))
     return transcript.accepted, keys
 
 
@@ -406,8 +428,8 @@ def agreement_rate(transcript: Transcript) -> float:
     """Fraction of instances where Alice's inferred digit matches Bob's."""
     if not len(transcript.codes):
         return 1.0
-    _, i, _, i_prime = transcript.columns()
-    return int(np.count_nonzero(i == i_prime)) / len(transcript.codes)
+    inverse, (_, i, _, i_prime) = transcript._decoded
+    return int(np.count_nonzero((i == i_prime)[inverse])) / len(inverse)
 
 
 def _record_format(k: int, slot: str) -> str:
@@ -424,8 +446,8 @@ def save_transcript(transcript: Transcript, path) -> None:
     otherwise each line is formatted and a chunk's lines are joined.
     """
     d, k = transcript.config.d, transcript.k
-    distinct, inverse = _distinct(transcript.codes, k * d ** (k + 1))
-    rows = _record_rows(distinct, d, k)
+    inverse, fields = transcript._decoded
+    rows = _record_rows(fields, d, k)
     fixed = d <= 10 and k <= 10
     if fixed:
         template = np.frombuffer(_record_format(k, "0").encode("ascii"), dtype=np.uint8)
@@ -447,7 +469,7 @@ def save_transcript(transcript: Transcript, path) -> None:
         for start in range(0, len(inverse), CHUNK):
             chunk = inverse[start:start + CHUNK]
             if fixed:
-                fh.write(line_matrix[chunk].tobytes())
+                fh.write(np.take(line_matrix, chunk, axis=0))
             else:
                 fh.write(b"".join(map(lines.__getitem__, chunk.tolist())))
 
@@ -502,9 +524,10 @@ def _fixed_width_codes(fh, d: int):
 
     k is read from the first line. The body is read ``CHUNK`` lines at a
     time as a (rows, width) byte array; per chunk, every non-digit byte must
-    equal the template's, every digit byte must be 0-9, and the ranges and
-    i' = x(b) are checked on the digit columns. None sends the whole body to
-    the general route, which reports the first bad line.
+    equal the template's and every digit byte must be a digit in its field's
+    range, in one comparison, and i' = x(b) is checked on the digit columns,
+    which are read by their byte index. None sends the whole body to the
+    general route, which reports the first bad line.
     """
     first = fh.readline()
     k = first.count(b",") - 2
@@ -514,26 +537,37 @@ def _fixed_width_codes(fh, d: int):
     width = len(template)
     if len(first) != width:
         return None
-    slots = template == ord("0")
-    limit = np.where(slots, 10, 1).astype(np.uint8)  # offsets from the template allowed per byte
+    b_at, i_at, i_prime_at, *x_at = np.flatnonzero(template == ord("0")).tolist()
+    # offsets from the template allowed per byte: none outside the fields, else the field's range
+    limit = np.ones(width, dtype=np.uint8)
+    limit[[i_at, i_prime_at, *x_at]] = min(d, 10)
+    limit[b_at] = min(k, 10)
+    # a chunk's bytes are compared as one flat run, which is faster than broadcasting a line
+    template, limit = (np.frombuffer(row.tobytes() * CHUNK, dtype=np.uint8)
+                       for row in (template, limit))
+    line_at = np.arange(0, CHUNK * width, width)
+    x_at = np.array(x_at)
     codes = []
     block = first + fh.read((CHUNK - 1) * width)
     while block:
         if len(block) % width:
             return None
-        offsets = np.frombuffer(block, dtype=np.uint8).reshape(-1, width) - template
-        if not (offsets < limit).all():
+        offsets = np.frombuffer(block, dtype=np.uint8) - template[:len(block)]
+        if not (offsets < limit[:len(block)]).all():
             return None
-        digits = offsets[:, slots].astype(np.int64)
-        (b, i, i_prime), x = digits[:, :3].T, digits[:, 3:]
-        if not ((b < k).all() and (i < d).all() and (x < d).all()):
+        lines = offsets.reshape(-1, width)
+        b = lines[:, b_at]
+        if not np.array_equal(lines[:, i_prime_at], offsets[line_at[:len(lines)] + x_at[b]]):
             return None
-        if not np.array_equal(i_prime, np.take_along_axis(x, b[:, None], axis=1)[:, 0]):
-            return None
-        span = _span(d, k)  # after the field checks, in the general route's order
-        codes.append((b * d + i) * span + x @ _powers(d, k))
+        _span(d, k)  # after the field checks, in the general route's order
+        code = b.astype(np.int64) * d + lines[:, i_at]
+        for at in x_at.tolist():
+            code = code * d + lines[:, at]
+        codes.append(code)
         block = fh.read(CHUNK * width)
-    return k, np.concatenate(codes)
+    codes = np.concatenate(codes)
+    codes.flags.writeable = False
+    return k, codes
 
 
 def _record_codes(lines: list, d: int):
@@ -575,6 +609,7 @@ def load_transcript(path) -> Transcript:
         k, table = _record_codes(list(slots), cfg.d)
         codes = table[order]
         codes = codes[codes >= 0]  # blank lines
+        codes.flags.writeable = False
     total = cfg.rounds * cfg.n
     if len(codes) != total:
         raise ValueError(f"transcript has {len(codes)} records, expected rounds*n = {total}")

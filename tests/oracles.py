@@ -19,6 +19,9 @@ source without expanding it, and :func:`max_trace_distance_all_pairs`,
 the earlier leakage triangle over every pair of Eve's states, duplicates
 included, kept as the reference for the triangle over her distinct states.
 
+:func:`fields` decodes instance codes one Python ``divmod`` at a time, the
+reference for the transcript's one decode of its distinct codes.
+
 One resident is not a reference but a construct only the tests read:
 :func:`decomposition_triple`, the paper's eta_x = eta_u + eta_v - eta_w
 identity.
@@ -318,6 +321,21 @@ def lookup(dists, rows, draws):
     cum += np.arange(len(cum), dtype=np.int64)[:, None] * proto._RES
     hits = np.searchsorted(cum.ravel(), rows * proto._RES + draws, side="right")
     return hits - rows * dists.shape[1]
+
+
+def fields(codes, d, k):
+    """0-based ``(b, i, x, i_prime)`` arrays of instance codes ``(b*d + i)*d**k + x``.
+
+    One Python ``divmod`` per code and a digit read per i' = x(b): the
+    reference for the decode a ``protocol.Transcript`` makes once.
+    """
+    cols = ([], [], [], [])
+    for code in np.asarray(codes).tolist():
+        bi, x = divmod(code, d**k)
+        b, i = divmod(bi, d)
+        for col, value in zip(cols, (b, i, x, x // d ** (k - 1 - b) % d)):
+            col.append(value)
+    return tuple(np.array(col, dtype=np.int64) for col in cols)
 
 
 def sample_per_tuple(seed, strategy, am, units, tables):

@@ -20,10 +20,12 @@ def cfg(d=2, n=1, rounds=1000, test_fraction=0.1, seed=12345):
 
 
 def disagree(t, pos):
-    """Re-code instance(s) ``pos`` of ``t`` with Bob's outcome i set to i' + 1 mod d."""
+    """A copy of ``t`` with instance(s) ``pos`` re-coded so that Bob's outcome i is i' + 1 mod d."""
     b, i, x, i_prime = (col[pos] for col in t.columns())
     d = t.config.d
-    t.codes[pos] = (b * d + (i_prime + 1) % d) * d**t.k + x
+    codes = t.codes.copy()
+    codes[pos] = (b * d + (i_prime + 1) % d) * d**t.k + x
+    return proto.Transcript(config=t.config, k=t.k, codes=codes)
 
 
 class TestConfig:
@@ -179,7 +181,7 @@ class TestSiftAndTest:
 
     def test_single_disagreement_full_testing(self, strategy_d2):
         t = proto.run_protocol(cfg(rounds=50, test_fraction=1.0, seed=4), strategy_d2)
-        disagree(t, 17)
+        t = disagree(t, 17)
         assert t.records[17].i != t.records[17].i_prime
         accepted, _ = proto.sift_and_test(t)
         assert not accepted
@@ -196,6 +198,39 @@ class TestSiftAndTest:
         assert len(before[0]) == 50
         proto.sift_and_test(t)
         assert (t.test_indices, t.accepted) == before
+
+    def test_codes_are_read_only(self, strategy_d2):
+        codes = np.random.default_rng(15).integers(2 * 2 * 2**3, size=200)
+        t = proto.Transcript(config=cfg(rounds=200, test_fraction=0.25, seed=15), k=3, codes=codes)
+        same = proto.Transcript(config=t.config, k=3, codes=codes.copy())
+        codes[:] = codes[0]  # the caller's array, edited before the first read
+        with pytest.raises(ValueError, match="read-only"):
+            t.codes[0] = 0
+        assert (t.accepted, proto.agreement_rate(t)) == (same.accepted, proto.agreement_rate(same))
+        for got, want in zip(t.columns(), same.columns()):
+            np.testing.assert_array_equal(got, want)
+        # the sampler's frozen array is taken as it is, not copied again
+        run = proto.run_protocol(cfg(rounds=50), strategy_d2)
+        assert proto.Transcript(config=run.config, k=run.k, codes=run.codes).codes is run.codes
+
+    def test_one_decode_per_transcript(self, strategy_d3, tmp_path, monkeypatch):
+        calls = []
+        fields = proto._fields
+        monkeypatch.setattr(proto, "_fields", lambda *args: calls.append(args) or fields(*args))
+        run = proto.run_protocol(cfg(d=3, rounds=500, test_fraction=0.25, seed=16), strategy_d3)
+        uses = {"accepted": lambda t: t.accepted, "agreement_rate": proto.agreement_rate,
+                "sift_and_test": proto.sift_and_test,
+                "save_transcript": lambda t: proto.save_transcript(t, tmp_path / "t.jsonl")}
+        for name, use in uses.items():
+            calls.clear()
+            t = proto.Transcript(config=run.config, k=run.k, codes=run.codes)
+            use(t)
+            assert len(calls) <= 1, name
+        calls.clear()
+        for use in uses.values():
+            use(run)
+            use(run)
+        assert len(calls) == 1
 
     def test_acceptance_probability_closed_form(self, strategy_d2, mub2):
         # a transcript with i.i.d. disagreement rate q passes m tests
@@ -221,7 +256,7 @@ class TestSiftAndTest:
 class TestSummaries:
     def test_agreement_rate_all_wrong(self, strategy_d2):
         t = proto.run_protocol(cfg(rounds=30), strategy_d2)
-        disagree(t, slice(None))
+        t = disagree(t, slice(None))
         assert all(r.i != r.i_prime for r in t.records)
         assert proto.agreement_rate(t) == 0.0
 
@@ -449,7 +484,7 @@ MALFORMED = {
 class TestTranscriptFiles:
     def test_save_matches_reference_writer(self, strategy_d2, tmp_path):
         t = proto.run_protocol(cfg(rounds=300, seed=50), strategy_d2)
-        disagree(t, 7)
+        t = disagree(t, 7)
         fast, ref = tmp_path / "fast.jsonl", tmp_path / "ref.jsonl"
         proto.save_transcript(t, fast)
         reference_save(t, ref)
@@ -465,7 +500,7 @@ class TestTranscriptFiles:
         # transcript: at d=2 (48 codes) and d=3 (972), not at d=5 (468 750)
         strategy = {2: strategy_d2, 3: strategy_d3, 5: strategy_d5}[d]
         t = proto.run_protocol(cfg(d=d, rounds=2000, seed=80 + d), strategy)
-        disagree(t, 3)
+        t = disagree(t, 3)
         assert (t.k * d ** (t.k + 1) > len(t.codes)) == (d == 5)
         distinct = proto._distinct
         unique = np.unique(t.codes, return_inverse=True)
@@ -474,11 +509,15 @@ class TestTranscriptFiles:
             for got, want in zip(distinct(t.codes, span), unique):
                 assert got.dtype == want.dtype
                 np.testing.assert_array_equal(got, want)
+            calls = []
             with monkeypatch.context() as patch:
                 patch.setattr(proto, "_distinct", lambda codes, _span, span=span:
-                              distinct(codes, span))
-                proto.save_transcript(t, tmp_path / f"{route}.jsonl")
-                seen[route] = ((tmp_path / f"{route}.jsonl").read_bytes(), t.records)
+                              calls.append(span) or distinct(codes, span))
+                # a fresh transcript: its one decode runs on the forced route
+                routed = proto.Transcript(config=t.config, k=t.k, codes=t.codes)
+                proto.save_transcript(routed, tmp_path / f"{route}.jsonl")
+                seen[route] = ((tmp_path / f"{route}.jsonl").read_bytes(), routed.records)
+            assert calls == [span]
         reference_save(t, tmp_path / "ref.jsonl")
         assert seen["count"] == seen["sort"]
         assert seen["count"][0] == (tmp_path / "ref.jsonl").read_bytes()
@@ -530,7 +569,7 @@ class TestFixedWidthRoute:
     def test_codes_match_general_route(self, d, n, strategy_d2, strategy_d3, tmp_path):
         strategy = {2: strategy_d2, 3: strategy_d3}[d]
         t = proto.run_protocol(cfg(d=d, n=n, rounds=3000, seed=60 + d + n), strategy)
-        disagree(t, 5)
+        t = disagree(t, 5)
         path = tmp_path / "t.jsonl"
         proto.save_transcript(t, path)
         k, codes = fixed_width_codes(path, d)

@@ -3,7 +3,9 @@
 Each example is a short protocol run at d in {2, 3} and n in {1, 2}, honest
 or under intercept-resend or an entangling probe. Sifting and agreement are
 checked against the per-record loops they replaced, which read the derived
-``Transcript.records`` view. The loader fuzzer mutates one line of a saved
+``Transcript.records`` view. Random codes at d up to 12 check the
+transcript's one decode, on both routes of ``protocol._distinct``, against
+``oracles.fields``. The loader fuzzer mutates one line of a saved
 transcript and requires that it raises ``ValueError`` or loads exactly the
 records the file holds.
 """
@@ -15,6 +17,7 @@ import numpy as np
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from meanking import attack as atk, protocol as proto
+from oracles import fields
 
 _SETTINGS = settings(max_examples=30, deadline=None,
                      suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -76,6 +79,46 @@ def test_roundtrip_and_masks_match_record_loops(example, strategy_d2, strategy_d
     accepted, keys = proto.sift_and_test(t)
     assert (keys.alice_key, keys.bob_key) == reference_sift(records, t.test_indices)
     assert accepted == all(records[pos].i == records[pos].i_prime for pos in t.test_indices)
+
+
+@st.composite
+def code_arrays(draw):
+    """``(d, k, codes)``: random instance codes ``(b*d + i)*d**k + x`` of k bases in dimension d."""
+    d = draw(st.sampled_from([2, 3, 5, 12]))
+    k = draw(st.integers(1, 4))
+    count = draw(st.integers(1, 120))
+    values = st.tuples(st.integers(0, k - 1), st.integers(0, d - 1), st.integers(0, d**k - 1))
+    rows = draw(st.lists(values, min_size=count, max_size=count))
+    return d, k, np.array([(b * d + i) * d**k + x for b, i, x in rows], dtype=np.int64)
+
+
+@_SETTINGS
+@given(example=code_arrays(), fraction=st.sampled_from([0.0, 0.25, 1.0]))
+def test_decode_matches_divmod_oracle(example, fraction, monkeypatch):
+    d, k, codes = example
+    c = proto.ProtocolConfig(d=d, n=1, rounds=len(codes), test_fraction=fraction, seed=len(codes))
+    b, i, x, i_prime = want = fields(codes, d, k)
+    hits = i == i_prime
+    digits = [tuple(v // d ** (k - 1 - j) % d + 1 for j in range(k)) for v in x.tolist()]
+    records = tuple(proto.RoundRecord(b=bb + 1, i=ii + 1, x=xs, i_prime=pp + 1)
+                    for bb, ii, xs, pp in zip(b.tolist(), i.tolist(), digits, i_prime.tolist()))
+    distinct = proto._distinct
+    for span in (0, len(codes) + 1):  # the count route, then the sort route
+        with monkeypatch.context() as patch:
+            patch.setattr(proto, "_distinct", lambda codes, _span, span=span:
+                          distinct(codes, span))
+            t = proto.Transcript(config=c, k=k, codes=codes)
+            for got, col in zip(t.columns(), want):
+                np.testing.assert_array_equal(got, col)
+            tested = list(t.test_indices)
+            assert t.accepted == bool(hits[tested].all())
+            assert proto.agreement_rate(t) == np.count_nonzero(hits) / len(codes)
+            kept = np.delete(np.arange(len(codes)), tested)
+            accepted, keys = proto.sift_and_test(t)
+            assert accepted == t.accepted
+            assert keys.alice_key == "".join(proto._DIGITS[v] for v in i_prime[kept].tolist())
+            assert keys.bob_key == "".join(proto._DIGITS[v] for v in i[kept].tolist())
+            assert t.records == records
 
 
 @_SETTINGS
