@@ -58,9 +58,9 @@ from itertools import product
 import numpy as np
 
 from . import qmath
-from .bases import BasisSet, FormatError, digits
+from .bases import BasisSet, digits
 from .retrodiction import Strategy, checked_block_dim, digit_operators, omega
-from .serialize import complex_to_pairs, pairs_to_complex, read_json, write_json
+from .serialize import complex_to_pairs, integer, pairs_to_complex, read_json, reading, write_json
 
 # Chunk budgets, in complex entries: Kraus-branch stacks per chunk of the
 # walk, and state differences per chunk of the leakage pair triangle. A
@@ -526,19 +526,13 @@ def save_attack(am: AttackModel, path) -> None:
 
 
 def load_attack(path) -> AttackModel:
-    """Read an attack written by :func:`save_attack`.
-
-    Raises :class:`~meanking.bases.FormatError` when the file does not have
-    that layout or does not describe a valid attack.
-    """
-    data = read_json(path)
-    try:
+    """Read an attack written by :func:`save_attack`; ``FormatError`` for another layout."""
+    with reading("attack", path):
+        data = read_json(path)
         return AttackModel(
-            d=int(data["d"]),
-            n=int(data["n"]),
-            d_eve=int(data["d_E"]),
+            d=integer(data["d"], "d", 2),
+            n=integer(data["n"], "n", 1),
+            d_eve=integer(data["d_E"], "d_E", 1),
             psi_abe=pairs_to_complex(data["psi_abe"]),
             kraus=pairs_to_complex(data["kraus"]),
         )
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise FormatError(f"bad attack file {path}: {exc}") from exc

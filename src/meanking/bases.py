@@ -17,7 +17,8 @@ from itertools import combinations
 import numpy as np
 
 from . import qmath
-from .serialize import complex_to_pairs, pairs_to_complex, read_json, write_json
+from .serialize import (FormatError, complex_to_pairs, integer, pairs_to_complex, read_json,
+                        reading, write_json)
 
 SUPPORTED_GEN_DIMS = (2, 3, 5, 7)
 # The size limits of every enumerating path. Entries of the largest dense array
@@ -39,10 +40,6 @@ _PAIR_OVERLAPS = 1 << 16
 
 class UnsupportedDimension(ValueError):
     """Basis generation asked for a dimension outside the supported set."""
-
-
-class FormatError(ValueError):
-    """A basis-set file does not match the expected JSON layout."""
 
 
 class OverBudget(RuntimeError):
@@ -146,18 +143,6 @@ def _gram_deviations(bs: BasisSet):
     return orthonormal, unbiased, flat
 
 
-def check_orthonormal(bs: BasisSet, tol: float = qmath.DEFAULT_TOL):
-    """Max-norm deviation of every per-basis Gram matrix from the identity."""
-    worst = _gram_deviations(bs)[0]
-    return worst <= tol, worst
-
-
-def check_unbiased(bs: BasisSet, tol: float = qmath.DEFAULT_TOL):
-    """Worst deviation of cross-basis squared overlaps from 1/d, each basis against later ones."""
-    worst = _gram_deviations(bs)[1]
-    return worst <= tol, worst
-
-
 def check_nondegenerate(bs: BasisSet, tol: float = qmath.DEFAULT_TOL):
     """Real-linear rank of the k*d rank-one projectors; ok iff k(d-1)+1."""
     d, k, v = bs.dim, bs.k, bs.vectors
@@ -180,15 +165,6 @@ def pairwise_joint(bs: BasisSet, a: int, b: int) -> np.ndarray:
     return np.abs(ov) ** 2 / bs.dim
 
 
-def pairwise_flat(bs: BasisSet, tol: float = qmath.DEFAULT_TOL) -> bool:
-    """True iff every pairwise table is within ``tol`` of 1/d**2.
-
-    The uniform distribution over the d**k outcome tuples then reproduces
-    every table, so a classical model exists.
-    """
-    return _gram_deviations(bs)[2] <= tol
-
-
 def check_classical_model(bs: BasisSet, tol: float = qmath.DEFAULT_TOL):
     """Feasibility of a joint distribution reproducing all pairwise tables.
 
@@ -205,7 +181,7 @@ def check_classical_model(bs: BasisSet, tol: float = qmath.DEFAULT_TOL):
     qmath.check_tol(tol, qmath.MIN_VALIDATE_TOL, "validation floor")
     d, k = bs.dim, bs.k
     nvar = d**k
-    if pairwise_flat(bs, tol):
+    if _gram_deviations(bs)[2] <= tol:  # every pairwise table within tol of 1/d**2
         return True, np.full(nvar, 1.0 / nvar)
     if nvar > MAX_GUESSING_FUNCTIONS:
         raise OverBudget(f"classical-model LP with {nvar} variables exceeds the supported size")
@@ -260,14 +236,11 @@ def save_basis_set(bs: BasisSet, path) -> None:
 def basis_set_from_json(data) -> BasisSet:
     """The basis set of the ``dim`` and ``bases`` fields of a basis-set or strategy file."""
     bs = BasisSet(pairs_to_complex(data["bases"]))
-    if bs.dim != int(data["dim"]):
+    if bs.dim != integer(data["dim"], "dim", 1):
         raise ValueError(f"bases have shape {bs.vectors.shape}, expected dimension {data['dim']}")
     return bs
 
 
 def load_basis_set(path) -> BasisSet:
-    data = read_json(path)
-    try:
-        return basis_set_from_json(data)
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise FormatError(f"bad basis-set file {path}: {exc}") from exc
+    with reading("basis-set", path):
+        return basis_set_from_json(read_json(path))

@@ -45,7 +45,6 @@ by line in text mode, each distinct line decoded once as JSON.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property, reduce
 from math import ceil
@@ -55,7 +54,7 @@ import numpy as np
 from . import attack as attack_mod
 from . import bases, qmath
 from .retrodiction import Strategy, checked_block_dim
-from .serialize import canonical_dumps
+from .serialize import canonical_dumps, decode, integer, integers, reading
 
 _DIGITS = "123456789ABCDEFG"
 _DIGIT_BYTES = np.frombuffer(_DIGITS.encode("ascii"), dtype=np.uint8)  # key byte per digit
@@ -83,11 +82,9 @@ class ProtocolConfig:
 
     def __post_init__(self):
         for key, least in (("d", 2), ("n", 1), ("rounds", 1), ("seed", 0)):
-            value = getattr(self, key)
-            if type(value) is not int or value < least:  # type() leaves out bool
-                raise ValueError(f"config {key} must be an integer >= {least}, not {value!r}")
+            integer(getattr(self, key), f"config {key}", least)
         frac = self.test_fraction
-        if isinstance(frac, bool) or not isinstance(frac, (int, float)) or not 0 <= frac <= 1:
+        if type(frac) not in (int, float) or not 0 <= frac <= 1:
             raise ValueError(f"config test_fraction must be a number in [0, 1], not {frac!r}")
 
     def to_dict(self) -> dict:
@@ -475,14 +472,9 @@ def save_transcript(transcript: Transcript, path) -> None:
 
 
 def _parse_header(line: str):
-    try:
-        header = json.loads(line)
-        fmt = header["format"]
-        raw = header["config"]
-        tests = header["test_indices"]
-        accepted = header["accepted"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"malformed transcript header: {exc}") from exc
+    header = decode(line, "malformed transcript header")
+    fmt, raw = header["format"], header["config"]
+    tests, accepted = header["test_indices"], header["accepted"]
     if fmt != TRANSCRIPT_FORMAT:
         raise ValueError(f"transcript format {fmt!r}, expected {TRANSCRIPT_FORMAT!r}")
     keys = sorted(f.name for f in fields(ProtocolConfig))
@@ -490,28 +482,24 @@ def _parse_header(line: str):
         raise ValueError(f"transcript config must have the keys {keys}")
     if not isinstance(accepted, bool):
         raise ValueError(f"transcript accepted must be true or false, not {accepted!r}")
-    # type() is int leaves out bool, which JSON gives for true and false
-    if not isinstance(tests, list) or not set(map(type, tests)) <= {int}:
-        raise ValueError("test_indices must be a list of integers")
+    integers(tests, "test_indices")
     return ProtocolConfig(**raw), tuple(tests), accepted  # the config checks its own fields
 
 
 def _parse_record(line: str, d: int) -> tuple:
     """One 0-based record line, checked on its own; returns ``(k, code)``."""
-    try:
-        raw = json.loads(line)
-        b, i, x, i_prime = raw["b"], raw["i"], raw["x"], raw["i_prime"]
-    except (ValueError, KeyError, TypeError) as exc:
-        raise ValueError(f"malformed transcript record {line.strip()!r}") from exc
-    # type() is int leaves out bool, which JSON gives for true and false
-    if not (type(x) is list and x and {type(v) for v in (b, i, i_prime, *x)} == {int}):
-        raise ValueError(f"record {line.strip()!r}: fields must be integers, x a nonempty list")
-    if not (0 <= i < d and 0 <= min(x) and max(x) < d):
-        raise ValueError(f"record {line.strip()!r}: outcomes must lie in 0..{d - 1}")
-    if not 0 <= b < len(x):
-        raise ValueError(f"record {line.strip()!r}: basis must lie in 0..{len(x) - 1}")
+    where = f"record {line.strip()!r}"
+    raw = decode(line, f"malformed transcript {where}")
+    b, i, i_prime = (integer(raw[key], f"{where}: {key}") for key in ("b", "i", "i_prime"))
+    x = raw["x"]
+    if not integers(x, f"{where}: x"):
+        raise ValueError(f"{where}: x must be a nonempty list")
+    if not (i < d and max(x) < d):
+        raise ValueError(f"{where}: outcomes must lie in 0..{d - 1}")
+    if not b < len(x):
+        raise ValueError(f"{where}: basis must lie in 0..{len(x) - 1}")
     if i_prime != x[b]:
-        raise ValueError(f"record {line.strip()!r}: i_prime {i_prime} differs from x[b] = {x[b]}")
+        raise ValueError(f"{where}: i_prime {i_prime} differs from x[b] = {x[b]}")
     _span(d, len(x))  # refuses an x too long for a 64-bit code
     code = b * d + i
     for v in x:
@@ -582,41 +570,42 @@ def _record_codes(lines: list, d: int):
 def load_transcript(path) -> Transcript:
     """Read a transcript written by :func:`save_transcript`, checking it.
 
-    Raises ``ValueError`` on a foreign format, a config field of the wrong
-    type or range, a record count other than rounds*n, a malformed or
-    inconsistent record, or a header whose ``test_indices`` differ from the
-    config's draw or whose ``accepted`` differs from the tested records.
-    Two routes read the body. The fixed-width route reads
-    ``CHUNK`` lines at a time as byte rows when every line fills the
-    one-digit record template (see :func:`_fixed_width_codes`); any other
+    Raises ``FormatError``, a ``ValueError``, on text that is not JSON lines,
+    a foreign format, a config field of the wrong type or range, a record
+    count other than rounds*n, a malformed or inconsistent record, or a header
+    whose ``test_indices`` differ from the config's draw or whose ``accepted``
+    differs from the tested records. Two routes read the body. The fixed-width
+    route reads ``CHUNK`` lines at a time as byte rows when every line fills
+    the one-digit record template (see :func:`_fixed_width_codes`); any other
     body goes to the general route, which reads text lines and decodes each
     distinct line once with :func:`_parse_record`.
     """
-    fixed = None
-    with open(path, "rb") as fh:
-        head = fh.readline()
-        if head.isascii() and b"\r" not in head:  # the same first line as in text mode
-            cfg, tests, accepted = _parse_header(head.decode("ascii"))
-            fixed = _fixed_width_codes(fh, cfg.d)
-    if fixed is not None:
-        k, codes = fixed
-    else:
-        with open(path, "r", encoding="utf-8") as fh:
-            cfg, tests, accepted = _parse_header(fh.readline())
-            slots: dict = {}  # distinct line -> its row in the code table
-            order = np.fromiter((slots.setdefault(line, len(slots)) for line in fh),
-                                dtype=np.int64)
-        k, table = _record_codes(list(slots), cfg.d)
-        codes = table[order]
-        codes = codes[codes >= 0]  # blank lines
-        codes.flags.writeable = False
-    total = cfg.rounds * cfg.n
-    if len(codes) != total:
-        raise ValueError(f"transcript has {len(codes)} records, expected rounds*n = {total}")
-    transcript = Transcript(config=cfg, k=k, codes=codes)
-    if tests != transcript.test_indices:
-        raise ValueError("test_indices differ from the positions the config draws")
-    if accepted != transcript.accepted:
-        raise ValueError(f"accepted is {str(accepted).lower()}, but the tested records say "
-                         f"{str(transcript.accepted).lower()}")
+    with reading("transcript", path):
+        fixed = None
+        with open(path, "rb") as fh:
+            head = fh.readline()
+            if head.isascii() and b"\r" not in head:  # the same first line as in text mode
+                cfg, tests, accepted = _parse_header(head.decode("ascii"))
+                fixed = _fixed_width_codes(fh, cfg.d)
+        if fixed is not None:
+            k, codes = fixed
+        else:
+            with open(path, "r", encoding="utf-8") as fh:
+                cfg, tests, accepted = _parse_header(fh.readline())
+                slots: dict = {}  # distinct line -> its row in the code table
+                order = np.fromiter((slots.setdefault(line, len(slots)) for line in fh),
+                                    dtype=np.int64)
+            k, table = _record_codes(list(slots), cfg.d)
+            codes = table[order]
+            codes = codes[codes >= 0]  # blank lines
+            codes.flags.writeable = False
+        total = cfg.rounds * cfg.n
+        if len(codes) != total:
+            raise ValueError(f"transcript has {len(codes)} records, expected rounds*n = {total}")
+        transcript = Transcript(config=cfg, k=k, codes=codes)
+        if tests != transcript.test_indices:
+            raise ValueError("test_indices differ from the positions the config draws")
+        if accepted != transcript.accepted:
+            raise ValueError(f"accepted is {str(accepted).lower()}, but the tested records say "
+                             f"{str(transcript.accepted).lower()}")
     return transcript

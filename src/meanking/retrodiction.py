@@ -53,9 +53,10 @@ from math import isqrt
 import numpy as np
 
 from . import bases, qmath
-from .bases import (MAX_GUESSING_FUNCTIONS, BasisSet, FormatError, OverBudget,
-                    basis_set_from_json, digits, enumerate_guessing_functions)
-from .serialize import complex_to_pairs, pairs_to_complex, read_json, write_json
+from .bases import (MAX_GUESSING_FUNCTIONS, BasisSet, OverBudget, basis_set_from_json, digits,
+                    enumerate_guessing_functions)
+from .serialize import (complex_to_pairs, integers, numbers, pairs_to_complex, read_json, reading,
+                        write_json)
 
 STRATEGY_FORMAT = "meanking-strategy-v2"
 
@@ -510,26 +511,16 @@ def save_strategy(s: Strategy, path) -> None:
                       "weights": s.weights.tolist() if weight is None else weight})
 
 
-def _number(value) -> float:
-    """A JSON number as a float; ``ValueError`` for anything else or one that is not finite."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{value!r} is not a number")
-    value = float(value)
-    if not np.isfinite(value):
-        raise ValueError(f"{value} is not finite")
-    return value
-
-
 def _read_v2(data, bs: BasisSet) -> Strategy:
     """The strategy of a v2 file's fields; :class:`Strategy` checks their shapes."""
     if data["format"] != STRATEGY_FORMAT:
         raise ValueError(f"unknown strategy format {data['format']!r}")
     _check_size(bs)
     generators = pairs_to_complex(data["generators"])
-    if isinstance(data["weights"], list):
-        weights = np.array([_number(w) for w in data["weights"]])
-    else:
-        weights = np.broadcast_to(_number(data["weights"]), (bs.dim**bs.k,))
+    weights = numbers(data["weights"], "weights")
+    if weights.ndim > 1:
+        raise ValueError("weights must be one number or a list of numbers")
+    weights = weights if weights.ndim else np.broadcast_to(weights, (bs.dim**bs.k,))
     return Strategy(basis_set=bs, weights=weights, generators=generators)
 
 
@@ -539,20 +530,22 @@ def _read_v1(data, bs: BasisSet) -> Strategy:
     source = pairs_to_complex(data["omega"])
     if source.shape != (dim * dim,) or np.max(np.abs(source - omega(dim))) > qmath.DEFAULT_TOL:
         raise ValueError(f"omega is not the maximally entangled state of dimension {dim}")
-    entries = data["entries"]  # nothing longer than the entry list is built
-    want = digits(np.arange(min(len(entries), dim**bs.k)), dim, bs.k).tolist()
-    bad = next((j for j, (e, x) in enumerate(zip(entries, want)) if e["x"] != x), len(want))
-    if bad < len(entries) or len(entries) != dim**bs.k:
+    entries, k = data["entries"], bs.k  # nothing longer than the entry list is built
+    rows = min(([len(e["x"]) == k for e in entries] + [False]).index(False), dim**k)  # k digits
+    got = np.array(integers([v for e in entries for v in e["x"]], "x"))[:rows * k].reshape(rows, k)
+    wrong = np.flatnonzero((got != digits(np.arange(rows), dim, k)).any(axis=1))
+    bad = int(wrong[0]) if wrong.size else rows
+    if bad < len(entries) or len(entries) != dim**k:
         raise ValueError(f"entry {bad} of {len(entries)} is not guessing function {bad}: "
-                         f"the entries list all {dim}**{bs.k} in order, first basis slowest")
-    etas, weights, residuals = zip(*[(e["eta"], e["p"], e["residual"]) for e in entries])
+                         f"the entries list all {dim}**{k} in order, first basis slowest")
+    etas, values = zip(*[(e["eta"], (e["p"], e["residual"])) for e in entries])
     if any(len(eta) != dim * dim for eta in etas):
         raise ValueError(f"a safe vector does not have {dim * dim} entries")
-    table = safe_vector_table(pairs_to_complex(etas).reshape(len(etas), -1), residuals)
-    weights = np.array(weights, dtype=float)
-    if not np.isfinite(weights).all() or not np.isfinite(table.residual).all():
-        raise ValueError("a weight or residual is not finite")
-    return Strategy(basis_set=bs, weights=weights, table=table)
+    values = numbers(values, "a weight or residual")
+    if values.shape != (len(entries), 2):
+        raise ValueError("a weight or residual is not a number")
+    table = safe_vector_table(pairs_to_complex(etas).reshape(len(etas), -1), values[:, 1])
+    return Strategy(basis_set=bs, weights=values[:, 0].copy(), table=table)
 
 
 def load_strategy(path) -> Strategy:
@@ -568,12 +561,9 @@ def load_strategy(path) -> Strategy:
     vectors, which raises :class:`OverBudget` past ``MAX_GUESSING_FUNCTIONS``
     for a v2 file (a v1 file lists them already).
     """
-    data = read_json(path)
-    try:
-        bs = basis_set_from_json(data)
-        s = (_read_v2 if "format" in data else _read_v1)(data, bs)
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
-        raise FormatError(f"bad strategy file {path}: {exc}") from exc
+    with reading("strategy", path):
+        data = read_json(path)
+        s = (_read_v2 if "format" in data else _read_v1)(data, basis_set_from_json(data))
     with np.errstate(over="ignore", invalid="ignore"):  # a file's numbers past the float range
         _check_complete_and_maximal(s.min_weight, s.completeness_residual, "stored strategy")
     return s

@@ -1,11 +1,67 @@
-"""JSON helpers: complex arrays as [re, im] pairs, canonical dumps, digests."""
+"""JSON helpers: complex arrays as [re, im] pairs, canonical dumps, digests, and the input policy.
+
+Every file the package reads back goes through one decode (:func:`decode`), one integer rule
+(:func:`integer`, :func:`integers`: never ``2.0``, ``2.5``, ``"2"`` or ``true``), one number rule
+(:func:`numbers`: finite JSON numbers, never ``"0.5"``, ``true`` or ``null``, every [re, im]
+entry included) and one wrapper (:func:`reading`): ``FormatError("bad <kind> file <path>: ...")``.
+"""
 
 from __future__ import annotations
 
 import hashlib
 import json
+import reprlib
+from contextlib import contextmanager
 
 import numpy as np
+
+
+class FormatError(ValueError):
+    """An input file does not match its JSON layout."""
+
+
+@contextmanager
+def reading(kind: str, path):
+    """Raise a layout error of the block as :class:`FormatError`, naming the file and its kind."""
+    try:
+        yield
+    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+        raise FormatError(f"bad {kind} file {path}: {exc}") from exc
+
+
+def decode(text: str, what: str = "not JSON"):
+    """The JSON value of ``text``; ``ValueError``, ``what`` first, for text that is not JSON."""
+    try:
+        return json.loads(text)
+    except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep to decode
+        raise ValueError(f"{what}: {exc}") from None
+
+
+def integer(value, what: str, least: int = 0) -> int:
+    """``value`` if it is a JSON integer >= ``least``, else ``ValueError``."""
+    if type(value) is not int or value < least:  # type() leaves out bool
+        raise ValueError(f"{what} must be an integer >= {least}, not {reprlib.repr(value)}")
+    return value
+
+
+def integers(values, what: str, least: int = 0) -> list:
+    """``values`` if it is a list of JSON integers >= ``least``, else ``ValueError``."""
+    if type(values) is not list or not set(map(type, values)) <= {int} \
+            or min(values, default=least) < least:
+        raise ValueError(f"{what} must be a list of integers >= {least}")
+    return values
+
+
+def numbers(data, what: str) -> np.ndarray:
+    """A JSON number, or a regular nested array of them, as a float array; else ``ValueError``."""
+    leaves = np.asarray(data, dtype=object)  # as json gave them: numpy reads true as 1.0
+    if not set(map(type, leaves.reshape(-1))) <= {int, float}:
+        odd = next(v for v in leaves.reshape(-1) if type(v) not in (int, float))
+        raise ValueError(f"{what} holds {reprlib.repr(odd)} where a number belongs")
+    a = leaves.astype(float)
+    if not np.isfinite(a).all():
+        raise ValueError(f"{what} holds a number that is not finite")
+    return a
 
 
 def complex_to_pairs(arr):
@@ -15,12 +71,10 @@ def complex_to_pairs(arr):
 
 
 def pairs_to_complex(data) -> np.ndarray:
-    """Inverse of :func:`complex_to_pairs`; validates the pair structure."""
-    a = np.asarray(data, dtype=float)
+    """Inverse of :func:`complex_to_pairs`; validates the pair structure and the numbers."""
+    a = numbers(data, "complex data")
     if a.ndim < 2 or a.shape[-1] != 2:
         raise ValueError("complex data must be nested [re, im] pairs")
-    if not np.isfinite(a).all():
-        raise ValueError("complex data holds a number that is not finite")
     return a[..., 0] + 1j * a[..., 1]
 
 
@@ -38,7 +92,7 @@ def write_json(path, obj) -> None:
 
 def read_json(path):
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return decode(fh.read())
 
 
 def file_digest(path) -> str:

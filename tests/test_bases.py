@@ -29,8 +29,8 @@ class TestGenMub:
     def test_cross_overlaps(self, d):
         bs = bases.gen_mub(d)
         assert bs.k == d + 1
-        ok, worst = bases.check_unbiased(bs, 1e-10)
-        assert ok, worst
+        worst = bases._gram_deviations(bs)[1]
+        assert worst <= 1e-10, worst
         if d in (2, 3):
             assert worst < 1e-12
 
@@ -70,19 +70,16 @@ class TestBasisSet:
 
 class TestOrthonormal:
     def test_generated_sets(self, mub3):
-        ok, worst = bases.check_orthonormal(mub3)
-        assert ok and worst < 1e-12
+        assert bases._gram_deviations(mub3)[0] < 1e-12
 
     def test_duplicated_vector(self, mub2):
         mats = mub2.vectors.copy()
         mats[1, 1] = mats[1, 0]
         bs = bases.BasisSet(mats)
-        ok, _ = bases.check_orthonormal(bs)
-        assert not ok
+        assert not bases._gram_deviations(bs)[0] <= qmath.DEFAULT_TOL
 
     def test_scaled_basis(self, mub2):
-        ok, worst = bases.check_orthonormal(scaled_copy(mub2, 0.9))
-        assert not ok
+        worst = bases._gram_deviations(scaled_copy(mub2, 0.9))[0]
         assert abs(worst - 0.19) < 1e-12  # |0.81 - 1|
 
 
@@ -233,7 +230,7 @@ class TestValidateMemory:
 
     @pytest.mark.parametrize("angle,flat", [(0.0, True), (1e-4, False), (0.6, False)])
     def test_flatness_predicate(self, mub3, biased_copy, angle, flat):
-        assert bases.pairwise_flat(biased_copy(mub3, angle, b=2), 1e-9) is flat
+        assert (bases._gram_deviations(biased_copy(mub3, angle, b=2))[2] <= 1e-9) is flat
 
 
 class TestSizePolicy:
@@ -267,7 +264,7 @@ class TestValidateTolerance:
     def test_tol_below_floor_refused(self, mub2, biased_copy):
         # cross overlaps off 1/d by 3e-11: visible at 1e-12, hidden under the floor
         bs = biased_copy(mub2, 3e-11)
-        assert not bases.check_unbiased(bs, 1e-12)[0]
+        assert not bases._gram_deviations(bs)[1] <= 1e-12
         for tol in (1e-12, 1e-10, float("nan")):
             with pytest.raises(ValueError, match="below the validation floor 1e-09"):
                 bases.validate(bs, tol)

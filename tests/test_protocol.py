@@ -264,7 +264,9 @@ class TestSummaries:
         t = proto.run_protocol(cfg(rounds=120, seed=21), strategy_d2)
         p1, p2 = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
         proto.save_transcript(t, p1)
+        assert b'"accepted":true' in p1.read_bytes().splitlines()[0]  # a JSON boolean, not 1
         back = proto.load_transcript(p1)
+        assert back.accepted is True
         assert back.config == t.config
         assert back.records == t.records
         assert back.test_indices == t.test_indices

@@ -626,15 +626,27 @@ class TestNoEnumeration:
 
 class TestVersionedFiles:
     @pytest.mark.parametrize("d", [2, 3])
-    def test_v1_files_load_bitwise(self, d, v1_files, request):
+    def test_v1_files_load_bitwise(self, d, v1_files, request, tmp_path):
         import json
 
-        entries = json.loads(v1_files[d].read_text())["entries"]
-        loaded = rd.load_strategy(v1_files[d])
-        assert loaded.generators is None
-        assert np.array_equal(loaded.etas, [[complex(*z) for z in e["eta"]] for e in entries])
-        assert np.array_equal(loaded.weights, [e["p"] for e in entries])
-        assert np.array_equal(loaded.safe_vectors.residual, [e["residual"] for e in entries])
+        def integral_as_int(node):  # 1.0 written as 1, as a hand-written file may have it
+            if isinstance(node, list):
+                return [integral_as_int(v) for v in node]
+            if isinstance(node, dict):
+                return {key: integral_as_int(v) for key, v in node.items()}
+            return int(node) if isinstance(node, float) and node.is_integer() else node
+
+        data = json.loads(v1_files[d].read_text())
+        entries = data["entries"]
+        by_hand = tmp_path / "by_hand.json"
+        by_hand.write_text(json.dumps(integral_as_int(data)))
+        assert '[1, 0]' in by_hand.read_text()
+        for path in (v1_files[d], by_hand):
+            loaded = rd.load_strategy(path)
+            assert loaded.generators is None
+            assert np.array_equal(loaded.etas, [[complex(*z) for z in e["eta"]] for e in entries])
+            assert np.array_equal(loaded.weights, [e["p"] for e in entries])
+            assert np.array_equal(loaded.safe_vectors.residual, [e["residual"] for e in entries])
         # the table a build sums from its generators is the one 0.7.0 wrote
         built = request.getfixturevalue(f"strategy_d{d}")
         assert np.max(np.abs(built.etas - loaded.etas)) < 1e-12
