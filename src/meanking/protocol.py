@@ -6,21 +6,38 @@ POVM and later, once Bob announces his bases, infers his outcomes from her
 guessing functions. Agreement on randomly selected test positions is the
 eavesdropping check; the remaining positions become the raw key.
 
-One vectorized sampler serves both paths. It draws per unit: a block of n
-instances under an attack, or a single instance on the honest path, which
-is the identity attack with n = 1. Units are grouped in chunks of
-``CHUNK``, and chunk c draws from its own counter-based Philox stream keyed
-by ``(seed, c)`` (Salmon et al., "Parallel random numbers: as easy as
-1, 2, 3", SC'11); test selection draws from a stream under a key no chunk
-uses. A unit's draws therefore depend only on the seed and its position,
-never on how many blocks run after it. Outcomes come from inverse-CDF
-lookups in fixed-point cumulative tables, two per chunk of the exact
-analysis's walk (:func:`~meanking.attack._walk`): Bob's outcomes from the
+One sampler serves both paths. It draws per unit: a block of n instances
+under an attack, or a single instance on the honest path. Units are
+grouped in chunks of ``CHUNK``, and chunk c draws from its own
+counter-based Philox stream keyed by ``(seed, c)`` (Salmon et al.,
+"Parallel random numbers: as easy as 1, 2, 3", SC'11); test selection
+draws from a stream under a key no chunk uses. A unit's draws therefore
+depend only on the seed and its position, never on how many blocks run
+after it. Outcomes are inverse-CDF draws in fixed-point cumulative tables,
+by one of two routes over the same draws.
+
+An honest run on a strategy given by its generators, with uniform weights
+and a residual bound within ``qmath.RESIDUAL_TOL``, is drawn in closed
+form. A safe vector satisfies <eta_x|phi_hat_b(i)> = delta(x(b), i), so
+Bob's outcome i is uniform over d and Alice's result, given his (b, i), is
+uniform over the d**(k-1) guessing functions with x(b) = i (Englert and
+Aharonov, Phys. Lett. A 284, 1, 2001). Each is the bin of its draw in the
+table of equal weights, found by arithmetic and at most one step of
+correction against that table; x is the bin m with digit i put in at
+position b. No walk, Born row or table of d**k safe vectors is built, so
+an honest d=7 run works.
+
+Every other run, attacked, on weights that are not uniform, on generators
+not shown to be safe or on a table given by hand, walks the exact analysis
+(:func:`~meanking.attack._walk`): per walk chunk, Bob's outcomes from the
 outcome rows of the chunk's basis blocks, then Alice's results from Born
 rows built only for the (block, outcome) pairs that were actually drawn.
-Each lookup searches its keys in sorted order. The streams are part of the
-release: a config gives byte-identical transcripts within one version of
-the package, not across versions.
+Each lookup searches its keys in sorted order. Where both routes apply,
+their tables are equal at d=2 and 3. At d=5, 1.4% of Alice's walked edges
+sit one unit of 2**-40 off the uniform ones, so the routes differ only for
+a draw equal to such an edge, about 4e-11 per draw. The streams are part
+of the release: a config gives byte-identical transcripts within one
+version of the package, not across versions.
 
 A :class:`Transcript` is its config, k and one read-only int64 code per
 instance, from which basis, outcomes, guessing function and i' = x(b)
@@ -45,6 +62,7 @@ by line in text mode, each distinct line decoded once as JSON.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import asdict, dataclass, fields
 from functools import cached_property, reduce
 from math import ceil
@@ -63,7 +81,10 @@ CHUNK = 4096  # units per Philox stream
 _CHUNK_KEY, _TEST_KEY = 0, 1  # spawn-key namespaces: sampling chunks, test selection
 # Fixed-point resolution of one inverse-CDF draw. Integer row offsets are
 # exact, so a draw never depends on which other rows the table holds.
-_RES = 1 << 40
+_RES_BITS = 40
+_RES = 1 << _RES_BITS
+_LINE_REPR = reprlib.Repr()  # quotes a whole ordinary record line, and cuts a longer one
+_LINE_REPR.maxstring = 120
 
 
 class ProtocolError(RuntimeError):
@@ -224,6 +245,28 @@ def _lookup(table: np.ndarray, rows: np.ndarray, draws: np.ndarray) -> np.ndarra
     return hits - rows * table.shape[1]
 
 
+def _uniform_cdf(m: int) -> np.ndarray:
+    """The one row of the :func:`_cdf` table of m equal weights."""
+    return _cdf(np.full((1, m), 1.0 / m))[0]
+
+
+def _uniform_bins(table: np.ndarray, draws: np.ndarray) -> np.ndarray:
+    """``np.searchsorted(table, draws, side="right")`` for a :func:`_uniform_cdf` row.
+
+    Draw u in [0, _RES) lies in bin (u*m) >> _RES_BITS of m exactly equal
+    bins. The table's entries miss those exact edges by less than a bin: its
+    cumsum errs by at most about m * 2**-53 of _RES, a bin is _RES/m wide,
+    and up to the budget's m = 2**24 the error stays 30 times under a bin.
+    So one step either way against the table finds the bin. The product is
+    taken unsigned, where it stays below 2**64 for every such m.
+    """
+    m = len(table)
+    guess = (draws.view(np.uint64) * np.uint64(m) >> np.uint64(_RES_BITS)).view(np.int64)
+    up = table[guess] <= draws
+    down = (guess > 0) & (table[guess - 1] > draws)  # exclusive with up: the table increases
+    return guess + up - down
+
+
 def _born_rows(branches: np.ndarray, etas_conj: np.ndarray, weights, n: int) -> np.ndarray:
     """p(x_1)...p(x_n) sum_(l,e) |<eta_x1 x ... x eta_xn|w_l>|^2 per Kraus-branch stack.
 
@@ -296,31 +339,65 @@ def _units_in(bflat: np.ndarray, first: int, last: int, blocks: int):
             yield at + start, b[at] - first
 
 
+def _chunk_draws(seed: int, units: int, blocks: int):
+    """Per ``CHUNK`` of units, from the chunk's stream: its first unit, then each unit's
+    basis vector (a flat index below ``blocks``) and two fixed-point uniforms, one for
+    Bob's outcomes and one for Alice's POVM result."""
+    for chunk, start in enumerate(range(0, units, CHUNK)):
+        rng = _stream(seed, _CHUNK_KEY, chunk)
+        size = min(CHUNK, units - start)
+        yield (start, *(rng.integers(high, size=size) for high in (blocks, _RES, _RES)))
+
+
+def _honest_codes(seed: int, d: int, k: int, units: int) -> np.ndarray:
+    """The codes of ``units`` honest instances on uniform weights, drawn in closed form.
+
+    Bob's outcome i is the bin of his uniform in the table of d equal weights,
+    and Alice's result the bin m of hers in the one shared table of d**(k-1)
+    equal weights; x is m with digit i put in at position b, first basis
+    slowest. A ``CHUNK`` of units is drawn and coded at a time; the codes are
+    returned read-only.
+    """
+    span = _span(d, k)
+    bob, alice = _uniform_cdf(d), _uniform_cdf(span // d)
+    places = d ** np.arange(k - 1, -1, -1, dtype=np.int64)  # of x's digits, first basis slowest
+    codes = np.empty(units, dtype=np.int64)
+    for start, b, u_out, u_povm in _chunk_draws(seed, units, k):
+        i = _uniform_bins(bob, u_out)
+        high, low = np.divmod(_uniform_bins(alice, u_povm), places[b])
+        codes[start:start + len(b)] = (b * d + i) * span + (high * d + i) * places[b] + low
+    codes.flags.writeable = False
+    return codes
+
+
 def _sample(seed: int, strategy: Strategy, am, units: int) -> np.ndarray:
     """:class:`Transcript` codes (b*d + i)*d**k + x of ``units`` units of ``am.n`` instances.
 
     x is the drawn table row, which is the base-d value of its guessing function.
     The array is returned read-only, for :class:`Transcript` to take without a copy.
 
-    Per unit, chunk streams give Bob's basis vector and two fixed-point
-    uniforms, one for his outcomes and one for Alice's POVM result. Each
-    chunk of :func:`~meanking.attack._walk` then costs two inverse-CDF
-    lookups: Bob's outcomes are drawn from its blocks' outcome rows, and
-    Alice's results from the Born rows of the (block, outcome) pairs drawn,
-    which a presence count finds. Each lookup's table is built once and
-    searched a ``CHUNK`` of units at a time, so no temporary outgrows a chunk. A walk chunk whose
-    Born rows the budget checked for one block does not cover is taken in
-    runs of blocks that it covers.
+    ``am=None`` draws honest single instances in closed form
+    (:func:`_honest_codes`), which holds for a strategy given by its
+    generators with uniform weights. Otherwise, per unit, chunk streams give
+    Bob's basis vector and two fixed-point uniforms, one for his outcomes and
+    one for Alice's POVM result. Each chunk of :func:`~meanking.attack._walk`
+    then costs two inverse-CDF lookups: Bob's outcomes are drawn from its
+    blocks' outcome rows, and Alice's results from the Born rows of the
+    (block, outcome) pairs drawn, which a presence count finds. Each lookup's
+    table is built once and searched a ``CHUNK`` of units at a time, so no
+    temporary outgrows a chunk. A walk chunk whose Born rows the budget
+    checked for one block does not cover is taken in runs of blocks that it
+    covers.
     """
     bs = strategy.basis_set
+    if am is None:
+        return _honest_codes(seed, bs.dim, bs.k, units)
     d, k, n = bs.dim, bs.k, am.n
     dd, nx, blocks = d**n, len(strategy.safe_vectors), k**n
     bflat, u_out, u_povm = (np.empty(units, dtype=np.int64) for _ in range(3))
-    for chunk, start in enumerate(range(0, units, CHUNK)):
-        rng = _stream(seed, _CHUNK_KEY, chunk)
-        size = min(CHUNK, units - start)
-        for col, high in ((bflat, blocks), (u_out, _RES), (u_povm, _RES)):
-            col[start:start + size] = rng.integers(high, size=size)
+    for start, *draws in _chunk_draws(seed, units, blocks):
+        for col, draw in zip((bflat, u_out, u_povm), draws):
+            col[start:start + len(draw)] = draw
 
     etas_conj = strategy.etas.conj()
     # blocks per run: one block's Born rows fill d**n * nx**n * r * d_E amplitudes
@@ -377,22 +454,37 @@ def run_protocol(cfg: ProtocolConfig, strategy: Strategy, attack=None) -> Transc
     results follow the Born rule for the (possibly attacked) states. The
     result is deterministic given the config. Bob's bases reach Alice's
     records only through i' = x(b), evaluated after her outcomes are fixed.
+
+    An honest run on a strategy given by its generators, with uniform
+    weights and a residual bound (``Strategy.max_residual``) within
+    ``qmath.RESIDUAL_TOL``, draws its units in closed form (``_sample`` with
+    ``am=None``). Any other run walks the identity attack with n = 1, or the
+    given attack: neither a table given by hand, as a v1 file gives it, nor
+    a v2 file's generators over that bound are known to hold safe vectors.
+
     Raises :class:`OverBudget`, before any draw, when a block is over the
     block budget, attacked or not, the run has more than
     ``bases.MAX_ARRAY_ENTRIES`` instances (the entries of its code array),
-    or a basis block with all d**n outcomes drawn could fill more than that
-    many amplitudes. The sampler takes a walk chunk's blocks in runs whose
-    Born rows, d**((1+k)n) * r * d_E amplitudes per block, stay within that
-    budget, so the check also bounds its outcome and POVM tables and their
-    Born rows. Past its draw, outcome and code arrays, every temporary of
-    the sampler holds at most ``CHUNK`` units.
+    or the sampler's tables could hold more than that many entries. The
+    closed form holds one shared table of d**(k-1) entries and its code
+    array. A walked run fills, for a basis block with all d**n outcomes
+    drawn, Born rows of d**((1+k)n) * r * d_E amplitudes; it takes a walk
+    chunk's blocks in runs whose Born rows stay within the budget, so the
+    check also bounds its outcome and POVM tables. Past its draw, outcome
+    and code arrays, every temporary of the walked route holds at most
+    ``CHUNK`` units; the closed form keeps no draw array at all.
     """
-    d = strategy.basis_set.dim
+    d, k = strategy.basis_set.dim, strategy.basis_set.k
     if cfg.d != d:
         raise ValueError(f"config dimension {cfg.d} vs strategy dimension {d}")
     if attack is None:
         checked_block_dim(d, cfg.n)
-        am, units = attack_mod.identity_attack(d, 1), cfg.rounds * cfg.n
+        units = cfg.rounds * cfg.n
+        # the closed form holds only for safe vectors: generators whose residual bound is
+        # within tolerance (a v2 file's generators are not checked on load), not a table by hand
+        closed = (strategy.generators is not None and strategy.uniform_weight is not None
+                  and strategy.max_residual <= qmath.RESIDUAL_TOL)
+        am = None if closed else attack_mod.identity_attack(d, 1)
     elif attack.d != d or attack.n != cfg.n:
         raise ValueError("attack model does not match the protocol block shape")
     else:
@@ -400,12 +492,12 @@ def run_protocol(cfg: ProtocolConfig, strategy: Strategy, attack=None) -> Transc
     if cfg.rounds * cfg.n > bases.MAX_ARRAY_ENTRIES:
         raise bases.OverBudget(f"run too large: {cfg.rounds} rounds of {cfg.n} instances, "
                                f"budget {bases.MAX_ARRAY_ENTRIES} instances")
-    entries = d ** ((1 + strategy.basis_set.k) * am.n) * len(am.kraus) * am.d_eve
+    entries = d ** (k - 1) if am is None else d ** ((1 + k) * am.n) * len(am.kraus) * am.d_eve
     if entries > bases.MAX_ARRAY_ENTRIES:
-        raise bases.OverBudget(f"sampler too large: a basis block fills up to {entries} "
-                               f"amplitudes, budget {bases.MAX_ARRAY_ENTRIES}")
-    return Transcript(config=cfg, k=strategy.basis_set.k,
-                      codes=_sample(cfg.seed, strategy, am, units))
+        held = ("the honest table holds {} entries" if am is None
+                else "a basis block fills up to {} amplitudes").format(entries)
+        raise bases.OverBudget(f"sampler too large: {held}, budget {bases.MAX_ARRAY_ENTRIES}")
+    return Transcript(config=cfg, k=k, codes=_sample(cfg.seed, strategy, am, units))
 
 
 def sift_and_test(transcript: Transcript):
@@ -476,19 +568,19 @@ def _parse_header(line: str):
     fmt, raw = header["format"], header["config"]
     tests, accepted = header["test_indices"], header["accepted"]
     if fmt != TRANSCRIPT_FORMAT:
-        raise ValueError(f"transcript format {fmt!r}, expected {TRANSCRIPT_FORMAT!r}")
+        raise ValueError(f"transcript format {reprlib.repr(fmt)}, expected {TRANSCRIPT_FORMAT!r}")
     keys = sorted(f.name for f in fields(ProtocolConfig))
     if not isinstance(raw, dict) or sorted(raw) != keys:
         raise ValueError(f"transcript config must have the keys {keys}")
     if not isinstance(accepted, bool):
-        raise ValueError(f"transcript accepted must be true or false, not {accepted!r}")
+        raise ValueError(f"transcript accepted must be true or false, not {reprlib.repr(accepted)}")
     integers(tests, "test_indices")
     return ProtocolConfig(**raw), tuple(tests), accepted  # the config checks its own fields
 
 
 def _parse_record(line: str, d: int) -> tuple:
     """One 0-based record line, checked on its own; returns ``(k, code)``."""
-    where = f"record {line.strip()!r}"
+    where = f"record {_LINE_REPR.repr(line.strip())}"
     raw = decode(line, f"malformed transcript {where}")
     b, i, i_prime = (integer(raw[key], f"{where}: {key}") for key in ("b", "i", "i_prime"))
     x = raw["x"]

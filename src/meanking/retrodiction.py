@@ -36,8 +36,9 @@ The table of all d**k safe vectors, a record array with the columns
 ``eta`` and ``residual`` and row j for the x whose base-d digits are j, is
 a cached, read-only view, summed from the generators the way the solve
 always summed them. Only what must enumerate builds it: the protocol
-sampler, the lemma, the LP weights and the digit operators under them, and
-the per-x check of a residual bound above its tolerance.
+sampler's walked route (attacked runs, and honest ones on weights that are
+not uniform), the lemma, the LP weights and the digit operators under them,
+and the per-x check of a residual bound above its tolerance.
 ``MAX_GUESSING_FUNCTIONS`` bounds that view.
 
 All indices in this module are 0-based.
@@ -45,6 +46,7 @@ All indices in this module are 0-based.
 
 from __future__ import annotations
 
+import reprlib
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -514,7 +516,7 @@ def save_strategy(s: Strategy, path) -> None:
 def _read_v2(data, bs: BasisSet) -> Strategy:
     """The strategy of a v2 file's fields; :class:`Strategy` checks their shapes."""
     if data["format"] != STRATEGY_FORMAT:
-        raise ValueError(f"unknown strategy format {data['format']!r}")
+        raise ValueError(f"unknown strategy format {reprlib.repr(data['format'])}")
     _check_size(bs)
     generators = pairs_to_complex(data["generators"])
     weights = numbers(data["weights"], "weights")

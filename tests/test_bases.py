@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from meanking import bases, protocol, qmath, retrodiction, security
+from meanking import attack, bases, protocol, qmath, retrodiction, security
 
 X2 = np.array([[0, 1], [1, 0]], dtype=complex)
 Z2 = np.array([[1, 0], [0, -1]], dtype=complex)
@@ -244,13 +244,23 @@ class TestSizePolicy:
             retrodiction.checked_block_dim(2, 2)
         with pytest.raises(bases.OverBudget, match="need 256 entries, budget 255"):
             security.eigenvector_constraint_dim(strategy_d2.safe_vectors)
-        # an honest d=3 basis block fills 3 outcomes x 81 guessing functions
+        # a walked d=3 basis block of the identity attack fills 3 outcomes x 81 guessing functions
         cfg = protocol.ProtocolConfig(d=3, n=1, rounds=1, test_fraction=0.0, seed=1)
+        identity = attack.identity_attack(3, 1)
         monkeypatch.setattr(bases, "MAX_ARRAY_ENTRIES", 242)
         with pytest.raises(bases.OverBudget, match="up to 243 amplitudes, budget 242"):
-            protocol.run_protocol(cfg, strategy_d3)
+            protocol.run_protocol(cfg, strategy_d3, identity)
         monkeypatch.setattr(bases, "MAX_ARRAY_ENTRIES", 243)
-        assert len(protocol.run_protocol(cfg, strategy_d3).codes) == 1
+        assert len(protocol.run_protocol(cfg, strategy_d3, identity).codes) == 1
+
+    def test_honest_closed_form_reads_the_budget(self, monkeypatch, strategy_d5):
+        # an honest run on uniform weights holds one shared table of d**(k-1) entries
+        cfg = protocol.ProtocolConfig(d=5, n=1, rounds=1, test_fraction=0.0, seed=1)
+        monkeypatch.setattr(bases, "MAX_ARRAY_ENTRIES", 5**5 - 1)
+        with pytest.raises(bases.OverBudget, match="table holds 3125 entries, budget 3124"):
+            protocol.run_protocol(cfg, strategy_d5)
+        monkeypatch.setattr(bases, "MAX_ARRAY_ENTRIES", 5**5)
+        assert len(protocol.run_protocol(cfg, strategy_d5).codes) == 1
 
     def test_no_module_keeps_a_copy(self):
         removed = {retrodiction: "MAX_BLOCK_DIM", protocol: "MAX_BORN_ENTRIES",

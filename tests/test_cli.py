@@ -142,11 +142,18 @@ class TestStrategyCommand:
         assert cli.main(["strategy", "build", "--bases", str(path), "--out", str(spath)]) == 0
         assert json.loads(capsys.readouterr().out)["report"]["entries"] == 7**8
         for argv, message in ((["security", "lemma"], "exceed the enumeration budget"),
-                              (["run", "--rounds", "10", "--seed", "1"], "sampler too large")):
+                              (["run", "--rounds", "10", "--seed", "1",
+                                "--attack", "intercept-resend:b=1"], "sampler too large")):
             code = cli.main(argv + ["--strategy", str(spath), "--out", str(out)])
             captured = capsys.readouterr()
             assert code == 2 and captured.out == "" and message in captured.err
             assert not out.exists()
+        # an honest run draws in closed form and lists nothing
+        code = cli.main(["run", "--strategy", str(spath), "--rounds", "20000", "--seed", "7",
+                         "--test-fraction", "0.1", "--out", str(out)])
+        report = json.loads(capsys.readouterr().out)["report"]
+        assert code == 0 and report["accepted"] and report["agreement_rate"] == 1.0
+        assert protocol.load_transcript(out).accepted
 
     def test_degenerate_input(self, tmp_path, capsys, bases_file):
         data = json.loads(bases_file.read_text())

@@ -68,8 +68,13 @@ COMMANDS = {
     "security lemma": (["security", "lemma", "--dim", "2"], BASE + ["retrodiction", "security"]),
     "security attack-eval": (["security", "attack-eval", "--attack", "probe", "--dim", "2"],
                              BASE + ["retrodiction", "attack"]),
+    # an honest run on uniform weights draws in closed form: it walks no attack
     "run": (["run", "--strategy", "s2.json", "--rounds", "50", "--seed", "1", "--out", "t.jsonl"],
-            BASE + ["retrodiction", "attack", "protocol"]),
+            BASE + ["retrodiction", "protocol"]),
+    "run attacked": (["run", "--strategy", "s2.json", "--rounds", "50", "--seed", "1",
+                      "--attack", "intercept-resend:b=1", "--test-fraction", "0",
+                      "--out", "t.jsonl"],
+                     BASE + ["retrodiction", "attack", "protocol"]),
 }
 
 

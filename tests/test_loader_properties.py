@@ -287,3 +287,52 @@ def test_perturbed_generator_exits_2(b, j, entry, part, shift, saved, tmp_path, 
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert captured.err.startswith("error: stored strategy violates completeness")
+
+
+LONG = "x" * 100_000
+
+
+def test_ordinary_record_is_quoted_whole(saved, tmp_path):
+    # the bound on a record line cuts only lines longer than a record, so the message names it
+    head, first, body = saved["transcript"].split("\n", 2)
+    record = json.loads(first)
+    record.update(i_prime=1 - record["i_prime"])
+    line = json.dumps(record)
+    path = tmp_path / "transcript.jsonl"
+    path.write_text("\n".join([head, line, body]))
+    with pytest.raises(serialize.FormatError, match="differs from x") as refused:
+        protocol.load_transcript(path)
+    assert f"record {line!r}" in str(refused.value)
+
+
+@pytest.mark.parametrize("kind, field", [("strategy", "format"), ("transcript", "format"),
+                                         ("transcript", "accepted"), ("transcript", "record")])
+def test_long_value_is_bounded_in_the_message(kind, field, saved, tmp_path, capsys):
+    # the refusal quotes the value, or the record line, through reprlib, as the shared
+    # rules do, not whole
+    path, out = tmp_path / "input.json", tmp_path / "out.json"
+    if kind == "strategy":
+        data = json.loads(saved["strategy"])
+        data[field] = LONG
+        path.write_text(json.dumps(data))
+    elif field == "record":  # a long line whose i_prime is not x(b)
+        head, first, body = saved["transcript"].split("\n", 2)
+        record = json.loads(first)
+        record.update(i_prime=1 - record["i_prime"], padding=LONG)
+        path.write_text("\n".join([head, json.dumps(record), body]))
+    else:
+        head, body = saved["transcript"].split("\n", 1)
+        path.write_text(json.dumps({**json.loads(head), field: LONG}) + "\n" + body)
+    load = {"strategy": retrodiction.load_strategy, "transcript": protocol.load_transcript}[kind]
+    with pytest.raises(serialize.FormatError, match=f"^bad {kind} file") as refused:
+        load(path)
+    assert len(f"error: {refused.value}") < 300
+    if kind == "transcript":  # no command reads a transcript
+        return
+    for argv in _commands("strategy", str(path)) + [
+            ["run", "--strategy", str(path), "--rounds", "4", "--seed", "1", "--out", str(out)]]:
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and not out.exists()
+        assert captured.err.startswith("error: bad strategy file") and len(captured.err) < 300
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 import scipy.stats
 
-from meanking import attack as atk, bases, cli, protocol as proto
+from meanking import attack as atk, bases, cli, protocol as proto, retrodiction as rd
 from meanking.serialize import canonical_dumps, file_digest
 from oracles import outcome_dist, povm_dist, product_tables, sample_per_tuple, tuple_digits
 
@@ -433,6 +433,104 @@ class TestSamplerAgainstPerTupleOracle:
             for ivec, row, prob in zip(itertools.product(range(d), repeat=n), rows, probs):
                 np.testing.assert_allclose(row / prob, povm_dist(am, bs, tables, bvec, ivec),
                                            rtol=0, atol=1e-12)
+
+
+def walked_tables(strategy):
+    """The walked route's honest tables, each row less its offset: Bob's outcome rows (k, d)
+    and Alice's POVM rows (k*d, d**k), row b*d + i, as ``_sample`` builds them."""
+    bs = strategy.basis_set
+    tables = [], []
+    for _, branches, probs in atk._walk(atk.identity_attack(bs.dim, 1), bs):
+        born = proto._born_rows(branches.reshape((-1,) + branches.shape[2:]),
+                                strategy.etas.conj(), strategy.weights, 1)
+        for rows, dists in zip(tables, (probs, born / probs.reshape(-1, 1))):
+            cum = proto._cdf(proto._normalized(dists, "honest row"))
+            rows.append(cum - np.arange(len(cum))[:, None] * proto._RES)
+    return tuple(map(np.concatenate, tables))
+
+
+class TestHonestClosedForm:
+    """Honest runs on uniform weights draw in closed form; the walked route is their reference."""
+
+    # Alice's walked edges equal the uniform ones at d=2 and 3. At d=5 her Born weights are
+    # off 1/d**5 by up to 4e-14 relative, and 1300 of the 93 750 edges of the 30 rows (1.4%),
+    # those whose exact value lies within about 0.01 of a half unit, round one unit (2**-40)
+    # the other way: a draw lands in another bin only if it equals such an edge
+    @pytest.mark.parametrize("d, share", [(2, 0.0), (3, 0.0), (5, 0.02)])
+    def test_walked_tables_are_the_uniform_tables(self, d, share, request):
+        strategy = request.getfixturevalue(f"strategy_d{d}")
+        k = strategy.basis_set.k
+        bob, alice = walked_tables(strategy)
+        assert (bob == proto._uniform_cdf(d)).all()
+        xs = bases.digits(np.arange(d**k), d, k)
+        uniform, differ = proto._uniform_cdf(d ** (k - 1)), 0
+        for row, (b, i) in zip(alice, itertools.product(range(k), range(d)), strict=True):
+            support = xs[:, b] == i
+            assert np.abs(row[support] - uniform).max() <= 1
+            differ += np.count_nonzero(row[support] != uniform)
+            assert not np.diff(row, prepend=0)[~support].any()  # every other bin is empty
+        assert differ <= share * alice.shape[0] * len(uniform)
+
+    # d and d**(k-1) at d=2, 3, 5 and 7; at 10**6 + 3 some edges sit more than a unit above
+    # the exact ones, so the step down is taken too
+    @pytest.mark.parametrize("m", [2, 3, 5, 7, 2**3, 3**4, 5**5, 7**7, 10**6 + 3])
+    def test_arithmetic_bin_matches_search_at_every_edge(self, m):
+        table = proto._uniform_cdf(m)
+        draws = np.concatenate([table - 1, table, table + 1, [0, proto._RES - 1]])
+        draws = draws[draws < proto._RES]
+        np.testing.assert_array_equal(proto._uniform_bins(table, draws),
+                                      np.searchsorted(table, draws, side="right"))
+
+    @pytest.mark.parametrize("units", [1, proto.CHUNK - 1, proto.CHUNK, proto.CHUNK + 1,
+                                       2 * proto.CHUNK + 5])
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_codes_equal_the_walked_route(self, d, units, request):
+        strategy = request.getfixturevalue(f"strategy_d{d}")
+        for seed in (0, 7, 2024):
+            codes = proto._sample(seed, strategy, None, units)
+            assert not codes.flags.writeable
+            np.testing.assert_array_equal(
+                codes, proto._sample(seed, strategy, atk.identity_attack(d, 1), units))
+
+    def test_d7_lists_no_guessing_function(self):
+        strategy = rd.build_strategy(bases.gen_mub(7))
+        t = proto.run_protocol(cfg(d=7, rounds=5000, seed=3), strategy)
+        assert proto.agreement_rate(t) == 1.0 and t.accepted
+        assert "safe_vectors" not in vars(strategy)
+
+    def test_unsafe_generators_still_walk(self, strategy_d2, tmp_path):
+        # swapping two generators of one basis keeps completeness, so the file loads, but its
+        # safe-vector residuals are no longer small: the honest run follows its Born rule
+        path = tmp_path / "strategy.json"
+        rd.save_strategy(strategy_d2, path)
+        data = json.loads(path.read_text())
+        g = data["generators"][0]
+        g[0], g[1] = g[1], g[0]
+        path.write_text(json.dumps(data))
+        strategy = rd.load_strategy(path)
+        assert strategy.uniform_weight is not None and strategy.max_residual > 1
+        t = proto.run_protocol(cfg(rounds=3000, seed=5), strategy)
+        np.testing.assert_array_equal(
+            t.codes, proto._sample(5, strategy, atk.identity_attack(2, 1), 3000))
+        assert proto.agreement_rate(t) < 0.9 and not t.accepted
+
+    @pytest.mark.parametrize("kind", ["lp-weights", "hand-made-table"])
+    def test_other_strategies_still_walk(self, kind, mub2, biased_copy, unit_strategy,
+                                         monkeypatch):
+        # LP weights are not uniform; a table given by hand holds no safe vectors it can vouch
+        # for (``unit_strategy``'s agree about half the time)
+        strategy = (rd.build_strategy(biased_copy(mub2, 0.2)) if kind == "lp-weights"
+                    else unit_strategy)
+        calls = []
+        born_rows = proto._born_rows
+        monkeypatch.setattr(proto, "_born_rows", lambda *a: calls.append(1) or born_rows(*a))
+        t = proto.run_protocol(cfg(rounds=3000, seed=5), strategy)
+        assert calls
+        am = atk.identity_attack(2, 1)
+        np.testing.assert_array_equal(
+            t.codes, sample_per_tuple(5, strategy, am, 3000, product_tables(strategy, 1)))
+        if kind == "hand-made-table":
+            assert 0.4 < proto.agreement_rate(t) < 0.6
 
 
 def reference_save(transcript, path):

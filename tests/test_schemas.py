@@ -7,8 +7,17 @@ import schemas
 from meanking import attack as atk, bases, cli, protocol as proto, retrodiction as rd
 
 
+def _integer(_checker, value):
+    return type(value) is int  # the loaders' integer rule: never 2.0, and never true
+
+
 def check(instance, schema):
-    jsonschema.validate(instance=instance, schema=schema)
+    """Validate under the schema's draft, with ``integer`` as strict as the loaders."""
+    base = jsonschema.validators.validator_for(schema)
+    strict = jsonschema.validators.extend(
+        base, type_checker=base.TYPE_CHECKER.redefine("integer", _integer))
+    strict.check_schema(schema)
+    strict(schema).validate(instance)
 
 
 class TestFileSchemas:
@@ -44,6 +53,18 @@ class TestFileSchemas:
     def test_schema_rejects_wrong_shape(self):
         with pytest.raises(jsonschema.ValidationError):
             check({"dim": 2}, schemas.BASIS_SET)
+
+    def test_integral_float_is_no_integer(self, tmp_path, v1_files):
+        # python-jsonschema counts 0.0 as an integer; the loaders, and so ``check``, do not
+        data = json.loads(v1_files[2].read_text())
+        data["entries"][0]["x"][0] = 0.0
+        jsonschema.validate(instance=data, schema=schemas.STRATEGY)
+        with pytest.raises(jsonschema.ValidationError, match="0.0 is not of type 'integer'"):
+            check(data, schemas.STRATEGY)
+        path = tmp_path / "s.json"
+        path.write_text(json.dumps(data))
+        with pytest.raises(bases.FormatError, match="x must be a list of integers"):
+            rd.load_strategy(path)
 
 
 class TestCliPayloadSchemas:
