@@ -8,11 +8,10 @@ final system is (branch register) x E, i.e. she also keeps which Kraus
 branch fired.
 
 Alice's conditional state has two equivalent forms. The direct one,
-:func:`alice_state`, projects Bob's factor onto his eigenstate, applies
-each Kraus operator to get the branch stack w_l and sums w_l w_l^dagger.
-In the operator form the source is expanded in the maximally entangled
-basis generated by shift/clock unitaries, and the channel collapses into
-operators E_(l,k) acting on A x B with
+:func:`alice_state`, sums w_l w_l^dagger over the branch stack of one
+projected outcome (below). In the operator form the source is expanded in
+the maximally entangled basis generated by shift/clock unitaries, and the
+channel collapses into operators E_(l,k) acting on A x B with
 
     rho_A(b, i) = sum_(l,k)  E_(l,k) |phi_hat><phi_hat| E_(l,k)^dagger.
 
@@ -24,28 +23,29 @@ and then Eve's final state cannot depend on (b, i): zero detection implies
 zero leakage. Detection probability and leakage are computed by exact
 enumeration, never by sampling.
 
-One pass, :func:`_attack_pass`, walks the (b, i) grid through :func:`_walk`
-in chunks of basis blocks, each chunk a few whole-grid arrays: one
-broadcast Kronecker product gives Bob's eigenstates for every block of the
-chunk, one contraction projects all their outcomes, and one batched Kraus
-application gives their branch stacks w_l, from which Eve's blocks are
-read. Alice's chance of announcing Bob's digits needs no Born weight per
-guessing tuple: the product POVM summed over the tuples that agree with Bob
-is the tensor product of the per-instance digit operators Q(b_s, i_s) of
+Every outcome goes through one projection, :func:`_project`: one
+contraction projects Bob's block eigenstates out of Eve's source, and one
+batched Kraus application gives their branch stacks w_l. :func:`_walk`
+takes his whole (b, i) grid through it in chunks of basis blocks, and
+:func:`_branch_vectors` one outcome, bit for bit as the walk does. Only
+this module reads a stack's (A_1..A_n, B_1..B_n, E) layout, to reduce it
+to Alice's state, Eve's blocks w_l^T w_l^* (:func:`_eve_states`), the
+protocol sampler's Born rows (:func:`_born_rows`) or Alice's chance of
+announcing Bob's digits. That needs no Born weight per guessing tuple: the
+product POVM summed over the tuples that agree with Bob is the tensor
+product of the per-instance digit operators Q(b_s, i_s) of
 :func:`~meanking.retrodiction.digit_operators`, so
 
     correct(b, i) = sum_l <w_l| Q(b_1, i_1) x ... x Q(b_n, i_n) |w_l>,
 
-with each Q applied to its own (A_s, B_s) pair, for a whole chunk at once.
-Detection, leakage and the per-outcome error table are all read from that
-pass, and the protocol sampler draws Bob's outcomes and Alice's results
-from the same walk; :func:`_branch_vectors` is the single-outcome
-projection behind :func:`alice_state`. Eve's state depends on (b, i) only
-through what her interaction learns, so structured attacks repeat a few
-states over the whole grid: leakage keeps one copy of each byte-identical
-state and compares those pairwise in chunks of the pair triangle. A chunk
-of either kind holds a bounded number of entries, so memory does not grow
-with the grid.
+with each Q applied to its own (A_s, B_s) pair, for a whole chunk at once
+(:func:`_correct_mass`). One pass, :func:`_attack_pass`, reads detection,
+leakage and the per-outcome error table from the walk, and the sampler
+draws from the same walk. Eve's state depends on (b, i) only through what
+her interaction learns, so structured attacks repeat a few states over the
+whole grid: leakage keeps one copy of each byte-identical state and
+compares those pairwise in chunks of the pair triangle. A chunk of either
+kind holds a bounded number of entries, so memory stays flat over the grid.
 
 Subsystem order is always A x B x E, row-major. All indices 0-based.
 """
@@ -53,6 +53,7 @@ Subsystem order is always A x B x E, row-major. All indices 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import reduce
 from itertools import product
 
 import numpy as np
@@ -140,39 +141,28 @@ def _require_same_dim(am: AttackModel, bs: BasisSet) -> None:
         raise ValueError("strategy and attack dimensions differ")
 
 
-def _projected_raw(am: AttackModel, bs: BasisSet, bvec, ivec):
-    """Unnormalized source state after Bob's projection, as (A, B, E) tensor.
-
-    Every single-outcome entry point passes through here, so this is where
-    a basis set of another dimension than the attack is refused.
-    """
-    _require_same_dim(am, bs)
-    dd = am.block_dim
-    phi = phi_product(bs, bvec, ivec, am.n)
-    psi = am.psi_abe.reshape(dd, dd, am.d_eve)
-    amp = np.einsum("b,abe->ae", phi.conj(), psi)
-    out = np.einsum("ae,b->abe", amp, phi)
-    prob = float(np.sum(np.abs(amp) ** 2))
-    return out, prob
-
-
 def _u_hats(am: AttackModel) -> np.ndarray:
     """U_hat_beta[x, a] as (x, a, beta): sum_(m,l) c[m, l, beta] U_(m,l) = sqrt(d**n) psi_beta^T."""
     dd = am.block_dim
     return np.sqrt(dd) * am.psi_abe.reshape(dd, dd, am.d_eve).transpose(1, 0, 2)
 
 
-def _kraus_branches(am: AttackModel, states) -> np.ndarray:
-    """(1 x V_l) applied to m states on A x B x E, one row per branch: (m, branch, A x B, E)."""
+def _project(am: AttackModel, phis: np.ndarray):
+    """Bob's block eigenstates (m, d**n) projected out of Eve's source, then through her channel:
+    their Kraus-branch stacks w_l as (m, branch, A x B, E) and outcome probabilities as (m,)."""
     dd, de = am.block_dim, am.d_eve
-    s = np.asarray(states, dtype=complex).reshape(-1, 1, dd, dd * de)
-    return (s @ am.kraus.transpose(0, 2, 1)).reshape(len(s), len(am.kraus), dd * dd, de)
+    amp = np.einsum("ib,abe->iae", phis.conj(), am.psi_abe.reshape(dd, dd, de))
+    out = np.einsum("iae,ib->iabe", amp, phis).reshape(-1, 1, dd, dd * de)
+    branches = (out @ am.kraus.transpose(0, 2, 1)).reshape(len(out), len(am.kraus), dd * dd, de)
+    return branches, np.sum(np.abs(amp) ** 2, axis=(1, 2))
 
 
 def _branch_vectors(am: AttackModel, bs: BasisSet, bvec, ivec):
-    """The Kraus-branch stack of one projected outcome, and the outcome's probability."""
-    out, prob = _projected_raw(am, bs, bvec, ivec)
-    return _kraus_branches(am, out)[0], prob
+    """The Kraus-branch stack of one outcome and its probability; every single-outcome
+    entry point passes through here, so a basis set of another dimension is refused here."""
+    _require_same_dim(am, bs)
+    branches, probs = _project(am, phi_product(bs, bvec, ivec, am.n)[None])
+    return branches[0], float(probs[0])
 
 
 def _walk(am: AttackModel, bs: BasisSet):
@@ -181,16 +171,13 @@ def _walk(am: AttackModel, bs: BasisSet):
     Yields ``(bvecs, branches, probs)`` per chunk: its c basis vectors as a
     (c, n) array in ``product`` order, the Kraus-branch stacks of all their
     outcomes as (c, d**n, branch, A x B, E), and the outcome probabilities
-    as (c, d**n), outcomes in ``product`` order. The rows of the Kronecker
-    product of Bob's basis matrices are his block eigenstates; one broadcast
-    product per slot forms them for the whole chunk, one contraction
-    projects every outcome and one batched product applies every Kraus
-    operator. A chunk holds at most ``_WALK_ENTRIES`` branch-stack entries,
-    or one block. The protocol sampler walks it too.
+    as (c, d**n), outcomes in ``product`` order. One broadcast Kronecker
+    product per slot forms the block eigenstates of the whole chunk, and one
+    :func:`_project` takes them all. A chunk holds at most
+    ``_WALK_ENTRIES`` branch-stack entries, or one block.
     """
     _require_same_dim(am, bs)
     n, dd = am.n, am.block_dim
-    psi = am.psi_abe.reshape(dd, dd, am.d_eve)
     bvecs = digits(np.arange(bs.k**n), bs.k, n)
     step = max(1, _WALK_ENTRIES // (dd**3 * len(am.kraus) * am.d_eve))
     for start in range(0, len(bvecs), step):
@@ -198,21 +185,8 @@ def _walk(am: AttackModel, bs: BasisSet):
         phis = bs.vectors[chunk[:, 0]]
         for s in range(1, n):
             phis = qmath.kron(phis, bs.vectors[chunk[:, s]], batch=1)
-        phis = phis.reshape(-1, dd)
-        amp = np.einsum("ib,abe->iae", phis.conj(), psi)
-        probs = np.sum(np.abs(amp) ** 2, axis=(1, 2))
-        out = np.einsum("iae,ib->iabe", amp, phis)
-        branches = _kraus_branches(am, out)
+        branches, probs = _project(am, phis.reshape(-1, dd))
         yield chunk, branches.reshape((len(chunk), dd) + branches.shape[1:]), probs.reshape(-1, dd)
-
-
-def _eve_blocks(branches: np.ndarray):
-    """Eve's unnormalized per-branch blocks w_l^T w_l^*, as (..., branch, E, E), and their traces.
-
-    Leading axes of ``branches`` before the branch axis carry through.
-    """
-    blocks = np.swapaxes(branches, -1, -2) @ branches.conj()
-    return blocks, np.einsum("...lee->...", blocks).real
 
 
 def _correct_mass(slots, branches: np.ndarray) -> np.ndarray:
@@ -241,12 +215,36 @@ def _correct_mass(slots, branches: np.ndarray) -> np.ndarray:
     return (w.conj() * qw).real.sum(axis=tuple(range(n + 1, w.ndim))).reshape(c, -1)
 
 
-def alice_state_unnormalized(am: AttackModel, bs: BasisSet, bvec, ivec):
-    """Alice's conditional state on A x B before normalization.
+def _born_rows(branches: np.ndarray, etas_conj: np.ndarray, weights, n: int) -> np.ndarray:
+    """p(x_1)...p(x_n) sum_(l,e) |<eta_x1 x ... x eta_xn|w_l>|^2 per Kraus-branch stack.
 
-    It is sum_l w_l w_l^dagger over the Kraus-branch stack; the trace equals
-    the outcome probability. Returns ``(rho, prob)``.
+    ``branches`` is (m, branch, A x B, E), one stack per drawn (block,
+    outcome) pair of a chunk of :func:`_walk`; rows list the guessing tuples
+    in lexicographic order. Each slot's (A_s, B_s) pair is contracted with
+    the conjugate safe vectors in turn, one (nx, d*d) product per slot, so
+    no product vector is formed.
     """
+    m, nb, _, de = branches.shape
+    nx, pair = etas_conj.shape
+    d = round(pair**0.5)
+    slots = [ax for s in range(n) for ax in (2 + s, 2 + n + s)]
+    amp = branches.reshape((m, nb) + (d,) * (2 * n) + (de,))
+    amp = amp.transpose(slots + [0, 1, 2 + 2 * n])
+    for _ in range(n):
+        # the processed guess axis goes last, so slot 1's ends up slowest
+        amp = (etas_conj @ amp.reshape(pair, -1)).T
+    born = np.sum(np.abs(amp.reshape(m, nb * de, nx**n)) ** 2, axis=1)
+    return born * reduce(qmath.kron, [weights] * n)
+
+
+def _born_entries(am: AttackModel, k: int) -> int:
+    """Amplitudes in one basis block's :func:`_born_rows` over k bases: d**((1+k)n) * r * d_E."""
+    return am.d ** ((1 + k) * am.n) * len(am.kraus) * am.d_eve
+
+
+def alice_state_unnormalized(am: AttackModel, bs: BasisSet, bvec, ivec):
+    """Alice's conditional state on A x B before normalization, sum_l w_l w_l^dagger over the
+    Kraus-branch stack, and its trace, the outcome probability: ``(rho, prob)``."""
     branches, prob = _branch_vectors(am, bs, bvec, ivec)
     return sum(w @ w.conj().T for w in branches), prob
 
@@ -286,7 +284,9 @@ def _eve_states(branches: np.ndarray) -> np.ndarray:
 
     Outcomes whose trace is at or below ``qmath.LEAKAGE_SKIP`` are left out.
     """
-    blocks, trace = _eve_blocks(branches.reshape((-1,) + branches.shape[2:]))
+    w = branches.reshape((-1,) + branches.shape[2:])
+    blocks = np.swapaxes(w, -1, -2) @ w.conj()  # w_l^T w_l^*, as (m, branch, E, E)
+    trace = np.einsum("...lee->...", blocks).real
     keep = trace > qmath.LEAKAGE_SKIP
     return blocks[keep] / trace[keep, None, None, None]
 
@@ -475,7 +475,7 @@ def random_channel(dim: int, n_kraus: int, rng: np.random.Generator):
     """Random trace-preserving Kraus family on ``dim`` dimensions, as (n_kraus, dim, dim)."""
     parts = rng.standard_normal((n_kraus, 2, dim, dim))  # each operator's real, then imaginary part
     raw = parts[:, 0] + 1j * parts[:, 1]
-    vals, vecs = np.linalg.eigh(sum(qmath.dagger(g) @ g for g in raw))
+    vals, vecs = np.linalg.eigh(sum(g.conj().T @ g for g in raw))
     return raw @ (vecs @ np.diag(vals**-0.5) @ vecs.conj().T)
 
 

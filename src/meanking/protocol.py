@@ -31,7 +31,8 @@ Every other run, attacked, on weights that are not uniform, on generators
 not shown to be safe or on a table given by hand, walks the exact analysis
 (:func:`~meanking.attack._walk`): per walk chunk, Bob's outcomes from the
 outcome rows of the chunk's basis blocks, then Alice's results from Born
-rows built only for the (block, outcome) pairs that were actually drawn.
+rows (:func:`~meanking.attack._born_rows`, which reduces the walk's branch
+stacks) built only for the (block, outcome) pairs that were actually drawn.
 Each lookup searches its keys in sorted order. Where both routes apply,
 their tables are equal at d=2 and 3. At d=5, 1.4% of Alice's walked edges
 sit one unit of 2**-40 off the uniform ones, so the routes differ only for
@@ -64,7 +65,7 @@ from __future__ import annotations
 
 import reprlib
 from dataclasses import asdict, dataclass, fields
-from functools import cached_property, reduce
+from functools import cached_property
 from math import ceil
 
 import numpy as np
@@ -267,28 +268,6 @@ def _uniform_bins(table: np.ndarray, draws: np.ndarray) -> np.ndarray:
     return guess + up - down
 
 
-def _born_rows(branches: np.ndarray, etas_conj: np.ndarray, weights, n: int) -> np.ndarray:
-    """p(x_1)...p(x_n) sum_(l,e) |<eta_x1 x ... x eta_xn|w_l>|^2 per Kraus-branch stack.
-
-    ``branches`` is (m, branch, A x B, E), one stack per drawn (block,
-    outcome) pair of a chunk of :func:`~meanking.attack._walk`; rows list
-    the guessing tuples in lexicographic order. Each slot's (A_s, B_s) pair
-    is contracted with the conjugate safe vectors in turn, one (nx, d*d)
-    product per slot, so no product vector is formed.
-    """
-    m, nb, _, de = branches.shape
-    nx, pair = etas_conj.shape
-    d = round(pair**0.5)
-    slots = [ax for s in range(n) for ax in (2 + s, 2 + n + s)]
-    amp = branches.reshape((m, nb) + (d,) * (2 * n) + (de,))
-    amp = amp.transpose(slots + [0, 1, 2 + 2 * n])
-    for _ in range(n):
-        # the processed guess axis goes last, so slot 1's ends up slowest
-        amp = (etas_conj @ amp.reshape(pair, -1)).T
-    born = np.sum(np.abs(amp.reshape(m, nb * de, nx**n)) ** 2, axis=1)
-    return born * reduce(qmath.kron, [weights] * n)
-
-
 def _span(d: int, k: int) -> int:
     """d**k, the range of x in a code; ``ValueError`` if codes would overflow int64."""
     if k * d ** (k + 1) > 1 << 63:  # the largest code is k*d**(k+1) - 1
@@ -382,12 +361,12 @@ def _sample(seed: int, strategy: Strategy, am, units: int) -> np.ndarray:
     Bob's basis vector and two fixed-point uniforms, one for his outcomes and
     one for Alice's POVM result. Each chunk of :func:`~meanking.attack._walk`
     then costs two inverse-CDF lookups: Bob's outcomes are drawn from its
-    blocks' outcome rows, and Alice's results from the Born rows of the
-    (block, outcome) pairs drawn, which a presence count finds. Each lookup's
-    table is built once and searched a ``CHUNK`` of units at a time, so no
-    temporary outgrows a chunk. A walk chunk whose Born rows the budget
-    checked for one block does not cover is taken in runs of blocks that it
-    covers.
+    blocks' outcome rows, and Alice's results from the Born rows
+    (:func:`~meanking.attack._born_rows`) of the (block, outcome) pairs
+    drawn, which a presence count finds. Each lookup's table is built once
+    and searched a ``CHUNK`` of units at a time, so no temporary outgrows a
+    chunk. A walk chunk whose Born rows the budget checked for one block
+    does not cover is taken in runs of blocks that it covers.
     """
     bs = strategy.basis_set
     if am is None:
@@ -400,8 +379,7 @@ def _sample(seed: int, strategy: Strategy, am, units: int) -> np.ndarray:
             col[start:start + len(draw)] = draw
 
     etas_conj = strategy.etas.conj()
-    # blocks per run: one block's Born rows fill d**n * nx**n * r * d_E amplitudes
-    most = max(1, bases.MAX_ARRAY_ENTRIES // (dd * nx**n * len(am.kraus) * am.d_eve))
+    most = max(1, bases.MAX_ARRAY_ENTRIES // attack_mod._born_entries(am, k))  # blocks per run
     runs = ((bvecs[s:s + most], branches[s:s + most], probs[s:s + most])
             for bvecs, branches, probs in attack_mod._walk(am, bs)
             for s in range(0, len(bvecs), most))
@@ -427,8 +405,8 @@ def _sample(seed: int, strategy: Strategy, am, units: int) -> np.ndarray:
         prob = probs.ravel()[pairs]
         least = int(np.argmin(prob))  # raises if even the least likely pair is too rare
         attack_mod._conditionable(prob[least], *pair(least))
-        born = _born_rows(branches.reshape((-1,) + branches.shape[2:])[pairs],
-                          etas_conj, strategy.weights, n)
+        born = attack_mod._born_rows(branches.reshape((-1,) + branches.shape[2:])[pairs],
+                                     etas_conj, strategy.weights, n)
         table = _cdf(_normalized(born / prob[:, None],
                                  lambda j: "measurement (b={}, i={})".format(*pair(j))))
         rank = np.cumsum(drawn > 0) - 1  # a drawn pair's row of the table
@@ -492,7 +470,7 @@ def run_protocol(cfg: ProtocolConfig, strategy: Strategy, attack=None) -> Transc
     if cfg.rounds * cfg.n > bases.MAX_ARRAY_ENTRIES:
         raise bases.OverBudget(f"run too large: {cfg.rounds} rounds of {cfg.n} instances, "
                                f"budget {bases.MAX_ARRAY_ENTRIES} instances")
-    entries = d ** (k - 1) if am is None else d ** ((1 + k) * am.n) * len(am.kraus) * am.d_eve
+    entries = d ** (k - 1) if am is None else attack_mod._born_entries(am, k)
     if entries > bases.MAX_ARRAY_ENTRIES:
         held = ("the honest table holds {} entries" if am is None
                 else "a basis block fills up to {} amplitudes").format(entries)
@@ -563,15 +541,25 @@ def save_transcript(transcript: Transcript, path) -> None:
                 fh.write(b"".join(map(lines.__getitem__, chunk.tolist())))
 
 
+def _exact_keys(raw, keys: list, what: str) -> dict:
+    """``raw`` if it is an object with exactly the sorted ``keys``; else ``ValueError``."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be an object with the keys {keys}")
+    odd = sorted(raw.keys() ^ set(keys))
+    if odd:
+        raise ValueError(f"{what} must have the keys {keys}; "
+                         f"{'extra' if odd[0] in raw else 'missing'} key {reprlib.repr(odd[0])}")
+    return raw
+
+
 def _parse_header(line: str):
-    header = decode(line, "malformed transcript header")
+    header = _exact_keys(decode(line, "malformed transcript header"),
+                         ["accepted", "config", "format", "test_indices"], "transcript header")
     fmt, raw = header["format"], header["config"]
     tests, accepted = header["test_indices"], header["accepted"]
     if fmt != TRANSCRIPT_FORMAT:
         raise ValueError(f"transcript format {reprlib.repr(fmt)}, expected {TRANSCRIPT_FORMAT!r}")
-    keys = sorted(f.name for f in fields(ProtocolConfig))
-    if not isinstance(raw, dict) or sorted(raw) != keys:
-        raise ValueError(f"transcript config must have the keys {keys}")
+    _exact_keys(raw, sorted(f.name for f in fields(ProtocolConfig)), "transcript config")
     if not isinstance(accepted, bool):
         raise ValueError(f"transcript accepted must be true or false, not {reprlib.repr(accepted)}")
     integers(tests, "test_indices")
@@ -581,7 +569,8 @@ def _parse_header(line: str):
 def _parse_record(line: str, d: int) -> tuple:
     """One 0-based record line, checked on its own; returns ``(k, code)``."""
     where = f"record {_LINE_REPR.repr(line.strip())}"
-    raw = decode(line, f"malformed transcript {where}")
+    raw = _exact_keys(decode(line, f"malformed transcript {where}"),
+                      ["b", "i", "i_prime", "x"], where)
     b, i, i_prime = (integer(raw[key], f"{where}: {key}") for key in ("b", "i", "i_prime"))
     x = raw["x"]
     if not integers(x, f"{where}: x"):

@@ -67,11 +67,6 @@ def tensor(*factors: np.ndarray) -> np.ndarray:
     return out
 
 
-def dagger(a: np.ndarray) -> np.ndarray:
-    """Conjugate transpose."""
-    return np.asarray(a).conj().T
-
-
 def matrix_rank(a: np.ndarray, tol: float = DEFAULT_TOL) -> int:
     """Rank with a relative cutoff: singular values > tol * sigma_max count."""
     s = np.linalg.svd(np.asarray(a, dtype=complex), compute_uv=False)

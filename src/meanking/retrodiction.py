@@ -400,8 +400,8 @@ def build_strategy(bs: BasisSet, residual_tol: float = qmath.RESIDUAL_TOL) -> St
     Nothing is enumerated when the residual bound is within ``residual_tol``
     and the uniform weight completes the POVM, as for mutually unbiased
     bases. Otherwise every residual is checked, or the max-min weights are
-    solved for by the LP of :func:`solve_povm_weights`, over the table of all
-    d**k guessing functions. Raises ``ValueError`` for a ``residual_tol``
+    solved for by :func:`_max_min_weights_lp`, over the table of all d**k
+    guessing functions. Raises ``ValueError`` for a ``residual_tol``
     outside qmath's (0, MAX_TOL); :class:`OverBudget` for a set whose strategy arrays are
     over ``bases.MAX_ARRAY_ENTRIES``, or which must enumerate past
     ``MAX_GUESSING_FUNCTIONS``; :class:`ResidualTooLarge` for the first x over

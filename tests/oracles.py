@@ -293,7 +293,7 @@ def outcome_dist(am, bs, bvec):
 
     from meanking import attack as atk, protocol as proto
 
-    probs = [atk._projected_raw(am, bs, bvec, ivec)[1]
+    probs = [atk._branch_vectors(am, bs, bvec, ivec)[1]
              for ivec in product(range(bs.dim), repeat=am.n)]
     return proto._normalized(np.asarray(probs), f"Bob outcomes (b={bvec})")
 

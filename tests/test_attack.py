@@ -1,4 +1,5 @@
 import dataclasses
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -155,9 +156,11 @@ class TestModelValidation:
 
 
 def _projected(am, bs, b, i):
-    """Bob's normalized post-measurement state on A x B x E, and its probability."""
-    out, prob = atk._projected_raw(am, bs, (b,), (i,))
-    return out.reshape(-1) / np.sqrt(prob), prob
+    """Bob's normalized post-measurement state on A x B x E, before Eve's channel, and its
+    probability: the projection of a copy of the attack whose one Kraus operator is 1."""
+    bare = dataclasses.replace(am, kraus=np.eye(am.block_dim * am.d_eve)[None])
+    branches, prob = atk._branch_vectors(bare, bs, (b,), (i,))
+    return branches.reshape(-1) / np.sqrt(prob), prob
 
 
 class TestProjectedState:
@@ -173,7 +176,7 @@ class TestProjectedState:
         rng = np.random.default_rng(47)
         am = atk.random_attack(2, 1, 2, 2, rng)
         for b in range(3):
-            total = sum(atk._projected_raw(am, mub2, (b,), (i,))[1] for i in range(2))
+            total = sum(atk._branch_vectors(am, mub2, (b,), (i,))[1] for i in range(2))
             assert abs(total - 1.0) < 1e-10
 
     def test_two_routes_agree(self, mub2):
@@ -194,6 +197,19 @@ class TestProjectedState:
                     p2 = float(np.linalg.norm(out) ** 2)
                     assert abs(p1 - p2) < 1e-12
                     assert np.linalg.norm(s1 - out / np.sqrt(p2)) < 1e-10
+
+    @pytest.mark.parametrize("kind", ["identity", "intercept-resend", "probe", "random"])
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1)])
+    def test_one_outcome_is_the_walks_outcome(self, d, n, kind, mub2, mub3):
+        # both go through the one projection, so they agree bit for bit
+        bs = mub2 if d == 2 else mub3
+        am = atk.identity_attack(d, n) if kind == "identity" else _grid_attack(kind, bs, n)
+        ivecs = list(itertools.product(range(d), repeat=n))
+        for bvecs, branches, probs in atk._walk(am, bs):
+            for bvec, block_branches, block_probs in zip(bvecs.tolist(), branches, probs):
+                for ivec, walked, prob in zip(ivecs, block_branches, block_probs.tolist()):
+                    single, single_prob = atk._branch_vectors(am, bs, bvec, ivec)
+                    assert single.tobytes() == walked.tobytes() and single_prob == prob
 
     def test_zero_probability_raises(self, mub2):
         # source with Bob's factor pinned to |0>, measured against |1>

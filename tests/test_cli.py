@@ -227,7 +227,7 @@ class TestRunCommand:
         def refuse(*_args):
             raise AssertionError("Born rows built despite the budget")
 
-        monkeypatch.setattr(protocol, "_born_rows", refuse)
+        monkeypatch.setattr(attack, "_born_rows", refuse)
         spath, out_path = tmp_path / "s3.json", tmp_path / "t.jsonl"
         retrodiction.save_strategy(strategy_d3, spath)
         code = cli.main(["run", "--strategy", str(spath), "--rounds", "1", "--n", "3", "--seed",
@@ -840,12 +840,13 @@ class TestEntryPoint:
     def test_test_only_routes_are_gone(self):
         # tests reach what these did through tests/oracles.py or inline expressions
         removed = {
-            qmath: ["partial_trace"],
+            qmath: ["partial_trace", "dagger"],
+            protocol: ["_born_rows"],
             bases: ["check_orthonormal", "check_unbiased", "pairwise_flat"],
             attack: ["entangled_basis_vector", "eve_final_state", "guess_probability",
                      "bob_projected_state", "apply_feedback", "trace_distance", "scalar_deviation",
                      "source_from_coefficients", "decompose_source", "weyl_operators",
-                     "phi_hat_product"],
+                     "phi_hat_product", "_projected_raw", "_eve_blocks"],
             retrodiction: ["decomposition_triple", "phi_hat"],
             retrodiction.Strategy: ["safe_vector", "weight"],
             retrodiction.ProductStrategy: ["safe_vector"],

@@ -11,7 +11,7 @@ import pytest
 import scipy.stats
 
 from meanking import attack as atk, bases, cli, protocol as proto, retrodiction as rd
-from meanking.serialize import canonical_dumps, file_digest
+from meanking.serialize import FormatError, canonical_dumps, file_digest
 from oracles import outcome_dist, povm_dist, product_tables, sample_per_tuple, tuple_digits
 
 
@@ -154,7 +154,7 @@ class TestAttackedRuns:
         def refuse(*_args):
             raise AssertionError("Born rows built despite the budget")
 
-        monkeypatch.setattr(proto, "_born_rows", refuse)
+        monkeypatch.setattr(atk, "_born_rows", refuse)
         am = atk.intercept_resend(mub3, 0, n=3)
         with pytest.raises(bases.OverBudget, match="387420489 amplitudes"):
             proto.run_protocol(cfg(d=3, n=3, rounds=1), strategy_d3, am)
@@ -301,7 +301,7 @@ def exact_block_table(strategy, am, announced=False):
     for bvec in itertools.product(range(bs.k), repeat=n):
         said = np.ravel_multi_index(digits[:, np.arange(n), list(bvec)].T, (bs.dim,) * n)
         for ivec in itertools.product(range(bs.dim), repeat=n):
-            p_i = atk._projected_raw(am, bs, bvec, ivec)[1]
+            p_i = atk._branch_vectors(am, bs, bvec, ivec)[1]
             rho = atk.alice_state(am, bs, bvec, ivec)
             p_x = weights * np.einsum("xi,ij,xj->x", etas.conj(), rho, etas, optimize=True).real
             if announced:
@@ -372,7 +372,7 @@ class TestSampler:
         codes = proto._sample(71, strategy, am, units)
         assert len(list(atk._walk(am, strategy.basis_set))) == 1
         rows = []
-        born_rows = proto._born_rows
+        born_rows = atk._born_rows
 
         def counted(branches, *args):
             rows.append(len(branches))
@@ -380,7 +380,7 @@ class TestSampler:
 
         block = (am.block_dim * len(strategy.safe_vectors) ** am.n) * len(am.kraus) * am.d_eve
         monkeypatch.setattr(bases, "MAX_ARRAY_ENTRIES", block)
-        monkeypatch.setattr(proto, "_born_rows", counted)
+        monkeypatch.setattr(atk, "_born_rows", counted)
         np.testing.assert_array_equal(proto._sample(71, strategy, am, units), codes)
         assert len(rows) == strategy.basis_set.k ** am.n and max(rows) <= am.block_dim
 
@@ -429,7 +429,7 @@ class TestSamplerAgainstPerTupleOracle:
                   for bvec, *block in zip(bvecs.tolist(), *chunk))
         for bvec, branches, probs in itertools.islice(blocks, 2 if d**n > 8 else None):
             np.testing.assert_allclose(probs, outcome_dist(am, bs, bvec), atol=1e-12)
-            rows = proto._born_rows(branches, strategy.etas.conj(), strategy.weights, n)
+            rows = atk._born_rows(branches, strategy.etas.conj(), strategy.weights, n)
             for ivec, row, prob in zip(itertools.product(range(d), repeat=n), rows, probs):
                 np.testing.assert_allclose(row / prob, povm_dist(am, bs, tables, bvec, ivec),
                                            rtol=0, atol=1e-12)
@@ -441,8 +441,8 @@ def walked_tables(strategy):
     bs = strategy.basis_set
     tables = [], []
     for _, branches, probs in atk._walk(atk.identity_attack(bs.dim, 1), bs):
-        born = proto._born_rows(branches.reshape((-1,) + branches.shape[2:]),
-                                strategy.etas.conj(), strategy.weights, 1)
+        born = atk._born_rows(branches.reshape((-1,) + branches.shape[2:]),
+                              strategy.etas.conj(), strategy.weights, 1)
         for rows, dists in zip(tables, (probs, born / probs.reshape(-1, 1))):
             cum = proto._cdf(proto._normalized(dists, "honest row"))
             rows.append(cum - np.arange(len(cum))[:, None] * proto._RES)
@@ -522,8 +522,8 @@ class TestHonestClosedForm:
         strategy = (rd.build_strategy(biased_copy(mub2, 0.2)) if kind == "lp-weights"
                     else unit_strategy)
         calls = []
-        born_rows = proto._born_rows
-        monkeypatch.setattr(proto, "_born_rows", lambda *a: calls.append(1) or born_rows(*a))
+        born_rows = atk._born_rows
+        monkeypatch.setattr(atk, "_born_rows", lambda *a: calls.append(1) or born_rows(*a))
         t = proto.run_protocol(cfg(rounds=3000, seed=5), strategy)
         assert calls
         am = atk.identity_attack(2, 1)
@@ -712,6 +712,24 @@ class TestFixedWidthRoute:
             np.testing.assert_array_equal(fast.codes, t.codes)
         else:
             assert isinstance(fast, ValueError)
+
+    @pytest.mark.parametrize("case", ["header extra", "record extra", "record pad"])
+    def test_extra_keys_refused(self, case, strategy_d2, tmp_path, monkeypatch):
+        # a header and a record hold exactly their keys; a record with another key
+        # misses the one-digit template, so the general route refuses it
+        t = proto.run_protocol(cfg(rounds=300, seed=64), strategy_d2)
+        path = tmp_path / "t.jsonl"
+        proto.save_transcript(t, path)
+        header, first, *rest = path.read_text().splitlines(keepends=True)
+        header, first = json.loads(header), json.loads(first)
+        extra = {"pad": "x" * 100_000} if case == "record pad" else {"extra": 1}
+        (header if case == "header extra" else first).update(extra)
+        path.write_text(canonical_dumps(header) + "\n" + canonical_dumps(first) + "\n"
+                        + "".join(rest))
+        with pytest.raises(FormatError, match="extra key '(extra|pad)'") as refused:
+            proto.load_transcript(path)
+        assert len(str(refused.value)) < 300
+        assert same_load(refused.value, general_load(path, monkeypatch))
 
     def test_non_digit_byte_refused(self, tmp_path):
         # at d=12 a one-digit file fits the template, and ':' is the byte after '9':
