@@ -59,9 +59,10 @@ from itertools import product
 import numpy as np
 
 from . import qmath
-from .bases import BasisSet, digits
+from .bases import BasisSet, Refused, digits
 from .retrodiction import Strategy, checked_block_dim, digit_operators, omega
-from .serialize import complex_to_pairs, integer, pairs_to_complex, read_json, reading, write_json
+from .serialize import (complex_to_pairs, exact_keys, integer, pairs_to_complex, read_json, reading,
+                        write_json)
 
 # Chunk budgets, in complex entries: Kraus-branch stacks per chunk of the
 # walk, and state differences per chunk of the leakage pair triangle. A
@@ -70,7 +71,7 @@ _WALK_ENTRIES = 1 << 12
 _PAIR_ENTRIES = 1 << 13
 
 
-class ZeroProbabilityOutcome(RuntimeError):
+class ZeroProbabilityOutcome(Refused):
     """Conditioning on an outcome the attacked source never produces."""
 
 
@@ -513,22 +514,14 @@ def scalarized_attack(am: AttackModel) -> AttackModel:
 
 
 def save_attack(am: AttackModel, path) -> None:
-    write_json(
-        path,
-        {
-            "d": am.d,
-            "n": am.n,
-            "d_E": am.d_eve,
-            "psi_abe": complex_to_pairs(am.psi_abe),
-            "kraus": complex_to_pairs(am.kraus),
-        },
-    )
+    write_json(path, {"d": am.d, "n": am.n, "d_E": am.d_eve,
+                      "psi_abe": complex_to_pairs(am.psi_abe), "kraus": complex_to_pairs(am.kraus)})
 
 
 def load_attack(path) -> AttackModel:
     """Read an attack written by :func:`save_attack`; ``FormatError`` for another layout."""
     with reading("attack", path):
-        data = read_json(path)
+        data = exact_keys(read_json(path), ["d", "d_E", "kraus", "n", "psi_abe"], "attack")
         return AttackModel(
             d=integer(data["d"], "d", 2),
             n=integer(data["n"], "n", 1),

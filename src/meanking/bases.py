@@ -17,8 +17,8 @@ from itertools import combinations
 import numpy as np
 
 from . import qmath
-from .serialize import (FormatError, complex_to_pairs, integer, pairs_to_complex, read_json,
-                        reading, write_json)
+from .serialize import (FormatError, complex_to_pairs, exact_keys, integer, pairs_to_complex,
+                        read_json, reading, write_json)
 
 SUPPORTED_GEN_DIMS = (2, 3, 5, 7)
 # The size limits of every enumerating path. Entries of the largest dense array
@@ -42,7 +42,11 @@ class UnsupportedDimension(ValueError):
     """Basis generation asked for a dimension outside the supported set."""
 
 
-class OverBudget(RuntimeError):
+class Refused(RuntimeError):
+    """A check or solve failed, or an input is over its size budget: the command exits 2."""
+
+
+class OverBudget(Refused):
     """An input is larger than the computation it asks for may enumerate or allocate."""
 
 
@@ -243,4 +247,4 @@ def basis_set_from_json(data) -> BasisSet:
 
 def load_basis_set(path) -> BasisSet:
     with reading("basis-set", path):
-        return basis_set_from_json(read_json(path))
+        return basis_set_from_json(exact_keys(read_json(path), ["bases", "dim"], "basis set"))

@@ -6,8 +6,8 @@ report (including a manifest with input/output digests) and signals its
 result through the exit code:
 
     0  success
-    1  usage, I/O or file-format error
-    2  validation or solve failure, or an input over its size budget
+    1  usage, I/O or file-format error: an ``OSError`` or ``ValueError``
+    2  a failed verdict, or ``bases.Refused``: a failed solve, an input over budget
     3  protocol aborted (a test position disagreed)
 
 All randomness flows from --seed; reruns with identical arguments produce
@@ -316,19 +316,9 @@ def main(argv=None) -> int:
         payload = {"report": result.report, "manifest": _manifest(command, result)}
         sys.stdout.write(canonical_dumps(payload) + "\n")
         return result.code
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, bases.Refused) as exc:
         sys.stderr.write(f"error: {exc}\n")
-        return EXIT_USAGE
-    except (
-        retrodiction.ResidualTooLarge,
-        retrodiction.NotMaximal,
-        retrodiction.Infeasible,
-        bases.OverBudget,
-        protocol.ProtocolError,
-        attack.ZeroProbabilityOutcome,
-    ) as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return EXIT_VALIDATION
+        return EXIT_VALIDATION if isinstance(exc, bases.Refused) else EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -72,8 +72,8 @@ import numpy as np
 
 from . import attack as attack_mod
 from . import bases, qmath
-from .retrodiction import Strategy, checked_block_dim
-from .serialize import canonical_dumps, decode, integer, integers, reading
+from .retrodiction import Strategy
+from .serialize import canonical_dumps, decode, exact_keys, integer, integers, reading
 
 _DIGITS = "123456789ABCDEFG"
 _DIGIT_BYTES = np.frombuffer(_DIGITS.encode("ascii"), dtype=np.uint8)  # key byte per digit
@@ -88,7 +88,7 @@ _LINE_REPR = reprlib.Repr()  # quotes a whole ordinary record line, and cuts a l
 _LINE_REPR.maxstring = 120
 
 
-class ProtocolError(RuntimeError):
+class ProtocolError(bases.Refused):
     """A sampled distribution failed to normalize; the attack model is broken."""
 
 
@@ -440,23 +440,22 @@ def run_protocol(cfg: ProtocolConfig, strategy: Strategy, attack=None) -> Transc
     given attack: neither a table given by hand, as a v1 file gives it, nor
     a v2 file's generators over that bound are known to hold safe vectors.
 
-    Raises :class:`OverBudget`, before any draw, when a block is over the
-    block budget, attacked or not, the run has more than
+    Raises :class:`OverBudget`, before any draw, when the run has more than
     ``bases.MAX_ARRAY_ENTRIES`` instances (the entries of its code array),
-    or the sampler's tables could hold more than that many entries. The
-    closed form holds one shared table of d**(k-1) entries and its code
-    array. A walked run fills, for a basis block with all d**n outcomes
-    drawn, Born rows of d**((1+k)n) * r * d_E amplitudes; it takes a walk
-    chunk's blocks in runs whose Born rows stay within the budget, so the
-    check also bounds its outcome and POVM tables. Past its draw, outcome
-    and code arrays, every temporary of the walked route holds at most
-    ``CHUNK`` units; the closed form keeps no draw array at all.
+    or the sampler's tables could hold more than that many entries; only an
+    attack, when it is built, is held to the block budget. The closed form
+    holds one shared table of d**(k-1) entries and its code array. A walked
+    run fills, for a basis block with all d**n outcomes drawn, Born rows of
+    d**((1+k)n) * r * d_E amplitudes; it takes a walk chunk's blocks in runs
+    whose Born rows stay within the budget, so the check also bounds its
+    outcome and POVM tables. Past its draw, outcome and code arrays, every
+    temporary of the walked route holds at most ``CHUNK`` units; the closed
+    form keeps no draw array at all.
     """
     d, k = strategy.basis_set.dim, strategy.basis_set.k
     if cfg.d != d:
         raise ValueError(f"config dimension {cfg.d} vs strategy dimension {d}")
     if attack is None:
-        checked_block_dim(d, cfg.n)
         units = cfg.rounds * cfg.n
         # the closed form holds only for safe vectors: generators whose residual bound is
         # within tolerance (a v2 file's generators are not checked on load), not a table by hand
@@ -482,8 +481,10 @@ def sift_and_test(transcript: Transcript):
     """Build the keys from the positions the transcript does not test.
 
     Returns ``(transcript.accepted, KeyPair)``; accepted iff every tested
-    position has i = i'. The transcript is not changed.
+    position has i = i'. The transcript is not changed. ``ValueError`` for d > 16.
     """
+    if transcript.config.d > len(_DIGITS):
+        raise ValueError(f"key digits are {_DIGITS}, too few for d={transcript.config.d}")
     inverse, (_, i, _, i_prime) = transcript._decoded
     kept = np.delete(inverse, transcript._tested)
     keys = KeyPair(alice_key=_DIGIT_BYTES[i_prime][kept].tobytes().decode("ascii"),
@@ -541,25 +542,14 @@ def save_transcript(transcript: Transcript, path) -> None:
                 fh.write(b"".join(map(lines.__getitem__, chunk.tolist())))
 
 
-def _exact_keys(raw, keys: list, what: str) -> dict:
-    """``raw`` if it is an object with exactly the sorted ``keys``; else ``ValueError``."""
-    if not isinstance(raw, dict):
-        raise ValueError(f"{what} must be an object with the keys {keys}")
-    odd = sorted(raw.keys() ^ set(keys))
-    if odd:
-        raise ValueError(f"{what} must have the keys {keys}; "
-                         f"{'extra' if odd[0] in raw else 'missing'} key {reprlib.repr(odd[0])}")
-    return raw
-
-
 def _parse_header(line: str):
-    header = _exact_keys(decode(line, "malformed transcript header"),
-                         ["accepted", "config", "format", "test_indices"], "transcript header")
+    header = exact_keys(decode(line, "malformed transcript header"),
+                        ["accepted", "config", "format", "test_indices"], "transcript header")
     fmt, raw = header["format"], header["config"]
     tests, accepted = header["test_indices"], header["accepted"]
     if fmt != TRANSCRIPT_FORMAT:
         raise ValueError(f"transcript format {reprlib.repr(fmt)}, expected {TRANSCRIPT_FORMAT!r}")
-    _exact_keys(raw, sorted(f.name for f in fields(ProtocolConfig)), "transcript config")
+    exact_keys(raw, sorted(f.name for f in fields(ProtocolConfig)), "transcript config")
     if not isinstance(accepted, bool):
         raise ValueError(f"transcript accepted must be true or false, not {reprlib.repr(accepted)}")
     integers(tests, "test_indices")
@@ -569,8 +559,8 @@ def _parse_header(line: str):
 def _parse_record(line: str, d: int) -> tuple:
     """One 0-based record line, checked on its own; returns ``(k, code)``."""
     where = f"record {_LINE_REPR.repr(line.strip())}"
-    raw = _exact_keys(decode(line, f"malformed transcript {where}"),
-                      ["b", "i", "i_prime", "x"], where)
+    raw = exact_keys(decode(line, f"malformed transcript {where}"),
+                     ["b", "i", "i_prime", "x"], where)
     b, i, i_prime = (integer(raw[key], f"{where}: {key}") for key in ("b", "i", "i_prime"))
     x = raw["x"]
     if not integers(x, f"{where}: x"):

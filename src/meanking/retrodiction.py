@@ -55,23 +55,23 @@ from math import isqrt
 import numpy as np
 
 from . import bases, qmath
-from .bases import (MAX_GUESSING_FUNCTIONS, BasisSet, OverBudget, basis_set_from_json, digits,
-                    enumerate_guessing_functions)
-from .serialize import (complex_to_pairs, integers, numbers, pairs_to_complex, read_json, reading,
-                        write_json)
+from .bases import (MAX_GUESSING_FUNCTIONS, BasisSet, OverBudget, Refused, basis_set_from_json,
+                    digits, enumerate_guessing_functions)
+from .serialize import (complex_to_pairs, exact_keys, integers, numbers, pairs_to_complex,
+                        read_json, reading, write_json)
 
 STRATEGY_FORMAT = "meanking-strategy-v2"
 
 
-class ResidualTooLarge(RuntimeError):
+class ResidualTooLarge(Refused):
     """The safe-vector system is inconsistent for this basis set."""
 
 
-class NotMaximal(RuntimeError):
+class NotMaximal(Refused):
     """POVM weights exist but some guessing function gets weight zero."""
 
 
-class Infeasible(RuntimeError):
+class Infeasible(Refused):
     """No nonnegative weights satisfy the completeness condition."""
 
 
@@ -513,8 +513,10 @@ def save_strategy(s: Strategy, path) -> None:
                       "weights": s.weights.tolist() if weight is None else weight})
 
 
-def _read_v2(data, bs: BasisSet) -> Strategy:
+def _read_v2(data) -> Strategy:
     """The strategy of a v2 file's fields; :class:`Strategy` checks their shapes."""
+    keys = ["bases", "dim", "format", "generators", "weights"]
+    bs = basis_set_from_json(exact_keys(data, keys, "v2 strategy"))
     if data["format"] != STRATEGY_FORMAT:
         raise ValueError(f"unknown strategy format {reprlib.repr(data['format'])}")
     _check_size(bs)
@@ -526,13 +528,16 @@ def _read_v2(data, bs: BasisSet) -> Strategy:
     return Strategy(basis_set=bs, weights=weights, generators=generators)
 
 
-def _read_v1(data, bs: BasisSet) -> Strategy:
+def _read_v1(data) -> Strategy:
     """The strategy of a v1 file's fields, as its table."""
-    dim = bs.dim
+    entries = exact_keys(data, ["bases", "dim", "entries", "omega"], "v1 strategy")["entries"]
+    for j, e in enumerate(entries):
+        exact_keys(e, ["eta", "p", "residual", "x"], f"entry {j}")
+    bs = basis_set_from_json(data)
+    dim, k = bs.dim, bs.k  # nothing longer than the entry list is built
     source = pairs_to_complex(data["omega"])
     if source.shape != (dim * dim,) or np.max(np.abs(source - omega(dim))) > qmath.DEFAULT_TOL:
         raise ValueError(f"omega is not the maximally entangled state of dimension {dim}")
-    entries, k = data["entries"], bs.k  # nothing longer than the entry list is built
     rows = min(([len(e["x"]) == k for e in entries] + [False]).index(False), dim**k)  # k digits
     got = np.array(integers([v for e in entries for v in e["x"]], "x"))[:rows * k].reshape(rows, k)
     wrong = np.flatnonzero((got != digits(np.arange(rows), dim, k)).any(axis=1))
@@ -554,9 +559,10 @@ def load_strategy(path) -> Strategy:
     """Read a strategy written by :func:`save_strategy`, in either layout.
 
     A file with a ``format`` field is v2; one without is v1. Raises
-    :class:`FormatError` when the file does not have its layout (a v1 file
-    lists d**k entries, entry j with guessing function j as its x and d*d
-    eta entries, and the maximally entangled ``omega``), then
+    :class:`FormatError` when the file does not have its layout (exactly
+    its layout's keys, and each entry's, checked before any field is read;
+    a v1 file lists d**k entries, entry j with guessing function j as its x
+    and d*d eta entries, and the maximally entangled ``omega``), then
     :class:`NotMaximal` or :class:`Infeasible` on the verdict of
     :func:`_check_complete_and_maximal` on the derived completeness residual:
     closed form for a v2 file with uniform weights, else over its d**k safe
@@ -565,7 +571,7 @@ def load_strategy(path) -> Strategy:
     """
     with reading("strategy", path):
         data = read_json(path)
-        s = (_read_v2 if "format" in data else _read_v1)(data, basis_set_from_json(data))
+        s = (_read_v2 if isinstance(data, dict) and "format" in data else _read_v1)(data)
     with np.errstate(over="ignore", invalid="ignore"):  # a file's numbers past the float range
         _check_complete_and_maximal(s.min_weight, s.completeness_residual, "stored strategy")
     return s

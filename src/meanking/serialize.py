@@ -1,9 +1,10 @@
 """JSON helpers: complex arrays as [re, im] pairs, canonical dumps, digests, and the input policy.
 
-Every file the package reads back goes through one decode (:func:`decode`), one integer rule
-(:func:`integer`, :func:`integers`: never ``2.0``, ``2.5``, ``"2"`` or ``true``), one number rule
-(:func:`numbers`: finite JSON numbers, never ``"0.5"``, ``true`` or ``null``, every [re, im]
-entry included) and one wrapper (:func:`reading`): ``FormatError("bad <kind> file <path>: ...")``.
+Every file the package reads back goes through one decode (:func:`decode`), one key rule
+(:func:`exact_keys`: exactly the layout's keys, checked first), one integer rule (:func:`integer`,
+:func:`integers`: never ``2.0``, ``2.5``, ``"2"`` or ``true``), one number rule (:func:`numbers`:
+finite JSON numbers, never ``"0.5"``, ``true`` or ``null``, every [re, im] entry included) and one
+wrapper (:func:`reading`): ``FormatError("bad <kind> file <path>: ...")``.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ def reading(kind: str, path):
     """Raise a layout error of the block as :class:`FormatError`, naming the file and its kind."""
     try:
         yield
-    except (KeyError, TypeError, ValueError, IndexError, OverflowError) as exc:
+    except (TypeError, ValueError, IndexError, OverflowError) as exc:
         raise FormatError(f"bad {kind} file {path}: {exc}") from exc
 
 
@@ -35,6 +36,17 @@ def decode(text: str, what: str = "not JSON"):
         return json.loads(text)
     except (ValueError, RecursionError) as exc:  # RecursionError: nested too deep to decode
         raise ValueError(f"{what}: {exc}") from None
+
+
+def exact_keys(raw, keys: list, what: str) -> dict:
+    """``raw`` if it is an object with exactly the sorted ``keys``; else ``ValueError``."""
+    if not isinstance(raw, dict):
+        raise ValueError(f"{what} must be an object with the keys {keys}")
+    odd = sorted(raw.keys() ^ set(keys))
+    if odd:
+        raise ValueError(f"{what} must have the keys {keys}; "
+                         f"{'extra' if odd[0] in raw else 'missing'} key {reprlib.repr(odd[0])}")
+    return raw
 
 
 def integer(value, what: str, least: int = 0) -> int:

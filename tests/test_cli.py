@@ -179,6 +179,21 @@ class TestRunCommand:
         assert report["accepted"] and report["agreement_rate"] == 1.0
         assert json.loads(summary_path.read_text()) == report
 
+    @pytest.mark.parametrize("d, n", [(2, 7), (3, 4)])
+    def test_honest_run_past_the_block_budget(self, tmp_path, capsys, strategy_d2, strategy_d3,
+                                              d, n):
+        # an honest run draws single instances, so no block of d**n is built: the block
+        # budget, d**(2n) <= 4096, holds attacks only
+        strategy_path, out_path = tmp_path / "s.json", tmp_path / "t.jsonl"
+        retrodiction.save_strategy({2: strategy_d2, 3: strategy_d3}[d], strategy_path)
+        code, out = run_cli(capsys, "run", "--strategy", str(strategy_path), "--rounds", "10",
+                            "--n", str(n), "--seed", "7", "--out", str(out_path))
+        assert code == 0
+        report = json.loads(out)["report"]
+        assert report["instances"] == 10 * n
+        assert report["accepted"] and report["agreement_rate"] == 1.0
+        assert len(protocol.load_transcript(out_path).codes) == 10 * n
+
     def test_intercept_resend_aborts(self, tmp_path, capsys, strategy_file):
         code, out = run_cli(
             capsys, "run", "--strategy", str(strategy_file), "--rounds", "300",
@@ -686,7 +701,11 @@ class TestOverflowingNumbers:
 
 
 class TestAttackBudget:
-    """An attack over the block budget, d**(2n) * d_eve <= 4096, exits 2 before allocating."""
+    """An attack over the block budget, d**(2n) * d_eve <= 4096, exits 2 before allocating.
+
+    An honest run has no block to budget; ``--n 10000000`` is over the instance budget
+    instead, rounds*n <= 2**24, and also exits 2 before any draw.
+    """
 
     @pytest.mark.parametrize("n, spec", [(2000, "intercept-resend:b=1"), (10_000_000, "none")])
     @pytest.mark.parametrize("command", ["attack-eval", "run"])
@@ -706,7 +725,10 @@ class TestAttackBudget:
         elapsed = time.perf_counter() - start
         captured = capsys.readouterr()
         assert code == 2 and captured.out == "" and not out_path.exists()
-        assert f"block dimension 2**(2*{n})*1 exceeds budget 4096" in captured.err
+        if (command, spec) == ("run", "none"):
+            assert captured.err.startswith(f"error: run too large: 2 rounds of {n} instances")
+        else:
+            assert f"block dimension 2**(2*{n})*1 exceeds budget 4096" in captured.err
         if (command, spec) == ("attack-eval", "none"):
             # refused before anything is sized by n, such as the sweep's (k*d)**n grid
             assert elapsed < 1.0

@@ -10,6 +10,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import meanking
@@ -87,6 +88,20 @@ def test_command_runs_only_its_modules(inputs, command):
     assert after_import == [[], False]  # no package module and no numpy
     assert code == 0
     assert after_main == loaded
+
+
+def test_refusal_runs_only_its_modules(tmp_path):
+    # 18 copies of one d=2 basis: the classical-model LP would take 2**18 variables, over
+    # budget, so `bases check` exits 2 without running any module past `bases`
+    bs = bases.BasisSet(np.broadcast_to(np.eye(2), (18, 2, 2)))
+    bases.save_basis_set(bs, tmp_path / "b18.json")
+    proc = _child(["bases", "check", "--in", "b18.json"], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.startswith("error: classical-model LP with 262144 variables exceeds")
+    after_import, code, after_main = json.loads(proc.stdout.splitlines()[-1])
+    assert after_import == [[], False]
+    assert code == 2
+    assert after_main == BASE
 
 
 def test_missing_numpy_shows_at_first_use(tmp_path):

@@ -7,9 +7,9 @@ that reads it. Whatever the file now says, the command must end with exit
 
 The refusal table gives every kind of input file (basis set, v2 and v1
 strategy, attack, transcript header and record) a field of the wrong JSON
-type, or 100 000 nested ``[``: each is refused with ``FormatError``, and
-through the command that reads it with exit 1 and one ``error: bad <kind>
-file`` line.
+type, an extra or a missing key, or 100 000 nested ``[``: each is refused
+with ``FormatError``, and through the command that reads it with exit 1 and
+one ``error: bad <kind> file`` line under 300 characters.
 """
 
 import json
@@ -115,13 +115,19 @@ def test_mutated_file_exits_cleanly(kind, mutate, saved, tmp_path, capsys):
         assert "Traceback" not in captured.err
 
 
+DROP = object()  # the value that deletes an entry
+
+
 def _at(data, path, value):
     """A copy of ``data`` with the entry at ``path`` (keys and indices) set to ``value``."""
     data = json.loads(json.dumps(data))
     node = data
     for key in path[:-1]:
         node = node[key]
-    node[path[-1]] = value
+    if value is DROP:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
     return data
 
 
@@ -150,6 +156,8 @@ def _v2_defects(data):
         "format": {**data, "format": "meanking-strategy-v3"},
         "no-format": {k: v for k, v in data.items() if k != "format"},
         "no-generators": {k: v for k, v in data.items() if k != "generators"},
+        "extra-key": {**data, "extra": 1},
+        "missing-key": {k: v for k, v in data.items() if k != "bases"},  # checked first
         "generators-short": {**data, "generators": g[:-1]},
         "generator-short": {**data, "generators": [g[0][:1]] + g[1:]},
         "generators-flat": {**data, "generators": [z for b in g for j in b for z in j]},
@@ -169,8 +177,10 @@ def _v2_defects(data):
 def test_malformed_v2_file_exits_1(defect, saved, tmp_path, capsys):
     path = tmp_path / "strategy.json"
     path.write_text(json.dumps(_v2_defects(json.loads(saved["strategy"]))[defect]))
-    with pytest.raises(bases.FormatError, match="^bad strategy file"):
+    with pytest.raises(bases.FormatError, match="^bad strategy file") as refused:
         retrodiction.load_strategy(path)
+    if defect.endswith("-key"):
+        assert f"{defect.split('-')[0]} key '" in str(refused.value)
     for argv in (_commands("strategy", str(path))
                  + [["run", "--strategy", str(path), "--rounds", "4", "--seed", "1",
                      "--out", str(tmp_path / "t.jsonl")]]):
@@ -178,6 +188,7 @@ def test_malformed_v2_file_exits_1(defect, saved, tmp_path, capsys):
         captured = capsys.readouterr()
         assert code == 1, (defect, argv, captured.err)
         assert captured.out == "" and captured.err.startswith("error: bad strategy file")
+        assert len(captured.err) < 300
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
@@ -190,7 +201,7 @@ class _Kind(NamedTuple):
     load: Callable
     command: Callable | None  # (path, out) -> argv of the command that reads it, if any
     fields: dict  # the path of each mistyped field, by _MISTYPED key
-    extra: dict  # further cases, as (path, value)
+    extra: dict  # further cases, as (path, value); the value DROP deletes the entry
 
 
 _KINDS = {
@@ -198,24 +209,31 @@ _KINDS = {
         "basis-set", "bases", bases.load_basis_set,
         lambda path, out: ["bases", "check", "--in", path],
         {"integer": ["dim"], "number": ["bases", 1, 0, 0, 0], "complex": ["bases", 0, 0, 0]},
-        {"deep": (["bases"], DEEP)}),
+        {"deep": (["bases"], DEEP), "extra-key": (["extra"], 1),
+         "missing-key": (["dim"], DROP)}),
     "strategy_v1": _Kind(
         "strategy", "strategy_v1", retrodiction.load_strategy,
         lambda path, out: ["run", "--strategy", path, "--rounds", "4", "--seed", "1",
                            "--out", out],
         {"integer": ["dim"], "number": ["entries", 0, "p"], "complex": ["bases", 0, 0, 0]},
-        {"x-floats": (["entries", 0, "x"], [0.0, 0.0, 0.0]), "deep": (["omega"], DEEP)}),
+        {"x-floats": (["entries", 0, "x"], [0.0, 0.0, 0.0]), "deep": (["omega"], DEEP),
+         "extra-key": (["extra"], 1), "missing-key": (["bases"], DROP),
+         "entry-extra-key": (["entries", 0, "extra"], 1),
+         "entry-missing-key": (["entries", 0, "p"], DROP)}),
     "attack": _Kind(
         "attack", "attack_identity", attack.load_attack,
         lambda path, out: ["security", "attack-eval", "--dim", "2", "--attack", f"file:{path}",
                            "--out", out],
         {"integer": ["d"], "number": ["psi_abe", 0, 0], "complex": ["kraus", 0, 0, 0]},
-        {"deep": (["kraus"], DEEP)}),
+        {"deep": (["kraus"], DEEP), "extra-key": (["extra"], 1),
+         "missing-key": (["d_E"], DROP)}),
     "transcript_header": _Kind(
         "transcript", "transcript", protocol.load_transcript, None,
-        {"integer": ["config", "d"], "number": ["config", "test_fraction"]}, {}),
+        {"integer": ["config", "d"], "number": ["config", "test_fraction"]},
+        {"extra-key": (["extra"], 1), "missing-key": (["accepted"], DROP)}),
     "transcript_record": _Kind(
-        "transcript", "transcript", protocol.load_transcript, None, {"integer": ["b"]}, {}),
+        "transcript", "transcript", protocol.load_transcript, None, {"integer": ["b"]},
+        {"extra-key": (["extra"], 1), "missing-key": (["x"], DROP)}),
 }
 
 
@@ -257,20 +275,31 @@ def test_refusal_table(kind, case, saved, tmp_path, capsys):
     path, out = tmp_path / "input.json", tmp_path / "out.json"
     path.write_text(_refused_text(kind, case, saved))
     prefix = f"bad {label} file {path}: "
-    with pytest.raises(serialize.FormatError, match="^" + re.escape(prefix)):
+    with pytest.raises(serialize.FormatError, match="^" + re.escape(prefix)) as refused:
         load(path)
+    if case.endswith("-key"):  # the message names the key, as extra or missing
+        assert f"{case.split('-')[-2]} key '" in str(refused.value)
     if command is None:  # no command reads a transcript
         return
     assert cli.main(command(str(path), str(out))) == 1
     captured = capsys.readouterr()
     assert captured.out == "" and not out.exists()
-    assert captured.err.startswith("error: " + prefix)
+    assert captured.err.startswith("error: " + prefix) and len(captured.err) < 300
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_format_error_is_one_class():
     assert bases.FormatError is serialize.FormatError
     assert issubclass(serialize.FormatError, ValueError)
+
+
+def test_refusals_are_one_class():
+    # the CLI exits 2 for exactly this family; each member is still a RuntimeError
+    for refusal in (bases.OverBudget, retrodiction.ResidualTooLarge, retrodiction.NotMaximal,
+                    retrodiction.Infeasible, protocol.ProtocolError,
+                    attack.ZeroProbabilityOutcome):
+        assert issubclass(refusal, bases.Refused) and issubclass(refusal, RuntimeError)
+    assert not issubclass(bases.Refused, ValueError)
 
 
 @settings(max_examples=100, deadline=None,

@@ -199,6 +199,18 @@ class TestSiftAndTest:
         proto.sift_and_test(t)
         assert (t.test_indices, t.accepted) == before
 
+    @pytest.mark.parametrize("d", [16, 17])
+    def test_key_alphabet_bounds_the_dimension(self, d):
+        # one instance, b = 0, i = d - 1 and x = (d - 1, 0): a key digit is one of 16 symbols
+        t = proto.Transcript(config=cfg(d=d, rounds=1, test_fraction=0.0), k=2,
+                             codes=np.array([(d - 1) * d**2 + (d - 1) * d]))
+        if d > 16:
+            with pytest.raises(ValueError, match="are 123456789ABCDEFG, too few for d=17"):
+                proto.sift_and_test(t)
+            return
+        accepted, keys = proto.sift_and_test(t)
+        assert accepted and keys.alice_key == keys.bob_key == "G"
+
     def test_codes_are_read_only(self, strategy_d2):
         codes = np.random.default_rng(15).integers(2 * 2 * 2**3, size=200)
         t = proto.Transcript(config=cfg(rounds=200, test_fraction=0.25, seed=15), k=3, codes=codes)
