@@ -263,13 +263,13 @@ class TestSecurityCommands:
 
     @pytest.mark.parametrize("dim, n, rank", [(2, 3, 4095), (3, 2, 6560), (5, 1, 624)])
     def test_lemma_larger_blocks(self, capsys, dim, n, rank):
-        # d=5 is decided by its 625 x 625 form; on MUBs the margin is 1 - 1/d
+        # d=5 is decided by the 25 Weyl sectors of its 625 x 625 form; on MUBs the margin is 1 - 1/d
         code, out = run_cli(capsys, "security", "lemma", "--dim", str(dim), "--n", str(n))
         assert code == 0
         report = json.loads(out)["report"]
         assert report["solution_dim"] == 1 and report["constraint_rank"] == rank
         assert report["witness_identity_deviation"] < 1e-8
-        assert report["spectral_gap"] == pytest.approx(1 - 1 / dim, abs=1e-9)
+        assert report["spectral_gap"] == pytest.approx(1 - 1 / dim, abs=1e-12)
 
     def test_lemma_over_budget(self, tmp_path, capsys, monkeypatch):
         # 255 entries refuse the single-block form's 256 at d=2, and for n >= 2

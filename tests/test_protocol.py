@@ -780,7 +780,7 @@ class TestFixedWidthRoute:
         assert same_load(back, general_load(fast, monkeypatch))
 
 
-# SHA-256 digests of what 0.8.0 writes: transcripts of the protocol-sim
+# SHA-256 digests of what 0.9.0 writes: transcripts of the protocol-sim
 # benchmark's four shapes at reduced rounds, and the README pipeline's
 # outputs (the `run` steps at reduced rounds). The sampler draws from numpy Generator streams,
 # which numpy does not promise to keep across versions, so the CI workflow
@@ -792,19 +792,19 @@ GOLDEN_TRANSCRIPTS = {
     "probe-d3n1": "a84f3ffe69f1dfc8ad8c195b58c7a19e9eab736be9127e4f3cbc32fe623cd265",
 }
 GOLDEN_README_RUN = {
-    "bases gen stdout": "ed99aad73837c670ee68fd2de4a56b5e792695fa0f93aaf71bb428f269ad75e9",
+    "bases gen stdout": "7324d557316bc4f4f6db401c44e7e1b143d4db62a297436e1aafd66af0f277b9",
     "bases3.json": "b8814958647460da10423529abcc86fa6a3447a601d12f584871f4f9e765f730",
-    "bases check stdout": "91fe6f30ea1cc887d5ae3ed1983333bbf45c0c35eb1a1617afbc7b940602feee",
-    "strategy build stdout": "b7b957f7850273276cc1336d286f439a774ee1ef7de216176cd0c86145ecd947",
+    "bases check stdout": "a1fb47198a82cec675fe80d92ba93ce695e7e7b9a2997b7eca5d0e3885eac28d",
+    "strategy build stdout": "c3adf36a4704bca4f7196588f97bbf59e75c31758f6abac345213cefa19ebda1",
     "strategy3.json": "8ed9e1d352b58f70f6de45d96f6ee33630dcac01ce95978a335205c6f738894c",
-    "run stdout": "b0ee935fb7a548f89d1ea68ef110dc0423bd77d2b7bf660c9cba9698ec707e91",
+    "run stdout": "2cb1ce9b034296adac9ffaa2437c09dc9cac33394d16286da13ff7672408f4d1",
     "transcript.jsonl": "e85ee09b7557d05c52889d994b65d1f2ccf1ba3cc17b568b4e85bd92e435222b",
     "summary.json": "acb81d80872736ba27245b29413f4493e01dc02e98be2c1944c90b73fca12193",
-    "attacked run stdout": "cec461e9ec73cebe69d13372132ed3debe776347709d1b481f3fcac28f6ca1da",
+    "attacked run stdout": "014f5b7fceb1a4133afb3d14e521f427594e1201460578e191a447d82652e1ba",
     "t.jsonl": "3bebdcf557d46ef91e581b464bf7a44b2fc76889b8a1ff5c9c2841a17322f33a",
-    "security lemma stdout": "1cb1dd39b3326dfd4607e460be4af762b99d582a239a6f6800de4a830825366d",
+    "security lemma stdout": "34ff412cac7ae412f8f693df42d9063b587d9272197ae73061bd7f7c1783eec5",
     "security attack-eval stdout":
-        "3c0e3c61f5a785a5533896723e288657628095acb7f5d7ce01628196366c8a03",
+        "e8dc5e7c4af7041672d62805769dcb20c96de2231d26e178ede6b54ef367565c",
 }
 
 

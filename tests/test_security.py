@@ -1,3 +1,4 @@
+import math
 import tracemalloc
 from types import SimpleNamespace
 
@@ -6,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from meanking import bases, retrodiction as rd, security
-from oracles import commutant_stacked, decomposition_triple
+import exact
+from oracles import commutant_stacked, decomposition_triple, weyl_loops
 
 
 def brute_force_solution_dim(etas):
@@ -39,6 +41,44 @@ def residuals_per_vector(etas, e):
 
 def random_operator(rng, dim):
     return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
+def weyl_basis(d):
+    """Columns vec(W_(m1,l1) (x) W_(m2,l2)) / d from the oracle's unitaries, column
+    (l1 d + l2) d**2 + m1 d + m2 as in ``security._weyl_layout``."""
+    units = weyl_loops(d, 2)  # [m1 d + m2, l1 d + l2]
+    return units.transpose(1, 0, 2, 3).reshape(d**4, d**4).T / d
+
+
+def weyl_form(etas):
+    """The lemma's form of the rows of ``etas`` (dimension d**2) in Weyl coordinates."""
+    return security._to_weyl(security.constraint_matrix(etas), math.isqrt(etas.shape[1]))
+
+
+def off_sector_mass(form, d):
+    """Frobenius norm of the entries of a Weyl form that couple two different sectors."""
+    inside = np.zeros(form.shape, dtype=bool)
+    inside.put(security._weyl_layout(d).index, True)
+    return np.linalg.norm(form[~inside])
+
+
+def eigh_calls(monkeypatch):
+    """The shapes of the arrays handed to ``np.linalg.eigh`` from now on."""
+    shapes, eigh = [], np.linalg.eigh
+
+    def spy(a):
+        shapes.append(np.shape(a))
+        return eigh(a)
+
+    monkeypatch.setattr(np.linalg, "eigh", spy)
+    return shapes
+
+
+def dense_decision(etas, tol=1e-9):
+    """``(solution_dim, spectral_gap)`` from one dense ``eigvalsh`` of the whole form."""
+    evals = np.linalg.eigvalsh(security.constraint_matrix(etas))
+    null = int(np.sum(evals <= tol * evals[-1]))
+    return null, evals[null] / evals[-1]
 
 
 class TestForm:
@@ -85,6 +125,173 @@ class TestForm:
         finally:
             tracemalloc.stop()
         assert peak < 64 << 20
+
+
+class TestWeylSectors:
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_coordinates_match_the_oracle_basis(self, d):
+        basis = weyl_basis(d)
+        rng = np.random.default_rng(d)
+        x = random_operator(rng, d**4)
+        form = x + x.conj().T
+        want = basis.conj().T @ form @ basis
+        np.testing.assert_allclose(security._to_weyl(form, d), want, rtol=0,
+                                   atol=1e-13 * np.abs(want).max())
+        coords = rng.normal(size=(d**4, 3)) + 1j * rng.normal(size=(d**4, 3))
+        np.testing.assert_allclose(security._from_weyl(coords, d), basis @ coords, rtol=0,
+                                   atol=1e-13 * np.abs(coords).max())
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_sector_labels(self, d):
+        layout = security._weyl_layout(d)
+        assert sorted(layout.sectors.reshape(-1)) == list(range(d**4))
+        for b, coords in enumerate(layout.sectors):
+            (l1, l2), (m1, m2) = (np.divmod(flat, d) for flat in np.divmod(coords, d * d))
+            np.testing.assert_array_equal((m1 - m2) % d * d + (l1 + l2) % d, b)
+        rows, cols = np.divmod(layout.index, d**4)
+        np.testing.assert_array_equal(rows, np.broadcast_to(layout.sectors[:, :, None], rows.shape))
+        np.testing.assert_array_equal(cols, np.broadcast_to(layout.sectors[:, None, :], cols.shape))
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_mub_form_is_sector_diagonal(self, request, d):
+        # in the oracle's basis, independently of the helper's transform
+        etas = request.getfixturevalue(f"strategy_d{d}").etas
+        basis = weyl_basis(d)
+        form = basis.conj().T @ security.constraint_matrix(etas) @ basis
+        largest = np.linalg.eigvalsh(form)[-1]
+        assert off_sector_mass(form, d) <= security._rounding_floor(d * d) * largest
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_sector_spectra_in_closed_form(self, request, d):
+        # G / lambda_max: sector (0, 0) is {0 once, 1 d**2 - 1 times}; every other sector is
+        # {1 - 1/d once, 1 - 2/d**2 d(d-1)/2 times, 1 d(d+1)/2 - 1 times}, merged at d=2
+        form = weyl_form(request.getfixturevalue(f"strategy_d{d}").etas)
+        blocks, _, stack = security._blocks(form, d, security._rounding_floor(d * d))
+        assert blocks.shape == (d * d, d * d)
+        spectra = np.linalg.eigvalsh(stack)
+        spectra /= spectra.max()
+        np.testing.assert_allclose(spectra[0], [0.0] + [1.0] * (d * d - 1), rtol=0, atol=1e-12)
+        other = sorted([1 - 1 / d] + [1 - 2 / d**2] * (d * (d - 1) // 2)
+                       + [1.0] * (d * (d + 1) // 2 - 1))
+        np.testing.assert_allclose(spectra[1:], [other] * (d * d - 1), rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [3, 5])
+    def test_mub_lemma_takes_the_sector_route(self, request, monkeypatch, d):
+        strategy = request.getfixturevalue(f"strategy_d{d}")
+        shapes = eigh_calls(monkeypatch)
+        report = security.eigenvector_constraint_dim(strategy.safe_vectors)
+        assert shapes == [(d * d,) * 3]
+        assert report.solution_dim == 1
+        assert report.spectral_gap == pytest.approx(1 - 1 / d, abs=1e-12)
+
+    def test_d2_margin(self, strategy_d2, monkeypatch):
+        # the thinnest margin of the three: off-sector mass over the largest diagonal entry
+        # (and over lambda_max) was 1.9e-15 against the floor 16 * eps = 3.6e-15; the route
+        # follows the gate either way
+        form = weyl_form(strategy_d2.etas)
+        mass = off_sector_mass(form, 2) / form.diagonal().real.max()
+        floor = security._rounding_floor(4)
+        print(f"d=2 off-sector mass / largest diagonal entry {mass:.2e}, floor {floor:.2e}")
+        shapes = eigh_calls(monkeypatch)
+        report = security.eigenvector_constraint_dim(strategy_d2.safe_vectors)
+        assert shapes == [(4, 4, 4) if mass <= floor else (1, 16, 16)]
+        assert (report.solution_dim, report.spectral_gap) == (1, pytest.approx(0.5, abs=1e-12))
+
+    @pytest.mark.parametrize("case", ["biased-2", "biased-3", "subset-2", "subset-3", "pair-3"])
+    def test_other_sets_are_decided_whole(self, request, monkeypatch, biased_copy, case):
+        # a set that is not sector diagonal: one block, as dense as the parent's one eigh
+        kind, d = case.split("-")
+        d = int(d)
+        if kind == "biased":
+            strategy = rd.build_strategy(biased_copy(request.getfixturevalue(f"mub{d}"), 0.1))
+            etas = strategy.etas
+        else:
+            etas = request.getfixturevalue(f"strategy_d{d}").etas
+            etas = etas[:2] if kind == "pair" else etas[:d * d + 3]
+        shapes = eigh_calls(monkeypatch)
+        dim_null, vectors, evals = security.constraint_nullspace(etas)
+        assert shapes == [(1, d**4, d**4)]
+        null, gap = dense_decision(etas)
+        assert dim_null == null
+        assert evals[dim_null] / evals[-1] == pytest.approx(gap, abs=1e-12)
+        if kind == "biased":
+            report = security.eigenvector_constraint_dim(strategy.safe_vectors)
+            assert (report.solution_dim, report.constraint_rank) == (null, d**4 - null)
+
+    def test_dimension_without_weyl_sectors(self, monkeypatch):
+        # vectors of dimension 6, not a square: no Weyl basis, the form itself is one block
+        rng = np.random.default_rng(6)
+        etas = rng.normal(size=(20, 6)) + 1j * rng.normal(size=(20, 6))
+        shapes = eigh_calls(monkeypatch)
+        dim_null, vectors, evals = security.constraint_nullspace(etas)
+        assert shapes == [(1, 36, 36)]
+        null, gap = dense_decision(etas)
+        assert dim_null == null == 1
+        assert evals[1] / evals[-1] == pytest.approx(gap, abs=1e-12)
+        np.testing.assert_allclose(security.constraint_matrix(etas) @ vectors[0], 0,
+                                   atol=1e-12 * evals[-1])
+
+    @pytest.mark.parametrize("name", ["strategy_d2", "strategy_d3", "unit_strategy"])
+    def test_vectors_are_orthonormal_eigenvectors(self, request, name):
+        etas = request.getfixturevalue(name).etas
+        form = security.constraint_matrix(etas)
+        _, vectors, evals = security.constraint_nullspace(etas)
+        assert np.all(np.diff(evals) >= 0)
+        np.testing.assert_allclose(vectors.conj() @ vectors.T, np.eye(len(evals)), rtol=0,
+                                   atol=1e-12)
+        residual = vectors.conj() @ form @ vectors.T - np.diag(evals)
+        assert np.abs(residual).max() <= 1e-12 * evals[-1]
+
+
+class TestExactCertificate:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_exact_safe_vectors_are_the_strategy_table(self, request, d):
+        etas = request.getfixturevalue(f"strategy_d{d}").etas
+        exact_etas = [exact.complex_value(exact.safe_vector_coefficients(d, x), d)
+                      for x in exact.all_guessing_functions(d)]
+        np.testing.assert_allclose(exact_etas, etas, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_prime_and_root(self, d):
+        n = exact.root_order(d)
+        p, r = exact.prime_and_root(n)
+        assert exact.is_prime(p) and p % n == 1 and p < 2**31
+        assert [pow(r, e, p) == 1 for e in range(1, n + 1)] == [False] * (n - 1) + [True]
+
+    def test_rank_mod_p(self):
+        p = 101
+        assert exact.rank_mod_p([[1, 2], [2, 4]], p) == 1
+        assert exact.rank_mod_p([[1, 2], [3, 4]], p) == 2
+        assert exact.rank_mod_p([[p, 2 * p], [0, 0]], p) == 0
+        # full rank over Q, singular mod 101: det = 101
+        assert exact.rank_mod_p([[1, 0], [0, 101]], p) == 1
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_identity_solves_every_condition(self, d):
+        p, r = exact.prime_and_root(exact.root_order(d))
+        rows = exact.conditions_mod_p(d, exact.all_guessing_functions(d)[:5], p, r)
+        assert not np.any(rows @ np.eye(d * d, dtype=np.int64).reshape(-1) % p)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_solution_dim_one_is_proved(self, request, d):
+        # d=5 is left out: 30 of its x's took 2.3 s to eliminate in a prototype
+        assert exact.certify(d, exact.all_guessing_functions(d)) == (True, d**4 - 1)
+        report = security.eigenvector_constraint_dim(
+            request.getfixturevalue(f"strategy_d{d}").safe_vectors)
+        assert report.solution_dim == 1
+
+    def test_too_few_conditions_prove_nothing(self, strategy_d3):
+        # halve a shuffled list of x's until the rank falls short: that is "no proof",
+        # and the floating-point route agrees that one solution is not forced
+        xs = exact.all_guessing_functions(3)
+        order = np.random.default_rng(3).permutation(len(xs))
+        count = len(xs)
+        while (verdict := exact.certify(3, [xs[i] for i in order[:count]]))[0]:
+            count //= 2
+        proved, rank = verdict
+        assert not proved and rank < 80
+        dim_null, _, _ = security.constraint_nullspace(strategy_d3.etas[order[:count]])
+        assert dim_null > 1 and 81 - dim_null >= rank
 
 
 class TestSingleRunCommutant:
