@@ -43,9 +43,18 @@ with each Q applied to its own (A_s, B_s) pair, for a whole chunk at once
 leakage and the per-outcome error table from the walk, and the sampler
 draws from the same walk. Eve's state depends on (b, i) only through what
 her interaction learns, so structured attacks repeat a few states over the
-whole grid: leakage keeps one copy of each byte-identical state and
-compares those pairwise in chunks of the pair triangle. A chunk of either
-kind holds a bounded number of entries, so memory stays flat over the grid.
+whole grid: leakage keeps one copy of each byte-identical state. A general
+attack repeats none, and leakage does not run ``eigvalsh`` on every pair:
+per block, ||D||_F <= ||D||_1 <= sqrt(d_E) ||D||_F bounds a difference's
+trace norm by its Frobenius norm, and one Gram product per chunk of the
+pair triangle gives every pair's, ||X_i - X_j||_F^2 = ||X_i||_F^2 +
+||X_j||_F^2 - 2 Re <X_i, X_j>. Only the pairs whose upper bound, plus a
+rounding slack, reaches the largest lower bound or verified value met so
+far are verified with ``eigvalsh``, each in every orientation the whole
+stack forms, so the value is the full triangle's bit for bit
+(:func:`_verified_max`). A chunk of the walk, of the Gram rows or of the
+verified pairs holds a bounded number of entries, so memory stays flat
+over the grid.
 
 Subsystem order is always A x B x E, row-major. All indices 0-based.
 """
@@ -64,11 +73,13 @@ from .retrodiction import Strategy, checked_block_dim, digit_operators, omega
 from .serialize import (complex_to_pairs, exact_keys, integer, pairs_to_complex, read_json, reading,
                         write_json)
 
-# Chunk budgets, in complex entries: Kraus-branch stacks per chunk of the
-# walk, and state differences per chunk of the leakage pair triangle. A
-# chunk always takes at least one basis block, or one row of pairs.
+# Chunk budgets, in entries: Kraus-branch stacks per chunk of the walk, and
+# per chunk of the leakage pair triangle the real Gram entries of its pairs
+# or the complex entries of the differences it verifies. A chunk always
+# takes at least one basis block, or one row of pairs, or one pair.
 _WALK_ENTRIES = 1 << 12
 _PAIR_ENTRIES = 1 << 13
+_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 
 
 class ZeroProbabilityOutcome(Refused):
@@ -295,40 +306,119 @@ def _eve_states(branches: np.ndarray) -> np.ndarray:
 def _max_trace_distance(states: np.ndarray) -> float:
     """Largest trace distance between any two of Eve's states, stacked as (m, branch, E, E).
 
-    A state repeated byte for byte adds no new distance, so only the first
-    copy of each is kept, in the order of the stack. That order keeps every
-    difference formed one that the whole triangle also forms, with the same
-    sign: ``eigvalsh`` of the negation returns its eigenvalues reversed,
-    and summing them in another order can move the last bit. States that
-    are only close are not merged, so the value is the whole triangle's.
+    A state repeated byte for byte adds no new distance, so only one copy
+    of each is compared, in the order of the first copies. The whole
+    triangle forms v - u for distinct u before v, and also u - v when a
+    copy of u comes after a copy of v: ``eigvalsh`` of the negation returns
+    its eigenvalues reversed, and summing them in another order can move
+    the last bit. So every pair that is evaluated is evaluated in each
+    orientation the stack forms. States that are only close are not
+    merged, so the value is the whole triangle's, bit for bit.
 
-    Her states are block diagonal, so a trace distance is a sum over blocks.
-    The pair triangle goes in chunks of rows of at most ``_PAIR_ENTRIES``
-    entries, or one row, each one ``eigvalsh`` of the differences
-    states[later] - states[earlier]. With a one-dimensional E the blocks are
-    scalars, whose eigenvalue is their real part, so the distance is the l1
-    distance of the real diagonals and needs no ``eigvalsh``.
+    Her states are block diagonal, so a trace distance is half a sum over
+    blocks of ||D||_1, the sum of |eigenvalue| of the block's difference D.
+    With a one-dimensional E the blocks are scalars, whose eigenvalue is
+    their real part, so the distance is the l1 distance of the real
+    diagonals; it goes in chunks of rows of the pair triangle, of at most
+    ``_PAIR_ENTRIES`` entries or one row, and needs no ``eigvalsh``.
+    Otherwise :func:`_verified_max` bounds every pair from one Gram product
+    per chunk and runs ``eigvalsh`` only on the pairs that can attain the
+    maximum.
     """
-    firsts = {}
+    firsts, lasts = {}, {}
     for j, state in enumerate(states):
-        firsts.setdefault(state.tobytes(), j)
-    states = states[list(firsts.values())]
+        key = state.tobytes()
+        firsts.setdefault(key, j)
+        lasts[key] = j
+    keep = list(firsts.values())
+    states = states[keep]
     m, nb, de, _ = states.shape
-    scalar = de == 1
-    if scalar:
-        states = states[:, :, 0, 0].real
+    if de > 1:
+        return 0.5 * _verified_max(states, np.array(keep), np.array(list(lasts.values())))
+    states = states[:, :, 0, 0].real
     rows_done = np.cumsum(np.arange(m - 1, 0, -1))  # pairs in rows 0..j
     worst, j0 = 0.0, 0
     while j0 < m - 1:
-        budget = (rows_done[j0 - 1] if j0 else 0) + _PAIR_ENTRIES // (nb * de * de)
+        budget = (rows_done[j0 - 1] if j0 else 0) + _PAIR_ENTRIES // nb
         j1 = max(j0 + 1, int(np.searchsorted(rows_done, budget, side="right")))
         earlier, later = np.nonzero(np.arange(j0, j1)[:, None] < np.arange(m))
-        diff = states[later] - states[earlier + j0]
-        if scalar:
-            dist = np.abs(diff).sum(axis=1)
-        else:
-            dist = np.abs(np.linalg.eigvalsh(diff)).sum(axis=(1, 2))
+        dist = np.abs(states[later] - states[earlier + j0]).sum(axis=1)
         worst = max(worst, 0.5 * float(dist.max()))
+        j0 = j1
+    return worst
+
+
+def _verified_max(states: np.ndarray, firsts: np.ndarray, lasts: np.ndarray) -> float:
+    """Largest sum |eigenvalue| of a difference of two of Eve's distinct states, verified
+    with ``eigvalsh`` only on the pairs that can attain it.
+
+    ``states`` is (m, branch, E, E) with E of dimension e > 1, and
+    ``firsts``/``lasts`` give the position of each state's first and last
+    copy in the whole stack. Per block, ||D||_F <= ||D||_1 <= sqrt(e)
+    ||D||_F, so with l the sum over blocks of ||D||_F a pair's value lies
+    in [l, sqrt(e) l]. One real Gram product per chunk of rows of the pair
+    triangle gives every pair's block norms at once,
+
+        ||X_i - X_j||_F^2 = ||X_i||_F^2 + ||X_j||_F^2 - 2 Re <X_i, X_j>,
+
+    and, up to rounding, the maximum is at least the largest l and at least
+    any value verified so far: either is a threshold. ``eigvalsh`` runs only
+    on the pairs with sqrt(e) l + slack at or above the threshold, in every
+    orientation the stack forms (:func:`_max_trace_distance`). The pair
+    that attains the maximum is always among them, and its value comes
+    from the same expression on the same difference as in the full
+    triangle, so the result is the full triangle's bit for bit.
+
+    The slack covers rounding; u is the unit roundoff. Each Gram entry and
+    squared norm is a real dot product of length L = 2 e^2, off by at most
+    (L + 1) u times the product of the two norms (Higham, Accuracy and
+    Stability of Numerical Algorithms, 2nd ed., section 3.1). With S the
+    block's largest state norm, the computed square of ||X_i - X_j||_F is
+    then off by at most 4 (L + 4) u S^2, the two additions included. Near
+    zero that is cancellation, and since |sqrt(a) - sqrt(b)| <=
+    sqrt(|a - b|), the computed l is off by at most eps = 2 sqrt((L + 4)
+    u) times the sum of S over blocks. Every other error is of order u, not
+    sqrt(u): the rounded difference, the backward-stable ``eigvalsh``, the
+    sums and the bounds' own rounding, each a small multiple of e^2 u times
+    the same norms, so together at most eps for any e below several
+    thousand. With l the computed one, a value is therefore at least
+    l - 2 eps and at most sqrt(e) (l + eps) + eps, and a pair whose upper
+    end falls below the largest lower end, or below a verified value,
+    cannot attain the maximum: slack = (sqrt(e) + 3) eps.
+
+    One pass goes over the triangle in chunks of rows, each multiplied
+    against every state from its first row on: at most ``_PAIR_ENTRIES``
+    Gram entries, or one row. The threshold is the largest lower bound or
+    verified value met so far, so a chunk's pairs are checked against the
+    best bound known when it is formed; a lower threshold only lets more
+    pairs through. Each chunk's pairs go to ``eigvalsh`` in chunks of at
+    most ``_PAIR_ENTRIES`` entries of their differences, or one pair, so
+    memory stays flat in the number of states.
+    """
+    m, nb, de, _ = states.shape
+    # per block, the real and imaginary parts of every state as one row: (branch, m, 2 e^2)
+    flat = np.ascontiguousarray(states.reshape(m, nb, de * de).view(float).transpose(1, 0, 2))
+    sq = np.square(flat).sum(axis=2)
+    norm_sum = float(np.sqrt(sq.max(axis=1, initial=0.0)).sum())  # sum over blocks of S
+    eps = 2 * ((flat.shape[-1] + 4) * _UNIT_ROUNDOFF) ** 0.5 * norm_sum
+    slack, root_e = (de**0.5 + 3) * eps, de**0.5
+    step = max(1, _PAIR_ENTRIES // (nb * de * de))
+    worst = threshold = 0.0
+    j0 = 0
+    while j0 < m - 1:
+        j1 = min(m - 1, j0 + max(1, _PAIR_ENTRIES // (nb * (m - j0))))
+        gram = flat[:, j0:j1] @ flat[:, j0:].transpose(0, 2, 1)
+        ell = np.sqrt(np.maximum(sq[:, j0:j1, None] + sq[:, None, j0:] - 2 * gram, 0.0)).sum(axis=0)
+        pairs = np.arange(j0, j1)[:, None] < np.arange(j0, m)  # a later state in the column
+        threshold = max(threshold, worst, float(np.max(ell, where=pairs, initial=0.0)))
+        a, b = np.nonzero(pairs & (ell >= (threshold - slack) / root_e))
+        a, b = a + j0, b + j0
+        # u - v as well where a copy of the earlier state u follows the first copy of v
+        flip = lasts[a] > firsts[b]
+        earlier, later = np.concatenate([a, b[flip]]), np.concatenate([b, a[flip]])
+        for s in range(0, len(earlier), step):
+            diff = states[later[s:s + step]] - states[earlier[s:s + step]]
+            worst = max(worst, float(np.abs(np.linalg.eigvalsh(diff)).sum(axis=(1, 2)).max()))
         j0 = j1
     return worst
 

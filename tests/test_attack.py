@@ -379,7 +379,7 @@ class TestDetectionAndLeakage:
         assert curve == sorted(curve)  # monotone over this range
 
 
-def _grid_attack(kind, bs, n):
+def _grid_attack(kind, bs, n, seed=None):
     d = bs.dim
     if kind == "probe":
         return atk.probe_entangle(d, 0.7, n=n)
@@ -389,7 +389,7 @@ def _grid_attack(kind, bs, n):
         return atk.source_replace(d, 0.3, n=n)
     if kind == "probe-E3":
         return atk.probe_entangle(d, 0.7, n=n, d_eve=3)
-    raw = atk.random_attack(d, n, 2, 2, np.random.default_rng(100 * d + n))
+    raw = atk.random_attack(d, n, 2, 2, np.random.default_rng(100 * d + n if seed is None else seed))
     return raw if kind == "random" else atk.scalarized_attack(raw)
 
 
@@ -479,17 +479,34 @@ class TestChunkBudgets:
             tracemalloc.stop()
         assert peak < 1 << 20
 
+    def test_peak_memory_random_n3(self, strategy_d2):
+        # 216 distinct states: an unchunked 216 x 216 Gram product per branch took 3 MiB
+        am = atk.random_attack(2, 3, 2, 2, np.random.default_rng(1))
+        atk.evaluate_attack(strategy_d2, am)
+        tracemalloc.start()
+        try:
+            atk.evaluate_attack(strategy_d2, am)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
 
 class TestDistinctStates:
     """Leakage compares Eve's distinct states only, and reports what every pair gives."""
 
     KINDS = ["probe", "probe-E3", "intercept-resend", "source-replace", "scalarized", "random"]
+    CASES = [(d, n, kind, None) for (d, n), kind in
+             itertools.product([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)], KINDS)]
+    # a copy of a state that follows a later distinct one: the triangle forms both
+    # orientations of that pair, and only one of them attains the maximum's last bit
+    CASES.append((2, 2, "scalarized", 3))
 
-    @pytest.mark.parametrize("kind", KINDS)
-    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
-    def test_matches_all_pairs_reference(self, d, n, kind, strategy_d2, strategy_d3):
+    @pytest.mark.parametrize("d,n,kind,seed", CASES, ids=[
+        f"{d}-{n}-{kind}" + ("" if seed is None else f"-seed-{seed}") for d, n, kind, seed in CASES])
+    def test_matches_all_pairs_reference(self, d, n, kind, seed, strategy_d2, strategy_d3):
         strategy = strategy_d2 if d == 2 else strategy_d3
-        am = _grid_attack(kind, strategy.basis_set, n)
+        am = _grid_attack(kind, strategy.basis_set, n, seed)
         states = atk._attack_pass(strategy, am)[2]
         want = max_trace_distance_all_pairs(states).hex()
         assert atk._max_trace_distance(states).hex() == want
@@ -512,6 +529,24 @@ class TestDistinctStates:
         monkeypatch.setattr(np.linalg, "eigvalsh", counting)
         assert atk._max_trace_distance(np.concatenate([states] * 3)).hex() == want.hex() != "0x0.0p+0"
         assert sum(seen) <= distinct * (distinct - 1) // 2 * branches
+
+    def test_bounds_spare_most_pairs_eigvalsh(self, strategy_d2, monkeypatch):
+        # a general coherent attack gives each of the 216 outcomes its own state
+        am = atk.random_attack(2, 3, 2, 2, np.random.default_rng(1))
+        states = atk._attack_pass(strategy_d2, am)[2]
+        distinct = len({state.tobytes() for state in states})
+        assert distinct == len(states) == 216
+        want = max_trace_distance_all_pairs(states)
+        seen = []
+        real = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            seen.append(int(np.prod(np.shape(a)[:-2])))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert atk._max_trace_distance(states).hex() == want.hex()
+        assert 0 < sum(seen) <= 0.05 * distinct * (distinct - 1) // 2 * states.shape[1]
 
 
 class TestDigitOperatorsOnce:

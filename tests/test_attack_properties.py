@@ -1,17 +1,20 @@
 """Property tests of the exact attack analysis over random coherent attacks.
 
 Each example is a random d=2 attack: n in {1, 2}, an ancilla of dimension
-1 or 2 and one to three Kraus operators, drawn from a seeded generator.
+1 or 2 and one to three Kraus operators, drawn from a seeded generator; the
+leakage maximum is also checked on stacks of Eve's states drawn directly.
 """
 
 from itertools import product
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from meanking import attack as atk, qmath
 
-from oracles import attack_pass_per_outcome, eve_state_loops, product_tables, tuple_digits
+from oracles import (attack_pass_per_outcome, eve_state_loops, max_trace_distance_all_pairs,
+                     product_tables, tuple_digits)
 
 
 @st.composite
@@ -109,3 +112,31 @@ def test_eve_states_and_leakage_against_loops(mub2, am):
         default=0.0,
     )
     assert abs(atk.leakage(am, mub2) - worst) <= 1e-10
+
+
+@st.composite
+def eve_stacks(draw):
+    """Stacks of Eve's normalized block-diagonal states, (m, branch, E, E), with exact
+    repeats, states moved by 1e-13 from another and stacks of one state repeated."""
+    nb = draw(st.sampled_from([1, 2, 3]))
+    de = draw(st.sampled_from([2, 3]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    parts = rng.standard_normal((2, draw(st.integers(1, 6)), nb, de, de))
+    w = parts[0] + 1j * parts[1]
+    base = w @ np.swapaxes(w, -1, -2).conj()
+    base /= np.einsum("mlee->m", base).real[:, None, None, None]
+    picks = draw(st.lists(st.integers(0, len(base) - 1), min_size=1, max_size=14))
+    stack = base[picks]
+    for j in draw(st.lists(st.integers(0, len(stack) - 1), max_size=3)):
+        nudge = 1e-13 * rng.standard_normal((nb, de, de))
+        stack = np.concatenate([stack, (stack[j] + nudge + np.swapaxes(nudge, -1, -2))[None]])
+    return stack[rng.permutation(len(stack))]
+
+
+@settings(max_examples=60, deadline=None)
+@given(states=eve_stacks())
+def test_max_trace_distance_matches_all_pairs_bit_for_bit(states):
+    want = max_trace_distance_all_pairs(states).hex()
+    assert atk._max_trace_distance(states).hex() == want
+    with mock.patch.object(atk, "_PAIR_ENTRIES", 1):
+        assert atk._max_trace_distance(states).hex() == want
