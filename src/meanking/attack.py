@@ -52,9 +52,10 @@ pair triangle gives every pair's, ||X_i - X_j||_F^2 = ||X_i||_F^2 +
 rounding slack, reaches the largest lower bound or verified value met so
 far are verified with ``eigvalsh``, each in every orientation the whole
 stack forms, so the value is the full triangle's bit for bit
-(:func:`_verified_max`). A chunk of the walk, of the Gram rows or of the
-verified pairs holds a bounded number of entries, so memory stays flat
-over the grid.
+(:func:`_verified_max`). A stack whose distinct states form no more pairs
+than it has states skips the bound and verifies every pair. A chunk of
+the walk, of the Gram rows or of the verified pairs holds a bounded
+number of entries, so memory stays flat over the grid.
 
 Subsystem order is always A x B x E, row-major. All indices 0-based.
 """
@@ -310,10 +311,11 @@ def _max_trace_distance(states: np.ndarray) -> float:
     of each is compared, in the order of the first copies. The whole
     triangle forms v - u for distinct u before v, and also u - v when a
     copy of u comes after a copy of v: ``eigvalsh`` of the negation returns
-    its eigenvalues reversed, and summing them in another order can move
-    the last bit. So every pair that is evaluated is evaluated in each
-    orientation the stack forms. States that are only close are not
-    merged, so the value is the whole triangle's, bit for bit.
+    its eigenvalues negated and reversed, and summing them in another order
+    can move the last bit. So every pair that is evaluated is evaluated in
+    each orientation the stack forms, both from one ``eigvalsh``
+    (:func:`_verify_pairs`). States that are only close are not merged, so
+    the value is the whole triangle's, bit for bit.
 
     Her states are block diagonal, so a trace distance is half a sum over
     blocks of ||D||_1, the sum of |eigenvalue| of the block's difference D.
@@ -321,9 +323,15 @@ def _max_trace_distance(states: np.ndarray) -> float:
     their real part, so the distance is the l1 distance of the real
     diagonals; it goes in chunks of rows of the pair triangle, of at most
     ``_PAIR_ENTRIES`` entries or one row, and needs no ``eigvalsh``.
-    Otherwise :func:`_verified_max` bounds every pair from one Gram product
-    per chunk and runs ``eigvalsh`` only on the pairs that can attain the
-    maximum.
+    Otherwise, when the distinct states form no more pairs than the whole
+    stack has states, every pair goes to ``eigvalsh`` (:func:`_verify_pairs`).
+    That work is of the order of the stack the walk built, and it is the
+    case of a structured attack's few repeated states (9 of 36 for
+    ``probe_entangle(2, theta, n=2)``), where the pairs a bound pass could
+    rule out do not repay its fixed cost. A stack of more distinct states
+    goes to :func:`_verified_max`, which bounds every pair from one Gram
+    product per chunk and runs ``eigvalsh`` only on the pairs that can
+    attain the maximum.
     """
     firsts, lasts = {}, {}
     for j, state in enumerate(states):
@@ -331,10 +339,14 @@ def _max_trace_distance(states: np.ndarray) -> float:
         firsts.setdefault(key, j)
         lasts[key] = j
     keep = list(firsts.values())
-    states = states[keep]
+    total, states = len(states), states[keep]
     m, nb, de, _ = states.shape
     if de > 1:
-        return 0.5 * _verified_max(states, np.array(keep), np.array(list(lasts.values())))
+        firsts, lasts = np.array(keep), np.array(list(lasts.values()))
+        if m * (m - 1) // 2 <= total:  # no more pairs than the stack has states
+            pairs = np.nonzero(np.arange(m)[:, None] < np.arange(m))
+            return 0.5 * _verify_pairs(states, firsts, lasts, *pairs)
+        return 0.5 * _verified_max(states, firsts, lasts)
     states = states[:, :, 0, 0].real
     rows_done = np.cumsum(np.arange(m - 1, 0, -1))  # pairs in rows 0..j
     worst, j0 = 0.0, 0
@@ -364,10 +376,10 @@ def _verified_max(states: np.ndarray, firsts: np.ndarray, lasts: np.ndarray) -> 
     and, up to rounding, the maximum is at least the largest l and at least
     any value verified so far: either is a threshold. ``eigvalsh`` runs only
     on the pairs with sqrt(e) l + slack at or above the threshold, in every
-    orientation the stack forms (:func:`_max_trace_distance`). The pair
-    that attains the maximum is always among them, and its value comes
-    from the same expression on the same difference as in the full
-    triangle, so the result is the full triangle's bit for bit.
+    orientation the stack forms (:func:`_verify_pairs`). The pair that
+    attains the maximum is always among them, and its value is the same
+    eigenvalues summed in the same order as in the full triangle, so the
+    result is the full triangle's bit for bit.
 
     The slack covers rounding; u is the unit roundoff. Each Gram entry and
     squared norm is a real dot product of length L = 2 e^2, off by at most
@@ -402,7 +414,6 @@ def _verified_max(states: np.ndarray, firsts: np.ndarray, lasts: np.ndarray) -> 
     norm_sum = float(np.sqrt(sq.max(axis=1, initial=0.0)).sum())  # sum over blocks of S
     eps = 2 * ((flat.shape[-1] + 4) * _UNIT_ROUNDOFF) ** 0.5 * norm_sum
     slack, root_e = (de**0.5 + 3) * eps, de**0.5
-    step = max(1, _PAIR_ENTRIES // (nb * de * de))
     worst = threshold = 0.0
     j0 = 0
     while j0 < m - 1:
@@ -412,14 +423,31 @@ def _verified_max(states: np.ndarray, firsts: np.ndarray, lasts: np.ndarray) -> 
         pairs = np.arange(j0, j1)[:, None] < np.arange(j0, m)  # a later state in the column
         threshold = max(threshold, worst, float(np.max(ell, where=pairs, initial=0.0)))
         a, b = np.nonzero(pairs & (ell >= (threshold - slack) / root_e))
-        a, b = a + j0, b + j0
-        # u - v as well where a copy of the earlier state u follows the first copy of v
-        flip = lasts[a] > firsts[b]
-        earlier, later = np.concatenate([a, b[flip]]), np.concatenate([b, a[flip]])
-        for s in range(0, len(earlier), step):
-            diff = states[later[s:s + step]] - states[earlier[s:s + step]]
-            worst = max(worst, float(np.abs(np.linalg.eigvalsh(diff)).sum(axis=(1, 2)).max()))
+        worst = max(worst, _verify_pairs(states, firsts, lasts, a + j0, b + j0))
         j0 = j1
+    return worst
+
+
+def _verify_pairs(states: np.ndarray, firsts: np.ndarray, lasts: np.ndarray, a: np.ndarray,
+                  b: np.ndarray) -> float:
+    """Largest sum |eigenvalue| of the differences of the pairs (a, b), a < b, or 0 for none.
+
+    Each pair is evaluated as v - u, u = states[a] and v = states[b], and
+    also as u - v where a copy of u follows the first copy of v
+    (:func:`_max_trace_distance`), from one ``eigvalsh`` of v - u: that of
+    u - v is its negation reversed, bit for bit, so the sum of u - v is its
+    |eigenvalues| summed in reverse order. The differences go in chunks of
+    at most ``_PAIR_ENTRIES`` entries, or one difference, per ``eigvalsh``.
+    """
+    _, nb, de, _ = states.shape
+    step = max(1, _PAIR_ENTRIES // (nb * de * de))
+    flip = lasts[a] > firsts[b]
+    worst = 0.0
+    for s in range(0, len(a), step):
+        values = np.abs(np.linalg.eigvalsh(states[b[s:s + step]] - states[a[s:s + step]]))
+        back = np.ascontiguousarray(values[flip[s:s + step], :, ::-1])  # summed as u - v's
+        worst = max(worst, float(values.sum(axis=(1, 2)).max(initial=0.0)),
+                    float(back.sum(axis=(1, 2)).max(initial=0.0)))
     return worst
 
 

@@ -530,6 +530,35 @@ class TestDistinctStates:
         assert atk._max_trace_distance(np.concatenate([states] * 3)).hex() == want.hex() != "0x0.0p+0"
         assert sum(seen) <= distinct * (distinct - 1) // 2 * branches
 
+    # 9 distinct probe states; the scalarized attacks of the seeds whose leakage moved in
+    # the last bit with the orientation of a pair
+    FEW = [("probe", theta) for theta in (0.1, 0.5, 0.8)] + [
+        ("scalarized", seed) for seed in (3, 14, 23, 41, 46, 48)]
+
+    @pytest.mark.parametrize("kind, value", FEW, ids=[f"{k}-{v}" for k, v in FEW])
+    @pytest.mark.parametrize("copies", [1, 3])
+    def test_few_states_verify_every_pair(self, strategy_d2, monkeypatch, kind, value, copies):
+        # no more pairs than states: every pair goes to eigvalsh, with no bound pass, and
+        # gives the whole triangle's value
+        def refuse(*_args):
+            raise AssertionError("the bound pass ran on a stack of few states")
+
+        monkeypatch.setattr(atk, "_verified_max", refuse)
+        am = (atk.probe_entangle(2, value, n=2) if kind == "probe" else
+              atk.scalarized_attack(atk.random_attack(2, 2, 2, 2, np.random.default_rng(value))))
+        states = np.concatenate([atk._attack_pass(strategy_d2, am)[2]] * copies)
+        distinct = len({state.tobytes() for state in states})
+        assert distinct * (distinct - 1) // 2 <= len(states)
+        assert atk._max_trace_distance(states).hex() == max_trace_distance_all_pairs(states).hex()
+
+    def test_negation_reverses_eigvalsh(self, strategy_d2):
+        # what lets one eigvalsh serve both orientations of a pair, bit for bit
+        am = atk.random_attack(2, 2, 2, 2, np.random.default_rng(1))
+        states = atk._attack_pass(strategy_d2, am)[2]
+        diff = states[1:] - states[:-1]
+        np.testing.assert_array_equal(np.linalg.eigvalsh(-diff),
+                                      -np.linalg.eigvalsh(diff)[..., ::-1])
+
     def test_bounds_spare_most_pairs_eigvalsh(self, strategy_d2, monkeypatch):
         # a general coherent attack gives each of the 216 outcomes its own state
         am = atk.random_attack(2, 3, 2, 2, np.random.default_rng(1))

@@ -60,15 +60,18 @@ def test_attacked_run_needs_no_single_outcome_state(strategy_d2):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_commutant_stacks_one_block(strategy_d2, n):
-    # the d=2 form is D**2 x D**2 with D = 4, whatever the block length
-    tracer = _load_tracing().Tracer()
-    tracer.install()
-    try:
-        security.product_commutant_check(strategy_d2, n)
-    finally:
-        tracer.uninstall()
-    assert tracer.counts["security.constraint_rows"] == 16
+def test_commutant_stacks_one_block(strategy_d2, monkeypatch, n):
+    # the closed form builds no form; the enumerated route's d=2 form is D**2 x D**2
+    # with D = 4, whatever the block length
+    for closed_form, rows in ((security._closed_form, 0), (lambda *_args: None, 16)):
+        monkeypatch.setattr(security, "_closed_form", closed_form)
+        tracer = _load_tracing().Tracer()
+        tracer.install()
+        try:
+            security.product_commutant_check(strategy_d2, n)
+        finally:
+            tracer.uninstall()
+        assert tracer.counts["security.constraint_rows"] == rows
 
 
 @pytest.mark.parametrize("step, argv, spans", [

@@ -135,12 +135,16 @@ class TestStrategyCommand:
         assert code == 0
         assert json.loads(out)["report"]["entries"] == 81
 
-    def test_build_over_budget(self, tmp_path, capsys):
-        # d=7 builds without listing its 7**8 guessing functions; what must list them is refused
+    def test_build_over_budget(self, tmp_path, capsys, monkeypatch):
+        # d=7 builds without listing its 7**8 guessing functions; what must list them is
+        # refused: an attacked run, and the lemma without its closed form
         path, spath, out = tmp_path / "b7.json", tmp_path / "s7.json", tmp_path / "out.json"
         bases.save_basis_set(bases.gen_mub(7), path)
         assert cli.main(["strategy", "build", "--bases", str(path), "--out", str(spath)]) == 0
         assert json.loads(capsys.readouterr().out)["report"]["entries"] == 7**8
+        code, out_text = run_cli(capsys, "security", "lemma", "--strategy", str(spath))
+        assert code == 0 and json.loads(out_text)["report"]["solution_dim"] == 1
+        monkeypatch.setattr(security, "_closed_form", lambda *_args: None)
         for argv, message in ((["security", "lemma"], "exceed the enumeration budget"),
                               (["run", "--rounds", "10", "--seed", "1",
                                 "--attack", "intercept-resend:b=1"], "sampler too large")):
@@ -263,7 +267,7 @@ class TestSecurityCommands:
 
     @pytest.mark.parametrize("dim, n, rank", [(2, 3, 4095), (3, 2, 6560), (5, 1, 624)])
     def test_lemma_larger_blocks(self, capsys, dim, n, rank):
-        # d=5 is decided by the 25 Weyl sectors of its 625 x 625 form; on MUBs the margin is 1 - 1/d
+        # each MUB set is decided in closed form, from its k*d generators; the margin is 1 - 1/d
         code, out = run_cli(capsys, "security", "lemma", "--dim", str(dim), "--n", str(n))
         assert code == 0
         report = json.loads(out)["report"]
@@ -272,9 +276,12 @@ class TestSecurityCommands:
         assert report["spectral_gap"] == pytest.approx(1 - 1 / dim, abs=1e-12)
 
     def test_lemma_over_budget(self, tmp_path, capsys, monkeypatch):
-        # 255 entries refuse the single-block form's 256 at d=2, and for n >= 2
-        # the 16 x 16 block operator (256 entries) first
+        # the closed form builds no form; without it, 255 entries refuse the single-block
+        # form's 256 at d=2, and for n >= 2 the 16 x 16 block operator (256 entries) first
         monkeypatch.setattr(bases, "MAX_ARRAY_ENTRIES", 255)
+        code, out = run_cli(capsys, "security", "lemma", "--dim", "2")
+        assert code == 0 and json.loads(out)["report"]["solution_dim"] == 1
+        monkeypatch.setattr(security, "_closed_form", lambda *_args: None)
         out_path = tmp_path / "lemma.json"
         for n, message in ((1, "commutant check too large"),
                            (2, "block dimension 2**(2*2)*1 exceeds budget 15")):
@@ -907,7 +914,8 @@ class TestEntryPoint:
 
 
 class TestDimension7:
-    """d=7 builds in closed form: attack-eval at n=1 runs; what lists 7**8 functions exits 2."""
+    """d=7 builds in closed form: attack-eval at n=1 and the lemma run; what lists 7**8
+    functions exits 2."""
 
     def test_oracle_formula(self, strategy_d2, strategy_d3):
         # intercept-resend on d+1 MUBs is detected with probability (d-1)**2 / (d(d+1))
@@ -923,7 +931,16 @@ class TestDimension7:
         assert abs(report["leakage"] - 1.0) < 1e-12
         assert len(report["per_outcome"]) == 56
 
-    def test_lemma_refused(self, capsys):
+    def test_lemma(self, capsys):
+        # in closed form from the 56 x 56 generator Gram, with no 7**8 table
+        code, out = run_cli(capsys, "security", "lemma", "--dim", "7")
+        report = json.loads(out)["report"]
+        assert code == 0 and report["solution_dim"] == 1 and report["constraint_rank"] == 2400
+        assert report["spectral_gap"] == pytest.approx(6 / 7, abs=1e-12)
+
+    def test_lemma_refused(self, capsys, monkeypatch):
+        # the enumerated route, with the closed form's gate off, must list the 7**8
+        monkeypatch.setattr(security, "_closed_form", lambda *_args: None)
         code = cli.main(["security", "lemma", "--dim", "7"])
         captured = capsys.readouterr()
         assert code == 2 and captured.out == ""

@@ -780,7 +780,7 @@ class TestFixedWidthRoute:
         assert same_load(back, general_load(fast, monkeypatch))
 
 
-# SHA-256 digests of what 0.9.0 writes: transcripts of the protocol-sim
+# SHA-256 digests of what 0.10.0 writes: transcripts of the protocol-sim
 # benchmark's four shapes at reduced rounds, and the README pipeline's
 # outputs (the `run` steps at reduced rounds). The sampler draws from numpy Generator streams,
 # which numpy does not promise to keep across versions, so the CI workflow
@@ -792,19 +792,19 @@ GOLDEN_TRANSCRIPTS = {
     "probe-d3n1": "a84f3ffe69f1dfc8ad8c195b58c7a19e9eab736be9127e4f3cbc32fe623cd265",
 }
 GOLDEN_README_RUN = {
-    "bases gen stdout": "7324d557316bc4f4f6db401c44e7e1b143d4db62a297436e1aafd66af0f277b9",
+    "bases gen stdout": "20d3439f3cf1d4c3fe5602c8e7e1b5b71dc8483aecbf4d1035c3e623db3b16b7",
     "bases3.json": "b8814958647460da10423529abcc86fa6a3447a601d12f584871f4f9e765f730",
-    "bases check stdout": "a1fb47198a82cec675fe80d92ba93ce695e7e7b9a2997b7eca5d0e3885eac28d",
-    "strategy build stdout": "c3adf36a4704bca4f7196588f97bbf59e75c31758f6abac345213cefa19ebda1",
+    "bases check stdout": "c9fa5cdc52bc9bc463fbbbbdb5fc0da889b45a3d712a80ec7a1b490df7ca8af5",
+    "strategy build stdout": "20bd1a4c2be5a8480c7ba793ee4fef3f0615bd4ac6700832b4452a7ffd05112c",
     "strategy3.json": "8ed9e1d352b58f70f6de45d96f6ee33630dcac01ce95978a335205c6f738894c",
-    "run stdout": "2cb1ce9b034296adac9ffaa2437c09dc9cac33394d16286da13ff7672408f4d1",
+    "run stdout": "8a8d1f55b2fb402bec5d3d835993f5348650bdeb3b3c0c057c833ba34d71491f",
     "transcript.jsonl": "e85ee09b7557d05c52889d994b65d1f2ccf1ba3cc17b568b4e85bd92e435222b",
     "summary.json": "acb81d80872736ba27245b29413f4493e01dc02e98be2c1944c90b73fca12193",
-    "attacked run stdout": "014f5b7fceb1a4133afb3d14e521f427594e1201460578e191a447d82652e1ba",
+    "attacked run stdout": "4613be20f3243074e8c850ffe57a8f38cf54e51f2ec526b0272d21bbfa78ae23",
     "t.jsonl": "3bebdcf557d46ef91e581b464bf7a44b2fc76889b8a1ff5c9c2841a17322f33a",
-    "security lemma stdout": "34ff412cac7ae412f8f693df42d9063b587d9272197ae73061bd7f7c1783eec5",
+    "security lemma stdout": "39df7b4ebecfe48115cf3501784c69c2e9da97d1fbd5053430251aad9c42c9ff",
     "security attack-eval stdout":
-        "e8dc5e7c4af7041672d62805769dcb20c96de2231d26e178ede6b54ef367565c",
+        "bd89b9434a055c7365031061c5d22f5a02facdb7c9b7c0ac987f8fa45b143cfe",
 }
 
 

@@ -243,6 +243,160 @@ class TestWeylSectors:
         assert np.abs(residual).max() <= 1e-12 * evals[-1]
 
 
+def agreements(d, k):
+    """a(x, y): the number of bases in which guessing functions x and y agree, all pairs."""
+    xs = bases.enumerate_guessing_functions(d, k)
+    return (xs[:, None, :] == xs[None, :, :]).sum(axis=2)
+
+
+def no_enumeration(monkeypatch):
+    """Make the enumerated route raise, so that a report shows the closed form answered."""
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("the enumerated route ran")
+
+    monkeypatch.setattr(security, "constraint_nullspace", refuse)
+
+
+def assert_same_report(closed, enumerated):
+    assert (closed.solution_dim, closed.constraint_rank) == (enumerated.solution_dim,
+                                                             enumerated.constraint_rank)
+    assert closed.spectral_gap == pytest.approx(enumerated.spectral_gap, abs=1e-12)
+    assert security.witness_identity_deviation(closed) == pytest.approx(
+        security.witness_identity_deviation(enumerated), abs=1e-12)
+
+
+def random_unitary(rng, d):
+    q, r = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
+def gf4_mub():
+    """The five MUBs of C^4 from GF(4) (Wootters and Fields, Ann. Phys. 191, 363, 1989).
+
+    GF(4) = {0, 1, w, w**2} with w**2 = w + 1 is held as 0, 1, 2, 3; in its
+    self-dual basis {w, w**2} the element a has coordinates (a1, a2), and
+    (a, b) labels the Hermitian two-qubit Pauli i**(a.b) X**a1 Z**b1 (x) X**a2 Z**b2.
+    Two of them commute iff tr(a b' - a' b) = 0, so each line {(a, lam a)} of
+    GF(4)**2, and {(0, b)}, is a class of three commuting Paulis; their common
+    eigenbases are mutually unbiased.
+    """
+    log = {1: 0, 2: 1, 3: 2}
+    mul = lambda a, b: 0 if 0 in (a, b) else [1, 2, 3][(log[a] + log[b]) % 3]
+    coords = {0: (0, 0), 1: (1, 1), 2: (1, 0), 3: (0, 1)}
+    x, z = np.array([[0, 1], [1, 0]]), np.diag([1, -1])
+
+    def pauli(a, b):
+        (a1, a2), (b1, b2) = coords[a], coords[b]
+        phase = 1j ** (a1 * b1 + a2 * b2)
+        return phase * np.kron(np.linalg.matrix_power(x, a1) @ np.linalg.matrix_power(z, b1),
+                               np.linalg.matrix_power(x, a2) @ np.linalg.matrix_power(z, b2))
+
+    lines = [[(0, b) for b in (1, 2)]] + [[(a, mul(lam, a)) for a in (1, 2)] for lam in range(4)]
+    # a combination of two commuting Paulis, eigenvalues +-1 +- 2, has one eigenbasis
+    vectors = [np.linalg.eigh(pauli(*p) + 2 * pauli(*q))[1].T for p, q in lines]
+    return bases.BasisSet(np.array(vectors))
+
+
+class TestClosedForm:
+    """The lemma from the Krawtchouk spectrum of the generator Gram, against enumeration."""
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_gram_depends_only_on_agreement(self, request, d):
+        etas = request.getfixturevalue(f"strategy_d{d}").etas
+        np.testing.assert_allclose(etas.conj() @ etas.T, d * (agreements(d, d + 1) - 1),
+                                   rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_krawtchouk_values(self, d):
+        # the kernel (a - 1)**2 of the d=2, 3 MUB strategies: lambda_0..2 = d**k, d**(k-1),
+        # 2 d**(k-2), each C(k, j) (d - 1)**j times, and 0 on the rest
+        k = d + 1
+        kernel = (agreements(d, k) - 1.0) ** 2
+        scheme = security._hamming_scheme(k, d)
+        lam = scheme.krawtchouk @ (scheme.agreements - 1.0) ** 2
+        np.testing.assert_allclose(lam, [d**k, d**(k - 1), 2 * d**(k - 2)], rtol=0, atol=1e-12)
+        mult = scheme.multiplicities[:3]
+        want = np.repeat(np.append(lam, 0.0), list(mult) + [d**k - sum(mult)])
+        np.testing.assert_allclose(np.linalg.eigvalsh(kernel), np.sort(want), rtol=0,
+                                   atol=1e-12 * d**k)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_spectrum_with_multiplicities(self, request, d):
+        strategy = request.getfixturevalue(f"strategy_d{d}")
+        spectrum, rho = security._closed_spectrum(strategy)
+        closed = np.sort(np.repeat(*np.array(spectrum).T.tolist()))
+        dense = np.linalg.eigvalsh(security.constraint_matrix(strategy.etas))
+        assert closed.size == d**4
+        # within the certified radius, which is far below the gap
+        assert np.abs(closed - dense).max() <= rho <= 1e-12 * dense[-1]
+        np.testing.assert_allclose(closed / closed[-1], np.sort(
+            [0.0] + [1 - 1 / d] * (d * d - 1) + [1 - 2 / d**2] * ((d + 1) * d * (d - 1) ** 2 // 2)
+            + [1.0] * (d**4 - d * d - (d + 1) * d * (d - 1) ** 2 // 2)), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_report_matches_enumeration(self, request, monkeypatch, d):
+        strategy = request.getfixturevalue(f"strategy_d{d}")
+        # the default cutoff; one between 1 - 1/d and 1 - 2/d**2 (merged at d=2, so there
+        # between them and 1), where the solution dimension counts a whole multiplicity
+        cuts = {2: 0.75, 3: 0.7, 5: 0.85}
+        enumerated = [security.eigenvector_constraint_dim(strategy.safe_vectors, tol)
+                      for tol in (1e-9, cuts[d])]
+        no_enumeration(monkeypatch)
+        closed = [security.product_commutant_check(strategy, 1, tol) for tol in (1e-9, cuts[d])]
+        for got, want in zip(closed, enumerated):
+            assert_same_report(got, want)
+        assert closed[0].solution_dim == 1
+        assert closed[0].spectral_gap == pytest.approx(1 - 1 / d, abs=1e-12)
+        assert closed[1].solution_dim == (7 if d == 2 else d * d)
+        assert security.witness_identity_deviation(closed[0]) == 0.0
+
+    def test_cutoff_at_an_eigenvalue_goes_to_enumeration(self, strategy_d3, monkeypatch):
+        # 2/3 lies within the radius of the eigenvalue 1 - 1/d: the closed form cannot say
+        # on which side, and the enumerated route decides
+        assert security._closed_form(strategy_d3, 2 / 3) is None
+        want = security.eigenvector_constraint_dim(strategy_d3.safe_vectors, 2 / 3)
+        got = security.product_commutant_check(strategy_d3, 1, 2 / 3)
+        assert (got.solution_dim, got.spectral_gap) == (want.solution_dim, want.spectral_gap)
+
+    @settings(max_examples=10, deadline=None)
+    @given(d=st.sampled_from([2, 3]), seed=st.integers(0, 2**32 - 1),
+           angle=st.floats(0.05, 0.7))
+    def test_routes_follow_the_structure(self, d, seed, angle):
+        rng = np.random.default_rng(seed)
+        rotated = bases.BasisSet(bases.gen_mub(d).vectors @ random_unitary(rng, d).T)
+        strategy = rd.build_strategy(rotated)
+        enumerated = security.eigenvector_constraint_dim(strategy.safe_vectors)
+        turned = rotated.vectors.copy()
+        b = rng.integers(rotated.k)
+        turned[b, :2] = np.array([[np.cos(angle), np.sin(angle)],
+                                  [-np.sin(angle), np.cos(angle)]]) @ turned[b, :2]
+        biased = rd.build_strategy(bases.BasisSet(turned))  # LP weights
+        table = rd.Strategy(rotated, strategy.weights, table=strategy.safe_vectors)
+        others = [(s, security.eigenvector_constraint_dim(s.safe_vectors)) for s in (biased, table)]
+        with pytest.MonkeyPatch.context() as patch:
+            no_enumeration(patch)
+            assert_same_report(security.product_commutant_check(strategy, 1), enumerated)
+        assert biased.uniform_weight is None
+        for other, want in others:
+            assert security._closed_form(other, 1e-9) is None
+            got = security.product_commutant_check(other, 1)
+            assert got.to_dict() == want.to_dict()
+            np.testing.assert_array_equal(got.witness, want.witness)
+
+    def test_gf4_set(self, monkeypatch):
+        # no prime: d=4 from GF(4), 4**5 = 1 024 safe vectors under the enumeration budget
+        bs = gf4_mub()
+        overlaps = np.abs(np.einsum("bip,cjp->bicj", bs.vectors.conj(), bs.vectors)) ** 2
+        across = ~np.eye(5, dtype=bool)[:, None, :, None].repeat(4, 1).repeat(4, 3)
+        np.testing.assert_allclose(overlaps[across], 0.25, rtol=0, atol=1e-12)
+        strategy = rd.build_strategy(bs)
+        enumerated = security.eigenvector_constraint_dim(strategy.safe_vectors)
+        no_enumeration(monkeypatch)
+        closed = security.product_commutant_check(strategy, 1)
+        assert_same_report(closed, enumerated)
+        assert (closed.solution_dim, closed.spectral_gap) == (1, pytest.approx(0.75, abs=1e-12))
+
+
 class TestExactCertificate:
     @pytest.mark.parametrize("d", [2, 3])
     def test_exact_safe_vectors_are_the_strategy_table(self, request, d):
@@ -415,10 +569,12 @@ class TestProductCommutant:
         assert three == pytest.approx(np.sqrt(3) * one, rel=1e-6)
 
     def test_resource_guard(self, strategy_d2, monkeypatch):
-        # every n is answered from the single-block form, max(8, 16) x 16 = 256
-        # entries at d=2; from n = 2 on the block's 16 x 16 operator is as large
-        # and is checked first
+        # the closed form builds no form; the enumerated route answers every n from the
+        # single-block form, max(8, 16) x 16 = 256 entries at d=2; from n = 2 on the
+        # block's 16 x 16 operator is as large and is checked first
         monkeypatch.setattr(bases, "MAX_ARRAY_ENTRIES", 255)
+        assert security.product_commutant_check(strategy_d2, 1).solution_dim == 1
+        monkeypatch.setattr(security, "_closed_form", lambda *_args: None)
         with pytest.raises(bases.OverBudget, match="8 vectors of dimension 4"):
             security.product_commutant_check(strategy_d2, 1)
         for n in (2, 3):
