@@ -41,9 +41,47 @@ product of the per-instance digit operators Q(b_s, i_s) of
 with each Q applied to its own (A_s, B_s) pair, for a whole chunk at once
 (:func:`_correct_mass`). One pass, :func:`_attack_pass`, reads detection,
 leakage and the per-outcome error table from the walk, and the sampler
-draws from the same walk. Eve's state depends on (b, i) only through what
-her interaction learns, so structured attacks repeat a few states over the
-whole grid: leakage keeps one copy of each byte-identical state. A general
+draws from the same walk.
+
+On a complete MUB set the correct mass needs no stack. Each Q(b, i) is
+then diagonal in its basis's product frame conj(phi_b(j)) x phi_b(j'),
+with one table T[i, j, j'] for every b: delta(j, i) where j = j' and 1/d
+elsewhere (:func:`~meanking.retrodiction.digit_table`). Rotate A by the
+block eigenstates Phi, rows phi_J, and B by conj(Phi): for outcome I,
+w_l[J, J', e'] = sum_e A[J, e] K_l[J', e', e], with Alice's factor
+A[J, e] = sum_(a,b) Phi[J, a] psi[a, b, e] conj(Phi[I, b]), the source
+after Bob's projection, and K_l[J', e', e] = <phi_J' e'| V_l |phi_I e>, Eve's
+channel on his eigenstate. With W(I; J, J') = prod_s T[i_s, j_s, j'_s],
+
+    correct(b, i) = sum_(J,J') W(I; J, J') sum_(e,f) A[J, e] conj(A[J, f]) G[J', e, f],
+    G[J', e, f] = sum_(l,e') K_l[J', e', e] conj(K_l[J', e', f]),
+
+two factors of d**(2n) d_E**2 entries per outcome where the stack has
+d**(3n) r d_E (:func:`_frame_mass`). The gate is the table's: every Q
+rotated into its frame is diagonal, and its diagonal the same over b, up
+to a rounding bound derived there. Putting the table in place of a slot's
+rotated operator moves it by at most eps in norm: d**2 delta for
+off-diagonal entries of at most delta, plus the diagonal's largest
+distance from the table. So correct(b, i) moves by at most prob(b, i) ((1
++ eps)**n - 1), a rounding error under the gate. The route each input
+takes:
+
+- a strategy with generators and uniform weights whose table passes the
+  gate (``gen_mub(d)``, and any unitary turn of it) takes the frame route,
+  :func:`_frame_walk` and :func:`_frame_mass`. With a one-dimensional E,
+  Eve's block for branch l is ||w_l||^2 = prob(b, i) ||V_l phi_i||^2, so
+  no stack is formed at all; otherwise her states come from the walk's
+  branch stacks, bit for bit those of the stack route;
+- a biased set, LP weights and a strategy given as its table take the
+  stack route, :func:`_walk` and :func:`_correct_mass`;
+- :func:`leakage` depends on the attack alone and reads the states of
+  :func:`_frame_walk`, the frame route's bit for bit;
+- the protocol sampler reads the walk's branch stacks (:func:`_born_rows`)
+  for every strategy.
+
+Eve's state depends on (b, i) only through what her interaction learns,
+so structured attacks repeat a few states over the whole grid: leakage
+keeps one copy of each byte-identical state. A general
 attack repeats none, and leakage does not run ``eigvalsh`` on every pair:
 per block, ||D||_F <= ||D||_1 <= sqrt(d_E) ||D||_F bounds a difference's
 trace norm by its Frobenius norm, and one Gram product per chunk of the
@@ -70,17 +108,17 @@ import numpy as np
 
 from . import qmath
 from .bases import BasisSet, Refused, digits
-from .retrodiction import Strategy, checked_block_dim, digit_operators, omega
+from .retrodiction import Strategy, checked_block_dim, digit_operators, digit_table, omega
 from .serialize import (complex_to_pairs, exact_keys, integer, pairs_to_complex, read_json, reading,
                         write_json)
 
-# Chunk budgets, in entries: Kraus-branch stacks per chunk of the walk, and
+# Chunk budgets, in entries: Kraus-branch stacks per chunk of the walk (on
+# the frame route also Eve's channel on the block eigenstates), and
 # per chunk of the leakage pair triangle the real Gram entries of its pairs
 # or the complex entries of the differences it verifies. A chunk always
 # takes at least one basis block, or one row of pairs, or one pair.
 _WALK_ENTRIES = 1 << 12
 _PAIR_ENTRIES = 1 << 13
-_UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2
 
 
 class ZeroProbabilityOutcome(Refused):
@@ -160,14 +198,22 @@ def _u_hats(am: AttackModel) -> np.ndarray:
     return np.sqrt(dd) * am.psi_abe.reshape(dd, dd, am.d_eve).transpose(1, 0, 2)
 
 
+def _amplitudes(am: AttackModel, phis: np.ndarray):
+    """Bob's block eigenstates (m, d**n) projected out of Eve's source: what is left on A x E,
+    as (m, A, E), and the outcome probabilities as (m,)."""
+    dd, de = am.block_dim, am.d_eve
+    amp = np.einsum("ib,abe->iae", phis.conj(), am.psi_abe.reshape(dd, dd, de))
+    return amp, np.sum(np.abs(amp) ** 2, axis=(1, 2))
+
+
 def _project(am: AttackModel, phis: np.ndarray):
     """Bob's block eigenstates (m, d**n) projected out of Eve's source, then through her channel:
     their Kraus-branch stacks w_l as (m, branch, A x B, E) and outcome probabilities as (m,)."""
     dd, de = am.block_dim, am.d_eve
-    amp = np.einsum("ib,abe->iae", phis.conj(), am.psi_abe.reshape(dd, dd, de))
+    amp, probs = _amplitudes(am, phis)
     out = np.einsum("iae,ib->iabe", amp, phis).reshape(-1, 1, dd, dd * de)
     branches = (out @ am.kraus.transpose(0, 2, 1)).reshape(len(out), len(am.kraus), dd * dd, de)
-    return branches, np.sum(np.abs(amp) ** 2, axis=(1, 2))
+    return branches, probs
 
 
 def _branch_vectors(am: AttackModel, bs: BasisSet, bvec, ivec):
@@ -190,16 +236,72 @@ def _walk(am: AttackModel, bs: BasisSet):
     ``_WALK_ENTRIES`` branch-stack entries, or one block.
     """
     _require_same_dim(am, bs)
-    n, dd = am.n, am.block_dim
-    bvecs = digits(np.arange(bs.k**n), bs.k, n)
-    step = max(1, _WALK_ENTRIES // (dd**3 * len(am.kraus) * am.d_eve))
+    dd = am.block_dim
+    for chunk, phis in _blocks(bs, am.n, _WALK_ENTRIES // (dd**3 * len(am.kraus) * am.d_eve)):
+        branches, probs = _project(am, phis.reshape(-1, dd))
+        yield chunk, branches.reshape((len(chunk), dd) + branches.shape[1:]), probs.reshape(-1, dd)
+
+
+def _blocks(bs: BasisSet, n: int, step: int):
+    """Bob's basis blocks in chunks of ``step``, or of one block: per chunk its c basis vectors as
+    a (c, n) array in ``product`` order and its block eigenstates as (c, d**n, d**n)."""
+    bvecs, step = digits(np.arange(bs.k**n), bs.k, n), max(1, step)
     for start in range(0, len(bvecs), step):
         chunk = bvecs[start:start + step]
         phis = bs.vectors[chunk[:, 0]]
         for s in range(1, n):
             phis = qmath.kron(phis, bs.vectors[chunk[:, s]], batch=1)
-        branches, probs = _project(am, phis.reshape(-1, dd))
-        yield chunk, branches.reshape((len(chunk), dd) + branches.shape[1:]), probs.reshape(-1, dd)
+        yield chunk, phis
+
+
+def _frame_walk(am: AttackModel, bs: BasisSet):
+    """The walk of the frame route over Bob's outcome grid, in chunks of basis blocks.
+
+    Yields ``(bvecs, phis, probs, states, x)`` per chunk of :func:`_blocks`:
+    its basis vectors and block eigenstates, the outcome probabilities as
+    (c, d**n), bit for bit those of :func:`_walk`, Eve's states
+    (:func:`_eve_states`), and her channel on the block eigenstates as x[c,
+    b', l, e', e, I] = (V_l (phi_I x e))[b', e']. Her states come from the
+    walk's branch stacks when E has more than one dimension; with a
+    one-dimensional E her block for branch l is ||w_l||^2 = prob(b, i)
+    ||V_l phi_i||^2, so no stack is formed. A chunk holds at most
+    ``_WALK_ENTRIES`` entries of x and, when it forms them, of the branch
+    stacks, or one block.
+    """
+    _require_same_dim(am, bs)
+    dd, de, nb = am.block_dim, am.d_eve, len(am.kraus)
+    # V_l with its input's B index last and its output's B index first: rows (b', l, e', e)
+    v_in = am.kraus.reshape(nb, dd, de, dd, de).transpose(1, 0, 2, 4, 3).reshape(-1, dd)
+    entries = dd * dd * nb * de * (de + (dd if de > 1 else 0))
+    for bvecs, phis in _blocks(bs, am.n, _WALK_ENTRIES // entries):
+        x = (v_in @ np.swapaxes(phis, 1, 2)).reshape(len(phis), dd, nb, de, de, dd)
+        if de > 1:
+            branches, probs = _project(am, phis.reshape(-1, dd))
+            states = _eve_states(branches)
+        else:
+            probs = _amplitudes(am, phis.reshape(-1, dd))[1].reshape(-1, 1, dd)
+            blocks = probs * np.square(np.abs(x)).sum(axis=(1, 3, 4))  # (c, branch, I)
+            states = _normalized(np.swapaxes(blocks, 1, 2).reshape(-1, nb, 1, 1))
+        yield bvecs, phis, probs.reshape(-1, dd), states, x
+
+
+def _frame_mass(am: AttackModel, weights: np.ndarray, phis: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Alice's chance of announcing Bob's digits, correct(b, i) as (c, d**n), for a chunk of
+    :func:`_frame_walk`, from her factor and Eve's in each block's frame (module docstring).
+
+    ``weights`` is W as (I, J, J'), the n-fold Kronecker power of the digit
+    table (:func:`~meanking.retrodiction.digit_table`).
+    """
+    c, dd, _ = phis.shape
+    de = am.d_eve
+    psi = am.psi_abe.reshape(dd, dd, de).transpose(1, 0, 2).reshape(dd, dd * de)  # rows B
+    amp = (phis.conj() @ psi).reshape(c, dd, dd, de)  # (c, I, A, E)
+    alice = np.swapaxes(amp, 2, 3).reshape(c, -1, dd) @ np.swapaxes(phis, 1, 2)
+    alice = alice.reshape(c, dd, de, 1, dd)  # A-tilde as (c, I, E, 1, J)
+    eve = (phis.conj() @ x.reshape(c, dd, -1)).reshape(x.shape)  # (c, J', branch, E', E, I)
+    gram = np.einsum("ckleai,cklebi->ckabi", eve, eve.conj())
+    rho = alice * np.swapaxes(alice, 2, 3).conj()
+    return np.einsum("ciabj,ijk,ckabi->ci", rho, weights, gram).real
 
 
 def _correct_mass(slots, branches: np.ndarray) -> np.ndarray:
@@ -293,12 +395,17 @@ def reconstruct_alice_state(am: AttackModel, bs: BasisSet, bvec, ivec,
 
 
 def _eve_states(branches: np.ndarray) -> np.ndarray:
-    """Eve's normalized states of a chunk of :func:`_walk`, as (m, branch, E, E).
+    """Eve's normalized states of Kraus-branch stacks (..., branch, A x B, E), as (m, branch, E, E).
 
     Outcomes whose trace is at or below ``qmath.LEAKAGE_SKIP`` are left out.
     """
-    w = branches.reshape((-1,) + branches.shape[2:])
-    blocks = np.swapaxes(w, -1, -2) @ w.conj()  # w_l^T w_l^*, as (m, branch, E, E)
+    w = branches.reshape((-1,) + branches.shape[-3:])
+    return _normalized(np.swapaxes(w, -1, -2) @ w.conj())  # w_l^T w_l^*, as (m, branch, E, E)
+
+
+def _normalized(blocks: np.ndarray) -> np.ndarray:
+    """Eve's blocks (m, branch, E, E) over their traces, those at or below
+    ``qmath.LEAKAGE_SKIP`` left out."""
     trace = np.einsum("...lee->...", blocks).real
     keep = trace > qmath.LEAKAGE_SKIP
     return blocks[keep] / trace[keep, None, None, None]
@@ -412,7 +519,7 @@ def _verified_max(states: np.ndarray, firsts: np.ndarray, lasts: np.ndarray) -> 
     flat = np.ascontiguousarray(states.reshape(m, nb, de * de).view(float).transpose(1, 0, 2))
     sq = np.square(flat).sum(axis=2)
     norm_sum = float(np.sqrt(sq.max(axis=1, initial=0.0)).sum())  # sum over blocks of S
-    eps = 2 * ((flat.shape[-1] + 4) * _UNIT_ROUNDOFF) ** 0.5 * norm_sum
+    eps = 2 * ((flat.shape[-1] + 4) * qmath.UNIT_ROUNDOFF) ** 0.5 * norm_sum
     slack, root_e = (de**0.5 + 3) * eps, de**0.5
     worst = threshold = 0.0
     j0 = 0
@@ -459,19 +566,26 @@ def leakage(am: AttackModel, bs: BasisSet) -> float:
     nothing about the key. Only her distinct states are compared
     (:func:`_max_trace_distance`), in the order the walk first meets them.
     """
-    return _max_trace_distance(np.concatenate([_eve_states(branches)
-                                               for _, branches, _ in _walk(am, bs)]))
+    return _max_trace_distance(np.concatenate([states for *_, states, _ in _frame_walk(am, bs)]))
 
 
 def _attack_pass(strategy: Strategy, am: AttackModel):
-    """Detection probability, error table and Eve's states (:func:`_eve_states`), in one pass."""
+    """Detection probability, error table and Eve's states (:func:`_eve_states`), in one pass:
+    the frame route when the strategy has a digit table, else the stack route (module docstring)."""
     bs = strategy.basis_set
-    q = digit_operators(strategy)
+    q, frame_table = digit_operators(strategy), digit_table(strategy)
+    if frame_table is None:
+        chunks = ((bvecs, probs, _eve_states(branches),
+                   _correct_mass([q[bvecs[:, s]] for s in range(am.n)], branches))
+                  for bvecs, branches, probs in _walk(am, bs))
+    else:
+        weights = reduce(qmath.kron, [frame_table] * am.n)
+        chunks = ((bvecs, probs, eve, _frame_mass(am, weights, phis, x))
+                  for bvecs, phis, probs, eve, x in _frame_walk(am, bs))
     ivecs = list(product(range(bs.dim), repeat=am.n))
     total, table, states = 0.0, [], []
-    for bvecs, branches, probs in _walk(am, bs):
-        states.append(_eve_states(branches))
-        correct = _correct_mass([q[bvecs[:, s]] for s in range(am.n)], branches)
+    for bvecs, probs, eve, correct in chunks:
+        states.append(eve)
         outcomes = zip(product(bvecs.tolist(), ivecs), probs.ravel().tolist(),
                        correct.ravel().tolist())
         for (bvec, ivec), prob, right in outcomes:

@@ -30,6 +30,7 @@ LEAKAGE_SKIP = 1e-12  # an Eve state of trace at or below this is left out of le
 KRAUS_FLOOR = 1e-12  # sum W^dagger W with an eigenvalue below this has no inverse root to take
 SUM_SLACK = 1e-6  # a sampled distribution further than this from sum 1 is a broken model
 NEGATIVITY_FLOOR = 1e-12  # nor may an entry be below -NEGATIVITY_FLOOR, beyond rounding
+UNIT_ROUNDOFF = float(np.finfo(float).eps) / 2  # u, the unit of every derived rounding bound
 
 
 def check_tol(tol: float, floor: float, name: str, where: str = "") -> float:

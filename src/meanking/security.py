@@ -424,10 +424,13 @@ def witness_identity_deviation(report: CommutantReport) -> float:
 
     theta is the angle to the identity, and cos(theta_n) = cos(theta_1)**n;
     log1p and expm1 keep a 1e-16 deviation that sqrt(1 - cos^(2n)) rounds to 0.
+    The scalar is the mean of the diagonal, taken as diag[0] + mean(diag -
+    diag[0]): exact for an exactly scalar witness, whose trace sum rounds
+    (eye(49) / 7 sums to 6.999999999999998), and the same mean otherwise.
     """
     w = report.witness
-    dim = w.shape[0]
-    scalar = (np.trace(w) / dim) * np.eye(dim)
+    diag = np.diagonal(w)
+    scalar = (diag[0] + np.mean(diag - diag[0])) * np.eye(w.shape[0])
     sin = float(np.linalg.norm(w - scalar) / np.linalg.norm(w))
     with np.errstate(divide="ignore"):  # a traceless witness has sin = 1
         return float(np.sqrt(-np.expm1(report.n * np.log1p(-min(sin * sin, 1.0)))))

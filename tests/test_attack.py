@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import itertools
 import tracemalloc
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from meanking import attack as atk, protocol as proto, retrodiction as rd
+from meanking import attack as atk, protocol as proto, qmath, retrodiction as rd
 from meanking.bases import OverBudget
 
 from oracles import (attack_pass_per_outcome, intercept_resend_detection,
@@ -393,12 +394,15 @@ def _grid_attack(kind, bs, n, seed=None):
     return raw if kind == "random" else atk.scalarized_attack(raw)
 
 
+GRID_KINDS = ["probe", "intercept-resend", "source-replace", "random", "scalarized"]
+GRID_SHAPES = [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1)]
+
+
 class TestPassAgainstPerOutcomeOracle:
-    @pytest.mark.parametrize("kind", ["probe", "intercept-resend", "source-replace",
-                                      "random", "scalarized"])
-    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)])
-    def test_report_matches(self, d, n, kind, strategy_d2, strategy_d3):
-        strategy = strategy_d2 if d == 2 else strategy_d3
+    @pytest.mark.parametrize("kind", GRID_KINDS)
+    @pytest.mark.parametrize("d,n", GRID_SHAPES)
+    def test_report_matches(self, d, n, kind, request):
+        strategy = request.getfixturevalue(f"strategy_d{d}")
         am = _grid_attack(kind, strategy.basis_set, n)
         report = atk.evaluate_attack(strategy, am)
         detection, leak, table = attack_pass_per_outcome(strategy, am)
@@ -414,6 +418,76 @@ class TestPassAgainstPerOutcomeOracle:
         p = intercept_resend_detection(strategy_d3, 1)
         det = atk.detection_probability(strategy_d3, atk.intercept_resend(mub3, 1, n=2))
         assert abs(det - (1 - (1 - p) ** 2)) < 1e-10
+
+
+class TestFrameRoute:
+    """On a complete MUB set the correct mass comes from Alice's factor and Eve's in each
+    block's frame: no digit operator per slot, and no branch stack at d_E = 1."""
+
+    @pytest.mark.parametrize("kind", GRID_KINDS)
+    @pytest.mark.parametrize("d,n", GRID_SHAPES)
+    def test_correct_mass_matches_stack(self, d, n, kind, request):
+        strategy = request.getfixturevalue(f"strategy_d{d}")
+        bs = strategy.basis_set
+        am = _grid_attack(kind, bs, n)
+        q = rd.digit_operators(strategy)
+        weights = functools.reduce(qmath.kron, [rd.digit_table(strategy)] * n)
+        frame = [atk._frame_mass(am, weights, phis, x) for _, phis, _, _, x in atk._frame_walk(am, bs)]
+        stack = [atk._correct_mass([q[bvecs[:, s]] for s in range(n)], branches)
+                 for bvecs, branches, _ in atk._walk(am, bs)]
+        assert np.max(np.abs(np.concatenate(frame) - np.concatenate(stack))) <= 1e-14
+
+    @pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (5, 2)])
+    def test_intercept_resend_closed_form(self, d, n, request):
+        # each instance is caught with p = (d-1)**2 / (d(d+1)), independently
+        strategy = request.getfixturevalue(f"strategy_d{d}")
+        p = (d - 1) ** 2 / (d * (d + 1))
+        det = atk.detection_probability(strategy, atk.intercept_resend(strategy.basis_set, 1, n=n))
+        assert abs(det - (1 - (1 - p) ** n)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", ["intercept-resend", "source-replace"])
+    @pytest.mark.parametrize("d,n", [(2, 3), (3, 2)])
+    def test_no_stack_at_one_dimensional_e(self, d, n, kind, request, monkeypatch):
+        strategy = request.getfixturevalue(f"strategy_d{d}")
+        am = _grid_attack(kind, strategy.basis_set, n)
+        want = repr(atk.evaluate_attack(strategy, am))
+
+        def refuse(*_args):
+            raise AssertionError("formed a branch stack")
+
+        for name in ("_project", "_correct_mass"):
+            monkeypatch.setattr(atk, name, refuse)
+        assert repr(atk.evaluate_attack(strategy, am)) == want
+
+    @pytest.mark.parametrize("kind", ["probe", "probe-E3", "random", "scalarized"])
+    @pytest.mark.parametrize("d,n", [(2, 2), (3, 1), (3, 2)])
+    def test_eve_states_bitwise_at_larger_e(self, d, n, kind, request, monkeypatch):
+        strategy = request.getfixturevalue(f"strategy_d{d}")
+        bs = strategy.basis_set
+        am = _grid_attack(kind, bs, n)
+        stack = np.concatenate([atk._eve_states(branches) for _, branches, _ in atk._walk(am, bs)])
+        monkeypatch.setattr(atk, "_correct_mass", None)  # the frame route only
+        assert atk._attack_pass(strategy, am)[2].tobytes() == stack.tobytes()
+
+    @pytest.mark.parametrize("source", ["biased-d2", "biased-d3", "biased-uniform-weight", "v1",
+                                        "unit"])
+    def test_ungated_strategies_keep_the_stack_route(self, source, mub2, mub3, biased_copy,
+                                                     v1_files, unit_strategy, monkeypatch):
+        # a biased set takes LP weights; under the uniform weight its digit operators
+        # are not diagonal in the frames, and the gate itself refuses it
+        biased = rd.build_strategy(biased_copy(mub3, 0.3))
+        strategy = {"biased-d2": lambda: rd.build_strategy(biased_copy(mub2, 0.2)),
+                    "biased-d3": lambda: biased,
+                    "biased-uniform-weight": lambda: rd.Strategy(
+                        biased.basis_set, np.broadcast_to(1 / 81, (81,)), biased.generators),
+                    "v1": lambda: rd.load_strategy(v1_files[2]),
+                    "unit": lambda: unit_strategy}[source]()
+        assert rd.digit_table(strategy) is None
+        monkeypatch.setattr(atk, "_frame_walk", None)
+        for kind in GRID_KINDS:
+            am = _grid_attack(kind, strategy.basis_set, 1)
+            detection, _, _ = attack_pass_per_outcome(strategy, am)
+            assert abs(atk.evaluate_attack(strategy, am).detection_probability - detection) <= 1e-12
 
 
 class TestChunkBudgets:

@@ -937,6 +937,7 @@ class TestDimension7:
         report = json.loads(out)["report"]
         assert code == 0 and report["solution_dim"] == 1 and report["constraint_rank"] == 2400
         assert report["spectral_gap"] == pytest.approx(6 / 7, abs=1e-12)
+        assert report["witness_identity_deviation"] == 0.0
 
     def test_lemma_refused(self, capsys, monkeypatch):
         # the enumerated route, with the closed form's gate off, must list the 7**8

@@ -780,7 +780,7 @@ class TestFixedWidthRoute:
         assert same_load(back, general_load(fast, monkeypatch))
 
 
-# SHA-256 digests of what 0.10.0 writes: transcripts of the protocol-sim
+# SHA-256 digests of what 0.11.0 writes: transcripts of the protocol-sim
 # benchmark's four shapes at reduced rounds, and the README pipeline's
 # outputs (the `run` steps at reduced rounds). The sampler draws from numpy Generator streams,
 # which numpy does not promise to keep across versions, so the CI workflow
@@ -792,19 +792,19 @@ GOLDEN_TRANSCRIPTS = {
     "probe-d3n1": "a84f3ffe69f1dfc8ad8c195b58c7a19e9eab736be9127e4f3cbc32fe623cd265",
 }
 GOLDEN_README_RUN = {
-    "bases gen stdout": "20d3439f3cf1d4c3fe5602c8e7e1b5b71dc8483aecbf4d1035c3e623db3b16b7",
+    "bases gen stdout": "7b7d49deaa0c1e7f2ddcf7453aa754d617065fd97ac425ee8840e6f630ef90c8",
     "bases3.json": "b8814958647460da10423529abcc86fa6a3447a601d12f584871f4f9e765f730",
-    "bases check stdout": "c9fa5cdc52bc9bc463fbbbbdb5fc0da889b45a3d712a80ec7a1b490df7ca8af5",
-    "strategy build stdout": "20bd1a4c2be5a8480c7ba793ee4fef3f0615bd4ac6700832b4452a7ffd05112c",
+    "bases check stdout": "e71c7e826a4ac320dba95154e74565375aa6e24571900fe20c1699660fdd11c6",
+    "strategy build stdout": "9b339e4b9cb5fe2ae9adacfc9488c7a8943b26e0f5bcd2946b3e1e5c0dab531a",
     "strategy3.json": "8ed9e1d352b58f70f6de45d96f6ee33630dcac01ce95978a335205c6f738894c",
-    "run stdout": "8a8d1f55b2fb402bec5d3d835993f5348650bdeb3b3c0c057c833ba34d71491f",
+    "run stdout": "0d16765a9840048d47890e1ac2fca004cdefd7fb3f9210f48393a6e3f0398b4d",
     "transcript.jsonl": "e85ee09b7557d05c52889d994b65d1f2ccf1ba3cc17b568b4e85bd92e435222b",
     "summary.json": "acb81d80872736ba27245b29413f4493e01dc02e98be2c1944c90b73fca12193",
-    "attacked run stdout": "4613be20f3243074e8c850ffe57a8f38cf54e51f2ec526b0272d21bbfa78ae23",
+    "attacked run stdout": "59674435e3b5701984dd388eb2954a0b2b51504a93c80739034bc00f3669f48f",
     "t.jsonl": "3bebdcf557d46ef91e581b464bf7a44b2fc76889b8a1ff5c9c2841a17322f33a",
-    "security lemma stdout": "39df7b4ebecfe48115cf3501784c69c2e9da97d1fbd5053430251aad9c42c9ff",
+    "security lemma stdout": "208f49f83c04b26511d6191c9533eb594fbba1baa0e413b03b7f387d0696ac4b",
     "security attack-eval stdout":
-        "bd89b9434a055c7365031061c5d22f5a02facdb7c9b7c0ac987f8fa45b143cfe",
+        "bf5eb6b2ed9f74b6e72cb82c1efd2e9f504cd8e25cfe5f20cf51190258aa4392",
 }
 
 

@@ -683,3 +683,75 @@ class TestVersionedFiles:
                    "neither": {}}[given]
         with pytest.raises(ValueError, match="by its generators or by its table, one of them"):
             rd.Strategy(basis_set=strategy_d2.basis_set, weights=strategy_d2.weights, **sources)
+
+
+def closed_form_q(bs):
+    """(1 - Pi_b) / d + |P_b(i)><P_b(i)|, P_b(j) = conj(phi_b(j)) x phi_b(j), Pi_b their sum."""
+    d = bs.dim
+    p = qmath.kron(bs.vectors.conj(), bs.vectors, batch=2)
+    proj = p[..., :, None] * p[..., None, :].conj()
+    return (np.eye(d * d) - proj.sum(axis=1))[:, None] / d + proj
+
+
+def frame_rotated(strategy):
+    """Each Q[b, i] in its basis's product frame conj(phi_b(j)) x phi_b(j'), rows (j, j')."""
+    v = strategy.basis_set.vectors
+    frames = qmath.kron(v, v.conj(), batch=1)[:, None]
+    return frames @ rd.digit_operators(strategy) @ np.swapaxes(frames.conj(), -1, -2)
+
+
+def exact_table(d):
+    """delta(j, i) where j = j', 1/d elsewhere, as [i, j, j']."""
+    table = np.full((d, d, d), 1 / d)
+    table[:, np.arange(d), np.arange(d)] = np.eye(d)
+    return table
+
+
+class TestDigitClosedForm:
+    """On a complete MUB set Q is diagonal in each basis's product frame (a 2-design)."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5, 7])
+    def test_matches_digit_operators(self, d):
+        bs = bases.gen_mub(d)
+        s = rd.build_strategy(bs)
+        assert np.max(np.abs(rd.digit_operators(s) - closed_form_q(bs))) <= 1e-14
+        # the 2-design: sum over every basis and outcome of |P><P| = 1 + |1><1|
+        p = qmath.kron(bs.vectors.conj(), bs.vectors, batch=2).reshape(-1, d * d)
+        ones = np.eye(d).reshape(-1)
+        assert np.max(np.abs(p.T @ p.conj() - np.eye(d * d) - np.outer(ones, ones))) <= 1e-14
+        assert np.max(np.abs(rd.digit_table(s) - exact_table(d))) <= 1e-14
+
+    def test_biased_set_is_not_diagonal(self, mub3, biased_copy):
+        bs = biased_copy(mub3, 0.3)
+        s = rd.build_strategy(bs)
+        rotated = frame_rotated(s)
+        off = np.abs(rotated[..., ~np.eye(9, dtype=bool)]).max()
+        assert off > 0.1
+        assert rd.digit_table(s) is None
+        # under the uniform weight its off-diagonal entries alone refuse it
+        uniform = rd.Strategy(bs, np.broadcast_to(1 / 81, (81,)), s.generators)
+        assert np.abs(frame_rotated(uniform)[..., ~np.eye(9, dtype=bool)]).max() > 0.1
+        assert rd.digit_table(uniform) is None
+
+    def test_table_strategies_get_none(self, strategy_d2, unit_strategy, v1_files):
+        # a strategy given as its table keeps the summed route, whatever its operators
+        as_table = rd.Strategy(basis_set=strategy_d2.basis_set, table=strategy_d2.safe_vectors,
+                               weights=np.array(strategy_d2.weights))
+        for s in (as_table, unit_strategy, rd.load_strategy(v1_files[2])):
+            assert rd.digit_table(s) is None
+
+    def test_built_once_read_only(self, strategy_d3):
+        table = rd.digit_table(strategy_d3)
+        assert rd.digit_table(strategy_d3) is table and not table.flags.writeable
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_closed_form_under_a_unitary(seed):
+    # a unitary turn of the set keeps it a complete MUB set, so the closed form and the gate hold
+    u = random_unitary(np.random.default_rng(seed), 3)
+    bs = bases.BasisSet(bases.gen_mub(3).vectors @ u.T)
+    s = rd.build_strategy(bs)
+    assert np.max(np.abs(rd.digit_operators(s) - closed_form_q(bs))) <= 1e-14
+    table = rd.digit_table(s)
+    assert table is not None and np.max(np.abs(table - exact_table(3))) <= 1e-14

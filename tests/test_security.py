@@ -643,3 +643,10 @@ class TestReport:
             "spectral_gap": pytest.approx(0.5, abs=1e-12),
             "tol": report.tol,
         }
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+    def test_scalar_witness_reads_zero(self, d):
+        # the trace of eye(49) / 7 sums to 6.999999999999998; the diagonal's mean is exact
+        report = security.CommutantReport(dim=d, n=1, constraint_rank=0, solution_dim=1,
+                                          witness=np.eye(d * d) / d, tol=1e-9, spectral_gap=1.0)
+        assert security.witness_identity_deviation(report) == 0.0
