@@ -102,7 +102,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import reduce
-from itertools import product
 
 import numpy as np
 
@@ -582,20 +581,17 @@ def _attack_pass(strategy: Strategy, am: AttackModel):
         weights = reduce(qmath.kron, [frame_table] * am.n)
         chunks = ((bvecs, probs, eve, _frame_mass(am, weights, phis, x))
                   for bvecs, phis, probs, eve, x in _frame_walk(am, bs))
-    ivecs = list(product(range(bs.dim), repeat=am.n))
-    total, table, states = 0.0, [], []
-    for bvecs, probs, eve, correct in chunks:
-        states.append(eve)
-        outcomes = zip(product(bvecs.tolist(), ivecs), probs.ravel().tolist(),
-                       correct.ravel().tolist())
-        for (bvec, ivec), prob, right in outcomes:
-            if prob <= qmath.PROB_FLOOR:
-                continue
-            total += prob - right
-            # 1-based labels in the human-facing table
-            table.append({"b": [b + 1 for b in bvec], "i": [i + 1 for i in ivec],
-                          "prob": prob, "guess_error": max(0.0, 1.0 - right / prob)})
-    return total / bs.k**am.n, table, np.concatenate(states)
+    # every chunk's probs and correct mass are (c, d**n), outcomes in product order
+    bvecs, probs, states, correct = (np.concatenate(part) for part in zip(*chunks))
+    rows, cols = np.nonzero(probs > qmath.PROB_FLOOR)
+    prob, right = probs[rows, cols], correct[rows, cols]
+    # a running sum, left to right over the kept outcomes, as one float accumulator adds
+    total = float(np.cumsum(prob - right)[-1])
+    # 1-based labels in the human-facing table
+    labels = zip((bvecs[rows] + 1).tolist(), (digits(cols, bs.dim, am.n) + 1).tolist())
+    table = [{"b": b, "i": i, "prob": p, "guess_error": e} for (b, i), p, e in
+             zip(labels, prob.tolist(), np.maximum(0.0, 1.0 - right / prob).tolist())]
+    return total / bs.k**am.n, table, states
 
 
 def detection_probability(strategy: Strategy, am: AttackModel) -> float:

@@ -19,7 +19,7 @@ given by its generators under one uniform weight from G's spectrum in
 closed form (below), when a certified radius shows that the answer is the
 form's; every other strategy, and every table handed to
 :func:`eigenvector_constraint_dim`, lists its safe vectors and decides the
-form by one batched ``eigh`` (per Weyl sector where it can, further below).
+form by one ``eigh``.
 
 Blocks of n instances need no larger form. For a maximal strategy
 (every p(x) > 0) completeness makes the nullspace the fixed points of
@@ -80,34 +80,6 @@ form's (rho / L is 3.1e-12 at d=5, 1.6e-11 at d=7). It builds Gamma,
 O((k d)**2 d**2) work, and no d**k table and no d**4 x d**4 form. A
 biased set, LP weights, a table, a fit that fails these conditions and a
 radius that straddles the cutoff all go to the enumerated route.
-
-The enumerated ``eigh`` is taken per Weyl sector where the form allows
-it. With W_(m,l) = X^m Z^l on one system of dimension d (X|j> = |j+1>,
-Z|j> = omega^j |j>), the d**4 operators vec(W_(m1,l1) (x) W_(m2,l2)) / d
-are an orthonormal basis of vec(E) on the doubled space, and each carries
-the sector label ((m1 - m2) mod d, (l1 + l2) mod d). On the standard MUBs
-G is block diagonal by that label, as the Clifford covariance of the
-stabilizer bases suggests (Appleby, J. Math. Phys. 46, 052107, 2005;
-Gross, J. Math. Phys. 47, 122107, 2006). Each W is a shifted diagonal with
-entries omega^(l j), so G reaches the Weyl basis by a gather and the DFT
-of each index, O(d**10) as one d**2 x d**2 product per side (faster at
-d <= 5 than per-index products or ``np.fft``), with no d**4 x d**4 basis
-matrix.
-
-The gate of the sectors: the transformed form is split into its d**2
-diagonal blocks of d**2 x d**2 only if its off-sector part, in Frobenius
-norm, is at most the rounding floor D**2 * eps times its largest diagonal
-entry, itself at most the largest eigenvalue. The Frobenius norm bounds
-the spectral norm, so by Weyl's inequality dropping that part moves no
-eigenvalue by more than the floor times the largest: the least null
-eigenvalue that ``eigh`` resolves, and the least ``tol`` the module
-accepts. The cutoff is still ``tol`` times the largest eigenvalue over all
-sectors. A form that fails the gate (a biased set, a subset of the safe
-vectors) is decided whole, as one block, by the same batched call. On the
-MUBs the closed form above splits by sector: sector (0, 0) holds the
-identity's null direction and every other sector has, over the largest
-eigenvalue, the spectrum 1 - 1/d once, 1 - 2/d**2 d(d - 1)/2 times and
-1 d(d + 1)/2 - 1 times, so its least eigenvalue is the margin.
 """
 
 from __future__ import annotations
@@ -177,110 +149,21 @@ def _check_form_tol(dim: int, tol: float) -> None:
                     f" of the {size} x {size} commutant form")
 
 
-class _WeylLayout(NamedTuple):
-    """Index tables of the operator Weyl basis of the doubled space, for one d.
-
-    Weyl coordinate a = (l1 d + l2) d**2 + m1 d + m2 of vec(E) is its overlap
-    with vec(W_(m1,l1) (x) W_(m2,l2)) / d, whose entries
-    omega^(l1 j1 + l2 j2) / d sit at ((j1 + m1, j2 + m2), (j1, j2)).
-    """
-
-    rows: np.ndarray  # [(j1 d + j2) d**2 + m1 d + m2]: that entry's row-major index in vec(E)
-    unrows: np.ndarray  # the inverse permutation of rows
-    dft: np.ndarray  # F (x) F / d, F[l, j] = omega^(-l j): the d-point DFT of each index; symmetric
-    idft: np.ndarray  # its inverse, conj(dft)
-    sectors: np.ndarray  # row s d + t: the coordinates of sector ((m1 - m2) mod d, (l1 + l2) mod d)
-    index: np.ndarray  # [b, i, j]: row-major index of the entry at (sectors[b, i], sectors[b, j])
-
-
-@lru_cache(maxsize=None)
-def _weyl_layout(d: int) -> _WeylLayout:
-    """The layout for dimension d, built once and shared read-only."""
-    j1, j2, m1, m2 = np.indices((d,) * 4).reshape(4, -1)
-    rows = (((j1 + m1) % d * d + (j2 + m2) % d) * d + j1) * d + j2
-    omega = np.exp(-2j * np.pi * np.arange(d) / d)
-    dft = qmath.kron(*(omega[np.outer(np.arange(d), np.arange(d)) % d],) * 2) / d
-    label = (m1 - m2) % d * d + (j1 + j2) % d  # (j1, j2) runs over (l1, l2) alike
-    sectors = np.argsort(label, kind="stable").reshape(d * d, d * d)
-    layout = _WeylLayout(rows, np.argsort(rows), dft, dft.conj(), sectors,
-                         sectors[:, :, None] * d**4 + sectors[:, None, :])
-    for table in layout:
-        table.flags.writeable = False
-    return layout
-
-
-def _to_weyl(form: np.ndarray, d: int) -> np.ndarray:
-    """T G T^H for a Hermitian d**4 x d**4 form G on vec(E), T the change to Weyl coordinates.
-
-    The shifted diagonals are gathered on both sides, so that T G is one
-    product with the d**2 x d**2 DFT of both indices, and T G T^H is
-    T (T G)^H: no d**4 x d**4 basis matrix is formed.
-    """
-    weyl = _weyl_layout(d)
-    half = weyl.dft @ form.take(weyl.rows, 0).take(weyl.rows, 1).reshape(d * d, -1)
-    return (weyl.dft @ half.reshape(form.shape).conj().T.reshape(d * d, -1)).reshape(form.shape)
-
-
-def _from_weyl(coords: np.ndarray, d: int) -> np.ndarray:
-    """T^H c: the vec(E) of each column of Weyl coordinates."""
-    weyl = _weyl_layout(d)
-    return (weyl.idft @ coords.reshape(d * d, -1)).reshape(coords.shape).take(weyl.unrows, 0)
-
-
-def _blocks(form: np.ndarray, d: int, floor: float):
-    """``(blocks, index, stack)``: the diagonal blocks of ``form`` that ``eigh`` decides.
-
-    Row b of ``blocks`` lists the coordinates of block b, ``index`` the
-    row-major indices of its entries and ``stack`` their values. For d > 0
-    the blocks are the d**2 Weyl sectors of a form in Weyl coordinates, if
-    its off-sector part, in Frobenius norm, is at most ``floor`` times its
-    largest diagonal entry (module docstring); otherwise, and for d = 0,
-    the whole form is one block.
-    """
-    if d:
-        _, _, _, _, blocks, index = _weyl_layout(d)
-        stack = form.take(index)
-        largest = form.diagonal().real.max()  # at most the largest eigenvalue
-        form.put(index, 0)  # leaves the off-sector part
-        off = np.vdot(form, form).real
-        form.put(index, stack)
-        if off <= (floor * largest) ** 2:
-            return blocks, index, stack
-    blocks = np.arange(len(form))[None]
-    return blocks, blocks[:, :, None] * len(form) + blocks, form[None]
-
-
 def constraint_nullspace(etas: np.ndarray, tol: float = qmath.DEFAULT_TOL):
-    """Nullspace of the eigenvector conditions, from one batched ``eigh`` of their form.
+    """Nullspace of the eigenvector conditions, from one ``eigh`` of their form.
 
     Returns ``(dimension, vectors, eigenvalues)``: the eigenvalues ascend,
     row j of ``vectors`` is the eigenvector of eigenvalue j, and the
     dimension counts the eigenvalues at or below ``tol`` times the largest,
-    so the first ``dimension`` rows span the nullspace. Vectors of dimension
-    D = d**2 are decided in Weyl coordinates, per sector when the off-sector
-    gate of the module docstring passes and as one block otherwise; other
-    dimensions as one block of the form. Raises ``ValueError`` when ``tol``
-    is below the form's rounding floor, D**2 * eps: ``eigh`` cannot resolve
-    a null eigenvalue below that, so such a cutoff would report no
-    solution; nor can it reach ``qmath.MAX_TOL``, where every direction
-    counts as one.
+    so the first ``dimension`` rows span the nullspace. Raises
+    ``ValueError`` when ``tol`` is below the form's rounding floor,
+    D**2 * eps for vectors of dimension D: ``eigh`` cannot resolve a null
+    eigenvalue below that, so such a cutoff would report no solution; nor
+    can it reach ``qmath.MAX_TOL``, where every direction counts as one.
     """
-    dim = np.shape(etas)[1]
-    _check_form_tol(dim, tol)
-    form = constraint_matrix(etas)
-    d = math.isqrt(dim)
-    weyl = d * d == dim
-    if weyl:
-        form = _to_weyl(form, d)
-    blocks, index, stack = _blocks(form, d if weyl else 0, _rounding_floor(dim))
-    evals, evecs = np.linalg.eigh(stack)
-    vectors = np.zeros_like(form)
-    vectors.put(index, evecs)  # eigenvector (b, j) is column blocks[b, j]
-    if weyl:
-        vectors = _from_weyl(vectors, d)
-    order = np.argsort(evals, axis=None, kind="stable")
-    evals = evals.reshape(-1)[order]
-    return int(np.sum(evals <= tol * evals[-1])), vectors.T[blocks.reshape(-1)[order]], evals
+    _check_form_tol(np.shape(etas)[1], tol)
+    evals, evecs = np.linalg.eigh(constraint_matrix(etas))
+    return int(np.sum(evals <= tol * evals[-1])), evecs.T, evals
 
 
 def eigenvector_constraint_dim(safe_vectors, tol: float = qmath.DEFAULT_TOL) -> CommutantReport:

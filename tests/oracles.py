@@ -22,9 +22,11 @@ included, kept as the reference for the triangle over her distinct states.
 :func:`fields` decodes instance codes one Python ``divmod`` at a time, the
 reference for the transcript's one decode of its distinct codes.
 
-One resident is not a reference but a construct only the tests read:
+Two residents are not references but constructs only the tests read:
 :func:`decomposition_triple`, the paper's eta_x = eta_u + eta_v - eta_w
-identity.
+identity, and :func:`weyl_sector_labels`, the labels that split the MUB
+lemma's form into blocks, against which the tests read the closed form's
+spectrum sector by sector.
 
 :func:`phi_hat`, one conditional state, is the per-(b, i) reference for
 the library's ``retrodiction.conditional_states``, which forms all k*d of
@@ -415,6 +417,19 @@ def weyl_loops(d, n):
                                                  @ np.linalg.matrix_power(clock, l)
                                                  for m, l in labels])
     return out
+
+
+def weyl_sector_labels(d):
+    """Sector label of each operator Weyl basis element of the doubled space C^d (x) C^d.
+
+    Element (l1 d + l2) d**2 + m1 d + m2 is vec(W_(m1,l1) (x) W_(m2,l2)) / d,
+    from ``weyl_loops(d, 2)[m1 d + m2, l1 d + l2]``; its label is
+    ((m1 - m2) mod d) d + (l1 + l2) mod d. On the standard MUBs the lemma's
+    form is block diagonal by this label (Appleby, J. Math. Phys. 46,
+    052107, 2005; Gross, J. Math. Phys. 47, 122107, 2006).
+    """
+    l1, l2, m1, m2 = np.indices((d,) * 4).reshape(4, -1)
+    return (m1 - m2) % d * d + (l1 + l2) % d
 
 
 def operator_form_loops(am):

@@ -420,6 +420,53 @@ class TestPassAgainstPerOutcomeOracle:
         assert abs(det - (1 - (1 - p) ** 2)) < 1e-10
 
 
+def _outcome_loop(strategy, am):
+    """``(detection, table)`` from one Python float sum and one dict per outcome, in a loop
+    over the pass's own chunks: the reference for the bits of the pass's array form."""
+    bs, n, frame_table = strategy.basis_set, am.n, rd.digit_table(strategy)
+    if frame_table is None:
+        q = rd.digit_operators(strategy)
+        chunks = ((bvecs, probs, atk._correct_mass([q[bvecs[:, s]] for s in range(n)], branches))
+                  for bvecs, branches, probs in atk._walk(am, bs))
+    else:
+        weights = functools.reduce(qmath.kron, [frame_table] * n)
+        chunks = ((bvecs, probs, atk._frame_mass(am, weights, phis, x))
+                  for bvecs, phis, probs, _, x in atk._frame_walk(am, bs))
+    ivecs = list(itertools.product(range(bs.dim), repeat=n))
+    total, table = 0.0, []
+    for bvecs, probs, correct in chunks:
+        outcomes = zip(itertools.product(bvecs.tolist(), ivecs), probs.ravel().tolist(),
+                       correct.ravel().tolist())
+        for (bvec, ivec), prob, right in outcomes:
+            if prob <= qmath.PROB_FLOOR:
+                continue
+            total += prob - right
+            table.append({"b": [b + 1 for b in bvec], "i": [i + 1 for i in ivec],
+                          "prob": prob, "guess_error": max(0.0, 1.0 - right / prob)})
+    return total / bs.k**n, table
+
+
+class TestOutcomeTable:
+    """The pass keeps, labels and sums its outcomes with array operations, bit for bit
+    as a loop over them does, in one chunk or in one per basis block."""
+
+    @pytest.mark.parametrize("kind", GRID_KINDS)
+    @pytest.mark.parametrize("case", ["mub-2-1", "mub-2-3", "mub-3-2", "biased-3-1", "v1-2-2"])
+    def test_matches_the_loop(self, case, kind, request, biased_copy, v1_files, monkeypatch):
+        source, d, n = case.split("-")
+        d, n = int(d), int(n)
+        strategy = {"mub": lambda: request.getfixturevalue(f"strategy_d{d}"),
+                    "biased": lambda: rd.build_strategy(
+                        biased_copy(request.getfixturevalue(f"mub{d}"), 0.3)),
+                    "v1": lambda: rd.load_strategy(v1_files[d])}[source]()
+        am = _grid_attack(kind, strategy.basis_set, n)
+        # repr tells every double apart, -0.0 from 0.0 included
+        want = repr(_outcome_loop(strategy, am))
+        assert repr(atk._attack_pass(strategy, am)[:2]) == want
+        monkeypatch.setattr(atk, "_WALK_ENTRIES", 1)  # one chunk per basis block
+        assert repr(atk._attack_pass(strategy, am)[:2]) == want
+
+
 class TestFrameRoute:
     """On a complete MUB set the correct mass comes from Alice's factor and Eve's in each
     block's frame: no digit operator per slot, and no branch stack at d_E = 1."""

@@ -879,6 +879,8 @@ class TestEntryPoint:
             retrodiction: ["decomposition_triple", "phi_hat"],
             retrodiction.Strategy: ["safe_vector", "weight"],
             retrodiction.ProductStrategy: ["safe_vector"],
+            # the Weyl-sector engine; tests/oracles.py keeps the sector labels
+            security: ["_WeylLayout", "_weyl_layout", "_to_weyl", "_from_weyl", "_blocks"],
         }
         assert [f"{owner.__name__}.{name}" for owner, names in removed.items()
                 for name in names if hasattr(owner, name)] == []

@@ -780,7 +780,7 @@ class TestFixedWidthRoute:
         assert same_load(back, general_load(fast, monkeypatch))
 
 
-# SHA-256 digests of what 0.11.0 writes: transcripts of the protocol-sim
+# SHA-256 digests of what 0.12.0 writes: transcripts of the protocol-sim
 # benchmark's four shapes at reduced rounds, and the README pipeline's
 # outputs (the `run` steps at reduced rounds). The sampler draws from numpy Generator streams,
 # which numpy does not promise to keep across versions, so the CI workflow
@@ -792,19 +792,19 @@ GOLDEN_TRANSCRIPTS = {
     "probe-d3n1": "a84f3ffe69f1dfc8ad8c195b58c7a19e9eab736be9127e4f3cbc32fe623cd265",
 }
 GOLDEN_README_RUN = {
-    "bases gen stdout": "7b7d49deaa0c1e7f2ddcf7453aa754d617065fd97ac425ee8840e6f630ef90c8",
+    "bases gen stdout": "a01f20234ebea905c625f256dca4385d2c9ef690617e703a5275adbc6e7400d6",
     "bases3.json": "b8814958647460da10423529abcc86fa6a3447a601d12f584871f4f9e765f730",
-    "bases check stdout": "e71c7e826a4ac320dba95154e74565375aa6e24571900fe20c1699660fdd11c6",
-    "strategy build stdout": "9b339e4b9cb5fe2ae9adacfc9488c7a8943b26e0f5bcd2946b3e1e5c0dab531a",
+    "bases check stdout": "ddc20638911dc5a110d3f8908cb7c2220bb3c21743051e28b875b58876389d6b",
+    "strategy build stdout": "3173c5505c8bde0e80bb42d8a9bc3b2143fcd29c43e0a10a9e7cc5d302455604",
     "strategy3.json": "8ed9e1d352b58f70f6de45d96f6ee33630dcac01ce95978a335205c6f738894c",
-    "run stdout": "0d16765a9840048d47890e1ac2fca004cdefd7fb3f9210f48393a6e3f0398b4d",
+    "run stdout": "724ea9d5e833e82aa74f665589dda1a9bc34ba90701979f1c3fd8a9750e92e2e",
     "transcript.jsonl": "e85ee09b7557d05c52889d994b65d1f2ccf1ba3cc17b568b4e85bd92e435222b",
     "summary.json": "acb81d80872736ba27245b29413f4493e01dc02e98be2c1944c90b73fca12193",
-    "attacked run stdout": "59674435e3b5701984dd388eb2954a0b2b51504a93c80739034bc00f3669f48f",
+    "attacked run stdout": "22e5a8aaef4bd174240fd1e5c0274b6c165171530247177ac41f156175b99059",
     "t.jsonl": "3bebdcf557d46ef91e581b464bf7a44b2fc76889b8a1ff5c9c2841a17322f33a",
-    "security lemma stdout": "208f49f83c04b26511d6191c9533eb594fbba1baa0e413b03b7f387d0696ac4b",
+    "security lemma stdout": "3efcf4af9c73006f401ed7f5966a543257fd29b5fd86da63313a86ade2811e1b",
     "security attack-eval stdout":
-        "bf5eb6b2ed9f74b6e72cb82c1efd2e9f504cd8e25cfe5f20cf51190258aa4392",
+        "1b3cfe88e03557090ef14086e6eb57edd44716dab0e46e32c234e1931fe652e0",
 }
 
 

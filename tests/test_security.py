@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from meanking import bases, retrodiction as rd, security
 import exact
-from oracles import commutant_stacked, decomposition_triple, weyl_loops
+from oracles import commutant_stacked, decomposition_triple, weyl_loops, weyl_sector_labels
 
 
 def brute_force_solution_dim(etas):
@@ -45,21 +45,21 @@ def random_operator(rng, dim):
 
 def weyl_basis(d):
     """Columns vec(W_(m1,l1) (x) W_(m2,l2)) / d from the oracle's unitaries, column
-    (l1 d + l2) d**2 + m1 d + m2 as in ``security._weyl_layout``."""
+    (l1 d + l2) d**2 + m1 d + m2 as in ``oracles.weyl_sector_labels``."""
     units = weyl_loops(d, 2)  # [m1 d + m2, l1 d + l2]
     return units.transpose(1, 0, 2, 3).reshape(d**4, d**4).T / d
 
 
 def weyl_form(etas):
-    """The lemma's form of the rows of ``etas`` (dimension d**2) in Weyl coordinates."""
-    return security._to_weyl(security.constraint_matrix(etas), math.isqrt(etas.shape[1]))
+    """The lemma's form of the rows of ``etas`` (dimension d**2) in the dense Weyl basis."""
+    basis = weyl_basis(math.isqrt(etas.shape[1]))
+    return basis.conj().T @ security.constraint_matrix(etas) @ basis
 
 
 def off_sector_mass(form, d):
     """Frobenius norm of the entries of a Weyl form that couple two different sectors."""
-    inside = np.zeros(form.shape, dtype=bool)
-    inside.put(security._weyl_layout(d).index, True)
-    return np.linalg.norm(form[~inside])
+    labels = weyl_sector_labels(d)
+    return np.linalg.norm(form[labels[:, None] != labels])
 
 
 def eigh_calls(monkeypatch):
@@ -128,36 +128,12 @@ class TestForm:
 
 
 class TestWeylSectors:
-    @pytest.mark.parametrize("d", [2, 3, 5])
-    def test_coordinates_match_the_oracle_basis(self, d):
-        basis = weyl_basis(d)
-        rng = np.random.default_rng(d)
-        x = random_operator(rng, d**4)
-        form = x + x.conj().T
-        want = basis.conj().T @ form @ basis
-        np.testing.assert_allclose(security._to_weyl(form, d), want, rtol=0,
-                                   atol=1e-13 * np.abs(want).max())
-        coords = rng.normal(size=(d**4, 3)) + 1j * rng.normal(size=(d**4, 3))
-        np.testing.assert_allclose(security._from_weyl(coords, d), basis @ coords, rtol=0,
-                                   atol=1e-13 * np.abs(coords).max())
-
-    @pytest.mark.parametrize("d", [2, 3, 5])
-    def test_sector_labels(self, d):
-        layout = security._weyl_layout(d)
-        assert sorted(layout.sectors.reshape(-1)) == list(range(d**4))
-        for b, coords in enumerate(layout.sectors):
-            (l1, l2), (m1, m2) = (np.divmod(flat, d) for flat in np.divmod(coords, d * d))
-            np.testing.assert_array_equal((m1 - m2) % d * d + (l1 + l2) % d, b)
-        rows, cols = np.divmod(layout.index, d**4)
-        np.testing.assert_array_equal(rows, np.broadcast_to(layout.sectors[:, :, None], rows.shape))
-        np.testing.assert_array_equal(cols, np.broadcast_to(layout.sectors[:, None, :], cols.shape))
+    """The closed form seen per Weyl sector, in the oracle's dense basis; the library
+    decides every enumerated form by one eigh of the whole form."""
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_mub_form_is_sector_diagonal(self, request, d):
-        # in the oracle's basis, independently of the helper's transform
-        etas = request.getfixturevalue(f"strategy_d{d}").etas
-        basis = weyl_basis(d)
-        form = basis.conj().T @ security.constraint_matrix(etas) @ basis
+        form = weyl_form(request.getfixturevalue(f"strategy_d{d}").etas)
         largest = np.linalg.eigvalsh(form)[-1]
         assert off_sector_mass(form, d) <= security._rounding_floor(d * d) * largest
 
@@ -165,10 +141,17 @@ class TestWeylSectors:
     def test_sector_spectra_in_closed_form(self, request, d):
         # G / lambda_max: sector (0, 0) is {0 once, 1 d**2 - 1 times}; every other sector is
         # {1 - 1/d once, 1 - 2/d**2 d(d-1)/2 times, 1 d(d+1)/2 - 1 times}, merged at d=2
-        form = weyl_form(request.getfixturevalue(f"strategy_d{d}").etas)
-        blocks, _, stack = security._blocks(form, d, security._rounding_floor(d * d))
-        assert blocks.shape == (d * d, d * d)
-        spectra = np.linalg.eigvalsh(stack)
+        strategy = request.getfixturevalue(f"strategy_d{d}")
+        form, labels = weyl_form(strategy.etas), weyl_sector_labels(d)
+        assert np.bincount(labels).tolist() == [d * d] * (d * d)
+        spectra = np.array([np.linalg.eigvalsh(form[np.ix_(labels == b, labels == b)])
+                            for b in range(d * d)])
+        spectrum, _ = security._closed_spectrum(strategy)
+        values, counts = zip(*spectrum)
+        largest = max(values)
+        pooled = np.sort(spectra, axis=None) / largest
+        np.testing.assert_allclose(pooled, np.sort(np.repeat(values, counts)) / largest,
+                                   rtol=0, atol=1e-12)
         spectra /= spectra.max()
         np.testing.assert_allclose(spectra[0], [0.0] + [1.0] * (d * d - 1), rtol=0, atol=1e-12)
         other = sorted([1 - 1 / d] + [1 - 2 / d**2] * (d * (d - 1) // 2)
@@ -176,30 +159,26 @@ class TestWeylSectors:
         np.testing.assert_allclose(spectra[1:], [other] * (d * d - 1), rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("d", [3, 5])
-    def test_mub_lemma_takes_the_sector_route(self, request, monkeypatch, d):
+    def test_mub_lemma_is_one_eigh(self, request, monkeypatch, d):
         strategy = request.getfixturevalue(f"strategy_d{d}")
         shapes = eigh_calls(monkeypatch)
         report = security.eigenvector_constraint_dim(strategy.safe_vectors)
-        assert shapes == [(d * d,) * 3]
+        assert shapes == [(d**4, d**4)]
         assert report.solution_dim == 1
         assert report.spectral_gap == pytest.approx(1 - 1 / d, abs=1e-12)
 
     def test_d2_margin(self, strategy_d2, monkeypatch):
-        # the thinnest margin of the three: off-sector mass over the largest diagonal entry
-        # (and over lambda_max) was 1.9e-15 against the floor 16 * eps = 3.6e-15; the route
-        # follows the gate either way
-        form = weyl_form(strategy_d2.etas)
-        mass = off_sector_mass(form, 2) / form.diagonal().real.max()
-        floor = security._rounding_floor(4)
-        print(f"d=2 off-sector mass / largest diagonal entry {mass:.2e}, floor {floor:.2e}")
+        # the thinnest margin of the MUB tables, 1 - 1/d = 1/2, from the whole 16 x 16 form
         shapes = eigh_calls(monkeypatch)
         report = security.eigenvector_constraint_dim(strategy_d2.safe_vectors)
-        assert shapes == [(4, 4, 4) if mass <= floor else (1, 16, 16)]
+        assert shapes == [(16, 16)]
         assert (report.solution_dim, report.spectral_gap) == (1, pytest.approx(0.5, abs=1e-12))
+        null, gap = dense_decision(strategy_d2.etas)
+        assert (null, gap) == (1, pytest.approx(report.spectral_gap, abs=1e-12))
 
     @pytest.mark.parametrize("case", ["biased-2", "biased-3", "subset-2", "subset-3", "pair-3"])
     def test_other_sets_are_decided_whole(self, request, monkeypatch, biased_copy, case):
-        # a set that is not sector diagonal: one block, as dense as the parent's one eigh
+        # a set that is not sector diagonal goes through the same one eigh as the MUBs
         kind, d = case.split("-")
         d = int(d)
         if kind == "biased":
@@ -210,7 +189,7 @@ class TestWeylSectors:
             etas = etas[:2] if kind == "pair" else etas[:d * d + 3]
         shapes = eigh_calls(monkeypatch)
         dim_null, vectors, evals = security.constraint_nullspace(etas)
-        assert shapes == [(1, d**4, d**4)]
+        assert shapes == [(d**4, d**4)]
         null, gap = dense_decision(etas)
         assert dim_null == null
         assert evals[dim_null] / evals[-1] == pytest.approx(gap, abs=1e-12)
@@ -219,12 +198,12 @@ class TestWeylSectors:
             assert (report.solution_dim, report.constraint_rank) == (null, d**4 - null)
 
     def test_dimension_without_weyl_sectors(self, monkeypatch):
-        # vectors of dimension 6, not a square: no Weyl basis, the form itself is one block
+        # vectors of dimension 6, not a square: no Weyl basis, and the same one eigh
         rng = np.random.default_rng(6)
         etas = rng.normal(size=(20, 6)) + 1j * rng.normal(size=(20, 6))
         shapes = eigh_calls(monkeypatch)
         dim_null, vectors, evals = security.constraint_nullspace(etas)
-        assert shapes == [(1, 36, 36)]
+        assert shapes == [(36, 36)]
         null, gap = dense_decision(etas)
         assert dim_null == null == 1
         assert evals[1] / evals[-1] == pytest.approx(gap, abs=1e-12)
