@@ -24,7 +24,7 @@ before they start.
 import importlib.util
 import sys
 
-__version__ = "0.12.0"
+__version__ = "0.13.0"
 
 _MODULES = ("qmath", "serialize", "bases", "retrodiction", "attack", "protocol", "security")
 

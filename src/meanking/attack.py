@@ -23,12 +23,13 @@ and then Eve's final state cannot depend on (b, i): zero detection implies
 zero leakage. Detection probability and leakage are computed by exact
 enumeration, never by sampling.
 
-Every outcome goes through one projection, :func:`_project`: one
-contraction projects Bob's block eigenstates out of Eve's source, and one
-batched Kraus application gives their branch stacks w_l. :func:`_walk`
-takes his whole (b, i) grid through it in chunks of basis blocks, and
-:func:`_branch_vectors` one outcome, bit for bit as the walk does. Only
-this module reads a stack's (A_1..A_n, B_1..B_n, E) layout, to reduce it
+One walk, :func:`_walk`, takes Bob's whole (b, i) grid in chunks of basis
+blocks, and forms for each chunk only what its consumer contracts. Branch
+stacks w_l come from one projection, :func:`_project`: one contraction
+projects Bob's block eigenstates out of Eve's source, and one batched
+Kraus application gives their branch stacks. :func:`_branch_vectors`
+takes one outcome through it, bit for bit as the walk does. Only this
+module reads a stack's (A_1..A_n, B_1..B_n, E) layout, to reduce it
 to Alice's state, Eve's blocks w_l^T w_l^* (:func:`_eve_states`), the
 protocol sampler's Born rows (:func:`_born_rows`) or Alice's chance of
 announcing Bob's digits. That needs no Born weight per guessing tuple: the
@@ -40,8 +41,8 @@ product of the per-instance digit operators Q(b_s, i_s) of
 
 with each Q applied to its own (A_s, B_s) pair, for a whole chunk at once
 (:func:`_correct_mass`). One pass, :func:`_attack_pass`, reads detection,
-leakage and the per-outcome error table from the walk, and the sampler
-draws from the same walk.
+leakage and the per-outcome error table from the walk in one loop, and
+the sampler draws from the same walk.
 
 On a complete MUB set the correct mass needs no stack. Each Q(b, i) is
 then diagonal in its basis's product frame conj(phi_b(j)) x phi_b(j'),
@@ -67,33 +68,32 @@ distance from the table. So correct(b, i) moves by at most prob(b, i) ((1
 takes:
 
 - a strategy with generators and uniform weights whose table passes the
-  gate (``gen_mub(d)``, and any unitary turn of it) takes the frame route,
-  :func:`_frame_walk` and :func:`_frame_mass`. With a one-dimensional E,
-  Eve's block for branch l is ||w_l||^2 = prob(b, i) ||V_l phi_i||^2, so
-  no stack is formed at all; otherwise her states come from the walk's
-  branch stacks, bit for bit those of the stack route;
+  gate (``gen_mub(d)``, and any unitary turn of it) takes the frame route:
+  the walk forms Eve's channel on the block eigenstates for
+  :func:`_frame_mass`;
 - a biased set, LP weights and a strategy given as its table take the
-  stack route, :func:`_walk` and :func:`_correct_mass`;
-- :func:`leakage` depends on the attack alone and reads the states of
-  :func:`_frame_walk`, the frame route's bit for bit;
-- the protocol sampler reads the walk's branch stacks (:func:`_born_rows`)
-  for every strategy.
+  stack route: the walk forms the branch stacks for :func:`_correct_mass`;
+- :func:`leakage` depends on the attack alone and asks the walk for Eve's
+  states only;
+- the protocol sampler asks it for the branch stacks only, for
+  :func:`_born_rows`, whatever the strategy.
+
+Eve's states come from the walk, by one computation on every route. With
+a one-dimensional E her block for branch l is ||w_l||^2 = prob(b, i)
+||V_l phi_i||^2, read off her channel on the eigenstates, so no stack is
+formed for them; otherwise they are the branch stacks' (:func:`_eve_states`).
+So the pass's leakage is :func:`leakage`'s, bit for bit, on either route,
+and both read it clamped at 1 (:func:`_reported_leakage`).
 
 Eve's state depends on (b, i) only through what her interaction learns,
 so structured attacks repeat a few states over the whole grid: leakage
-keeps one copy of each byte-identical state. A general
-attack repeats none, and leakage does not run ``eigvalsh`` on every pair:
-per block, ||D||_F <= ||D||_1 <= sqrt(d_E) ||D||_F bounds a difference's
-trace norm by its Frobenius norm, and one Gram product per chunk of the
-pair triangle gives every pair's, ||X_i - X_j||_F^2 = ||X_i||_F^2 +
-||X_j||_F^2 - 2 Re <X_i, X_j>. Only the pairs whose upper bound, plus a
-rounding slack, reaches the largest lower bound or verified value met so
-far are verified with ``eigvalsh``, each in every orientation the whole
-stack forms, so the value is the full triangle's bit for bit
-(:func:`_verified_max`). A stack whose distinct states form no more pairs
-than it has states skips the bound and verifies every pair. A chunk of
-the walk, of the Gram rows or of the verified pairs holds a bounded
-number of entries, so memory stays flat over the grid.
+compares one copy of each byte-identical state. A general attack repeats
+none, and leakage runs ``eigvalsh`` only on the pairs that a bound from
+one Gram product per chunk of the pair triangle cannot rule out, so its
+value is still the full triangle's bit for bit (:func:`_max_trace_distance`,
+:func:`_verified_max`). A chunk of the walk, of the Gram rows or of the
+verified pairs holds a bounded number of entries, so memory stays flat
+over the grid.
 
 Subsystem order is always A x B x E, row-major. All indices 0-based.
 """
@@ -102,6 +102,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,11 +112,11 @@ from .retrodiction import Strategy, checked_block_dim, digit_operators, digit_ta
 from .serialize import (complex_to_pairs, exact_keys, integer, pairs_to_complex, read_json, reading,
                         write_json)
 
-# Chunk budgets, in entries: Kraus-branch stacks per chunk of the walk (on
-# the frame route also Eve's channel on the block eigenstates), and
-# per chunk of the leakage pair triangle the real Gram entries of its pairs
-# or the complex entries of the differences it verifies. A chunk always
-# takes at least one basis block, or one row of pairs, or one pair.
+# Chunk budgets, in entries: the branch stacks and Eve's channel on the block
+# eigenstates that a chunk of the walk forms, together, and per chunk of the
+# leakage pair triangle the real Gram entries of its pairs or the complex
+# entries of the differences it verifies. A chunk always takes at least one
+# basis block, or one row of pairs, or one pair.
 _WALK_ENTRIES = 1 << 12
 _PAIR_ENTRIES = 1 << 13
 
@@ -223,70 +224,63 @@ def _branch_vectors(am: AttackModel, bs: BasisSet, bvec, ivec):
     return branches[0], float(probs[0])
 
 
-def _walk(am: AttackModel, bs: BasisSet):
-    """The one walk over Bob's outcome grid, in chunks of basis blocks.
+class _Chunk(NamedTuple):
+    """A chunk of :func:`_walk`, outcomes in ``product`` order; None for a part not formed."""
 
-    Yields ``(bvecs, branches, probs)`` per chunk: its c basis vectors as a
-    (c, n) array in ``product`` order, the Kraus-branch stacks of all their
-    outcomes as (c, d**n, branch, A x B, E), and the outcome probabilities
-    as (c, d**n), outcomes in ``product`` order. One broadcast Kronecker
-    product per slot forms the block eigenstates of the whole chunk, and one
-    :func:`_project` takes them all. A chunk holds at most
-    ``_WALK_ENTRIES`` branch-stack entries, or one block.
+    bvecs: np.ndarray  # Bob's basis vectors, (c, n)
+    phis: np.ndarray  # the block eigenstates, (c, d**n, d**n), row I that of outcome I
+    probs: np.ndarray  # the outcome probabilities, (c, d**n)
+    branches: np.ndarray | None  # the Kraus-branch stacks w_l, (c, d**n, branch, A x B, E)
+    x: np.ndarray | None  # Eve's channel on the block eigenstates, x[c, b', l, e', e, I]
+    states: np.ndarray | None  # Eve's states of the outcomes kept (:func:`_normalized`)
+
+
+def _walk(am: AttackModel, bs: BasisSet, *, frame=False, stacks=False, states=False):
+    """The one walk over Bob's outcome grid, in chunks of basis blocks, as :class:`_Chunk`.
+
+    One broadcast Kronecker product per slot forms a chunk's block
+    eigenstates. Past them the walk forms only what its consumer contracts:
+    x[c, b', l, e', e, I] = (V_l (phi_I x e))[b', e'] for ``frame``, the
+    branch stacks of one :func:`_project` for ``stacks``, and for ``states``
+    Eve's states, from x at a one-dimensional E and from the stacks
+    otherwise (module docstring). A chunk holds at most ``_WALK_ENTRIES``
+    entries of x and stacks together, of those it forms, or one block.
     """
     _require_same_dim(am, bs)
-    dd = am.block_dim
-    for chunk, phis in _blocks(bs, am.n, _WALK_ENTRIES // (dd**3 * len(am.kraus) * am.d_eve)):
-        branches, probs = _project(am, phis.reshape(-1, dd))
-        yield chunk, branches.reshape((len(chunk), dd) + branches.shape[1:]), probs.reshape(-1, dd)
-
-
-def _blocks(bs: BasisSet, n: int, step: int):
-    """Bob's basis blocks in chunks of ``step``, or of one block: per chunk its c basis vectors as
-    a (c, n) array in ``product`` order and its block eigenstates as (c, d**n, d**n)."""
-    bvecs, step = digits(np.arange(bs.k**n), bs.k, n), max(1, step)
-    for start in range(0, len(bvecs), step):
-        chunk = bvecs[start:start + step]
-        phis = bs.vectors[chunk[:, 0]]
+    dd, de, nb, n = am.block_dim, am.d_eve, len(am.kraus), am.n
+    form_x, form_stacks = frame or (states and de == 1), stacks or (states and de > 1)
+    if form_x:
+        # V_l with its input's B index last and its output's B index first: rows (b', l, e', e)
+        v_in = am.kraus.reshape(nb, dd, de, dd, de).transpose(1, 0, 2, 4, 3).reshape(-1, dd)
+    entries = dd * dd * nb * de * (de * form_x + dd * form_stacks)
+    every, step = digits(np.arange(bs.k**n), bs.k, n), max(1, _WALK_ENTRIES // entries)
+    for start in range(0, len(every), step):
+        bvecs = every[start:start + step]
+        c, phis = len(bvecs), bs.vectors[bvecs[:, 0]]
         for s in range(1, n):
-            phis = qmath.kron(phis, bs.vectors[chunk[:, s]], batch=1)
-        yield chunk, phis
-
-
-def _frame_walk(am: AttackModel, bs: BasisSet):
-    """The walk of the frame route over Bob's outcome grid, in chunks of basis blocks.
-
-    Yields ``(bvecs, phis, probs, states, x)`` per chunk of :func:`_blocks`:
-    its basis vectors and block eigenstates, the outcome probabilities as
-    (c, d**n), bit for bit those of :func:`_walk`, Eve's states
-    (:func:`_eve_states`), and her channel on the block eigenstates as x[c,
-    b', l, e', e, I] = (V_l (phi_I x e))[b', e']. Her states come from the
-    walk's branch stacks when E has more than one dimension; with a
-    one-dimensional E her block for branch l is ||w_l||^2 = prob(b, i)
-    ||V_l phi_i||^2, so no stack is formed. A chunk holds at most
-    ``_WALK_ENTRIES`` entries of x and, when it forms them, of the branch
-    stacks, or one block.
-    """
-    _require_same_dim(am, bs)
-    dd, de, nb = am.block_dim, am.d_eve, len(am.kraus)
-    # V_l with its input's B index last and its output's B index first: rows (b', l, e', e)
-    v_in = am.kraus.reshape(nb, dd, de, dd, de).transpose(1, 0, 2, 4, 3).reshape(-1, dd)
-    entries = dd * dd * nb * de * (de + (dd if de > 1 else 0))
-    for bvecs, phis in _blocks(bs, am.n, _WALK_ENTRIES // entries):
-        x = (v_in @ np.swapaxes(phis, 1, 2)).reshape(len(phis), dd, nb, de, de, dd)
-        if de > 1:
+            phis = qmath.kron(phis, bs.vectors[bvecs[:, s]], batch=1)
+        x = branches = eve = None
+        if form_x:
+            x = (v_in @ np.swapaxes(phis, 1, 2)).reshape(c, dd, nb, de, de, dd)
+        if form_stacks:
             branches, probs = _project(am, phis.reshape(-1, dd))
-            states = _eve_states(branches)
+            branches = branches.reshape((c, dd) + branches.shape[1:])
         else:
-            probs = _amplitudes(am, phis.reshape(-1, dd))[1].reshape(-1, 1, dd)
-            blocks = probs * np.square(np.abs(x)).sum(axis=(1, 3, 4))  # (c, branch, I)
-            states = _normalized(np.swapaxes(blocks, 1, 2).reshape(-1, nb, 1, 1))
-        yield bvecs, phis, probs.reshape(-1, dd), states, x
+            probs = _amplitudes(am, phis.reshape(-1, dd))[1]
+        probs = probs.reshape(c, dd)
+        if states and de > 1:
+            eve = _eve_states(branches)
+        elif states:
+            blocks = probs[:, None] * np.square(np.abs(x)).sum(axis=(1, 3, 4))  # (c, branch, I)
+            # a copy whatever c is: the trace's einsum sums in an order set by the layout
+            blocks = np.ascontiguousarray(np.swapaxes(blocks, 1, 2))
+            eve = _normalized(blocks.reshape(-1, nb, 1, 1))
+        yield _Chunk(bvecs, phis, probs, branches, x, eve)
 
 
 def _frame_mass(am: AttackModel, weights: np.ndarray, phis: np.ndarray, x: np.ndarray) -> np.ndarray:
     """Alice's chance of announcing Bob's digits, correct(b, i) as (c, d**n), for a chunk of
-    :func:`_frame_walk`, from her factor and Eve's in each block's frame (module docstring).
+    :func:`_walk`, from her factor and Eve's in each block's frame (module docstring).
 
     ``weights`` is W as (I, J, J'), the n-fold Kronecker power of the digit
     table (:func:`~meanking.retrodiction.digit_table`).
@@ -557,6 +551,12 @@ def _verify_pairs(states: np.ndarray, firsts: np.ndarray, lasts: np.ndarray, a: 
     return worst
 
 
+def _reported_leakage(states: np.ndarray) -> float:
+    """:func:`_max_trace_distance` of Eve's states, clamped at 1, which a trace distance cannot
+    exceed but its rounded sum can (1.0000000000000002 for intercept-resend at d=3, n=2)."""
+    return min(1.0, _max_trace_distance(states))
+
+
 def leakage(am: AttackModel, bs: BasisSet) -> float:
     """Worst-case distinguishability of Eve's conditional final states.
 
@@ -565,24 +565,23 @@ def leakage(am: AttackModel, bs: BasisSet) -> float:
     nothing about the key. Only her distinct states are compared
     (:func:`_max_trace_distance`), in the order the walk first meets them.
     """
-    return _max_trace_distance(np.concatenate([states for *_, states, _ in _frame_walk(am, bs)]))
+    return _reported_leakage(np.concatenate([chunk.states for chunk in _walk(am, bs, states=True)]))
 
 
 def _attack_pass(strategy: Strategy, am: AttackModel):
-    """Detection probability, error table and Eve's states (:func:`_eve_states`), in one pass:
-    the frame route when the strategy has a digit table, else the stack route (module docstring)."""
+    """Detection probability, error table and Eve's states (:func:`_walk`), in one pass: the
+    frame route when the strategy has a digit table, else the stack route (module docstring)."""
     bs = strategy.basis_set
     q, frame_table = digit_operators(strategy), digit_table(strategy)
-    if frame_table is None:
-        chunks = ((bvecs, probs, _eve_states(branches),
-                   _correct_mass([q[bvecs[:, s]] for s in range(am.n)], branches))
-                  for bvecs, branches, probs in _walk(am, bs))
-    else:
-        weights = reduce(qmath.kron, [frame_table] * am.n)
-        chunks = ((bvecs, probs, eve, _frame_mass(am, weights, phis, x))
-                  for bvecs, phis, probs, eve, x in _frame_walk(am, bs))
+    frame = frame_table is not None
+    weights = reduce(qmath.kron, [frame_table] * am.n) if frame else None
+    parts = []
+    for chunk in _walk(am, bs, frame=frame, stacks=not frame, states=True):
+        correct = (_frame_mass(am, weights, chunk.phis, chunk.x) if frame else
+                   _correct_mass([q[chunk.bvecs[:, s]] for s in range(am.n)], chunk.branches))
+        parts.append((chunk.bvecs, chunk.probs, chunk.states, correct))
     # every chunk's probs and correct mass are (c, d**n), outcomes in product order
-    bvecs, probs, states, correct = (np.concatenate(part) for part in zip(*chunks))
+    bvecs, probs, states, correct = (np.concatenate(part) for part in zip(*parts))
     rows, cols = np.nonzero(probs > qmath.PROB_FLOOR)
     prob, right = probs[rows, cols], correct[rows, cols]
     # a running sum, left to right over the kept outcomes, as one float accumulator adds
@@ -617,7 +616,7 @@ class AttackReport:
 def evaluate_attack(strategy: Strategy, am: AttackModel) -> AttackReport:
     """Detection probability, leakage and the per-outcome error table, from one pass."""
     detection, table, states = _attack_pass(strategy, am)
-    return AttackReport(detection, _max_trace_distance(states), table)
+    return AttackReport(detection, _reported_leakage(states), table)
 
 
 # ---------------------------------------------------------------------------

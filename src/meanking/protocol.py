@@ -28,11 +28,12 @@ position b. No walk, Born row or table of d**k safe vectors is built, so
 an honest d=7 run works.
 
 Every other run, attacked, on weights that are not uniform, on generators
-not shown to be safe or on a table given by hand, walks the exact analysis
-(:func:`~meanking.attack._walk`): per walk chunk, Bob's outcomes from the
-outcome rows of the chunk's basis blocks, then Alice's results from Born
-rows (:func:`~meanking.attack._born_rows`, which reduces the walk's branch
-stacks) built only for the (block, outcome) pairs that were actually drawn.
+not shown to be safe or on a table given by hand, walks the exact
+analysis's one walk (:func:`~meanking.attack._walk`), asking it for the
+branch stacks only: per walk chunk, Bob's outcomes from the outcome rows
+of the chunk's basis blocks, then Alice's results from Born rows
+(:func:`~meanking.attack._born_rows`, which reduces the branch stacks)
+built only for the (block, outcome) pairs that were actually drawn.
 Each lookup searches its keys in sorted order. Where both routes apply,
 their tables are equal at d=2 and 3. At d=5, 1.4% of Alice's walked edges
 sit one unit of 2**-40 off the uniform ones, so the routes differ only for
@@ -359,8 +360,9 @@ def _sample(seed: int, strategy: Strategy, am, units: int) -> np.ndarray:
     (:func:`_honest_codes`), which holds for a strategy given by its
     generators with uniform weights. Otherwise, per unit, chunk streams give
     Bob's basis vector and two fixed-point uniforms, one for his outcomes and
-    one for Alice's POVM result. Each chunk of :func:`~meanking.attack._walk`
-    then costs two inverse-CDF lookups: Bob's outcomes are drawn from its
+    one for Alice's POVM result. Each chunk of :func:`~meanking.attack._walk`,
+    which forms its branch stacks and no state of Eve's, then costs two
+    inverse-CDF lookups: Bob's outcomes are drawn from its
     blocks' outcome rows, and Alice's results from the Born rows
     (:func:`~meanking.attack._born_rows`) of the (block, outcome) pairs
     drawn, which a presence count finds. Each lookup's table is built once
@@ -380,9 +382,9 @@ def _sample(seed: int, strategy: Strategy, am, units: int) -> np.ndarray:
 
     etas_conj = strategy.etas.conj()
     most = max(1, bases.MAX_ARRAY_ENTRIES // attack_mod._born_entries(am, k))  # blocks per run
-    runs = ((bvecs[s:s + most], branches[s:s + most], probs[s:s + most])
-            for bvecs, branches, probs in attack_mod._walk(am, bs)
-            for s in range(0, len(bvecs), most))
+    runs = ((chunk.bvecs[s:s + most], chunk.branches[s:s + most], chunk.probs[s:s + most])
+            for chunk in attack_mod._walk(am, bs, stacks=True)
+            for s in range(0, len(chunk.bvecs), most))
     iflat = np.empty_like(bflat)
     yflat = np.empty_like(bflat)
     last = 0

@@ -134,12 +134,9 @@ def constraint_matrix(etas: np.ndarray) -> np.ndarray:
     return form
 
 
-_EPS = float(np.finfo(float).eps)
-
-
 def _rounding_floor(dim: int) -> float:
     """D**2 * eps: the least null eigenvalue, over the largest, that ``eigh`` resolves."""
-    return dim * dim * _EPS
+    return dim * dim * 2 * qmath.UNIT_ROUNDOFF
 
 
 def _check_form_tol(dim: int, tol: float) -> None:
@@ -171,7 +168,9 @@ def eigenvector_constraint_dim(safe_vectors, tol: float = qmath.DEFAULT_TOL) -> 
 
     Requires the safe vectors to span the doubled space (they do for any
     maximal strategy); the expected result is solution dimension 1 with a
-    witness proportional to the identity. Raises :class:`OverBudget`, before
+    witness proportional to the identity. Where the dimension is larger, the
+    witness is the identity projected onto the nullspace, whatever basis of
+    it ``eigh`` returns. Raises :class:`OverBudget`, before
     any array is built, when the largest array on the way to the form,
     max(nvec, dim**2) * dim**2 entries, exceeds ``bases.MAX_ARRAY_ENTRIES``:
     the d=5 MUB strategy counts 15 625 * 625 = 9.8 million, though
@@ -190,8 +189,12 @@ def eigenvector_constraint_dim(safe_vectors, tol: float = qmath.DEFAULT_TOL) -> 
         raise ValueError("safe vectors do not span the space; commutant check undefined")
     dim_null, vectors, evals = constraint_nullspace(etas, tol)
     gap = float(evals[dim_null] / evals[-1]) if dim_null < evals.size else 0.0
+    witness = vectors[0]
+    if dim_null > 1:
+        null = vectors[:dim_null]
+        witness = (null.conj() @ np.eye(dim).reshape(-1)) @ null
     return CommutantReport(dim=int(round(np.sqrt(dim))), n=1, constraint_rank=evals.size - dim_null,
-                           solution_dim=dim_null, witness=vectors[0].reshape(dim, dim), tol=tol,
+                           solution_dim=dim_null, witness=witness.reshape(dim, dim), tol=tol,
                            spectral_gap=gap)
 
 
@@ -243,7 +246,7 @@ def _closed_spectrum(strategy: Strategy) -> tuple[list, float] | None:
     fit = float(np.abs(gram - means[scheme.classes]).max())
     diagonal, beta, gamma = means.tolist()
     # Gamma's own rounding, against its largest entry, a diagonal one
-    delta = fit + (dim + 1) * _EPS * (diagonal + fit)
+    delta = fit + (dim + 1) * 2 * qmath.UNIT_ROUNDOFF * (diagonal + fit)
     alpha, c0 = diagonal - beta, k * beta + k * (k - 1) * gamma
     n0, t = alpha * k + c0, k * k * delta
     lam = (scheme.krawtchouk @ np.square(alpha * scheme.agreements + c0) / n0).tolist()

@@ -206,8 +206,9 @@ class TestProjectedState:
         bs = mub2 if d == 2 else mub3
         am = atk.identity_attack(d, n) if kind == "identity" else _grid_attack(kind, bs, n)
         ivecs = list(itertools.product(range(d), repeat=n))
-        for bvecs, branches, probs in atk._walk(am, bs):
-            for bvec, block_branches, block_probs in zip(bvecs.tolist(), branches, probs):
+        for chunk in atk._walk(am, bs, stacks=True):
+            for bvec, block_branches, block_probs in zip(chunk.bvecs.tolist(), chunk.branches,
+                                                         chunk.probs):
                 for ivec, walked, prob in zip(ivecs, block_branches, block_probs.tolist()):
                     single, single_prob = atk._branch_vectors(am, bs, bvec, ivec)
                     assert single.tobytes() == walked.tobytes() and single_prob == prob
@@ -426,12 +427,13 @@ def _outcome_loop(strategy, am):
     bs, n, frame_table = strategy.basis_set, am.n, rd.digit_table(strategy)
     if frame_table is None:
         q = rd.digit_operators(strategy)
-        chunks = ((bvecs, probs, atk._correct_mass([q[bvecs[:, s]] for s in range(n)], branches))
-                  for bvecs, branches, probs in atk._walk(am, bs))
+        chunks = ((c.bvecs, c.probs, atk._correct_mass([q[c.bvecs[:, s]] for s in range(n)],
+                                                       c.branches))
+                  for c in atk._walk(am, bs, stacks=True, states=True))
     else:
         weights = functools.reduce(qmath.kron, [frame_table] * n)
-        chunks = ((bvecs, probs, atk._frame_mass(am, weights, phis, x))
-                  for bvecs, phis, probs, _, x in atk._frame_walk(am, bs))
+        chunks = ((c.bvecs, c.probs, atk._frame_mass(am, weights, c.phis, c.x))
+                  for c in atk._walk(am, bs, frame=True, states=True))
     ivecs = list(itertools.product(range(bs.dim), repeat=n))
     total, table = 0.0, []
     for bvecs, probs, correct in chunks:
@@ -479,9 +481,9 @@ class TestFrameRoute:
         am = _grid_attack(kind, bs, n)
         q = rd.digit_operators(strategy)
         weights = functools.reduce(qmath.kron, [rd.digit_table(strategy)] * n)
-        frame = [atk._frame_mass(am, weights, phis, x) for _, phis, _, _, x in atk._frame_walk(am, bs)]
-        stack = [atk._correct_mass([q[bvecs[:, s]] for s in range(n)], branches)
-                 for bvecs, branches, _ in atk._walk(am, bs)]
+        frame = [atk._frame_mass(am, weights, c.phis, c.x) for c in atk._walk(am, bs, frame=True)]
+        stack = [atk._correct_mass([q[c.bvecs[:, s]] for s in range(n)], c.branches)
+                 for c in atk._walk(am, bs, stacks=True)]
         assert np.max(np.abs(np.concatenate(frame) - np.concatenate(stack))) <= 1e-14
 
     @pytest.mark.parametrize("d,n", [(2, 3), (3, 2), (5, 2)])
@@ -512,7 +514,8 @@ class TestFrameRoute:
         strategy = request.getfixturevalue(f"strategy_d{d}")
         bs = strategy.basis_set
         am = _grid_attack(kind, bs, n)
-        stack = np.concatenate([atk._eve_states(branches) for _, branches, _ in atk._walk(am, bs)])
+        stack = np.concatenate([atk._eve_states(c.branches)
+                                for c in atk._walk(am, bs, stacks=True)])
         monkeypatch.setattr(atk, "_correct_mass", None)  # the frame route only
         assert atk._attack_pass(strategy, am)[2].tobytes() == stack.tobytes()
 
@@ -530,11 +533,38 @@ class TestFrameRoute:
                     "v1": lambda: rd.load_strategy(v1_files[2]),
                     "unit": lambda: unit_strategy}[source]()
         assert rd.digit_table(strategy) is None
-        monkeypatch.setattr(atk, "_frame_walk", None)
+        monkeypatch.setattr(atk, "_frame_mass", None)
         for kind in GRID_KINDS:
             am = _grid_attack(kind, strategy.basis_set, 1)
             detection, _, _ = attack_pass_per_outcome(strategy, am)
             assert abs(atk.evaluate_attack(strategy, am).detection_probability - detection) <= 1e-12
+
+
+class TestOneWalk:
+    """Eve's states come from the one walk on every route: the pass's leakage is
+    :func:`~meanking.attack.leakage`'s bit for bit, on the stack route at d_E = 1 too."""
+
+    ATTACKS = [("intercept-resend", 1), ("intercept-resend", 2), ("source-replace", 1),
+               ("source-replace", 2), ("probe", 1), ("probe", 2), ("random-E1", 1),
+               ("random-E1", 2), ("random", 1), ("random", 2)]
+
+    @pytest.mark.parametrize("kind,n", ATTACKS, ids=[f"{kind}-{n}" for kind, n in ATTACKS])
+    @pytest.mark.parametrize("source", ["biased-d2", "biased-d3", "v1-d2", "v1-d3", "unit"])
+    def test_pass_leakage_is_leakage(self, source, kind, n, mub2, mub3, biased_copy, v1_files,
+                                     unit_strategy):
+        # at d=3, n=2 the stack route walks one block per chunk, where Eve's scalar blocks
+        # would be a strided view without a copy
+        strategy = {"biased-d2": lambda: rd.build_strategy(biased_copy(mub2, 0.2)),
+                    "biased-d3": lambda: rd.build_strategy(biased_copy(mub3, 0.3)),
+                    "v1-d2": lambda: rd.load_strategy(v1_files[2]),
+                    "v1-d3": lambda: rd.load_strategy(v1_files[3]),
+                    "unit": lambda: unit_strategy}[source]()
+        bs = strategy.basis_set
+        am = (atk.random_attack(bs.dim, n, 1, 3, np.random.default_rng(7 + n))
+              if kind == "random-E1" else _grid_attack(kind, bs, n))
+        leak = atk.evaluate_attack(strategy, am).leakage
+        assert leak == atk.leakage(am, bs)
+        assert 0.0 <= leak <= 1.0
 
 
 class TestChunkBudgets:
@@ -564,16 +594,16 @@ class TestChunkBudgets:
         exact, codes = self._results(strategy, am, units)
         monkeypatch.setattr(atk, "_WALK_ENTRIES", 1)
         monkeypatch.setattr(atk, "_PAIR_ENTRIES", 1)
-        assert len(list(atk._walk(am, strategy.basis_set))) == strategy.basis_set.k**n
+        assert len(list(atk._walk(am, strategy.basis_set, states=True))) == strategy.basis_set.k**n
         small_exact, small_codes = self._results(strategy, am, units)
         assert small_exact == exact
         np.testing.assert_array_equal(small_codes, codes)
 
     def test_default_budget_batches_blocks(self, strategy_d2):
         am = atk.intercept_resend(strategy_d2.basis_set, 1, n=2)
-        chunks = list(atk._walk(am, strategy_d2.basis_set))
-        assert len(chunks) == 1 and chunks[0][0].tolist() == [[b, c] for b in range(3)
-                                                               for c in range(3)]
+        chunks = list(atk._walk(am, strategy_d2.basis_set, stacks=True))
+        assert len(chunks) == 1 and chunks[0].bvecs.tolist() == [[b, c] for b in range(3)
+                                                                 for c in range(3)]
 
     @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1)])
     def test_scalar_blocks_match_eigvalsh(self, d, n, strategy_d2, strategy_d3, monkeypatch):
@@ -629,10 +659,11 @@ class TestDistinctStates:
         strategy = strategy_d2 if d == 2 else strategy_d3
         am = _grid_attack(kind, strategy.basis_set, n, seed)
         states = atk._attack_pass(strategy, am)[2]
-        want = max_trace_distance_all_pairs(states).hex()
-        assert atk._max_trace_distance(states).hex() == want
-        assert atk.leakage(am, strategy.basis_set).hex() == want
-        assert atk.evaluate_attack(strategy, am).leakage.hex() == want
+        want = max_trace_distance_all_pairs(states)
+        assert atk._max_trace_distance(states).hex() == want.hex()
+        # a trace distance is at most 1; the reports clamp a sum that rounds above it
+        assert atk.leakage(am, strategy.basis_set).hex() == min(1.0, want).hex()
+        assert atk.evaluate_attack(strategy, am).leakage.hex() == min(1.0, want).hex()
 
     @pytest.mark.parametrize("kind, distinct", [("probe", 9), ("random", 36)])
     def test_repeats_cost_no_eigvalsh(self, kind, distinct, strategy_d2, monkeypatch):
@@ -743,7 +774,7 @@ class TestDimensionMismatch:
 
 def _eve_final_states(am, bs):
     """Eve's normalized states over the walk's outcomes, as (outcome, branch, E, E) blocks."""
-    return np.concatenate([atk._eve_states(branches) for _, branches, _ in atk._walk(am, bs)])
+    return np.concatenate([chunk.states for chunk in atk._walk(am, bs, states=True)])
 
 
 def _trace_distances(states, rho):

@@ -875,7 +875,8 @@ class TestEntryPoint:
             attack: ["entangled_basis_vector", "eve_final_state", "guess_probability",
                      "bob_projected_state", "apply_feedback", "trace_distance", "scalar_deviation",
                      "source_from_coefficients", "decompose_source", "weyl_operators",
-                     "phi_hat_product", "_projected_raw", "_eve_blocks"],
+                     "phi_hat_product", "_projected_raw", "_eve_blocks", "_frame_walk",
+                     "_blocks"],
             retrodiction: ["decomposition_triple", "phi_hat"],
             retrodiction.Strategy: ["safe_vector", "weight"],
             retrodiction.ProductStrategy: ["safe_vector"],

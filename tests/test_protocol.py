@@ -382,7 +382,7 @@ class TestSampler:
             "intercept-d2n2": (strategy_d2, atk.intercept_resend(mub2, 0, n=2), 3000),
         }[case]
         codes = proto._sample(71, strategy, am, units)
-        assert len(list(atk._walk(am, strategy.basis_set))) == 1
+        assert len(list(atk._walk(am, strategy.basis_set, stacks=True))) == 1
         rows = []
         born_rows = atk._born_rows
 
@@ -437,8 +437,8 @@ class TestSamplerAgainstPerTupleOracle:
         codes = proto._sample(17 + n, strategy, am, units)
         np.testing.assert_array_equal(codes, sample_per_tuple(17 + n, strategy, am, units, tables))
         # at d=3, n=2 every outcome costs a full 6561-row table: check two blocks
-        blocks = ((tuple(bvec), *block) for bvecs, *chunk in atk._walk(am, bs)
-                  for bvec, *block in zip(bvecs.tolist(), *chunk))
+        blocks = ((tuple(bvec), branches, probs) for c in atk._walk(am, bs, stacks=True)
+                  for bvec, branches, probs in zip(c.bvecs.tolist(), c.branches, c.probs))
         for bvec, branches, probs in itertools.islice(blocks, 2 if d**n > 8 else None):
             np.testing.assert_allclose(probs, outcome_dist(am, bs, bvec), atol=1e-12)
             rows = atk._born_rows(branches, strategy.etas.conj(), strategy.weights, n)
@@ -452,10 +452,10 @@ def walked_tables(strategy):
     and Alice's POVM rows (k*d, d**k), row b*d + i, as ``_sample`` builds them."""
     bs = strategy.basis_set
     tables = [], []
-    for _, branches, probs in atk._walk(atk.identity_attack(bs.dim, 1), bs):
-        born = atk._born_rows(branches.reshape((-1,) + branches.shape[2:]),
+    for chunk in atk._walk(atk.identity_attack(bs.dim, 1), bs, stacks=True):
+        born = atk._born_rows(chunk.branches.reshape((-1,) + chunk.branches.shape[2:]),
                               strategy.etas.conj(), strategy.weights, 1)
-        for rows, dists in zip(tables, (probs, born / probs.reshape(-1, 1))):
+        for rows, dists in zip(tables, (chunk.probs, born / chunk.probs.reshape(-1, 1))):
             cum = proto._cdf(proto._normalized(dists, "honest row"))
             rows.append(cum - np.arange(len(cum))[:, None] * proto._RES)
     return tuple(map(np.concatenate, tables))
@@ -780,7 +780,7 @@ class TestFixedWidthRoute:
         assert same_load(back, general_load(fast, monkeypatch))
 
 
-# SHA-256 digests of what 0.12.0 writes: transcripts of the protocol-sim
+# SHA-256 digests of what 0.13.0 writes: transcripts of the protocol-sim
 # benchmark's four shapes at reduced rounds, and the README pipeline's
 # outputs (the `run` steps at reduced rounds). The sampler draws from numpy Generator streams,
 # which numpy does not promise to keep across versions, so the CI workflow
@@ -792,19 +792,19 @@ GOLDEN_TRANSCRIPTS = {
     "probe-d3n1": "a84f3ffe69f1dfc8ad8c195b58c7a19e9eab736be9127e4f3cbc32fe623cd265",
 }
 GOLDEN_README_RUN = {
-    "bases gen stdout": "a01f20234ebea905c625f256dca4385d2c9ef690617e703a5275adbc6e7400d6",
+    "bases gen stdout": "0b41db8fcfa74cd4bf9abc5d292ef3aec0b622a826f37f0be31c244afde28b3d",
     "bases3.json": "b8814958647460da10423529abcc86fa6a3447a601d12f584871f4f9e765f730",
-    "bases check stdout": "ddc20638911dc5a110d3f8908cb7c2220bb3c21743051e28b875b58876389d6b",
-    "strategy build stdout": "3173c5505c8bde0e80bb42d8a9bc3b2143fcd29c43e0a10a9e7cc5d302455604",
+    "bases check stdout": "2c0e3aaa8ef8dfbbaa4c0028d4b48c8b2391401be8213939498b79b4f944a194",
+    "strategy build stdout": "724abbe42265fd1340ce76adde2439a35b201f8c7460b1eeec09591ead246438",
     "strategy3.json": "8ed9e1d352b58f70f6de45d96f6ee33630dcac01ce95978a335205c6f738894c",
-    "run stdout": "724ea9d5e833e82aa74f665589dda1a9bc34ba90701979f1c3fd8a9750e92e2e",
+    "run stdout": "8f1f6d05f90bce7bc4e0211b41e353fe28d509e6eeb3586cabd8e285b6a8daf4",
     "transcript.jsonl": "e85ee09b7557d05c52889d994b65d1f2ccf1ba3cc17b568b4e85bd92e435222b",
     "summary.json": "acb81d80872736ba27245b29413f4493e01dc02e98be2c1944c90b73fca12193",
-    "attacked run stdout": "22e5a8aaef4bd174240fd1e5c0274b6c165171530247177ac41f156175b99059",
+    "attacked run stdout": "133f42c95556469c86cd5ec9e0142f2f54039a0038d939014f9dfc921cab44c9",
     "t.jsonl": "3bebdcf557d46ef91e581b464bf7a44b2fc76889b8a1ff5c9c2841a17322f33a",
-    "security lemma stdout": "3efcf4af9c73006f401ed7f5966a543257fd29b5fd86da63313a86ade2811e1b",
+    "security lemma stdout": "db2e5433ec809d53d8eb81028128c764749d5979118ebddbb0a2986aa6a36392",
     "security attack-eval stdout":
-        "1b3cfe88e03557090ef14086e6eb57edd44716dab0e46e32c234e1931fe652e0",
+        "3ea84575c91eabe1c23de5ab07fb30035df3ef66ca0dfb66ebee0ac5b28fd3c5",
 }
 
 

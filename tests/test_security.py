@@ -547,6 +547,28 @@ class TestProductCommutant:
             security.product_commutant_check(strategy_d2, n)) for n in (1, 3))
         assert three == pytest.approx(np.sqrt(3) * one, rel=1e-6)
 
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_failed_lemma_witness_is_the_identity_in_the_nullspace(self, unit_strategy, n,
+                                                                     monkeypatch):
+        # every diagonal operator solves it, so no one null vector is the witness: it is the
+        # identity projected onto the nullspace, whichever basis of it eigh returns
+        report = security.product_commutant_check(unit_strategy, n)
+        assert report.solution_dim == 4**n
+        np.testing.assert_allclose(report.witness, np.eye(4), rtol=0, atol=1e-12)
+        assert security.witness_identity_deviation(report) < 1e-12
+        nullspace = security.constraint_nullspace
+        mix = np.linalg.qr(np.random.default_rng(5).standard_normal((4, 4)))[0]
+
+        def mixed(*args):
+            dim_null, vectors, evals = nullspace(*args)
+            vectors = vectors.copy()
+            vectors[:4] = mix @ vectors[:4]
+            return dim_null, vectors, evals
+
+        monkeypatch.setattr(security, "constraint_nullspace", mixed)
+        np.testing.assert_allclose(security.product_commutant_check(unit_strategy, n).witness,
+                                   report.witness, rtol=0, atol=1e-12)
+
     def test_resource_guard(self, strategy_d2, monkeypatch):
         # the closed form builds no form; the enumerated route answers every n from the
         # single-block form, max(8, 16) x 16 = 256 entries at d=2; from n = 2 on the
