@@ -93,7 +93,9 @@ one Gram product per chunk of the pair triangle cannot rule out, so its
 value is still the full triangle's bit for bit (:func:`_max_trace_distance`,
 :func:`_verified_max`). A chunk of the walk, of the Gram rows or of the
 verified pairs holds a bounded number of entries, so memory stays flat
-over the grid.
+over the grid. The walk's bound is the least that a measured sweep found
+no slower than larger ones, so medium grids (d=2, n=3 and d=3, n=2) go in
+one or a few chunks and pay the fixed cost of a chunk once or a few times.
 
 Subsystem order is always A x B x E, row-major. All indices 0-based.
 """
@@ -116,8 +118,10 @@ from .serialize import (complex_to_pairs, exact_keys, integer, pairs_to_complex,
 # eigenstates that a chunk of the walk forms, together, and per chunk of the
 # leakage pair triangle the real Gram entries of its pairs or the complex
 # entries of the differences it verifies. A chunk always takes at least one
-# basis block, or one row of pairs, or one pair.
-_WALK_ENTRIES = 1 << 12
+# basis block, or one row of pairs, or one pair. The walk's value is the least of a
+# measured sweep (2^12 to 2^16) past which a pass of the benchmark's attack steps grew no
+# faster: it takes the d=2, n=3 and d=3, n=2 intercept-resend grids in one chunk.
+_WALK_ENTRIES = 1 << 14
 _PAIR_ENTRIES = 1 << 13
 
 
@@ -184,7 +188,12 @@ def phi_product(bs: BasisSet, bvec, ivec, n: int) -> np.ndarray:
     """Bob's returned eigenstate for a block of basis choices and outcomes."""
     bvec = _as_tuple(bvec, n, bs.k, "bases")
     ivec = _as_tuple(ivec, n, bs.dim, "outcomes")
-    return qmath.tensor(*bs.vectors[bvec, ivec])
+    # qmath.tensor's products in its order, bit for bit, without its per-factor conversions;
+    # a copy for n = 1, not a view of the basis set
+    phi = bs.vectors[bvec[0], ivec[0]].copy()
+    for b, i in zip(bvec[1:], ivec[1:]):
+        phi = (phi[:, None] * bs.vectors[b, i]).reshape(-1)
+    return phi
 
 
 def _require_same_dim(am: AttackModel, bs: BasisSet) -> None:
@@ -208,10 +217,14 @@ def _amplitudes(am: AttackModel, phis: np.ndarray):
 
 def _project(am: AttackModel, phis: np.ndarray):
     """Bob's block eigenstates (m, d**n) projected out of Eve's source, then through her channel:
-    their Kraus-branch stacks w_l as (m, branch, A x B, E) and outcome probabilities as (m,)."""
+    their Kraus-branch stacks w_l as (m, branch, A x B, E) and outcome probabilities as (m,).
+
+    The outer product amp x phi is a matmul over a length-one axis: each entry is one complex
+    product, rounded as ``einsum`` rounds it, where numpy's complex multiply may fuse it.
+    """
     dd, de = am.block_dim, am.d_eve
     amp, probs = _amplitudes(am, phis)
-    out = np.einsum("iae,ib->iabe", amp, phis).reshape(-1, 1, dd, dd * de)
+    out = (phis[:, None, :, None] @ amp[:, :, None, :]).reshape(-1, 1, dd, dd * de)
     branches = (out @ am.kraus.transpose(0, 2, 1)).reshape(len(out), len(am.kraus), dd * dd, de)
     return branches, probs
 
@@ -354,7 +367,7 @@ def alice_state_unnormalized(am: AttackModel, bs: BasisSet, bvec, ivec):
     """Alice's conditional state on A x B before normalization, sum_l w_l w_l^dagger over the
     Kraus-branch stack, and its trace, the outcome probability: ``(rho, prob)``."""
     branches, prob = _branch_vectors(am, bs, bvec, ivec)
-    return sum(w @ w.conj().T for w in branches), prob
+    return (branches @ np.swapaxes(branches, 1, 2).conj()).sum(axis=0), prob
 
 
 def alice_state(am: AttackModel, bs: BasisSet, bvec, ivec) -> np.ndarray:
@@ -383,8 +396,9 @@ def reconstruct_alice_state(am: AttackModel, bs: BasisSet, bvec, ivec,
     if ops is None:
         ops = build_E_operators(am)
     phi = phi_product(bs, bvec, ivec, am.n)
-    w = ops @ (qmath.tensor(phi.conj(), phi) / np.sqrt(am.block_dim))
-    return np.einsum("lki,lkj->ij", w, w.conj())
+    phi_hat = (phi.conj()[:, None] * phi).reshape(-1) / np.sqrt(am.block_dim)
+    w = (ops @ phi_hat).reshape(-1, len(phi_hat))  # every E_(l,k) phi_hat, one row each
+    return w.T @ w.conj()
 
 
 def _eve_states(branches: np.ndarray) -> np.ndarray:
@@ -568,20 +582,22 @@ def leakage(am: AttackModel, bs: BasisSet) -> float:
     return _reported_leakage(np.concatenate([chunk.states for chunk in _walk(am, bs, states=True)]))
 
 
-def _attack_pass(strategy: Strategy, am: AttackModel):
-    """Detection probability, error table and Eve's states (:func:`_walk`), in one pass: the
-    frame route when the strategy has a digit table, else the stack route (module docstring)."""
+def _attack_pass(strategy: Strategy, am: AttackModel, *, states=True):
+    """Detection probability, error table and Eve's states (:func:`_walk`), None for them
+    without ``states``, in one pass: the frame route when the strategy has a digit table,
+    else the stack route (module docstring)."""
     bs = strategy.basis_set
     q, frame_table = digit_operators(strategy), digit_table(strategy)
     frame = frame_table is not None
     weights = reduce(qmath.kron, [frame_table] * am.n) if frame else None
-    parts = []
-    for chunk in _walk(am, bs, frame=frame, stacks=not frame, states=True):
+    parts, eve = [], []
+    for chunk in _walk(am, bs, frame=frame, stacks=not frame, states=states):
         correct = (_frame_mass(am, weights, chunk.phis, chunk.x) if frame else
                    _correct_mass([q[chunk.bvecs[:, s]] for s in range(am.n)], chunk.branches))
-        parts.append((chunk.bvecs, chunk.probs, chunk.states, correct))
+        parts.append((chunk.bvecs, chunk.probs, correct))
+        eve.append(chunk.states)
     # every chunk's probs and correct mass are (c, d**n), outcomes in product order
-    bvecs, probs, states, correct = (np.concatenate(part) for part in zip(*parts))
+    bvecs, probs, correct = (np.concatenate(part) for part in zip(*parts))
     rows, cols = np.nonzero(probs > qmath.PROB_FLOOR)
     prob, right = probs[rows, cols], correct[rows, cols]
     # a running sum, left to right over the kept outcomes, as one float accumulator adds
@@ -590,16 +606,16 @@ def _attack_pass(strategy: Strategy, am: AttackModel):
     labels = zip((bvecs[rows] + 1).tolist(), (digits(cols, bs.dim, am.n) + 1).tolist())
     table = [{"b": b, "i": i, "prob": p, "guess_error": e} for (b, i), p, e in
              zip(labels, prob.tolist(), np.maximum(0.0, 1.0 - right / prob).tolist())]
-    return total / bs.k**am.n, table, states
+    return total / bs.k**am.n, table, np.concatenate(eve) if states else None
 
 
 def detection_probability(strategy: Strategy, am: AttackModel) -> float:
     """Average probability that Alice's inferred digits disagree with Bob's.
 
     Exact enumeration over uniform basis blocks and Born-rule outcomes; no
-    sampling is involved.
+    sampling is involved. The pass forms none of Eve's states for it.
     """
-    return _attack_pass(strategy, am)[0]
+    return _attack_pass(strategy, am, states=False)[0]
 
 
 @dataclass

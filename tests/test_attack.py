@@ -213,6 +213,38 @@ class TestProjectedState:
                     single, single_prob = atk._branch_vectors(am, bs, bvec, ivec)
                     assert single.tobytes() == walked.tobytes() and single_prob == prob
 
+    @pytest.mark.parametrize("bvec,ivec,message", [
+        ((3,), (0,), "bases (3,) invalid for n=1, range 0..2"),
+        ((-1,), (0,), "bases (-1,) invalid for n=1, range 0..2"),
+        ((0,), (2,), "outcomes (2,) invalid for n=1, range 0..1"),
+        ((0, 1), (0,), "bases (0, 1) invalid for n=1, range 0..2"),
+        ((0,), (0, 1), "outcomes (0, 1) invalid for n=1, range 0..1"),
+    ])
+    def test_phi_product_refuses_bad_indices(self, bvec, ivec, message, mub2):
+        with pytest.raises(IndexError) as info:
+            atk.phi_product(mub2, bvec, ivec, 1)
+        assert str(info.value) == message
+
+    def test_phi_product_int_shorthand(self, mub2):
+        phi = atk.phi_product(mub2, 1, 0, 1)
+        assert phi.tobytes() == atk.phi_product(mub2, (1,), (0,), 1).tobytes()
+        assert phi.tobytes() == qmath.tensor(mub2.vectors[1, 0]).tobytes()
+        phi[:] = 0  # a copy: the basis set keeps its vector
+        assert np.any(mub2.vectors[1, 0])
+
+    @pytest.mark.parametrize("kind", ["identity", "intercept-resend", "probe", "random"])
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1), (3, 2)])
+    def test_alice_state_is_the_branch_sum(self, d, n, kind, mub2, mub3):
+        # one batched product summed over the branch axis: the loop's sum, value for value
+        bs = mub2 if d == 2 else mub3
+        am = atk.identity_attack(d, n) if kind == "identity" else _grid_attack(kind, bs, n)
+        for bvec in itertools.product(range(bs.k), repeat=n):
+            for ivec in itertools.product(range(d), repeat=n):
+                rho, prob = atk.alice_state_unnormalized(am, bs, bvec, ivec)
+                branches, want_prob = atk._branch_vectors(am, bs, bvec, ivec)
+                assert np.array_equal(rho, sum(w @ w.conj().T for w in branches))
+                assert prob == want_prob
+
     def test_zero_probability_raises(self, mub2):
         # source with Bob's factor pinned to |0>, measured against |1>
         psi = np.kron(np.kron([1.0, 0.0], [1.0, 0.0]), [1.0])
@@ -453,7 +485,8 @@ class TestOutcomeTable:
     as a loop over them does, in one chunk or in one per basis block."""
 
     @pytest.mark.parametrize("kind", GRID_KINDS)
-    @pytest.mark.parametrize("case", ["mub-2-1", "mub-2-3", "mub-3-2", "biased-3-1", "v1-2-2"])
+    @pytest.mark.parametrize("case", ["mub-2-1", "mub-2-3", "mub-3-2", "biased-3-1", "biased-3-2",
+                                      "v1-2-2"])
     def test_matches_the_loop(self, case, kind, request, biased_copy, v1_files, monkeypatch):
         source, d, n = case.split("-")
         d, n = int(d), int(n)
@@ -465,6 +498,10 @@ class TestOutcomeTable:
         # repr tells every double apart, -0.0 from 0.0 included
         want = repr(_outcome_loop(strategy, am))
         assert repr(atk._attack_pass(strategy, am)[:2]) == want
+        leak = repr(atk.leakage(am, strategy.basis_set))
+        monkeypatch.setattr(atk, "_WALK_ENTRIES", 1 << 20)  # the whole grid in one chunk
+        assert repr(atk._attack_pass(strategy, am)[:2]) == want
+        assert repr(atk.leakage(am, strategy.basis_set)) == leak
         monkeypatch.setattr(atk, "_WALK_ENTRIES", 1)  # one chunk per basis block
         assert repr(atk._attack_pass(strategy, am)[:2]) == want
 
@@ -551,9 +588,9 @@ class TestOneWalk:
     @pytest.mark.parametrize("kind,n", ATTACKS, ids=[f"{kind}-{n}" for kind, n in ATTACKS])
     @pytest.mark.parametrize("source", ["biased-d2", "biased-d3", "v1-d2", "v1-d3", "unit"])
     def test_pass_leakage_is_leakage(self, source, kind, n, mub2, mub3, biased_copy, v1_files,
-                                     unit_strategy):
-        # at d=3, n=2 the stack route walks one block per chunk, where Eve's scalar blocks
-        # would be a strided view without a copy
+                                     unit_strategy, monkeypatch):
+        # one block per chunk, where Eve's scalar blocks would be a strided view without a copy
+        monkeypatch.setattr(atk, "_WALK_ENTRIES", 1)
         strategy = {"biased-d2": lambda: rd.build_strategy(biased_copy(mub2, 0.2)),
                     "biased-d3": lambda: rd.build_strategy(biased_copy(mub3, 0.3)),
                     "v1-d2": lambda: rd.load_strategy(v1_files[2]),
@@ -565,6 +602,28 @@ class TestOneWalk:
         leak = atk.evaluate_attack(strategy, am).leakage
         assert leak == atk.leakage(am, bs)
         assert 0.0 <= leak <= 1.0
+
+
+    # the stack route on biased sets of d = 2 and 3
+    ROUTES = ([("frame", d, n) for d, n in GRID_SHAPES]
+              + [("stack", d, n) for d, n in GRID_SHAPES if d < 5])
+
+    @pytest.mark.parametrize("kind", GRID_KINDS)
+    @pytest.mark.parametrize("route,d,n", ROUTES)
+    def test_detection_forms_no_state(self, route, d, n, kind, request, biased_copy,
+                                      monkeypatch):
+        strategy = (request.getfixturevalue(f"strategy_d{d}") if route == "frame" else
+                    rd.build_strategy(biased_copy(request.getfixturevalue(f"mub{d}"), 0.3)))
+        assert (rd.digit_table(strategy) is None) == (route == "stack")
+        am = _grid_attack(kind, strategy.basis_set, n)
+        want = atk.evaluate_attack(strategy, am).detection_probability
+
+        def refuse(*_args):
+            raise AssertionError("formed Eve's states")
+
+        for name in ("_eve_states", "_normalized"):
+            monkeypatch.setattr(atk, name, refuse)
+        assert atk.detection_probability(strategy, am).hex() == want.hex()
 
 
 class TestChunkBudgets:
@@ -599,11 +658,16 @@ class TestChunkBudgets:
         assert small_exact == exact
         np.testing.assert_array_equal(small_codes, codes)
 
-    def test_default_budget_batches_blocks(self, strategy_d2):
+    def test_default_budget_batches_blocks(self, strategy_d2, mub2, mub3):
         am = atk.intercept_resend(strategy_d2.basis_set, 1, n=2)
         chunks = list(atk._walk(am, strategy_d2.basis_set, stacks=True))
         assert len(chunks) == 1 and chunks[0].bvecs.tolist() == [[b, c] for b in range(3)
                                                                  for c in range(3)]
+        # the medium grids: one frame-route chunk each; the d=3, n=2 stacks take 8
+        for bs, n in [(mub2, 3), (mub3, 2)]:
+            am = atk.intercept_resend(bs, 1, n=n)
+            assert len(list(atk._walk(am, bs, frame=True, states=True))) == 1
+        assert len(list(atk._walk(atk.intercept_resend(mub3, 1, n=2), mub3, stacks=True))) == 8
 
     @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1)])
     def test_scalar_blocks_match_eigvalsh(self, d, n, strategy_d2, strategy_d3, monkeypatch):

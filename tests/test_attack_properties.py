@@ -12,9 +12,33 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from meanking import attack as atk, qmath
+from meanking.bases import gen_mub
+from meanking.retrodiction import checked_block_dim
 
 from oracles import (attack_pass_per_outcome, eve_state_loops, max_trace_distance_all_pairs,
                      product_tables, tuple_digits)
+
+
+@st.composite
+def product_outcomes(draw):
+    """A basis set of d in {2, 3, 5}, every n its block budget admits, and one (b, i) block."""
+    d = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, {2: 6, 3: 3, 5: 2}[d]))
+    bvec = draw(st.lists(st.integers(0, d), min_size=n, max_size=n))
+    ivec = draw(st.lists(st.integers(0, d - 1), min_size=n, max_size=n))
+    return MUBS[d], tuple(bvec), tuple(ivec), n
+
+
+MUBS = {d: gen_mub(d) for d in (2, 3, 5)}
+
+
+@given(product_outcomes())
+@settings(max_examples=60, deadline=None)
+def test_phi_product_is_the_tensor_product(case):
+    bs, bvec, ivec, n = case
+    checked_block_dim(bs.dim, n)  # within the block budget
+    got = atk.phi_product(bs, bvec, ivec, n)
+    assert got.tobytes() == qmath.tensor(*bs.vectors[bvec, ivec]).tobytes()
 
 
 @st.composite
