@@ -188,12 +188,9 @@ def phi_product(bs: BasisSet, bvec, ivec, n: int) -> np.ndarray:
     """Bob's returned eigenstate for a block of basis choices and outcomes."""
     bvec = _as_tuple(bvec, n, bs.k, "bases")
     ivec = _as_tuple(ivec, n, bs.dim, "outcomes")
-    # qmath.tensor's products in its order, bit for bit, without its per-factor conversions;
-    # a copy for n = 1, not a view of the basis set
-    phi = bs.vectors[bvec[0], ivec[0]].copy()
-    for b, i in zip(bvec[1:], ivec[1:]):
-        phi = (phi[:, None] * bs.vectors[b, i]).reshape(-1)
-    return phi
+    rows = [bs.vectors[b, i] for b, i in zip(bvec, ivec)]
+    # the first row copied, so at n = 1 the result is no view of the basis set
+    return reduce(qmath.kron, rows[1:], rows[0].copy())
 
 
 def _require_same_dim(am: AttackModel, bs: BasisSet) -> None:
@@ -217,14 +214,10 @@ def _amplitudes(am: AttackModel, phis: np.ndarray):
 
 def _project(am: AttackModel, phis: np.ndarray):
     """Bob's block eigenstates (m, d**n) projected out of Eve's source, then through her channel:
-    their Kraus-branch stacks w_l as (m, branch, A x B, E) and outcome probabilities as (m,).
-
-    The outer product amp x phi is a matmul over a length-one axis: each entry is one complex
-    product, rounded as ``einsum`` rounds it, where numpy's complex multiply may fuse it.
-    """
+    their Kraus-branch stacks w_l as (m, branch, A x B, E) and outcome probabilities as (m,)."""
     dd, de = am.block_dim, am.d_eve
     amp, probs = _amplitudes(am, phis)
-    out = (phis[:, None, :, None] @ amp[:, :, None, :]).reshape(-1, 1, dd, dd * de)
+    out = np.einsum("iae,ib->iabe", amp, phis).reshape(-1, 1, dd, dd * de)
     branches = (out @ am.kraus.transpose(0, 2, 1)).reshape(len(out), len(am.kraus), dd * dd, de)
     return branches, probs
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import mul
 
 import numpy as np
 
@@ -50,12 +51,13 @@ def kron(a: np.ndarray, b: np.ndarray, batch: int = 0) -> np.ndarray:
     equal, without its per-call overhead; the dtype is not changed.
     """
     a, b = np.asarray(a), np.asarray(b)
-    sa, sb = a.shape[batch:], b.shape[batch:]
-    if len(sa) != len(sb):
-        raise ValueError(f"kron of {len(sa)}- and {len(sb)}-axis factors")
-    out = (a.reshape(a.shape[:batch] + sum(((m, 1) for m in sa), ()))
-           * b.reshape(b.shape[:batch] + sum(((1, m) for m in sb), ())))
-    return out.reshape(out.shape[:batch] + tuple(m * k for m, k in zip(sa, sb)))
+    k = a.ndim - batch
+    if k != b.ndim - batch:
+        raise ValueError(f"kron of {k}- and {b.ndim - batch}-axis factors")
+    # every Kronecker axis of a followed by a new axis, every one of b preceded by one
+    out = a[(..., *(slice(None), None) * k)] * b[(..., *(None, slice(None)) * k)]
+    s = out.shape
+    return out.reshape(s[:batch] + tuple(map(mul, s[batch::2], s[batch + 1::2])))
 
 
 def tensor(*factors: np.ndarray) -> np.ndarray:

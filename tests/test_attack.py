@@ -588,9 +588,21 @@ class TestOneWalk:
     @pytest.mark.parametrize("kind,n", ATTACKS, ids=[f"{kind}-{n}" for kind, n in ATTACKS])
     @pytest.mark.parametrize("source", ["biased-d2", "biased-d3", "v1-d2", "v1-d3", "unit"])
     def test_pass_leakage_is_leakage(self, source, kind, n, mub2, mub3, biased_copy, v1_files,
-                                     unit_strategy, monkeypatch):
-        # one block per chunk, where Eve's scalar blocks would be a strided view without a copy
+                                     unit_strategy):
+        # the default budget, where the pass and leakage() may split the grid differently
+        self._check(source, kind, n, mub2, mub3, biased_copy, v1_files, unit_strategy)
+
+    @pytest.mark.parametrize("kind,n", ATTACKS, ids=[f"{kind}-{n}" for kind, n in ATTACKS])
+    @pytest.mark.parametrize("source", ["biased-d2", "biased-d3", "v1-d2", "v1-d3", "unit"])
+    def test_pass_leakage_is_leakage_one_block_per_chunk(self, source, kind, n, mub2, mub3,
+                                                         biased_copy, v1_files, unit_strategy,
+                                                         monkeypatch):
+        # where Eve's scalar blocks would be a strided view without a copy
         monkeypatch.setattr(atk, "_WALK_ENTRIES", 1)
+        self._check(source, kind, n, mub2, mub3, biased_copy, v1_files, unit_strategy)
+
+    @staticmethod
+    def _check(source, kind, n, mub2, mub3, biased_copy, v1_files, unit_strategy):
         strategy = {"biased-d2": lambda: rd.build_strategy(biased_copy(mub2, 0.2)),
                     "biased-d3": lambda: rd.build_strategy(biased_copy(mub3, 0.3)),
                     "v1-d2": lambda: rd.load_strategy(v1_files[2]),

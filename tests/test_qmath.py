@@ -62,7 +62,8 @@ class TestKron:
 
     def test_matches_numpy_bitwise(self):
         rng = np.random.default_rng(5)
-        for shape_a, shape_b in [((2, 3), (3, 2)), ((4,), (3,)), ((3, 3), (1, 2))]:
+        for shape_a, shape_b in [((2, 3), (3, 2)), ((4,), (3,)), ((3, 3), (1, 2)),
+                                 ((2, 1, 3), (3, 2, 2))]:
             a, b = rand_complex(rng, *shape_a), rand_complex(rng, *shape_b)
             np.testing.assert_array_equal(qmath.kron(a, b), np.kron(a, b))
             np.testing.assert_array_equal(qmath.kron(a.T, b), np.kron(a.T, b))
