@@ -82,20 +82,22 @@ Eve's states come from the walk, by one computation on every route. With
 a one-dimensional E her block for branch l is ||w_l||^2 = prob(b, i)
 ||V_l phi_i||^2, read off her channel on the eigenstates, so no stack is
 formed for them; otherwise they are the branch stacks' (:func:`_eve_states`).
-So the pass's leakage is :func:`leakage`'s, bit for bit, on either route,
-and both read it clamped at 1 (:func:`_reported_leakage`).
+So the pass's leakage is :func:`leakage`'s, bit for bit, on either route:
+both are :func:`_max_trace_distance` of the same states, clamped at 1.
 
 Eve's state depends on (b, i) only through what her interaction learns,
 so structured attacks repeat a few states over the whole grid: leakage
-compares one copy of each byte-identical state. A general attack repeats
-none, and leakage runs ``eigvalsh`` only on the pairs that a bound from
-one Gram product per chunk of the pair triangle cannot rule out, so its
-value is still the full triangle's bit for bit (:func:`_max_trace_distance`,
-:func:`_verified_max`). A chunk of the walk, of the Gram rows or of the
-verified pairs holds a bounded number of entries, so memory stays flat
-over the grid. The walk's bound is the least that a measured sweep found
-no slower than larger ones, so medium grids (d=2, n=3 and d=3, n=2) go in
-one or a few chunks and pay the fixed cost of a chunk once or a few times.
+compares one copy of each byte-identical state, in one pass over the
+triangle of their pairs that stops at the first pair at trace distance 1
+(:func:`_max_trace_distance`). A general attack repeats none; with a
+multi-dimensional E, ``eigvalsh`` then runs only on the pairs that a
+bound from one Gram product per chunk of the triangle cannot rule out,
+so the value is still the full triangle's bit for bit. A chunk of the
+walk, of the pair rows or of the verified differences holds a bounded
+number of entries, so memory stays flat over the grid. The walk's bound
+is the least that a measured sweep found no slower than larger ones, so
+medium grids (d=2, n=3 and d=3, n=2) go in one or a few chunks and pay
+the fixed cost of a chunk once or a few times.
 
 Subsystem order is always A x B x E, row-major. All indices 0-based.
 """
@@ -115,12 +117,13 @@ from .serialize import (complex_to_pairs, exact_keys, integer, pairs_to_complex,
                         write_json)
 
 # Chunk budgets, in entries: the branch stacks and Eve's channel on the block
-# eigenstates that a chunk of the walk forms, together, and per chunk of the
-# leakage pair triangle the real Gram entries of its pairs or the complex
-# entries of the differences it verifies. A chunk always takes at least one
-# basis block, or one row of pairs, or one pair. The walk's value is the least of a
-# measured sweep (2^12 to 2^16) past which a pass of the benchmark's attack steps grew no
-# faster: it takes the d=2, n=3 and d=3, n=2 intercept-resend grids in one chunk.
+# eigenstates that a chunk of the walk forms, together; per chunk of rows of the
+# leakage pair triangle its rows times the states from its first row on, times
+# blocks, the real Gram entries where a bound prunes its pairs; and per chunk of
+# verified pairs the complex entries of their differences. A chunk always takes at least one basis block, or
+# one row of pairs, or one pair. The walk's value is the least of a measured sweep
+# (2^12 to 2^16) past which a pass of the benchmark's attack steps grew no faster:
+# it takes the d=2, n=3 and d=3, n=2 intercept-resend grids in one chunk.
 _WALK_ENTRIES = 1 << 14
 _PAIR_ENTRIES = 1 << 13
 
@@ -412,7 +415,9 @@ def _normalized(blocks: np.ndarray) -> np.ndarray:
 
 
 def _max_trace_distance(states: np.ndarray) -> float:
-    """Largest trace distance between any two of Eve's states, stacked as (m, branch, E, E).
+    """Largest trace distance between any two of Eve's states, stacked as (m, branch, E, E),
+    clamped at 1, which a trace distance cannot exceed but its rounded sum can
+    (1.0000000000000002 for intercept-resend at d=3, n=2).
 
     A state repeated byte for byte adds no new distance, so only one copy
     of each is compared, in the order of the first copies. The whole
@@ -426,67 +431,32 @@ def _max_trace_distance(states: np.ndarray) -> float:
 
     Her states are block diagonal, so a trace distance is half a sum over
     blocks of ||D||_1, the sum of |eigenvalue| of the block's difference D.
-    With a one-dimensional E the blocks are scalars, whose eigenvalue is
-    their real part, so the distance is the l1 distance of the real
-    diagonals; it goes in chunks of rows of the pair triangle, of at most
-    ``_PAIR_ENTRIES`` entries or one row, and needs no ``eigvalsh``.
-    Otherwise, when the distinct states form no more pairs than the whole
-    stack has states, every pair goes to ``eigvalsh`` (:func:`_verify_pairs`).
-    That work is of the order of the stack the walk built, and it is the
-    case of a structured attack's few repeated states (9 of 36 for
-    ``probe_entangle(2, theta, n=2)``), where the pairs a bound pass could
-    rule out do not repay its fixed cost. A stack of more distinct states
-    goes to :func:`_verified_max`, which bounds every pair from one Gram
-    product per chunk and runs ``eigvalsh`` only on the pairs that can
-    attain the maximum.
-    """
-    firsts, lasts = {}, {}
-    for j, state in enumerate(states):
-        key = state.tobytes()
-        firsts.setdefault(key, j)
-        lasts[key] = j
-    keep = list(firsts.values())
-    total, states = len(states), states[keep]
-    m, nb, de, _ = states.shape
-    if de > 1:
-        firsts, lasts = np.array(keep), np.array(list(lasts.values()))
-        if m * (m - 1) // 2 <= total:  # no more pairs than the stack has states
-            pairs = np.nonzero(np.arange(m)[:, None] < np.arange(m))
-            return 0.5 * _verify_pairs(states, firsts, lasts, *pairs)
-        return 0.5 * _verified_max(states, firsts, lasts)
-    states = states[:, :, 0, 0].real
-    rows_done = np.cumsum(np.arange(m - 1, 0, -1))  # pairs in rows 0..j
-    worst, j0 = 0.0, 0
-    while j0 < m - 1:
-        budget = (rows_done[j0 - 1] if j0 else 0) + _PAIR_ENTRIES // nb
-        j1 = max(j0 + 1, int(np.searchsorted(rows_done, budget, side="right")))
-        earlier, later = np.nonzero(np.arange(j0, j1)[:, None] < np.arange(m))
-        dist = np.abs(states[later] - states[earlier + j0]).sum(axis=1)
-        worst = max(worst, 0.5 * float(dist.max()))
-        j0 = j1
-    return worst
+    One pass goes over the triangle of the distinct states in chunks of
+    rows, each against every state from its first row on: at most
+    ``_PAIR_ENTRIES`` such entries times blocks, or one row. Each chunk's pairs go
+    to :func:`_verify_pairs`, and the pass stops once a sum reaches 2, a
+    trace distance of 1, which the clamped value cannot pass.
 
-
-def _verified_max(states: np.ndarray, firsts: np.ndarray, lasts: np.ndarray) -> float:
-    """Largest sum |eigenvalue| of a difference of two of Eve's distinct states, verified
-    with ``eigvalsh`` only on the pairs that can attain it.
-
-    ``states`` is (m, branch, E, E) with E of dimension e > 1, and
-    ``firsts``/``lasts`` give the position of each state's first and last
-    copy in the whole stack. Per block, ||D||_F <= ||D||_1 <= sqrt(e)
-    ||D||_F, so with l the sum over blocks of ||D||_F a pair's value lies
-    in [l, sqrt(e) l]. One real Gram product per chunk of rows of the pair
-    triangle gives every pair's block norms at once,
+    A bound prunes each chunk's pairs first, but only with E of dimension
+    e > 1 and more distinct pairs than the whole stack has states.
+    Otherwise every pair is verified: with few repeated states (9 of 36 for
+    ``probe_entangle(2, theta, n=2)``) that work is of the order of the
+    stack the walk built, and the pairs a bound could rule out do not repay
+    its fixed cost. Per block, ||D||_F <= ||D||_1 <= sqrt(e) ||D||_F, so
+    with l the sum over blocks of ||D||_F a pair's value lies in [l,
+    sqrt(e) l]. One real Gram product per chunk gives every pair's block
+    norms at once,
 
         ||X_i - X_j||_F^2 = ||X_i||_F^2 + ||X_j||_F^2 - 2 Re <X_i, X_j>,
 
     and, up to rounding, the maximum is at least the largest l and at least
-    any value verified so far: either is a threshold. ``eigvalsh`` runs only
-    on the pairs with sqrt(e) l + slack at or above the threshold, in every
-    orientation the stack forms (:func:`_verify_pairs`). The pair that
+    any value verified so far: either is a threshold. Only the pairs with
+    sqrt(e) l + slack at or above the threshold are verified. The pair that
     attains the maximum is always among them, and its value is the same
     eigenvalues summed in the same order as in the full triangle, so the
-    result is the full triangle's bit for bit.
+    result is the full triangle's bit for bit. The threshold is the best
+    bound known when a chunk is formed; a lower one only lets more pairs
+    through.
 
     The slack covers rounding; u is the unit roundoff. Each Gram entry and
     squared norm is a real dot product of length L = 2 e^2, off by at most
@@ -504,35 +474,38 @@ def _verified_max(states: np.ndarray, firsts: np.ndarray, lasts: np.ndarray) -> 
     l - 2 eps and at most sqrt(e) (l + eps) + eps, and a pair whose upper
     end falls below the largest lower end, or below a verified value,
     cannot attain the maximum: slack = (sqrt(e) + 3) eps.
-
-    One pass goes over the triangle in chunks of rows, each multiplied
-    against every state from its first row on: at most ``_PAIR_ENTRIES``
-    Gram entries, or one row. The threshold is the largest lower bound or
-    verified value met so far, so a chunk's pairs are checked against the
-    best bound known when it is formed; a lower threshold only lets more
-    pairs through. Each chunk's pairs go to ``eigvalsh`` in chunks of at
-    most ``_PAIR_ENTRIES`` entries of their differences, or one pair, so
-    memory stays flat in the number of states.
     """
+    firsts, lasts = {}, {}
+    for j, state in enumerate(states):
+        key = state.tobytes()
+        firsts.setdefault(key, j)
+        lasts[key] = j
+    keep = list(firsts.values())
+    total, states = len(states), states[keep]
+    firsts, lasts = np.array(keep), np.array(list(lasts.values()))
     m, nb, de, _ = states.shape
-    # per block, the real and imaginary parts of every state as one row: (branch, m, 2 e^2)
-    flat = np.ascontiguousarray(states.reshape(m, nb, de * de).view(float).transpose(1, 0, 2))
-    sq = np.square(flat).sum(axis=2)
-    norm_sum = float(np.sqrt(sq.max(axis=1, initial=0.0)).sum())  # sum over blocks of S
-    eps = 2 * ((flat.shape[-1] + 4) * qmath.UNIT_ROUNDOFF) ** 0.5 * norm_sum
-    slack, root_e = (de**0.5 + 3) * eps, de**0.5
+    prune = de > 1 and m * (m - 1) // 2 > total  # more pairs than the stack has states
+    if prune:
+        # per block, the real and imaginary parts of every state as one row: (branch, m, 2 e^2)
+        flat = np.ascontiguousarray(states.reshape(m, nb, de * de).view(float).transpose(1, 0, 2))
+        sq = np.square(flat).sum(axis=2)
+        norm_sum = float(np.sqrt(sq.max(axis=1, initial=0.0)).sum())  # sum over blocks of S
+        eps = 2 * ((flat.shape[-1] + 4) * qmath.UNIT_ROUNDOFF) ** 0.5 * norm_sum
+        slack, root_e = (de**0.5 + 3) * eps, de**0.5
     worst = threshold = 0.0
     j0 = 0
-    while j0 < m - 1:
+    while j0 < m - 1 and worst < 2.0:
         j1 = min(m - 1, j0 + max(1, _PAIR_ENTRIES // (nb * (m - j0))))
-        gram = flat[:, j0:j1] @ flat[:, j0:].transpose(0, 2, 1)
-        ell = np.sqrt(np.maximum(sq[:, j0:j1, None] + sq[:, None, j0:] - 2 * gram, 0.0)).sum(axis=0)
         pairs = np.arange(j0, j1)[:, None] < np.arange(j0, m)  # a later state in the column
-        threshold = max(threshold, worst, float(np.max(ell, where=pairs, initial=0.0)))
-        a, b = np.nonzero(pairs & (ell >= (threshold - slack) / root_e))
+        if prune:
+            gram = flat[:, j0:j1] @ flat[:, j0:].transpose(0, 2, 1)
+            ell = np.sqrt(np.maximum(sq[:, j0:j1, None] + sq[:, None, j0:] - 2 * gram, 0.0)).sum(axis=0)
+            threshold = max(threshold, worst, float(np.max(ell, where=pairs, initial=0.0)))
+            pairs &= ell >= (threshold - slack) / root_e
+        a, b = np.nonzero(pairs)
         worst = max(worst, _verify_pairs(states, firsts, lasts, a + j0, b + j0))
         j0 = j1
-    return worst
+    return min(1.0, 0.5 * worst)
 
 
 def _verify_pairs(states: np.ndarray, firsts: np.ndarray, lasts: np.ndarray, a: np.ndarray,
@@ -543,25 +516,26 @@ def _verify_pairs(states: np.ndarray, firsts: np.ndarray, lasts: np.ndarray, a: 
     also as u - v where a copy of u follows the first copy of v
     (:func:`_max_trace_distance`), from one ``eigvalsh`` of v - u: that of
     u - v is its negation reversed, bit for bit, so the sum of u - v is its
-    |eigenvalues| summed in reverse order. The differences go in chunks of
-    at most ``_PAIR_ENTRIES`` entries, or one difference, per ``eigvalsh``.
+    |eigenvalues| summed in reverse order. A 1 x 1 block is its own
+    eigenvalue, its real part, so it needs no ``eigvalsh`` and reads the
+    same in either orientation; its states' real parts are subtracted, which
+    gives the real part of their difference bit for bit. The differences go
+    in chunks of at most ``_PAIR_ENTRIES`` entries, or one difference.
     """
     _, nb, de, _ = states.shape
     step = max(1, _PAIR_ENTRIES // (nb * de * de))
-    flip = lasts[a] > firsts[b]
     worst = 0.0
     for s in range(0, len(a), step):
-        values = np.abs(np.linalg.eigvalsh(states[b[s:s + step]] - states[a[s:s + step]]))
-        back = np.ascontiguousarray(values[flip[s:s + step], :, ::-1])  # summed as u - v's
+        u, v = a[s:s + step], b[s:s + step]
+        if de == 1:
+            diff = states[v, :, 0, 0].real - states[u, :, 0, 0].real
+            worst = max(worst, float(np.abs(diff).sum(axis=1).max(initial=0.0)))
+            continue
+        values = np.abs(np.linalg.eigvalsh(states[v] - states[u]))
+        back = np.ascontiguousarray(values[lasts[u] > firsts[v], :, ::-1])  # summed as u - v's
         worst = max(worst, float(values.sum(axis=(1, 2)).max(initial=0.0)),
                     float(back.sum(axis=(1, 2)).max(initial=0.0)))
     return worst
-
-
-def _reported_leakage(states: np.ndarray) -> float:
-    """:func:`_max_trace_distance` of Eve's states, clamped at 1, which a trace distance cannot
-    exceed but its rounded sum can (1.0000000000000002 for intercept-resend at d=3, n=2)."""
-    return min(1.0, _max_trace_distance(states))
 
 
 def leakage(am: AttackModel, bs: BasisSet) -> float:
@@ -572,7 +546,7 @@ def leakage(am: AttackModel, bs: BasisSet) -> float:
     nothing about the key. Only her distinct states are compared
     (:func:`_max_trace_distance`), in the order the walk first meets them.
     """
-    return _reported_leakage(np.concatenate([chunk.states for chunk in _walk(am, bs, states=True)]))
+    return _max_trace_distance(np.concatenate([chunk.states for chunk in _walk(am, bs, states=True)]))
 
 
 def _attack_pass(strategy: Strategy, am: AttackModel, *, states=True):
@@ -625,7 +599,7 @@ class AttackReport:
 def evaluate_attack(strategy: Strategy, am: AttackModel) -> AttackReport:
     """Detection probability, leakage and the per-outcome error table, from one pass."""
     detection, table, states = _attack_pass(strategy, am)
-    return AttackReport(detection, _reported_leakage(states), table)
+    return AttackReport(detection, _max_trace_distance(states), table)
 
 
 # ---------------------------------------------------------------------------

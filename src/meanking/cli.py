@@ -81,9 +81,20 @@ def _finite(params: dict, key: str) -> float:
     return value
 
 
+def _basis(params: dict, k: int) -> int:
+    """Attack parameter b, 1-based on the command line, as the 0-based index of one of k bases."""
+    try:
+        b = int(params["b"])
+    except ValueError:
+        b = 0
+    if not 1 <= b <= k:
+        raise ValueError(f"attack parameter b must be an integer from 1 to {k}, not {params['b']!r}")
+    return b - 1
+
+
 _ATTACKS = {
-    "intercept-resend": _Attack(  # b is 1-based on the command line
-        lambda bs, n, p: attack.intercept_resend(bs, int(p["b"]) - 1, n=n), {"b": "1"}),
+    "intercept-resend": _Attack(
+        lambda bs, n, p: attack.intercept_resend(bs, _basis(p, bs.k), n=n), {"b": "1"}),
     "probe": _Attack(
         lambda bs, n, p: attack.probe_entangle(bs.dim, _finite(p, "theta"), n=n,
                                                d_eve=int(p["d_eve"])),
@@ -97,11 +108,13 @@ _ATTACKS = {
 def _split_attack_spec(spec: str):
     """``name:key=value,...`` as ``(name, params)`` with defaults; ``file:PATH`` keeps PATH.
 
-    A key the attack does not take is an error, not silently ignored.
+    An unknown name, or a key the attack does not take, is an error, not silently ignored.
     """
     name, _, rest = spec.partition(":")
     if name == "file":
         return name, {"path": rest}
+    if name not in _ATTACKS and name not in ("none", ""):
+        raise ValueError(f"unknown attack {name!r}")
     params = dict(_ATTACKS[name].defaults) if name in _ATTACKS else {}
     for chunk in filter(None, rest.split(",")):
         key, _, value = chunk.partition("=")
@@ -118,8 +131,6 @@ def _make_attack(name: str, params: dict, basis_set, n: int):
         return None
     if name == "file":
         return attack.load_attack(params["path"])
-    if name not in _ATTACKS:
-        raise ValueError(f"unknown attack {name!r}")
     return _ATTACKS[name].make(basis_set, n, params)
 
 

@@ -735,11 +735,17 @@ class TestDistinctStates:
         strategy = strategy_d2 if d == 2 else strategy_d3
         am = _grid_attack(kind, strategy.basis_set, n, seed)
         states = atk._attack_pass(strategy, am)[2]
-        want = max_trace_distance_all_pairs(states)
-        assert atk._max_trace_distance(states).hex() == want.hex()
-        # a trace distance is at most 1; the reports clamp a sum that rounds above it
-        assert atk.leakage(am, strategy.basis_set).hex() == min(1.0, want).hex()
-        assert atk.evaluate_attack(strategy, am).leakage.hex() == min(1.0, want).hex()
+        # a trace distance is at most 1; leakage clamps a sum that rounds above it
+        want = min(1.0, max_trace_distance_all_pairs(states)).hex()
+        assert atk._max_trace_distance(states).hex() == want
+        assert atk.leakage(am, strategy.basis_set).hex() == want
+        assert atk.evaluate_attack(strategy, am).leakage.hex() == want
+
+    def test_oracle_rounds_above_the_clamp(self, strategy_d3, mub3):
+        # keeps the clamp exercised: the all-pairs sum for this stack rounds one ulp above 1
+        states = atk._attack_pass(strategy_d3, atk.intercept_resend(mub3, 1, n=2))[2]
+        assert max_trace_distance_all_pairs(states).hex() == "0x1.0000000000001p+0"
+        assert atk._max_trace_distance(states) == 1.0
 
     @pytest.mark.parametrize("kind, distinct", [("probe", 9), ("random", 36)])
     def test_repeats_cost_no_eigvalsh(self, kind, distinct, strategy_d2, monkeypatch):
@@ -766,18 +772,61 @@ class TestDistinctStates:
     @pytest.mark.parametrize("kind, value", FEW, ids=[f"{k}-{v}" for k, v in FEW])
     @pytest.mark.parametrize("copies", [1, 3])
     def test_few_states_verify_every_pair(self, strategy_d2, monkeypatch, kind, value, copies):
-        # no more pairs than states: every pair goes to eigvalsh, with no bound pass, and
-        # gives the whole triangle's value
-        def refuse(*_args):
-            raise AssertionError("the bound pass ran on a stack of few states")
-
-        monkeypatch.setattr(atk, "_verified_max", refuse)
+        # no more pairs than states: every distinct pair goes to eigvalsh, none pruned by
+        # a bound, and gives the whole triangle's value
         am = (atk.probe_entangle(2, value, n=2) if kind == "probe" else
               atk.scalarized_attack(atk.random_attack(2, 2, 2, 2, np.random.default_rng(value))))
         states = np.concatenate([atk._attack_pass(strategy_d2, am)[2]] * copies)
         distinct = len({state.tobytes() for state in states})
         assert distinct * (distinct - 1) // 2 <= len(states)
-        assert atk._max_trace_distance(states).hex() == max_trace_distance_all_pairs(states).hex()
+        want = min(1.0, max_trace_distance_all_pairs(states)).hex()
+        seen = []
+        real = np.linalg.eigvalsh
+
+        def counting(a, *args, **kwargs):
+            seen.append(int(np.prod(np.shape(a)[:-2])))
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+        assert atk._max_trace_distance(states).hex() == want
+        assert sum(seen) == distinct * (distinct - 1) // 2 * states.shape[1]
+
+    @staticmethod
+    def _distributions(m, first_pair_apart):
+        """m distinct scalar states over 3 branches, (m, 3, 1, 1): m - 2 of full support and
+        two point masses on different branches, the only pair at trace distance 1, placed
+        first or last in the triangle."""
+        rng = np.random.default_rng(5)
+        full = rng.uniform(0.5, 1.5, (m - 2, 3))
+        apart = np.eye(3)[:2]
+        probs = np.concatenate([apart, full] if first_pair_apart else [full, apart])
+        return (probs / probs.sum(axis=1, keepdims=True))[:, :, None, None].astype(complex)
+
+    def test_last_pair_at_distance_one(self):
+        # 200 states over many chunks of rows: the pass reaches the triangle's last pair
+        states = self._distributions(200, first_pair_apart=False)
+        assert max_trace_distance_all_pairs(states[:-1]) < 1.0
+        assert atk._max_trace_distance(states) == 1.0
+
+    def test_stops_at_distance_one(self, monkeypatch):
+        states = self._distributions(200, first_pair_apart=True)
+        verified = []
+        real = atk._verify_pairs
+
+        def counting(states, firsts, lasts, a, b):
+            verified.append(len(a))
+            return real(states, firsts, lasts, a, b)
+
+        monkeypatch.setattr(atk, "_verify_pairs", counting)
+        assert atk._max_trace_distance(states) == 1.0
+        assert 0 < sum(verified) < 200 * 199 // 2
+
+    def test_large_scalar_stack_below_one(self, strategy_d5):
+        # 900 distinct scalar states over many chunks of rows, none of them a pair at
+        # distance 1: the value recorded before the pass stopped at the clamp
+        am = atk.random_attack(5, 2, 1, 3, np.random.default_rng(7))
+        assert atk.evaluate_attack(strategy_d5, am).leakage.hex() == "0x1.45c7071d9572cp-2"
+        assert atk.leakage(am, strategy_d5.basis_set).hex() == "0x1.45c7071d9572cp-2"
 
     def test_negation_reverses_eigvalsh(self, strategy_d2):
         # what lets one eigvalsh serve both orientations of a pair, bit for bit

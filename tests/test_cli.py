@@ -210,11 +210,22 @@ class TestRunCommand:
         assert report["agreement_rate"] < 1.0
 
     def test_unknown_attack(self, tmp_path, capsys, strategy_file):
-        code, _ = run_cli(
-            capsys, "run", "--strategy", str(strategy_file), "--rounds", "10",
-            "--seed", "1", "--attack", "nonsense:a=1", "--out", str(tmp_path / "t.jsonl"),
-        )
+        code = cli.main(["run", "--strategy", str(strategy_file), "--rounds", "10", "--seed", "1",
+                         "--attack", "nonsense:a=1", "--out", str(tmp_path / "t.jsonl")])
         assert code == 1
+        assert capsys.readouterr().err == "error: unknown attack 'nonsense'\n"
+
+    # b is 1-based on the command line; d=2 has 3 bases
+    @pytest.mark.parametrize("b", ["0", "4", "9", "x", "1.5"])
+    @pytest.mark.parametrize("command", ["attack-eval", "run"])
+    def test_intercept_resend_basis_out_of_range(self, tmp_path, capsys, strategy_file, command, b):
+        out_path = tmp_path / "out.json"
+        argv = (["security", "attack-eval", "--dim", "2"] if command == "attack-eval" else
+                ["run", "--strategy", str(strategy_file), "--rounds", "2", "--seed", "1"])
+        code = cli.main(argv + ["--attack", f"intercept-resend:b={b}", "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not out_path.exists()
+        assert captured.err == f"error: attack parameter b must be an integer from 1 to 3, not {b!r}\n"
 
     @pytest.mark.parametrize("spec", ["intercept-resend:bb=1", "none:b=1"])
     def test_unknown_attack_parameter(self, tmp_path, capsys, strategy_file, spec):
