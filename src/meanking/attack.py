@@ -34,8 +34,8 @@ to Alice's state, Eve's blocks w_l^T w_l^* (:func:`_eve_states`), the
 protocol sampler's Born rows (:func:`_born_rows`) or Alice's chance of
 announcing Bob's digits. That needs no Born weight per guessing tuple: the
 product POVM summed over the tuples that agree with Bob is the tensor
-product of the per-instance digit operators Q(b_s, i_s) of
-:func:`~meanking.retrodiction.digit_operators`, so
+product of the per-instance digit operators Q(b_s, i_s)
+(:attr:`~meanking.retrodiction.Strategy.digit_operators`), so
 
     correct(b, i) = sum_l <w_l| Q(b_1, i_1) x ... x Q(b_n, i_n) |w_l>,
 
@@ -47,7 +47,7 @@ the sampler draws from the same walk.
 On a complete MUB set the correct mass needs no stack. Each Q(b, i) is
 then diagonal in its basis's product frame conj(phi_b(j)) x phi_b(j'),
 with one table T[i, j, j'] for every b: delta(j, i) where j = j' and 1/d
-elsewhere (:func:`~meanking.retrodiction.digit_table`). Rotate A by the
+elsewhere (:attr:`~meanking.retrodiction.Strategy.digit_table`). Rotate A by the
 block eigenstates Phi, rows phi_J, and B by conj(Phi): for outcome I,
 w_l[J, J', e'] = sum_e A[J, e] K_l[J', e', e], with Alice's factor
 A[J, e] = sum_(a,b) Phi[J, a] psi[a, b, e] conj(Phi[I, b]), the source
@@ -105,14 +105,13 @@ Subsystem order is always A x B x E, row-major. All indices 0-based.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
-from functools import reduce
 from typing import NamedTuple
 
 import numpy as np
 
 from . import qmath
 from .bases import BasisSet, Refused, digits
-from .retrodiction import Strategy, checked_block_dim, digit_operators, digit_table, omega
+from .retrodiction import Strategy, checked_block_dim, omega
 from .serialize import (complex_to_pairs, exact_keys, integer, pairs_to_complex, read_json, reading,
                         write_json)
 
@@ -191,9 +190,8 @@ def phi_product(bs: BasisSet, bvec, ivec, n: int) -> np.ndarray:
     """Bob's returned eigenstate for a block of basis choices and outcomes."""
     bvec = _as_tuple(bvec, n, bs.k, "bases")
     ivec = _as_tuple(ivec, n, bs.dim, "outcomes")
-    rows = [bs.vectors[b, i] for b, i in zip(bvec, ivec)]
-    # the first row copied, so at n = 1 the result is no view of the basis set
-    return reduce(qmath.kron, rows[1:], rows[0].copy())
+    # at n = 1 a copy, no view of the basis set
+    return qmath.kron(*(bs.vectors[b, i] for b, i in zip(bvec, ivec)))
 
 
 def _require_same_dim(am: AttackModel, bs: BasisSet) -> None:
@@ -247,7 +245,7 @@ class _Chunk(NamedTuple):
 def _walk(am: AttackModel, bs: BasisSet, *, frame=False, stacks=False, states=False):
     """The one walk over Bob's outcome grid, in chunks of basis blocks, as :class:`_Chunk`.
 
-    One broadcast Kronecker product per slot forms a chunk's block
+    One broadcast Kronecker product over the slots forms a chunk's block
     eigenstates. Past them the walk forms only what its consumer contracts:
     x[c, b', l, e', e, I] = (V_l (phi_I x e))[b', e'] for ``frame``, the
     branch stacks of one :func:`_project` for ``stacks``, and for ``states``
@@ -265,9 +263,7 @@ def _walk(am: AttackModel, bs: BasisSet, *, frame=False, stacks=False, states=Fa
     every, step = digits(np.arange(bs.k**n), bs.k, n), max(1, _WALK_ENTRIES // entries)
     for start in range(0, len(every), step):
         bvecs = every[start:start + step]
-        c, phis = len(bvecs), bs.vectors[bvecs[:, 0]]
-        for s in range(1, n):
-            phis = qmath.kron(phis, bs.vectors[bvecs[:, s]], batch=1)
+        c, phis = len(bvecs), qmath.kron(*bs.vectors[bvecs.T], batch=1)
         x = branches = eve = None
         if form_x:
             x = (v_in @ np.swapaxes(phis, 1, 2)).reshape(c, dd, nb, de, de, dd)
@@ -292,7 +288,7 @@ def _frame_mass(am: AttackModel, weights: np.ndarray, phis: np.ndarray, x: np.nd
     :func:`_walk`, from her factor and Eve's in each block's frame (module docstring).
 
     ``weights`` is W as (I, J, J'), the n-fold Kronecker power of the digit
-    table (:func:`~meanking.retrodiction.digit_table`).
+    table (:attr:`~meanking.retrodiction.Strategy.digit_table`).
     """
     c, dd, _ = phis.shape
     de = am.d_eve
@@ -351,7 +347,7 @@ def _born_rows(branches: np.ndarray, etas_conj: np.ndarray, weights, n: int) -> 
         # the processed guess axis goes last, so slot 1's ends up slowest
         amp = (etas_conj @ amp.reshape(pair, -1)).T
     born = np.sum(np.abs(amp.reshape(m, nb * de, nx**n)) ** 2, axis=1)
-    return born * reduce(qmath.kron, [weights] * n)
+    return born * qmath.kron(*[weights] * n)
 
 
 def _born_entries(am: AttackModel, k: int) -> int:
@@ -554,9 +550,9 @@ def _attack_pass(strategy: Strategy, am: AttackModel, *, states=True):
     without ``states``, in one pass: the frame route when the strategy has a digit table,
     else the stack route (module docstring)."""
     bs = strategy.basis_set
-    q, frame_table = digit_operators(strategy), digit_table(strategy)
+    q, frame_table = strategy.digit_operators, strategy.digit_table
     frame = frame_table is not None
-    weights = reduce(qmath.kron, [frame_table] * am.n) if frame else None
+    weights = qmath.kron(*[frame_table] * am.n) if frame else None
     parts, eve = [], []
     for chunk in _walk(am, bs, frame=frame, stacks=not frame, states=states):
         correct = (_frame_mass(am, weights, chunk.phis, chunk.x) if frame else
@@ -623,7 +619,7 @@ def intercept_resend(bs: BasisSet, bstar: int, n: int = 1) -> AttackModel:
     if not (0 <= bstar < bs.k):
         raise ValueError(f"basis {bstar} out of range")
     # the rows of basis bstar's n-fold Kronecker power are its block eigenstates
-    phis = qmath.tensor(*[bs.vectors[bstar]] * n)
+    phis = qmath.kron(*[bs.vectors[bstar]] * n)
     return AttackModel(d=bs.dim, n=n, d_eve=1, psi_abe=omega(dd),
                        kraus=phis[:, :, None] * phis[:, None, :].conj())
 

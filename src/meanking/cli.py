@@ -75,29 +75,35 @@ class _Attack(NamedTuple):
 
 def _finite(params: dict, key: str) -> float:
     """Attack parameter ``key`` as a float, refused before any arithmetic unless it is finite."""
-    value = float(params[key])
+    try:
+        value = float(params[key])
+    except ValueError:
+        value = math.nan
     if not math.isfinite(value):
         raise ValueError(f"attack parameter {key} must be finite, not {params[key]!r}")
     return value
 
 
-def _basis(params: dict, k: int) -> int:
-    """Attack parameter b, 1-based on the command line, as the 0-based index of one of k bases."""
+def _integer(params: dict, key: str, low: int, high: float = math.inf) -> int:
+    """Attack parameter ``key`` as an integer, refused unless it is from ``low`` to ``high``."""
     try:
-        b = int(params["b"])
+        value = int(params[key])
     except ValueError:
-        b = 0
-    if not 1 <= b <= k:
-        raise ValueError(f"attack parameter b must be an integer from 1 to {k}, not {params['b']!r}")
-    return b - 1
+        value = low - 1
+    if not low <= value <= high:
+        span = f">= {low}" if high == math.inf else f"from {low} to {high}"
+        raise ValueError(f"attack parameter {key} must be an integer {span}, not {params[key]!r}")
+    return value
 
 
 _ATTACKS = {
+    # b is 1-based on the command line, the index of one of the k bases
     "intercept-resend": _Attack(
-        lambda bs, n, p: attack.intercept_resend(bs, _basis(p, bs.k), n=n), {"b": "1"}),
+        lambda bs, n, p: attack.intercept_resend(bs, _integer(p, "b", 1, bs.k) - 1, n=n),
+        {"b": "1"}),
     "probe": _Attack(
         lambda bs, n, p: attack.probe_entangle(bs.dim, _finite(p, "theta"), n=n,
-                                               d_eve=int(p["d_eve"])),
+                                               d_eve=_integer(p, "d_eve", 2)),
         {"theta": "0.5", "d_eve": "2"}, "theta"),
     "source-replace": _Attack(
         lambda bs, n, p: attack.source_replace(bs.dim, _finite(p, "eps"), n=n),
@@ -239,7 +245,7 @@ def _cmd_security_attack_eval(args) -> _Result:
                                f"budget {bases.MAX_SWEEP_POINTS} points")
     payload = attack.evaluate_attack(strategy, am).to_dict()
     if args.sweep:
-        value = float(params[key])
+        value = _finite(params, key)
         curve = []
         for step in range(1, args.sweep + 1):
             param = value * step / args.sweep

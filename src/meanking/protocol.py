@@ -48,8 +48,8 @@ distinct codes, each code's index among them and the fields of each
 distinct code, and sifting, testing, agreement, the records and the
 writer all gather through that table. The test positions are the config's
 draw over the codes and the verdict is whether the codes agree at them, so
-both are derived, never stored. :attr:`Transcript.records` derives the
-older 1-based :class:`RoundRecord` list on demand.
+both are derived, never stored. :attr:`Transcript.records` derives a
+tuple of 1-based :class:`RoundRecord`, one per instance, on demand.
 
 Transcript files hold a JSON header line, then one 0-based JSON record per
 instance. The header repeats the test positions and the verdict; the
@@ -461,8 +461,7 @@ def run_protocol(cfg: ProtocolConfig, strategy: Strategy, attack=None) -> Transc
         units = cfg.rounds * cfg.n
         # the closed form holds only for safe vectors: generators whose residual bound is
         # within tolerance (a v2 file's generators are not checked on load), not a table by hand
-        closed = (strategy.generators is not None and strategy.uniform_weight is not None
-                  and strategy.max_residual <= qmath.RESIDUAL_TOL)
+        closed = strategy.closed_form and strategy.max_residual <= qmath.RESIDUAL_TOL
         am = None if closed else attack_mod.identity_attack(d, 1)
     elif attack.d != d or attack.n != cfg.n:
         raise ValueError("attack model does not match the protocol block shape")

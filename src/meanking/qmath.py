@@ -43,31 +43,27 @@ def check_tol(tol: float, floor: float, name: str, where: str = "") -> float:
     return tol
 
 
-def kron(a: np.ndarray, b: np.ndarray, batch: int = 0) -> np.ndarray:
-    """``np.kron`` of the axes after the first ``batch``, which broadcast as a stack.
+def kron(*factors: np.ndarray, batch: int = 0) -> np.ndarray:
+    """``np.kron`` of every factor, left to right, over the axes after the first ``batch``,
+    which broadcast as a stack; one factor comes back as a copy.
 
-    Both arguments need the same number of Kronecker axes. It forms the same
-    products in the same layout as ``np.kron``, so the values are bitwise
-    equal, without its per-call overhead; the dtype is not changed.
+    Every factor needs the same number of Kronecker axes. Each step forms the
+    same products in the same layout as ``np.kron`` of the running product
+    and the next factor, so the values are bitwise equal, without its
+    per-call overhead; the dtype is not changed.
     """
-    a, b = np.asarray(a), np.asarray(b)
-    k = a.ndim - batch
-    if k != b.ndim - batch:
-        raise ValueError(f"kron of {k}- and {b.ndim - batch}-axis factors")
-    # every Kronecker axis of a followed by a new axis, every one of b preceded by one
-    out = a[(..., *(slice(None), None) * k)] * b[(..., *(None, slice(None)) * k)]
-    s = out.shape
-    return out.reshape(s[:batch] + tuple(map(mul, s[batch::2], s[batch + 1::2])))
-
-
-def tensor(*factors: np.ndarray) -> np.ndarray:
-    """Kronecker product of matrices (or vectors), first factor slowest."""
     if not factors:
-        raise ValueError("tensor() needs at least one factor")
-    out = np.asarray(factors[0], dtype=complex)
-    for f in factors[1:]:
-        out = kron(out, np.asarray(f, dtype=complex))
-    return out
+        raise ValueError("kron needs at least one factor")
+    out, *rest = map(np.asarray, factors)
+    k = out.ndim - batch
+    for b in rest:
+        if k != b.ndim - batch:
+            raise ValueError(f"kron of {k}- and {b.ndim - batch}-axis factors")
+        # every Kronecker axis of out followed by a new axis, every one of b preceded by one
+        out = out[(..., *(slice(None), None) * k)] * b[(..., *(None, slice(None)) * k)]
+        s = out.shape
+        out = out.reshape(s[:batch] + tuple(map(mul, s[batch::2], s[batch + 1::2])))
+    return out if rest else out.copy()
 
 
 def matrix_rank(a: np.ndarray, tol: float = DEFAULT_TOL) -> int:

@@ -352,17 +352,22 @@ class Strategy:
         """The smallest weight; the uniform one, when there is one, read without a scan."""
         return float(self.weights.min()) if self.uniform_weight is None else self.uniform_weight
 
+    @property
+    def closed_form(self) -> bool:
+        """Given by its generators under one uniform weight: every sum over the guessing
+        functions is then a moment of the generators (module docstring), with none listed."""
+        return self.generators is not None and self.uniform_weight is not None
+
     @cached_property
     def completeness_residual(self) -> float:
         """Max-norm distance of sum_x p(x) |eta_x><eta_x| from the identity.
 
-        Under uniform weights p * d**k * T from the generators (module
-        docstring), else summed over the table: the choice of :func:`digit_operators`.
+        In :attr:`closed_form` p * d**k * T from the generators (module
+        docstring), else summed over the table.
         """
-        p = self.uniform_weight
-        if self.generators is None or p is None:
+        if not self.closed_form:
             return _completeness_residual(self.etas, self.weights, self.d**2)
-        total = p * len(self.weights) * self._generator_moments[2]
+        total = self.uniform_weight * len(self.weights) * self._generator_moments[2]
         return float(np.max(np.abs(total - np.eye(self.d**2))))
 
     def _rows(self, xs) -> np.ndarray:
@@ -370,15 +375,42 @@ class Strategy:
         return np.ravel_multi_index(np.asarray(xs).T, (self.d,) * self.basis_set.k)
 
     @cached_property
-    def _digit_operators(self) -> np.ndarray:
-        """:func:`digit_operators`, built on first read, then cached read-only.
+    def digit_operators(self) -> np.ndarray:
+        """Alice's POVM coarse-grained to the digit she announces for each basis.
 
-        In closed form from the generators under uniform weights; summed over
-        the table otherwise.
+        Q with shape (k, d, d*d, d*d), where
+
+            Q[b, i] = sum over x with x(b) = i of p(x) |eta_x><eta_x|
+
+        is the element for announcing i when Bob's basis was b. Completeness
+        gives sum_i Q[b, i] = identity for every b. The POVM of n independent
+        instances is a tensor product, so its element for the digits (b_s, i_s)
+        is the product of the Q[b_s, i_s], one per instance.
+
+        Built on first read and cached read-only: an attack sweep against one
+        strategy does not rebuild it. In :attr:`closed_form` it comes from the
+        generators (module docstring), which lists no guessing function;
+        otherwise it is summed over the table. Raises :class:`OverBudget` when
+        its k*d operators on the pair space are over ``bases.MAX_ARRAY_ENTRIES``,
+        or when it must list more than ``MAX_GUESSING_FUNCTIONS`` guessing
+        functions.
+
+        On a complete set of d + 1 mutually unbiased bases under the uniform
+        weight, Q has a closed form. With |P_b(j)> = conj(phi_b(j)) x phi_b(j)
+        on the (A, B) pair and Pi_b = sum_j |P_b(j)><P_b(j)|,
+
+            Q[b, i] = (1 - Pi_b) / d + |P_b(i)><P_b(i)|,
+
+        because such a set is a complex projective 2-design (Klappenecker &
+        Roetteler, ISIT 2005, 1740), so sum_(b, j) |P_b(j)><P_b(j)| = 1 +
+        |1><1| with |1> the unnormalized identity vector. In the product basis
+        conj(phi_b(j)) x phi_b(j') of basis b, Q[b, i] is therefore diagonal,
+        with entry delta(j, i) where j = j' and 1/d elsewhere, the same for
+        every b (:attr:`digit_table`).
         """
         bs, d, p = self.basis_set, self.d, self.uniform_weight
         _check_size(bs)
-        if self.generators is not None and p is not None:
+        if self.closed_form:
             mu, cov, _ = self._generator_moments
             v = self.generators + (mu.sum(axis=0) - mu)[:, None, :]
             rest = cov.sum(axis=0) - cov  # sum_(b' != b) C_b'
@@ -394,11 +426,38 @@ class Strategy:
         return q
 
     @cached_property
-    def _digit_table(self) -> np.ndarray | None:
-        """:func:`digit_table`, built on first read, then cached read-only."""
-        if self.generators is None or self.uniform_weight is None:
+    def digit_table(self) -> np.ndarray | None:
+        """The digit operators' diagonal in each basis's own product frame, or None.
+
+        T with shape (d, d, d), T[i, j, j'] the diagonal entry of Q[b, i]
+        (:attr:`digit_operators`) at conj(phi_b(j)) x phi_b(j'), when every
+        Q[b, i] is diagonal in its basis's frame and the diagonals agree over
+        b, both up to rounding; T is their mean over b. On a complete MUB set
+        that is the closed form of the digit operators, whatever unitary turns
+        the set. Only a strategy in :attr:`closed_form` is looked at: LP
+        weights and a table get None without a look at Q, and a biased set
+        gets None from the gate.
+
+        The frame is F_b = Phi_b x conj(Phi_b), Phi_b the rows phi_b(j), and the
+        rotation is two complex products of inner dimension N = d*d. To first
+        order each is off by at most sqrt(2) gamma_(N+2) |A| |B| entrywise,
+        gamma_m = m u / (1 - m u) with u the unit roundoff (Higham, Accuracy
+        and Stability of Numerical Algorithms, 2nd ed., sections 3.5 and 3.6).
+        The rows of |F_b| are unit vectors, and ||Q||_2 <= ||Q||_F <= tr Q for
+        a positive operator, so every entry of the rotated Q is within beta = 2
+        sqrt(2) gamma_(N+2) tr Q of the exact one, tr Q taken as the largest
+        over (b, i). That is the gate: an off-diagonal entry above beta, or a
+        diagonal entry further than 2 beta from the mean over b, is not
+        rounding. Q and the frames carry rounding of their own from the solve
+        and from the bases, of order u tr Q; on ``gen_mub(d)``, d = 2, 3, 5 and
+        7, the off-diagonal entries are at most 6.1e-16, against beta = 3.8e-15
+        at d = 2.
+
+        Built on first read and cached read-only, like the digit operators.
+        """
+        if not self.closed_form:
             return None
-        bs, q = self.basis_set, self._digit_operators
+        bs, q = self.basis_set, self.digit_operators
         frames = qmath.kron(bs.vectors, bs.vectors.conj(), batch=1)[:, None]  # F_b, rows (j, j')
         rotated = frames @ q @ np.swapaxes(frames.conj(), -1, -2)
         dim2 = rotated.shape[-1]
@@ -449,81 +508,13 @@ def build_strategy(bs: BasisSet, residual_tol: float = qmath.RESIDUAL_TOL) -> St
     return strategy
 
 
-def digit_operators(strategy: Strategy) -> np.ndarray:
-    """Alice's POVM coarse-grained to the digit she announces for each basis.
-
-    Returns Q with shape (k, d, d*d, d*d), where
-
-        Q[b, i] = sum over x with x(b) = i of p(x) |eta_x><eta_x|
-
-    is the element for announcing i when Bob's basis was b. Completeness
-    gives sum_i Q[b, i] = identity for every b. The POVM of n independent
-    instances is a tensor product, so its element for the digits (b_s, i_s)
-    is the product of the Q[b_s, i_s], one per instance.
-
-    Q is built once per strategy, on first use, and every later call returns
-    that same read-only array: an attack sweep against one strategy does
-    not rebuild it. Under uniform weights it comes from the generators in
-    closed form (module docstring), which lists no guessing function; under
-    other weights, or for a strategy given as its table, it is summed over
-    the table. Raises :class:`OverBudget` when its k*d operators on the pair
-    space are over ``bases.MAX_ARRAY_ENTRIES``, or when it must list more
-    than ``MAX_GUESSING_FUNCTIONS`` guessing functions.
-
-    On a complete set of d + 1 mutually unbiased bases under the uniform
-    weight, Q has a closed form. With |P_b(j)> = conj(phi_b(j)) x phi_b(j)
-    on the (A, B) pair and Pi_b = sum_j |P_b(j)><P_b(j)|,
-
-        Q[b, i] = (1 - Pi_b) / d + |P_b(i)><P_b(i)|,
-
-    because such a set is a complex projective 2-design (Klappenecker &
-    Roetteler, ISIT 2005, 1740), so sum_(b, j) |P_b(j)><P_b(j)| = 1 +
-    |1><1| with |1> the unnormalized identity vector. In the product basis
-    conj(phi_b(j)) x phi_b(j') of basis b, Q[b, i] is therefore diagonal,
-    with entry delta(j, i) where j = j' and 1/d elsewhere, the same for
-    every b (:func:`digit_table`).
-    """
-    return strategy._digit_operators
-
-
-def digit_table(strategy: Strategy) -> np.ndarray | None:
-    """The digit operators' diagonal in each basis's own product frame, or None.
-
-    Returns T with shape (d, d, d), T[i, j, j'] the diagonal entry of Q[b,
-    i] (:func:`digit_operators`) at conj(phi_b(j)) x phi_b(j'), when every
-    Q[b, i] is diagonal in its basis's frame and the diagonals agree over b,
-    both up to rounding; T is their mean over b. On a complete MUB set that
-    is the closed form of :func:`digit_operators`, whatever unitary turns
-    the set. A biased set gets None, and so do LP weights and a strategy
-    given as its table, without a look at Q.
-
-    The frame is F_b = Phi_b x conj(Phi_b), Phi_b the rows phi_b(j), and the
-    rotation is two complex products of inner dimension N = d*d. To first
-    order each is off by at most sqrt(2) gamma_(N+2) |A| |B| entrywise,
-    gamma_m = m u / (1 - m u) with u the unit roundoff (Higham, Accuracy
-    and Stability of Numerical Algorithms, 2nd ed., sections 3.5 and 3.6).
-    The rows of |F_b| are unit vectors, and ||Q||_2 <= ||Q||_F <= tr Q for
-    a positive operator, so every entry of the rotated Q is within beta = 2
-    sqrt(2) gamma_(N+2) tr Q of the exact one, tr Q taken as the largest
-    over (b, i). That is the gate: an off-diagonal entry above beta, or a
-    diagonal entry further than 2 beta from the mean over b, is not
-    rounding. Q and the frames carry rounding of their own from the solve
-    and from the bases, of order u tr Q; on ``gen_mub(d)``, d = 2, 3, 5 and
-    7, the off-diagonal entries are at most 6.1e-16, against beta = 3.8e-15
-    at d = 2.
-
-    Built once per strategy, like the digit operators, and read-only.
-    """
-    return strategy._digit_table
-
-
 @dataclass
 class ProductStrategy:
     """n independent runs of a base strategy, viewed as one big game.
 
     Safe product vectors and weights are exposed through indexed accessors
     rather than materialized tables; ``safe_vector_grouped`` returns the
-    grouped order (A1..An B1..Bn), the layout the attack analysis uses.
+    product vector in grouped order (A1..An B1..Bn).
     """
 
     base: Strategy
@@ -546,7 +537,7 @@ class ProductStrategy:
     def safe_vector_grouped(self, xs) -> np.ndarray:
         # the Kronecker product of the (A_s, B_s) matrices is indexed (A1..An, B1..Bn)
         pairs = self.base.etas[self.base._rows(xs)].reshape(-1, self.d, self.d)
-        return qmath.tensor(*pairs).reshape(-1)
+        return qmath.kron(*pairs).reshape(-1)
 
 
 def tensor_strategy(s: Strategy, n: int) -> ProductStrategy:

@@ -230,13 +230,13 @@ def _hamming_scheme(k: int, d: int) -> _Scheme:
 def _closed_spectrum(strategy: Strategy) -> tuple[list, float] | None:
     """G's spectrum in closed form, as (eigenvalue, multiplicity) pairs, and its radius rho.
 
-    For a strategy given by its generators under one uniform weight, from
-    their k*d x k*d Gram: the fit, the Krawtchouk spectrum and the radius
-    of the module docstring. None for any other strategy, and where the
-    fit leaves the conditions the radius needs.
+    For a strategy in ``closed_form``, from its generators' k*d x k*d Gram:
+    the fit, the Krawtchouk spectrum and the radius of the module docstring.
+    None for any other strategy, and where the fit leaves the conditions the
+    radius needs.
     """
-    gens, p = strategy.generators, strategy.uniform_weight
-    if gens is None or p is None or len(gens) < 2:  # one basis has no Gram across bases
+    gens = strategy.generators
+    if not strategy.closed_form or len(gens) < 2:  # one basis has no Gram across bases
         return None
     k, d, dim = gens.shape
     scheme = _hamming_scheme(k, d)
@@ -252,7 +252,7 @@ def _closed_spectrum(strategy: Strategy) -> tuple[list, float] | None:
     lam = (scheme.krawtchouk @ np.square(alpha * scheme.agreements + c0) / n0).tolist()
     if not (t < n0 and scheme.multiplicities[3] >= 0 and min(lam) >= 0):
         return None
-    g0, s = max(abs(c0), n0), 1 / p
+    g0, s = max(abs(c0), n0), 1 / strategy.uniform_weight
     entry = ((2 * g0 + t) * t + g0 * g0 * t / n0) / (n0 - t)
     rho = (len(strategy.weights) * entry + s * dim * strategy.completeness_residual
            + _rounding_floor(dim) * s)

@@ -22,6 +22,11 @@ included, kept as the reference for the triangle over her distinct states.
 :func:`fields` decodes instance codes one Python ``divmod`` at a time, the
 reference for the transcript's one decode of its distinct codes.
 
+:func:`intercept_resend_closed_form` and :func:`probe_leakage_closed_form`
+are not routes at all but the paper's arithmetic for two canned attacks on
+a complete MUB set, derived in their docstrings: the fingerprints that tie
+the reports to exact values, not only to other routes of the same code.
+
 Two residents are not references but constructs only the tests read:
 :func:`decomposition_triple`, the paper's eta_x = eta_u + eta_v - eta_w
 identity, and :func:`weyl_sector_labels`, the labels that split the MUB
@@ -32,6 +37,9 @@ spectrum sector by sector.
 the library's ``retrodiction.conditional_states``, which forms all k*d of
 them in one batched product.
 """
+
+from fractions import Fraction
+from functools import reduce
 
 import numpy as np
 
@@ -133,6 +141,45 @@ def intercept_resend_detection(strategy, bstar):
                         correct += weights[pos] * abs(np.vdot(etas[pos], psi)) ** 2
                 total += (1.0 / d) * w * (1.0 - correct)
     return total / k
+
+
+def intercept_resend_closed_form(d, n):
+    """Detection of measure-and-resend in basis b* on a complete set of d + 1 MUBs, exactly.
+
+    Alice's POVM coarse-grains, per instance, to the digit operators
+    Q[b, i] = (1 - Pi_b) / d + |P_b(i)><P_b(i)|, with |P_b(j)> =
+    conj(phi_b(j)) x phi_b(j) and Pi_b their sum over j (the 2-design form
+    of ``retrodiction.Strategy.digit_operators``). Bob measures b and gets
+    i; Eve measures his returned system in b* and resends her outcome j,
+    so Alice holds s = conj(phi_b(i)) x phi_b*(j). For b = b*, j = i and s
+    is P_b(i): no error. For b != b*, <s|P_b(j')> = delta(i, j')
+    <phi_b*(j)|phi_b(i)>, of squared modulus 1/d, so <s|Pi_b|s> = 1/d and
+    <s|Q[b, i]|s> = (1 - 1/d)/d + 1/d = (2d - 1)/d**2, whatever j: an error
+    of (d - 1)**2 / d**2. Over the d + 1 uniform bases one instance errs
+    with p = (d - 1)**2 / (d (d + 1)). A block of n instances is a product
+    of independent ones (source, channel and POVM all factor), and it is
+    detected unless every instance is right: 1 - (1 - p)**n, a rational.
+    """
+    p = Fraction((d - 1) ** 2, d * (d + 1))
+    return 1 - (1 - p) ** n
+
+
+def probe_leakage_closed_form(d, n, theta):
+    """Leakage of the controlled-rotation probe on blocks of n instances, from the sines.
+
+    The source is sum_j |j>_A |j>_B |r_j>_E / sqrt(D), D = d**n, with
+    r_j = cos(j theta) e_0 + sin(j theta) e_1 for Bob's block index j, and
+    the channel is trivial. Bob's projection onto phi leaves Eve
+    rho(phi) = sum_j |phi_j|**2 |r_j><r_j|, a mixture of the pure r_j.
+    Trace distance is jointly convex, so no two mixtures are further apart
+    than the furthest pair of pure r_j, r_j'; and since
+    <r_j|r_j'> = cos((j - j') theta), that pair is |sin((j - j') theta)|
+    apart. The computational basis is among the MUBs (``gen_mub`` lists
+    it first), and its block eigenstates are the |j>, whose rho are the
+    pure r_j themselves, so the bound is attained: leakage is the maximum
+    over 1 <= m <= D - 1 of |sin(m theta)|, here in floating point.
+    """
+    return max(abs(np.sin(m * theta)) for m in range(1, d**n))
 
 
 def probe_detection(strategy, theta, d_eve=2):
@@ -271,8 +318,6 @@ def product_tables(strategy, n, interleaved=False):
     order (A1..An B1..Bn), or pair-interleaved (A1 B1 A2 B2 ...) with
     ``interleaved``; each weight is a Kronecker product of the row weights.
     """
-    from functools import reduce
-
     d = strategy.d
     etas = strategy.etas.reshape(-1, d, d)
     slots = [[s, n + s, 2 * n + s] for s in range(n)]  # row, A and B axis of each instance
@@ -401,11 +446,8 @@ def weyl_loops(d, n):
     """Every n-slot Weyl unitary, as (d**n,) * 4 indexed [m, l] by flat base-d labels.
 
     One label at a time: X^m Z^l per slot from ``matrix_power`` of the shift
-    and clock matrices, then ``qmath.tensor`` over the slots, first slot
-    slowest.
+    and clock matrices, then ``np.kron`` over the slots, first slot slowest.
     """
-    from meanking import qmath
-
     dd = d**n
     shift = np.roll(np.eye(d, dtype=complex), 1, axis=0)
     clock = np.diag(np.exp(2j * np.pi * np.arange(d) / d))
@@ -413,9 +455,9 @@ def weyl_loops(d, n):
     for m_flat in range(dd):
         for l_flat in range(dd):
             labels = zip(np.unravel_index(m_flat, (d,) * n), np.unravel_index(l_flat, (d,) * n))
-            out[m_flat, l_flat] = qmath.tensor(*[np.linalg.matrix_power(shift, m)
-                                                 @ np.linalg.matrix_power(clock, l)
-                                                 for m, l in labels])
+            out[m_flat, l_flat] = reduce(np.kron, [np.linalg.matrix_power(shift, m)
+                                                   @ np.linalg.matrix_power(clock, l)
+                                                   for m, l in labels])
     return out
 
 

@@ -1,18 +1,21 @@
 import dataclasses
 import functools
+import hashlib
 import itertools
+import math
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from meanking import attack as atk, protocol as proto, qmath, retrodiction as rd
+from meanking import attack as atk, bases, protocol as proto, qmath, retrodiction as rd
 from meanking.bases import OverBudget
 
-from oracles import (attack_pass_per_outcome, intercept_resend_detection,
-                     max_trace_distance_all_pairs, operator_form_loops, phi_hat,
-                     probe_detection, weyl_loops)
+from oracles import (attack_pass_per_outcome, intercept_resend_closed_form,
+                     intercept_resend_detection, max_trace_distance_all_pairs, operator_form_loops,
+                     phi_hat, probe_detection, probe_leakage_closed_form, weyl_loops)
 
 # (d, n, d_E) of the operator-form checks against the per-label loops
 LOOP_SHAPES = [(2, 1, 2), (2, 2, 2), (3, 1, 2), (3, 2, 1), (5, 1, 1)]
@@ -228,7 +231,7 @@ class TestProjectedState:
     def test_phi_product_int_shorthand(self, mub2):
         phi = atk.phi_product(mub2, 1, 0, 1)
         assert phi.tobytes() == atk.phi_product(mub2, (1,), (0,), 1).tobytes()
-        assert phi.tobytes() == qmath.tensor(mub2.vectors[1, 0]).tobytes()
+        assert phi.tobytes() == qmath.kron(mub2.vectors[1, 0]).tobytes()
         phi[:] = 0  # a copy: the basis set keeps its vector
         assert np.any(mub2.vectors[1, 0])
 
@@ -333,14 +336,14 @@ class TestGuessProbability:
     """Alice's chance of announcing a digit: tr(Q[b, j] rho) for her state rho."""
 
     def test_no_attack_correct_digit(self, strategy_d2, mub2, ideal2):
-        q = rd.digit_operators(strategy_d2)
+        q = strategy_d2.digit_operators
         for b in range(3):
             for i in range(2):
                 rho = atk.alice_state(ideal2, mub2, b, i)
                 assert abs(np.trace(q[b, i] @ rho).real - 1.0) < 1e-9
 
     def test_no_attack_wrong_digit(self, strategy_d2, mub2, ideal2):
-        q = rd.digit_operators(strategy_d2)
+        q = strategy_d2.digit_operators
         for b in range(3):
             for i in range(2):
                 rho = atk.alice_state(ideal2, mub2, b, i)
@@ -453,17 +456,49 @@ class TestPassAgainstPerOutcomeOracle:
         assert abs(det - (1 - (1 - p) ** 2)) < 1e-10
 
 
+@functools.lru_cache(maxsize=None)
+def _mub_strategy(d):
+    return rd.build_strategy(bases.gen_mub(d))
+
+
+class TestClosedFormFingerprints:
+    """Reports against the paper's arithmetic (``tests/oracles.py``), not only other routes."""
+
+    # the CLI's b=1 and the grid's basis; b*=1 at d=2, n=1 is the worst, err = 5.4 N u exact
+    @pytest.mark.parametrize("bstar", [0, 1])
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (5, 1), (5, 2),
+                                     (7, 1), (7, 2)])
+    def test_intercept_resend(self, d, n, bstar):
+        # detection sums N kept outcomes, so its rounding may grow with N: c N u, c = 8
+        strategy = _mub_strategy(d)
+        report = atk.evaluate_attack(strategy, atk.intercept_resend(strategy.basis_set, bstar, n=n))
+        exact, kept = intercept_resend_closed_form(d, n), len(report.per_outcome)
+        err = abs(Fraction(report.detection_probability) - exact)
+        assert err <= 8 * kept * Fraction(qmath.UNIT_ROUNDOFF) * exact
+        # Eve learns Bob's outcome whenever he used her basis: trace distance 1, no ulp above
+        assert report.leakage == 1.0
+
+    @pytest.mark.parametrize("theta", [0.3, 0.8])
+    @pytest.mark.parametrize("d,n", [(2, 1), (2, 2), (3, 1), (3, 2), (5, 1), (7, 1)])
+    def test_probe_leakage(self, d, n, theta):
+        strategy = _mub_strategy(d)
+        am = atk.probe_entangle(d, theta, n=n)
+        want = probe_leakage_closed_form(d, n, theta)
+        for got in (atk.evaluate_attack(strategy, am).leakage, atk.leakage(am, strategy.basis_set)):
+            assert abs(got - want) <= 2 * math.ulp(want)
+
+
 def _outcome_loop(strategy, am):
     """``(detection, table)`` from one Python float sum and one dict per outcome, in a loop
     over the pass's own chunks: the reference for the bits of the pass's array form."""
-    bs, n, frame_table = strategy.basis_set, am.n, rd.digit_table(strategy)
+    bs, n, frame_table = strategy.basis_set, am.n, strategy.digit_table
     if frame_table is None:
-        q = rd.digit_operators(strategy)
+        q = strategy.digit_operators
         chunks = ((c.bvecs, c.probs, atk._correct_mass([q[c.bvecs[:, s]] for s in range(n)],
                                                        c.branches))
                   for c in atk._walk(am, bs, stacks=True, states=True))
     else:
-        weights = functools.reduce(qmath.kron, [frame_table] * n)
+        weights = qmath.kron(*[frame_table] * n)
         chunks = ((c.bvecs, c.probs, atk._frame_mass(am, weights, c.phis, c.x))
                   for c in atk._walk(am, bs, frame=True, states=True))
     ivecs = list(itertools.product(range(bs.dim), repeat=n))
@@ -516,8 +551,8 @@ class TestFrameRoute:
         strategy = request.getfixturevalue(f"strategy_d{d}")
         bs = strategy.basis_set
         am = _grid_attack(kind, bs, n)
-        q = rd.digit_operators(strategy)
-        weights = functools.reduce(qmath.kron, [rd.digit_table(strategy)] * n)
+        q = strategy.digit_operators
+        weights = qmath.kron(*[strategy.digit_table] * n)
         frame = [atk._frame_mass(am, weights, c.phis, c.x) for c in atk._walk(am, bs, frame=True)]
         stack = [atk._correct_mass([q[c.bvecs[:, s]] for s in range(n)], c.branches)
                  for c in atk._walk(am, bs, stacks=True)]
@@ -569,7 +604,7 @@ class TestFrameRoute:
                         biased.basis_set, np.broadcast_to(1 / 81, (81,)), biased.generators),
                     "v1": lambda: rd.load_strategy(v1_files[2]),
                     "unit": lambda: unit_strategy}[source]()
-        assert rd.digit_table(strategy) is None
+        assert strategy.digit_table is None
         monkeypatch.setattr(atk, "_frame_mass", None)
         for kind in GRID_KINDS:
             am = _grid_attack(kind, strategy.basis_set, 1)
@@ -626,7 +661,7 @@ class TestOneWalk:
                                       monkeypatch):
         strategy = (request.getfixturevalue(f"strategy_d{d}") if route == "frame" else
                     rd.build_strategy(biased_copy(request.getfixturevalue(f"mub{d}"), 0.3)))
-        assert (rd.digit_table(strategy) is None) == (route == "stack")
+        assert (strategy.digit_table is None) == (route == "stack")
         am = _grid_attack(kind, strategy.basis_set, n)
         want = atk.evaluate_attack(strategy, am).detection_probability
 
@@ -858,23 +893,20 @@ class TestDistinctStates:
 class TestDigitOperatorsOnce:
     def test_built_once_per_strategy(self, strategy_d2, mub2, monkeypatch):
         strategy = dataclasses.replace(strategy_d2)  # a fresh instance, nothing cached
-        served = []  # the arrays themselves, so no id is reused
-
-        def recording(s):
-            served.append(rd.digit_operators(s))
-            return served[-1]
-
-        monkeypatch.setattr(atk, "digit_operators", recording)
+        builds = []  # a build of the digit operators checks the strategy's size first
+        check_size = rd._check_size
+        monkeypatch.setattr(rd, "_check_size", lambda bs: builds.append(check_size(bs)))
         am = atk.intercept_resend(mub2, 1, n=2)
         first = atk.evaluate_attack(strategy, am)
         assert atk.evaluate_attack(strategy, am) == first
         assert atk.detection_probability(strategy, am) == first.detection_probability
-        assert len(served) == 3 and all(q is served[0] for q in served)
-        assert rd.digit_operators(strategy_d2) is not served[0]
+        assert len(builds) == 1
+        assert strategy.digit_operators is strategy.digit_operators
+        assert strategy_d2.digit_operators is not strategy.digit_operators
 
     def test_read_only_and_frozen(self, strategy_d2):
-        q = rd.digit_operators(strategy_d2)
-        assert rd.digit_operators(strategy_d2) is q
+        q = strategy_d2.digit_operators
+        assert strategy_d2.digit_operators is q
         assert not q.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             q[0, 0, 0, 0] = 0.0
@@ -959,3 +991,87 @@ class TestReportObject:
         payload = report.to_dict()
         assert payload == dataclasses.asdict(report)
         assert payload["per_outcome"] is report.per_outcome
+
+
+# Report bits recorded at 0.13.0: detection and leakage by float.hex, and the SHA-256 of the
+# per-outcome table's prob and guess_error float.hex values, space-separated in table order.
+# Keyed (strategy, attack of _grid_attack, n); gen_mub takes the frame route, and the v1 d=3
+# table and a biased d=2 set the stack route.
+REPORT_CORPUS = {
+    ("mub2", "intercept-resend", 1): ("0x1.555555555556bp-3", "0x1.0000000000000p+0",
+        "e3a484ae1ab13ccc0c8a3fac1e8960fa2753d599a5f9ebdb5321fd996c086850"),
+    ("mub2", "probe", 1): ("0x1.41119ce565c10p-5", "0x1.49d6e694619b8p-1",
+        "8c9011e18d45be9ff1e4c54bc2438e87a10ca8b3efd3e4409d2e1627814b34ba"),
+    ("mub2", "source-replace", 1): ("0x1.dcf3413d37020p-6", "0x0.0p+0",
+        "7a4be19c981c0865c83f785af8a2340248e1a1e14c0c05ea82f933371719586a"),
+    ("mub2", "random", 1): ("0x1.22b898e595510p-1", "0x1.7837be6b37c92p-1",
+        "57ae45e04beacab72ae988c74f59cbae28262b12dcf3db0daac7f2427df588ab"),
+    ("mub2", "intercept-resend", 2): ("0x1.38e38e38e38fep-2", "0x1.0000000000000p+0",
+        "f6b8e3a4309f89da08298e08ec9e5783aeaf86f3a34e7d80aed019f5de94b29c"),
+    ("mub2", "probe", 2): ("0x1.607b23ac0b1e4p-3", "0x1.f88cddf44e103p-1",
+        "3b2f085acc39f2cd21ac793aed2bcd19d29629301894cb8f5984c9b576fdf8a1"),
+    ("mub2", "source-replace", 2): ("0x1.3df780d37a061p-5", "0x0.0p+0",
+        "cc3aa8e64aa3f933edb10bb6a6f6773419f4dd1011db1a5e05a06948aa339d28"),
+    ("mub2", "random", 2): ("0x1.87d4ad24dc43fp-1", "0x1.1053e10aa3b56p-1",
+        "3a08aef0d09eb78db5588c067998eaee9f35c2dd0ea94c235a03c289221fb082"),
+    ("mub2", "intercept-resend", 3): ("0x1.af684bda12f6cp-2", "0x1.0000000000000p+0",
+        "c7e55a1f32b2221a93f3b8fc88322af41907d37cb9aa150ad35662312327014c"),
+    ("mub2", "probe", 3): ("0x1.c2a9d55034669p-2", "0x1.f88cddf44e103p-1",
+        "97f40b51db83a2009a0b58220909bfe8c3b77ae989b72eef9bd614d062eaea3e"),
+    ("mub2", "source-replace", 3): ("0x1.8035bbaa33731p-5", "0x0.0p+0",
+        "fb9ddcd898897ac474360fb0105c8bedaf513e2d0fabf3e395d43ce1cf8f57ef"),
+    ("mub2", "random", 3): ("0x1.bb92d0d6ed272p-1", "0x1.f2d0bdca10b98p-2",
+        "80cd4c31aca2475685fbe5c25137e5ba2d6152b72ab814ff05c2d73e56e635ff"),
+    ("mub3", "intercept-resend", 1): ("0x1.5555555555546p-2", "0x1.0000000000000p+0",
+        "6ef83c0c9e9a243cbb4990bef0be33bbffa90fbf7909af406fb5943c30ad8287"),
+    ("mub3", "probe", 1): ("0x1.27e6ca1a8dbfap-3", "0x1.f88cddf44e103p-1",
+        "e81a246cdb33312e3ecbffc6be1ccb97682f816b98dfc5e5b306a04243d8dc42"),
+    ("mub3", "source-replace", 1): ("0x1.65b670ede9330p-5", "0x0.0p+0",
+        "2a3695648b8b0c22dee782efd5fc5f184b5b4516fdfbe9427d69174ae4f3336b"),
+    ("mub3", "random", 1): ("0x1.560d6c6ed4f0bp-1", "0x1.15a4ec268e12cp-1",
+        "61f36a7d04d33a7f7387bb34f1bd6979a4a8bf52cc968af99975f8f0004f3b5f"),
+    ("mub3", "intercept-resend", 2): ("0x1.1c71c71c71c6ep-1", "0x1.0000000000000p+0",
+        "5f85d3e3f698d122fb3ce5292495d00adbacc80dc971f05137771470fbde6721"),
+    ("mub3", "probe", 2): ("0x1.24fc437303a04p-1", "0x1.f88cddf44e103p-1",
+        "60779d3fb1700c9bfe2b10b9e3d4703bf15078af2a99dd6a782c09ecf19e417e"),
+    ("mub3", "source-replace", 2): ("0x1.dcf3413d36eadp-5", "0x0.0p+0",
+        "d95a7cd6f2d8c8772671c001f7560bfd06584215f81bec8cac42caf83b6b8209"),
+    ("mub3", "random", 2): ("0x1.c724480598714p-1", "0x1.ab3743fc99f7fp-2",
+        "13e04f28409f5597709717822d8c3c99f93fa58688760d35447feca2e67dd8a6"),
+    ("v1-3", "intercept-resend", 1): ("0x1.5555555555551p-2", "0x1.0000000000000p+0",
+        "747793e4cfc747f9f38c91d0b74aa5f3a1bab9560b0702fed5a51daba21ecf1a"),
+    ("v1-3", "intercept-resend", 2): ("0x1.1c71c71c71c71p-1", "0x1.0000000000000p+0",
+        "e288f51becb10b70626fab4a9961f183a119f83e513c32c45e329f1e5a35afe6"),
+    ("v1-3", "probe", 1): ("0x1.27e6ca1a8dc0ap-3", "0x1.f88cddf44e103p-1",
+        "ddc4f265abd85f6e2d410eb2391fe90c6496a3a90f7d769269e198f27d720ef0"),
+    ("v1-3", "probe", 2): ("0x1.24fc437303a07p-1", "0x1.f88cddf44e103p-1",
+        "58f049bfd274f96206a2f9889f1bcff3cd1908ea3f3e9a41d1e320fc9bea44c9"),
+    ("biased2", "intercept-resend", 1): ("0x1.3b73ca512ee9bp-3", "0x1.0000000000000p+0",
+        "d7a7957de66cb29bcc3f3ace17c6a00c3c295964a8ae7486939413e2f4257580"),
+    ("biased2", "intercept-resend", 2): ("0x1.232867ccfc058p-2", "0x1.0000000000000p+0",
+        "0e9401012547c5d1c84b508d61380dc3eb3ea19058eedeb2282dc5f020b7394f"),
+    ("biased2", "probe", 1): ("0x1.28b96b8818cdbp-5", "0x1.49d6e694619b8p-1",
+        "ebe4b378d1b7e5241d0dd76c16b0ea51813885bf0318ddc3f64ba3df416ef68f"),
+    ("biased2", "probe", 2): ("0x1.4688682d7fb04p-3", "0x1.f88cddf44e103p-1",
+        "d6995f9eb6d39f681be734726f4b6c82ad14fc9f9cc78931f7a59ad97f8701fd"),
+}
+
+
+class TestReportCorpus:
+    """Every report of the corpus bit for bit, so a change that claims unchanged reports is
+    checked here, not by a script over two trees."""
+
+    @pytest.mark.parametrize("source,kind,n", list(REPORT_CORPUS),
+                             ids=[f"{s}-{k}-{n}" for s, k, n in REPORT_CORPUS])
+    def test_report_bits(self, source, kind, n, request, mub2, biased_copy, v1_files):
+        strategy = {"mub2": lambda: request.getfixturevalue("strategy_d2"),
+                    "mub3": lambda: request.getfixturevalue("strategy_d3"),
+                    "v1-3": lambda: rd.load_strategy(v1_files[3]),
+                    "biased2": lambda: rd.build_strategy(biased_copy(mub2, 0.2))}[source]()
+        report = atk.evaluate_attack(strategy, _grid_attack(kind, strategy.basis_set, n))
+        table = " ".join(f"{e['prob'].hex()} {e['guess_error'].hex()}" for e in report.per_outcome)
+        got = (report.detection_probability.hex(), report.leakage.hex(),
+               hashlib.sha256(table.encode()).hexdigest())
+        for field, value, want in zip(("detection", "leakage", "table"), got,
+                                      REPORT_CORPUS[source, kind, n]):
+            assert value == want, f"{field} of {source}, {kind}, n={n}"

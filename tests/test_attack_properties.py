@@ -38,7 +38,7 @@ def test_phi_product_is_the_tensor_product(case):
     bs, bvec, ivec, n = case
     checked_block_dim(bs.dim, n)  # within the block budget
     got = atk.phi_product(bs, bvec, ivec, n)
-    assert got.tobytes() == qmath.tensor(*bs.vectors[bvec, ivec]).tobytes()
+    assert got.tobytes() == qmath.kron(*bs.vectors[bvec, ivec]).tobytes()
 
 
 @st.composite

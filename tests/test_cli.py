@@ -227,6 +227,19 @@ class TestRunCommand:
         assert code == 1 and captured.out == "" and not out_path.exists()
         assert captured.err == f"error: attack parameter b must be an integer from 1 to 3, not {b!r}\n"
 
+    # the probe's ancilla is at least a qubit; no bound above, where the block budget takes over
+    @pytest.mark.parametrize("d_eve", ["x", "2.5", "1", "0"])
+    @pytest.mark.parametrize("command", ["attack-eval", "run"])
+    def test_probe_ancilla_not_an_integer(self, tmp_path, capsys, strategy_file, command, d_eve):
+        out_path = tmp_path / "out.json"
+        argv = (["security", "attack-eval", "--dim", "2"] if command == "attack-eval" else
+                ["run", "--strategy", str(strategy_file), "--rounds", "2", "--seed", "1"])
+        code = cli.main(argv + ["--attack", f"probe:d_eve={d_eve}", "--out", str(out_path)])
+        captured = capsys.readouterr()
+        assert code == 1 and captured.out == "" and not out_path.exists()
+        want = f"error: attack parameter d_eve must be an integer >= 2, not {d_eve!r}\n"
+        assert captured.err == want
+
     @pytest.mark.parametrize("spec", ["intercept-resend:bb=1", "none:b=1"])
     def test_unknown_attack_parameter(self, tmp_path, capsys, strategy_file, spec):
         code = cli.main(["run", "--strategy", str(strategy_file), "--rounds", "10",
@@ -456,7 +469,7 @@ class TestSecurityCommands:
         assert cli.main(argv + ["9"]) == 2
 
     @pytest.mark.parametrize("spec", ["source-replace:eps=inf", "probe:theta=nan",
-                                      "probe:theta=-inf"])
+                                      "probe:theta=-inf", "probe:theta=x", "source-replace:eps=x"])
     @pytest.mark.parametrize("command", ["attack-eval", "run"])
     def test_non_finite_attack_parameter(self, tmp_path, capsys, strategy_file, command, spec):
         out_path = tmp_path / "out.json"
@@ -880,7 +893,7 @@ class TestEntryPoint:
     def test_test_only_routes_are_gone(self):
         # tests reach what these did through tests/oracles.py or inline expressions
         removed = {
-            qmath: ["partial_trace", "dagger"],
+            qmath: ["partial_trace", "dagger", "tensor"],  # qmath.kron takes every factor
             protocol: ["_born_rows"],
             bases: ["check_orthonormal", "check_unbiased", "pairwise_flat"],
             attack: ["entangled_basis_vector", "eve_final_state", "guess_probability",
@@ -888,8 +901,9 @@ class TestEntryPoint:
                      "source_from_coefficients", "decompose_source", "weyl_operators",
                      "phi_hat_product", "_projected_raw", "_eve_blocks", "_frame_walk",
                      "_blocks"],
-            retrodiction: ["decomposition_triple", "phi_hat"],
-            retrodiction.Strategy: ["safe_vector", "weight"],
+            # the digit operators and table are cached properties of Strategy
+            retrodiction: ["decomposition_triple", "phi_hat", "digit_operators", "digit_table"],
+            retrodiction.Strategy: ["safe_vector", "weight", "_digit_operators", "_digit_table"],
             retrodiction.ProductStrategy: ["safe_vector"],
             # the Weyl-sector engine; tests/oracles.py keeps the sector labels
             security: ["_WeylLayout", "_weyl_layout", "_to_weyl", "_from_weyl", "_blocks"],

@@ -18,16 +18,17 @@ def rand_complex(rng, *shape):
 
 
 class TestTensor:
+    """The n-fold Kronecker product: every factor, left to right, first factor slowest."""
+
     def test_identity(self):
-        assert_allclose(qmath.tensor(np.eye(2), np.eye(2)), np.eye(4))
+        assert_allclose(qmath.kron(np.eye(2), np.eye(2), np.eye(2)), np.eye(8))
 
     def test_basis_bookkeeping(self):
         e0 = np.array([1.0, 0.0])
         e1 = np.array([0.0, 1.0])
-        out = qmath.tensor(e0, e1)
-        expect = np.zeros(4)
-        expect[0 * 2 + 1] = 1.0
-        assert_allclose(out, expect)
+        expect = np.zeros(8)
+        expect[(0 * 2 + 1) * 2 + 1] = 1.0
+        assert_allclose(qmath.kron(e0, e1, e1), expect)
 
     def test_shift_times_clock(self):
         # expanded by hand: X (x) Z has Z blocks on the X pattern
@@ -36,25 +37,38 @@ class TestTensor:
         expect[1, 3] = -1.0
         expect[2, 0] = 1.0
         expect[3, 1] = -1.0
-        assert_allclose(qmath.tensor(X2, Z2), expect)
+        assert_allclose(qmath.kron(X2, Z2), expect)
 
     def test_associative_bilinear(self):
+        # bitwise the running product times the next factor, as np.kron folds them
         rng = np.random.default_rng(3)
         for _ in range(10):
-            a = rand_complex(rng, 2, 3)
-            b = rand_complex(rng, 3, 2)
-            c = rand_complex(rng, 2, 2)
-            assert_allclose(
-                qmath.tensor(qmath.tensor(a, b), c),
-                qmath.tensor(a, qmath.tensor(b, c)),
-                atol=1e-12,
-            )
+            a, b, c = rand_complex(rng, 2, 3), rand_complex(rng, 3, 2), rand_complex(rng, 2, 2)
+            out = qmath.kron(a, b, c)
+            np.testing.assert_array_equal(out, np.kron(np.kron(a, b), c))
+            np.testing.assert_array_equal(out, qmath.kron(qmath.kron(a, b), c))
+            assert_allclose(out, qmath.kron(a, qmath.kron(b, c)), atol=1e-12)
             s, t = rng.standard_normal(2)
-            assert_allclose(
-                qmath.tensor(s * a + t * a, b),
-                s * qmath.tensor(a, b) + t * qmath.tensor(a, b),
-                atol=1e-12,
-            )
+            assert_allclose(qmath.kron(s * a + t * a, b),
+                            s * qmath.kron(a, b) + t * qmath.kron(a, b), atol=1e-12)
+
+    def test_batch_axes_of_many(self):
+        rng = np.random.default_rng(4)
+        a, b, c = (rand_complex(rng, 5, 2, 2) for _ in range(3))
+        out = qmath.kron(a, b, c, batch=1)
+        for j in range(5):
+            np.testing.assert_array_equal(out[j], np.kron(np.kron(a[j], b[j]), c[j]))
+
+    def test_one_factor_is_a_copy(self):
+        a = np.arange(4.0)
+        out = qmath.kron(a)
+        np.testing.assert_array_equal(out, a)
+        out[:] = 0.0
+        assert a.tolist() == [0.0, 1.0, 2.0, 3.0]
+
+    def test_no_factor(self):
+        with pytest.raises(ValueError, match="kron needs at least one factor"):
+            qmath.kron()
 
 
 class TestKron:

@@ -344,13 +344,13 @@ class TestBuildBudget:
         lp_weighted = rd.Strategy(basis_set=s.basis_set, generators=s.generators,
                                   weights=np.linspace(1, 2, 7**8))
         with pytest.raises(rd.OverBudget, match="5764801 guessing functions"):
-            rd.digit_operators(lp_weighted)
+            _ = lp_weighted.digit_operators
 
 
 class TestDigitOperators:
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_complete_per_basis(self, d, request):
-        q = rd.digit_operators(request.getfixturevalue(f"strategy_d{d}"))
+        q = request.getfixturevalue(f"strategy_d{d}").digit_operators
         assert q.shape == (d + 1, d, d * d, d * d)
         for b in range(d + 1):
             assert np.max(np.abs(q[b].sum(axis=0) - np.eye(d * d))) < 1e-8
@@ -489,8 +489,9 @@ class TestStrategyFile:
 
 def enumerated_q(strategy):
     """Q summed over the table, the route the closed form replaced, via a table strategy."""
-    return rd.digit_operators(rd.Strategy(basis_set=strategy.basis_set, table=strategy.safe_vectors,
-                                          weights=np.array(strategy.weights)))
+    as_table = rd.Strategy(basis_set=strategy.basis_set, table=strategy.safe_vectors,
+                           weights=np.array(strategy.weights))
+    return as_table.digit_operators
 
 
 @st.composite
@@ -516,7 +517,7 @@ def test_closed_forms_match_enumeration(case):
     assert np.max(np.abs(closed - total)) <= 1e-12 * np.max(np.abs(total))
     weights = np.full(d**k, 0.25 / d**k)
     uniform = rd.Strategy(basis_set=bs, weights=np.broadcast_to(weights[0], d**k), generators=gens)
-    q = rd.digit_operators(uniform)
+    q = uniform.digit_operators
     want = enumerated_q(rd.Strategy(basis_set=bs, weights=weights, table=table))
     assert np.array_equal(uniform.etas, table.eta)
     enumerated = rd._completeness_residual(table.eta, weights, d * d)
@@ -529,6 +530,16 @@ def test_closed_forms_match_enumeration(case):
 class TestClosedForms:
     """The uniform weight, completeness residual, Q and residual bound against enumeration."""
 
+    def test_closed_form_is_generators_under_one_weight(self, strategy_d2, mub3, biased_copy,
+                                                        v1_files, unit_strategy):
+        biased = rd.build_strategy(biased_copy(mub3, 0.3))  # LP weights
+        uniform = rd.Strategy(biased.basis_set, np.broadcast_to(1 / 81, (81,)), biased.generators)
+        as_table = rd.Strategy(basis_set=strategy_d2.basis_set, table=strategy_d2.safe_vectors,
+                               weights=np.array(strategy_d2.weights))
+        assert strategy_d2.closed_form and uniform.closed_form
+        for s in (biased, as_table, unit_strategy, rd.load_strategy(v1_files[2])):
+            assert not s.closed_form
+
     @pytest.mark.parametrize("d", [2, 3, 5])
     def test_match_enumeration(self, d, request):
         s = request.getfixturevalue(f"strategy_d{d}")
@@ -536,7 +547,7 @@ class TestClosedForms:
         assert abs(s.uniform_weight - d * d / float(np.sum(np.abs(etas) ** 2))) < 1e-14
         assert abs(s.completeness_residual
                    - rd._completeness_residual(etas, s.weights, d * d)) < 1e-14
-        assert np.max(np.abs(rd.digit_operators(s) - enumerated_q(s))) < 1e-14
+        assert np.max(np.abs(s.digit_operators - enumerated_q(s))) < 1e-14
         assert s.max_residual >= s.safe_vectors.residual.max()
         assert s.max_residual < 1e-14
         assert len(s.weights) == nx and s.weights.strides == (0,)
@@ -548,7 +559,7 @@ class TestClosedForms:
         assert np.array_equal(s.weights, rd.solve_povm_weights(table)[0])
         assert lp_calls == [8, 8]
         assert s.uniform_weight is None
-        assert np.max(np.abs(rd.digit_operators(s) - enumerated_q(s))) < 1e-14
+        assert np.max(np.abs(s.digit_operators - enumerated_q(s))) < 1e-14
 
     def test_conditional_states_one_product(self):
         for d in (2, 3, 5, 7):
@@ -581,7 +592,7 @@ class TestNoEnumeration:
         monkeypatch.setattr(rd, "_table", forbidden)
         bs = bases.gen_mub(d)
         s = rd.build_strategy(bs)
-        q = rd.digit_operators(s)
+        q = s.digit_operators
         assert np.max(np.abs(q.sum(axis=1) - np.eye(d * d))) < 1e-12
         path = tmp_path / "s.json"
         rd.save_strategy(s, path)
@@ -697,7 +708,7 @@ def frame_rotated(strategy):
     """Each Q[b, i] in its basis's product frame conj(phi_b(j)) x phi_b(j'), rows (j, j')."""
     v = strategy.basis_set.vectors
     frames = qmath.kron(v, v.conj(), batch=1)[:, None]
-    return frames @ rd.digit_operators(strategy) @ np.swapaxes(frames.conj(), -1, -2)
+    return frames @ strategy.digit_operators @ np.swapaxes(frames.conj(), -1, -2)
 
 
 def exact_table(d):
@@ -714,12 +725,12 @@ class TestDigitClosedForm:
     def test_matches_digit_operators(self, d):
         bs = bases.gen_mub(d)
         s = rd.build_strategy(bs)
-        assert np.max(np.abs(rd.digit_operators(s) - closed_form_q(bs))) <= 1e-14
+        assert np.max(np.abs(s.digit_operators - closed_form_q(bs))) <= 1e-14
         # the 2-design: sum over every basis and outcome of |P><P| = 1 + |1><1|
         p = qmath.kron(bs.vectors.conj(), bs.vectors, batch=2).reshape(-1, d * d)
         ones = np.eye(d).reshape(-1)
         assert np.max(np.abs(p.T @ p.conj() - np.eye(d * d) - np.outer(ones, ones))) <= 1e-14
-        assert np.max(np.abs(rd.digit_table(s) - exact_table(d))) <= 1e-14
+        assert np.max(np.abs(s.digit_table - exact_table(d))) <= 1e-14
 
     def test_biased_set_is_not_diagonal(self, mub3, biased_copy):
         bs = biased_copy(mub3, 0.3)
@@ -727,22 +738,22 @@ class TestDigitClosedForm:
         rotated = frame_rotated(s)
         off = np.abs(rotated[..., ~np.eye(9, dtype=bool)]).max()
         assert off > 0.1
-        assert rd.digit_table(s) is None
+        assert s.digit_table is None
         # under the uniform weight its off-diagonal entries alone refuse it
         uniform = rd.Strategy(bs, np.broadcast_to(1 / 81, (81,)), s.generators)
         assert np.abs(frame_rotated(uniform)[..., ~np.eye(9, dtype=bool)]).max() > 0.1
-        assert rd.digit_table(uniform) is None
+        assert uniform.digit_table is None
 
     def test_table_strategies_get_none(self, strategy_d2, unit_strategy, v1_files):
         # a strategy given as its table keeps the summed route, whatever its operators
         as_table = rd.Strategy(basis_set=strategy_d2.basis_set, table=strategy_d2.safe_vectors,
                                weights=np.array(strategy_d2.weights))
         for s in (as_table, unit_strategy, rd.load_strategy(v1_files[2])):
-            assert rd.digit_table(s) is None
+            assert s.digit_table is None
 
     def test_built_once_read_only(self, strategy_d3):
-        table = rd.digit_table(strategy_d3)
-        assert rd.digit_table(strategy_d3) is table and not table.flags.writeable
+        table = strategy_d3.digit_table
+        assert strategy_d3.digit_table is table and not table.flags.writeable
 
 
 @settings(max_examples=20, deadline=None)
@@ -752,6 +763,6 @@ def test_closed_form_under_a_unitary(seed):
     u = random_unitary(np.random.default_rng(seed), 3)
     bs = bases.BasisSet(bases.gen_mub(3).vectors @ u.T)
     s = rd.build_strategy(bs)
-    assert np.max(np.abs(rd.digit_operators(s) - closed_form_q(bs))) <= 1e-14
-    table = rd.digit_table(s)
+    assert np.max(np.abs(s.digit_operators - closed_form_q(bs))) <= 1e-14
+    table = s.digit_table
     assert table is not None and np.max(np.abs(table - exact_table(3))) <= 1e-14
